@@ -3,12 +3,11 @@ switched linear) systems through balanced-truncation output abstractions with
 computed error bounds."""
 
 from .balancing import (Abstraction, BalancedRealization, RankDeficiencyError,
-                        balance, hankel_singular_values, truncate,
-                        augmented_initial_box, sup_augmented_initial_norm)
+                        balance, hankel_singular_values, truncate)
 from .benchmarks import motor_benchmark
-from .bounds import (AugmentedSystem, ErrorBound, augment, build_augmented,
-                     combine, e1_optimization, e1_simulation, e1_theoretical,
-                     e2_simulation, e2_theoretical,
+from .bounds import (AugmentedSystem, ErrorBound, augment, combine,
+                     e1_optimization, e1_simulation, e1_theoretical,
+                     e2_simulation, e2_theoretical, sup_box_norm,
                      E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION)
 from .generate import random_problem, random_stable_system
 from .gramians import GramianPair, SolverError, gramians, solve_lyapunov

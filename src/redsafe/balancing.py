@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramians import gramians
+from .gramians import GramianPair, gramians
 from .model import HyperBox, LtiSystem, ModelError, require_hurwitz
 
 #: Relative eigenvalue cutoff below which the controllability gramian (or the
@@ -71,14 +71,12 @@ class Abstraction:
     """Order-k truncation of a balanced realization plus its initial box.
 
     ``x0_reduced`` is the componentwise-exact interval hull of
-    {S H x0 : x0 in X0}; ``delta`` is attached later by the bounds layer.
+    {H[:k] x0 : x0 in X0}; ``delta`` is attached later by the bounds layer.
     """
 
     reduced: LtiSystem
     k: int
-    S: np.ndarray
     x0_reduced: HyperBox
-    parent: BalancedRealization
     delta: np.ndarray | None = None
 
     def with_delta(self, delta: np.ndarray) -> "Abstraction":
@@ -90,27 +88,21 @@ class Abstraction:
         return dataclasses.replace(self, delta=delta)
 
 
-def _psd_sqrt_factor(W: np.ndarray, what: str) -> np.ndarray:
-    """Factor W = G G^T via eigendecomposition; fails on rank deficiency."""
-    w, V = np.linalg.eigh((W + W.T) / 2.0)
-    if w[-1] <= 0 or w[0] <= RANK_TOL * w[-1]:
-        raise RankDeficiencyError(
-            f"{what} is numerically rank deficient "
-            f"(eigenvalue ratio {w[0] / max(w[-1], 1e-300):.3e} <= {RANK_TOL:.1e}); "
-            "the realization looks non-minimal -- reduce to a minimal realization first")
-    return V * np.sqrt(np.clip(w, 0.0, None))
+def _hankel_factor(g: GramianPair):
+    """Factor Wc = G G^T by an eigendecomposition (w are its eigenvalues),
+    then diagonalize the symmetric G^T Wo G = K diag(s2) K^T with s2
+    nonincreasing; eig(Wc Wo) = s2 even when Wc is near singular."""
+    w, V = np.linalg.eigh((g.Wc + g.Wc.T) / 2.0)
+    G = V * np.sqrt(np.clip(w, 0.0, None))
+    M = G.T @ g.Wo @ G
+    s2, K = np.linalg.eigh((M + M.T) / 2.0)
+    return w, G, s2[::-1], K[:, ::-1]
 
 
 def hankel_singular_values(sys: LtiSystem) -> np.ndarray:
     """Nonincreasing Hankel spectrum sqrt(eig(Wc Wo)), clamped at zero."""
-    g = gramians(sys)
-    # eig(Wc Wo) equals eig of the symmetric G^T Wo G with Wc = G G^T; use the
-    # symmetric form for stable eigenvalues even when Wc is near singular.
-    w, V = np.linalg.eigh((g.Wc + g.Wc.T) / 2.0)
-    G = V * np.sqrt(np.clip(w, 0.0, None))
-    M = G.T @ g.Wo @ G
-    s2 = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return np.sqrt(np.clip(s2, 0.0, None))[::-1]
+    s2 = _hankel_factor(gramians(sys))[2]
+    return np.sqrt(np.clip(s2, 0.0, None))
 
 
 def balance(sys: LtiSystem) -> BalancedRealization:
@@ -122,11 +114,12 @@ def balance(sys: LtiSystem) -> BalancedRealization:
     """
     require_hurwitz(sys.A)
     g = gramians(sys)
-    G = _psd_sqrt_factor(g.Wc, "controllability gramian")
-    M = G.T @ g.Wo @ G
-    s2, K = np.linalg.eigh((M + M.T) / 2.0)
-    s2 = s2[::-1]
-    K = K[:, ::-1]
+    w, G, s2, K = _hankel_factor(g)
+    if w[-1] <= 0 or w[0] <= RANK_TOL * w[-1]:
+        raise RankDeficiencyError(
+            f"controllability gramian is numerically rank deficient "
+            f"(eigenvalue ratio {w[0] / max(w[-1], 1e-300):.3e} <= {RANK_TOL:.1e}); "
+            "the realization looks non-minimal -- reduce to a minimal realization first")
     sigma = np.sqrt(np.clip(s2, 0.0, None))
     if sigma[0] <= 0 or sigma[-1] <= RANK_TOL * sigma[0]:
         raise RankDeficiencyError(
@@ -159,18 +152,11 @@ def balance(sys: LtiSystem) -> BalancedRealization:
                                cond_H=cond_H, bal_defect=float(defect))
 
 
-def _box_image(L: np.ndarray, box: HyperBox) -> HyperBox:
+def box_image(L: np.ndarray, box: HyperBox) -> HyperBox:
     """Componentwise-exact interval hull of {L x : x in box}."""
     mid = L @ box.center
     rad = np.abs(L) @ box.halfwidth
     return HyperBox(mid - rad, mid + rad)
-
-
-def selection_matrix(k: int, n: int) -> np.ndarray:
-    """S = [I_k 0], the truncation that keeps the first k balanced states."""
-    S = np.zeros((k, n))
-    S[:, :k] = np.eye(k)
-    return S
 
 
 def truncate(bal: BalancedRealization, k: int, x0: HyperBox) -> Abstraction:
@@ -186,27 +172,4 @@ def truncate(bal: BalancedRealization, k: int, x0: HyperBox) -> Abstraction:
     if x0.dim != n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={n}")
     reduced = LtiSystem(bal.A_t[:k, :k], bal.B_t[:k, :], bal.C_t[:, :k])
-    return Abstraction(reduced=reduced, k=k, S=selection_matrix(k, n),
-                       x0_reduced=_box_image(bal.H[:k, :], x0), parent=bal)
-
-
-def augmented_initial_box(bal: BalancedRealization, k: int, x0: HyperBox) -> HyperBox:
-    """Componentwise-exact interval hull of the lifted initial states
-    (H x0, S H x0) in R^(n+k)."""
-    if not (1 <= k <= bal.n):
-        raise ModelError(f"k must be in [1, n], got {k}")
-    L = np.vstack([bal.H, bal.H[:k, :]])
-    return _box_image(L, x0)
-
-
-def sup_augmented_initial_norm(bal: BalancedRealization, k: int, x0: HyperBox) -> float:
-    """Sound upper bound on sup ||(H x0, S H x0)||_2 over the box.
-
-    Per coordinate the exact interval over the box is computed (a linear
-    functional of a box), then the Euclidean norm of the worst corners is
-    taken.  Over-approximates the true supremum; exact when the lifted
-    coordinates are independent.
-    """
-    box = augmented_initial_box(bal, k, x0)
-    worst = np.maximum(np.abs(box.lb), np.abs(box.ub))
-    return float(np.linalg.norm(worst))
+    return Abstraction(reduced=reduced, k=k, x0_reduced=box_image(bal.H[:k, :], x0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .balancing import Abstraction, BalancedRealization
+from .balancing import BalancedRealization, box_image
 from .gramians import SolverError, solve_lyapunov
 from .model import HyperBox, ModelError
 from .reach import _transition
@@ -57,7 +57,7 @@ class AugmentedSystem:
     """Block system whose output is the error y - y_r.
 
     A_bar = diag(A_t, A_r), B_bar stacks (B_t, B_r), C_bar = [C_t, -C_r];
-    ``lift`` maps a full-order initial state to (H x0, S H x0).
+    ``lift`` maps a full-order initial state to (H x0, H[:k] x0).
     """
 
     A_bar: np.ndarray
@@ -75,13 +75,19 @@ class AugmentedSystem:
     def m(self) -> int:
         return self.B_bar.shape[1]
 
+    def lift_box(self, x0: HyperBox) -> HyperBox:
+        """Componentwise-exact interval hull of the lifted initial states
+        ``lift @ x0`` over a full-order box."""
+        if x0.dim != self.n:
+            raise ModelError(f"x0 has dim {x0.dim}, expected n={self.n}")
+        return box_image(self.lift, x0)
+
 
 def augment(bal: BalancedRealization, k: int) -> AugmentedSystem:
     """Augmented error system for the order-k truncation of ``bal``.
 
-    Unlike :func:`build_augmented` this takes a bare order, with no p < k
-    requirement, so degenerate cases (k = n = p) remain constructible for
-    oracle checks.
+    Takes a bare order with no p < k requirement, so degenerate cases
+    (k = n = p) remain constructible for oracle checks.
     """
     n = bal.n
     if not (1 <= k <= n):
@@ -94,13 +100,6 @@ def augment(bal: BalancedRealization, k: int) -> AugmentedSystem:
     C_bar = np.hstack([C_t, -C_t[:, :k]])
     lift = np.vstack([bal.H, bal.H[:k, :]])
     return AugmentedSystem(A_bar=A_bar, B_bar=B_bar, C_bar=C_bar, lift=lift, n=n, k=k)
-
-
-def build_augmented(bal: BalancedRealization, abstraction: Abstraction) -> AugmentedSystem:
-    """Augmented error system of an abstraction derived from ``bal``."""
-    if abstraction.parent is not bal:
-        raise ModelError("abstraction was not derived from this balanced realization")
-    return augment(bal, abstraction.k)
 
 
 def contraction_defect(aug: AugmentedSystem) -> float:
@@ -119,23 +118,23 @@ def _require_contractive(aug: AugmentedSystem) -> None:
             "the zero-input bound would be unsound")
 
 
-def e1_theoretical(aug: AugmentedSystem, sup_norm_x0_bar: float) -> np.ndarray:
-    """Zero-input bound ||C_bar_i||_2 * sup ||x0_bar|| per output.
+def sup_box_norm(box: HyperBox) -> float:
+    """Sound upper bound on sup ||x||_2 over a box: the norm of the worst
+    corner per coordinate (exact when the coordinates are independent)."""
+    return float(np.linalg.norm(np.maximum(np.abs(box.lb), np.abs(box.ub))))
+
+
+def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+    """Zero-input bound ||C_bar_i||_2 * sup ||x0_bar|| per output, with x0_bar
+    ranging over the lift of the full-order initial box ``x0``.
 
     Valid for all t >= 0 because the balanced augmented system is monotone
     convergent (||x_bar(t)|| never exceeds ||x_bar(0)||); the square root on
     lambda_max(C_i^T C_i) follows the quadratic chain of that argument.
     """
-    if sup_norm_x0_bar < 0:
-        raise ModelError("sup_norm_x0_bar must be nonnegative")
     _require_contractive(aug)
     row_norms = np.linalg.norm(aug.C_bar, axis=1)
-    return row_norms * sup_norm_x0_bar
-
-
-def sup_box_norm(box: HyperBox) -> float:
-    """sup ||x||_2 over a box (worst corner per coordinate)."""
-    return float(np.linalg.norm(np.maximum(np.abs(box.lb), np.abs(box.ub))))
+    return row_norms * sup_box_norm(aug.lift_box(x0))
 
 
 def _feasible_quadratic(aug: AugmentedSystem, CtC: np.ndarray, eps: float) -> np.ndarray:
@@ -149,22 +148,20 @@ def _feasible_quadratic(aug: AugmentedSystem, CtC: np.ndarray, eps: float) -> np
     return alpha * P
 
 
-def e1_optimization(aug: AugmentedSystem, x0_bar_box: HyperBox,
+def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
                     refine: bool = True) -> np.ndarray:
     """Zero-input bound via a feasible (not trace-optimal) quadratic certificate.
 
     For each output row a P satisfying P > 0, A_bar^T P + P A_bar < 0 and
     C_i^T C_i <= P is constructed; the bound is sqrt(lambda_max(P)) times the
-    sup norm of the lifted initial box.  ``refine`` searches a small grid of
-    Lyapunov shifts; the scaled-identity certificate is always included, so
-    the result never exceeds the closed-form bound when that bound applies.
+    sup norm of the lifted full-order initial box ``x0``.  ``refine``
+    searches a small grid of Lyapunov shifts; the scaled-identity certificate
+    is always included, so the result never exceeds the closed-form bound
+    when that bound applies.
     Falls back to :func:`e1_theoretical` with a warning if every Lyapunov
     construction fails.
     """
-    if x0_bar_box.dim != aug.n + aug.k:
-        raise ModelError(f"x0_bar_box has dim {x0_bar_box.dim}, expected "
-                         f"n+k={aug.n + aug.k}")
-    sup_norm = sup_box_norm(x0_bar_box)
+    sup_norm = sup_box_norm(aug.lift_box(x0))
     defect = contraction_defect(aug)
     scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
     identity_ok = defect <= CONTRACTION_TOL_REL * scale
@@ -189,7 +186,7 @@ def e1_optimization(aug: AugmentedSystem, x0_bar_box: HyperBox,
         if not np.isfinite(best):
             warnings.warn("feasible quadratic certificate construction failed; "
                           "falling back to the closed-form zero-input bound")
-            return e1_theoretical(aug, sup_norm)
+            return e1_theoretical(aug, x0)
         out[i] = best
     return out
 
@@ -199,7 +196,7 @@ def e1_optimization(aug: AugmentedSystem, x0_bar_box: HyperBox,
 E1_SIM_LH = 0.02
 
 
-def e1_simulation(aug: AugmentedSystem, x0_box: HyperBox, t_f: float,
+def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
                   vertex_cap: int = VERTEX_CAP,
                   decay_tol: float = DECAY_TOL) -> np.ndarray:
     """Zero-input bound by simulating every vertex of the initial box.
@@ -214,16 +211,16 @@ def e1_simulation(aug: AugmentedSystem, x0_box: HyperBox, t_f: float,
     states have decayed, covering the remaining window with the monotone tail
     ||C_i|| ||x(T)||.
     """
-    if x0_box.dim != aug.n:
-        raise ModelError(f"x0_box has dim {x0_box.dim}, expected n={aug.n}")
-    count = x0_box.vertex_count()
+    if x0.dim != aug.n:
+        raise ModelError(f"x0 has dim {x0.dim}, expected n={aug.n}")
+    count = x0.vertex_count()
     if count > vertex_cap:
         raise ModelError(
-            f"initial box has 2**{len(x0_box.free_dims())} = {count} vertices, "
+            f"initial box has 2**{len(x0.free_dims())} = {count} vertices, "
             f"exceeding the cap {vertex_cap}; use a theoretical e1 bound instead")
     if t_f <= 0:
         raise ModelError(f"t_f must be positive, got {t_f}")
-    X = aug.lift @ x0_box.vertices()
+    X = aug.lift @ x0.vertices()
     best = np.max(np.abs(aug.C_bar @ X), axis=1)
     L = float(np.linalg.norm(aug.A_bar, 2))
     if L == 0.0:
@@ -286,8 +283,8 @@ def _decay_certificate(A: np.ndarray) -> float | None:
 def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
                   decay_tol: float = DECAY_TOL,
                   horizon: float | None = None,
-                  input_split: bool = False,
-                  max_steps: int = MAX_IMPULSE_STEPS) -> tuple[np.ndarray, bool]:
+                  max_steps: int = MAX_IMPULSE_STEPS
+                  ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Zero-state bound by integrating the augmented impulse responses.
 
     One simulation per input channel (state initialized to that column of
@@ -298,22 +295,23 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     to keep the bound one sided, and an analytic tail term covers whatever
     lies beyond the simulated range.
 
-    With ``input_split`` the input box is split into center and deviation:
-    the center part is bounded by the running signed kernel integral (with a
-    rigorous trapezoid remainder) and only the deviation multiplies the
-    |kernel| integral.  This is sound for arbitrary measurable inputs in the
-    box and much tighter when the box is a narrow band around a nonzero
-    center.
+    The same pass yields two bounds.  The plain one multiplies the |kernel|
+    integral by ||u||_inf.  The split one splits the input box into center
+    and deviation: the center part is bounded by the running signed kernel
+    integral (with a rigorous trapezoid remainder) and only the deviation
+    multiplies the |kernel| integral.  Both are sound for arbitrary
+    measurable inputs in the box; the split one is much tighter when the box
+    is a narrow band around a nonzero center.
 
-    Returns (bounds, truncated); ``truncated`` is set when the step cap was
-    reached before decay and no tail certificate was available, in which case
-    the caller should reject the bound.
+    Returns (plain, split, truncated); ``truncated`` is set when the step cap
+    was reached before decay and no tail certificate was available, in which
+    case the caller should reject both bounds.
     """
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")
     p, m = aug.p, aug.m
     if m == 0 or not np.any(aug.B_bar):
-        return np.zeros(p), False
+        return np.zeros(p), np.zeros(p), False
     L = float(np.linalg.norm(aug.A_bar, 2))
     h = SIM_LH / L if L > 0 else 1.0
     Phi = _transition(aug.A_bar, h)
@@ -357,11 +355,10 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
         # h^2/8 max|y''|, which also covers zero crossings
         bulge = (h * h / 8.0) * ddot
         I_abs += h * (peak * (1.0 + L * h) + bulge)
-        if input_split:
-            R_run += h * (Y_prev + Y_cur) / 2.0
-            # rigorous per-step trapezoid remainder: h^3/12 max|y''|
-            trap_budget += (h ** 3 / 12.0) * ddot
-            R_max = np.maximum(R_max, np.abs(R_run) + h * (peak + bulge) + trap_budget)
+        R_run += h * (Y_prev + Y_cur) / 2.0
+        # rigorous per-step trapezoid remainder: h^3/12 max|y''|
+        trap_budget += (h ** 3 / 12.0) * ddot
+        R_max = np.maximum(R_max, np.abs(R_run) + h * (peak + bulge) + trap_budget)
         Y_prev = Y_cur
         D2_prev = D2_cur
         norms_prev = norms_cur
@@ -378,17 +375,11 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
         else:
             tail = kappa * np.outer(c_norms, np.linalg.norm(X, axis=0))
             I_abs += tail
-            if input_split:
-                R_max += tail
+            R_max += tail
 
-    if input_split:
-        u_c = np.abs(u_box.center)
-        u_r = u_box.halfwidth
-        bound = R_max @ u_c + I_abs @ u_r
-    else:
-        u_inf = np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
-        bound = I_abs @ u_inf
-    return bound, truncated
+    plain = I_abs @ np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
+    split = R_max @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
+    return plain, split, truncated
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from .model import (LtiSystem, ManifestError, ModelError, PssSystem,
                     spec_to_json, parse_spec_json)
 from .reach import default_step, reach_lti
 from .spectransform import TransformedSpec, transform_spec
-from .verifier import VerifyOptions, bound_candidates, verify, verify_pss
+from .verifier import (VerifyOptions, bound_candidates, problem_modes, verify,
+                       verify_pss)
 
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
@@ -143,14 +144,8 @@ def cmd_bounds(args) -> int:
     ks = [args.k] if args.k is not None else \
         list(range(problem.system.p + 1, problem.system.n + 1))
     rows = []
-    if isinstance(problem.system, PssSystem):
-        parts = [(f"mode{i}", mode, box, dur)
-                 for i, (mode, box, dur) in enumerate(
-                     zip(problem.system.modes, problem.system.mode_initial_sets,
-                         problem.system.durations))]
-    else:
-        parts = [("", problem.system, problem.x0, problem.t_f)]
-    for label, sys_, x0, horizon in parts:
+    for label, sys_, x0, horizon in problem_modes(problem):
+        name = problem.name + (f"[{label}]" if label else "")
         bal = balance(sys_)
         for k in ks:
             t0 = time.perf_counter()
@@ -158,14 +153,13 @@ def cmd_bounds(args) -> int:
                 bal, k, x0, problem.inputs, horizon, opts)
             dt = time.perf_counter() - t0 if args.timing else 0.0
             for plabel, b in pairs:
-                rows.append({"system": problem.name + (f"[{label}]" if label else ""),
-                             "k": k, "method": plabel,
+                rows.append({"system": name, "k": k, "method": plabel,
                              "e1": b.e1.tolist(), "e2": b.e2.tolist(),
                              "delta": b.delta.tolist(), "time_s": round(dt, 6)})
             if delta_min is not None:
-                rows.append({"system": problem.name + (f"[{label}]" if label else ""),
-                             "k": k, "method": "min", "e1": None, "e2": None,
-                             "delta": delta_min.tolist(), "time_s": round(dt, 6)})
+                rows.append({"system": name, "k": k, "method": "min", "e1": None,
+                             "e2": None, "delta": delta_min.tolist(),
+                             "time_s": round(dt, 6)})
             for note in notes:
                 print(f"note: k={k} {note}", file=sys.stderr)
     doc = {"format_version": 1, "rows": rows}
@@ -291,21 +285,9 @@ def _verdict_text(doc) -> str:
 
 
 def cmd_verify(args) -> int:
+    """``verify`` and ``verify-pss``; the subparser sets the entry point."""
     problem = parse_problem(args.manifest)
-    opts = _options_from(args)
-    verdict = verify(problem, opts)
-    doc = _verdict_doc(verdict)
-    if not args.timing:
-        for e in doc["per_k_log"]:
-            e["seconds"] = 0.0
-    _emit(doc, args, _verdict_text)
-    return verdict.exit_code
-
-
-def cmd_verify_pss(args) -> int:
-    problem = parse_problem(args.manifest)
-    opts = _options_from(args)
-    verdict = verify_pss(problem, opts)
+    verdict = args.entry(problem, _options_from(args))
     doc = _verdict_doc(verdict)
     if not args.timing:
         for e in doc["per_k_log"]:
@@ -329,14 +311,8 @@ def cmd_bench(args) -> int:
             continue
         problem = parse_problem(mpath)
         ks = args.ks or [4, 5]
-        if isinstance(problem.system, PssSystem):
-            parts = [(f"[mode{i}]", mode, box, dur)
-                     for i, (mode, box, dur) in enumerate(
-                         zip(problem.system.modes, problem.system.mode_initial_sets,
-                             problem.system.durations))]
-        else:
-            parts = [("", problem.system, problem.x0, problem.t_f)]
-        for label, sys_, x0, horizon in parts:
+        for label, sys_, x0, horizon in problem_modes(problem):
+            name = problem.name + (f"[{label}]" if label else "")
             bal = balance(sys_)
             for k in ks:
                 if not (sys_.p < k <= sys_.n):
@@ -348,7 +324,7 @@ def cmd_bench(args) -> int:
                     dt = time.perf_counter() - t0 if args.timing else 0.0
                     if best is None:
                         continue
-                    rows.append({"system": problem.name + label, "k": k, "method": mname,
+                    rows.append({"system": name, "k": k, "method": mname,
                                  "e1": best.e1.tolist(), "e2": best.e2.tolist(),
                                  "delta": best.delta.tolist(), "time_s": round(dt, 6)})
     doc = {"format_version": 1, "rows": rows}
@@ -375,8 +351,6 @@ def _add_common(sp, manifest=True):
     if manifest:
         sp.add_argument("manifest", help="path to a problem manifest (JSON)")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker hint (vectorized math already runs parallel)")
     sp.add_argument("--output", help="write the result to this file instead of stdout")
     sp.add_argument("--format", choices=("json", "text", "csv"), default="text",
                     help="output rendering (default text; csv only for "
@@ -447,12 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the verification semi-algorithm (LTI)")
     _add_common(sp)
     _add_verify_opts(sp)
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func=cmd_verify, entry=verify)
 
     sp = sub.add_parser("verify-pss", help="run the verification semi-algorithm (PSS)")
     _add_common(sp)
     _add_verify_opts(sp)
-    sp.set_defaults(func=cmd_verify_pss)
+    sp.set_defaults(func=cmd_verify, entry=verify_pss)
 
     sp = sub.add_parser("bench", help="bound tables for the bundled motor benchmark "
                         "plus any user-supplied manifests")

@@ -4,7 +4,9 @@ Each iteration builds an order-k abstraction, computes the error bound by
 every enabled method (the componentwise minimum of sound bounds is sound),
 transforms the spec, runs reachability on the reduced system and checks it.
 Safe and witness-confirmed Unsafe stop the loop; otherwise the order grows
-by one until k_max.
+by one until k_max.  A PSS resets its state at every switch, so each mode is
+an independent LTI check over its own duration; an LTI problem is the
+one-mode case of the same loop.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bnd
-from .balancing import BalancedRealization, balance, truncate, \
-    augmented_initial_box, sup_augmented_initial_norm
+from .balancing import BalancedRealization, balance, truncate
 from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
                      ErrorBound, combine)
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
-                    VerificationProblem, require_hurwitz)
+                    VerificationProblem)
 from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
                     WitnessTrajectory, check_spec, default_step,
                     find_unsafe_witness, reach_lti)
@@ -79,17 +80,15 @@ class Verdict:
         return {SAFE: 0, UNSAFE: 1}.get(self.outcome, 2)
 
 
-def _candidate_e1(bal: BalancedRealization, aug, x0: HyperBox, horizon: float,
-                  opts: VerifyOptions, notes: list[str]) -> dict[str, np.ndarray]:
+def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
+                  notes: list[str]) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for method in opts.e1_methods:
         try:
             if method == E1_THEOREM1:
-                out[method] = bnd.e1_theoretical(
-                    aug, sup_augmented_initial_norm(bal, aug.k, x0))
+                out[method] = bnd.e1_theoretical(aug, x0)
             elif method == E1_THEOREM2:
-                out[method] = bnd.e1_optimization(
-                    aug, augmented_initial_box(bal, aug.k, x0))
+                out[method] = bnd.e1_optimization(aug, x0)
             else:
                 out[method] = bnd.e1_simulation(aug, x0, horizon,
                                                 vertex_cap=opts.vertex_cap)
@@ -105,36 +104,16 @@ def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float
         if method == E2_THEOREM3:
             out[method] = bnd.e2_theoretical(bal.sigma, aug.k, u_box, aug.p)
             continue
-        val, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
+        plain, split, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
         if truncated:
             notes.append("e2 simulation truncated before decay; bound dropped")
-        else:
-            out[method] = val
-        if opts.e2_input_split:
-            val, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon,
-                                               input_split=True)
-            if truncated:
+            if opts.e2_input_split:
                 notes.append("split e2 simulation truncated before decay; bound dropped")
-            else:
-                out[method + "(split)"] = val
+            continue
+        out[method] = plain
+        if opts.e2_input_split:
+            out[method + "(split)"] = split
     return out
-
-
-def _combine_candidates(e1s: dict[str, np.ndarray], e2s: dict[str, np.ndarray],
-                        gamma: float) -> tuple[list[tuple[str, ErrorBound]],
-                                               np.ndarray | None, ErrorBound | None]:
-    """All pairings, the componentwise-min delta, and the best single bound."""
-    pairs: list[tuple[str, ErrorBound]] = []
-    for l1, e1 in e1s.items():
-        m1 = SIMULATION if l1.startswith(SIMULATION) else l1
-        for l2, e2 in e2s.items():
-            m2 = SIMULATION if l2.startswith(SIMULATION) else l2
-            pairs.append((f"{l1}+{l2}", combine(e1, e2, gamma, m1, m2)))
-    if not pairs:
-        return [], None, None
-    delta_min = np.min(np.stack([b.delta for _, b in pairs]), axis=0)
-    best = min(pairs, key=lambda item: item[1].rho)[1]
-    return pairs, delta_min, best
 
 
 def bound_candidates(bal: BalancedRealization, k: int, x0: HyperBox,
@@ -148,10 +127,27 @@ def bound_candidates(bal: BalancedRealization, k: int, x0: HyperBox,
     """
     notes: list[str] = []
     aug = bnd.augment(bal, k)
-    e1s = _candidate_e1(bal, aug, x0, horizon, opts, notes)
+    e1s = _candidate_e1(aug, x0, horizon, opts, notes)
     e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes)
-    pairs, delta_min, best = _combine_candidates(e1s, e2s, opts.gamma)
+    pairs = [(f"{l1}+{l2}", combine(e1, e2, opts.gamma, l1,
+                                    SIMULATION if l2.startswith(SIMULATION) else l2))
+             for l1, e1 in e1s.items() for l2, e2 in e2s.items()]
+    if not pairs:
+        return [], None, None, notes
+    delta_min = np.min(np.stack([b.delta for _, b in pairs]), axis=0)
+    best = min(pairs, key=lambda item: item[1].rho)[1]
     return pairs, delta_min, best, notes
+
+
+def problem_modes(problem: VerificationProblem
+                  ) -> list[tuple[str, LtiSystem, HyperBox, float]]:
+    """(label, system, initial box, horizon) per independent check: one
+    unlabeled mode for an LTI problem, ``mode<rho>`` per mode of a PSS."""
+    sys = problem.system
+    if isinstance(sys, PssSystem):
+        return [(f"mode{rho}", mode, x0, duration) for rho, (mode, x0, duration)
+                in enumerate(zip(sys.modes, sys.mode_initial_sets, sys.durations))]
+    return [("", sys, problem.x0, problem.t_f)]
 
 
 def _k_schedule(k0: int, k_max: int, geometric: bool):
@@ -170,86 +166,17 @@ def _resolve_orders(n: int, p: int, opts: VerifyOptions) -> tuple[int, int]:
     return k0, k_max
 
 
-def verify(problem: VerificationProblem, opts: VerifyOptions = VerifyOptions()) -> Verdict:
-    """Time-bounded safety verification of a full-order LTI problem.
+def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
+    """The k-loop over the modes of :func:`problem_modes`.
 
-    Returns Safe only when the reduced reach sets pass the transformed spec
-    (which transfers to the full-order system), Unsafe only with a validated
-    witness trajectory, and Indeterminate after k_max otherwise.
+    Safe requires every mode to check out at the same k; any validated
+    witness makes the whole problem Unsafe.  PSS bound labels and notes
+    carry their mode; an LTI problem's carry none and report no mode deltas.
     """
-    if not isinstance(problem.system, LtiSystem):
-        raise ModelError("verify expects an LTI problem; use verify_pss for PSS")
-    sys = problem.system
-    require_hurwitz(sys.A)
-    k0, k_max = _resolve_orders(sys.n, sys.p, opts)
-    bal = balance(sys)
-    log: list[PerKEntry] = []
-    started = time.perf_counter()
-
-    for k in _k_schedule(k0, k_max, opts.geometric_schedule):
-        t0 = time.perf_counter()
-        if opts.time_budget is not None and t0 - started > opts.time_budget:
-            log.append(PerKEntry(k=k, bounds={}, outcome=INDETERMINATE,
-                                 seconds=0.0, notes=("time budget exhausted",)))
-            break
-        notes: list[str] = []
-        abstraction = truncate(bal, k, problem.x0)
-        aug = bnd.build_augmented(bal, abstraction)
-        e1s = _candidate_e1(bal, aug, problem.x0, problem.t_f, opts, notes)
-        e2s = _candidate_e2(bal, aug, problem.inputs, problem.t_f, opts, notes)
-        pairs, delta_min, best = _combine_candidates(e1s, e2s, opts.gamma)
-        if delta_min is None:
-            log.append(PerKEntry(k=k, bounds={}, outcome=INDETERMINATE,
-                                 seconds=time.perf_counter() - t0,
-                                 notes=tuple(notes) + ("no bound method produced a value",)))
-            continue
-        abstraction = abstraction.with_delta(delta_min)
-        transformed = [transform_spec(s, delta_min) for s in problem.spec]
-        if all(ts.safe_region is None for ts in transformed) \
-                and problem.polarity == "safe-region":
-            notes.append("transformed safe region empty at this k")
-        step_h = opts.step_h or default_step(problem.t_f, abstraction.reduced.A,
-                                             lh=opts.step_lh)
-        steps = reach_lti(abstraction.reduced, abstraction.x0_reduced,
-                          problem.inputs, problem.t_f, step_h, opts.order_cap)
-        outcome = check_spec(steps, transformed)
-        if outcome == MAYBE_UNSAFE:
-            witness = find_unsafe_witness(
-                abstraction.reduced, problem.x0, problem.inputs, transformed,
-                problem.t_f, opts.witness_budget,
-                init_map=bal.H[:k, :], seed=opts.seed)
-            if witness is not None:
-                log.append(PerKEntry(k=k, bounds={l: b.delta.tolist() for l, b in pairs},
-                                     outcome=UNSAFE,
-                                     seconds=time.perf_counter() - t0, notes=tuple(notes)))
-                return Verdict(outcome=UNSAFE, k_used=k, delta=best,
-                               delta_used=delta_min, witness=witness, per_k_log=log)
-            notes.append("step sets touch the unsafe region but no witness found")
-        entry_outcome = SAFE if outcome == SAFE else INDETERMINATE
-        log.append(PerKEntry(k=k, bounds={l: b.delta.tolist() for l, b in pairs},
-                             outcome=entry_outcome,
-                             seconds=time.perf_counter() - t0, notes=tuple(notes)))
-        if outcome == SAFE:
-            return Verdict(outcome=SAFE, k_used=k, delta=best, delta_used=delta_min,
-                           witness=None, per_k_log=log)
-    return Verdict(outcome=INDETERMINATE, k_used=None, delta=None, delta_used=None,
-                   witness=None, per_k_log=log)
-
-
-def verify_pss(problem: VerificationProblem, opts: VerifyOptions = VerifyOptions()) -> Verdict:
-    """Per-mode verification of a periodically switched system.
-
-    Every switch resets the state into the mode's initial set, so the modes
-    decouple: mode rho is analyzed over [0, duration_rho] from its own reset
-    image, with its own balancing, bound and transformed spec.  Safe requires
-    every mode to check out; any validated witness makes the whole system
-    Unsafe.
-    """
-    if not isinstance(problem.system, PssSystem):
-        raise ModelError("verify_pss expects a PSS problem")
-    pss = problem.system
-    k0, k_max = _resolve_orders(pss.n, pss.p, opts)
-    bals = [balance(mode) for mode in pss.modes]
+    modes = problem_modes(problem)
+    labeled = bool(modes[0][0])
+    k0, k_max = _resolve_orders(problem.system.n, problem.system.p, opts)
+    bals = [balance(system) for _, system, _, _ in modes]
     log: list[PerKEntry] = []
     started = time.perf_counter()
 
@@ -264,54 +191,81 @@ def verify_pss(problem: VerificationProblem, opts: VerifyOptions = VerifyOptions
         mode_outcomes: list[str] = []
         mode_deltas: list[np.ndarray] = []
         worst: ErrorBound | None = None
-        witness = None
-        for rho, (bal, duration, x0_rho) in enumerate(
-                zip(bals, pss.durations, pss.mode_initial_sets)):
-            abstraction = truncate(bal, k, x0_rho)
-            aug = bnd.build_augmented(bal, abstraction)
-            mode_notes: list[str] = []
-            e1s = _candidate_e1(bal, aug, x0_rho, duration, opts, mode_notes)
-            e2s = _candidate_e2(bal, aug, problem.inputs, duration, opts, mode_notes)
-            notes.extend(f"mode {rho}: {note}" for note in mode_notes)
-            pairs, delta_min, best = _combine_candidates(e1s, e2s, opts.gamma)
+        for rho, ((label, _, x0, horizon), bal) in enumerate(zip(modes, bals)):
+            key, say = (f"{label}:", f"mode {rho}: ") if labeled else ("", "")
+            abstraction = truncate(bal, k, x0)
+            pairs, delta_min, best, mode_notes = bound_candidates(
+                bal, k, x0, problem.inputs, horizon, opts)
+            notes.extend(say + note for note in mode_notes)
             if delta_min is None:
+                notes.append(say + "no bound method produced a value")
                 mode_outcomes.append(INDETERMINATE)
                 continue
             abstraction = abstraction.with_delta(delta_min)
-            for label, b in pairs:
-                bounds_log[f"mode{rho}:{label}"] = b.delta.tolist()
+            for plabel, b in pairs:
+                bounds_log[key + plabel] = b.delta.tolist()
             mode_deltas.append(delta_min)
             if worst is None or best.rho > worst.rho:
                 worst = best
             transformed = [transform_spec(s, delta_min) for s in problem.spec]
-            step_h = opts.step_h or default_step(duration, abstraction.reduced.A,
+            if all(ts.safe_region is None for ts in transformed) \
+                    and problem.polarity == "safe-region":
+                notes.append(say + "transformed safe region empty at this k")
+            step_h = opts.step_h or default_step(horizon, abstraction.reduced.A,
                                                  lh=opts.step_lh)
             steps = reach_lti(abstraction.reduced, abstraction.x0_reduced,
-                              problem.inputs, duration, step_h, opts.order_cap)
+                              problem.inputs, horizon, step_h, opts.order_cap)
             outcome = check_spec(steps, transformed)
             if outcome == MAYBE_UNSAFE:
                 witness = find_unsafe_witness(
-                    abstraction.reduced, x0_rho, problem.inputs, transformed,
-                    duration, opts.witness_budget,
+                    abstraction.reduced, x0, problem.inputs, transformed,
+                    horizon, opts.witness_budget,
                     init_map=bal.H[:k, :], seed=opts.seed)
                 if witness is not None:
+                    if labeled:
+                        notes.append(f"witness in mode {rho}")
                     log.append(PerKEntry(k=k, bounds=bounds_log, outcome=UNSAFE,
                                          seconds=time.perf_counter() - t0,
-                                         notes=tuple(notes) + (f"witness in mode {rho}",)))
+                                         notes=tuple(notes)))
                     return Verdict(outcome=UNSAFE, k_used=k, delta=worst,
-                                   delta_used=delta_min, witness=witness,
-                                   per_k_log=log, mode_deltas=tuple(mode_deltas))
-                notes.append(f"mode {rho}: step sets touch the unsafe region "
-                             "but no witness found")
+                                   delta_used=delta_min, witness=witness, per_k_log=log,
+                                   mode_deltas=tuple(mode_deltas) if labeled else None)
+                notes.append(say + "step sets touch the unsafe region but no witness found")
             mode_outcomes.append(outcome)
-        all_safe = bool(mode_outcomes) and all(v == SAFE for v in mode_outcomes) \
-            and len(mode_outcomes) == pss.l
-        entry_outcome = SAFE if all_safe else INDETERMINATE
-        log.append(PerKEntry(k=k, bounds=bounds_log, outcome=entry_outcome,
+        all_safe = all(v == SAFE for v in mode_outcomes)
+        log.append(PerKEntry(k=k, bounds=bounds_log,
+                             outcome=SAFE if all_safe else INDETERMINATE,
                              seconds=time.perf_counter() - t0, notes=tuple(notes)))
         if all_safe:
-            delta_used = np.max(np.stack(mode_deltas), axis=0)
-            return Verdict(outcome=SAFE, k_used=k, delta=worst, delta_used=delta_used,
-                           witness=None, per_k_log=log, mode_deltas=tuple(mode_deltas))
+            return Verdict(outcome=SAFE, k_used=k, delta=worst,
+                           delta_used=np.max(np.stack(mode_deltas), axis=0),
+                           witness=None, per_k_log=log,
+                           mode_deltas=tuple(mode_deltas) if labeled else None)
     return Verdict(outcome=INDETERMINATE, k_used=None, delta=None, delta_used=None,
                    witness=None, per_k_log=log)
+
+
+def verify(problem: VerificationProblem, opts: VerifyOptions = VerifyOptions()) -> Verdict:
+    """Time-bounded safety verification of a full-order LTI problem.
+
+    Returns Safe only when the reduced reach sets pass the transformed spec
+    (which transfers to the full-order system), Unsafe only with a validated
+    witness trajectory, and Indeterminate after k_max otherwise.
+    """
+    if not isinstance(problem.system, LtiSystem):
+        raise ModelError("verify expects an LTI problem; use verify_pss for PSS")
+    return _verify_modes(problem, opts)
+
+
+def verify_pss(problem: VerificationProblem, opts: VerifyOptions = VerifyOptions()) -> Verdict:
+    """Per-mode verification of a periodically switched system.
+
+    Every switch resets the state into the mode's initial set, so the modes
+    decouple: mode rho is analyzed over [0, duration_rho] from its own reset
+    image, with its own balancing, bound and transformed spec.  Safe requires
+    every mode to check out; any validated witness makes the whole system
+    Unsafe.
+    """
+    if not isinstance(problem.system, PssSystem):
+        raise ModelError("verify_pss expects a PSS problem")
+    return _verify_modes(problem, opts)

@@ -53,6 +53,12 @@ def test_hsv_scalar():
     assert rs.hankel_singular_values(scalar_system()) == pytest.approx([3.0], abs=1e-12)
 
 
+def test_hsv_is_the_balanced_sigma(rng):
+    # one factor step: the reported spectrum is the one the bounds use
+    sys_ = rs.random_stable_system(rng, 9, 2, 2)
+    assert np.array_equal(rs.hankel_singular_values(sys_), balance(sys_).sigma)
+
+
 def test_hsv_zero_output():
     sys_ = rs.LtiSystem(-np.eye(3), np.ones((3, 1)), np.zeros((1, 3)))
     assert np.array_equal(rs.hankel_singular_values(sys_), np.zeros(3))
@@ -164,13 +170,13 @@ class TestAugmentedInitialNorm:
     def test_point_at_origin(self, rng):
         bal = balance(rs.random_stable_system(rng, 4, 1, 1))
         box = rs.HyperBox(np.zeros(4), np.zeros(4))
-        assert rs.sup_augmented_initial_norm(bal, 2, box) == 0.0
+        assert rs.sup_box_norm(rs.augment(bal, 2).lift_box(box)) == 0.0
 
     def test_scalar_exact(self):
         # H = sqrt(3/2): lifted vector is (H, H) t over t in [-1, 1]
         bal = balance(scalar_system())
         box = rs.HyperBox([-1.0], [1.0])
-        sup = rs.sup_augmented_initial_norm(bal, 1, box)
+        sup = rs.sup_box_norm(rs.augment(bal, 1).lift_box(box))
         expected = np.sqrt(2.0) * abs(bal.H[0, 0])
         assert sup == pytest.approx(expected, rel=1e-12)
         assert sup == pytest.approx(np.sqrt(2.0) * np.sqrt(1.5), rel=1e-12)
@@ -182,7 +188,7 @@ class TestAugmentedInitialNorm:
         bal = balance(sys_)
         box = rand_box(rng, 5, 5)
         k = 3
-        bound = rs.sup_augmented_initial_norm(bal, k, box)
+        bound = rs.sup_box_norm(rs.augment(bal, k).lift_box(box))
         L = np.vstack([bal.H, bal.H[:k, :]])
         verts = box.vertices()
         true_sup = np.max(np.linalg.norm(L @ verts, axis=0))

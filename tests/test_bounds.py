@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import redsafe as rs
-from redsafe.balancing import (augmented_initial_box, balance,
-                               sup_augmented_initial_norm, truncate)
-from redsafe.bounds import (BoundError, augment, build_augmented, combine,
+from redsafe.balancing import balance
+from redsafe.bounds import (BoundError, augment, combine,
                             contraction_defect, e1_optimization, e1_simulation,
                             e1_theoretical, e2_simulation, e2_theoretical,
                             E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION)
@@ -28,14 +27,6 @@ class TestAugment:
         assert np.allclose(aug.A_bar, np.diag([a, a]))
         assert np.allclose(aug.C_bar, [[c, -c]])
         assert np.allclose(aug.B_bar, np.vstack([bal.B_t, bal.B_t]))
-
-    def test_build_augmented_checks_parent(self, rng):
-        bal1 = balance(rs.random_stable_system(rng, 4, 1, 1))
-        bal2 = balance(rs.random_stable_system(rng, 4, 1, 1))
-        abstraction = truncate(bal1, 2, rand_box(rng, 4, 2))
-        assert build_augmented(bal1, abstraction).k == 2
-        with pytest.raises(rs.ModelError, match="derived"):
-            build_augmented(bal2, abstraction)
 
     def test_output_is_error_signal(self, rng):
         # paired-simulation oracle: augmented output == full minus reduced
@@ -67,15 +58,15 @@ class TestE1Theoretical:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
         aug = augment(bal, 1)
-        assert np.array_equal(e1_theoretical(aug, 0.0), np.zeros(1))
+        box = rs.HyperBox([0.0], [0.0])
+        assert np.array_equal(e1_theoretical(aug, box), np.zeros(1))
 
     def test_scalar_chain_value(self):
         # hand-evaluated: C_bar = [2.4495, -2.4495], ||C_bar|| = 3.4641,
         # sup ||xbar0|| = 1.7321 over X0 = [-1, 1]
         bal = scalar_balanced()
         aug = augment(bal, 1)
-        sup = sup_augmented_initial_norm(bal, 1, rs.HyperBox([-1.0], [1.0]))
-        bound = e1_theoretical(aug, sup)
+        bound = e1_theoretical(aug, rs.HyperBox([-1.0], [1.0]))
         assert bound == pytest.approx([6.0], rel=1e-12)
 
     def test_identity_truncation_floor(self, rng):
@@ -86,24 +77,24 @@ class TestE1Theoretical:
         box = rand_box(rng, 4, 3)
         sim = e1_simulation(aug, box, 2.0)
         assert np.all(sim <= 1e-10)
-        assert np.all(e1_theoretical(aug, sup_augmented_initial_norm(bal, 4, box)) >= sim)
+        assert np.all(e1_theoretical(aug, box) >= sim)
 
     def test_noncontractive_rejected(self):
         # a stable but non-contractive pair would make the bound unsound
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
         from redsafe.bounds import AugmentedSystem
         bad = AugmentedSystem(A_bar=A, B_bar=np.zeros((2, 1)),
-                              C_bar=np.ones((1, 2)), lift=np.eye(2), n=1, k=1)
+                              C_bar=np.ones((1, 2)), lift=np.ones((2, 1)), n=1, k=1)
         assert contraction_defect(bad) > 0
         with pytest.raises(BoundError, match="contractive"):
-            e1_theoretical(bad, 1.0)
+            e1_theoretical(bad, rs.HyperBox([-1.0], [1.0]))
 
 
 class TestE1Optimization:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
         aug = augment(bal, 1)
-        box = rs.HyperBox(np.zeros(2), np.zeros(2))
+        box = rs.HyperBox([0.0], [0.0])
         assert np.array_equal(e1_optimization(aug, box), np.zeros(1))
 
     def test_never_worse_than_closed_form(self, rng):
@@ -114,8 +105,8 @@ class TestE1Optimization:
             k = int(rng.integers(2, n + 1))
             aug = augment(bal, k)
             box = rand_box(rng, n, min(n, 6))
-            t1 = e1_theoretical(aug, sup_augmented_initial_norm(bal, k, box))
-            t2 = e1_optimization(aug, augmented_initial_box(bal, k, box))
+            t1 = e1_theoretical(aug, box)
+            t2 = e1_optimization(aug, box)
             assert np.all(t2 <= 1.05 * t1 + 1e-12)
 
     def test_monte_carlo_soundness(self, rng):
@@ -124,7 +115,7 @@ class TestE1Optimization:
         bal = balance(sys_)
         aug = augment(bal, 3)
         box = rand_box(rng, 6, 6)
-        bound = e1_optimization(aug, augmented_initial_box(bal, 3, box))
+        bound = e1_optimization(aug, box)
         verts = box.vertices()[:, rng.choice(64, size=min(200, 64), replace=False)]
         X = aug.lift @ verts
         h = 0.01 / np.linalg.norm(aug.A_bar, 2)
@@ -149,7 +140,7 @@ class TestE1Simulation:
         aug = augment(bal, 2)
         box = rand_box(rng, 4, 4)
         sim = e1_simulation(aug, box, 3.0)
-        t1 = e1_theoretical(aug, sup_augmented_initial_norm(bal, 2, box))
+        t1 = e1_theoretical(aug, box)
         assert np.all(sim <= t1 * (1 + 1e-9))
 
     def test_vertex_cap_refusal_names_count(self, rng):
@@ -187,23 +178,24 @@ class TestE2Simulation:
         from redsafe.bounds import AugmentedSystem
         zb = AugmentedSystem(A_bar=aug.A_bar, B_bar=np.zeros_like(aug.B_bar),
                              C_bar=aug.C_bar, lift=aug.lift, n=aug.n, k=aug.k)
-        val, truncated = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]))
-        assert np.array_equal(val, np.zeros(1)) and not truncated
+        plain, split, truncated = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]))
+        assert np.array_equal(plain, np.zeros(1)) and np.array_equal(split, np.zeros(1))
+        assert not truncated
 
     def test_identity_truncation_negligible(self, rng):
         sys_ = rs.random_stable_system(rng, 5, 2, 1)
         bal = balance(sys_)
         aug = augment(bal, 5)
-        val, truncated = e2_simulation(aug, rand_ubox(rng, 2))
+        plain, split, truncated = e2_simulation(aug, rand_ubox(rng, 2))
         assert not truncated
-        assert np.all(val <= 1e-5)
+        assert np.all(plain <= 1e-5) and np.all(split <= 1e-5)
 
     def test_below_theorem_three(self, rng):
         sys_ = rs.random_stable_system(rng, 8, 1, 1)
         bal = balance(sys_)
         aug = augment(bal, 4)
         ubox = rand_ubox(rng, 1)
-        sim, truncated = e2_simulation(aug, ubox)
+        sim, _, truncated = e2_simulation(aug, ubox)
         assert not truncated
         thm = e2_theoretical(bal.sigma, 4, ubox, 1)
         assert np.all(sim <= thm + 1e-9)
@@ -215,8 +207,7 @@ class TestE2Simulation:
         bal = balance(sys_)
         aug = augment(bal, 3)
         ubox = rs.HyperBox([0.2, 0.1], [0.4, 0.3])
-        plain, _ = e2_simulation(aug, ubox)
-        split, _ = e2_simulation(aug, ubox, input_split=True)
+        plain, split, _ = e2_simulation(aug, ubox)
         assert np.all(split <= plain * (1 + 1e-9) + 1e-12)
 
     def test_horizon_limits_accumulation(self, rng):
@@ -224,9 +215,10 @@ class TestE2Simulation:
         bal = balance(sys_)
         aug = augment(bal, 2)
         ubox = rs.HyperBox([-1.0], [1.0])
-        short, _ = e2_simulation(aug, ubox, horizon=0.05)
-        full, _ = e2_simulation(aug, ubox)
+        short, short_split, _ = e2_simulation(aug, ubox, horizon=0.05)
+        full, full_split, _ = e2_simulation(aug, ubox)
         assert np.all(short <= full + 1e-12)
+        assert np.all(short_split <= full_split + 1e-12)
 
     def test_step_cap_flags_truncation(self, rng, monkeypatch):
         sys_ = rs.random_stable_system(rng, 5, 1, 1)
@@ -237,7 +229,7 @@ class TestE2Simulation:
         def no_certificate(A):
             return None
         monkeypatch.setattr(bmod, "_decay_certificate", no_certificate)
-        val, truncated = e2_simulation(aug, rs.HyperBox([-1.0], [1.0]), max_steps=5)
+        _, _, truncated = e2_simulation(aug, rs.HyperBox([-1.0], [1.0]), max_steps=5)
         assert truncated
 
 
@@ -293,6 +285,6 @@ def test_bm_theoretical_bounds_match_published():
     e2 = e2_theoretical(bal.sigma, 10, prob.inputs, 1)
     assert e2[0] == pytest.approx(0.0047, rel=0.15)
     aug = augment(bal, 10)
-    e1 = e1_theoretical(aug, sup_augmented_initial_norm(bal, 10, prob.x0))
+    e1 = e1_theoretical(aug, prob.x0)
     delta = combine(e1, e2, 0.0, E1_THEOREM1, E2_THEOREM3).delta
     assert delta[0] == pytest.approx(0.0050, rel=0.15)

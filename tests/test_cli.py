@@ -228,5 +228,5 @@ class TestHelp:
     def test_help_documents_flags(self, sub):
         code, out, err = run_cli(sub, "--help")
         assert code == 0
-        for flag in ("--seed", "--threads", "--output", "--format"):
+        for flag in ("--seed", "--output", "--format"):
             assert flag in out

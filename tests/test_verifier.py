@@ -134,6 +134,17 @@ class TestVerifyPss:
         assert v_lti.outcome == v_pss.outcome
         assert v_lti.k_used == v_pss.k_used
         assert np.allclose(v_lti.delta_used, v_pss.delta_used, rtol=1e-9)
+        assert v_lti.mode_deltas is None
+        assert len(v_pss.mode_deltas) == 1
+        # the same loop runs for both; only the PSS labels carry the mode
+        lti_log = [(e.k, e.outcome, e.bounds, e.notes) for e in v_lti.per_k_log]
+        pss_log = [(e.k, e.outcome,
+                    {label.removeprefix("mode0:"): d for label, d in e.bounds.items()},
+                    tuple(note.removeprefix("mode 0: ") for note in e.notes))
+                   for e in v_pss.per_k_log]
+        assert lti_log == pss_log
+        assert all(label.startswith("mode0:")
+                   for e in v_pss.per_k_log for label in e.bounds)
 
     def test_requires_pss(self, rng):
         lti, _ = self._single_mode(rng)

@@ -24,7 +24,7 @@ from .generate import random_problem
 from .model import (LtiSystem, ManifestError, ModelError, PssSystem,
                     VerificationProblem, parse_problem, serialize_problem,
                     spec_to_json, parse_spec_json)
-from .reach import default_step, reach_lti
+from .reach import ORDER_CAP, default_step, reach_lti
 from .spectransform import TransformedSpec, transform_spec
 from .verifier import (VerifyOptions, bound_candidates, problem_modes, verify,
                        verify_pss)
@@ -92,31 +92,34 @@ def _ts(ts: TransformedSpec) -> dict:
 def cmd_reduce(args) -> int:
     problem = parse_problem(args.manifest)
     doc = {"format_version": 1, "name": problem.name}
-    if isinstance(problem.system, PssSystem):
-        hsv = [hankel_singular_values(mode).tolist() for mode in problem.system.modes]
-        doc["hsv"] = hsv
-        if args.k is not None:
-            modes, durs, boxes = [], list(problem.system.durations), []
-            for mode, box in zip(problem.system.modes, problem.system.mode_initial_sets):
-                abstraction = truncate(balance(mode), args.k, box)
-                modes.append(abstraction.reduced)
-                boxes.append(abstraction.x0_reduced)
+    pss = isinstance(problem.system, PssSystem)
+    systems = problem.system.modes if pss else (problem.system,)
+    if args.k is None:
+        hsv = [hankel_singular_values(s).tolist() for s in systems]
+    else:
+        # balance() yields the very Hankel values of hankel_singular_values,
+        # so each system is balanced (and its gramians built) once
+        bals = [balance(s) for s in systems]
+        hsv = [bal.sigma.tolist() for bal in bals]
+    doc["hsv"] = hsv if pss else hsv[0]
+    if args.k is not None:
+        if pss:
+            abstractions = [truncate(bal, args.k, box) for bal, box
+                            in zip(bals, problem.system.mode_initial_sets)]
             reduced = VerificationProblem(
-                system=PssSystem(tuple(modes), tuple(durs), tuple(boxes)),
+                system=PssSystem(tuple(a.reduced for a in abstractions),
+                                 tuple(problem.system.durations),
+                                 tuple(a.x0_reduced for a in abstractions)),
                 x0=None, inputs=problem.inputs, spec=problem.spec,
                 t_f=problem.t_f, name=problem.name + f"-k{args.k}")
-            doc["reduced_manifest"] = str(serialize_problem(
-                reduced, args.reduced or _default_reduced_path(args)))
-    else:
-        doc["hsv"] = hankel_singular_values(problem.system).tolist()
-        if args.k is not None:
-            abstraction = truncate(balance(problem.system), args.k, problem.x0)
+        else:
+            abstraction = truncate(bals[0], args.k, problem.x0)
             reduced = VerificationProblem(
                 system=abstraction.reduced, x0=abstraction.x0_reduced,
                 inputs=problem.inputs, spec=problem.spec, t_f=problem.t_f,
                 name=problem.name + f"-k{args.k}")
-            doc["reduced_manifest"] = str(serialize_problem(
-                reduced, args.reduced or _default_reduced_path(args)))
+        doc["reduced_manifest"] = str(serialize_problem(
+            reduced, args.reduced or _default_reduced_path(args)))
 
     def text(d):
         lines = [f"name: {d['name']}"]
@@ -218,7 +221,7 @@ def cmd_reach(args) -> int:
     sys_ = problem.system
     step_h = args.step_h or default_step(problem.t_f, sys_.A, lh=args.step_lh or 0.1)
     steps = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f,
-                      step_h, args.order_cap or 20)
+                      step_h, args.order_cap or ORDER_CAP)
     doc = {"format_version": 1, "name": problem.name, "step_h": step_h,
            "steps": [{"t0": s.t0, "t1": s.t1,
                       "center": s.outputs.center.tolist(),
@@ -375,7 +378,7 @@ def _add_verify_opts(sp):
     sp.add_argument("--step-lh", dest="step_lh", type=float,
                     help="reach step control ||A||*h (default 0.1)")
     sp.add_argument("--order-cap", dest="order_cap", type=int,
-                    help="zonotope order cap per dimension (default 20)")
+                    help=f"zonotope order cap per dimension (default {ORDER_CAP})")
     sp.add_argument("--witness-budget", dest="witness_budget", type=int,
                     help="max candidate trajectories in the witness search")
     sp.add_argument("--vertex-cap", dest="vertex_cap", type=int,

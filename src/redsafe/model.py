@@ -7,6 +7,7 @@ a specific error, never clamped.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -273,6 +274,18 @@ class EllipsoidSpec:
     def quad(self, y: np.ndarray) -> float:
         d = np.asarray(y, dtype=float) - self.a
         return float(d @ self.Q @ d)
+
+    @functools.cached_property
+    def Q_inv(self) -> np.ndarray:
+        """Q^-1, computed on first use and kept (the spec is immutable)."""
+        Q_inv = np.linalg.inv(self.Q)
+        _freeze(Q_inv)
+        return Q_inv
+
+    @functools.cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The coordinate unit vectors of the output space."""
+        return tuple(np.eye(self.p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EllipsoidSpec):

@@ -7,6 +7,12 @@ residual for arbitrary measurable inputs in the box.  Each emitted step set
 is the convex-hull enclosure of consecutive endpoint sets inflated by a
 curvature envelope, so the union of step sets covers the continuous-time
 output reach set over [0, t_f].
+
+By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
+each of them, its output image and its norm are computed once and a step is
+assembled by gathers: for order k and p outputs, O(k^3) for the center and
+the initial generators plus O(p g_j) for the g_j live input columns, rather
+than O(k^2 g_j) for mapping every generator at every step.
 """
 
 from __future__ import annotations
@@ -102,40 +108,12 @@ def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
     return Zonotope(c, G)
 
 
-def _budgeted_reduce(G: np.ndarray, cap_cols: int) -> tuple[np.ndarray, float]:
-    """Drop effectively-decayed generator columns into a 2-norm ball.
-
-    Only columns whose norm is below DROP_TOL times the average column norm
-    are pruned; their summed norms are returned as the ball radius to add.
-    Live columns are never boxed, so the count may exceed the cap."""
-    norms = np.linalg.norm(G, axis=0)
-    total = float(np.sum(norms))
-    if total == 0.0:
-        return G[:, :0], 0.0
-    cutoff = DROP_TOL * total / G.shape[1]
-    dead = norms <= cutoff
-    if not np.any(dead):
-        return G, 0.0
-    dropped = float(np.sum(norms[dead]))
-    return G[:, ~dead], dropped
-
-
 @dataclass(frozen=True)
 class ReachStep:
     """Output-space over-approximation over one time interval."""
     t0: float
     t1: float
     outputs: Zonotope
-
-
-@dataclass(frozen=True)
-class ReachResult:
-    """Step sets tiling [0, t_f] plus the verdict against a spec."""
-    steps: list[ReachStep]
-    verdict: str
-    witness: "WitnessTrajectory | None" = None
-    step_count: int = 0
-    wall_time: float = 0.0
 
 
 def _transition(A: np.ndarray, h: float, B: np.ndarray | None = None):
@@ -171,8 +149,16 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
 
     Returns step sets whose intervals tile [0, t_f]; every admissible output
     trajectory (measurable u in the box) stays inside the step set of its
-    interval.  Intended for the low orders produced by truncation (k up to
-    roughly 50).
+    interval.
+
+    After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
+    M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
+    Each M_a, the output images of its hull pairs and its column norms are
+    computed once.  For a system of order k with p outputs, step j then costs
+    O(k^3) for the center and Phi^j G0 (at most k columns) plus O(p g_j) to
+    gather its g_j live input columns, where re-propagating every generator
+    would cost O(k^2 g_j).  A partial last step maps the live columns through
+    its own transition once.
     """
     if step_h is None:
         step_h = default_step(t_f, sys.A)
@@ -215,31 +201,88 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
 
     Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(step_h)
     in_norm = float(np.linalg.norm(B, 2) * np.linalg.norm(ur)) if ur.size else 0.0
+    C_rows = np.linalg.norm(C, axis=1)
 
-    state = Zonotope.from_box(x0)
-    rho = 0.0
-    steps: list[ReachStep] = []
+    grid = []
     t = 0.0
     while t < t_f - 1e-12 * max(1.0, t_f):
         h = min(step_h, t_f - t)
-        if h < step_h * (1 - 1e-9):
-            Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h)
-        nxt = Zonotope(Phi @ state.center + vin, np.hstack([Phi @ state.generators, Gin]))
-        rho_next = nPhi * rho + res_ball
-        hull = enclose(state, nxt)
-        beta = 2.0 * ebl * (state.norm_bound() + rho + drift) + sweep * in_norm
+        grid.append((t, h))
+        t += h
+    # only the last step can be shorter than step_h
+    n_full = len(grid) - int(grid[-1][1] < step_h * (1 - 1e-9))
+
+    # age table: column a*m + i holds M_a[:, i]; the step hull pairs a column
+    # of age a with its image of age a + 1
+    m = Gin.shape[1]
+    M = np.empty((n, n_full * m))
+    if n_full:
+        M[:, :m] = Gin
+    for a in range(1, n_full):
+        M[:, a * m:(a + 1) * m] = Phi @ M[:, (a - 1) * m:a * m]
+    M_norms = np.linalg.norm(M, axis=0)
+    older, newer = M[:, :max(n_full - 1, 0) * m], M[:, m:]
+    Y_plus, Y_minus = C @ ((older + newer) / 2.0), C @ ((older - newer) / 2.0)
+    Y_new = C @ (Gin / 2.0)
+
+    steps: list[ReachStep] = []
+
+    def new_step(t: float, h: float, center: np.ndarray, widths: tuple[int, ...],
+                 rho: float, rho_next: float, state_norm: float) -> list[np.ndarray]:
+        """Append a step set whose generators are blocks of the given widths
+        plus the envelope ball, and return the blocks for the caller to fill.
+        The array is allocated before the blocks are computed: allocated
+        after them, it leaves a hole in the heap that grows every step."""
+        beta = 2.0 * ebl * (state_norm + rho + drift) + sweep * in_norm
         ball = max(rho, rho_next) + beta
-        out_G = [C @ hull.generators]
+        G = np.empty((C.shape[0], sum(widths) + (C.shape[0] if ball > 0 else 0)))
+        *blocks, ball_cols = np.split(G, np.cumsum(widths), axis=1)
         if ball > 0:
             # image of a state-space 2-ball: per-output radius ball*||C_i||_2
-            out_G.append(np.diag(ball * np.linalg.norm(C, axis=1)))
-        steps.append(ReachStep(t, t + h, Zonotope(C @ hull.center, np.hstack(out_G))))
-        state, rho = nxt, rho_next
-        if state.order > cap_cols:
-            G, dropped = _budgeted_reduce(state.generators, cap_cols)
-            state = Zonotope(state.center, G)
-            rho += dropped
-        t += h
+            ball_cols[:] = np.diag(ball * C_rows)
+        steps.append(ReachStep(t, t + h, Zonotope(center, G)))
+        return blocks
+
+    # the live state: center c, the images H = Phi^j G0 of the initial
+    # generators and the age-table indices idx of the live input columns,
+    # oldest first; aging a column adds m to its index
+    init = Zonotope.from_box(x0)
+    c, H = init.center, init.generators
+    idx = np.zeros(0, dtype=np.intp)
+    norms = np.linalg.norm(H, axis=0)
+    rho = 0.0
+    for t, h in grid[:n_full]:
+        c_next = Phi @ c + vin
+        H_next = Phi @ H
+        rho_next = nPhi * rho + res_ball
+        g0, g = H.shape[1], idx.size
+        d, hp, yp, yn, hm, ym, yn_neg = new_step(
+            t, h, C @ ((c + c_next) / 2.0), (1, g0, g, m, g0, g, m),
+            rho, rho_next, float(np.linalg.norm(c) + np.sum(norms)))
+        d[:, 0] = C @ ((c - c_next) / 2.0)
+        hp[:], hm[:] = C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)
+        yp[:], ym[:] = Y_plus[:, idx], Y_minus[:, idx]
+        yn[:], yn_neg[:] = Y_new, -Y_new
+        idx = np.concatenate([idx + m, np.arange(m)])
+        norms = np.concatenate([np.linalg.norm(H_next, axis=0), M_norms[idx]])
+        c, H, rho = c_next, H_next, rho_next
+        if norms.size > cap_cols:
+            # drop effectively-decayed columns (norm at most DROP_TOL times
+            # the average) into the 2-norm ball; live columns are never
+            # boxed, so the count may stay above the cap
+            dead = norms <= DROP_TOL * float(np.sum(norms)) / norms.size
+            if np.any(dead):
+                rho += float(np.sum(norms[dead]))
+                H, idx, norms = H[:, ~dead[:g0]], idx[~dead[g0:]], norms[~dead]
+    if n_full < len(grid):
+        t, h = grid[-1]
+        Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h)
+        state = Zonotope(c, np.hstack([H, M[:, idx]]))
+        nxt = Zonotope(Phi @ c + vin, np.hstack([Phi @ state.generators, Gin]))
+        hull = enclose(state, nxt).map(C)
+        G, = new_step(t, h, hull.center, (hull.order,), rho, nPhi * rho + res_ball,
+                      float(np.linalg.norm(c) + np.sum(norms)))
+        G[:] = hull.generators
     return steps
 
 
@@ -343,9 +386,9 @@ def quad_lower(z: Zonotope, ell: EllipsoidSpec) -> float:
     failed disjointness test errs toward Indeterminate.
     """
     d = z.center - ell.a
-    Qinv = np.linalg.inv(ell.Q)
+    Qinv = ell.Q_inv
     best = 0.0
-    cands = [np.eye(ell.p)[i] for i in range(ell.p)]
+    cands = list(ell.axes)
     grad = ell.Q @ d
     if np.linalg.norm(grad) > 0:
         cands.append(grad / np.linalg.norm(grad))

@@ -22,7 +22,7 @@ from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
                      ErrorBound, combine)
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
                     VerificationProblem)
-from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
+from .reach import (INDETERMINATE, MAYBE_UNSAFE, ORDER_CAP, SAFE, UNSAFE,
                     WitnessTrajectory, check_spec, default_step,
                     find_unsafe_witness, reach_lti)
 from .spectransform import transform_spec
@@ -40,7 +40,7 @@ class VerifyOptions:
     gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
     step_lh: float = 0.1
-    order_cap: int = 20
+    order_cap: int = ORDER_CAP
     vertex_cap: int = bnd.VERTEX_CAP
     witness_budget: int = 64
     seed: int = 0

@@ -77,6 +77,30 @@ class TestReduce:
         t2 = simulate(reduced.system, bal.H @ x0, np.array([0.5]), 1.0, 0.01)
         assert np.allclose(t1.outputs, t2.outputs, atol=1e-8)
 
+    @pytest.mark.parametrize("kind", ["lti", "pss"])
+    def test_k_builds_gramians_once_per_system(self, tmp_path, capsys, monkeypatch,
+                                               kind):
+        import redsafe.balancing as balancing
+        if kind == "lti":
+            main(["gen", "-n", "6", "--seed", "7", "--output", str(tmp_path / "g.json")])
+            path = tmp_path / "g.json"
+        else:
+            path = rs.benchmarks.MOTOR_MANIFEST
+        system = rs.parse_problem(path).system
+        systems = system.modes if kind == "pss" else (system,)
+        hsv = [rs.hankel_singular_values(s).tolist() for s in systems]
+        capsys.readouterr()
+        calls = []
+        real = balancing.gramians
+        monkeypatch.setattr(balancing, "gramians",
+                            lambda sys_: calls.append(sys_) or real(sys_))
+        code = main(["reduce", str(path), "-k", "3", "--format", "json",
+                     "--reduced", str(tmp_path / "r.json")])
+        assert code == 0
+        assert len(calls) == len(systems)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hsv"] == (hsv if kind == "pss" else hsv[0])
+
     def test_missing_matrix_file_names_path(self, tmp_path):
         path = minimal_problem(tmp_path, matrices={"A": "gone.mtx", "B": "B.mtx",
                                                    "C": "C.mtx"})

@@ -3,9 +3,9 @@ import pytest
 
 import redsafe as rs
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
-from redsafe.reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, Zonotope,
-                           check_spec, enclose, find_unsafe_witness, reach_lti,
-                           simulate)
+from redsafe.reach import (DROP_TOL, INDETERMINATE, MAYBE_UNSAFE, ORDER_CAP,
+                           SAFE, Zonotope, _transition, check_spec, enclose,
+                           find_unsafe_witness, reach_lti, simulate)
 from redsafe.spectransform import transform_spec
 
 from conftest import batch_trajectories, rand_box, rand_ubox
@@ -105,6 +105,125 @@ class TestReach:
         assert steps[-1].t1 == pytest.approx(1.0)
         for a, b in zip(steps, steps[1:]):
             assert a.t1 == pytest.approx(b.t0)
+
+
+def naive_reach(sys_, x0, u_box, t_f, step_h, order_cap=ORDER_CAP):
+    """Reference recurrence: every step maps all state generators through
+    Phi, encloses consecutive states and prunes decayed columns into rho."""
+    A, B, C = sys_.A, sys_.B, sys_.C
+    L, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+    ur = u_box.halfwidth
+    in_norm, drift = nB * np.linalg.norm(ur), np.linalg.norm(B @ u_box.center) / L
+
+    def data(h):
+        Phi, PsiB = _transition(A, h, B)
+        Gin = PsiB * ur
+        e = np.exp(L * h)
+        return (Phi, PsiB @ u_box.center, Gin[:, np.linalg.norm(Gin, axis=0) > 0],
+                np.linalg.norm(Phi, 2), ((e - 1) / L - h) * nB * 2 * np.linalg.norm(ur),
+                e - 1 - L * h, 2 * (e - 1) / L)
+
+    Phi, vin, Gin, nPhi, res, ebl, sweep = data(step_h)
+    state, rho, t, steps = Zonotope.from_box(x0), 0.0, 0.0, []
+    while t < t_f - 1e-12 * max(1.0, t_f):
+        h = min(step_h, t_f - t)
+        if h < step_h * (1 - 1e-9):
+            Phi, vin, Gin, nPhi, res, ebl, sweep = data(h)
+        nxt = Zonotope(Phi @ state.center + vin, np.hstack([Phi @ state.generators, Gin]))
+        rho_next = nPhi * rho + res
+        ball = max(rho, rho_next) + 2 * ebl * (state.norm_bound() + rho + drift) \
+            + sweep * in_norm
+        hull = enclose(state, nxt).map(C)
+        steps.append(rs.ReachStep(t, t + h, Zonotope(hull.center, np.hstack(
+            [hull.generators, np.diag(ball * np.linalg.norm(C, axis=1))]))))
+        state, rho = nxt, rho_next
+        if state.order > max(order_cap * sys_.n, 4 * sys_.n):
+            norms = np.linalg.norm(state.generators, axis=0)
+            dead = norms <= DROP_TOL * np.sum(norms) / norms.size
+            state = Zonotope(state.center, state.generators[:, ~dead])
+            rho += np.sum(norms[dead])
+        t += h
+    return steps
+
+
+def assert_same_sets(steps, ref, rng):
+    assert [(s.t0, s.t1, s.outputs.order) for s in steps] == \
+        [(s.t0, s.t1, s.outputs.order) for s in ref]
+    for s, r in zip(steps, ref):
+        a, b = s.outputs.interval_hull(), r.outputs.interval_hull()
+        scale = np.max(np.abs(np.concatenate([b.lb, b.ub])))
+        assert np.allclose(a.lb, b.lb, rtol=1e-12, atol=1e-12 * scale)
+        assert np.allclose(a.ub, b.ub, rtol=1e-12, atol=1e-12 * scale)
+        for v in rng.standard_normal((5, s.outputs.dim)):
+            assert s.outputs.support(v) == pytest.approx(
+                r.outputs.support(v), rel=1e-12, abs=1e-12 * scale * np.abs(v).sum())
+
+
+class TestReachEquivalence:
+    """reach_lti's age table against the all-generators reference."""
+
+    def test_random_systems(self, rng):
+        partial = 0
+        for _ in range(12):
+            n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
+            sys_ = rs.random_stable_system(rng, n, m, p)
+            x0, ubox = rand_box(rng, n, int(rng.integers(1, n + 1))), rand_ubox(rng, m)
+            t_f = float(rng.uniform(0.5, 2.0))
+            step_h = t_f / float(rng.uniform(20, 60))
+            steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=2)
+            partial += steps[-1].t1 - steps[-1].t0 < step_h * (1 - 1e-9)
+            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, step_h, 2), rng)
+        assert partial  # some horizons end on a shorter step
+
+    def test_partial_last_step_and_single_step(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
+        for t_f, step_h in ((1.0, 0.3), (0.2, 0.3)):
+            steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+            assert steps[-1].t1 - steps[-1].t0 < step_h
+            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, step_h), rng)
+
+    def test_zero_width_input_channel(self, rng):
+        sys_ = rs.random_stable_system(rng, 4, 3, 2)
+        x0 = rand_box(rng, 4, 2)
+        ubox = rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2])  # channel 1 pinned
+        steps = reach_lti(sys_, x0, ubox, 1.5, 0.07)
+        assert_same_sets(steps, naive_reach(sys_, x0, ubox, 1.5, 0.07), rng)
+        # each step adds two hull columns per live channel, none for channel 1
+        assert steps[1].outputs.order - steps[0].outputs.order == 2 * 2
+
+    def _decaying(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 2, 2, decay=(4.0, 8.0))
+        return sys_, rand_box(rng, 3), rand_ubox(rng, 2), 6.0, 0.05
+
+    def test_pruning_matches_reference(self, rng):
+        sys_, x0, ubox, t_f, step_h = self._decaying(rng)
+        pruned = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=1)
+        full = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=10**6)
+        assert_same_sets(pruned, naive_reach(sys_, x0, ubox, t_f, step_h, 1), rng)
+        # decayed columns were dropped: far fewer generators than unpruned
+        assert pruned[-1].outputs.order < full[-1].outputs.order // 2
+
+    def test_pruned_sets_contain_simulations(self, rng):
+        sys_, x0, ubox, t_f, step_h = self._decaying(rng)
+        steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=1)
+        h_sim = step_h / 2
+        X0 = np.hstack([x0.vertices(cap=64), x0.sample(rng, 200)])
+        state = {"U": ubox.sample(rng, X0.shape[1])}
+
+        def u_plan(step):
+            if step % 3 == 0:
+                state["U"] = np.where(rng.random((2, X0.shape[1])) < 0.5,
+                                      ubox.lb[:, None], ubox.ub[:, None])
+            return state["U"]
+
+        out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, u_plan, t_f, h_sim)
+        for idx in range(out.shape[0]):
+            t = idx * h_sim
+            covering = [s for s in steps if s.t0 - 1e-12 <= t <= s.t1 + 1e-12]
+            hull = covering[0].outputs.interval_hull()
+            assert np.all(out[idx] >= hull.lb[:, None] - 1e-9)
+            assert np.all(out[idx] <= hull.ub[:, None] + 1e-9)
 
 
 class TestSimulate:

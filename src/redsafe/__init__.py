@@ -5,7 +5,7 @@ computed error bounds."""
 from .balancing import (Abstraction, BalancedRealization, RankDeficiencyError,
                         balance, hankel_singular_values, truncate)
 from .benchmarks import motor_benchmark
-from .bounds import (AugmentedSystem, ErrorBound, augment, combine,
+from .bounds import (AugmentedSystem, ErrorBound, FullOrderResponse, augment, combine,
                      e1_optimization, e1_simulation, e1_theoretical,
                      e2_simulation, e2_theoretical, sup_box_norm,
                      E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION)

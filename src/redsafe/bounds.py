@@ -6,10 +6,20 @@ contraction property, a Lyapunov-feasible quadratic bound, a Hankel-tail
 zero-state bound, and simulation-based bounds for both error sources.
 Simulation-derived components are bloated by (1+gamma) when combined, to
 absorb discretization error.
+
+The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
+||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
+every simulated response are the same at every order k.  A
+:class:`FullOrderResponse` simulates that half once per mode, keeping only
+its output samples and state-norm data, and each order then simulates only
+its k-dimensional reduced half.  The quadratic bound builds all of its
+certificates of one order from p+1 Lyapunov solves on one Schur form.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -17,8 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from .balancing import BalancedRealization, box_image
-from .gramians import SolverError, solve_lyapunov
-from .model import HyperBox, ModelError
+from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
+from .model import HyperBox, ModelError, StabilityError
 from .reach import _transition
 
 E1_THEOREM1 = "theorem1"
@@ -137,27 +147,21 @@ def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     return row_norms * sup_box_norm(aug.lift_box(x0))
 
 
-def _feasible_quadratic(aug: AugmentedSystem, CtC: np.ndarray, eps: float) -> np.ndarray:
-    """A P with P > 0, A_bar^T P + P A_bar < 0 and C^T C <= P, built from the
-    Lyapunov equation A_bar^T P + P A_bar = -(C^T C + eps I) and a generalized
-    eigenvalue rescale."""
-    nk = aug.A_bar.shape[0]
-    P = solve_lyapunov(aug.A_bar.T, CtC + eps * np.eye(nk))
-    lam = scipy.linalg.eigh(CtC, P, eigvals_only=True)
-    alpha = max(1.0, float(lam[-1]))
-    return alpha * P
-
-
 def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
                     refine: bool = True) -> np.ndarray:
     """Zero-input bound via a feasible (not trace-optimal) quadratic certificate.
 
     For each output row a P satisfying P > 0, A_bar^T P + P A_bar < 0 and
     C_i^T C_i <= P is constructed; the bound is sqrt(lambda_max(P)) times the
-    sup norm of the lifted full-order initial box ``x0``.  ``refine``
-    searches a small grid of Lyapunov shifts; the scaled-identity certificate
-    is always included, so the result never exceeds the closed-form bound
-    when that bound applies.
+    sup norm of the lifted full-order initial box ``x0``.  The candidates are
+    alpha P(eps) with A_bar^T P(eps) + P(eps) A_bar = -(C_i^T C_i + eps I),
+    rescaled by alpha = max(1, C_i P(eps)^-1 C_i^T) (the generalized
+    eigenvalue of the rank-one pair).  The equation is linear, so
+    P(eps) = P_C,i + eps P_I comes from p+1 solves on one Schur form, and each
+    combination must still meet the Lyapunov residual tolerance against its
+    own right-hand side.  ``refine`` searches a small grid of shifts; the
+    scaled-identity certificate is always included, so the result never
+    exceeds the closed-form bound when that bound applies.
     Falls back to :func:`e1_theoretical` with a warning if every Lyapunov
     construction fails.
     """
@@ -166,22 +170,34 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
     scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
     identity_ok = defect <= CONTRACTION_TOL_REL * scale
     eps_grid = (1e-8,) if not refine else (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+    At = aug.A_bar.T
+    eye = np.eye(At.shape[0])
+    CtC = aug.C_bar[:, :, None] * aug.C_bar[:, None, :]
+    try:
+        *P_C, P_I = solve_lyapunov(At, np.concatenate([CtC, eye[None]]))
+    except SolverError:
+        P_C = []
     out = np.empty(aug.p)
     for i in range(aug.p):
-        Ci = aug.C_bar[i:i + 1, :]
-        CtC = Ci.T @ Ci
-        nc2 = float((Ci @ Ci.T)[0, 0])
+        Ci = aug.C_bar[i]
+        nc2 = float(Ci @ Ci)
         best = np.inf
         if identity_ok:
             # P = ||C_i||^2 I is feasible (non-strict decrease suffices for
             # the level-set argument) and reproduces the closed-form bound.
             best = np.sqrt(nc2) * sup_norm
-        for eps_rel in eps_grid:
-            try:
-                P = _feasible_quadratic(aug, CtC, eps_rel * max(nc2, 1e-300))
-            except (SolverError, scipy.linalg.LinAlgError):
+        for eps_rel in eps_grid if P_C else ():
+            eps = eps_rel * max(nc2, 1e-300)
+            P = P_C[i] + eps * P_I
+            res = lyapunov_residual(At, CtC[i] + eps * eye, P)
+            if not res <= LYAP_TOL:
                 continue
-            lam_max = float(np.linalg.eigvalsh(P).max())
+            try:
+                alpha = max(1.0, float(Ci @ scipy.linalg.cho_solve(
+                    scipy.linalg.cho_factor(P), Ci)))
+            except scipy.linalg.LinAlgError:
+                continue
+            lam_max = float(np.linalg.eigvalsh(alpha * P).max())
             best = min(best, np.sqrt(lam_max) * sup_norm)
         if not np.isfinite(best):
             warnings.warn("feasible quadratic certificate construction failed; "
@@ -195,17 +211,194 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
 #: grid gap).
 E1_SIM_LH = 0.02
 
+#: Doubles held by one block of simulated states: a block of steps is
+#: propagated one state at a time and then projected as a whole.
+ORBIT_BLOCK_DOUBLES = 1 << 19
+
+
+def _propagate(Phi: np.ndarray, X: np.ndarray, steps: int) -> np.ndarray:
+    """The states Phi X, Phi^2 X, ..., Phi^steps X, shape (steps, *X.shape)."""
+    out = np.empty((steps,) + X.shape)
+    for j in range(steps):
+        X = np.matmul(Phi, X, out=out[j])
+    return out
+
+
+def _project(states: np.ndarray, maps: tuple[np.ndarray, ...],
+             gram: bool) -> list[np.ndarray]:
+    """Each map applied to a block of states, then the squared column norms
+    of the states (``gram`` False) or their Gram matrices (``gram`` True)."""
+    out = [M @ states for M in maps]
+    if gram:
+        out.append(states.swapaxes(-1, -2) @ states)
+    else:
+        out.append(np.einsum("...ij,...ij->...j", states, states))
+    return out
+
+
+class _Orbit:
+    """Projections of the states Phi^j X0, j = 0, 1, ..., with Phi = e^{A h},
+    simulated block by block on first request and kept; of the states only
+    the last is kept."""
+
+    def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
+                 maps: tuple[np.ndarray, ...], gram: bool):
+        self.h = h
+        self.block = max(16, min(512, ORBIT_BLOCK_DOUBLES // max(1, X0.size)))
+        self.head = _project(X0[None], maps, gram)
+        self.maps, self._gram = maps, gram
+        self._Phi, self._last = _transition(A, h), X0
+        self._blocks: list[list[np.ndarray]] = []
+
+    def __getitem__(self, i: int) -> list[np.ndarray]:
+        """Block i: the projections of steps 1 + i*block ... (i+1)*block."""
+        while len(self._blocks) <= i:
+            states = _propagate(self._Phi, self._last, self.block)
+            self._last = states[-1].copy()
+            self._blocks.append(_project(states, self.maps, self._gram))
+        return self._blocks[i]
+
+
+def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
+                 maps_r: tuple[np.ndarray, ...], gram: bool):
+    """Projected blocks of the augmented orbit: the shared full-order part
+    plus this order's reduced part, stepped by the same h.  Step 0 comes
+    first as a block of its own, then blocks of ``full.block`` steps."""
+    yield [f + r for f, r in zip(full.head, _project(X_r[None], maps_r, gram))]
+    Phi_r = _transition(A_r, full.h)
+    for i in itertools.count():
+        states = _propagate(Phi_r, X_r, full.block)
+        X_r = states[-1]
+        yield [f + r for f, r in zip(full[i], _project(states, maps_r, gram))]
+
+
+def _block_times(t: float, h: float, count: int) -> np.ndarray:
+    """The times t + h, (t + h) + h, ... accumulated as a step loop does."""
+    return np.cumsum(np.concatenate([[t], np.full(count, h)]))[1:]
+
+
+def _accumulate(carry: np.ndarray, incs: np.ndarray) -> np.ndarray:
+    """Running sums carry + incs[0], (carry + incs[0]) + incs[1], ..."""
+    return np.cumsum(np.concatenate([carry[None], incs]), axis=0)[1:]
+
+
+class FullOrderResponse:
+    """The full-order half of the simulation bounds of one mode, shared by
+    every order k.
+
+    The e2 impulse responses start from B_t and record C_t x, C_t A_t^2 x
+    and ||x||^2 per channel; the e1 responses start from the lifted
+    generators [H c, H diag(r)] of the initial box (center c, free half-widths
+    r) and record C_t x and the generators' Gram matrix, from which every
+    vertex follows.  Both are simulated lazily, block by block, as far as the
+    orders asking for them need.  Build one per mode with
+    ``FullOrderResponse.of(bal)`` and pass it to every order's bounds.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray):
+        self.A, self.B, self.C, self.H = A, B, C, H
+        self._impulse: _Orbit | None = None
+        self._initial: tuple[HyperBox, _Orbit] | None = None
+
+    @functools.cached_property
+    def L(self) -> float:
+        """||A_bar||_2 of every augmented system of this mode."""
+        return float(np.linalg.norm(self.A, 2))
+
+    def _step(self, lh: float) -> float:
+        return lh / self.L if self.L > 0 else 1.0
+
+    @classmethod
+    def of(cls, bal: BalancedRealization) -> "FullOrderResponse":
+        return cls(bal.A_t, bal.B_t, bal.C_t, bal.H)
+
+    def impulse(self) -> _Orbit:
+        """The e2 orbit from B_t at step SIM_LH / L."""
+        if self._impulse is None:
+            self._impulse = _Orbit(self.A, self._step(SIM_LH), self.B,
+                                   (self.C, self.C @ self.A @ self.A), gram=False)
+        return self._impulse
+
+    def initial(self, x0: HyperBox) -> _Orbit:
+        """The e1 orbit from the lifted generators of ``x0`` at step
+        E1_SIM_LH / L (rebuilt when asked for another box)."""
+        if self._initial is None or self._initial[0] != x0:
+            self._initial = (x0, _Orbit(self.A, self._step(E1_SIM_LH),
+                                        self.H @ _box_generators(x0), (self.C,),
+                                        gram=True))
+        return self._initial[1]
+
+
+def _response(aug: AugmentedSystem, full: FullOrderResponse | None) -> FullOrderResponse:
+    """``full`` after checking that it is the full-order half of ``aug``, or a
+    fresh response when it is None."""
+    n = aug.n
+    parts = aug.A_bar[:n, :n], aug.B_bar[:n], aug.C_bar[:, :n], aug.lift[:n]
+    if full is None:
+        return FullOrderResponse(*parts)
+    if not all(np.array_equal(a, b) for a, b in zip((full.A, full.B, full.C, full.H), parts)):
+        raise ModelError("full-order response belongs to another system")
+    return full
+
+
+def _box_generators(box: HyperBox) -> np.ndarray:
+    """[c, r_1 e_1, ..., r_f e_f] over the free dims: vertex s is c + sum s_d r_d e_d."""
+    free = box.free_dims()
+    gens = np.zeros((box.dim, 1 + len(free)))
+    gens[:, 0] = box.center
+    gens[free, 1 + np.arange(len(free))] = box.halfwidth[free]
+    return gens
+
+
+def _vertex_signs(f: int) -> np.ndarray:
+    """(1+f, 2^f) coefficients [1; s] of every vertex of an f-dim box."""
+    bits = (np.arange(1 << f)[None, :] >> np.arange(f)[:, None]) & 1
+    return np.vstack([np.ones((1, 1 << f)), 2.0 * bits - 1.0])
+
+
+def _vertex_peak(Y: np.ndarray) -> np.ndarray:
+    """max over vertices of |y_s| = |y_c| + sum_d |y_d|, per row of the
+    generator outputs Y (last axis: center, then one column per free dim)."""
+    return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
+
+
+def _max_vertex_norm(gram: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """max over vertices of ||x_s|| = sqrt(s^T G s), per Gram matrix G of a block."""
+    chunk = max(1, ORBIT_BLOCK_DOUBLES // signs.size)
+    sq = [np.max(np.sum((gram[a:a + chunk] @ signs) * signs, axis=1), axis=1)
+          for a in range(0, len(gram), chunk)]
+    return np.sqrt(np.maximum(np.concatenate(sq), 0.0))
+
+
+def _decayed_vertex_norms(gram: np.ndarray, signs: np.ndarray,
+                          threshold: float) -> np.ndarray:
+    """Per Gram matrix of a block, the max vertex norm where it is at most
+    ``threshold`` and inf elsewhere.  The vertex mean of s^T G s is trace(G),
+    so only steps whose trace is near or below threshold^2 are enumerated."""
+    out = np.full(len(gram), np.inf)
+    near = np.nonzero(np.trace(gram, axis1=1, axis2=2)
+                      <= (1.0 + 1e-6) * threshold * threshold)[0]
+    if near.size:
+        norms = _max_vertex_norm(gram[near], signs)
+        out[near] = np.where(norms <= threshold, norms, np.inf)
+    return out
+
 
 def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
                   vertex_cap: int = VERTEX_CAP,
-                  decay_tol: float = DECAY_TOL) -> np.ndarray:
+                  decay_tol: float = DECAY_TOL,
+                  full: FullOrderResponse | None = None) -> np.ndarray:
     """Zero-input bound by simulating every vertex of the initial box.
 
     The bound is the max over vertices and the time grid of |ybar_i(t)|.
     The error is linear in the initial state, so the vertex max covers the
     whole box at each sampled time; the remaining discretization gap is what
     the gamma bloat in :func:`combine` absorbs.  Refuses boxes with more than
-    ``vertex_cap`` vertices, naming the count.
+    ``vertex_cap`` vertices, naming the count.  The vertex responses are
+    those of the box generators: at every step the vertex max of |ybar_i| is
+    |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and vertex state norms come from
+    the generators' Gram matrix.  The full-order half of these responses is
+    read from ``full`` (built here when not given).
 
     When the augmented system is contractive the simulation stops once the
     states have decayed, covering the remaining window with the monotone tail
@@ -220,29 +413,33 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
             f"exceeding the cap {vertex_cap}; use a theoretical e1 bound instead")
     if t_f <= 0:
         raise ModelError(f"t_f must be positive, got {t_f}")
-    X = aug.lift @ x0.vertices()
-    best = np.max(np.abs(aug.C_bar @ X), axis=1)
-    L = float(np.linalg.norm(aug.A_bar, 2))
+    full = _response(aug, full)
+    n, L = aug.n, full.L
+    orbit = full.initial(x0)
+    blocks = _error_orbit(orbit, aug.A_bar[n:, n:], aug.lift[n:] @ _box_generators(x0),
+                          (aug.C_bar[:, n:],), gram=True)
+    Y, G = next(blocks)
+    best = _vertex_peak(Y[0])
     if L == 0.0:
         return best
-    h = E1_SIM_LH / L
-    Phi = _transition(aug.A_bar, h)
-    x0n = float(np.max(np.linalg.norm(X, axis=0)))
-    scale = max(1.0, L)
-    contractive = contraction_defect(aug) <= CONTRACTION_TOL_REL * scale
+    signs = _vertex_signs(len(x0.free_dims()))
+    contractive = contraction_defect(aug) <= CONTRACTION_TOL_REL * max(1.0, L)
+    x0n = float(_max_vertex_norm(G, signs)[0]) if contractive else 0.0
     t = 0.0
-    decayed = False
-    while t < t_f:
-        X = Phi @ X
-        t += h
-        best = np.maximum(best, np.max(np.abs(aug.C_bar @ X), axis=1))
-        if contractive and float(np.max(np.linalg.norm(X, axis=0))) <= decay_tol * x0n:
-            decayed = True
+    for Y, G in blocks:
+        times = _block_times(t, orbit.h, len(Y))
+        # the max vertex norm at decayed steps, inf elsewhere
+        decayed = _decayed_vertex_norms(G, signs, decay_tol * x0n) if contractive \
+            else np.full(len(Y), np.inf)
+        stop = (times >= t_f) | (decayed < np.inf)
+        end = int(np.argmax(stop)) + 1 if stop.any() else len(Y)
+        best = np.maximum(best, np.max(_vertex_peak(Y[:end]), axis=0))
+        if stop.any():
             break
-    if decayed:
+        t = times[-1]
+    if decayed[end - 1] < np.inf:
         # monotone convergence: |y_i(t)| <= ||C_i|| ||x(T)|| for all t >= T
-        tail = np.linalg.norm(aug.C_bar, axis=1) * float(np.max(np.linalg.norm(X, axis=0)))
-        best = np.maximum(best, tail)
+        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * decayed[end - 1])
     return best
 
 
@@ -271,7 +468,7 @@ def _decay_certificate(A: np.ndarray) -> float | None:
     from a Lyapunov certificate; None if unavailable."""
     try:
         P = solve_lyapunov(A.T, np.eye(A.shape[0]))
-    except Exception:
+    except (SolverError, StabilityError, np.linalg.LinAlgError):
         return None
     ev = np.linalg.eigvalsh(P)
     if ev[0] <= 0:
@@ -283,7 +480,8 @@ def _decay_certificate(A: np.ndarray) -> float | None:
 def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
                   decay_tol: float = DECAY_TOL,
                   horizon: float | None = None,
-                  max_steps: int = MAX_IMPULSE_STEPS
+                  max_steps: int = MAX_IMPULSE_STEPS,
+                  full: FullOrderResponse | None = None
                   ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Zero-state bound by integrating the augmented impulse responses.
 
@@ -293,7 +491,10 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     cannot outlive, e.g. PSS mode durations).  The per-step integrand is
     over-approximated by the max of the endpoint values times (1 + ||A_bar||h)
     to keep the bound one sided, and an analytic tail term covers whatever
-    lies beyond the simulated range.
+    lies beyond the simulated range.  The full-order half of the responses
+    (C_t x, C_t A_t^2 x and ||x||^2 per step) is read from ``full`` (built
+    here when not given); this order simulates only its reduced half, and
+    the per-step envelopes are evaluated block by block as array operations.
 
     The same pass yields two bounds.  The plain one multiplies the |kernel|
     integral by ||u||_inf.  The split one splits the input box into center
@@ -309,61 +510,70 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     """
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")
-    p, m = aug.p, aug.m
+    p, m, n = aug.p, aug.m, aug.n
     if m == 0 or not np.any(aug.B_bar):
         return np.zeros(p), np.zeros(p), False
-    L = float(np.linalg.norm(aug.A_bar, 2))
-    h = SIM_LH / L if L > 0 else 1.0
-    Phi = _transition(aug.A_bar, h)
-    X = aug.B_bar.copy()
-    x0_norms = np.linalg.norm(X, axis=0)
-    x0_norms[x0_norms == 0] = 1.0
-    c_norms = np.linalg.norm(aug.C_bar, axis=1)
-    grow = np.exp(L * h)
+    full = _response(aug, full)
+    L = full.L
+    orbit = full.impulse()
+    h = orbit.h
+    A_r, C_r = aug.A_bar[n:, n:], aug.C_bar[:, n:]
     # second-derivative observable: |y_i''| = |C_i A^2 x| inherits whatever
     # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||
-    D2 = aug.C_bar @ aug.A_bar @ aug.A_bar
-    d2_norms = np.linalg.norm(D2, axis=1)
+    D2_r = C_r @ A_r @ A_r
+    blocks = _error_orbit(orbit, A_r, aug.B_bar[n:], (C_r, D2_r), gram=False)
+    d2_norms = np.linalg.norm(np.hstack([orbit.maps[1], D2_r]), axis=1)
+    x0_norms = np.linalg.norm(aug.B_bar, axis=0)
+    x0_norms[x0_norms == 0] = 1.0
+    grow = np.exp(L * h)
 
     I_abs = np.zeros((p, m))
     R_run = np.zeros((p, m))
     R_max = np.zeros((p, m))
     trap_budget = np.zeros((p, m))
-    Y_prev = aug.C_bar @ X
-    D2_prev = np.abs(D2 @ X)
-    norms_prev = np.linalg.norm(X, axis=0)
     t = 0.0
-    steps = 0
-    reached_horizon = False
-    while True:
-        if horizon is not None and t >= horizon - 1e-12 * horizon:
-            reached_horizon = True
+    first = 0
+    prev = None
+    for Y, D2, sq in blocks:
+        # states first, first+1, ... of this block, at the times a step loop
+        # would have reached them
+        count = len(Y)
+        times = np.zeros(1) if prev is None else _block_times(t, h, count)
+        D2 = np.abs(D2)
+        norms = np.sqrt(sq)
+        at_horizon = np.zeros(count, bool) if horizon is None \
+            else times >= horizon - 1e-12 * horizon
+        stop = at_horizon | np.all(norms <= decay_tol * x0_norms, axis=1) \
+            | (first + np.arange(count) >= max_steps)
+        stopped = bool(stop.any())
+        end = int(np.argmax(stop)) + 1 if stopped else count
+        if prev is not None:
+            # step j runs from state j-1 to state j
+            Ys = np.concatenate([prev[0][None], Y[:end]])
+            D2s = np.concatenate([prev[1][None], D2[:end]])
+            Ns = np.concatenate([prev[2][None], norms[:end]])
+            peak = np.maximum(np.abs(Ys[:-1]), np.abs(Ys[1:]))
+            # in-step |y''| bound: endpoint max of the observed |C A^2 x| plus
+            # the first-order growth (e^{Lh}-1) ||C_i A^2|| ||x||
+            ddot = np.maximum(D2s[:-1], D2s[1:]) \
+                + (grow - 1.0) * (d2_norms[:, None] * np.maximum(Ns[:-1], Ns[1:])[:, None, :])
+            # interior max of a C^2 signal exceeds its endpoint max by at most
+            # h^2/8 max|y''|, which also covers zero crossings
+            bulge = (h * h / 8.0) * ddot
+            I_abs = _accumulate(I_abs, h * (peak * (1.0 + L * h) + bulge))[-1]
+            runs = _accumulate(R_run, h * (Ys[:-1] + Ys[1:]) / 2.0)
+            # rigorous per-step trapezoid remainder: h^3/12 max|y''|
+            traps = _accumulate(trap_budget, (h ** 3 / 12.0) * ddot)
+            R_max = np.maximum(R_max, np.max(np.abs(runs) + h * (peak + bulge) + traps,
+                                             axis=0))
+            R_run, trap_budget = runs[-1], traps[-1]
+        if stopped:
             break
-        norms = np.linalg.norm(X, axis=0)
-        if np.all(norms <= decay_tol * x0_norms) or steps >= max_steps:
-            break
-        X = Phi @ X
-        Y_cur = aug.C_bar @ X
-        D2_cur = np.abs(D2 @ X)
-        norms_cur = np.linalg.norm(X, axis=0)
-        peak = np.maximum(np.abs(Y_prev), np.abs(Y_cur))
-        # in-step |y''| bound: endpoint max of the observed |C A^2 x| plus the
-        # first-order growth (e^{Lh}-1) ||C_i A^2|| ||x||
-        ddot = np.maximum(D2_prev, D2_cur) \
-            + (grow - 1.0) * np.outer(d2_norms, np.maximum(norms_prev, norms_cur))
-        # interior max of a C^2 signal exceeds its endpoint max by at most
-        # h^2/8 max|y''|, which also covers zero crossings
-        bulge = (h * h / 8.0) * ddot
-        I_abs += h * (peak * (1.0 + L * h) + bulge)
-        R_run += h * (Y_prev + Y_cur) / 2.0
-        # rigorous per-step trapezoid remainder: h^3/12 max|y''|
-        trap_budget += (h ** 3 / 12.0) * ddot
-        R_max = np.maximum(R_max, np.abs(R_run) + h * (peak + bulge) + trap_budget)
-        Y_prev = Y_cur
-        D2_prev = D2_cur
-        norms_prev = norms_cur
-        t += h
-        steps += 1
+        prev = (Y[-1], D2[-1], norms[-1])
+        t = times[-1]
+        first += count
+    reached_horizon = bool(at_horizon[end - 1])
+    final_norms = norms[end - 1]
 
     # whatever lies beyond the simulated range is covered by a Lyapunov tail
     # certificate; without one the bound is flagged as truncated.
@@ -373,7 +583,7 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
         if kappa is None:
             truncated = True
         else:
-            tail = kappa * np.outer(c_norms, np.linalg.norm(X, axis=0))
+            tail = kappa * np.outer(np.linalg.norm(aug.C_bar, axis=1), final_norms)
             I_abs += tail
             R_max += tail
 

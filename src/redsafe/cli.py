@@ -150,10 +150,11 @@ def cmd_bounds(args) -> int:
     for label, sys_, x0, horizon in problem_modes(problem):
         name = problem.name + (f"[{label}]" if label else "")
         bal = balance(sys_)
+        full = bnd.FullOrderResponse.of(bal)
         for k in ks:
             t0 = time.perf_counter()
             pairs, delta_min, _, notes = bound_candidates(
-                bal, k, x0, problem.inputs, horizon, opts)
+                bal, k, x0, problem.inputs, horizon, opts, full)
             dt = time.perf_counter() - t0 if args.timing else 0.0
             for plabel, b in pairs:
                 rows.append({"system": name, "k": k, "method": plabel,
@@ -317,13 +318,14 @@ def cmd_bench(args) -> int:
         for label, sys_, x0, horizon in problem_modes(problem):
             name = problem.name + (f"[{label}]" if label else "")
             bal = balance(sys_)
+            full = bnd.FullOrderResponse.of(bal)
             for k in ks:
                 if not (sys_.p < k <= sys_.n):
                     continue
                 for mname, opts in method_sets.items():
                     t0 = time.perf_counter()
                     pairs, delta_min, best, _ = bound_candidates(
-                        bal, k, x0, problem.inputs, horizon, opts)
+                        bal, k, x0, problem.inputs, horizon, opts, full)
                     dt = time.perf_counter() - t0 if args.timing else 0.0
                     if best is None:
                         continue

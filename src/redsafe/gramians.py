@@ -1,8 +1,12 @@
 """Continuous-time Lyapunov solves and controllability/observability gramians.
 
-The solver is Bartels-Stewart on the real Schur form (scipy's
-solve_continuous_lyapunov); every solution is symmetrized and checked against
-a relative residual threshold so that a silently bad solve cannot propagate.
+The solver is Bartels-Stewart on the real Schur form.  One call takes one
+right-hand side or a stack of them: the Hurwitz check and the Schur form of
+the coefficient matrix are computed once and reused for every right-hand
+side (one ``trsyl`` each), which is how ``bounds.e1_optimization`` gets its
+p+1 certificate solves per order from a single factorization.  Every
+solution is symmetrized and checked against a relative residual threshold
+so that a silently bad solve cannot propagate.
 """
 
 from __future__ import annotations
@@ -47,30 +51,44 @@ def lyapunov_residual(A: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
 def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve A P + P A^T + Q = 0 for symmetric Q and Hurwitz A.
 
-    Returns the symmetrized solution.  Raises StabilityError for non-Hurwitz
-    A (the equation is then not uniquely solvable) and SolverError when the
-    Schur-based solve fails or the relative residual exceeds LYAP_TOL.
+    ``Q`` is one right-hand side (n, n) or a stack (r, n, n); the symmetrized
+    solutions come back in the same shape.  A zero right-hand side has the
+    exact solution 0.  Raises StabilityError for non-Hurwitz A (the equation
+    is then not uniquely solvable) and SolverError when the Schur-based solve
+    fails or the relative residual of any solution exceeds LYAP_TOL.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got {A.shape}")
-    if Q.shape != A.shape:
+    if Q.ndim not in (2, 3) or Q.shape[-2:] != A.shape:
         raise ValueError(f"Q must match A, got {Q.shape} vs {A.shape}")
     require_hurwitz(A, "Lyapunov coefficient matrix A")
-    if not np.any(Q):
-        # A P + P A^T = 0 with Hurwitz A has only the trivial solution.
-        return np.zeros_like(A)
-    try:
-        # scipy solves A X + X A^T = Q_rhs.
-        P = scipy.linalg.solve_continuous_lyapunov(A, -Q)
-    except Exception as exc:
-        raise SolverError(f"Schur-based Lyapunov solve failed: {exc}") from exc
-    P = (P + P.T) / 2.0
-    res = lyapunov_residual(A, Q, P)
-    if not np.isfinite(res) or res > LYAP_TOL:
-        raise SolverError(f"Lyapunov residual {res:.3e} exceeds tolerance {LYAP_TOL:.1e}")
-    return P
+    rhs = Q.reshape((-1,) + A.shape)
+    out = np.zeros_like(rhs)
+    schur = None
+    for i, (Qi, P) in enumerate(zip(rhs, out)):
+        if not np.any(Qi):
+            # A P + P A^T = 0 with Hurwitz A has only the trivial solution.
+            continue
+        try:
+            if schur is None:
+                schur = scipy.linalg.schur(A, output="real")
+            R, U = schur
+            trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (R,))
+            # U^T (-Q) U = R Y + Y R^T, then P = U Y U^T
+            Y, scale, info = trsyl(R, R, U.T.dot((-Qi).dot(U)), tranb="T")
+        except Exception as exc:
+            raise SolverError(f"Schur-based Lyapunov solve failed: {exc}") from exc
+        if info < 0:
+            raise SolverError(f"trsyl rejected argument {-info}")
+        X = U.dot(Y * scale).dot(U.T)
+        P[...] = (X + X.T) / 2.0
+        res = lyapunov_residual(A, Qi, P)
+        if not np.isfinite(res) or res > LYAP_TOL:
+            raise SolverError(f"Lyapunov residual {res:.3e} of right-hand side {i} "
+                              f"exceeds tolerance {LYAP_TOL:.1e}")
+    return out.reshape(Q.shape)
 
 
 def _check_psd(W: np.ndarray, name: str) -> None:

@@ -81,7 +81,7 @@ class Verdict:
 
 
 def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
-                  notes: list[str]) -> dict[str, np.ndarray]:
+                  notes: list[str], full: bnd.FullOrderResponse) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for method in opts.e1_methods:
         try:
@@ -91,20 +91,22 @@ def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
                 out[method] = bnd.e1_optimization(aug, x0)
             else:
                 out[method] = bnd.e1_simulation(aug, x0, horizon,
-                                                vertex_cap=opts.vertex_cap)
+                                                vertex_cap=opts.vertex_cap, full=full)
         except (ModelError, bnd.BoundError) as exc:
             notes.append(f"e1 {method} skipped: {exc}")
     return out
 
 
 def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float,
-                  opts: VerifyOptions, notes: list[str]) -> dict[str, np.ndarray]:
+                  opts: VerifyOptions, notes: list[str],
+                  full: bnd.FullOrderResponse) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for method in opts.e2_methods:
         if method == E2_THEOREM3:
             out[method] = bnd.e2_theoretical(bal.sigma, aug.k, u_box, aug.p)
             continue
-        plain, split, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
+        plain, split, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon,
+                                                    full=full)
         if truncated:
             notes.append("e2 simulation truncated before decay; bound dropped")
             if opts.e2_input_split:
@@ -118,17 +120,22 @@ def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float
 
 def bound_candidates(bal: BalancedRealization, k: int, x0: HyperBox,
                      u_box: HyperBox, horizon: float,
-                     opts: VerifyOptions = VerifyOptions()):
+                     opts: VerifyOptions = VerifyOptions(),
+                     full: bnd.FullOrderResponse | None = None):
     """Every enabled bound pairing for one abstraction order.
 
+    ``full`` is the mode's ``FullOrderResponse.of(bal)``; pass the same one
+    at every order of a mode (a fresh one is built when it is not given).
     Returns (pairs, delta_min, best, notes): labeled ErrorBounds, the
     componentwise minimum over them (sound), the pairing with the smallest
     rho, and notes about skipped methods.
     """
     notes: list[str] = []
     aug = bnd.augment(bal, k)
-    e1s = _candidate_e1(aug, x0, horizon, opts, notes)
-    e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes)
+    if full is None:
+        full = bnd.FullOrderResponse.of(bal)
+    e1s = _candidate_e1(aug, x0, horizon, opts, notes, full)
+    e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes, full)
     pairs = [(f"{l1}+{l2}", combine(e1, e2, opts.gamma, l1,
                                     SIMULATION if l2.startswith(SIMULATION) else l2))
              for l1, e1 in e1s.items() for l2, e2 in e2s.items()]
@@ -177,6 +184,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
     labeled = bool(modes[0][0])
     k0, k_max = _resolve_orders(problem.system.n, problem.system.p, opts)
     bals = [balance(system) for _, system, _, _ in modes]
+    responses = [bnd.FullOrderResponse.of(bal) for bal in bals]
     log: list[PerKEntry] = []
     started = time.perf_counter()
 
@@ -191,11 +199,12 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
         mode_outcomes: list[str] = []
         mode_deltas: list[np.ndarray] = []
         worst: ErrorBound | None = None
-        for rho, ((label, _, x0, horizon), bal) in enumerate(zip(modes, bals)):
+        for rho, ((label, _, x0, horizon), bal, full) in enumerate(
+                zip(modes, bals, responses)):
             key, say = (f"{label}:", f"mode {rho}: ") if labeled else ("", "")
             abstraction = truncate(bal, k, x0)
             pairs, delta_min, best, mode_notes = bound_candidates(
-                bal, k, x0, problem.inputs, horizon, opts)
+                bal, k, x0, problem.inputs, horizon, opts, full)
             notes.extend(say + note for note in mode_notes)
             if delta_min is None:
                 notes.append(say + "no bound method produced a value")

@@ -87,3 +87,160 @@ def test_transformation_law(rng):
         expected = T @ g.Wc @ T.T
         err = np.linalg.norm(gm.Wc - expected, "fro") / np.linalg.norm(expected, "fro")
         assert err <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# Several right-hand sides per call: one Hurwitz check and one Schur form.
+
+import importlib  # noqa: E402
+
+import scipy.linalg  # noqa: E402
+
+import redsafe.bounds as bmod  # noqa: E402
+from redsafe.balancing import balance  # noqa: E402
+from redsafe.bounds import AugmentedSystem, augment, e1_optimization  # noqa: E402
+
+
+# the package attribute redsafe.gramians is the function, not the module
+gmod = importlib.import_module("redsafe.gramians")
+
+
+def psd_stack(rng, n, count):
+    M = rng.standard_normal((count, n, 2))
+    return M @ M.swapaxes(1, 2)
+
+
+def test_stack_matches_single_solves(rng):
+    A = rs.random_stable_system(rng, 12, 1, 1).A
+    Qs = psd_stack(rng, 12, 3)
+    P = solve_lyapunov(A, Qs)
+    assert P.shape == Qs.shape
+    for Pi, Qi in zip(P, Qs):
+        assert np.array_equal(Pi, solve_lyapunov(A, Qi))
+        assert lyapunov_residual(A, Qi, Pi) <= 1e-8
+
+
+def test_hurwitz_checked_once_per_call(rng, monkeypatch):
+    calls = []
+    original = gmod.require_hurwitz
+
+    def counting(A, what):
+        calls.append(what)
+        return original(A, what)
+    monkeypatch.setattr(gmod, "require_hurwitz", counting)
+    solve_lyapunov(rs.random_stable_system(rng, 8, 1, 1).A, psd_stack(rng, 8, 5))
+    assert len(calls) == 1
+
+
+def test_one_failing_right_hand_side_raises(rng, monkeypatch):
+    A = rs.random_stable_system(rng, 6, 1, 1).A
+    Qs = psd_stack(rng, 6, 3)
+    original = gmod.lyapunov_residual
+
+    def residual(A_, Q, P):
+        return 1.0 if np.array_equal(Q, Qs[1]) else original(A_, Q, P)
+    monkeypatch.setattr(gmod, "lyapunov_residual", residual)
+    with pytest.raises(rs.SolverError, match="right-hand side 1 exceeds"):
+        solve_lyapunov(A, Qs)
+    solve_lyapunov(A, Qs[[0, 2]])
+
+
+def test_zero_right_hand_sides_are_exact(rng, monkeypatch):
+    A = rs.random_stable_system(rng, 5, 1, 1).A
+    Q = psd_stack(rng, 5, 1)[0]
+    P = solve_lyapunov(A, np.stack([Q, np.zeros((5, 5)), Q]))
+    assert np.array_equal(P[1], np.zeros((5, 5)))
+    assert np.array_equal(P[0], solve_lyapunov(A, Q)) and np.array_equal(P[0], P[2])
+
+    # an all-zero stack never reaches the Schur form
+    def no_schur(*args, **kwargs):
+        raise AssertionError("Schur form computed for zero right-hand sides")
+    monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+    assert np.array_equal(solve_lyapunov(A, np.zeros((2, 5, 5))), np.zeros((2, 5, 5)))
+
+
+def test_stack_shape_validation():
+    with pytest.raises(ValueError, match="match"):
+        solve_lyapunov(-np.eye(2), np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="match"):
+        solve_lyapunov(-np.eye(2), np.zeros((1, 1, 2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        solve_lyapunov(np.ones((2, 3)), np.zeros((2, 2, 3)))
+
+
+def reference_e1_optimization(aug, x0, refine=True):
+    """The quadratic-certificate bound from 5p separate solves, one per output
+    and shift, with the full generalized eigenproblem."""
+    sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
+    scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
+    identity_ok = bmod.contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
+    eps_grid = (1e-8,) if not refine else (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+    nk = aug.A_bar.shape[0]
+    out = np.empty(aug.p)
+    for i in range(aug.p):
+        Ci = aug.C_bar[i:i + 1, :]
+        CtC = Ci.T @ Ci
+        nc2 = float((Ci @ Ci.T)[0, 0])
+        best = np.sqrt(nc2) * sup_norm if identity_ok else np.inf
+        for eps_rel in eps_grid:
+            try:
+                P = solve_lyapunov(aug.A_bar.T, CtC + eps_rel * max(nc2, 1e-300) * np.eye(nk))
+                lam = scipy.linalg.eigh(CtC, P, eigvals_only=True)
+            except (rs.SolverError, scipy.linalg.LinAlgError):
+                continue
+            P = max(1.0, float(lam[-1])) * P
+            best = min(best, np.sqrt(float(np.linalg.eigvalsh(P).max())) * sup_norm)
+        out[i] = best
+    return out
+
+
+def noncontractive_augmented(rng, n, k, p):
+    """Hurwitz (triangular) but not contractive, so the certificates and not
+    the scaled identity decide the bound.  The coupling is mild: both ways of
+    building P(eps) are accurate to about cond(A_bar) times the unit
+    roundoff, so they can only agree that closely."""
+    A = -np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
+    A_bar = scipy.linalg.block_diag(A, A[:k, :k])
+    C = rng.standard_normal((p, n))
+    H = rng.standard_normal((n, n))
+    return AugmentedSystem(A_bar=A_bar, B_bar=np.zeros((n + k, 1)),
+                           C_bar=np.hstack([C, -C[:, :k]]), lift=np.vstack([H, H[:k]]),
+                           n=n, k=k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
+    solves = []
+    original = bmod.solve_lyapunov
+
+    def counting(A, Q):
+        solves.append(Q.shape)
+        return original(A, Q)
+    monkeypatch.setattr(bmod, "solve_lyapunov", counting)
+    cases = [noncontractive_augmented(rng, n, k, p) for n, k, p in
+             ((3, 1, 1), (5, 2, 3), (8, 8, 2), (12, 5, 4))]
+    for n in (6, 14):
+        bal = balance(rs.random_stable_system(rng, n, 2, 3))
+        cases += [augment(bal, k) for k in (4, n)]
+    for aug in cases:
+        x0 = rs.HyperBox(-np.ones(aug.n), np.ones(aug.n))
+        expected = reference_e1_optimization(aug, x0)
+        assert np.all(np.isfinite(expected))
+        solves.clear()
+        assert np.allclose(e1_optimization(aug, x0), expected, rtol=1e-10, atol=0)
+        assert solves == [(aug.p + 1,) + aug.A_bar.shape]
+
+
+def test_every_certificate_meets_its_own_residual(rng, monkeypatch):
+    # a combination P_C,i + eps P_I that misses the tolerance is never used:
+    # with every residual reported bad, a non-contractive system has no
+    # bound left and a contractive one keeps only the scaled identity
+    monkeypatch.setattr(bmod, "lyapunov_residual", lambda A, Q, P: 1.0)
+    aug = noncontractive_augmented(rng, 5, 2, 2)
+    with pytest.warns(UserWarning, match="falling back"), \
+            pytest.raises(rs.bounds.BoundError, match="contractive"):
+        e1_optimization(aug, rs.HyperBox(-np.ones(5), np.ones(5)))
+    aug = augment(balance(rs.random_stable_system(rng, 6, 1, 2)), 3)
+    box = rs.HyperBox(-np.ones(6), np.ones(6))
+    assert np.allclose(e1_optimization(aug, box), bmod.e1_theoretical(aug, box),
+                       rtol=1e-14, atol=0)

@@ -296,23 +296,29 @@ InputLike = Union[None, np.ndarray, Callable[[float], np.ndarray]]
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
-    outputs: np.ndarray  # (samples, p)
-    states: np.ndarray   # (samples, n)
+    outputs: np.ndarray  # (samples, p), or (samples, p, B) for a batch
+    states: np.ndarray   # (samples, n), or (samples, n, B) for a batch
 
 
-def _step_inputs(u: InputLike, m: int, times: np.ndarray) -> np.ndarray:
-    """Per-step constant input values, one row per step."""
+def _step_inputs(u: InputLike, m: int, times: np.ndarray,
+                 batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Per-step constant input values, one row per step: (steps, m), or
+    (steps, m) + batch when simulating a batch of states.  Inputs given as
+    None, a vector, a callable or a (steps, m) array are shared by the batch."""
     steps = len(times) - 1
     if u is None:
-        return np.zeros((steps, m))
+        return np.zeros((steps, m) + batch)
     if callable(u):
-        return np.stack([np.broadcast_to(np.asarray(u(t), dtype=float), (m,))
-                         for t in times[:-1]])
+        u = np.stack([np.broadcast_to(np.asarray(u(t), dtype=float), (m,))
+                      for t in times[:-1]])
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
-        return np.broadcast_to(u, (steps, m)).copy()
-    if u.shape != (steps, m):
-        raise ModelError(f"per-step input array must have shape ({steps}, {m}), got {u.shape}")
+        u = np.broadcast_to(u, (steps, m)).copy()
+    if batch and u.shape == (steps, m):
+        return np.broadcast_to(u[..., None], (steps, m) + batch)
+    if u.shape != (steps, m) + batch:
+        raise ModelError(f"per-step input array must have shape "
+                         f"{(steps, m) + batch}, got {u.shape}")
     return u
 
 
@@ -323,20 +329,30 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     Inputs are held constant over each step (piecewise-constant signals whose
     switch times align with the grid are propagated exactly).  ``u`` may be
     None, a constant vector, a callable of time, or a (steps, m) array.
+
+    ``x0`` of shape (n, B) simulates a batch of B initial states in one step
+    loop; ``u`` may then also be a (steps, m, B) array of per-state inputs,
+    and the trajectory's outputs and states have shapes (samples, p, B) and
+    (samples, n, B).  A state that becomes non-finite anywhere in the batch
+    raises ModelError.
     """
     if h is None:
         h = default_step(t_f, sys.A)
     if h <= 0:
         raise ModelError(f"step h must be positive, got {h}")
-    x = np.asarray(x0, dtype=float).reshape(sys.n)
+    x = np.asarray(x0, dtype=float)
+    if x.ndim == 2 and x.shape[0] == sys.n:
+        batch = x.shape[1:]
+    else:
+        x, batch = x.reshape(sys.n), ()
     if t_f <= 0:
         y = sys.C @ x
-        return Trajectory(np.zeros(1), y[None, :], x[None, :])
+        return Trajectory(np.zeros(1), y[None], x[None])
     steps = int(np.ceil(t_f / h - 1e-12))
     times = np.minimum(np.arange(steps + 1) * h, t_f)
-    uval = _step_inputs(u, sys.m, times)
+    uval = _step_inputs(u, sys.m, times, batch)
     Phi, PsiB = _transition(sys.A, h, sys.B)
-    states = np.empty((steps + 1, sys.n))
+    states = np.empty((steps + 1,) + x.shape)
     states[0] = x
     last_h = times[-1] - times[-2]
     Phi_last, PsiB_last = (Phi, PsiB) if abs(last_h - h) < 1e-12 * h else \
@@ -347,7 +363,7 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
         if not np.all(np.isfinite(x)):
             raise ModelError(f"state became non-finite at t={times[j + 1]:.6g}")
         states[j + 1] = x
-    outputs = states @ sys.C.T
+    outputs = sys.C @ states if batch else states @ sys.C.T
     return Trajectory(times, outputs, states)
 
 
@@ -355,17 +371,23 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # Spec checking.
 # --------------------------------------------------------------------------
 
-def _poly_rows_max(z: Zonotope, spec: PolytopeSpec) -> np.ndarray:
-    """Per-row max over the zonotope of Gamma y + Psi (exact)."""
-    Gc = spec.Gamma @ z.center
-    spread = np.sum(np.abs(spec.Gamma @ z.generators), axis=1)
-    return Gc + spread + spec.Psi
+def _poly_spread(z: Zonotope, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma @ center and the per-row spread sum_j |(Gamma G)_ij| of the
+    zonotope: the row values of its points lie in Gc -/+ spread."""
+    return Gamma @ z.center, np.sum(np.abs(Gamma @ z.generators), axis=1)
+
+
+def _poly_rows_max(z: Zonotope, spec: PolytopeSpec,
+                   spread: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Per-row max over the zonotope of Gamma y + Psi (exact); ``spread`` is
+    a :func:`_poly_spread` of z for this Gamma, when already computed."""
+    Gc, s = spread or _poly_spread(z, spec.Gamma)
+    return Gc + s + spec.Psi
 
 
 def _poly_rows_min(z: Zonotope, spec: PolytopeSpec) -> np.ndarray:
-    Gc = spec.Gamma @ z.center
-    spread = np.sum(np.abs(spec.Gamma @ z.generators), axis=1)
-    return Gc - spread + spec.Psi
+    Gc, s = _poly_spread(z, spec.Gamma)
+    return Gc - s + spec.Psi
 
 
 def quad_upper(z: Zonotope, ell: EllipsoidSpec) -> float:
@@ -424,19 +446,26 @@ def _check_one(steps: Sequence[ReachStep], ts: TransformedSpec) -> str:
     if ts.source_polarity == POLARITY_SAFE:
         safe = ts.safe_region
         unsafe = ts.unsafe_region
+        # transform_polytope shrinks and grows the same rows, so one spread
+        # per step serves both regions
+        shared = isinstance(safe, PolytopeSpec) and isinstance(unsafe, PolytopeSpec) \
+            and np.array_equal(safe.Gamma, unsafe.Gamma)
         for step in steps:
             z = step.outputs
             contained = False
+            spread = None
             if safe is not None:
                 if isinstance(safe, PolytopeSpec):
-                    contained = bool(np.all(_poly_rows_max(z, safe) <= 0.0))
+                    spread = _poly_spread(z, safe.Gamma)
+                    contained = bool(np.all(_poly_rows_max(z, safe, spread) <= 0.0))
                 else:
                     contained = quad_upper(z, safe) <= safe.R ** 2
             if not contained:
                 all_ok = False
                 if isinstance(unsafe, PolytopeSpec):
                     # exact: some point of the step set violates a grown row
-                    if np.any(_poly_rows_max(z, unsafe) > 0.0):
+                    rows = _poly_rows_max(z, unsafe, spread if shared else None)
+                    if np.any(rows > 0.0):
                         certified_hit = True
                 else:
                     y = _quad_extreme_point(z, unsafe, maximize=True)
@@ -516,6 +545,13 @@ class WitnessTrajectory:
     sample_index: int = field(default=0)
 
 
+#: Candidates per batched :func:`simulate` call of the witness search, so its
+#: arrays stay bounded whatever the budget: (steps + 1)(n + p) + steps m
+#: floats per candidate, about 29 MB for 64 candidates of 995 steps at order
+#: 40 with 4 outputs and 12 inputs.
+WITNESS_CHUNK = 64
+
+
 def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                         transformed_unsafe: TransformedSpec | Sequence[TransformedSpec],
                         t_f: float, budget: int,
@@ -531,6 +567,17 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     lifts initial states drawn from ``x0`` into the simulated system's state
     space (identity when omitted); drawing from the original box keeps the
     witness sound for the full-order system.
+
+    The initial states are drawn first, then each chunk of ``WITNESS_CHUNK``
+    candidates draws its input plans (steps, m) into one (steps, m, B) array
+    and is simulated by one batched :func:`simulate` call from its (n, B)
+    initial states.  :meth:`TransformedSpec.witness_margins` scores every
+    sample of the chunk at once; candidates are then taken in order, and
+    predicates in order within each, for the single-state re-simulation.
+    The random draws are made in the order of a candidate-by-candidate
+    search, so the same witness is returned.  A state that overflows
+    anywhere in a chunk raises ModelError, even when an earlier candidate
+    of the chunk is a witness.
     """
     if budget <= 0:
         raise ValueError(f"witness budget must be positive, got {budget}")
@@ -540,69 +587,62 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     rng = np.random.default_rng(seed)
     if h is None:
         h = default_step(t_f, sys.A)
-
-    def margins(y: np.ndarray) -> list[float]:
-        return [ts.witness_margin(y) for ts in specs]
-
     etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
+    steps = max(1, int(np.ceil(t_f / h - 1e-12)))
+    lo, hi = u_box.lb, u_box.ub
 
     # initial-state candidates: box vertices while they fit the budget, then
     # uniform samples
-    if x0.vertex_count() <= max(2, budget):
-        verts = x0.vertices()
-        inits = [verts[:, i] for i in range(verts.shape[1])]
-    else:
-        inits = []
-    while len(inits) < budget:
-        inits.append(x0.sample(rng, 1)[:, 0])
+    inits = x0.vertices()[:, :budget] if x0.vertex_count() <= max(2, budget) \
+        else np.zeros((x0.dim, 0))
+    inits = np.hstack([inits] + [x0.sample(rng, 1) for _ in range(budget - inits.shape[1])])
 
-    def input_plan(kind: int, steps: int) -> np.ndarray:
-        lo, hi = u_box.lb, u_box.ub
+    def fill_plan(plan: np.ndarray, kind: int) -> None:
+        """Write the (steps, m) input plan of a candidate of this kind."""
         if u_box.dim == 0:
-            return np.zeros((steps, 0))
-        if kind == 0:
-            return np.broadcast_to(hi, (steps, u_box.dim)).copy()
-        if kind == 1:
-            return np.broadcast_to(lo, (steps, u_box.dim)).copy()
-        if kind == 2:  # bang-bang with a couple of switches
-            plan = np.empty((steps, u_box.dim))
+            return
+        if kind == 3:
+            plan[:] = lo + (hi - lo) * rng.random((steps, u_box.dim))
+            return
+        plan[:] = lo if kind == 1 else hi
+        if kind == 2:  # bang-bang with a couple of switches; a switch past
+            # the last step draws no input
             nsw = int(rng.integers(1, 4))
-            bounds = np.sort(rng.choice(max(steps, 2), size=nsw, replace=False))
-            cur = hi.copy()
-            b = 0
-            for j in range(steps):
-                if b < nsw and j >= bounds[b]:
-                    cur = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
-                    b += 1
-                plan[j] = cur
-            return plan
-        return lo + (hi - lo) * rng.random((steps, u_box.dim))
+            for j in np.sort(rng.choice(max(steps, 2), size=nsw, replace=False)):
+                if j < steps:
+                    plan[j:] = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
 
-    tried = 0
-    idx = 0
-    while tried < budget and idx < len(inits):
-        x0_vec = inits[idx]
-        idx += 1
-        lifted = x0_vec if init_map is None else init_map @ x0_vec
-        steps = max(1, int(np.ceil(t_f / h - 1e-12)))
-        plan = input_plan(tried % 4, steps)
-        traj = simulate(sys, lifted, plan, t_f, h)
-        tried += 1
-        for ts_i, ts in enumerate(specs):
-            vals = np.array([ts.witness_margin(y) for y in traj.outputs])
-            j = int(np.argmax(vals))
-            if vals[j] > etas[ts_i]:
-                # re-simulate at 10x finer step; each plan row covers its ten
-                # sub-steps (the last row may cover a partial tail)
-                fine_steps = max(1, int(np.ceil(t_f / (h / 10) - 1e-12)))
-                fine_plan = plan[np.minimum(np.arange(fine_steps) // 10,
-                                            plan.shape[0] - 1)]
-                fine = simulate(sys, lifted, fine_plan, t_f, h / 10)
-                fvals = np.array([ts.witness_margin(y) for y in fine.outputs])
-                fj = int(np.argmax(fvals))
-                if fvals[fj] >= etas[ts_i] / 2:
-                    return WitnessTrajectory(times=fine.times, outputs=fine.outputs,
-                                             init_state=x0_vec, step_inputs=plan,
-                                             margin=float(fvals[fj]),
-                                             predicate_index=ts_i, sample_index=fj)
+    def revalidate(x: np.ndarray, plan: np.ndarray, ts_i: int) -> WitnessTrajectory | None:
+        # re-simulate at 10x finer step; each plan row covers its ten
+        # sub-steps (the last row may cover a partial tail)
+        lifted = x if init_map is None else init_map @ x
+        fine_steps = max(1, int(np.ceil(t_f / (h / 10) - 1e-12)))
+        fine_plan = plan[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
+        fine = simulate(sys, lifted, fine_plan, t_f, h / 10)
+        fvals = specs[ts_i].witness_margins(fine.outputs)
+        fj = int(np.argmax(fvals))
+        if fvals[fj] >= etas[ts_i] / 2:
+            return WitnessTrajectory(times=fine.times, outputs=fine.outputs,
+                                     init_state=x, step_inputs=plan,
+                                     margin=float(fvals[fj]),
+                                     predicate_index=ts_i, sample_index=fj)
+        return None
+
+    for start in range(0, budget, WITNESS_CHUNK):
+        stop = min(start + WITNESS_CHUNK, budget)
+        plans = np.empty((steps, u_box.dim, stop - start))
+        for b in range(stop - start):
+            fill_plan(plans[:, :, b], (start + b) % 4)
+        X = inits[:, start:stop]
+        outputs = simulate(sys, X if init_map is None else init_map @ X, plans,
+                           t_f, h).outputs
+        samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
+        hits = np.stack([ts.witness_margins(samples).max(axis=0) > eta
+                         for ts, eta in zip(specs, etas)], axis=1)
+        # nonzero walks candidates in order, predicates in order within each
+        for b, ts_i in zip(*np.nonzero(hits)):
+            witness = revalidate(inits[:, start + b].copy(),
+                                 plans[:, :, b].copy(), int(ts_i))
+            if witness is not None:
+                return witness
     return None

@@ -45,23 +45,29 @@ class TransformedSpec:
     def source_polarity(self) -> str:
         return self.source.polarity
 
-    def witness_margin(self, y: np.ndarray) -> float:
-        """How strictly y certifies full-order unsafety (positive = certified).
+    def witness_margins(self, Y: np.ndarray) -> np.ndarray:
+        """How strictly each output sample certifies full-order unsafety
+        (positive = certified), for samples along the last axis of Y, which
+        has shape (..., p); the result has shape Y.shape[:-1].
 
         For polytope regions this is in the units of the row inequalities,
         for ellipsoids in units of the quadratic form.
         """
+        Y = np.asarray(Y, dtype=float)
         if self.source_polarity == POLARITY_SAFE:
-            reg = self.unsafe_region
-            if isinstance(reg, PolytopeSpec):
-                return float(np.max(reg.margins(y)))
-            return reg.quad(y) - reg.R ** 2
-        reg = self.witness_region
-        if reg is None:
-            return float("-inf")
+            reg, sign = self.unsafe_region, 1.0
+        else:
+            reg, sign = self.witness_region, -1.0
+            if reg is None:
+                return np.full(Y.shape[:-1], -np.inf)
         if isinstance(reg, PolytopeSpec):
-            return float(-np.max(reg.margins(y)))
-        return reg.R ** 2 - reg.quad(y)
+            return sign * np.max(Y @ reg.Gamma.T + reg.Psi, axis=-1)
+        d = Y - reg.a
+        return sign * (np.sum((d @ reg.Q) * d, axis=-1) - reg.R ** 2)
+
+    def witness_margin(self, y: np.ndarray) -> float:
+        """:meth:`witness_margins` of the single output sample y."""
+        return float(self.witness_margins(y))
 
     @property
     def witness_scale(self) -> float:

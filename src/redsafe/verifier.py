@@ -222,9 +222,12 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                 notes.append(say + "transformed safe region empty at this k")
             step_h = opts.step_h or default_step(horizon, abstraction.reduced.A,
                                                  lh=opts.step_lh)
-            steps = reach_lti(abstraction.reduced, abstraction.x0_reduced,
-                              problem.inputs, horizon, step_h, opts.order_cap)
-            outcome = check_spec(steps, transformed)
+            # the step sets are freed as soon as they are checked, before
+            # the witness search allocates its batch
+            outcome = check_spec(reach_lti(abstraction.reduced, abstraction.x0_reduced,
+                                           problem.inputs, horizon, step_h,
+                                           opts.order_cap),
+                                 transformed)
             if outcome == MAYBE_UNSAFE:
                 witness = find_unsafe_witness(
                     abstraction.reduced, x0, problem.inputs, transformed,

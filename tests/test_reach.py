@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import redsafe as rs
+from redsafe import reach
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
 from redsafe.reach import (DROP_TOL, INDETERMINATE, MAYBE_UNSAFE, ORDER_CAP,
                            SAFE, Zonotope, _transition, check_spec, enclose,
@@ -392,3 +393,392 @@ class TestReachProperties:
                 flips.append(trial)
         assert checked >= 5
         assert not flips
+
+
+# --------------------------------------------------------------------------
+# Batched simulation, batched witness margins and the batched witness search
+# against their one-at-a-time references.
+# --------------------------------------------------------------------------
+
+def naive_margin(ts, y):
+    """Witness margin of one output sample, written out from the regions."""
+    if ts.source_polarity == POLARITY_SAFE:
+        reg = ts.unsafe_region
+        if isinstance(reg, rs.PolytopeSpec):
+            return float(np.max(reg.margins(y)))
+        return reg.quad(y) - reg.R ** 2
+    reg = ts.witness_region
+    if reg is None:
+        return float("-inf")
+    if isinstance(reg, rs.PolytopeSpec):
+        return float(-np.max(reg.margins(y)))
+    return reg.R ** 2 - reg.quad(y)
+
+
+def naive_witness(sys_, x0, u_box, specs, t_f, budget, init_map=None, seed=0,
+                  eta=None, h=None, log=None):
+    """Candidate-by-candidate search: one simulate call per candidate and one
+    margin per output sample.  ``log`` collects ("coarse", candidate,
+    predicate, peak) for every scored candidate and ("fine", candidate,
+    predicate, passed) for every re-simulation."""
+    specs = [specs] if isinstance(specs, rs.TransformedSpec) else list(specs)
+    rng = np.random.default_rng(seed)
+    h = reach.default_step(t_f, sys_.A) if h is None else h
+    etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
+    if x0.vertex_count() <= max(2, budget):
+        verts = x0.vertices()
+        inits = [verts[:, i] for i in range(verts.shape[1])]
+    else:
+        inits = []
+    while len(inits) < budget:
+        inits.append(x0.sample(rng, 1)[:, 0])
+
+    def input_plan(kind, steps):
+        lo, hi = u_box.lb, u_box.ub
+        if kind == 0:
+            return np.broadcast_to(hi, (steps, u_box.dim)).copy()
+        if kind == 1:
+            return np.broadcast_to(lo, (steps, u_box.dim)).copy()
+        if kind == 2:
+            plan = np.empty((steps, u_box.dim))
+            nsw = int(rng.integers(1, 4))
+            bounds = np.sort(rng.choice(max(steps, 2), size=nsw, replace=False))
+            cur, b = hi.copy(), 0
+            for j in range(steps):
+                if b < nsw and j >= bounds[b]:
+                    cur = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
+                    b += 1
+                plan[j] = cur
+            return plan
+        return lo + (hi - lo) * rng.random((steps, u_box.dim))
+
+    log = [] if log is None else log
+    for tried in range(min(budget, len(inits))):
+        x = inits[tried]
+        lifted = x if init_map is None else init_map @ x
+        steps = max(1, int(np.ceil(t_f / h - 1e-12)))
+        plan = input_plan(tried % 4, steps)
+        traj = simulate(sys_, lifted, plan, t_f, h)
+        for ts_i, ts in enumerate(specs):
+            vals = np.array([naive_margin(ts, y) for y in traj.outputs])
+            log.append(("coarse", tried, ts_i, float(np.max(vals))))
+            if np.max(vals) > etas[ts_i]:
+                fine_steps = max(1, int(np.ceil(t_f / (h / 10) - 1e-12)))
+                fine_plan = plan[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
+                fine = simulate(sys_, lifted, fine_plan, t_f, h / 10)
+                fvals = np.array([naive_margin(ts, y) for y in fine.outputs])
+                fj = int(np.argmax(fvals))
+                log.append(("fine", tried, ts_i, bool(fvals[fj] >= etas[ts_i] / 2)))
+                if fvals[fj] >= etas[ts_i] / 2:
+                    return rs.WitnessTrajectory(
+                        times=fine.times, outputs=fine.outputs, init_state=x,
+                        step_inputs=plan, margin=float(fvals[fj]),
+                        predicate_index=ts_i, sample_index=fj)
+    return None
+
+
+def assert_same_witness(w, ref):
+    if ref is None:
+        assert w is None
+        return
+    assert w is not None
+    assert np.array_equal(w.init_state, ref.init_state)
+    assert np.array_equal(w.step_inputs, ref.step_inputs)
+    assert (w.sample_index, w.predicate_index) == (ref.sample_index, ref.predicate_index)
+    assert w.margin == pytest.approx(ref.margin, rel=1e-12)
+
+
+def peaks_of(log, predicate=0):
+    """Coarse peak margin per candidate, in candidate order."""
+    return np.array([e[3] for e in log if e[0] == "coarse" and e[2] == predicate])
+
+
+def first_y0_spec(threshold):
+    """Safe region y_0 <= threshold, untransformed: margin = y_0 - threshold."""
+    spec = rs.PolytopeSpec([[1.0, 0.0]], [-threshold], POLARITY_SAFE)
+    return transform_spec(spec, np.zeros(2))
+
+
+def late_witness_case(rng, nfree, budget, h=None, first=None, seed=5):
+    """A random 2-output system and a y_0 threshold that no candidate before
+    ``first`` (half the budget by default) crosses and some later one does."""
+    first = budget // 2 if first is None else first
+    for _ in range(50):
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, nfree), rand_ubox(rng, 2)
+        log = []
+        naive_witness(sys_, x0, ubox, first_y0_spec(1e6), 1.0, budget, seed=seed,
+                      h=h, log=log)
+        y0_peak = peaks_of(log) + 1e6
+        early, late = np.max(y0_peak[:first]), np.max(y0_peak[first:])
+        if late > early + 1e-3 * (abs(early) + 1e-3):
+            return sys_, x0, ubox, first_y0_spec((early + late) / 2)
+    raise AssertionError("no instance with a late witness")
+
+
+class TestBatchedSimulate:
+    def test_columns_match_single_calls(self, rng):
+        for t_f, h in ((1.0, 0.01), (1.0, 0.03), (0.0, 0.1)):  # partial last step, t_f = 0
+            sys_ = rs.random_stable_system(rng, 4, 2, 3)
+            X = rng.standard_normal((4, 5))
+            steps = max(1, int(np.ceil(t_f / h - 1e-12)))
+            U = rng.standard_normal((steps, 2, 5))
+            for u, u_of in ((U, lambda b: U[:, :, b]), (None, lambda b: None),
+                            (np.array([0.3, -0.2]), lambda b: np.array([0.3, -0.2])),
+                            (U[:, :, 0], lambda b: U[:, :, 0]),
+                            (lambda t: np.array([np.sin(t), 1.0]),
+                             lambda b: (lambda t: np.array([np.sin(t), 1.0])))):
+                batch = simulate(sys_, X, u, t_f, h)
+                assert batch.outputs.shape == (len(batch.times), 3, 5)
+                assert batch.states.shape == (len(batch.times), 4, 5)
+                for b in range(5):
+                    one = simulate(sys_, X[:, b], u_of(b), t_f, h)
+                    assert np.array_equal(one.times, batch.times)
+                    assert one.outputs.shape == (len(one.times), 3)
+                    assert np.allclose(batch.outputs[:, :, b], one.outputs,
+                                       rtol=1e-12, atol=1e-12 * np.abs(one.outputs).max())
+                    assert np.allclose(batch.states[:, :, b], one.states,
+                                       rtol=1e-12, atol=1e-12 * np.abs(one.states).max())
+
+    def test_batch_input_shape_checked(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 2, 1)
+        with pytest.raises(rs.ModelError, match="shape"):
+            simulate(sys_, np.zeros((3, 4)), np.zeros((10, 2, 3)), 1.0, 0.1)
+
+    def test_overflow_raises(self):
+        sys_ = rs.LtiSystem([[50.0]], [[0.0]], [[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(rs.ModelError, match="non-finite"):
+            simulate(sys_, np.array([[1.0, 0.0]]), None, 20.0, 0.1)
+
+
+def four_spec_kinds(rng, p):
+    """One transformed spec per kind: polytope and ellipsoid, each with safe
+    and unsafe polarity, plus an unsafe ellipsoid with an empty witness region."""
+    Q = rng.standard_normal((p, p))
+    Q = Q @ Q.T + np.eye(p)
+    Gamma = rng.standard_normal((3, p))
+    delta = rng.uniform(0.0, 0.1, p)
+    specs = [rs.PolytopeSpec(Gamma, rng.uniform(-2, -0.5, 3), POLARITY_SAFE),
+             rs.PolytopeSpec(Gamma, rng.uniform(-0.5, 1.0, 3), POLARITY_UNSAFE),
+             rs.EllipsoidSpec(Q, rng.uniform(-0.5, 0.5, p), 1.5, POLARITY_SAFE),
+             rs.EllipsoidSpec(Q, rng.uniform(-1.5, 1.5, p), 0.7, POLARITY_UNSAFE),
+             rs.EllipsoidSpec(Q, np.zeros(p), 0.01, POLARITY_UNSAFE)]
+    out = [transform_spec(s, delta) for s in specs]
+    assert out[-1].witness_region is None
+    return out
+
+
+class TestWitnessMargins:
+    def test_batch_matches_single_samples(self, rng):
+        for p in (1, 2, 4):
+            for ts in four_spec_kinds(rng, p):
+                Y = rng.uniform(-2, 2, (7, 3, p))
+                vals = ts.witness_margins(Y)
+                assert vals.shape == (7, 3)
+                assert ts.witness_margins(Y[:, 0]).shape == (7,)
+                for idx in np.ndindex(7, 3):
+                    single = ts.witness_margin(Y[idx])
+                    assert isinstance(single, float)
+                    assert single == pytest.approx(naive_margin(ts, Y[idx]), rel=1e-12,
+                                                   abs=1e-12)
+                    if np.isinf(single):
+                        assert vals[idx] == single
+                    else:
+                        assert vals[idx] == pytest.approx(single, rel=1e-12, abs=1e-12)
+
+
+class TestBatchedWitness:
+    def test_spec_kinds_and_polarities(self, rng):
+        found = {}
+        for trial in range(10):
+            sys_ = rs.random_stable_system(rng, 3, 2, 2)
+            x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
+            specs = four_spec_kinds(rng, 2)
+            for kind, ts in enumerate(specs):
+                ref = naive_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial)
+                assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 12,
+                                                        seed=trial), ref)
+                found.setdefault(kind, set()).add(ref is not None)
+            # a family: predicates are scanned in order within each candidate
+            ref = naive_witness(sys_, x0, ubox, specs, 1.0, 12, seed=trial)
+            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, specs, 1.0, 12,
+                                                    seed=trial), ref)
+        assert found[4] == {False}
+        for kind in range(4):
+            assert found[kind] == {True, False}, kind
+
+    def test_witness_at_a_middle_candidate(self, rng, monkeypatch):
+        budget = 12
+        sys_, x0, ubox, ts = late_witness_case(rng, 2, budget)
+        for chunk in (reach.WITNESS_CHUNK, 5):
+            monkeypatch.setattr(reach, "WITNESS_CHUNK", chunk)
+            log = []
+            ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5, log=log)
+            assert ref is not None
+            assert budget // 2 <= log[-1][1] < budget
+            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
+                                                    seed=5), ref)
+
+    def test_failed_revalidation(self, rng, monkeypatch):
+        # with a negative eta a coarse hit (margin > eta) can miss the fine
+        # bar (margin >= eta/2): first every hit fails, then a later record
+        # candidate passes after earlier ones failed
+        monkeypatch.setattr(reach, "WITNESS_CHUNK", 4)
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
+        ts = first_y0_spec(1e3)
+        log = []
+        naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, log=log)
+        peaks = peaks_of(log)
+        assert np.all(peaks < 0)
+        log = []
+        eta = 1.5 * np.max(peaks)
+        assert naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta, log=log) is None
+        assert any(e[0] == "fine" and not e[3] for e in log)
+        assert find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta) is None
+        # j: the record after the widest climb over the earlier best
+        records = [j for j in range(1, 16) if peaks[j] > np.max(peaks[:j])]
+        j = max(records, key=lambda j: peaks[j] - np.max(peaks[:j]))
+        eta = np.max(peaks[:j]) + peaks[j]
+        log = []
+        ref = naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta, log=log)
+        fine = [e for e in log if e[0] == "fine"]
+        assert ref is not None and not fine[0][3] and fine[-1][3]
+        assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2,
+                                                eta=eta), ref)
+
+    @pytest.mark.parametrize("nfree, budget", [
+        (1, 1),    # two vertices, budget one: the first vertex only
+        (2, 12),   # four vertices, then samples
+        (3, 8),    # eight vertices, exactly the budget
+        (5, 12),   # 32 vertices exceed the budget: samples only
+    ])
+    def test_vertex_and_sampled_initial_states(self, rng, nfree, budget):
+        if budget == 1:
+            sys_ = rs.random_stable_system(rng, 3, 2, 2)
+            x0, ubox = rand_box(rng, 3, nfree), rand_ubox(rng, 2)
+            ts = first_y0_spec(-1e3)  # every candidate crosses at once
+        else:
+            sys_, x0, ubox, ts = late_witness_case(rng, nfree, budget)
+        if nfree > 1:
+            x0 = rs.HyperBox(np.pad(x0.lb, (0, 2)), np.pad(x0.ub, (0, 2)))
+            x0 = x0 if nfree < 5 else rs.HyperBox(x0.lb - np.r_[0, 0, 0, 0.1, 0.1],
+                                                  x0.ub + np.r_[0, 0, 0, 0.1, 0.1])
+        lift = np.hstack([np.eye(3), 0.1 * rng.standard_normal((3, 2))]) \
+            if x0.dim == 5 else None
+        ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, init_map=lift, seed=5)
+        assert ref is not None
+        assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
+                                                init_map=lift, seed=5), ref)
+
+    @pytest.mark.parametrize("chunk", [4, None])
+    def test_budgets_around_the_chunk_size(self, rng, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(reach, "WITNESS_CHUNK", chunk)
+        chunk = reach.WITNESS_CHUNK
+        for budget in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            sys_, x0, ubox, ts = late_witness_case(rng, 2, budget)
+            ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5)
+            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
+                                                    seed=5), ref)
+            never = first_y0_spec(1e6)
+            assert naive_witness(sys_, x0, ubox, never, 1.0, budget, seed=5) is None
+            assert find_unsafe_witness(sys_, x0, ubox, never, 1.0, budget, seed=5) is None
+
+    def test_single_step_horizon(self, rng):
+        # with one step, a bang-bang switch drawn at step 1 lies past the end
+        # and draws no input value; the fourth candidate's random inputs come
+        # after the third one's bang-bang draws
+        checked = 0
+        for seed in range(8):
+            try:
+                sys_, x0, ubox, ts = late_witness_case(rng, 3, 4, h=1.0, first=3,
+                                                       seed=seed)
+            except ValueError:  # this seed draws three switch steps out of two
+                continue
+            checked += 1
+            ref = naive_witness(sys_, x0, ubox, ts, 1.0, 4, seed=seed, h=1.0)
+            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 4,
+                                                    seed=seed, h=1.0), ref)
+        assert checked >= 3
+
+    def test_one_simulate_call_per_chunk(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.ndim(args[1]))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(reach, "simulate", counting)
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
+        budget = 2 * reach.WITNESS_CHUNK + 1
+        assert find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e6), 1.0, budget) is None
+        assert calls == [2, 2, 2]
+
+
+# --------------------------------------------------------------------------
+# check_spec's shared polytope spread against a per-region reference.
+# --------------------------------------------------------------------------
+
+def naive_check_polytope(steps, ts, events):
+    """Verdict of step sets against a polytope TransformedSpec, each region's
+    row bounds computed on their own; counts steps that leave the safe region
+    and steps that certainly hit the unsafe rows in ``events``."""
+    def rows(z, spec, sign):
+        spread = np.sum(np.abs(spec.Gamma @ z.generators), axis=1)
+        return spec.Gamma @ z.center + sign * spread + spec.Psi
+
+    all_ok, hit = True, False
+    for step in steps:
+        z = step.outputs
+        if ts.source_polarity == POLARITY_SAFE:
+            if np.all(rows(z, ts.safe_region, 1.0) <= 0.0):
+                continue
+            events["uncontained"] += 1
+            all_ok = False
+            if np.any(rows(z, ts.unsafe_region, 1.0) > 0.0):
+                events["hit"] += 1
+                hit = True
+        elif not np.any(rows(z, ts.unsafe_region, -1.0) > 0.0):
+            events["uncontained"] += 1
+            all_ok = False
+            if reach._quad_center_candidate(z, ts.unsafe_region) is not None:
+                events["hit"] += 1
+                hit = True
+    return SAFE if all_ok else (MAYBE_UNSAFE if hit else INDETERMINATE)
+
+
+class TestSharedSpread:
+    def test_matches_per_region_reference(self, rng):
+        events = {"uncontained": 0, "hit": 0}
+        verdicts = set()
+        for trial in range(60):
+            p, r = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            polarity = (POLARITY_SAFE, POLARITY_UNSAFE)[trial % 2]
+            spec = rs.PolytopeSpec(rng.standard_normal((r, p)),
+                                   -rng.uniform(0.5, 3.0, r), polarity)
+            ts = transform_spec(spec, rng.uniform(0.0, 0.5, p))
+            scale = rng.uniform(0.2, 2.0)
+            steps = [rs.ReachStep(j, j + 1, Zonotope(rng.uniform(-scale, scale, p),
+                                                     rng.uniform(-0.3, 0.3, (p, g))))
+                     for j, g in enumerate(rng.integers(0, 6, size=rng.integers(1, 5)))]
+            expected = naive_check_polytope(steps, ts, events)
+            assert check_spec(steps, ts) == expected
+            verdicts.add(expected)
+        assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
+        assert events["uncontained"] > events["hit"] > 0
+
+    def test_regions_with_different_rows(self, rng):
+        # a hand-built spec whose unsafe rows differ from its safe rows gets
+        # its own spread per region
+        safe = rs.PolytopeSpec([[1.0, 0.0]], [-1.0], POLARITY_SAFE)
+        unsafe = rs.PolytopeSpec([[0.0, 1.0]], [-1.0], POLARITY_UNSAFE)
+        ts = rs.TransformedSpec(source=safe, safe_region=safe, unsafe_region=unsafe,
+                                witness_region=unsafe, delta_used=np.zeros(2),
+                                Delta=np.zeros(1))
+        z = Zonotope(np.array([2.0, 0.0]), 0.1 * np.eye(2))   # outside safe, y1 < 1
+        steps = [rs.ReachStep(0.0, 1.0, z)]
+        assert check_spec(steps, ts) == naive_check_polytope(
+            steps, ts, {"uncontained": 0, "hit": 0}) == INDETERMINATE

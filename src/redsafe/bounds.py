@@ -12,15 +12,16 @@ The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 every simulated response are the same at every order k.  A
 :class:`FullOrderResponse` simulates that half once per mode, keeping only
 its output samples and state-norm data, and each order then simulates only
-its k-dimensional reduced half.  The quadratic bound builds all of its
-certificates of one order from p+1 Lyapunov solves on one Schur form.
+its k-dimensional reduced half.  Every certificate alpha P >= C_i^T C_i of
+the quadratic bound has lambda_max(alpha P) >= ||C_i||^2, so none beats the
+scaled identity, which is feasible when the augmented system is contractive;
+certificates (p+1 Lyapunov solves per order) are built only where it is not.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +120,11 @@ def contraction_defect(aug: AugmentedSystem) -> float:
     return float(np.linalg.eigvalsh(S).max())
 
 
-def _require_contractive(aug: AugmentedSystem) -> None:
-    defect = contraction_defect(aug)
-    scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
-    if defect > CONTRACTION_TOL_REL * scale:
-        raise BoundError(
-            f"augmented system is not contractive (lambda_max(sym A_bar) = {defect:.3e}); "
-            "the zero-input bound would be unsound")
+def _contractive(aug: AugmentedSystem, norm: float | None = None) -> bool:
+    """lambda_max(sym A_bar) <= 0 up to CONTRACTION_TOL_REL * max(1, ||A_bar||_2);
+    ``norm`` is ||A_bar||_2 when the caller has it."""
+    norm = float(np.linalg.norm(aug.A_bar, 2)) if norm is None else norm
+    return contraction_defect(aug) <= CONTRACTION_TOL_REL * max(1.0, norm)
 
 
 def sup_box_norm(box: HyperBox) -> float:
@@ -142,55 +141,48 @@ def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     convergent (||x_bar(t)|| never exceeds ||x_bar(0)||); the square root on
     lambda_max(C_i^T C_i) follows the quadratic chain of that argument.
     """
-    _require_contractive(aug)
+    if not _contractive(aug):
+        raise BoundError(
+            "augmented system is not contractive (lambda_max(sym A_bar) = "
+            f"{contraction_defect(aug):.3e}); the zero-input bound would be unsound")
     row_norms = np.linalg.norm(aug.C_bar, axis=1)
     return row_norms * sup_box_norm(aug.lift_box(x0))
 
 
-def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
-                    refine: bool = True) -> np.ndarray:
+def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     """Zero-input bound via a feasible (not trace-optimal) quadratic certificate.
 
-    For each output row a P satisfying P > 0, A_bar^T P + P A_bar < 0 and
-    C_i^T C_i <= P is constructed; the bound is sqrt(lambda_max(P)) times the
-    sup norm of the lifted full-order initial box ``x0``.  The candidates are
-    alpha P(eps) with A_bar^T P(eps) + P(eps) A_bar = -(C_i^T C_i + eps I),
-    rescaled by alpha = max(1, C_i P(eps)^-1 C_i^T) (the generalized
-    eigenvalue of the rank-one pair).  The equation is linear, so
-    P(eps) = P_C,i + eps P_I comes from p+1 solves on one Schur form, and each
-    combination must still meet the Lyapunov residual tolerance against its
-    own right-hand side.  ``refine`` searches a small grid of shifts; the
-    scaled-identity certificate is always included, so the result never
-    exceeds the closed-form bound when that bound applies.
-    Falls back to :func:`e1_theoretical` with a warning if every Lyapunov
-    construction fails.
+    A P > 0 with A_bar^T P + P A_bar <= 0 and C_i^T C_i <= P bounds output i
+    by sqrt(lambda_max(P)) times the sup norm of the lifted full-order box
+    ``x0``.  Any such P has lambda_max(P) >= C_i P C_i^T / ||C_i||^2 >=
+    ||C_i||^2, so on a contractive A_bar, where ||C_i||^2 I is feasible, that
+    scaled identity is best and its value is returned without a solve.
+    Otherwise the candidates are alpha P(eps) over a grid of shifts, with
+    A_bar^T P(eps) + P(eps) A_bar = -(C_i^T C_i + eps I) and
+    alpha = max(1, C_i P(eps)^-1 C_i^T) (the generalized eigenvalue of the
+    rank-one pair).  P(eps) = P_C,i + eps P_I comes from p+1 solves on one
+    Schur form; each combination must meet the Lyapunov residual tolerance
+    against its own right-hand side, and BoundError is raised when no
+    candidate of some output does.
     """
     sup_norm = sup_box_norm(aug.lift_box(x0))
-    defect = contraction_defect(aug)
-    scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
-    identity_ok = defect <= CONTRACTION_TOL_REL * scale
-    eps_grid = (1e-8,) if not refine else (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+    if _contractive(aug):
+        return np.array([np.sqrt(float(Ci @ Ci)) * sup_norm for Ci in aug.C_bar])
+    failure = BoundError(f"no quadratic certificate met the residual tolerance {LYAP_TOL:.1e}")
     At = aug.A_bar.T
     eye = np.eye(At.shape[0])
     CtC = aug.C_bar[:, :, None] * aug.C_bar[:, None, :]
     try:
         *P_C, P_I = solve_lyapunov(At, np.concatenate([CtC, eye[None]]))
-    except SolverError:
-        P_C = []
-    out = np.empty(aug.p)
-    for i in range(aug.p):
-        Ci = aug.C_bar[i]
+    except SolverError as exc:
+        raise failure from exc
+    out = np.full(aug.p, np.inf)
+    for i, Ci in enumerate(aug.C_bar):
         nc2 = float(Ci @ Ci)
-        best = np.inf
-        if identity_ok:
-            # P = ||C_i||^2 I is feasible (non-strict decrease suffices for
-            # the level-set argument) and reproduces the closed-form bound.
-            best = np.sqrt(nc2) * sup_norm
-        for eps_rel in eps_grid if P_C else ():
+        for eps_rel in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
             eps = eps_rel * max(nc2, 1e-300)
             P = P_C[i] + eps * P_I
-            res = lyapunov_residual(At, CtC[i] + eps * eye, P)
-            if not res <= LYAP_TOL:
+            if not lyapunov_residual(At, CtC[i] + eps * eye, P) <= LYAP_TOL:
                 continue
             try:
                 alpha = max(1.0, float(Ci @ scipy.linalg.cho_solve(
@@ -198,12 +190,9 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
             except scipy.linalg.LinAlgError:
                 continue
             lam_max = float(np.linalg.eigvalsh(alpha * P).max())
-            best = min(best, np.sqrt(lam_max) * sup_norm)
-        if not np.isfinite(best):
-            warnings.warn("feasible quadratic certificate construction failed; "
-                          "falling back to the closed-form zero-input bound")
-            return e1_theoretical(aug, x0)
-        out[i] = best
+            out[i] = min(out[i], np.sqrt(lam_max) * sup_norm)
+    if not np.all(np.isfinite(out)):
+        raise failure
     return out
 
 
@@ -423,7 +412,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     if L == 0.0:
         return best
     signs = _vertex_signs(len(x0.free_dims()))
-    contractive = contraction_defect(aug) <= CONTRACTION_TOL_REL * max(1.0, L)
+    contractive = _contractive(aug, L)
     x0n = float(_max_vertex_norm(G, signs)[0]) if contractive else 0.0
     t = 0.0
     for Y, G in blocks:

@@ -4,7 +4,8 @@ The solver is Bartels-Stewart on the real Schur form.  One call takes one
 right-hand side or a stack of them: the Hurwitz check and the Schur form of
 the coefficient matrix are computed once and reused for every right-hand
 side (one ``trsyl`` each), which is how ``bounds.e1_optimization`` gets its
-p+1 certificate solves per order from a single factorization.  Every
+p+1 certificate solves per order of a non-contractive system from a single
+factorization.  Every
 solution is symmetrized and checked against a relative residual threshold
 so that a silently bad solve cannot propagate.
 """

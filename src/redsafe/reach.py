@@ -607,8 +607,8 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
         plan[:] = lo if kind == 1 else hi
         if kind == 2:  # bang-bang with a couple of switches; a switch past
             # the last step draws no input
-            nsw = int(rng.integers(1, 4))
-            for j in np.sort(rng.choice(max(steps, 2), size=nsw, replace=False)):
+            nsw, slots = int(rng.integers(1, 4)), max(steps, 2)
+            for j in np.sort(rng.choice(slots, size=min(nsw, slots), replace=False)):
                 if j < steps:
                     plan[j:] = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
 

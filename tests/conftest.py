@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import redsafe as rs
 from redsafe.reach import _transition
+
+# property tests replay the same examples on every run and have no deadline,
+# so a slow runner cannot turn them into flakes
+settings.register_profile("redsafe", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("redsafe")
 
 
 def rand_box(rng, n, nfree=None, width=(0.05, 0.3), center=(-0.5, 0.5)):

@@ -95,6 +95,7 @@ def test_transformation_law(rng):
 import importlib  # noqa: E402
 
 import scipy.linalg  # noqa: E402
+from hypothesis import assume, given, strategies as st  # noqa: E402
 
 import redsafe.bounds as bmod  # noqa: E402
 from redsafe.balancing import balance  # noqa: E402
@@ -168,13 +169,14 @@ def test_stack_shape_validation():
         solve_lyapunov(np.ones((2, 3)), np.zeros((2, 2, 3)))
 
 
-def reference_e1_optimization(aug, x0, refine=True):
+def reference_e1_optimization(aug, x0):
     """The quadratic-certificate bound from 5p separate solves, one per output
-    and shift, with the full generalized eigenproblem."""
+    and shift, with the full generalized eigenproblem, and the scaled identity
+    as one more candidate when the system is contractive."""
     sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
     scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
     identity_ok = bmod.contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
-    eps_grid = (1e-8,) if not refine else (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+    eps_grid = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
     nk = aug.A_bar.shape[0]
     out = np.empty(aug.p)
     for i in range(aug.p):
@@ -195,8 +197,8 @@ def reference_e1_optimization(aug, x0, refine=True):
 
 
 def noncontractive_augmented(rng, n, k, p):
-    """Hurwitz (triangular) but not contractive, so the certificates and not
-    the scaled identity decide the bound.  The coupling is mild: both ways of
+    """Hurwitz (triangular) and, unless n is small, not contractive, so the
+    certificates and not the scaled identity decide the bound.  The coupling is mild: both ways of
     building P(eps) are accurate to about cond(A_bar) times the unit
     roundoff, so they can only agree that closely."""
     A = -np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
@@ -210,6 +212,9 @@ def noncontractive_augmented(rng, n, k, p):
 
 @pytest.mark.filterwarnings("error")
 def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
+    # non-contractive systems make one stacked solve of p+1 right-hand sides;
+    # contractive (balanced) ones make none and return the scaled-identity
+    # value, which no certificate of the reference beats
     solves = []
     original = bmod.solve_lyapunov
 
@@ -222,25 +227,64 @@ def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
     for n in (6, 14):
         bal = balance(rs.random_stable_system(rng, n, 2, 3))
         cases += [augment(bal, k) for k in (4, n)]
+    kinds = []
     for aug in cases:
+        scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
+        contractive = bmod.contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
+        kinds.append(contractive)
         x0 = rs.HyperBox(-np.ones(aug.n), np.ones(aug.n))
         expected = reference_e1_optimization(aug, x0)
         assert np.all(np.isfinite(expected))
         solves.clear()
-        assert np.allclose(e1_optimization(aug, x0), expected, rtol=1e-10, atol=0)
-        assert solves == [(aug.p + 1,) + aug.A_bar.shape]
+        got = e1_optimization(aug, x0)
+        assert np.allclose(got, expected, rtol=1e-10, atol=0)
+        if not contractive:
+            assert solves == [(aug.p + 1,) + aug.A_bar.shape]
+        else:
+            assert solves == []
+            sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
+            assert np.array_equal(got, [np.sqrt(float(Ci @ Ci)) * sup_norm
+                                        for Ci in aug.C_bar])
+    # the smallest triangular draw happens to be contractive
+    assert kinds == [True, False, False, False, True, True, True, True]
 
 
+@pytest.mark.filterwarnings("error")
 def test_every_certificate_meets_its_own_residual(rng, monkeypatch):
     # a combination P_C,i + eps P_I that misses the tolerance is never used:
     # with every residual reported bad, a non-contractive system has no
-    # bound left and a contractive one keeps only the scaled identity
+    # bound left and a contractive one, which builds no certificate, keeps
+    # the scaled identity
     monkeypatch.setattr(bmod, "lyapunov_residual", lambda A, Q, P: 1.0)
     aug = noncontractive_augmented(rng, 5, 2, 2)
-    with pytest.warns(UserWarning, match="falling back"), \
-            pytest.raises(rs.bounds.BoundError, match="contractive"):
+    with pytest.raises(rs.bounds.BoundError, match="no quadratic certificate met"):
         e1_optimization(aug, rs.HyperBox(-np.ones(5), np.ones(5)))
     aug = augment(balance(rs.random_stable_system(rng, 6, 1, 2)), 3)
     box = rs.HyperBox(-np.ones(6), np.ones(6))
     assert np.allclose(e1_optimization(aug, box), bmod.e1_theoretical(aug, box),
                        rtol=1e-14, atol=0)
+
+
+@st.composite
+def noncontractive_cases(draw):
+    """A non-contractive augmented system and a full-order initial box."""
+    n = draw(st.integers(4, 10))
+    k = draw(st.integers(1, n))
+    p = draw(st.integers(1, 3))
+    aug = noncontractive_augmented(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                   n, k, p)
+    scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
+    assume(bmod.contraction_defect(aug) > bmod.CONTRACTION_TOL_REL * scale)
+    center = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    radius = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    c, r = np.array(center), np.array(radius)
+    return aug, rs.HyperBox(c - r, c + r)
+
+
+@given(noncontractive_cases())
+def test_certificates_never_beat_the_scaled_identity(case):
+    # lambda_max(alpha P) >= ||C_i||^2 for every accepted certificate, which
+    # is why a contractive system builds none
+    aug, x0 = case
+    identity = np.linalg.norm(aug.C_bar, axis=1) * bmod.sup_box_norm(aug.lift_box(x0))
+    assert np.all(e1_optimization(aug, x0) >= (1.0 - 1e-12) * identity)

@@ -441,11 +441,11 @@ def naive_witness(sys_, x0, u_box, specs, t_f, budget, init_map=None, seed=0,
             return np.broadcast_to(lo, (steps, u_box.dim)).copy()
         if kind == 2:
             plan = np.empty((steps, u_box.dim))
-            nsw = int(rng.integers(1, 4))
-            bounds = np.sort(rng.choice(max(steps, 2), size=nsw, replace=False))
+            nsw, slots = int(rng.integers(1, 4)), max(steps, 2)
+            bounds = np.sort(rng.choice(slots, size=min(nsw, slots), replace=False))
             cur, b = hi.copy(), 0
             for j in range(steps):
-                if b < nsw and j >= bounds[b]:
+                if b < len(bounds) and j >= bounds[b]:
                     cur = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
                     b += 1
                 plan[j] = cur
@@ -688,20 +688,17 @@ class TestBatchedWitness:
 
     def test_single_step_horizon(self, rng):
         # with one step, a bang-bang switch drawn at step 1 lies past the end
-        # and draws no input value; the fourth candidate's random inputs come
-        # after the third one's bang-bang draws
+        # and draws no input value, and a draw of three switches takes both
+        # steps; the fourth candidate's random inputs come after the third
+        # one's bang-bang draws
         checked = 0
         for seed in range(8):
-            try:
-                sys_, x0, ubox, ts = late_witness_case(rng, 3, 4, h=1.0, first=3,
-                                                       seed=seed)
-            except ValueError:  # this seed draws three switch steps out of two
-                continue
-            checked += 1
+            sys_, x0, ubox, ts = late_witness_case(rng, 3, 4, h=1.0, first=3, seed=seed)
             ref = naive_witness(sys_, x0, ubox, ts, 1.0, 4, seed=seed, h=1.0)
             assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 4,
                                                     seed=seed, h=1.0), ref)
-        assert checked >= 3
+            checked += 1
+        assert checked == 8
 
     def test_one_simulate_call_per_chunk(self, rng, monkeypatch):
         calls = []

@@ -9,10 +9,15 @@ curvature envelope, so the union of step sets covers the continuous-time
 output reach set over [0, t_f].
 
 By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
-each of them, its output image and its norm are computed once and a step is
-assembled by gathers: for order k and p outputs, O(k^3) for the center and
-the initial generators plus O(p g_j) for the g_j live input columns, rather
-than O(k^2 g_j) for mapping every generator at every step.
+each of them, its output image and its norm are computed once, in an age
+table shared by every step set of a call.  A step keeps only its center, its
+few dense columns and a reference into that table: its generator array is
+assembled when something reads it (ellipsoid specs, ``reach --format
+json``), while polytope rows read their spread from per-age row sums of the
+table, the support-function view of Le Guernic & Girard (NAHS 2010).  For
+order k, p outputs and r rows a step then costs O(k^3) to build and
+O(r (k + pruned)) to check, rather than O(r p g_j) over its g_j live input
+columns.
 """
 
 from __future__ import annotations
@@ -89,6 +94,11 @@ class Zonotope:
         r = self.radius_vector()
         return HyperBox(self.center - r, self.center + r)
 
+    def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
+        """Per-row sum_j |(Gamma G)_ij|: over the set, Gamma y lies within
+        this much of Gamma @ center."""
+        return np.sum(np.abs(Gamma @ self.generators), axis=1)
+
     def norm_bound(self) -> float:
         """Upper bound on max ||x||_2 over the set."""
         return float(np.linalg.norm(self.center)
@@ -108,9 +118,101 @@ def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
     return Zonotope(c, G)
 
 
+class _AgeTable:
+    """The output images shared by the step sets of one :func:`reach_lti` call.
+
+    Column a*m + i of ``Y_plus`` / ``Y_minus`` is C (M_a +/- M_{a+1}) / 2 for
+    input column i of age a, ``Y_new`` is C G_in / 2 and ``C_rows`` holds the
+    row norms of C.  ``pruned`` lists the input columns dropped into the ball
+    by origin s*m + i (injected at step s, channel i).  It only grows, so a
+    step's live input columns are all those injected before it except the
+    first ``n_pruned`` entries listed when it was emitted.
+    """
+
+    def __init__(self, Y_plus, Y_minus, Y_new, C_rows, m: int, n_full: int):
+        self.Y_plus, self.Y_minus, self.Y_new, self.C_rows = Y_plus, Y_minus, Y_new, C_rows
+        self.m, self.n_full = m, n_full
+        self.pruned = np.zeros(0, dtype=np.intp)
+        self._rows: dict = {}
+
+    def live(self, j: int, n_pruned: int) -> np.ndarray:
+        """Age-indexed columns of step j's live inputs, oldest first."""
+        keep = np.ones(j * self.m, dtype=bool)
+        keep[self.pruned[:n_pruned]] = False
+        return np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()[keep]
+
+    def aged(self, j: int, n_pruned: int) -> np.ndarray:
+        """Age-indexed columns, at step j, of the first n_pruned pruned inputs."""
+        s, i = np.divmod(self.pruned[:n_pruned], self.m)
+        return (j - 1 - s) * self.m + i
+
+    def ball_columns(self, ball: float) -> np.ndarray:
+        """Image of a state-space 2-ball: per-output radius ball*||C_i||_2."""
+        return np.diag(ball * self.C_rows) if ball > 0 else np.zeros((self.C_rows.size, 0))
+
+    def row_sums(self, Gamma: np.ndarray):
+        """(T, prefix, new, ball_rate) for the rows of Gamma, built once per
+        distinct Gamma: T[:, q] = |Gamma Y_plus[:, q]| + |Gamma Y_minus[:, q]|,
+        prefix[:, j] the sum of T over ages below j, new = 2 sum|Gamma Y_new|
+        and ball_rate = |Gamma| C_rows, the spread of a unit ball."""
+        key = (Gamma.shape, Gamma.tobytes())
+        if key not in self._rows:
+            T = np.abs(Gamma @ self.Y_plus) + np.abs(Gamma @ self.Y_minus)
+            per_age = T.reshape(Gamma.shape[0], max(self.n_full - 1, 0), self.m).sum(axis=2)
+            prefix = np.hstack([np.zeros((Gamma.shape[0], 1)), np.cumsum(per_age, axis=1)])
+            self._rows[key] = (T, prefix, 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1),
+                               np.abs(Gamma) @ self.C_rows)
+        return self._rows[key]
+
+
+class _StepZonotope(Zonotope):
+    """Output set of a full reach step, kept compact: its center, its dense
+    columns [d, (H + H')/2, (H - H')/2], its ball radius and its place in the
+    call's age table.  ``generators`` assembles the array on first read (d,
+    H+, input+, new, H-, input-, -new, ball) and caches it; ``row_spread``
+    reads the table instead."""
+
+    __slots__ = ("dense", "ball", "table", "step", "n_pruned", "_assembled")
+
+    def __init__(self, center: np.ndarray, dense: np.ndarray, ball: float,
+                 table: _AgeTable, step: int, n_pruned: int):
+        self.center, self.dense, self.ball = center, dense, ball
+        self.table, self.step, self.n_pruned = table, step, n_pruned
+        self._assembled = None
+
+    @property
+    def generators(self) -> np.ndarray:
+        if self._assembled is None:
+            self._assembled = self._assemble()
+        return self._assembled
+
+    def _assemble(self) -> np.ndarray:
+        # the array is allocated before the blocks are computed: allocated
+        # after them, it leaves a hole in the heap that grows every step
+        t, p, split = self.table, self.center.size, 1 + self.dense.shape[1] // 2
+        G = np.empty((p, self.dense.shape[1] + 2 * (self.step * t.m - self.n_pruned + t.m)
+                      + (p if self.ball > 0 else 0)))
+        idx = t.live(self.step, self.n_pruned)
+        return np.concatenate([self.dense[:, :split], t.Y_plus[:, idx], t.Y_new,
+                               self.dense[:, split:], t.Y_minus[:, idx], -t.Y_new,
+                               t.ball_columns(self.ball)], axis=1, out=G)
+
+    def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
+        T, prefix, new, ball_rate = self.table.row_sums(Gamma)
+        spread = np.sum(np.abs(Gamma @ self.dense), axis=1) + prefix[:, self.step] \
+            + new + self.ball * ball_rate
+        if self.n_pruned:
+            spread -= np.sum(T[:, self.table.aged(self.step, self.n_pruned)], axis=1)
+        return spread
+
+
 @dataclass(frozen=True)
 class ReachStep:
-    """Output-space over-approximation over one time interval."""
+    """Output-space over-approximation over one time interval.
+
+    The ``outputs`` of a full step made by :func:`reach_lti` are compact:
+    their generator array is assembled on first read, and polytope row
+    spreads come from the call's age table without it."""
     t0: float
     t1: float
     outputs: Zonotope
@@ -154,11 +256,14 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
     Each M_a, the output images of its hull pairs and its column norms are
-    computed once.  For a system of order k with p outputs, step j then costs
-    O(k^3) for the center and Phi^j G0 (at most k columns) plus O(p g_j) to
-    gather its g_j live input columns, where re-propagating every generator
-    would cost O(k^2 g_j).  A partial last step maps the live columns through
-    its own transition once.
+    computed once, into an age table shared by the returned steps.  For a
+    system of order k with p outputs, step j costs O(k^3) for the center and
+    Phi^j G0 (at most k columns); its live input columns are described by j
+    and the count of pruned columns, not gathered.  The generator array of a
+    full step is assembled on first read of ``outputs.generators`` (O(p g_j)
+    for g_j live input columns); a polytope row spread reads the table
+    instead (see :class:`_StepZonotope`).  A partial last step maps the live
+    columns through its own transition once and is built in full.
     """
     if step_h is None:
         step_h = default_step(t_f, sys.A)
@@ -201,7 +306,6 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
 
     Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(step_h)
     in_norm = float(np.linalg.norm(B, 2) * np.linalg.norm(ur)) if ur.size else 0.0
-    C_rows = np.linalg.norm(C, axis=1)
 
     grid = []
     t = 0.0
@@ -222,67 +326,70 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
         M[:, a * m:(a + 1) * m] = Phi @ M[:, (a - 1) * m:a * m]
     M_norms = np.linalg.norm(M, axis=0)
     older, newer = M[:, :max(n_full - 1, 0) * m], M[:, m:]
-    Y_plus, Y_minus = C @ ((older + newer) / 2.0), C @ ((older - newer) / 2.0)
-    Y_new = C @ (Gin / 2.0)
+    table = _AgeTable(C @ ((older + newer) / 2.0), C @ ((older - newer) / 2.0),
+                      C @ (Gin / 2.0), np.linalg.norm(C, axis=1), m, n_full)
+    # norm_prefix[j]: summed norms of every input column injected before
+    # step j; norm_floor[j]: the smallest norm of any age up to j
+    by_age = M_norms.reshape(n_full, m)
+    norm_prefix = np.concatenate([[0.0], np.cumsum(by_age.sum(axis=1))])
+    norm_floor = np.minimum.accumulate(by_age.min(axis=1, initial=np.inf))
 
-    steps: list[ReachStep] = []
+    def input_norms(j: int) -> float:
+        """Summed norms of the live input columns at step j."""
+        n_pruned = table.pruned.size
+        return norm_prefix[j] - (np.sum(M_norms[table.aged(j, n_pruned)])
+                                 if n_pruned else 0.0)
 
-    def new_step(t: float, h: float, center: np.ndarray, widths: tuple[int, ...],
-                 rho: float, rho_next: float, state_norm: float) -> list[np.ndarray]:
-        """Append a step set whose generators are blocks of the given widths
-        plus the envelope ball, and return the blocks for the caller to fill.
-        The array is allocated before the blocks are computed: allocated
-        after them, it leaves a hole in the heap that grows every step."""
+    def ball_of(j: int, c: np.ndarray, Hn: np.ndarray, rho: float, rho_next: float) -> float:
+        """Envelope-ball radius of step j from the state it starts in."""
+        state_norm = float(np.linalg.norm(c) + np.sum(Hn) + input_norms(j))
         beta = 2.0 * ebl * (state_norm + rho + drift) + sweep * in_norm
-        ball = max(rho, rho_next) + beta
-        G = np.empty((C.shape[0], sum(widths) + (C.shape[0] if ball > 0 else 0)))
-        *blocks, ball_cols = np.split(G, np.cumsum(widths), axis=1)
-        if ball > 0:
-            # image of a state-space 2-ball: per-output radius ball*||C_i||_2
-            ball_cols[:] = np.diag(ball * C_rows)
-        steps.append(ReachStep(t, t + h, Zonotope(center, G)))
-        return blocks
+        return max(rho, rho_next) + beta
 
     # the live state: center c, the images H = Phi^j G0 of the initial
-    # generators and the age-table indices idx of the live input columns,
-    # oldest first; aging a column adds m to its index
+    # generators with their norms Hn, and the input columns of the table not
+    # yet pruned
     init = Zonotope.from_box(x0)
     c, H = init.center, init.generators
-    idx = np.zeros(0, dtype=np.intp)
-    norms = np.linalg.norm(H, axis=0)
+    Hn = np.linalg.norm(H, axis=0)
     rho = 0.0
-    for t, h in grid[:n_full]:
+    steps: list[ReachStep] = []
+    for j, (t, h) in enumerate(grid[:n_full]):
         c_next = Phi @ c + vin
         H_next = Phi @ H
         rho_next = nPhi * rho + res_ball
-        g0, g = H.shape[1], idx.size
-        d, hp, yp, yn, hm, ym, yn_neg = new_step(
-            t, h, C @ ((c + c_next) / 2.0), (1, g0, g, m, g0, g, m),
-            rho, rho_next, float(np.linalg.norm(c) + np.sum(norms)))
-        d[:, 0] = C @ ((c - c_next) / 2.0)
-        hp[:], hm[:] = C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)
-        yp[:], ym[:] = Y_plus[:, idx], Y_minus[:, idx]
-        yn[:], yn_neg[:] = Y_new, -Y_new
-        idx = np.concatenate([idx + m, np.arange(m)])
-        norms = np.concatenate([np.linalg.norm(H_next, axis=0), M_norms[idx]])
+        dense = np.hstack([(C @ ((c - c_next) / 2.0))[:, None],
+                           C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)])
+        steps.append(ReachStep(t, t + h, _StepZonotope(
+            C @ ((c + c_next) / 2.0), dense, ball_of(j, c, Hn, rho, rho_next),
+            table, j, table.pruned.size)))
         c, H, rho = c_next, H_next, rho_next
-        if norms.size > cap_cols:
+        Hn = np.linalg.norm(H, axis=0)
+        count = Hn.size + (j + 1) * m - table.pruned.size
+        if count > cap_cols:
             # drop effectively-decayed columns (norm at most DROP_TOL times
             # the average) into the 2-norm ball; live columns are never
-            # boxed, so the count may stay above the cap
-            dead = norms <= DROP_TOL * float(np.sum(norms)) / norms.size
-            if np.any(dead):
-                rho += float(np.sum(norms[dead]))
-                H, idx, norms = H[:, ~dead[:g0]], idx[~dead[g0:]], norms[~dead]
+            # boxed, so the count may stay above the cap.  Input columns
+            # are scanned only when some age so far falls below the cut.
+            cut = DROP_TOL * float(np.sum(Hn) + input_norms(j + 1)) / count
+            dead, gone, lost = Hn <= cut, np.zeros(0, dtype=np.intp), 0.0
+            if norm_floor[j] <= cut:
+                by_origin = by_age[j::-1].ravel()  # origin s has age j - s
+                gone = np.setdiff1d(np.flatnonzero(by_origin <= cut), table.pruned)
+                lost = np.sum(by_origin[gone])
+            if np.any(dead) or gone.size:
+                rho += float(np.sum(Hn[dead]) + lost)
+                H, Hn = H[:, ~dead], Hn[~dead]
+                table.pruned = np.concatenate([table.pruned, gone])
     if n_full < len(grid):
         t, h = grid[-1]
         Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h)
-        state = Zonotope(c, np.hstack([H, M[:, idx]]))
+        state = Zonotope(c, np.hstack([H, M[:, table.live(n_full, table.pruned.size)]]))
         nxt = Zonotope(Phi @ c + vin, np.hstack([Phi @ state.generators, Gin]))
         hull = enclose(state, nxt).map(C)
-        G, = new_step(t, h, hull.center, (hull.order,), rho, nPhi * rho + res_ball,
-                      float(np.linalg.norm(c) + np.sum(norms)))
-        G[:] = hull.generators
+        ball = ball_of(n_full, c, Hn, rho, nPhi * rho + res_ball)
+        steps.append(ReachStep(t, t + h, Zonotope(
+            hull.center, np.hstack([hull.generators, table.ball_columns(ball)]))))
     return steps
 
 
@@ -374,7 +481,7 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 def _poly_spread(z: Zonotope, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gamma @ center and the per-row spread sum_j |(Gamma G)_ij| of the
     zonotope: the row values of its points lie in Gc -/+ spread."""
-    return Gamma @ z.center, np.sum(np.abs(Gamma @ z.generators), axis=1)
+    return Gamma @ z.center, z.row_spread(Gamma)
 
 
 def _poly_rows_max(z: Zonotope, spec: PolytopeSpec,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +255,50 @@ class TestHelp:
         assert code == 0
         for flag in ("--seed", "--output", "--format"):
             assert flag in out
+
+
+# --------------------------------------------------------------------------
+# Golden outputs: JSON of earlier releases on fixed instances.
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: fixture name -> (``gen`` arguments, or None for the bundled motor, and the
+#: verify command with its options)
+GOLDEN_CASES = {
+    "verify_n6_seed7": (["-n", "6", "--seed", "7"], ["verify"]),
+    "verify_n8_seed6_tight": (["-n", "8", "--seed", "6", "--spec-scale", "0.3"], ["verify"]),
+    "verify_pss_motor_k5": (None, ["verify-pss", "--k0", "5", "--k-max", "5",
+                                   "--e1", "theorem2", "--e1", "simulation",
+                                   "--e2", "simulation", "--step-lh", "0.05"]),
+}
+
+
+def assert_matches_golden(doc, expected, where="$"):
+    """Keys, strings, integers and booleans equal; floats within 1e-12
+    relative, so that another BLAS kernel's last bits do not count."""
+    if isinstance(expected, dict):
+        assert isinstance(doc, dict) and list(doc) == list(expected), where
+        for key, value in expected.items():
+            assert_matches_golden(doc[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(doc, list) and len(doc) == len(expected), where
+        for i, (a, b) in enumerate(zip(doc, expected)):
+            assert_matches_golden(a, b, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(doc, float) and doc == pytest.approx(expected, rel=1e-12, abs=0.0), where
+    else:
+        assert type(doc) is type(expected) and doc == expected, where
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_verify_json_matches_golden(name, tmp_path, capsys):
+    from redsafe.benchmarks import MOTOR_MANIFEST
+    gen_args, (command, *options) = GOLDEN_CASES[name]
+    manifest = MOTOR_MANIFEST
+    if gen_args is not None:
+        manifest = tmp_path / "g.json"
+        assert main(["gen", *gen_args, "--output", str(manifest)]) == 0
+        capsys.readouterr()
+    main([command, str(manifest), *options, "--format", "json"])
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert_matches_golden(json.loads(capsys.readouterr().out), expected)

@@ -779,3 +779,128 @@ class TestSharedSpread:
         steps = [rs.ReachStep(0.0, 1.0, z)]
         assert check_spec(steps, ts) == naive_check_polytope(
             steps, ts, {"uncontained": 0, "hit": 0}) == INDETERMINATE
+
+
+# --------------------------------------------------------------------------
+# Polytope checks from reach's age table against assembled step sets.
+
+from hypothesis import given, strategies as st  # noqa: E402
+
+from redsafe import verifier  # noqa: E402
+
+
+def assert_table_spreads(steps, Gamma):
+    """Each step's row spread as read from the age table equals sum |Gamma G|
+    over its assembled generators within 1e-12 of their scale."""
+    for step in steps:
+        z = step.outputs
+        direct = np.sum(np.abs(Gamma @ z.generators), axis=1)
+        np.testing.assert_allclose(z.row_spread(Gamma), direct, rtol=1e-12,
+                                   atol=1e-12 * np.max(direct, initial=0.0))
+
+
+def reach_cases(rng):
+    """(system, x0, input box, t_f, step_h, order_cap): random systems, a
+    partial last step, a zero-width input channel and pruned decaying runs."""
+    for _ in range(6):
+        n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
+        t_f = float(rng.uniform(0.5, 2.0))
+        yield (rs.random_stable_system(rng, n, m, p), rand_box(rng, n, int(rng.integers(1, n + 1))),
+               rand_ubox(rng, m), t_f, t_f / float(rng.uniform(20, 60)), 2)
+    yield rs.random_stable_system(rng, 3, 2, 2), rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.3, 20
+    yield (rs.random_stable_system(rng, 4, 3, 2), rand_box(rng, 4, 2),
+           rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2]), 1.5, 0.07, 20)
+    for t_f in (6.0, 5.98):
+        yield (rs.random_stable_system(rng, 3, 2, 2, decay=(4.0, 8.0)), rand_box(rng, 3),
+               rand_ubox(rng, 2), t_f, 0.05, 1)
+
+
+def polytope_specs(rng, steps, p):
+    """Transformed polytope specs of both polarities whose offsets sit across
+    the row range of the step sets, so that every verdict occurs."""
+    Gamma = rng.standard_normal((int(rng.integers(1, 5)), p))
+    rows = [(Gamma @ s.outputs.center, np.sum(np.abs(Gamma @ s.outputs.generators), axis=1))
+            for s in steps]
+    hi = np.max([c + r for c, r in rows], axis=0)
+    lo = np.min([c - r for c, r in rows], axis=0)
+    for polarity in (POLARITY_SAFE, POLARITY_UNSAFE):
+        for frac in (-0.3, 0.2, 0.6, 0.95, 1.3):
+            spec = rs.PolytopeSpec(Gamma, -(lo + frac * (hi - lo)), polarity)
+            yield transform_spec(spec, rng.uniform(0.0, 0.05, p) * np.max(hi - lo))
+
+
+class TestTableSpread:
+    def test_check_spec_matches_assembled_reference(self, rng):
+        events = {"uncontained": 0, "hit": 0}
+        verdicts = set()
+        for sys_, x0, ubox, t_f, step_h, cap in reach_cases(rng):
+            ref = naive_reach(sys_, x0, ubox, t_f, step_h, cap)
+            for ts in polytope_specs(rng, ref, sys_.p):
+                # fresh step sets per spec: none is assembled before its check
+                steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=cap)
+                expected = naive_check_polytope(ref, ts, events)
+                assert check_spec(steps, ts) == expected
+                verdicts.add((ts.source_polarity, expected))
+        assert {v for _, v in verdicts} == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
+        assert {pol for pol, _ in verdicts} == {POLARITY_SAFE, POLARITY_UNSAFE}
+
+    def test_spreads_match_assembled_generators(self, rng):
+        pruned = 0
+        for sys_, x0, ubox, t_f, step_h, cap in reach_cases(rng):
+            steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=cap)
+            Gamma = rng.standard_normal((4, sys_.p))
+            Gamma[1] = 0.0
+            assert_table_spreads(steps, Gamma)
+            pruned += sum(getattr(s.outputs, "n_pruned", 0) > 0 for s in steps)
+        assert pruned  # the decaying runs read spreads past pruned columns
+
+    def test_untraced_verify_assembles_no_step_set(self, monkeypatch):
+        assembled, reached = [], []
+        assemble, reach_fn = reach._StepZonotope._assemble, verifier.reach_lti
+
+        def counting_assemble(self):
+            assembled.append(self.step)
+            return assemble(self)
+
+        def counting_reach(*args, **kwargs):
+            steps = reach_fn(*args, **kwargs)
+            reached.append(len(steps))
+            return steps
+
+        monkeypatch.setattr(reach._StepZonotope, "_assemble", counting_assemble)
+        monkeypatch.setattr(verifier, "reach_lti", counting_reach)
+        verdict = rs.verify(rs.random_problem(1, n=6, m=2, p=2, free_dims=3, spec_scale=0.5))
+        assert verdict.outcome == SAFE and len(reached) == 4 and min(reached) > 0
+        assert assembled == []
+
+
+@st.composite
+def table_cases(draw):
+    n, m, p = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decay = draw(st.sampled_from([(0.5, 2.0), (4.0, 8.0)]))
+    sys_ = rs.random_stable_system(rng, n, m, p, decay=decay)
+    ubox = rand_ubox(rng, m)
+    if draw(st.booleans()):
+        pinned = draw(st.integers(0, m - 1))
+        ubox = rs.HyperBox(np.where(np.arange(m) == pinned, ubox.center, ubox.lb),
+                           np.where(np.arange(m) == pinned, ubox.center, ubox.ub))
+    Gamma = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "repeat"]),
+                              min_size=1, max_size=6)):
+        if kind == "zero":
+            Gamma.append(np.zeros(p))
+        elif kind == "repeat" and Gamma:
+            Gamma.append(Gamma[draw(st.integers(0, len(Gamma) - 1))].copy())
+        else:
+            Gamma.append(rng.standard_normal(p))
+    t_f = draw(st.floats(0.3, 3.0))
+    step_h = t_f / draw(st.floats(1.0, 60.0))
+    return (sys_, rand_box(rng, n, draw(st.integers(1, n))), ubox, t_f, step_h,
+            draw(st.sampled_from([1, 2, 20])), np.array(Gamma))
+
+
+@given(table_cases())
+def test_table_spread_matches_assembled_generators(case):
+    sys_, x0, ubox, t_f, step_h, cap, Gamma = case
+    assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=cap), Gamma)

@@ -24,7 +24,7 @@ from .generate import random_problem
 from .model import (LtiSystem, ManifestError, ModelError, PssSystem,
                     VerificationProblem, parse_problem, serialize_problem,
                     spec_to_json, parse_spec_json)
-from .reach import ORDER_CAP, default_step, reach_lti
+from .reach import default_step, reach_lti
 from .spectransform import TransformedSpec, transform_spec
 from .verifier import (VerifyOptions, bound_candidates, problem_modes, verify,
                        verify_pss)
@@ -58,7 +58,7 @@ def _emit(doc, args, text_renderer=None, csv_renderer=None) -> None:
 
 def _options_from(args) -> VerifyOptions:
     kwargs = {}
-    for name in ("k0", "k_max", "gamma", "step_h", "step_lh", "order_cap",
+    for name in ("k0", "k_max", "gamma", "step_h", "step_lh",
                  "witness_budget", "vertex_cap", "seed", "time_budget"):
         val = getattr(args, name, None)
         if val is not None:
@@ -220,9 +220,9 @@ def cmd_reach(args) -> int:
     if not isinstance(problem.system, LtiSystem):
         raise ManifestError("reach expects an LTI manifest (reduce a PSS per mode first)")
     sys_ = problem.system
-    step_h = args.step_h or default_step(problem.t_f, sys_.A, lh=args.step_lh or 0.1)
-    steps = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f,
-                      step_h, args.order_cap or ORDER_CAP)
+    step_h = args.step_h if args.step_h is not None else default_step(
+        problem.t_f, sys_.A, lh=args.step_lh if args.step_lh is not None else 0.1)
+    steps = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h)
     doc = {"format_version": 1, "name": problem.name, "step_h": step_h,
            "steps": [{"t0": s.t0, "t1": s.t1,
                       "center": s.outputs.center.tolist(),
@@ -364,9 +364,8 @@ def _add_common(sp, manifest=True):
                     help="include measured wall times (breaks byte-for-byte determinism)")
 
 
-def _add_verify_opts(sp):
-    sp.add_argument("--k0", type=int, help="initial abstraction order (default p+1)")
-    sp.add_argument("--k-max", dest="k_max", type=int, help="largest order to try (default n)")
+def _add_bound_opts(sp):
+    """Flags that choose and tune the error-bound methods."""
     sp.add_argument("--e1", action="append",
                     choices=(bnd.E1_THEOREM1, bnd.E1_THEOREM2, bnd.SIMULATION),
                     help="enable a zero-input bound method (repeatable)")
@@ -376,15 +375,20 @@ def _add_verify_opts(sp):
     sp.add_argument("--no-split", action="store_true",
                     help="disable the center+deviation refinement of the e2 simulation")
     sp.add_argument("--gamma", type=float, help="bloat factor for simulation bounds")
+    sp.add_argument("--vertex-cap", dest="vertex_cap", type=int,
+                    help="vertex budget of the e1 simulation bound")
+
+
+def _add_verify_opts(sp):
+    """Bound flags plus the flags of the k-loop, its reach and witness search."""
+    _add_bound_opts(sp)
+    sp.add_argument("--k0", type=int, help="initial abstraction order (default p+1)")
+    sp.add_argument("--k-max", dest="k_max", type=int, help="largest order to try (default n)")
     sp.add_argument("--step-h", dest="step_h", type=float, help="reach step size override")
     sp.add_argument("--step-lh", dest="step_lh", type=float,
                     help="reach step control ||A||*h (default 0.1)")
-    sp.add_argument("--order-cap", dest="order_cap", type=int,
-                    help=f"zonotope order cap per dimension (default {ORDER_CAP})")
     sp.add_argument("--witness-budget", dest="witness_budget", type=int,
                     help="max candidate trajectories in the witness search")
-    sp.add_argument("--vertex-cap", dest="vertex_cap", type=int,
-                    help="vertex budget of the e1 simulation bound")
     sp.add_argument("--time-budget", dest="time_budget", type=float,
                     help="wall-clock budget in seconds; overrun yields Indeterminate")
     sp.add_argument("--geometric", action="store_true",
@@ -406,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="error bounds per method at one or all orders")
     _add_common(sp)
-    _add_verify_opts(sp)
+    _add_bound_opts(sp)
     sp.add_argument("-k", type=int, help="abstraction order (default: all valid orders)")
     sp.set_defaults(func=cmd_bounds)
 
@@ -420,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--step-h", dest="step_h", type=float, help="step size override")
     sp.add_argument("--step-lh", dest="step_lh", type=float, help="step control ||A||*h")
-    sp.add_argument("--order-cap", dest="order_cap", type=int, help="zonotope order cap")
     sp.set_defaults(func=cmd_reach)
 
     sp = sub.add_parser("verify", help="run the verification semi-algorithm (LTI)")

@@ -15,9 +15,8 @@ few dense columns and a reference into that table: its generator array is
 assembled when something reads it (ellipsoid specs, ``reach --format
 json``), while polytope rows read their spread from per-age row sums of the
 table, the support-function view of Le Guernic & Girard (NAHS 2010).  For
-order k, p outputs and r rows a step then costs O(k^3) to build and
-O(r (k + pruned)) to check, rather than O(r p g_j) over its g_j live input
-columns.
+order k, p outputs and r rows a step then costs O(k^3) to build and O(r k)
+to check, rather than O(r p g_j) over its g_j input columns.
 """
 
 from __future__ import annotations
@@ -36,17 +35,6 @@ SAFE = "Safe"
 MAYBE_UNSAFE = "MaybeUnsafe"
 INDETERMINATE = "Indeterminate"
 UNSAFE = "Unsafe"
-
-#: Generator-count threshold (per state dimension) that triggers a reduction
-#: attempt.
-ORDER_CAP = 20
-
-#: A reduction only drops generator columns whose norm is below this fraction
-#: of the average column norm (i.e. columns that have effectively decayed);
-#: dropped mass moves into a rotation-invariant 2-norm ball so pruning can
-#: never compound.  Significant columns are kept even past the cap: a hard
-#: box-hull cap provably wrecks rotation-dominant systems via wrapping.
-DROP_TOL = 1e-3
 
 
 class Zonotope:
@@ -123,44 +111,34 @@ class _AgeTable:
 
     Column a*m + i of ``Y_plus`` / ``Y_minus`` is C (M_a +/- M_{a+1}) / 2 for
     input column i of age a, ``Y_new`` is C G_in / 2 and ``C_rows`` holds the
-    row norms of C.  ``pruned`` lists the input columns dropped into the ball
-    by origin s*m + i (injected at step s, channel i).  It only grows, so a
-    step's live input columns are all those injected before it except the
-    first ``n_pruned`` entries listed when it was emitted.
+    row norms of C.  Step j holds every input column injected before it, the
+    ages below j.
     """
 
     def __init__(self, Y_plus, Y_minus, Y_new, C_rows, m: int, n_full: int):
         self.Y_plus, self.Y_minus, self.Y_new, self.C_rows = Y_plus, Y_minus, Y_new, C_rows
         self.m, self.n_full = m, n_full
-        self.pruned = np.zeros(0, dtype=np.intp)
         self._rows: dict = {}
 
-    def live(self, j: int, n_pruned: int) -> np.ndarray:
-        """Age-indexed columns of step j's live inputs, oldest first."""
-        keep = np.ones(j * self.m, dtype=bool)
-        keep[self.pruned[:n_pruned]] = False
-        return np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()[keep]
-
-    def aged(self, j: int, n_pruned: int) -> np.ndarray:
-        """Age-indexed columns, at step j, of the first n_pruned pruned inputs."""
-        s, i = np.divmod(self.pruned[:n_pruned], self.m)
-        return (j - 1 - s) * self.m + i
+    def oldest_first(self, j: int) -> np.ndarray:
+        """Age-indexed columns of step j's inputs, oldest first."""
+        return np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()
 
     def ball_columns(self, ball: float) -> np.ndarray:
         """Image of a state-space 2-ball: per-output radius ball*||C_i||_2."""
         return np.diag(ball * self.C_rows) if ball > 0 else np.zeros((self.C_rows.size, 0))
 
     def row_sums(self, Gamma: np.ndarray):
-        """(T, prefix, new, ball_rate) for the rows of Gamma, built once per
-        distinct Gamma: T[:, q] = |Gamma Y_plus[:, q]| + |Gamma Y_minus[:, q]|,
-        prefix[:, j] the sum of T over ages below j, new = 2 sum|Gamma Y_new|
-        and ball_rate = |Gamma| C_rows, the spread of a unit ball."""
+        """(prefix, new, ball_rate) for the rows of Gamma, built once per
+        distinct Gamma: prefix[:, j] sums |Gamma Y_plus| + |Gamma Y_minus|
+        over the columns of ages below j, new = 2 sum|Gamma Y_new| and
+        ball_rate = |Gamma| C_rows, the spread of a unit ball."""
         key = (Gamma.shape, Gamma.tobytes())
         if key not in self._rows:
             T = np.abs(Gamma @ self.Y_plus) + np.abs(Gamma @ self.Y_minus)
             per_age = T.reshape(Gamma.shape[0], max(self.n_full - 1, 0), self.m).sum(axis=2)
             prefix = np.hstack([np.zeros((Gamma.shape[0], 1)), np.cumsum(per_age, axis=1)])
-            self._rows[key] = (T, prefix, 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1),
+            self._rows[key] = (prefix, 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1),
                                np.abs(Gamma) @ self.C_rows)
         return self._rows[key]
 
@@ -172,12 +150,12 @@ class _StepZonotope(Zonotope):
     H+, input+, new, H-, input-, -new, ball) and caches it; ``row_spread``
     reads the table instead."""
 
-    __slots__ = ("dense", "ball", "table", "step", "n_pruned", "_assembled")
+    __slots__ = ("dense", "ball", "table", "step", "_assembled")
 
     def __init__(self, center: np.ndarray, dense: np.ndarray, ball: float,
-                 table: _AgeTable, step: int, n_pruned: int):
+                 table: _AgeTable, step: int):
         self.center, self.dense, self.ball = center, dense, ball
-        self.table, self.step, self.n_pruned = table, step, n_pruned
+        self.table, self.step = table, step
         self._assembled = None
 
     @property
@@ -190,20 +168,17 @@ class _StepZonotope(Zonotope):
         # the array is allocated before the blocks are computed: allocated
         # after them, it leaves a hole in the heap that grows every step
         t, p, split = self.table, self.center.size, 1 + self.dense.shape[1] // 2
-        G = np.empty((p, self.dense.shape[1] + 2 * (self.step * t.m - self.n_pruned + t.m)
+        G = np.empty((p, self.dense.shape[1] + 2 * (self.step + 1) * t.m
                       + (p if self.ball > 0 else 0)))
-        idx = t.live(self.step, self.n_pruned)
+        idx = t.oldest_first(self.step)
         return np.concatenate([self.dense[:, :split], t.Y_plus[:, idx], t.Y_new,
                                self.dense[:, split:], t.Y_minus[:, idx], -t.Y_new,
                                t.ball_columns(self.ball)], axis=1, out=G)
 
     def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
-        T, prefix, new, ball_rate = self.table.row_sums(Gamma)
-        spread = np.sum(np.abs(Gamma @ self.dense), axis=1) + prefix[:, self.step] \
+        prefix, new, ball_rate = self.table.row_sums(Gamma)
+        return np.sum(np.abs(Gamma @ self.dense), axis=1) + prefix[:, self.step] \
             + new + self.ball * ball_rate
-        if self.n_pruned:
-            spread -= np.sum(T[:, self.table.aged(self.step, self.n_pruned)], axis=1)
-        return spread
 
 
 @dataclass(frozen=True)
@@ -238,6 +213,8 @@ def _transition(A: np.ndarray, h: float, B: np.ndarray | None = None):
 
 def default_step(t_f: float, A: np.ndarray, target: int = 200, lh: float = 0.1) -> float:
     """Default reach/simulation step: min(t_f/target, lh/||A||_2)."""
+    if not lh > 0:
+        raise ModelError(f"step_lh must be positive, got {lh}")
     nA = np.linalg.norm(A, 2) if A.size else 0.0
     h = t_f / target if t_f > 0 else 1.0
     if nA > 0:
@@ -246,7 +223,7 @@ def default_step(t_f: float, A: np.ndarray, target: int = 200, lh: float = 0.1) 
 
 
 def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
-              step_h: float | None = None, order_cap: int = ORDER_CAP) -> list[ReachStep]:
+              step_h: float | None = None) -> list[ReachStep]:
     """Over-approximate output reach sets of a stable or unstable LTI system.
 
     Returns step sets whose intervals tile [0, t_f]; every admissible output
@@ -258,16 +235,16 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     Each M_a, the output images of its hull pairs and its column norms are
     computed once, into an age table shared by the returned steps.  For a
     system of order k with p outputs, step j costs O(k^3) for the center and
-    Phi^j G0 (at most k columns); its live input columns are described by j
-    and the count of pruned columns, not gathered.  The generator array of a
-    full step is assembled on first read of ``outputs.generators`` (O(p g_j)
-    for g_j live input columns); a polytope row spread reads the table
-    instead (see :class:`_StepZonotope`).  A partial last step maps the live
-    columns through its own transition once and is built in full.
+    Phi^j G0 (at most k columns); its input columns, every age below j, are
+    described by j, not gathered.  The generator array of a full step is
+    assembled on first read of ``outputs.generators`` (O(p g_j) for g_j input
+    columns); a polytope row spread reads the table instead (see
+    :class:`_StepZonotope`).  A partial last step maps its columns through its
+    own transition once and is built in full.
     """
     if step_h is None:
         step_h = default_step(t_f, sys.A)
-    if step_h <= 0:
+    if not step_h > 0:
         raise ModelError(f"step_h must be positive, got {step_h}")
     if x0.dim != sys.n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={sys.n}")
@@ -280,7 +257,6 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     n = sys.n
     L = float(np.linalg.norm(A, 2)) if A.size else 0.0
     uc, ur = u_box.center, u_box.halfwidth
-    cap_cols = max(order_cap * n, 4 * n)
 
     def make_step_data(h: float):
         Phi, PsiB = _transition(A, h, B)
@@ -324,34 +300,24 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
         M[:, :m] = Gin
     for a in range(1, n_full):
         M[:, a * m:(a + 1) * m] = Phi @ M[:, (a - 1) * m:a * m]
-    M_norms = np.linalg.norm(M, axis=0)
     older, newer = M[:, :max(n_full - 1, 0) * m], M[:, m:]
     table = _AgeTable(C @ ((older + newer) / 2.0), C @ ((older - newer) / 2.0),
                       C @ (Gin / 2.0), np.linalg.norm(C, axis=1), m, n_full)
-    # norm_prefix[j]: summed norms of every input column injected before
-    # step j; norm_floor[j]: the smallest norm of any age up to j
-    by_age = M_norms.reshape(n_full, m)
-    norm_prefix = np.concatenate([[0.0], np.cumsum(by_age.sum(axis=1))])
-    norm_floor = np.minimum.accumulate(by_age.min(axis=1, initial=np.inf))
+    # norm_prefix[j]: summed norms of every input column injected before step j
+    norm_prefix = np.concatenate(
+        [[0.0], np.cumsum(np.linalg.norm(M, axis=0).reshape(n_full, m).sum(axis=1))])
 
-    def input_norms(j: int) -> float:
-        """Summed norms of the live input columns at step j."""
-        n_pruned = table.pruned.size
-        return norm_prefix[j] - (np.sum(M_norms[table.aged(j, n_pruned)])
-                                 if n_pruned else 0.0)
-
-    def ball_of(j: int, c: np.ndarray, Hn: np.ndarray, rho: float, rho_next: float) -> float:
+    def ball_of(j: int, c: np.ndarray, H: np.ndarray, rho: float, rho_next: float) -> float:
         """Envelope-ball radius of step j from the state it starts in."""
-        state_norm = float(np.linalg.norm(c) + np.sum(Hn) + input_norms(j))
+        state_norm = float(np.linalg.norm(c) + np.sum(np.linalg.norm(H, axis=0))
+                           + norm_prefix[j])
         beta = 2.0 * ebl * (state_norm + rho + drift) + sweep * in_norm
         return max(rho, rho_next) + beta
 
-    # the live state: center c, the images H = Phi^j G0 of the initial
-    # generators with their norms Hn, and the input columns of the table not
-    # yet pruned
+    # the state: center c, the images H = Phi^j G0 of the initial generators
+    # and the input columns of the table
     init = Zonotope.from_box(x0)
     c, H = init.center, init.generators
-    Hn = np.linalg.norm(H, axis=0)
     rho = 0.0
     steps: list[ReachStep] = []
     for j, (t, h) in enumerate(grid[:n_full]):
@@ -361,33 +327,16 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
         dense = np.hstack([(C @ ((c - c_next) / 2.0))[:, None],
                            C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)])
         steps.append(ReachStep(t, t + h, _StepZonotope(
-            C @ ((c + c_next) / 2.0), dense, ball_of(j, c, Hn, rho, rho_next),
-            table, j, table.pruned.size)))
+            C @ ((c + c_next) / 2.0), dense, ball_of(j, c, H, rho, rho_next),
+            table, j)))
         c, H, rho = c_next, H_next, rho_next
-        Hn = np.linalg.norm(H, axis=0)
-        count = Hn.size + (j + 1) * m - table.pruned.size
-        if count > cap_cols:
-            # drop effectively-decayed columns (norm at most DROP_TOL times
-            # the average) into the 2-norm ball; live columns are never
-            # boxed, so the count may stay above the cap.  Input columns
-            # are scanned only when some age so far falls below the cut.
-            cut = DROP_TOL * float(np.sum(Hn) + input_norms(j + 1)) / count
-            dead, gone, lost = Hn <= cut, np.zeros(0, dtype=np.intp), 0.0
-            if norm_floor[j] <= cut:
-                by_origin = by_age[j::-1].ravel()  # origin s has age j - s
-                gone = np.setdiff1d(np.flatnonzero(by_origin <= cut), table.pruned)
-                lost = np.sum(by_origin[gone])
-            if np.any(dead) or gone.size:
-                rho += float(np.sum(Hn[dead]) + lost)
-                H, Hn = H[:, ~dead], Hn[~dead]
-                table.pruned = np.concatenate([table.pruned, gone])
     if n_full < len(grid):
         t, h = grid[-1]
         Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h)
-        state = Zonotope(c, np.hstack([H, M[:, table.live(n_full, table.pruned.size)]]))
+        state = Zonotope(c, np.hstack([H, M[:, table.oldest_first(n_full)]]))
         nxt = Zonotope(Phi @ c + vin, np.hstack([Phi @ state.generators, Gin]))
         hull = enclose(state, nxt).map(C)
-        ball = ball_of(n_full, c, Hn, rho, nPhi * rho + res_ball)
+        ball = ball_of(n_full, c, H, rho, nPhi * rho + res_ball)
         steps.append(ReachStep(t, t + h, Zonotope(
             hull.center, np.hstack([hull.generators, table.ball_columns(ball)]))))
     return steps

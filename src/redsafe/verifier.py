@@ -22,7 +22,7 @@ from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
                      ErrorBound, combine)
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
                     VerificationProblem)
-from .reach import (INDETERMINATE, MAYBE_UNSAFE, ORDER_CAP, SAFE, UNSAFE,
+from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
                     WitnessTrajectory, check_spec, default_step,
                     find_unsafe_witness, reach_lti)
 from .spectransform import transform_spec
@@ -40,7 +40,6 @@ class VerifyOptions:
     gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
     step_lh: float = 0.1
-    order_cap: int = ORDER_CAP
     vertex_cap: int = bnd.VERTEX_CAP
     witness_budget: int = 64
     seed: int = 0
@@ -54,6 +53,15 @@ class VerifyOptions:
         bad = set(self.e2_methods) - {E2_THEOREM3, SIMULATION}
         if bad or not self.e2_methods:
             raise ModelError(f"invalid e2 method set {self.e2_methods}")
+        # written so that NaN fails every test
+        for name, ok, need in (
+                ("step_h", self.step_h is None or self.step_h > 0, "positive"),
+                ("step_lh", self.step_lh > 0, "positive"),
+                ("witness_budget", self.witness_budget >= 1, "at least 1"),
+                ("time_budget", self.time_budget is None or self.time_budget >= 0,
+                 "nonnegative")):
+            if not ok:
+                raise ModelError(f"{name} must be {need}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -220,13 +228,12 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             if all(ts.safe_region is None for ts in transformed) \
                     and problem.polarity == "safe-region":
                 notes.append(say + "transformed safe region empty at this k")
-            step_h = opts.step_h or default_step(horizon, abstraction.reduced.A,
-                                                 lh=opts.step_lh)
+            step_h = opts.step_h if opts.step_h is not None else \
+                default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
             # the step sets are freed as soon as they are checked, before
             # the witness search allocates its batch
             outcome = check_spec(reach_lti(abstraction.reduced, abstraction.x0_reduced,
-                                           problem.inputs, horizon, step_h,
-                                           opts.order_cap),
+                                           problem.inputs, horizon, step_h),
                                  transformed)
             if outcome == MAYBE_UNSAFE:
                 witness = find_unsafe_witness(

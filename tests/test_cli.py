@@ -134,6 +134,14 @@ class TestBoundsCmd:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "system,k,method,output,e1,e2,delta,time_s"
 
+    @pytest.mark.parametrize("flag", ["--k0", "--k-max", "--step-h", "--step-lh",
+                                      "--witness-budget", "--time-budget"])
+    def test_loop_flags_rejected(self, tmp_path, capsys, flag):
+        # bounds tabulates every order; the k-loop's flags would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(small_manifest(tmp_path)), flag, "3"])
+        assert exc.value.code == 3 and "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTransformSpecCmd:
     def test_round_trip(self, tmp_path, capsys):
@@ -177,6 +185,13 @@ class TestReachCmd:
         assert lines[0].startswith("t0,t1,y0_lo,y0_hi")
         assert len(lines) > 10
 
+    def test_step_h_zero_is_an_error(self, tmp_path, capsys):
+        # a zero step is refused, not replaced by the default step
+        path = small_manifest(tmp_path)
+        for flag, value in (("--step-h", "0"), ("--step-h", "nan"), ("--step-lh", "0")):
+            assert main(["reach", str(path), flag, value]) == 3
+            assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
+
     def test_pss_rejected(self, tmp_path):
         path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
         code, out, err = run_cli("reach", path)
@@ -210,6 +225,20 @@ class TestVerifyCmd:
         path = small_manifest(tmp_path)
         code, out, err = run_cli("verify", path, "--definitely-not-a-flag")
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--step-h", "0", "step_h"), ("--step-lh", "0", "step_lh"),
+        ("--witness-budget", "0", "witness_budget"),
+        ("--time-budget", "-1", "time_budget")])
+    def test_out_of_range_option_exits_three(self, tmp_path, capsys, flag, value, field):
+        assert main(["verify", str(small_manifest(tmp_path)), flag, value]) == 3
+        assert f"error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "verify-pss", "reach"])
+    def test_order_cap_removed(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(small_manifest(tmp_path)), "--order-cap", "20"])
+        assert exc.value.code == 3 and "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_manifest_exits_three(self, tmp_path):
         code, out, err = run_cli("verify", tmp_path / "absent.json")
@@ -263,13 +292,16 @@ class TestHelp:
 GOLDEN = Path(__file__).parent / "golden"
 
 #: fixture name -> (``gen`` arguments, or None for the bundled motor, and the
-#: verify command with its options)
+#: command with its options)
 GOLDEN_CASES = {
     "verify_n6_seed7": (["-n", "6", "--seed", "7"], ["verify"]),
     "verify_n8_seed6_tight": (["-n", "8", "--seed", "6", "--spec-scale", "0.3"], ["verify"]),
     "verify_pss_motor_k5": (None, ["verify-pss", "--k0", "5", "--k-max", "5",
                                    "--e1", "theorem2", "--e1", "simulation",
                                    "--e2", "simulation", "--step-lh", "0.05"]),
+    # eleven steps, the last one partial
+    "reach_n6_seed7_h025": (["-n", "6", "--seed", "7", "--free-dims", "4"],
+                            ["reach", "--step-h", "0.25"]),
 }
 
 
@@ -291,7 +323,7 @@ def assert_matches_golden(doc, expected, where="$"):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_verify_json_matches_golden(name, tmp_path, capsys):
+def test_json_matches_golden(name, tmp_path, capsys):
     from redsafe.benchmarks import MOTOR_MANIFEST
     gen_args, (command, *options) = GOLDEN_CASES[name]
     manifest = MOTOR_MANIFEST

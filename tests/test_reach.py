@@ -4,8 +4,8 @@ import pytest
 import redsafe as rs
 from redsafe import reach
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
-from redsafe.reach import (DROP_TOL, INDETERMINATE, MAYBE_UNSAFE, ORDER_CAP,
-                           SAFE, Zonotope, _transition, check_spec, enclose,
+from redsafe.reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, Zonotope,
+                           _transition, check_spec, enclose,
                            find_unsafe_witness, reach_lti, simulate)
 from redsafe.spectransform import transform_spec
 
@@ -108,9 +108,9 @@ class TestReach:
             assert a.t1 == pytest.approx(b.t0)
 
 
-def naive_reach(sys_, x0, u_box, t_f, step_h, order_cap=ORDER_CAP):
+def naive_reach(sys_, x0, u_box, t_f, step_h):
     """Reference recurrence: every step maps all state generators through
-    Phi, encloses consecutive states and prunes decayed columns into rho."""
+    Phi and encloses consecutive states, keeping every generator."""
     A, B, C = sys_.A, sys_.B, sys_.C
     L, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
     ur = u_box.halfwidth
@@ -138,11 +138,6 @@ def naive_reach(sys_, x0, u_box, t_f, step_h, order_cap=ORDER_CAP):
         steps.append(rs.ReachStep(t, t + h, Zonotope(hull.center, np.hstack(
             [hull.generators, np.diag(ball * np.linalg.norm(C, axis=1))]))))
         state, rho = nxt, rho_next
-        if state.order > max(order_cap * sys_.n, 4 * sys_.n):
-            norms = np.linalg.norm(state.generators, axis=0)
-            dead = norms <= DROP_TOL * np.sum(norms) / norms.size
-            state = Zonotope(state.center, state.generators[:, ~dead])
-            rho += np.sum(norms[dead])
         t += h
     return steps
 
@@ -171,9 +166,9 @@ class TestReachEquivalence:
             x0, ubox = rand_box(rng, n, int(rng.integers(1, n + 1))), rand_ubox(rng, m)
             t_f = float(rng.uniform(0.5, 2.0))
             step_h = t_f / float(rng.uniform(20, 60))
-            steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=2)
+            steps = reach_lti(sys_, x0, ubox, t_f, step_h)
             partial += steps[-1].t1 - steps[-1].t0 < step_h * (1 - 1e-9)
-            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, step_h, 2), rng)
+            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, step_h), rng)
         assert partial  # some horizons end on a shorter step
 
     def test_partial_last_step_and_single_step(self, rng):
@@ -193,21 +188,12 @@ class TestReachEquivalence:
         # each step adds two hull columns per live channel, none for channel 1
         assert steps[1].outputs.order - steps[0].outputs.order == 2 * 2
 
-    def _decaying(self, rng):
+    def test_decaying_sets_contain_simulations(self, rng):
+        # a fast-decaying system over a long horizon: 120 steps, most of
+        # whose input columns have decayed to nothing
         sys_ = rs.random_stable_system(rng, 3, 2, 2, decay=(4.0, 8.0))
-        return sys_, rand_box(rng, 3), rand_ubox(rng, 2), 6.0, 0.05
-
-    def test_pruning_matches_reference(self, rng):
-        sys_, x0, ubox, t_f, step_h = self._decaying(rng)
-        pruned = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=1)
-        full = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=10**6)
-        assert_same_sets(pruned, naive_reach(sys_, x0, ubox, t_f, step_h, 1), rng)
-        # decayed columns were dropped: far fewer generators than unpruned
-        assert pruned[-1].outputs.order < full[-1].outputs.order // 2
-
-    def test_pruned_sets_contain_simulations(self, rng):
-        sys_, x0, ubox, t_f, step_h = self._decaying(rng)
-        steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=1)
+        x0, ubox, t_f, step_h = rand_box(rng, 3), rand_ubox(rng, 2), 6.0, 0.05
+        steps = reach_lti(sys_, x0, ubox, t_f, step_h)
         h_sim = step_h / 2
         X0 = np.hstack([x0.vertices(cap=64), x0.sample(rng, 200)])
         state = {"U": ubox.sample(rng, X0.shape[1])}
@@ -800,19 +786,19 @@ def assert_table_spreads(steps, Gamma):
 
 
 def reach_cases(rng):
-    """(system, x0, input box, t_f, step_h, order_cap): random systems, a
-    partial last step, a zero-width input channel and pruned decaying runs."""
+    """(system, x0, input box, t_f, step_h): random systems, a partial last
+    step, a zero-width input channel and long decaying runs."""
     for _ in range(6):
         n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
         t_f = float(rng.uniform(0.5, 2.0))
         yield (rs.random_stable_system(rng, n, m, p), rand_box(rng, n, int(rng.integers(1, n + 1))),
-               rand_ubox(rng, m), t_f, t_f / float(rng.uniform(20, 60)), 2)
-    yield rs.random_stable_system(rng, 3, 2, 2), rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.3, 20
+               rand_ubox(rng, m), t_f, t_f / float(rng.uniform(20, 60)))
+    yield rs.random_stable_system(rng, 3, 2, 2), rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.3
     yield (rs.random_stable_system(rng, 4, 3, 2), rand_box(rng, 4, 2),
-           rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2]), 1.5, 0.07, 20)
+           rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2]), 1.5, 0.07)
     for t_f in (6.0, 5.98):
         yield (rs.random_stable_system(rng, 3, 2, 2, decay=(4.0, 8.0)), rand_box(rng, 3),
-               rand_ubox(rng, 2), t_f, 0.05, 1)
+               rand_ubox(rng, 2), t_f, 0.05)
 
 
 def polytope_specs(rng, steps, p):
@@ -833,11 +819,11 @@ class TestTableSpread:
     def test_check_spec_matches_assembled_reference(self, rng):
         events = {"uncontained": 0, "hit": 0}
         verdicts = set()
-        for sys_, x0, ubox, t_f, step_h, cap in reach_cases(rng):
-            ref = naive_reach(sys_, x0, ubox, t_f, step_h, cap)
+        for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
+            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
             for ts in polytope_specs(rng, ref, sys_.p):
                 # fresh step sets per spec: none is assembled before its check
-                steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=cap)
+                steps = reach_lti(sys_, x0, ubox, t_f, step_h)
                 expected = naive_check_polytope(ref, ts, events)
                 assert check_spec(steps, ts) == expected
                 verdicts.add((ts.source_polarity, expected))
@@ -845,14 +831,11 @@ class TestTableSpread:
         assert {pol for pol, _ in verdicts} == {POLARITY_SAFE, POLARITY_UNSAFE}
 
     def test_spreads_match_assembled_generators(self, rng):
-        pruned = 0
-        for sys_, x0, ubox, t_f, step_h, cap in reach_cases(rng):
-            steps = reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=cap)
+        for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
+            steps = reach_lti(sys_, x0, ubox, t_f, step_h)
             Gamma = rng.standard_normal((4, sys_.p))
             Gamma[1] = 0.0
             assert_table_spreads(steps, Gamma)
-            pruned += sum(getattr(s.outputs, "n_pruned", 0) > 0 for s in steps)
-        assert pruned  # the decaying runs read spreads past pruned columns
 
     def test_untraced_verify_assembles_no_step_set(self, monkeypatch):
         assembled, reached = [], []
@@ -897,10 +880,10 @@ def table_cases(draw):
     t_f = draw(st.floats(0.3, 3.0))
     step_h = t_f / draw(st.floats(1.0, 60.0))
     return (sys_, rand_box(rng, n, draw(st.integers(1, n))), ubox, t_f, step_h,
-            draw(st.sampled_from([1, 2, 20])), np.array(Gamma))
+            np.array(Gamma))
 
 
 @given(table_cases())
 def test_table_spread_matches_assembled_generators(case):
-    sys_, x0, ubox, t_f, step_h, cap, Gamma = case
-    assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h, order_cap=cap), Gamma)
+    sys_, x0, ubox, t_f, step_h, Gamma = case
+    assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h), Gamma)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramians import GramianPair, gramians
-from .model import HyperBox, LtiSystem, ModelError, require_hurwitz
+from .model import HyperBox, LtiSystem, ModelError
 
 #: Relative eigenvalue cutoff below which the controllability gramian (or the
 #: Hankel spectrum) counts as rank deficient and balancing refuses to proceed.
@@ -108,11 +108,11 @@ def hankel_singular_values(sys: LtiSystem) -> np.ndarray:
 def balance(sys: LtiSystem) -> BalancedRealization:
     """Compute the balancing transformation of a stable system.
 
+    A non-Hurwitz system raises StabilityError from the first gramian solve.
     Raises RankDeficiencyError when either gramian is numerically singular
     (non-minimal realization).  An ill-conditioned H (cond > COND_MAX) only
     warns; the condition number is attached to the result.
     """
-    require_hurwitz(sys.A)
     g = gramians(sys)
     w, G, s2, K = _hankel_factor(g)
     if w[-1] <= 0 or w[0] <= RANK_TOL * w[-1]:

@@ -9,13 +9,20 @@ absorb discretization error.
 
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
-every simulated response are the same at every order k.  A
-:class:`FullOrderResponse` simulates that half once per mode, keeping only
-its output samples and state-norm data, and each order then simulates only
-its k-dimensional reduced half.  Every certificate alpha P >= C_i^T C_i of
-the quadratic bound has lambda_max(alpha P) >= ||C_i||^2, so none beats the
-scaled identity, which is feasible when the augmented system is contractive;
-certificates (p+1 Lyapunov solves per order) are built only where it is not.
+every simulated response are the same at every order k.  By Cauchy
+interlacing so is lambda_max(sym A_bar) = lambda_max(sym A_t), the
+contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
+computes these once per mode and simulates that half once, keeping only its
+output samples and state-norm data, and each order then simulates only its
+k-dimensional reduced half.  Both halves are simulated in blocks of steps
+built by doubling: within a block, the states f+1 ... 2f are Phi^f times the
+states 1 ... f, from Phi, Phi^2, Phi^4, ... computed once per orbit, so a
+block costs about log2(block) matrix products and one projection product
+instead of a Python-level step loop.  Every certificate alpha P >= C_i^T C_i
+of the quadratic bound has lambda_max(alpha P) >= ||C_i||^2, so none beats
+the scaled identity, which is feasible when the augmented system is
+contractive; certificates (p+1 Lyapunov solves per order) are built only
+where it is not.
 """
 
 from __future__ import annotations
@@ -120,11 +127,18 @@ def contraction_defect(aug: AugmentedSystem) -> float:
     return float(np.linalg.eigvalsh(S).max())
 
 
-def _contractive(aug: AugmentedSystem, norm: float | None = None) -> bool:
-    """lambda_max(sym A_bar) <= 0 up to CONTRACTION_TOL_REL * max(1, ||A_bar||_2);
-    ``norm`` is ||A_bar||_2 when the caller has it."""
-    norm = float(np.linalg.norm(aug.A_bar, 2)) if norm is None else norm
-    return contraction_defect(aug) <= CONTRACTION_TOL_REL * max(1.0, norm)
+def _contraction(aug: AugmentedSystem, full: FullOrderResponse | None) -> tuple[bool, float]:
+    """(contractive, lambda_max(sym A_bar)): contractive when the defect is at
+    most CONTRACTION_TOL_REL * max(1, ||A_bar||_2).  Both are read from the
+    mode's ``full`` response when given, where they are the same at every
+    order (see :attr:`FullOrderResponse.defect`), and computed from ``aug``
+    otherwise."""
+    if full is None:
+        defect, L = contraction_defect(aug), float(np.linalg.norm(aug.A_bar, 2))
+    else:
+        full = _response(aug, full)
+        defect, L = full.defect, full.L
+    return defect <= CONTRACTION_TOL_REL * max(1.0, L), defect
 
 
 def sup_box_norm(box: HyperBox) -> float:
@@ -133,23 +147,27 @@ def sup_box_norm(box: HyperBox) -> float:
     return float(np.linalg.norm(np.maximum(np.abs(box.lb), np.abs(box.ub))))
 
 
-def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+def e1_theoretical(aug: AugmentedSystem, x0: HyperBox,
+                   full: FullOrderResponse | None = None) -> np.ndarray:
     """Zero-input bound ||C_bar_i||_2 * sup ||x0_bar|| per output, with x0_bar
     ranging over the lift of the full-order initial box ``x0``.
 
     Valid for all t >= 0 because the balanced augmented system is monotone
     convergent (||x_bar(t)|| never exceeds ||x_bar(0)||); the square root on
-    lambda_max(C_i^T C_i) follows the quadratic chain of that argument.
+    lambda_max(C_i^T C_i) follows the quadratic chain of that argument.  The
+    contraction test is read from the mode's ``full`` response when given.
     """
-    if not _contractive(aug):
+    contractive, defect = _contraction(aug, full)
+    if not contractive:
         raise BoundError(
             "augmented system is not contractive (lambda_max(sym A_bar) = "
-            f"{contraction_defect(aug):.3e}); the zero-input bound would be unsound")
+            f"{defect:.3e}); the zero-input bound would be unsound")
     row_norms = np.linalg.norm(aug.C_bar, axis=1)
     return row_norms * sup_box_norm(aug.lift_box(x0))
 
 
-def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
+                    full: FullOrderResponse | None = None) -> np.ndarray:
     """Zero-input bound via a feasible (not trace-optimal) quadratic certificate.
 
     A P > 0 with A_bar^T P + P A_bar <= 0 and C_i^T C_i <= P bounds output i
@@ -163,10 +181,11 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     rank-one pair).  P(eps) = P_C,i + eps P_I comes from p+1 solves on one
     Schur form; each combination must meet the Lyapunov residual tolerance
     against its own right-hand side, and BoundError is raised when no
-    candidate of some output does.
+    candidate of some output does.  The contraction test is read from the
+    mode's ``full`` response when given.
     """
     sup_norm = sup_box_norm(aug.lift_box(x0))
-    if _contractive(aug):
+    if _contraction(aug, full)[0]:
         return np.array([np.sqrt(float(Ci @ Ci)) * sup_norm for Ci in aug.C_bar])
     failure = BoundError(f"no quadratic certificate met the residual tolerance {LYAP_TOL:.1e}")
     At = aug.A_bar.T
@@ -200,65 +219,107 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
 #: grid gap).
 E1_SIM_LH = 0.02
 
-#: Doubles held by one block of simulated states: a block of steps is
-#: propagated one state at a time and then projected as a whole.
+#: Doubles held by one block of simulated states: a block of steps is built
+#: by doubling from its first state and then projected as a whole.
 ORBIT_BLOCK_DOUBLES = 1 << 19
 
 
-def _propagate(Phi: np.ndarray, X: np.ndarray, steps: int) -> np.ndarray:
-    """The states Phi X, Phi^2 X, ..., Phi^steps X, shape (steps, *X.shape)."""
-    out = np.empty((steps,) + X.shape)
-    for j in range(steps):
-        X = np.matmul(Phi, X, out=out[j])
+def _doubling_powers(Phi: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Phi, Phi^2, Phi^4, ...: every power Phi^f with f < steps that
+    :func:`_propagate` doubles by."""
+    powers = [Phi]
+    while 2 ** len(powers) < steps:
+        powers.append(powers[-1] @ powers[-1])
+    return powers
+
+
+def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int) -> np.ndarray:
+    """The states Phi X, Phi^2 X, ..., Phi^steps X as one (n, steps*m) array
+    with step-major columns: columns j*m ... (j+1)*m - 1 hold Phi^(j+1) X.
+
+    The block is built by doubling: after the first state, the states
+    f+1 ... 2f are Phi^f times the states 1 ... f, one product per power in
+    ``powers`` (from :func:`_doubling_powers`)."""
+    n, m = X.shape
+    out = np.empty((n, steps * m))
+    np.matmul(powers[0], X, out=out[:, :m])
+    f = 1
+    for P in powers:
+        if f >= steps:
+            break
+        g = min(f, steps - f)
+        np.matmul(P, out[:, :g * m], out=out[:, f * m:(f + g) * m])
+        f *= 2
     return out
 
 
-def _project(states: np.ndarray, maps: tuple[np.ndarray, ...],
+def _project(states: np.ndarray, width: int, maps: tuple[np.ndarray, ...],
              gram: bool) -> list[np.ndarray]:
-    """Each map applied to a block of states, then the squared column norms
-    of the states (``gram`` False) or their Gram matrices (``gram`` True)."""
-    out = [M @ states for M in maps]
+    """Each map applied to a block of states (n, steps*width), step-major as
+    :func:`_propagate` lays them out, then the squared column norms of the
+    states (``gram`` False) or their Gram matrices (``gram`` True).  The
+    results come per step: (steps, rows, width), then (steps, width) or
+    (steps, width, width).  The maps share one product."""
+    n, steps = states.shape[0], states.shape[1] // width
+    images = (np.vstack(maps) @ states).reshape(-1, steps, width).swapaxes(0, 1)
+    out = np.split(images, np.cumsum([M.shape[0] for M in maps[:-1]]), axis=1)
     if gram:
-        out.append(states.swapaxes(-1, -2) @ states)
+        # step j's states as an (n, width) view
+        per_step = states.reshape(n, steps, width).swapaxes(0, 1)
+        out.append(per_step.swapaxes(-1, -2) @ per_step)
     else:
-        out.append(np.einsum("...ij,...ij->...j", states, states))
+        out.append(np.einsum("ij,ij->j", states, states).reshape(steps, width))
     return out
 
 
 class _Orbit:
     """Projections of the states Phi^j X0, j = 0, 1, ..., with Phi = e^{A h},
-    simulated block by block on first request and kept; of the states only
-    the last is kept."""
+    simulated block by block on first request and kept.
+
+    A block of ``block`` steps starts from Phi times the last state of the
+    block before it and is built by doubling (:func:`_propagate`) from the
+    powers Phi, Phi^2, Phi^4, ..., computed once per orbit (about
+    2 n^3 log2(block) flops for n states).  It is then projected with one
+    product for all maps and one norm or Gram reduction.  For m columns a
+    block costs about 2 n^2 m block flops, as a step loop does, but in
+    log2(block) + 1 products instead of block small ones, so the reduced
+    orders, whose steps cost mostly interpreter time, get cheaper and the
+    full-order half runs at matrix-product speed.  Of the states only the
+    last is kept."""
 
     def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
                  maps: tuple[np.ndarray, ...], gram: bool):
         self.h = h
         self.block = max(16, min(512, ORBIT_BLOCK_DOUBLES // max(1, X0.size)))
-        self.head = _project(X0[None], maps, gram)
+        self.head = _project(X0, X0.shape[1], maps, gram)
         self.maps, self._gram = maps, gram
-        self._Phi, self._last = _transition(A, h), X0
+        self._powers = _doubling_powers(_transition(A, h), self.block)
+        self._last = X0
         self._blocks: list[list[np.ndarray]] = []
 
     def __getitem__(self, i: int) -> list[np.ndarray]:
         """Block i: the projections of steps 1 + i*block ... (i+1)*block."""
         while len(self._blocks) <= i:
-            states = _propagate(self._Phi, self._last, self.block)
-            self._last = states[-1].copy()
-            self._blocks.append(_project(states, self.maps, self._gram))
+            width = self._last.shape[1]
+            states = _propagate(self._powers, self._last, self.block)
+            self._last = states[:, -width:].copy()
+            self._blocks.append(_project(states, width, self.maps, self._gram))
         return self._blocks[i]
 
 
 def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
                  maps_r: tuple[np.ndarray, ...], gram: bool):
     """Projected blocks of the augmented orbit: the shared full-order part
-    plus this order's reduced part, stepped by the same h.  Step 0 comes
-    first as a block of its own, then blocks of ``full.block`` steps."""
-    yield [f + r for f, r in zip(full.head, _project(X_r[None], maps_r, gram))]
-    Phi_r = _transition(A_r, full.h)
+    plus this order's reduced part, stepped by the same h and built by the
+    same doubling.  Step 0 comes first as a block of its own, then blocks of
+    ``full.block`` steps."""
+    width = X_r.shape[1]
+    yield [f + r for f, r in zip(full.head, _project(X_r, width, maps_r, gram))]
+    powers = _doubling_powers(_transition(A_r, full.h), full.block)
     for i in itertools.count():
-        states = _propagate(Phi_r, X_r, full.block)
-        X_r = states[-1]
-        yield [f + r for f, r in zip(full[i], _project(states, maps_r, gram))]
+        states = _propagate(powers, X_r, full.block)
+        X_r = states[:, -width:].copy()
+        yield [f + r for f, r in zip(full[i], _project(states, width, maps_r, gram))]
 
 
 def _block_times(t: float, h: float, count: int) -> np.ndarray:
@@ -293,6 +354,14 @@ class FullOrderResponse:
     def L(self) -> float:
         """||A_bar||_2 of every augmented system of this mode."""
         return float(np.linalg.norm(self.A, 2))
+
+    @functools.cached_property
+    def defect(self) -> float:
+        """lambda_max(sym A_t), the :func:`contraction_defect` of every
+        augmented system of this mode: sym A_bar = diag(sym A_t,
+        sym A_t[:k, :k]), and by Cauchy interlacing the principal block's
+        largest eigenvalue is at most sym A_t's."""
+        return float(np.linalg.eigvalsh((self.A + self.A.T) / 2.0).max())
 
     def _step(self, lh: float) -> float:
         return lh / self.L if self.L > 0 else 1.0
@@ -402,9 +471,9 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
             f"exceeding the cap {vertex_cap}; use a theoretical e1 bound instead")
     if t_f <= 0:
         raise ModelError(f"t_f must be positive, got {t_f}")
-    full = _response(aug, full)
-    n, L = aug.n, full.L
-    orbit = full.initial(x0)
+    response = _response(aug, full)
+    n, L = aug.n, response.L
+    orbit = response.initial(x0)
     blocks = _error_orbit(orbit, aug.A_bar[n:, n:], aug.lift[n:] @ _box_generators(x0),
                           (aug.C_bar[:, n:],), gram=True)
     Y, G = next(blocks)
@@ -412,7 +481,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     if L == 0.0:
         return best
     signs = _vertex_signs(len(x0.free_dims()))
-    contractive = _contractive(aug, L)
+    contractive = _contraction(aug, full)[0]
     x0n = float(_max_vertex_norm(G, signs)[0]) if contractive else 0.0
     t = 0.0
     for Y, G in blocks:

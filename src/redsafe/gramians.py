@@ -5,7 +5,8 @@ right-hand side or a stack of them: the Hurwitz check and the Schur form of
 the coefficient matrix are computed once and reused for every right-hand
 side (one ``trsyl`` each), which is how ``bounds.e1_optimization`` gets its
 p+1 certificate solves per order of a non-contractive system from a single
-factorization.  Every
+factorization.  The Hurwitz check reads the spectral abscissa off the
+diagonal of that Schur form, so a solve computes no eigenvalues.  Every
 solution is symmetrized and checked against a relative residual threshold
 so that a silently bad solve cannot propagate.
 """
@@ -49,14 +50,16 @@ def lyapunov_residual(A: np.ndarray, Q: np.ndarray, P: np.ndarray) -> float:
     return float(num / den) if den > 0 else float(num)
 
 
-def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
+                   what: str = "Lyapunov coefficient matrix A") -> np.ndarray:
     """Solve A P + P A^T + Q = 0 for symmetric Q and Hurwitz A.
 
     ``Q`` is one right-hand side (n, n) or a stack (r, n, n); the symmetrized
     solutions come back in the same shape.  A zero right-hand side has the
-    exact solution 0.  Raises StabilityError for non-Hurwitz A (the equation
-    is then not uniquely solvable) and SolverError when the Schur-based solve
-    fails or the relative residual of any solution exceeds LYAP_TOL.
+    exact solution 0.  Raises StabilityError, naming A as ``what``, for
+    non-Hurwitz A (the equation is then not uniquely solvable), whatever the
+    right-hand sides, and SolverError when the Schur-based solve fails or the
+    relative residual of any solution exceeds LYAP_TOL.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -64,19 +67,21 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise ValueError(f"A must be square, got {A.shape}")
     if Q.ndim not in (2, 3) or Q.shape[-2:] != A.shape:
         raise ValueError(f"Q must match A, got {Q.shape} vs {A.shape}")
-    require_hurwitz(A, "Lyapunov coefficient matrix A")
     rhs = Q.reshape((-1,) + A.shape)
     out = np.zeros_like(rhs)
-    schur = None
+    try:
+        R, U = scipy.linalg.schur(A, output="real")
+        trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (R,))
+    except Exception as exc:
+        raise SolverError(f"Schur-based Lyapunov solve failed: {exc}") from exc
+    # the standardized real Schur form carries the real part of every
+    # eigenvalue on its diagonal, including both of a 2x2 block's
+    require_hurwitz(A, what, abscissa=float(np.max(np.diag(R), initial=-np.inf)))
     for i, (Qi, P) in enumerate(zip(rhs, out)):
         if not np.any(Qi):
             # A P + P A^T = 0 with Hurwitz A has only the trivial solution.
             continue
         try:
-            if schur is None:
-                schur = scipy.linalg.schur(A, output="real")
-            R, U = schur
-            trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (R,))
             # U^T (-Q) U = R Y + Y R^T, then P = U Y U^T
             Y, scale, info = trsyl(R, R, U.T.dot((-Qi).dot(U)), tranb="T")
         except Exception as exc:
@@ -107,12 +112,13 @@ def gramians(sys: LtiSystem) -> GramianPair:
 
     Wc solves A W + W A^T + B B^T = 0 and Wo solves A^T W + W A + C^T C = 0.
     Near-singular gramians (non-minimal realizations) are accepted here; the
-    rank decision belongs to balancing.
+    rank decision belongs to balancing.  A non-Hurwitz system raises
+    StabilityError.
     """
     Qc = sys.B @ sys.B.T
     Qo = sys.C.T @ sys.C
-    Wc = solve_lyapunov(sys.A, Qc)
-    Wo = solve_lyapunov(sys.A.T, Qo)
+    Wc = solve_lyapunov(sys.A, Qc, "system")
+    Wo = solve_lyapunov(sys.A.T, Qo, "system")
     _check_psd(Wc, "controllability gramian")
     _check_psd(Wo, "observability gramian")
     return GramianPair(Wc=Wc, Wo=Wo,

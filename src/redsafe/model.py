@@ -438,13 +438,27 @@ def check_stability(sys: LtiSystem | np.ndarray, margin: float | None = None) ->
         raise StabilityError(f"eigenvalue computation failed: {exc}") from exc
     abscissa = float(np.max(eigs.real)) if A.size else float("-inf")
     if margin is None:
-        margin = STABILITY_MARGIN_REL * max(1e-300, np.linalg.norm(A, 2))
+        margin = _default_margin(A)
     return StabilityReport(abscissa < -margin, abscissa, margin)
 
 
-def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system") -> float:
-    """Raise StabilityError unless Hurwitz; returns the abscissa."""
-    rep = check_stability(sys)
+def _default_margin(A: np.ndarray) -> float:
+    return STABILITY_MARGIN_REL * max(1e-300, np.linalg.norm(A, 2))
+
+
+def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system",
+                    abscissa: float | None = None) -> float:
+    """Raise StabilityError unless Hurwitz; returns the abscissa.
+
+    ``abscissa`` is the spectral abscissa when the caller already has it
+    (the diagonal of a real Schur form holds the real parts of the
+    eigenvalues); no eigenvalues are computed then."""
+    if abscissa is None:
+        rep = check_stability(sys)
+    else:
+        margin = _default_margin(sys.A if isinstance(sys, LtiSystem)
+                                 else np.asarray(sys, dtype=float))
+        rep = StabilityReport(abscissa < -margin, abscissa, margin)
     if not rep.stable:
         raise StabilityError(
             f"{what} is not asymptotically stable "

@@ -10,13 +10,16 @@ output reach set over [0, t_f].
 
 By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
 each of them, its output image and its norm are computed once, in an age
-table shared by every step set of a call.  A step keeps only its center, its
-few dense columns and a reference into that table: its generator array is
-assembled when something reads it (ellipsoid specs, ``reach --format
-json``), while polytope rows read their spread from per-age row sums of the
-table, the support-function view of Le Guernic & Girard (NAHS 2010).  For
-order k, p outputs and r rows a step then costs O(k^3) to build and O(r k)
-to check, rather than O(r p g_j) over its g_j input columns.
+table shared by every step set of a call.  The table also holds every
+step's center, few dense columns and ball radius, computed for all steps at
+once from the states of the exact recursion.  A step is a row of that
+table: its generator array is assembled when something reads it (ellipsoid
+specs, ``reach --format json``), while polytope rows read their spread from
+the table, built for every step in one pass per Gamma from per-age row sums,
+the support-function view of Le Guernic & Girard (NAHS 2010).  For order k,
+p outputs and r rows a step then costs O(k^2 (k + m)) arithmetic to build
+and O(r k) to check, rather than O(r p g_j) over its g_j input columns, and
+neither takes a Python-level loop body beyond the recursion itself.
 """
 
 from __future__ import annotations
@@ -107,18 +110,26 @@ def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
 
 
 class _AgeTable:
-    """The output images shared by the step sets of one :func:`reach_lti` call.
+    """The step data shared by the full step sets of one :func:`reach_lti` call.
 
+    Row j of ``centers`` (steps, p), ``dense`` (steps, p, 1 + 2 g0) and
+    ``balls`` (steps,) is step j's center, dense columns and ball radius.
     Column a*m + i of ``Y_plus`` / ``Y_minus`` is C (M_a +/- M_{a+1}) / 2 for
     input column i of age a, ``Y_new`` is C G_in / 2 and ``C_rows`` holds the
     row norms of C.  Step j holds every input column injected before it, the
     ages below j.
     """
 
-    def __init__(self, Y_plus, Y_minus, Y_new, C_rows, m: int, n_full: int):
+    def __init__(self, centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows, m: int):
+        # the step sets hand out views of these arrays: read-only, so that
+        # an in-place change to one step's set raises instead of changing
+        # every later check of the table
+        for a in (centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows):
+            a.flags.writeable = False
+        self.centers, self.dense, self.balls = centers, dense, balls
         self.Y_plus, self.Y_minus, self.Y_new, self.C_rows = Y_plus, Y_minus, Y_new, C_rows
-        self.m, self.n_full = m, n_full
-        self._rows: dict = {}
+        self.m = m
+        self._spreads: dict = {}
 
     def oldest_first(self, j: int) -> np.ndarray:
         """Age-indexed columns of step j's inputs, oldest first."""
@@ -128,35 +139,47 @@ class _AgeTable:
         """Image of a state-space 2-ball: per-output radius ball*||C_i||_2."""
         return np.diag(ball * self.C_rows) if ball > 0 else np.zeros((self.C_rows.size, 0))
 
-    def row_sums(self, Gamma: np.ndarray):
-        """(prefix, new, ball_rate) for the rows of Gamma, built once per
-        distinct Gamma: prefix[:, j] sums |Gamma Y_plus| + |Gamma Y_minus|
-        over the columns of ages below j, new = 2 sum|Gamma Y_new| and
-        ball_rate = |Gamma| C_rows, the spread of a unit ball."""
+    def row_spreads(self, Gamma: np.ndarray) -> np.ndarray:
+        """(steps, rows) spreads of every step for the rows of Gamma, built
+        once per distinct Gamma: sum |Gamma dense_j|, plus the per-age sums of
+        |Gamma Y_plus| + |Gamma Y_minus| over the ages below j, plus
+        2 sum |Gamma Y_new|, plus ball_j |Gamma| C_rows (the spread of its
+        ball)."""
         key = (Gamma.shape, Gamma.tobytes())
-        if key not in self._rows:
+        if key not in self._spreads:
+            steps, r = len(self.balls), Gamma.shape[0]
             T = np.abs(Gamma @ self.Y_plus) + np.abs(Gamma @ self.Y_minus)
-            per_age = T.reshape(Gamma.shape[0], max(self.n_full - 1, 0), self.m).sum(axis=2)
-            prefix = np.hstack([np.zeros((Gamma.shape[0], 1)), np.cumsum(per_age, axis=1)])
-            self._rows[key] = (prefix, 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1),
-                               np.abs(Gamma) @ self.C_rows)
-        return self._rows[key]
+            per_age = T.reshape(r, max(steps - 1, 0), self.m).sum(axis=2)
+            prefix = np.vstack([np.zeros((1, r)), np.cumsum(per_age.T, axis=0)])
+            spreads = np.sum(np.abs(Gamma @ self.dense), axis=2) + prefix[:steps] \
+                + 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1) \
+                + self.balls[:, None] * (np.abs(Gamma) @ self.C_rows)
+            spreads.flags.writeable = False
+            self._spreads[key] = spreads
+        return self._spreads[key]
 
 
 class _StepZonotope(Zonotope):
-    """Output set of a full reach step, kept compact: its center, its dense
-    columns [d, (H + H')/2, (H - H')/2], its ball radius and its place in the
-    call's age table.  ``generators`` assembles the array on first read (d,
-    H+, input+, new, H-, input-, -new, ball) and caches it; ``row_spread``
-    reads the table instead."""
+    """Output set of a full reach step, kept compact as row ``step`` of the
+    call's age table: its center, its dense columns [d, (H + H')/2,
+    (H - H')/2] and its ball radius.  ``generators`` assembles the array on
+    first read (d, H+, input+, new, H-, input-, -new, ball) and caches it;
+    ``row_spread`` reads the table's spreads instead."""
 
-    __slots__ = ("dense", "ball", "table", "step", "_assembled")
+    __slots__ = ("table", "step", "_assembled")
 
-    def __init__(self, center: np.ndarray, dense: np.ndarray, ball: float,
-                 table: _AgeTable, step: int):
-        self.center, self.dense, self.ball = center, dense, ball
+    def __init__(self, table: _AgeTable, step: int):
+        self.center = table.centers[step]
         self.table, self.step = table, step
         self._assembled = None
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self.table.dense[self.step]
+
+    @property
+    def ball(self) -> float:
+        return float(self.table.balls[self.step])
 
     @property
     def generators(self) -> np.ndarray:
@@ -167,18 +190,16 @@ class _StepZonotope(Zonotope):
     def _assemble(self) -> np.ndarray:
         # the array is allocated before the blocks are computed: allocated
         # after them, it leaves a hole in the heap that grows every step
-        t, p, split = self.table, self.center.size, 1 + self.dense.shape[1] // 2
-        G = np.empty((p, self.dense.shape[1] + 2 * (self.step + 1) * t.m
-                      + (p if self.ball > 0 else 0)))
+        t, p, dense, ball = self.table, self.center.size, self.dense, self.ball
+        split = 1 + dense.shape[1] // 2
+        G = np.empty((p, dense.shape[1] + 2 * (self.step + 1) * t.m + (p if ball > 0 else 0)))
         idx = t.oldest_first(self.step)
-        return np.concatenate([self.dense[:, :split], t.Y_plus[:, idx], t.Y_new,
-                               self.dense[:, split:], t.Y_minus[:, idx], -t.Y_new,
-                               t.ball_columns(self.ball)], axis=1, out=G)
+        return np.concatenate([dense[:, :split], t.Y_plus[:, idx], t.Y_new,
+                               dense[:, split:], t.Y_minus[:, idx], -t.Y_new,
+                               t.ball_columns(ball)], axis=1, out=G)
 
     def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
-        prefix, new, ball_rate = self.table.row_sums(Gamma)
-        return np.sum(np.abs(Gamma @ self.dense), axis=1) + prefix[:, self.step] \
-            + new + self.ball * ball_rate
+        return self.table.row_spreads(Gamma)[self.step]
 
 
 @dataclass(frozen=True)
@@ -233,14 +254,21 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
     Each M_a, the output images of its hull pairs and its column norms are
-    computed once, into an age table shared by the returned steps.  For a
-    system of order k with p outputs, step j costs O(k^3) for the center and
-    Phi^j G0 (at most k columns); its input columns, every age below j, are
-    described by j, not gathered.  The generator array of a full step is
-    assembled on first read of ``outputs.generators`` (O(p g_j) for g_j input
-    columns); a polytope row spread reads the table instead (see
-    :class:`_StepZonotope`).  A partial last step maps its columns through its
-    own transition once and is built in full.
+    computed once, into an age table shared by the returned steps.
+
+    Cost model, for order k, m input columns, p outputs and N full steps:
+    the exact recursions c <- Phi c + v, H <- Phi H (at most k columns),
+    rho <- ||Phi|| rho + res and M_a <- Phi M_{a-1} take one loop of N
+    iterations, O(k^2 (k + m)) each, writing into preallocated (N + 1, ...)
+    arrays.  Every step's center, dense columns [d, (H + H')/2, (H - H')/2],
+    state norm and ball radius are then single array expressions over those
+    arrays, and the table's output images come from one product C M.  Step
+    j's input columns, every age below j, are described by j, not gathered.
+    The generator array of a full step is assembled on first read of
+    ``outputs.generators`` (O(p g_j) for g_j input columns); a polytope row
+    spread reads the table instead (see :class:`_StepZonotope`).  A partial
+    last step maps its columns through its own transition in output space,
+    so its arrays are p x g_j rather than k x g_j, and is built in full.
     """
     if step_h is None:
         step_h = default_step(t_f, sys.A)
@@ -292,51 +320,65 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     # only the last step can be shorter than step_h
     n_full = len(grid) - int(grid[-1][1] < step_h * (1 - 1e-9))
 
-    # age table: column a*m + i holds M_a[:, i]; the step hull pairs a column
-    # of age a with its image of age a + 1
+    # the exact sequential recursions, state j in row j: center c, the images
+    # H = Phi^j G0 of the initial generators, the envelope radius rho, and
+    # the age table's columns M_a = Phi^a G_in in column block a
+    init = Zonotope.from_box(x0)
     m = Gin.shape[1]
+    cs = np.empty((n_full + 1, n))
+    Hs = np.empty((n_full + 1, n, init.order))
+    rhos = np.empty(n_full + 1)
     M = np.empty((n, n_full * m))
+    cs[0], Hs[0], rhos[0] = init.center, init.generators, 0.0
     if n_full:
         M[:, :m] = Gin
-    for a in range(1, n_full):
-        M[:, a * m:(a + 1) * m] = Phi @ M[:, (a - 1) * m:a * m]
-    older, newer = M[:, :max(n_full - 1, 0) * m], M[:, m:]
-    table = _AgeTable(C @ ((older + newer) / 2.0), C @ ((older - newer) / 2.0),
-                      C @ (Gin / 2.0), np.linalg.norm(C, axis=1), m, n_full)
-    # norm_prefix[j]: summed norms of every input column injected before step j
+    for j in range(n_full):
+        np.matmul(Phi, cs[j], out=cs[j + 1])
+        cs[j + 1] += vin
+        np.matmul(Phi, Hs[j], out=Hs[j + 1])
+        rhos[j + 1] = nPhi * rhos[j] + res_ball
+        if j:
+            np.matmul(Phi, M[:, (j - 1) * m:j * m], out=M[:, j * m:(j + 1) * m])
+
+    # norm_prefix[j] sums the norms of every input column injected before
+    # step j, and state_norms[j] bounds the norm of the state step j starts in
     norm_prefix = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(M, axis=0).reshape(n_full, m).sum(axis=1))])
+    state_norms = np.linalg.norm(cs, axis=1) + np.sum(np.linalg.norm(Hs, axis=1), axis=1) \
+        + norm_prefix
 
-    def ball_of(j: int, c: np.ndarray, H: np.ndarray, rho: float, rho_next: float) -> float:
-        """Envelope-ball radius of step j from the state it starts in."""
-        state_norm = float(np.linalg.norm(c) + np.sum(np.linalg.norm(H, axis=0))
-                           + norm_prefix[j])
-        beta = 2.0 * ebl * (state_norm + rho + drift) + sweep * in_norm
-        return max(rho, rho_next) + beta
+    def ball_of(state_norm, rho, rho_next):
+        """Envelope-ball radius of a step (or of an array of steps) from the
+        state it starts in, for the step data in scope when called."""
+        return np.maximum(rho, rho_next) + (2.0 * ebl * (state_norm + rho + drift)
+                                            + sweep * in_norm)
 
-    # the state: center c, the images H = Phi^j G0 of the initial generators
-    # and the input columns of the table
-    init = Zonotope.from_box(x0)
-    c, H = init.center, init.generators
-    rho = 0.0
-    steps: list[ReachStep] = []
-    for j, (t, h) in enumerate(grid[:n_full]):
-        c_next = Phi @ c + vin
-        H_next = Phi @ H
-        rho_next = nPhi * rho + res_ball
-        dense = np.hstack([(C @ ((c - c_next) / 2.0))[:, None],
-                           C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)])
-        steps.append(ReachStep(t, t + h, _StepZonotope(
-            C @ ((c + c_next) / 2.0), dense, ball_of(j, c, H, rho, rho_next),
-            table, j)))
-        c, H, rho = c_next, H_next, rho_next
+    # every full step's center and dense columns at once; the step hull
+    # pairs state j with state j + 1, and a table column of age a with its
+    # image of age a + 1
+    c, c_next, H, H_next = cs[:-1], cs[1:], Hs[:-1], Hs[1:]
+    dense = np.concatenate([(((c - c_next) / 2.0) @ C.T)[:, :, None],
+                            C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)], axis=2)
+    CM = C @ M
+    older, newer = CM[:, :max(n_full - 1, 0) * m], CM[:, m:]
+    balls = ball_of(state_norms[:-1], rhos[:-1], rhos[1:])
+    table = _AgeTable(((c + c_next) / 2.0) @ C.T, dense, balls,
+                      (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
+                      np.linalg.norm(C, axis=1), m)
+    steps = [ReachStep(t, t + h, _StepZonotope(table, j))
+             for j, (t, h) in enumerate(grid[:n_full])]
     if n_full < len(grid):
+        # the partial last step is built in output space: only its p x g
+        # generator arrays are ever formed
         t, h = grid[-1]
         Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h)
-        state = Zonotope(c, np.hstack([H, M[:, table.oldest_first(n_full)]]))
-        nxt = Zonotope(Phi @ c + vin, np.hstack([Phi @ state.generators, Gin]))
-        hull = enclose(state, nxt).map(C)
-        ball = ball_of(n_full, c, H, rho, nPhi * rho + res_ball)
+        idx = table.oldest_first(n_full)
+        CPhi = C @ Phi
+        state = Zonotope(C @ cs[-1], np.hstack([C @ Hs[-1], CM[:, idx]]))
+        nxt = Zonotope(C @ (Phi @ cs[-1] + vin),
+                       np.hstack([CPhi @ Hs[-1], (CPhi @ M)[:, idx], C @ Gin]))
+        hull = enclose(state, nxt)
+        ball = float(ball_of(state_norms[-1], rhos[-1], nPhi * rhos[-1] + res_ball))
         steps.append(ReachStep(t, t + h, Zonotope(
             hull.center, np.hstack([hull.generators, table.ball_columns(ball)]))))
     return steps
@@ -427,23 +469,26 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # Spec checking.
 # --------------------------------------------------------------------------
 
-def _poly_spread(z: Zonotope, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma @ center and the per-row spread sum_j |(Gamma G)_ij| of the
-    zonotope: the row values of its points lie in Gc -/+ spread."""
-    return Gamma @ z.center, z.row_spread(Gamma)
-
-
-def _poly_rows_max(z: Zonotope, spec: PolytopeSpec,
-                   spread: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Per-row max over the zonotope of Gamma y + Psi (exact); ``spread`` is
-    a :func:`_poly_spread` of z for this Gamma, when already computed."""
-    Gc, s = spread or _poly_spread(z, spec.Gamma)
-    return Gc + s + spec.Psi
-
-
-def _poly_rows_min(z: Zonotope, spec: PolytopeSpec) -> np.ndarray:
-    Gc, s = _poly_spread(z, spec.Gamma)
-    return Gc - s + spec.Psi
+def _poly_spreads(zs: Sequence[Zonotope], Gamma: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(sets, rows) arrays of Gamma @ center and of the per-row spread
+    sum_j |(Gamma G)_ij| of each zonotope: the row values of its points lie
+    in Gc -/+ spread.  Sets that are rows of a reach age table are read from
+    its per-Gamma spreads in one gather per table."""
+    Gc, spread = np.empty((len(zs), Gamma.shape[0])), np.empty((len(zs), Gamma.shape[0]))
+    # per table: the table, the positions in zs of its rows and their steps
+    gathers: dict[int, tuple[_AgeTable, list[int], list[int]]] = {}
+    for i, z in enumerate(zs):
+        if isinstance(z, _StepZonotope):
+            _, where, rows = gathers.setdefault(id(z.table), (z.table, [], []))
+            where.append(i)
+            rows.append(z.step)
+        else:
+            Gc[i], spread[i] = Gamma @ z.center, z.row_spread(Gamma)
+    for table, where, rows in gathers.values():
+        Gc[where] = table.centers[rows] @ Gamma.T
+        spread[where] = table.row_spreads(Gamma)[rows]
+    return Gc, spread
 
 
 def quad_upper(z: Zonotope, ell: EllipsoidSpec) -> float:
@@ -496,58 +541,49 @@ def _quad_extreme_point(z: Zonotope, ell: EllipsoidSpec, maximize: bool) -> np.n
 
 
 def _check_one(steps: Sequence[ReachStep], ts: TransformedSpec) -> str:
-    """Three-way verdict of the step sets against one transformed predicate."""
-    all_ok = True
-    certified_hit = False
+    """Three-way verdict of the step sets against one transformed predicate.
+
+    ``ok`` marks the steps that pass (contained in the shrunk safe region for
+    a safe-polarity source, certainly disjoint from the grown region for an
+    unsafe-polarity one); the steps that fail are searched for a certified
+    hit.  Polytope regions are checked for all steps at once."""
+    zs = [step.outputs for step in steps]
+    unsafe = ts.unsafe_region
     if ts.source_polarity == POLARITY_SAFE:
         safe = ts.safe_region
-        unsafe = ts.unsafe_region
-        # transform_polytope shrinks and grows the same rows, so one spread
-        # per step serves both regions
-        shared = isinstance(safe, PolytopeSpec) and isinstance(unsafe, PolytopeSpec) \
-            and np.array_equal(safe.Gamma, unsafe.Gamma)
-        for step in steps:
-            z = step.outputs
-            contained = False
-            spread = None
-            if safe is not None:
-                if isinstance(safe, PolytopeSpec):
-                    spread = _poly_spread(z, safe.Gamma)
-                    contained = bool(np.all(_poly_rows_max(z, safe, spread) <= 0.0))
-                else:
-                    contained = quad_upper(z, safe) <= safe.R ** 2
-            if not contained:
-                all_ok = False
-                if isinstance(unsafe, PolytopeSpec):
-                    # exact: some point of the step set violates a grown row
-                    rows = _poly_rows_max(z, unsafe, spread if shared else None)
-                    if np.any(rows > 0.0):
-                        certified_hit = True
-                else:
-                    y = _quad_extreme_point(z, unsafe, maximize=True)
-                    if unsafe.quad(y) > unsafe.R ** 2:
-                        certified_hit = True
-    else:
-        unsafe = ts.unsafe_region
-        for step in steps:
-            z = step.outputs
-            if isinstance(unsafe, PolytopeSpec):
-                disjoint = bool(np.any(_poly_rows_min(z, unsafe) > 0.0))
-                if not disjoint:
-                    all_ok = False
-                    y = _quad_center_candidate(z, unsafe)
-                    if y is not None:
-                        certified_hit = True
+        spread = None
+        if safe is None:
+            ok = np.zeros(len(zs), bool)
+        elif isinstance(safe, PolytopeSpec):
+            spread = _poly_spreads(zs, safe.Gamma)
+            ok = np.all(spread[0] + spread[1] + safe.Psi <= 0.0, axis=1)
+        else:
+            ok = np.array([quad_upper(z, safe) <= safe.R ** 2 for z in zs], bool)
+        failed = np.flatnonzero(~ok)
+        if isinstance(unsafe, PolytopeSpec):
+            # exact: some point of a step set violates a grown row;
+            # transform_polytope shrinks and grows the same rows, so one
+            # spread per step serves both regions
+            if spread is not None and np.array_equal(safe.Gamma, unsafe.Gamma):
+                Gc, s = spread[0][failed], spread[1][failed]
             else:
-                disjoint = quad_lower(z, unsafe) > unsafe.R ** 2
-                if not disjoint:
-                    all_ok = False
-                    y = _quad_extreme_point(z, unsafe, maximize=False)
-                    if unsafe.quad(y) <= unsafe.R ** 2:
-                        certified_hit = True
-    if all_ok:
+                Gc, s = _poly_spreads([zs[j] for j in failed], unsafe.Gamma)
+            hit = bool(np.any(Gc + s + unsafe.Psi > 0.0))
+        else:
+            hit = any(unsafe.quad(_quad_extreme_point(zs[j], unsafe, maximize=True))
+                      > unsafe.R ** 2 for j in failed)
+    elif isinstance(unsafe, PolytopeSpec):
+        Gc, s = _poly_spreads(zs, unsafe.Gamma)
+        ok = np.any(Gc - s + unsafe.Psi > 0.0, axis=1)
+        hit = any(_quad_center_candidate(zs[j], unsafe) is not None
+                  for j in np.flatnonzero(~ok))
+    else:
+        ok = np.array([quad_lower(z, unsafe) > unsafe.R ** 2 for z in zs], bool)
+        hit = any(unsafe.quad(_quad_extreme_point(zs[j], unsafe, maximize=False))
+                  <= unsafe.R ** 2 for j in np.flatnonzero(~ok))
+    if np.all(ok):
         return SAFE
-    return MAYBE_UNSAFE if certified_hit else INDETERMINATE
+    return MAYBE_UNSAFE if hit else INDETERMINATE
 
 
 def _quad_center_candidate(z: Zonotope, poly: PolytopeSpec) -> np.ndarray | None:

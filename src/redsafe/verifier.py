@@ -94,9 +94,9 @@ def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
     for method in opts.e1_methods:
         try:
             if method == E1_THEOREM1:
-                out[method] = bnd.e1_theoretical(aug, x0)
+                out[method] = bnd.e1_theoretical(aug, x0, full=full)
             elif method == E1_THEOREM2:
-                out[method] = bnd.e1_optimization(aug, x0)
+                out[method] = bnd.e1_optimization(aug, x0, full=full)
             else:
                 out[method] = bnd.e1_simulation(aug, x0, horizon,
                                                 vertex_cap=opts.vertex_cap, full=full)

@@ -566,3 +566,100 @@ class TestFullOrderResponse:
         assert all(len(ids) == 1 for ids in per_mode) and per_mode[0] != per_mode[1]
         for (_, system, _, _), (_, full) in zip(problem_modes(problem), seen[:2]):
             assert np.array_equal(full.A, balance(system).A_t)
+
+
+# --------------------------------------------------------------------------
+# Block propagation by doubling against a sequential step loop, and the
+# contraction test read once per mode.
+
+import scipy.linalg  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def orbit_cases(draw):
+    """A stable Phi (spectral radius in [0.5, 0.999]), a start block X and
+    a block size, the sizes the orbits use and odd ones around them."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Phi = rng.standard_normal((n, n))
+    Phi *= draw(st.floats(0.5, 0.999)) / np.max(np.abs(np.linalg.eigvals(Phi)))
+    return Phi, rng.standard_normal((n, m)), draw(st.sampled_from([16, 17, 291, 512]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(orbit_cases())
+def test_doubling_matches_step_loop(case):
+    Phi, X, steps = case
+    n, m = X.shape
+    got = bmod._propagate(bmod._doubling_powers(Phi, steps), X, steps)
+    assert got.shape == (n, steps * m)
+    expected = np.empty((n, steps, m))
+    x = X
+    for j in range(steps):
+        x = Phi @ x
+        expected[:, j] = x
+    scale = np.max(np.linalg.norm(expected, axis=0))
+    assert np.max(np.abs(got.reshape(n, steps, m) - expected)) <= 1e-12 * scale
+
+
+def test_block_projections_match_per_step_maps(rng):
+    # maps, norms and Gram matrices per step from one block, and only the
+    # last state carried into the next block
+    A = rs.random_stable_system(rng, 9, 1, 1).A
+    X0 = rng.standard_normal((9, 3))
+    maps = (rng.standard_normal((2, 9)), rng.standard_normal((4, 9)))
+    for gram in (False, True):
+        orbit = bmod._Orbit(A, 0.01, X0, maps, gram)
+        Phi, x = _transition(A, 0.01), X0
+        for j in range(2 * orbit.block + 1):
+            block = orbit.head if j == 0 else orbit[(j - 1) // orbit.block]
+            row = 0 if j == 0 else (j - 1) % orbit.block
+            if j:
+                x = Phi @ x
+            scale = np.linalg.norm(x)
+            for M, got in zip(maps, block):
+                np.testing.assert_allclose(got[row], M @ x, rtol=0,
+                                           atol=1e-12 * scale * np.linalg.norm(M))
+            expected = x.T @ x if gram else np.sum(x * x, axis=0)
+            np.testing.assert_allclose(block[-1][row], expected, rtol=0,
+                                       atol=1e-12 * scale * scale)
+
+
+class TestContractionPerMode:
+    def test_mode_defect_is_every_orders_defect(self, rng):
+        for n in (5, 14, 30):
+            bal = balance(rs.random_stable_system(rng, n, 2, 2))
+            full = FullOrderResponse.of(bal)
+            for k in range(1, n + 1):
+                assert full.defect == pytest.approx(contraction_defect(augment(bal, k)),
+                                                    abs=1e-14 * full.L)
+
+    def test_zero_input_bounds_read_the_response(self, rng, monkeypatch):
+        prob = rs.random_problem(3, 20, 2, 2, free_dims=3)
+        bal = balance(prob.system)
+        full = FullOrderResponse.of(bal)
+        fresh = {k: (e1_theoretical(augment(bal, k), prob.x0),
+                     e1_optimization(augment(bal, k), prob.x0)) for k in (3, 9, 20)}
+
+        def no_defect(aug):
+            raise AssertionError("contraction defect computed per order")
+        monkeypatch.setattr(bmod, "contraction_defect", no_defect)
+        for k, (t1, t2) in fresh.items():
+            aug = augment(bal, k)
+            assert np.array_equal(e1_theoretical(aug, prob.x0, full=full), t1)
+            assert np.array_equal(e1_optimization(aug, prob.x0, full=full), t2)
+
+    def test_noncontractive_mode_refused(self):
+        A = np.array([[-0.1, 10.0], [0.0, -0.1]])
+        B, C, H = np.ones((2, 1)), np.ones((1, 2)), np.eye(2)
+        full = FullOrderResponse(A, B, C, H)
+        aug = AugmentedSystem(A_bar=scipy.linalg.block_diag(A, A[:1, :1]),
+                              B_bar=np.vstack([B, B[:1]]), C_bar=np.hstack([C, -C[:, :1]]),
+                              lift=np.vstack([H, H[:1]]), n=2, k=1)
+        assert full.defect == pytest.approx(contraction_defect(aug), abs=1e-14)
+        box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(BoundError, match="not contractive"):
+            e1_theoretical(aug, box, full=full)
+        assert np.all(np.isfinite(e1_optimization(aug, box, full=full)))
+

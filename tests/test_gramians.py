@@ -121,16 +121,75 @@ def test_stack_matches_single_solves(rng):
         assert lyapunov_residual(A, Qi, Pi) <= 1e-8
 
 
+def counting_eigvals(monkeypatch):
+    """The list that every later np.linalg.eigvals call appends its shape to."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return original(A)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
 def test_hurwitz_checked_once_per_call(rng, monkeypatch):
+    # one check per call, read off the Schur form: no eigenvalues computed
     calls = []
     original = gmod.require_hurwitz
 
-    def counting(A, what):
+    def counting(A, what, **kwargs):
         calls.append(what)
-        return original(A, what)
+        return original(A, what, **kwargs)
     monkeypatch.setattr(gmod, "require_hurwitz", counting)
+    eigvals = counting_eigvals(monkeypatch)
     solve_lyapunov(rs.random_stable_system(rng, 8, 1, 1).A, psd_stack(rng, 8, 5))
-    assert len(calls) == 1
+    assert len(calls) == 1 and eigvals == []
+
+
+def test_balance_computes_no_eigenvalues(rng, monkeypatch):
+    sys_ = rs.random_stable_system(rng, 12, 2, 2)
+    eigvals = counting_eigvals(monkeypatch)
+    balance(sys_)
+    assert eigvals == []
+
+
+def test_schur_abscissa_matches_eigenvalues(rng):
+    # real Schur diagonals carry the real parts of complex pairs, so the
+    # Schur-based check decides as the eigenvalue-based one does, including
+    # systems near the margin and unstable ones
+    for n in (1, 2, 5, 12, 30):
+        for shift in (-1.0, -1e-6, 0.0, 0.5):
+            A = rng.standard_normal((n, n))
+            A += (shift - np.max(np.linalg.eigvals(A).real)) * np.eye(n)
+            R, _ = scipy.linalg.schur(A, output="real")
+            assert np.max(np.diag(R)) == pytest.approx(
+                rs.check_stability(A).abscissa, abs=1e-12 * np.linalg.norm(A, 2))
+            stable = rs.check_stability(A).stable
+            try:
+                solve_lyapunov(A, np.eye(n))
+            except rs.StabilityError:
+                assert not stable
+            else:
+                assert stable
+
+
+def test_non_hurwitz_message_with_zero_right_hand_side(rng):
+    # zero right-hand sides are checked like any other
+    A = np.array([[1.0, 2.0], [0.0, -3.0]])
+    messages = []
+    for Q in (np.eye(2), np.zeros((2, 2)), np.zeros((3, 2, 2))):
+        with pytest.raises(rs.StabilityError) as err:
+            solve_lyapunov(A, Q)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0].startswith("Lyapunov coefficient matrix A is not asymptotically stable "
+                                  "(spectral abscissa 1.000000e+00")
+    # balancing names the user's system, as its own check did
+    with pytest.raises(rs.StabilityError, match="^system is not asymptotically stable"):
+        balance(rs.LtiSystem(A, np.ones((2, 1)), np.ones((1, 2))))
+    with pytest.raises(rs.StabilityError, match="^system is not asymptotically stable"):
+        balance(rs.LtiSystem(A, np.zeros((2, 1)), np.ones((1, 2))))
 
 
 def test_one_failing_right_hand_side_raises(rng, monkeypatch):
@@ -153,11 +212,11 @@ def test_zero_right_hand_sides_are_exact(rng, monkeypatch):
     assert np.array_equal(P[1], np.zeros((5, 5)))
     assert np.array_equal(P[0], solve_lyapunov(A, Q)) and np.array_equal(P[0], P[2])
 
-    # an all-zero stack never reaches the Schur form
-    def no_schur(*args, **kwargs):
-        raise AssertionError("Schur form computed for zero right-hand sides")
-    monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+    # an all-zero stack is still checked from the Schur form, without
+    # computing eigenvalues, and solved exactly
+    eigvals = counting_eigvals(monkeypatch)
     assert np.array_equal(solve_lyapunov(A, np.zeros((2, 5, 5))), np.zeros((2, 5, 5)))
+    assert eigvals == []
 
 
 def test_stack_shape_validation():

@@ -887,3 +887,49 @@ def table_cases(draw):
 def test_table_spread_matches_assembled_generators(case):
     sys_, x0, ubox, t_f, step_h, Gamma = case
     assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h), Gamma)
+
+
+class TestBatchedSteps:
+    """reach_lti's per-step arrays, column by column, against naive_reach's
+    per-step enclosures, including the partial last step."""
+
+    def test_steps_match_per_step_reference(self, rng):
+        partial = 0
+        for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
+            steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+            assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
+            p, g0 = sys_.p, Zonotope.from_box(x0).order
+            C_rows = np.linalg.norm(sys_.C, axis=1)
+            Gamma = rng.standard_normal((3, p))
+            for s, r in zip(steps, ref):
+                z, G = s.outputs, r.outputs.generators
+                scale = np.max(np.abs(G))
+                close = dict(rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(z.center, r.outputs.center, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(r.outputs.center)))
+                np.testing.assert_allclose(z.generators, G, **close)
+                np.testing.assert_allclose(z.row_spread(Gamma),
+                                           np.sum(np.abs(Gamma @ G), axis=1), rtol=1e-12,
+                                           atol=1e-12 * scale * np.abs(Gamma).sum())
+                if isinstance(z, reach._StepZonotope):
+                    hull = (G.shape[1] - 1 - p) // 2
+                    cols = np.r_[0, 1:1 + g0, 1 + hull:1 + hull + g0]
+                    np.testing.assert_allclose(z.dense, G[:, cols], **close)
+                    np.testing.assert_allclose(z.ball * C_rows, np.diag(G[:, -p:]), **close)
+                else:
+                    partial += 1
+                    assert s is steps[-1]
+        assert partial
+
+    def test_shared_table_is_read_only(self, rng):
+        # a step set's center, dense columns and spreads are views of the
+        # call's table; changing one in place must fail, not alter the rest
+        sys_, x0, ubox, t_f, step_h = next(iter(reach_cases(rng)))
+        z = reach_lti(sys_, x0, ubox, t_f, step_h)[0].outputs
+        assert isinstance(z, reach._StepZonotope)
+        spread = z.row_spread(np.eye(sys_.p))
+        for view in (z.center, z.dense, spread):
+            with pytest.raises(ValueError, match="read-only"):
+                view *= 2.0
+        z.generators[...] = 0.0  # the assembled array is the step's own

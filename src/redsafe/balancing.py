@@ -8,7 +8,6 @@ transformed coordinates both gramians equal diag(sigma).
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -71,21 +70,12 @@ class Abstraction:
     """Order-k truncation of a balanced realization plus its initial box.
 
     ``x0_reduced`` is the componentwise-exact interval hull of
-    {H[:k] x0 : x0 in X0}; ``delta`` is attached later by the bounds layer.
+    {H[:k] x0 : x0 in X0}.
     """
 
     reduced: LtiSystem
     k: int
     x0_reduced: HyperBox
-    delta: np.ndarray | None = None
-
-    def with_delta(self, delta: np.ndarray) -> "Abstraction":
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != (self.reduced.p,):
-            raise ModelError(f"delta must have shape ({self.reduced.p},), got {delta.shape}")
-        if np.any(delta < 0) or not np.all(np.isfinite(delta)):
-            raise ModelError("delta entries must be finite and nonnegative")
-        return dataclasses.replace(self, delta=delta)
 
 
 def _hankel_factor(g: GramianPair):

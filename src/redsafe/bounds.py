@@ -13,7 +13,8 @@ every simulated response are the same at every order k.  By Cauchy
 interlacing so is lambda_max(sym A_bar) = lambda_max(sym A_t), the
 contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
 computes these once per mode and simulates that half once, keeping only its
-output samples and state-norm data, and each order then simulates only its
+output samples and state-norm data; :func:`augment` builds each order's
+system from it and stores it there, and each order then simulates only its
 k-dimensional reduced half.  Both halves are simulated in blocks of steps
 built by doubling: within a block, the states f+1 ... 2f are Phi^f times the
 states 1 ... f, from Phi, Phi^2, Phi^4, ... computed once per orbit, so a
@@ -75,7 +76,9 @@ class AugmentedSystem:
     """Block system whose output is the error y - y_r.
 
     A_bar = diag(A_t, A_r), B_bar stacks (B_t, B_r), C_bar = [C_t, -C_r];
-    ``lift`` maps a full-order initial state to (H x0, H[:k] x0).
+    ``lift`` maps a full-order initial state to (H x0, H[:k] x0).  ``full``
+    is the mode's response, whose A, B, C and H are A_t, B_t, C_t and H: the
+    bounds read the full-order half and the contraction test from it.
     """
 
     A_bar: np.ndarray
@@ -84,6 +87,7 @@ class AugmentedSystem:
     lift: np.ndarray
     n: int
     k: int
+    full: FullOrderResponse
 
     @property
     def p(self) -> int:
@@ -101,44 +105,33 @@ class AugmentedSystem:
         return box_image(self.lift, x0)
 
 
-def augment(bal: BalancedRealization, k: int) -> AugmentedSystem:
-    """Augmented error system for the order-k truncation of ``bal``.
+def augment(full: FullOrderResponse, k: int) -> AugmentedSystem:
+    """Augmented error system for the order-k truncation of the mode whose
+    response is ``full`` (``FullOrderResponse.of(bal)``, one per mode).
 
     Takes a bare order with no p < k requirement, so degenerate cases
     (k = n = p) remain constructible for oracle checks.
     """
-    n = bal.n
+    A_t, B_t, C_t, H = full.A, full.B, full.C, full.H
+    n = A_t.shape[0]
     if not (1 <= k <= n):
         raise ModelError(f"k must be in [1, n], got {k}")
-    A_t, B_t, C_t = bal.A_t, bal.B_t, bal.C_t
     A_bar = np.zeros((n + k, n + k))
     A_bar[:n, :n] = A_t
     A_bar[n:, n:] = A_t[:k, :k]
     B_bar = np.vstack([B_t, B_t[:k, :]])
     C_bar = np.hstack([C_t, -C_t[:, :k]])
-    lift = np.vstack([bal.H, bal.H[:k, :]])
-    return AugmentedSystem(A_bar=A_bar, B_bar=B_bar, C_bar=C_bar, lift=lift, n=n, k=k)
+    lift = np.vstack([H, H[:k, :]])
+    return AugmentedSystem(A_bar=A_bar, B_bar=B_bar, C_bar=C_bar, lift=lift, n=n, k=k,
+                           full=full)
 
 
 def contraction_defect(aug: AugmentedSystem) -> float:
-    """lambda_max of the symmetric part of A_bar (must be <= 0 for the
-    zero-input bounds)."""
+    """lambda_max of the symmetric part of A_bar, computed from the whole
+    augmented system: the per-order reference for
+    :attr:`FullOrderResponse.defect`, which the bounds read instead."""
     S = (aug.A_bar + aug.A_bar.T) / 2.0
     return float(np.linalg.eigvalsh(S).max())
-
-
-def _contraction(aug: AugmentedSystem, full: FullOrderResponse | None) -> tuple[bool, float]:
-    """(contractive, lambda_max(sym A_bar)): contractive when the defect is at
-    most CONTRACTION_TOL_REL * max(1, ||A_bar||_2).  Both are read from the
-    mode's ``full`` response when given, where they are the same at every
-    order (see :attr:`FullOrderResponse.defect`), and computed from ``aug``
-    otherwise."""
-    if full is None:
-        defect, L = contraction_defect(aug), float(np.linalg.norm(aug.A_bar, 2))
-    else:
-        full = _response(aug, full)
-        defect, L = full.defect, full.L
-    return defect <= CONTRACTION_TOL_REL * max(1.0, L), defect
 
 
 def sup_box_norm(box: HyperBox) -> float:
@@ -147,27 +140,30 @@ def sup_box_norm(box: HyperBox) -> float:
     return float(np.linalg.norm(np.maximum(np.abs(box.lb), np.abs(box.ub))))
 
 
-def e1_theoretical(aug: AugmentedSystem, x0: HyperBox,
-                   full: FullOrderResponse | None = None) -> np.ndarray:
+def _contractive_bound(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+    """||C_bar_i||_2 * sup ||x0_bar|| per output, with x0_bar ranging over the
+    lift of the full-order initial box ``x0``: theorem1's bound, and
+    theorem2's on a contractive system."""
+    return np.linalg.norm(aug.C_bar, axis=1) * sup_box_norm(aug.lift_box(x0))
+
+
+def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     """Zero-input bound ||C_bar_i||_2 * sup ||x0_bar|| per output, with x0_bar
     ranging over the lift of the full-order initial box ``x0``.
 
     Valid for all t >= 0 because the balanced augmented system is monotone
     convergent (||x_bar(t)|| never exceeds ||x_bar(0)||); the square root on
     lambda_max(C_i^T C_i) follows the quadratic chain of that argument.  The
-    contraction test is read from the mode's ``full`` response when given.
+    contraction test is read from the mode's response ``aug.full``.
     """
-    contractive, defect = _contraction(aug, full)
-    if not contractive:
+    if not aug.full.contractive:
         raise BoundError(
             "augmented system is not contractive (lambda_max(sym A_bar) = "
-            f"{defect:.3e}); the zero-input bound would be unsound")
-    row_norms = np.linalg.norm(aug.C_bar, axis=1)
-    return row_norms * sup_box_norm(aug.lift_box(x0))
+            f"{aug.full.defect:.3e}); the zero-input bound would be unsound")
+    return _contractive_bound(aug, x0)
 
 
-def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
-                    full: FullOrderResponse | None = None) -> np.ndarray:
+def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     """Zero-input bound via a feasible (not trace-optimal) quadratic certificate.
 
     A P > 0 with A_bar^T P + P A_bar <= 0 and C_i^T C_i <= P bounds output i
@@ -182,11 +178,11 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox,
     Schur form; each combination must meet the Lyapunov residual tolerance
     against its own right-hand side, and BoundError is raised when no
     candidate of some output does.  The contraction test is read from the
-    mode's ``full`` response when given.
+    mode's response ``aug.full``.
     """
+    if aug.full.contractive:
+        return _contractive_bound(aug, x0)
     sup_norm = sup_box_norm(aug.lift_box(x0))
-    if _contraction(aug, full)[0]:
-        return np.array([np.sqrt(float(Ci @ Ci)) * sup_norm for Ci in aug.C_bar])
     failure = BoundError(f"no quadratic certificate met the residual tolerance {LYAP_TOL:.1e}")
     At = aug.A_bar.T
     eye = np.eye(At.shape[0])
@@ -342,7 +338,8 @@ class FullOrderResponse:
     r) and record C_t x and the generators' Gram matrix, from which every
     vertex follows.  Both are simulated lazily, block by block, as far as the
     orders asking for them need.  Build one per mode with
-    ``FullOrderResponse.of(bal)`` and pass it to every order's bounds.
+    ``FullOrderResponse.of(bal)`` and every order's augmented system from it
+    with :func:`augment`.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray):
@@ -362,6 +359,12 @@ class FullOrderResponse:
         sym A_t[:k, :k]), and by Cauchy interlacing the principal block's
         largest eigenvalue is at most sym A_t's."""
         return float(np.linalg.eigvalsh((self.A + self.A.T) / 2.0).max())
+
+    @property
+    def contractive(self) -> bool:
+        """The precondition of the zero-input bounds at every order: the
+        defect is at most CONTRACTION_TOL_REL * max(1, ||A_bar||_2)."""
+        return self.defect <= CONTRACTION_TOL_REL * max(1.0, self.L)
 
     def _step(self, lh: float) -> float:
         return lh / self.L if self.L > 0 else 1.0
@@ -385,18 +388,6 @@ class FullOrderResponse:
                                         self.H @ _box_generators(x0), (self.C,),
                                         gram=True))
         return self._initial[1]
-
-
-def _response(aug: AugmentedSystem, full: FullOrderResponse | None) -> FullOrderResponse:
-    """``full`` after checking that it is the full-order half of ``aug``, or a
-    fresh response when it is None."""
-    n = aug.n
-    parts = aug.A_bar[:n, :n], aug.B_bar[:n], aug.C_bar[:, :n], aug.lift[:n]
-    if full is None:
-        return FullOrderResponse(*parts)
-    if not all(np.array_equal(a, b) for a, b in zip((full.A, full.B, full.C, full.H), parts)):
-        raise ModelError("full-order response belongs to another system")
-    return full
 
 
 def _box_generators(box: HyperBox) -> np.ndarray:
@@ -444,8 +435,7 @@ def _decayed_vertex_norms(gram: np.ndarray, signs: np.ndarray,
 
 def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
                   vertex_cap: int = VERTEX_CAP,
-                  decay_tol: float = DECAY_TOL,
-                  full: FullOrderResponse | None = None) -> np.ndarray:
+                  decay_tol: float = DECAY_TOL) -> np.ndarray:
     """Zero-input bound by simulating every vertex of the initial box.
 
     The bound is the max over vertices and the time grid of |ybar_i(t)|.
@@ -456,7 +446,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     those of the box generators: at every step the vertex max of |ybar_i| is
     |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and vertex state norms come from
     the generators' Gram matrix.  The full-order half of these responses is
-    read from ``full`` (built here when not given).
+    read from the mode's response ``aug.full``.
 
     When the augmented system is contractive the simulation stops once the
     states have decayed, covering the remaining window with the monotone tail
@@ -471,9 +461,8 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
             f"exceeding the cap {vertex_cap}; use a theoretical e1 bound instead")
     if t_f <= 0:
         raise ModelError(f"t_f must be positive, got {t_f}")
-    response = _response(aug, full)
-    n, L = aug.n, response.L
-    orbit = response.initial(x0)
+    n, L = aug.n, aug.full.L
+    orbit = aug.full.initial(x0)
     blocks = _error_orbit(orbit, aug.A_bar[n:, n:], aug.lift[n:] @ _box_generators(x0),
                           (aug.C_bar[:, n:],), gram=True)
     Y, G = next(blocks)
@@ -481,7 +470,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     if L == 0.0:
         return best
     signs = _vertex_signs(len(x0.free_dims()))
-    contractive = _contraction(aug, full)[0]
+    contractive = aug.full.contractive
     x0n = float(_max_vertex_norm(G, signs)[0]) if contractive else 0.0
     t = 0.0
     for Y, G in blocks:
@@ -538,8 +527,7 @@ def _decay_certificate(A: np.ndarray) -> float | None:
 def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
                   decay_tol: float = DECAY_TOL,
                   horizon: float | None = None,
-                  max_steps: int = MAX_IMPULSE_STEPS,
-                  full: FullOrderResponse | None = None
+                  max_steps: int = MAX_IMPULSE_STEPS
                   ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Zero-state bound by integrating the augmented impulse responses.
 
@@ -550,8 +538,8 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     over-approximated by the max of the endpoint values times (1 + ||A_bar||h)
     to keep the bound one sided, and an analytic tail term covers whatever
     lies beyond the simulated range.  The full-order half of the responses
-    (C_t x, C_t A_t^2 x and ||x||^2 per step) is read from ``full`` (built
-    here when not given); this order simulates only its reduced half, and
+    (C_t x, C_t A_t^2 x and ||x||^2 per step) is read from the mode's
+    response ``aug.full``; this order simulates only its reduced half, and
     the per-step envelopes are evaluated block by block as array operations.
 
     The same pass yields two bounds.  The plain one multiplies the |kernel|
@@ -571,9 +559,8 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     p, m, n = aug.p, aug.m, aug.n
     if m == 0 or not np.any(aug.B_bar):
         return np.zeros(p), np.zeros(p), False
-    full = _response(aug, full)
-    L = full.L
-    orbit = full.impulse()
+    L = aug.full.L
+    orbit = aug.full.impulse()
     h = orbit.h
     A_r, C_r = aug.A_bar[n:, n:], aug.C_bar[:, n:]
     # second-derivative observable: |y_i''| = |C_i A^2 x| inherits whatever

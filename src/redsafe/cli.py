@@ -22,9 +22,9 @@ from .balancing import balance, hankel_singular_values, truncate
 from .benchmarks import MOTOR_MANIFEST
 from .generate import random_problem
 from .model import (LtiSystem, ManifestError, ModelError, PssSystem,
-                    VerificationProblem, parse_problem, serialize_problem,
+                    VerificationProblem, numbers, parse_problem, serialize_problem,
                     spec_to_json, parse_spec_json)
-from .reach import default_step, reach_lti
+from .reach import STEP_LH, default_step, reach_lti
 from .spectransform import TransformedSpec, transform_spec
 from .verifier import (VerifyOptions, bound_candidates, problem_modes, verify,
                        verify_pss)
@@ -154,7 +154,7 @@ def cmd_bounds(args) -> int:
         for k in ks:
             t0 = time.perf_counter()
             pairs, delta_min, _, notes = bound_candidates(
-                bal, k, x0, problem.inputs, horizon, opts, full)
+                bal, full, k, x0, problem.inputs, horizon, opts)
             dt = time.perf_counter() - t0 if args.timing else 0.0
             for plabel, b in pairs:
                 rows.append({"system": name, "k": k, "method": plabel,
@@ -198,19 +198,22 @@ def _bounds_csv(doc) -> str:
 
 
 def cmd_transform_spec(args) -> int:
-    doc_in = json.loads(Path(args.spec_json).read_text())
-    if "spec" not in doc_in or "delta" not in doc_in:
+    path = Path(args.spec_json)
+    if not path.is_file():
+        raise ManifestError(f"transform-spec input not found: {path}")
+    try:
+        doc_in = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"transform-spec input is not valid JSON: {exc}") from exc
+    if not isinstance(doc_in, dict) or "spec" not in doc_in or "delta" not in doc_in:
         raise ManifestError("transform-spec input needs 'spec' and 'delta' fields")
     specs = parse_spec_json(doc_in["spec"])
     delta = doc_in["delta"]
-    if delta and isinstance(delta[0], list):
-        transformed = [[_ts(transform_spec(s, np.asarray(d, dtype=float)))
-                        for s in specs] for d in delta]
-        doc = {"format_version": 1, "per_mode": transformed}
-    else:
-        doc = {"format_version": 1,
-               "transformed": [_ts(transform_spec(s, np.asarray(delta, dtype=float)))
-                               for s in specs]}
+    per_mode = isinstance(delta, list) and bool(delta) and isinstance(delta[0], list)
+    transformed = [[_ts(transform_spec(s, numbers(d, "delta"))) for s in specs]
+                   for d in (delta if per_mode else [delta])]
+    doc = ({"format_version": 1, "per_mode": transformed} if per_mode
+           else {"format_version": 1, "transformed": transformed[0]})
     _emit(doc, args, None)
     return 0
 
@@ -221,7 +224,7 @@ def cmd_reach(args) -> int:
         raise ManifestError("reach expects an LTI manifest (reduce a PSS per mode first)")
     sys_ = problem.system
     step_h = args.step_h if args.step_h is not None else default_step(
-        problem.t_f, sys_.A, lh=args.step_lh if args.step_lh is not None else 0.1)
+        problem.t_f, sys_.A, lh=args.step_lh)
     steps = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h)
     doc = {"format_version": 1, "name": problem.name, "step_h": step_h,
            "steps": [{"t0": s.t0, "t1": s.t1,
@@ -325,7 +328,7 @@ def cmd_bench(args) -> int:
                 for mname, opts in method_sets.items():
                     t0 = time.perf_counter()
                     pairs, delta_min, best, _ = bound_candidates(
-                        bal, k, x0, problem.inputs, horizon, opts, full)
+                        bal, full, k, x0, problem.inputs, horizon, opts)
                     dt = time.perf_counter() - t0 if args.timing else 0.0
                     if best is None:
                         continue
@@ -386,7 +389,7 @@ def _add_verify_opts(sp):
     sp.add_argument("--k-max", dest="k_max", type=int, help="largest order to try (default n)")
     sp.add_argument("--step-h", dest="step_h", type=float, help="reach step size override")
     sp.add_argument("--step-lh", dest="step_lh", type=float,
-                    help="reach step control ||A||*h (default 0.1)")
+                    help=f"reach step control ||A||*h (default {STEP_LH})")
     sp.add_argument("--witness-budget", dest="witness_budget", type=int,
                     help="max candidate trajectories in the witness search")
     sp.add_argument("--time-budget", dest="time_budget", type=float,
@@ -423,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reach", help="output reach step sets of an LTI manifest")
     _add_common(sp)
     sp.add_argument("--step-h", dest="step_h", type=float, help="step size override")
-    sp.add_argument("--step-lh", dest="step_lh", type=float, help="step control ||A||*h")
+    sp.add_argument("--step-lh", dest="step_lh", type=float, default=STEP_LH,
+                    help=f"step control ||A||*h (default {STEP_LH})")
     sp.set_defaults(func=cmd_reach)
 
     sp = sub.add_parser("verify", help="run the verification semi-algorithm (LTI)")

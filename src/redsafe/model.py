@@ -494,28 +494,49 @@ def save_matrix(path: Path, mat: np.ndarray) -> None:
     scipy.io.mmwrite(str(path), np.atleast_2d(np.asarray(mat, dtype=float)), precision=17)
 
 
-def _parse_box(obj, what: str) -> HyperBox:
+def numbers(value, field: str) -> np.ndarray:
+    """``value`` as a float array; a ManifestError naming ``field`` when it
+    holds anything but numbers."""
     try:
-        return HyperBox(np.asarray(obj["lb"], dtype=float), np.asarray(obj["ub"], dtype=float))
-    except KeyError as exc:
-        raise ManifestError(f"{what} must have 'lb' and 'ub' fields") from exc
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{field} must be numeric ({exc})") from exc
+
+
+def _number(value, field: str) -> float:
+    """``value`` as one float; a ManifestError naming ``field`` otherwise."""
+    arr = numbers(value, field)
+    if arr.ndim:
+        raise ManifestError(f"{field} must be a number, got shape {arr.shape}")
+    return float(arr)
+
+
+def _parse_box(obj, what: str) -> HyperBox:
+    if not isinstance(obj, dict) or "lb" not in obj or "ub" not in obj:
+        raise ManifestError(f"{what} must have 'lb' and 'ub' fields")
+    return HyperBox(numbers(obj["lb"], f"{what}.lb"), numbers(obj["ub"], f"{what}.ub"))
 
 
 def _parse_predicate(obj) -> SafetyPredicate:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"spec entries must be JSON objects, got {obj!r}")
     kind = obj.get("kind")
     polarity = obj.get("polarity")
     if kind == "polytope":
-        return PolytopeSpec(np.asarray(obj["Gamma"], dtype=float),
-                            np.asarray(obj["Psi"], dtype=float), polarity)
+        return PolytopeSpec(numbers(obj["Gamma"], "spec Gamma"),
+                            numbers(obj["Psi"], "spec Psi"), polarity)
     if kind == "ellipsoid":
-        return EllipsoidSpec(np.asarray(obj["Q"], dtype=float),
-                             np.asarray(obj["a"], dtype=float), float(obj["R"]), polarity)
+        return EllipsoidSpec(numbers(obj["Q"], "spec Q"), numbers(obj["a"], "spec a"),
+                             _number(obj["R"], "spec R"), polarity)
     raise ManifestError(f"spec kind must be 'polytope' or 'ellipsoid', got {kind!r}")
 
 
 def parse_spec_json(obj) -> tuple[SafetyPredicate, ...]:
     items = obj if isinstance(obj, list) else [obj]
-    return tuple(_parse_predicate(it) for it in items)
+    try:
+        return tuple(_parse_predicate(it) for it in items)
+    except KeyError as exc:
+        raise ManifestError(f"spec is missing required field {exc}") from exc
 
 
 def _load_lti(matrices, base: Path) -> LtiSystem:
@@ -544,6 +565,8 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError("manifest must be a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported format_version {version}")
@@ -552,7 +575,7 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
     try:
         spec = parse_spec_json(doc["spec"])
         inputs = _parse_box(doc["input"], "input")
-        t_f = float(doc["t_f"])
+        t_f = _number(doc["t_f"], "t_f")
     except KeyError as exc:
         raise ManifestError(f"manifest is missing required field {exc}") from exc
 
@@ -566,8 +589,10 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
     if kind == "pss":
         modes, durations, sets = [], [], []
         for i, mode_doc in enumerate(doc.get("modes", [])):
+            if "duration" not in mode_doc:
+                raise ManifestError(f"mode {i} is missing required field 'duration'")
             modes.append(_load_lti(mode_doc.get("matrices", {}), base))
-            durations.append(float(mode_doc["duration"]))
+            durations.append(_number(mode_doc["duration"], f"mode {i} duration"))
             sets.append(_parse_box(mode_doc.get("x0", {}), f"mode {i} x0"))
         system = PssSystem(tuple(modes), tuple(durations), tuple(sets))
         return VerificationProblem(system=system, x0=None, inputs=inputs, spec=spec,

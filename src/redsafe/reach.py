@@ -71,13 +71,6 @@ class Zonotope:
     def order(self) -> int:
         return self.generators.shape[1]
 
-    def map(self, M: np.ndarray) -> "Zonotope":
-        return Zonotope(M @ self.center, M @ self.generators)
-
-    def support(self, v: np.ndarray) -> float:
-        """max over the set of <v, x>."""
-        return float(v @ self.center + np.sum(np.abs(v @ self.generators)))
-
     def radius_vector(self) -> np.ndarray:
         return np.sum(np.abs(self.generators), axis=1)
 
@@ -232,7 +225,11 @@ def _transition(A: np.ndarray, h: float, B: np.ndarray | None = None):
     return E[:n, :n], E[:n, n:]
 
 
-def default_step(t_f: float, A: np.ndarray, target: int = 200, lh: float = 0.1) -> float:
+#: Default reach step control: ||A||_2 * h <= this value.
+STEP_LH = 0.1
+
+
+def default_step(t_f: float, A: np.ndarray, target: int = 200, lh: float = STEP_LH) -> float:
     """Default reach/simulation step: min(t_f/target, lh/||A||_2)."""
     if not lh > 0:
         raise ModelError(f"step_lh must be positive, got {lh}")

@@ -23,7 +23,7 @@ from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
                     VerificationProblem)
 from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
-                    WitnessTrajectory, check_spec, default_step,
+                    STEP_LH, WitnessTrajectory, check_spec, default_step,
                     find_unsafe_witness, reach_lti)
 from .spectransform import transform_spec
 
@@ -39,7 +39,7 @@ class VerifyOptions:
     e2_input_split: bool = True
     gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
-    step_lh: float = 0.1
+    step_lh: float = STEP_LH
     vertex_cap: int = bnd.VERTEX_CAP
     witness_budget: int = 64
     seed: int = 0
@@ -89,32 +89,30 @@ class Verdict:
 
 
 def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
-                  notes: list[str], full: bnd.FullOrderResponse) -> dict[str, np.ndarray]:
+                  notes: list[str]) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for method in opts.e1_methods:
         try:
             if method == E1_THEOREM1:
-                out[method] = bnd.e1_theoretical(aug, x0, full=full)
+                out[method] = bnd.e1_theoretical(aug, x0)
             elif method == E1_THEOREM2:
-                out[method] = bnd.e1_optimization(aug, x0, full=full)
+                out[method] = bnd.e1_optimization(aug, x0)
             else:
                 out[method] = bnd.e1_simulation(aug, x0, horizon,
-                                                vertex_cap=opts.vertex_cap, full=full)
+                                                vertex_cap=opts.vertex_cap)
         except (ModelError, bnd.BoundError) as exc:
             notes.append(f"e1 {method} skipped: {exc}")
     return out
 
 
 def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float,
-                  opts: VerifyOptions, notes: list[str],
-                  full: bnd.FullOrderResponse) -> dict[str, np.ndarray]:
+                  opts: VerifyOptions, notes: list[str]) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for method in opts.e2_methods:
         if method == E2_THEOREM3:
             out[method] = bnd.e2_theoretical(bal.sigma, aug.k, u_box, aug.p)
             continue
-        plain, split, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon,
-                                                    full=full)
+        plain, split, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
         if truncated:
             notes.append("e2 simulation truncated before decay; bound dropped")
             if opts.e2_input_split:
@@ -126,24 +124,20 @@ def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float
     return out
 
 
-def bound_candidates(bal: BalancedRealization, k: int, x0: HyperBox,
-                     u_box: HyperBox, horizon: float,
-                     opts: VerifyOptions = VerifyOptions(),
-                     full: bnd.FullOrderResponse | None = None):
+def bound_candidates(bal: BalancedRealization, full: bnd.FullOrderResponse, k: int,
+                     x0: HyperBox, u_box: HyperBox, horizon: float,
+                     opts: VerifyOptions = VerifyOptions()):
     """Every enabled bound pairing for one abstraction order.
 
     ``full`` is the mode's ``FullOrderResponse.of(bal)``; pass the same one
-    at every order of a mode (a fresh one is built when it is not given).
-    Returns (pairs, delta_min, best, notes): labeled ErrorBounds, the
-    componentwise minimum over them (sound), the pairing with the smallest
-    rho, and notes about skipped methods.
+    at every order of the mode.  Returns (pairs, delta_min, best, notes):
+    labeled ErrorBounds, the componentwise minimum over them (sound), the
+    pairing with the smallest rho, and notes about skipped methods.
     """
     notes: list[str] = []
-    aug = bnd.augment(bal, k)
-    if full is None:
-        full = bnd.FullOrderResponse.of(bal)
-    e1s = _candidate_e1(aug, x0, horizon, opts, notes, full)
-    e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes, full)
+    aug = bnd.augment(full, k)
+    e1s = _candidate_e1(aug, x0, horizon, opts, notes)
+    e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes)
     pairs = [(f"{l1}+{l2}", combine(e1, e2, opts.gamma, l1,
                                     SIMULATION if l2.startswith(SIMULATION) else l2))
              for l1, e1 in e1s.items() for l2, e2 in e2s.items()]
@@ -212,13 +206,12 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             key, say = (f"{label}:", f"mode {rho}: ") if labeled else ("", "")
             abstraction = truncate(bal, k, x0)
             pairs, delta_min, best, mode_notes = bound_candidates(
-                bal, k, x0, problem.inputs, horizon, opts, full)
+                bal, full, k, x0, problem.inputs, horizon, opts)
             notes.extend(say + note for note in mode_notes)
             if delta_min is None:
                 notes.append(say + "no bound method produced a value")
                 mode_outcomes.append(INDETERMINATE)
                 continue
-            abstraction = abstraction.with_delta(delta_min)
             for plabel, b in pairs:
                 bounds_log[key + plabel] = b.delta.tolist()
             mode_deltas.append(delta_min)

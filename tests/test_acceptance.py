@@ -9,7 +9,7 @@ import pytest
 
 import redsafe as rs
 from redsafe.balancing import balance, truncate
-from redsafe.bounds import (augment, combine, e1_optimization, e1_simulation,
+from redsafe.bounds import (FullOrderResponse, augment, combine, e1_optimization, e1_simulation,
                             e1_theoretical, e2_simulation, e2_theoretical,
                             E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION)
 from redsafe.model import POLARITY_SAFE
@@ -104,7 +104,7 @@ def _method(label):
 
 
 def _component_bounds(bal, k, x0, u_box):
-    aug = augment(bal, k)
+    aug = augment(FullOrderResponse.of(bal), k)
     e1 = {
         E1_THEOREM1: e1_theoretical(aug, x0),
         E1_THEOREM2: e1_optimization(aug, x0),
@@ -352,7 +352,7 @@ def test_criterion_10_scale_smoke():
         bal = balance(sys_)
         k = 20
         abstraction = truncate(bal, k, x0)
-        aug = augment(bal, k)
+        aug = augment(FullOrderResponse.of(bal), k)
         e1 = e1_theoretical(aug, x0)
         e2 = e2_theoretical(bal.sigma, k, u_box, 10)
         delta = combine(e1, e2, 0.0, E1_THEOREM1, E2_THEOREM3).delta

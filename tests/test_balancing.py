@@ -170,13 +170,15 @@ class TestAugmentedInitialNorm:
     def test_point_at_origin(self, rng):
         bal = balance(rs.random_stable_system(rng, 4, 1, 1))
         box = rs.HyperBox(np.zeros(4), np.zeros(4))
-        assert rs.sup_box_norm(rs.augment(bal, 2).lift_box(box)) == 0.0
+        aug = rs.augment(rs.FullOrderResponse.of(bal), 2)
+        assert rs.sup_box_norm(aug.lift_box(box)) == 0.0
 
     def test_scalar_exact(self):
         # H = sqrt(3/2): lifted vector is (H, H) t over t in [-1, 1]
         bal = balance(scalar_system())
         box = rs.HyperBox([-1.0], [1.0])
-        sup = rs.sup_box_norm(rs.augment(bal, 1).lift_box(box))
+        aug = rs.augment(rs.FullOrderResponse.of(bal), 1)
+        sup = rs.sup_box_norm(aug.lift_box(box))
         expected = np.sqrt(2.0) * abs(bal.H[0, 0])
         assert sup == pytest.approx(expected, rel=1e-12)
         assert sup == pytest.approx(np.sqrt(2.0) * np.sqrt(1.5), rel=1e-12)
@@ -188,7 +190,8 @@ class TestAugmentedInitialNorm:
         bal = balance(sys_)
         box = rand_box(rng, 5, 5)
         k = 3
-        bound = rs.sup_box_norm(rs.augment(bal, k).lift_box(box))
+        aug = rs.augment(rs.FullOrderResponse.of(bal), k)
+        bound = rs.sup_box_norm(aug.lift_box(box))
         L = np.vstack([bal.H, bal.H[:k, :]])
         verts = box.vertices()
         true_sup = np.max(np.linalg.norm(L @ verts, axis=0))
@@ -207,15 +210,3 @@ def test_bm_transformed_initial_box_matches_published_values():
     assert np.allclose(np.sort(np.abs(abstraction.x0_reduced.lb)),
                        np.sort(np.abs(lb_r)), rtol=5e-2)
 
-
-def test_with_delta_validation(rng):
-    bal = balance(rs.random_stable_system(rng, 4, 1, 1))
-    abstraction = truncate(bal, 2, rand_box(rng, 4, 2))
-    assert abstraction.delta is None
-    tagged = abstraction.with_delta(np.array([0.3]))
-    assert tagged.delta == pytest.approx([0.3])
-    assert abstraction.delta is None  # immutable original
-    with pytest.raises(rs.ModelError, match="shape"):
-        abstraction.with_delta(np.array([0.1, 0.2]))
-    with pytest.raises(rs.ModelError, match="nonnegative"):
-        abstraction.with_delta(np.array([-0.1]))

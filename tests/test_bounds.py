@@ -5,7 +5,7 @@ import pytest
 
 import redsafe as rs
 from redsafe.balancing import balance
-from redsafe.bounds import (BoundError, augment, combine,
+from redsafe.bounds import (BoundError, FullOrderResponse, augment, combine,
                             contraction_defect, e1_optimization, e1_simulation,
                             e1_theoretical, e2_simulation, e2_theoretical,
                             E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION)
@@ -21,7 +21,7 @@ def scalar_balanced():
 class TestAugment:
     def test_scalar_blocks(self):
         bal = scalar_balanced()
-        aug = augment(bal, 1)
+        aug = augment(FullOrderResponse.of(bal), 1)
         a = bal.A_t[0, 0]
         c = bal.C_t[0, 0]
         assert np.allclose(aug.A_bar, np.diag([a, a]))
@@ -33,7 +33,7 @@ class TestAugment:
         sys_ = rs.random_stable_system(rng, 6, 2, 2)
         bal = balance(sys_)
         k = 3
-        aug = augment(bal, k)
+        aug = augment(FullOrderResponse.of(bal), k)
         x0 = rng.standard_normal(6)
         u = rng.standard_normal(2) * 0.5
         h = 0.01 / np.linalg.norm(aug.A_bar, 2)
@@ -48,7 +48,7 @@ class TestAugment:
     def test_zero_input_zero_state_gives_zero_output(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 2)
+        aug = augment(FullOrderResponse.of(bal), 2)
         traj = simulate(rs.LtiSystem(aug.A_bar, aug.B_bar, aug.C_bar),
                         np.zeros(6), None, 1.0, 0.01)
         assert np.allclose(traj.outputs, 0.0)
@@ -57,7 +57,7 @@ class TestAugment:
 class TestE1Theoretical:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
-        aug = augment(bal, 1)
+        aug = augment(FullOrderResponse.of(bal), 1)
         box = rs.HyperBox([0.0], [0.0])
         assert np.array_equal(e1_theoretical(aug, box), np.zeros(1))
 
@@ -65,7 +65,7 @@ class TestE1Theoretical:
         # hand-evaluated: C_bar = [2.4495, -2.4495], ||C_bar|| = 3.4641,
         # sup ||xbar0|| = 1.7321 over X0 = [-1, 1]
         bal = scalar_balanced()
-        aug = augment(bal, 1)
+        aug = augment(FullOrderResponse.of(bal), 1)
         bound = e1_theoretical(aug, rs.HyperBox([-1.0], [1.0]))
         assert bound == pytest.approx([6.0], rel=1e-12)
 
@@ -73,7 +73,7 @@ class TestE1Theoretical:
         # k = n: the true error is 0, any sound bound is >= it
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 4)
+        aug = augment(FullOrderResponse.of(bal), 4)
         box = rand_box(rng, 4, 3)
         sim = e1_simulation(aug, box, 2.0)
         assert np.all(sim <= 1e-10)
@@ -82,18 +82,16 @@ class TestE1Theoretical:
     def test_noncontractive_rejected(self):
         # a stable but non-contractive pair would make the bound unsound
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
-        from redsafe.bounds import AugmentedSystem
-        bad = AugmentedSystem(A_bar=A, B_bar=np.zeros((2, 1)),
-                              C_bar=np.ones((1, 2)), lift=np.ones((2, 1)), n=1, k=1)
+        bad = augment(FullOrderResponse(A, np.zeros((2, 1)), np.ones((1, 2)), np.eye(2)), 1)
         assert contraction_defect(bad) > 0
         with pytest.raises(BoundError, match="contractive"):
-            e1_theoretical(bad, rs.HyperBox([-1.0], [1.0]))
+            e1_theoretical(bad, rs.HyperBox([-1.0, -1.0], [1.0, 1.0]))
 
 
 class TestE1Optimization:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
-        aug = augment(bal, 1)
+        aug = augment(FullOrderResponse.of(bal), 1)
         box = rs.HyperBox([0.0], [0.0])
         assert np.array_equal(e1_optimization(aug, box), np.zeros(1))
 
@@ -103,7 +101,7 @@ class TestE1Optimization:
             sys_ = rs.random_stable_system(rng, n, 1, 1)
             bal = balance(sys_)
             k = int(rng.integers(2, n + 1))
-            aug = augment(bal, k)
+            aug = augment(FullOrderResponse.of(bal), k)
             box = rand_box(rng, n, min(n, 6))
             t1 = e1_theoretical(aug, box)
             t2 = e1_optimization(aug, box)
@@ -113,7 +111,7 @@ class TestE1Optimization:
         # 200 sampled vertices of a 6-dim system never exceed the bound
         sys_ = rs.random_stable_system(rng, 6, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 3)
+        aug = augment(FullOrderResponse.of(bal), 3)
         box = rand_box(rng, 6, 6)
         bound = e1_optimization(aug, box)
         verts = box.vertices()[:, rng.choice(64, size=min(200, 64), replace=False)]
@@ -130,14 +128,14 @@ class TestE1Optimization:
 class TestE1Simulation:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
-        aug = augment(bal, 1)
+        aug = augment(FullOrderResponse.of(bal), 1)
         box = rs.HyperBox([0.0], [0.0])
         assert np.allclose(e1_simulation(aug, box, 1.0), 0.0)
 
     def test_below_theorem_one(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 2)
+        aug = augment(FullOrderResponse.of(bal), 2)
         box = rand_box(rng, 4, 4)
         sim = e1_simulation(aug, box, 3.0)
         t1 = e1_theoretical(aug, box)
@@ -146,7 +144,7 @@ class TestE1Simulation:
     def test_vertex_cap_refusal_names_count(self, rng):
         sys_ = rs.random_stable_system(rng, 13, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 2)
+        aug = augment(FullOrderResponse.of(bal), 2)
         box = rs.HyperBox(-np.ones(13), np.ones(13))
         with pytest.raises(rs.ModelError, match="8192"):
             e1_simulation(aug, box, 1.0, vertex_cap=4096)
@@ -174,10 +172,7 @@ class TestE2Simulation:
     def test_zero_b(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 2)
-        from redsafe.bounds import AugmentedSystem
-        zb = AugmentedSystem(A_bar=aug.A_bar, B_bar=np.zeros_like(aug.B_bar),
-                             C_bar=aug.C_bar, lift=aug.lift, n=aug.n, k=aug.k)
+        zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H), 2)
         plain, split, truncated = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]))
         assert np.array_equal(plain, np.zeros(1)) and np.array_equal(split, np.zeros(1))
         assert not truncated
@@ -185,7 +180,7 @@ class TestE2Simulation:
     def test_identity_truncation_negligible(self, rng):
         sys_ = rs.random_stable_system(rng, 5, 2, 1)
         bal = balance(sys_)
-        aug = augment(bal, 5)
+        aug = augment(FullOrderResponse.of(bal), 5)
         plain, split, truncated = e2_simulation(aug, rand_ubox(rng, 2))
         assert not truncated
         assert np.all(plain <= 1e-5) and np.all(split <= 1e-5)
@@ -193,7 +188,7 @@ class TestE2Simulation:
     def test_below_theorem_three(self, rng):
         sys_ = rs.random_stable_system(rng, 8, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 4)
+        aug = augment(FullOrderResponse.of(bal), 4)
         ubox = rand_ubox(rng, 1)
         sim, _, truncated = e2_simulation(aug, ubox)
         assert not truncated
@@ -205,7 +200,7 @@ class TestE2Simulation:
         # dominate whenever it applies
         sys_ = rs.random_stable_system(rng, 7, 2, 2)
         bal = balance(sys_)
-        aug = augment(bal, 3)
+        aug = augment(FullOrderResponse.of(bal), 3)
         ubox = rs.HyperBox([0.2, 0.1], [0.4, 0.3])
         plain, split, _ = e2_simulation(aug, ubox)
         assert np.all(split <= plain * (1 + 1e-9) + 1e-12)
@@ -213,7 +208,7 @@ class TestE2Simulation:
     def test_horizon_limits_accumulation(self, rng):
         sys_ = rs.random_stable_system(rng, 6, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 2)
+        aug = augment(FullOrderResponse.of(bal), 2)
         ubox = rs.HyperBox([-1.0], [1.0])
         short, short_split, _ = e2_simulation(aug, ubox, horizon=0.05)
         full, full_split, _ = e2_simulation(aug, ubox)
@@ -223,7 +218,7 @@ class TestE2Simulation:
     def test_step_cap_flags_truncation(self, rng, monkeypatch):
         sys_ = rs.random_stable_system(rng, 5, 1, 1)
         bal = balance(sys_)
-        aug = augment(bal, 2)
+        aug = augment(FullOrderResponse.of(bal), 2)
         import redsafe.bounds as bmod
 
         def no_certificate(A):
@@ -284,7 +279,7 @@ def test_bm_theoretical_bounds_match_published():
     bal = balance(prob.system)
     e2 = e2_theoretical(bal.sigma, 10, prob.inputs, 1)
     assert e2[0] == pytest.approx(0.0047, rel=0.15)
-    aug = augment(bal, 10)
+    aug = augment(FullOrderResponse.of(bal), 10)
     e1 = e1_theoretical(aug, prob.x0)
     delta = combine(e1, e2, 0.0, E1_THEOREM1, E2_THEOREM3).delta
     assert delta[0] == pytest.approx(0.0050, rel=0.15)
@@ -295,8 +290,9 @@ def test_bm_theoretical_bounds_match_published():
 # augmented system (the implementation before the full-order half was shared
 # across orders), kept here as the reference.
 
+import dataclasses  # noqa: E402
+
 import redsafe.bounds as bmod  # noqa: E402
-from redsafe.bounds import AugmentedSystem, FullOrderResponse  # noqa: E402
 from redsafe.verifier import problem_modes  # noqa: E402
 
 
@@ -390,11 +386,10 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
 
 
 def mirrored(aug):
-    """The augmented system with output y + y_r instead of y - y_r."""
+    """The augmented system with output y + y_r instead of y - y_r (its
+    full-order half, C_t, is unchanged)."""
     n = aug.n
-    return AugmentedSystem(A_bar=aug.A_bar, B_bar=aug.B_bar,
-                           C_bar=np.hstack([aug.C_bar[:, :n], -aug.C_bar[:, n:]]),
-                           lift=aug.lift, n=n, k=aug.k)
+    return dataclasses.replace(aug, C_bar=np.hstack([aug.C_bar[:, :n], -aug.C_bar[:, n:]]))
 
 
 def assert_matches(new, ref, scale):
@@ -461,7 +456,7 @@ class TestSimulationMatchesNaiveLoops:
             u_box = rand_ubox(rng, sys_.m)
             horizon = float(rng.uniform(0.2, 1.5))
             for k in sorted({1, int(rng.integers(1, n + 1)), n}):
-                aug = augment(bal, k)
+                aug = augment(FullOrderResponse.of(bal), k)
                 check_e1(aug, x0, horizon, steps_taken)
                 check_e2(aug, u_box, steps_taken, horizon=horizon)
                 if n <= 8:
@@ -474,7 +469,7 @@ class TestSimulationMatchesNaiveLoops:
         bal = balance(rs.random_stable_system(rng, 6, 2, 2))
         u_box = rand_ubox(rng, 2)
         for k in (2, 6):
-            aug = augment(bal, k)
+            aug = augment(FullOrderResponse.of(bal), k)
             h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
             for count in (7, 100, 333, 1000):
                 assert check_e2(aug, u_box, steps_taken, horizon=count * h) == count
@@ -484,13 +479,13 @@ class TestSimulationMatchesNaiveLoops:
         for _, system, x0, duration in problem_modes(problem):
             bal = balance(system)
             for k in (3, 5, system.n):
-                aug = augment(bal, k)
+                aug = augment(FullOrderResponse.of(bal), k)
                 check_e1(aug, x0, duration, steps_taken)
                 check_e2(aug, problem.inputs, steps_taken, horizon=duration)
 
     def test_step_cap(self, rng, steps_taken, monkeypatch):
         bal = balance(rs.random_stable_system(rng, 6, 2, 2))
-        aug = augment(bal, 3)
+        aug = augment(FullOrderResponse.of(bal), 3)
         u_box = rand_ubox(rng, 2)
         # the cap lands inside a block and, at 700, past the first block
         for cap in (5, 37, 700):
@@ -500,11 +495,9 @@ class TestSimulationMatchesNaiveLoops:
         assert e2_simulation(aug, u_box, max_steps=37)[2]
 
     def test_zero_input_columns(self, rng, steps_taken):
-        aug = augment(balance(rs.random_stable_system(rng, 7, 3, 2)), 4)
-        zero_col = AugmentedSystem(A_bar=aug.A_bar, B_bar=aug.B_bar * [1.0, 0.0, 1.0],
-                                   C_bar=aug.C_bar, lift=aug.lift, n=aug.n, k=aug.k)
-        zero_b = AugmentedSystem(A_bar=aug.A_bar, B_bar=np.zeros_like(aug.B_bar),
-                                 C_bar=aug.C_bar, lift=aug.lift, n=aug.n, k=aug.k)
+        bal = balance(rs.random_stable_system(rng, 7, 3, 2))
+        zero_col, zero_b = (augment(FullOrderResponse(bal.A_t, B, bal.C_t, bal.H), 4)
+                            for B in (bal.B_t * [1.0, 0.0, 1.0], np.zeros_like(bal.B_t)))
         u_box = rand_ubox(rng, 3)
         check_e2(zero_col, u_box, steps_taken, horizon=0.7)
         assert check_e2(zero_b, u_box, steps_taken, horizon=0.7) == 0
@@ -517,7 +510,7 @@ class TestSimulationMatchesNaiveLoops:
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
         for k in (2, 4, 6):
-            aug = augment(bal, k)
+            aug = augment(FullOrderResponse.of(bal), k)
             assert contraction_defect(aug) < 0
             _, e1_steps = naive_e1_simulation(aug, x0, 50.0)
             assert e1_steps < 50.0 * np.linalg.norm(aug.A_bar, 2) / bmod.E1_SIM_LH / 2
@@ -529,35 +522,29 @@ class TestSimulationMatchesNaiveLoops:
 
 class TestFullOrderResponse:
     def test_shared_response_matches_fresh_calls(self):
-        # the shared half is filled at k=40, then read at k=5 and k=20
+        # the shared half is filled at k=40, then read at k=5 and k=20; each
+        # fresh system simulates its own full-order half
         prob = rs.random_problem(11, 48, 3, 2, free_dims=4)
         bal = balance(prob.system)
         full = FullOrderResponse.of(bal)
         for k in (40, 5, 20):
-            aug = augment(bal, k)
-            shared = (e1_simulation(aug, prob.x0, prob.t_f, full=full),
-                      *e2_simulation(aug, prob.inputs, horizon=prob.t_f, full=full))
-            fresh = (e1_simulation(aug, prob.x0, prob.t_f),
-                     *e2_simulation(aug, prob.inputs, horizon=prob.t_f))
+            aug, fresh_aug = augment(full, k), augment(FullOrderResponse.of(bal), k)
+            assert aug.full is full and fresh_aug.full is not full
+            shared = (e1_simulation(aug, prob.x0, prob.t_f),
+                      *e2_simulation(aug, prob.inputs, horizon=prob.t_f))
+            fresh = (e1_simulation(fresh_aug, prob.x0, prob.t_f),
+                     *e2_simulation(fresh_aug, prob.inputs, horizon=prob.t_f))
             for a, b in zip(shared, fresh):
                 assert np.array_equal(a, b)
-
-    def test_response_of_another_system_is_refused(self, rng):
-        full = FullOrderResponse.of(balance(rs.random_stable_system(rng, 5, 1, 1)))
-        aug = augment(balance(rs.random_stable_system(rng, 5, 1, 1)), 2)
-        with pytest.raises(rs.ModelError, match="another system"):
-            e2_simulation(aug, rs.HyperBox([-1.0], [1.0]), full=full)
-        with pytest.raises(rs.ModelError, match="another system"):
-            e1_simulation(aug, rs.HyperBox(-np.ones(5), np.ones(5)), 1.0, full=full)
 
     def test_each_pss_mode_gets_its_own_response(self, monkeypatch):
         problem = rs.motor_benchmark()
         seen = []
         original = bmod.e2_simulation
 
-        def recording(aug, *args, full=None, **kwargs):
-            seen.append((aug.k, full))
-            return original(aug, *args, full=full, **kwargs)
+        def recording(aug, *args, **kwargs):
+            seen.append((aug.k, aug.full))
+            return original(aug, *args, **kwargs)
         monkeypatch.setattr(bmod, "e2_simulation", recording)
         rs.verify_pss(problem, rs.VerifyOptions(k0=3, k_max=5, e1_methods=(E1_THEOREM1,),
                                                 e2_methods=(SIMULATION,)))
@@ -632,34 +619,42 @@ class TestContractionPerMode:
             bal = balance(rs.random_stable_system(rng, n, 2, 2))
             full = FullOrderResponse.of(bal)
             for k in range(1, n + 1):
-                assert full.defect == pytest.approx(contraction_defect(augment(bal, k)),
+                aug = augment(FullOrderResponse.of(bal), k)
+                assert full.defect == pytest.approx(contraction_defect(aug),
                                                     abs=1e-14 * full.L)
 
     def test_zero_input_bounds_read_the_response(self, rng, monkeypatch):
+        # one symmetric eigenvalue problem per mode, however many orders
+        # read the contraction test, and the same bounds as fresh responses
         prob = rs.random_problem(3, 20, 2, 2, free_dims=3)
         bal = balance(prob.system)
-        full = FullOrderResponse.of(bal)
-        fresh = {k: (e1_theoretical(augment(bal, k), prob.x0),
-                     e1_optimization(augment(bal, k), prob.x0)) for k in (3, 9, 20)}
+        fresh = {}
+        for k in (3, 9, 20):
+            aug = augment(FullOrderResponse.of(bal), k)
+            fresh[k] = e1_theoretical(aug, prob.x0), e1_optimization(aug, prob.x0)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def no_defect(aug):
-            raise AssertionError("contraction defect computed per order")
-        monkeypatch.setattr(bmod, "contraction_defect", no_defect)
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        full = FullOrderResponse.of(bal)
         for k, (t1, t2) in fresh.items():
-            aug = augment(bal, k)
-            assert np.array_equal(e1_theoretical(aug, prob.x0, full=full), t1)
-            assert np.array_equal(e1_optimization(aug, prob.x0, full=full), t2)
+            aug = augment(full, k)
+            assert np.array_equal(e1_theoretical(aug, prob.x0), t1)
+            assert np.array_equal(e1_optimization(aug, prob.x0), t2)
+        assert calls == [(20, 20)]
 
     def test_noncontractive_mode_refused(self):
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
-        B, C, H = np.ones((2, 1)), np.ones((1, 2)), np.eye(2)
-        full = FullOrderResponse(A, B, C, H)
-        aug = AugmentedSystem(A_bar=scipy.linalg.block_diag(A, A[:1, :1]),
-                              B_bar=np.vstack([B, B[:1]]), C_bar=np.hstack([C, -C[:, :1]]),
-                              lift=np.vstack([H, H[:1]]), n=2, k=1)
+        full = FullOrderResponse(A, np.ones((2, 1)), np.ones((1, 2)), np.eye(2))
+        aug = augment(full, 1)
+        assert np.array_equal(aug.A_bar, scipy.linalg.block_diag(A, A[:1, :1]))
         assert full.defect == pytest.approx(contraction_defect(aug), abs=1e-14)
+        assert not full.contractive
         box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
         with pytest.raises(BoundError, match="not contractive"):
-            e1_theoretical(aug, box, full=full)
-        assert np.all(np.isfinite(e1_optimization(aug, box, full=full)))
+            e1_theoretical(aug, box)
+        assert np.all(np.isfinite(e1_optimization(aug, box)))
 

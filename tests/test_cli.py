@@ -169,6 +169,26 @@ class TestTransformSpecCmd:
         assert len(out["per_mode"]) == 2
         assert out["per_mode"][0][0]["unsafe_region"]["R"] == pytest.approx(1.566, abs=5e-3)
 
+    @pytest.mark.parametrize("delta, psi, message", [
+        (0.5, [-0.0015], "error: delta"), (["x"], [-0.0015], "error: delta"),
+        ([0.1], None, "error: spec is missing required field 'Psi'")])
+    def test_malformed_input_exits_three(self, tmp_path, capsys, delta, psi, message):
+        spec = {"kind": "polytope", "polarity": "safe-region", "Gamma": [[1.0]]}
+        if psi is not None:
+            spec["Psi"] = psi
+        path = tmp_path / "ts.json"
+        path.write_text(json.dumps({"spec": spec, "delta": delta}))
+        assert main(["transform-spec", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_unreadable_input_exits_three(self, tmp_path, capsys):
+        assert main(["transform-spec", str(tmp_path / "absent.json")]) == 3
+        assert "not found" in capsys.readouterr().err
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        assert main(["transform-spec", str(path)]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
 
 class TestReachCmd:
     def test_json_and_csv(self, tmp_path, capsys):
@@ -243,6 +263,34 @@ class TestVerifyCmd:
     def test_missing_manifest_exits_three(self, tmp_path):
         code, out, err = run_cli("verify", tmp_path / "absent.json")
         assert code == 3
+
+    @pytest.mark.parametrize("field", ["t_f", "x0.lb", "spec", "manifest"])
+    def test_malformed_field_exits_three(self, tmp_path, capsys, field):
+        # one malformed field of a gen manifest is an input error that names
+        # the field, not an internal one
+        path = tmp_path / "g.json"
+        assert main(["gen", "-n", "4", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        if field == "t_f":
+            doc["t_f"] = "abc"
+        elif field == "x0.lb":
+            doc["x0"]["lb"][0] = "x"
+        elif field == "spec":
+            doc["spec"] = [1]
+        else:
+            doc = [doc]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 3
+        assert f"error: {field}" in capsys.readouterr().err
+
+    def test_mode_without_duration_exits_three(self, tmp_path, capsys):
+        path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
+        doc = json.loads(path.read_text())
+        del doc["modes"][1]["duration"]
+        path.write_text(json.dumps(doc))
+        assert main(["verify-pss", str(path)]) == 3
+        assert "mode 1 is missing required field 'duration'" in capsys.readouterr().err
 
     def test_verify_pss_motor_smoke(self, capsys):
         from redsafe.benchmarks import MOTOR_MANIFEST

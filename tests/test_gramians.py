@@ -99,7 +99,7 @@ from hypothesis import assume, given, strategies as st  # noqa: E402
 
 import redsafe.bounds as bmod  # noqa: E402
 from redsafe.balancing import balance  # noqa: E402
-from redsafe.bounds import AugmentedSystem, augment, e1_optimization  # noqa: E402
+from redsafe.bounds import FullOrderResponse, augment, e1_optimization  # noqa: E402
 
 
 # the package attribute redsafe.gramians is the function, not the module
@@ -261,12 +261,9 @@ def noncontractive_augmented(rng, n, k, p):
     building P(eps) are accurate to about cond(A_bar) times the unit
     roundoff, so they can only agree that closely."""
     A = -np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
-    A_bar = scipy.linalg.block_diag(A, A[:k, :k])
     C = rng.standard_normal((p, n))
     H = rng.standard_normal((n, n))
-    return AugmentedSystem(A_bar=A_bar, B_bar=np.zeros((n + k, 1)),
-                           C_bar=np.hstack([C, -C[:, :k]]), lift=np.vstack([H, H[:k]]),
-                           n=n, k=k)
+    return augment(FullOrderResponse(A, np.zeros((n, 1)), C, H), k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -285,7 +282,7 @@ def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
              ((3, 1, 1), (5, 2, 3), (8, 8, 2), (12, 5, 4))]
     for n in (6, 14):
         bal = balance(rs.random_stable_system(rng, n, 2, 3))
-        cases += [augment(bal, k) for k in (4, n)]
+        cases += [augment(FullOrderResponse.of(bal), k) for k in (4, n)]
     kinds = []
     for aug in cases:
         scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
@@ -302,8 +299,7 @@ def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
         else:
             assert solves == []
             sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
-            assert np.array_equal(got, [np.sqrt(float(Ci @ Ci)) * sup_norm
-                                        for Ci in aug.C_bar])
+            assert np.array_equal(got, np.linalg.norm(aug.C_bar, axis=1) * sup_norm)
     # the smallest triangular draw happens to be contractive
     assert kinds == [True, False, False, False, True, True, True, True]
 
@@ -318,10 +314,9 @@ def test_every_certificate_meets_its_own_residual(rng, monkeypatch):
     aug = noncontractive_augmented(rng, 5, 2, 2)
     with pytest.raises(rs.bounds.BoundError, match="no quadratic certificate met"):
         e1_optimization(aug, rs.HyperBox(-np.ones(5), np.ones(5)))
-    aug = augment(balance(rs.random_stable_system(rng, 6, 1, 2)), 3)
+    aug = augment(FullOrderResponse.of(balance(rs.random_stable_system(rng, 6, 1, 2))), 3)
     box = rs.HyperBox(-np.ones(6), np.ones(6))
-    assert np.allclose(e1_optimization(aug, box), bmod.e1_theoretical(aug, box),
-                       rtol=1e-14, atol=0)
+    assert np.array_equal(e1_optimization(aug, box), bmod.e1_theoretical(aug, box))
 
 
 @st.composite

@@ -123,6 +123,19 @@ class TestUnsafeVariants:
         assert ts.witness_region is None  # R - Delta_R < 0
 
 
+def test_transform_spec_refuses_bad_delta():
+    # every shape and polarity validates delta before using it
+    specs = (box_spec(-1.0, 1.0), box_spec(-1.0, 1.0, POLARITY_UNSAFE),
+             rs.EllipsoidSpec(np.eye(1), [0.0], 1.0, POLARITY_SAFE),
+             rs.EllipsoidSpec(np.eye(1), [0.0], 1.0, POLARITY_UNSAFE))
+    for spec in specs:
+        for delta, match in (([0.1, 0.2], "shape"), (0.1, "shape"),
+                             ([-0.1], "nonnegative"), ([np.nan], "finite"),
+                             ([np.inf], "finite")):
+            with pytest.raises(rs.ModelError, match=match):
+                transform_spec(spec, delta)
+
+
 class TestPss:
     def test_single_mode_matches_scalar_case(self):
         spec = box_spec(-1.0, 1.0)

@@ -181,11 +181,12 @@ def test_e2_theoretical_component_nonincreasing_end_to_end(rng):
     from redsafe.balancing import balance
     prob = generous_problem(rng, n=7)
     bal = balance(prob.system)
+    full = rs.FullOrderResponse.of(bal)
     opts = VerifyOptions(e1_methods=("theorem1",), e2_methods=("theorem3",))
     prev = None
     for k in range(2, 8):
         pairs, delta_min, best, _ = bound_candidates(
-            bal, k, prob.x0, prob.inputs, prob.t_f, opts)
+            bal, full, k, prob.x0, prob.inputs, prob.t_f, opts)
         e2 = dict(pairs)["theorem1+theorem3"].e2
         if prev is not None:
             assert np.all(e2 <= prev + 1e-12)

@@ -60,10 +60,6 @@ class BalancedRealization:
     def n(self) -> int:
         return self.system.n
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.cond_H > COND_MAX
-
 
 @dataclass(frozen=True)
 class Abstraction:

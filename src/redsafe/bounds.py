@@ -126,14 +126,6 @@ def augment(full: FullOrderResponse, k: int) -> AugmentedSystem:
                            full=full)
 
 
-def contraction_defect(aug: AugmentedSystem) -> float:
-    """lambda_max of the symmetric part of A_bar, computed from the whole
-    augmented system: the per-order reference for
-    :attr:`FullOrderResponse.defect`, which the bounds read instead."""
-    S = (aug.A_bar + aug.A_bar.T) / 2.0
-    return float(np.linalg.eigvalsh(S).max())
-
-
 def sup_box_norm(box: HyperBox) -> float:
     """Sound upper bound on sup ||x||_2 over a box: the norm of the worst
     corner per coordinate (exact when the coordinates are independent)."""
@@ -354,7 +346,7 @@ class FullOrderResponse:
 
     @functools.cached_property
     def defect(self) -> float:
-        """lambda_max(sym A_t), the :func:`contraction_defect` of every
+        """lambda_max(sym A_t), which bounds lambda_max(sym A_bar) of every
         augmented system of this mode: sym A_bar = diag(sym A_t,
         sym A_t[:k, :k]), and by Cauchy interlacing the principal block's
         largest eigenvalue is at most sym A_t's."""
@@ -663,7 +655,7 @@ def combine(e1: np.ndarray, e2: np.ndarray, gamma: float = GAMMA_DEFAULT,
     ``gamma`` when either came from simulation (conservative for mixed
     pairs).
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ModelError(f"gamma must be nonnegative, got {gamma}")
     if e1_method not in _E1_METHODS:
         raise ModelError(f"e1_method must be one of {_E1_METHODS}, got {e1_method!r}")

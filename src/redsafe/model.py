@@ -143,10 +143,6 @@ class HyperBox:
     def halfwidth(self) -> np.ndarray:
         return (self.ub - self.lb) / 2.0
 
-    @property
-    def is_point(self) -> bool:
-        return bool(np.all(self.lb == self.ub))
-
     def free_dims(self) -> np.ndarray:
         """Indices of coordinates with nonzero width."""
         return np.nonzero(self.ub > self.lb)[0]
@@ -336,10 +332,6 @@ class PssSystem:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "mode_initial_sets", sets)
-
-    @property
-    def l(self) -> int:
-        return len(self.modes)
 
     @property
     def n(self) -> int:

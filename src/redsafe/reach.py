@@ -13,13 +13,17 @@ each of them, its output image and its norm are computed once, in an age
 table shared by every step set of a call.  The table also holds every
 step's center, few dense columns and ball radius, computed for all steps at
 once from the states of the exact recursion.  A step is a row of that
-table: its generator array is assembled when something reads it (ellipsoid
-specs, ``reach --format json``), while polytope rows read their spread from
-the table, built for every step in one pass per Gamma from per-age row sums,
-the support-function view of Le Guernic & Girard (NAHS 2010).  For order k,
-p outputs and r rows a step then costs O(k^2 (k + m)) arithmetic to build
-and O(r k) to check, rather than O(r p g_j) over its g_j input columns, and
-neither takes a Python-level loop body beyond the recursion itself.
+table: its generator array is assembled only when something reads it
+(safe-region ellipsoids, the hit search on a step that fails its check,
+``reach --format json``).  Polytope rows read their spread from the table,
+built for every step in one pass per Gamma from per-age row sums, the
+support-function view of Le Guernic & Girard (NAHS 2010).  Unsafe-region
+ellipsoids read their axis spreads the same way and the spread of each
+step's own gradient direction from a cumulative sum over the table's
+columns.  For order k, p outputs and r rows a step then costs
+O(k^2 (k + m)) arithmetic to build and O(r k) to check, rather than
+O(r p g_j) over its g_j input columns, and neither takes a Python-level
+loop body beyond the recursion itself.
 """
 
 from __future__ import annotations
@@ -82,11 +86,6 @@ class Zonotope:
         """Per-row sum_j |(Gamma G)_ij|: over the set, Gamma y lies within
         this much of Gamma @ center."""
         return np.sum(np.abs(Gamma @ self.generators), axis=1)
-
-    def norm_bound(self) -> float:
-        """Upper bound on max ||x||_2 over the set."""
-        return float(np.linalg.norm(self.center)
-                     + np.sum(np.linalg.norm(self.generators, axis=0)))
 
     def __repr__(self) -> str:
         return f"Zonotope(dim={self.dim}, order={self.order})"
@@ -151,13 +150,39 @@ class _AgeTable:
             self._spreads[key] = spreads
         return self._spreads[key]
 
+    def direction_spreads(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Spread of step rows[i] in the direction V[i], one direction per
+        row: sum |v dense_j|, plus the sum over the ages below j of
+        |v Y_plus| + |v Y_minus|, plus 2 sum |v Y_new|, plus ball_j |v| C_rows.
+        The age sum is a cumulative sum over the columns of V Y_plus and
+        V Y_minus, read at column j m; it is built for ``_DIRECTION_CHUNK``
+        rows at a time, over the ages the oldest row of the chunk holds."""
+        spreads = np.sum(np.abs(np.matmul(V[:, None, :], self.dense[rows])[:, 0]), axis=1) \
+            + 2.0 * np.sum(np.abs(V @ self.Y_new), axis=1) \
+            + self.balls[rows] * (np.abs(V) @ self.C_rows)
+        for start in range(0, rows.size, _DIRECTION_CHUNK):
+            chunk = slice(start, start + _DIRECTION_CHUNK)
+            cols = int(rows[chunk].max()) * self.m
+            T = np.abs(V[chunk] @ self.Y_plus[:, :cols]) \
+                + np.abs(V[chunk] @ self.Y_minus[:, :cols])
+            prefix = np.hstack([np.zeros((T.shape[0], 1)), np.cumsum(T, axis=1)])
+            spreads[chunk] += prefix[np.arange(T.shape[0]), rows[chunk] * self.m]
+        return spreads
+
+
+#: Step rows per block of :meth:`_AgeTable.direction_spreads`, so that its
+#: (rows, ages * m) blocks stay bounded: two of about 1.2 MB each for 64 rows
+#: of a 1,200-step table with 2 input columns.
+_DIRECTION_CHUNK = 64
+
 
 class _StepZonotope(Zonotope):
     """Output set of a full reach step, kept compact as row ``step`` of the
     call's age table: its center, its dense columns [d, (H + H')/2,
     (H - H')/2] and its ball radius.  ``generators`` assembles the array on
     first read (d, H+, input+, new, H-, input-, -new, ball) and caches it;
-    ``row_spread`` reads the table's spreads instead."""
+    ``row_spread`` reads the table's spreads instead, and so do the polytope
+    and unsafe-ellipsoid checks of :func:`check_spec`."""
 
     __slots__ = ("table", "step", "_assembled")
 
@@ -200,8 +225,9 @@ class ReachStep:
     """Output-space over-approximation over one time interval.
 
     The ``outputs`` of a full step made by :func:`reach_lti` are compact:
-    their generator array is assembled on first read, and polytope row
-    spreads come from the call's age table without it."""
+    their generator array is assembled on first read, and the spreads of
+    polytope rows and of unsafe-ellipsoid directions come from the call's
+    age table without it."""
     t0: float
     t1: float
     outputs: Zonotope
@@ -263,9 +289,10 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     j's input columns, every age below j, are described by j, not gathered.
     The generator array of a full step is assembled on first read of
     ``outputs.generators`` (O(p g_j) for g_j input columns); a polytope row
-    spread reads the table instead (see :class:`_StepZonotope`).  A partial
-    last step maps its columns through its own transition in output space,
-    so its arrays are p x g_j rather than k x g_j, and is built in full.
+    or unsafe-ellipsoid direction spread reads the table instead (see
+    :class:`_StepZonotope`).  A partial last step maps its columns through
+    its own transition in output space, so its arrays are p x g_j rather
+    than k x g_j, and is built in full.
     """
     if step_h is None:
         step_h = default_step(t_f, sys.A)
@@ -466,6 +493,23 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # Spec checking.
 # --------------------------------------------------------------------------
 
+def _table_rows(zs: Sequence[Zonotope]
+                ) -> tuple[list[tuple[_AgeTable, list[int], list[int]]], list[int]]:
+    """The zonotopes grouped by the reach age table they are rows of: per
+    table, the table, the positions in zs of its rows and their steps; then
+    the positions of the zonotopes that are no table's rows."""
+    gathers: dict[int, tuple[_AgeTable, list[int], list[int]]] = {}
+    others = []
+    for i, z in enumerate(zs):
+        if isinstance(z, _StepZonotope):
+            _, where, rows = gathers.setdefault(id(z.table), (z.table, [], []))
+            where.append(i)
+            rows.append(z.step)
+        else:
+            others.append(i)
+    return list(gathers.values()), others
+
+
 def _poly_spreads(zs: Sequence[Zonotope], Gamma: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(sets, rows) arrays of Gamma @ center and of the per-row spread
@@ -473,16 +517,10 @@ def _poly_spreads(zs: Sequence[Zonotope], Gamma: np.ndarray
     in Gc -/+ spread.  Sets that are rows of a reach age table are read from
     its per-Gamma spreads in one gather per table."""
     Gc, spread = np.empty((len(zs), Gamma.shape[0])), np.empty((len(zs), Gamma.shape[0]))
-    # per table: the table, the positions in zs of its rows and their steps
-    gathers: dict[int, tuple[_AgeTable, list[int], list[int]]] = {}
-    for i, z in enumerate(zs):
-        if isinstance(z, _StepZonotope):
-            _, where, rows = gathers.setdefault(id(z.table), (z.table, [], []))
-            where.append(i)
-            rows.append(z.step)
-        else:
-            Gc[i], spread[i] = Gamma @ z.center, z.row_spread(Gamma)
-    for table, where, rows in gathers.values():
+    tables, others = _table_rows(zs)
+    for i in others:
+        Gc[i], spread[i] = Gamma @ zs[i].center, zs[i].row_spread(Gamma)
+    for table, where, rows in tables:
         Gc[where] = table.centers[rows] @ Gamma.T
         spread[where] = table.row_spreads(Gamma)[rows]
     return Gc, spread
@@ -503,7 +541,9 @@ def quad_lower(z: Zonotope, ell: EllipsoidSpec) -> float:
 
     Uses directional Cauchy-Schwarz bounds (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x)
     over axis directions plus the gradient direction; conservative, so a
-    failed disjointness test errs toward Indeterminate.
+    failed disjointness test errs toward Indeterminate.  This reads the
+    generator array; :func:`_quad_lowers` computes the same bound for the
+    rows of a reach age table from the table.
     """
     d = z.center - ell.a
     Qinv = ell.Q_inv
@@ -519,6 +559,39 @@ def quad_lower(z: Zonotope, ell: EllipsoidSpec) -> float:
         if denom > 0:
             best = max(best, lo * lo / denom)
     return best
+
+
+def _quad_lowers(zs: Sequence[Zonotope], ell: EllipsoidSpec, decided: float) -> np.ndarray:
+    """:func:`quad_lower` of each zonotope, wherever it is at most
+    ``decided``; where it is above, the value returned is above too.
+
+    Rows of a reach age table read their spreads from the table: the axis
+    spreads from its identity-row spreads, for every row at once, and the
+    gradient direction's from :meth:`_AgeTable.direction_spreads`, only for
+    the rows whose axis bound is at most ``decided``.  The gradient can only
+    raise the bound, so a row the axes put above ``decided`` stays above.
+    Other zonotopes call :func:`quad_lower`."""
+    lows = np.empty(len(zs))
+    tables, others = _table_rows(zs)
+    for i in others:
+        lows[i] = quad_lower(zs[i], ell)
+    Q, Qinv = ell.Q, ell.Q_inv
+    for table, where, rows in tables:
+        rows = np.asarray(rows)
+        D = table.centers[rows] - ell.a
+        lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p))[rows])
+        low = np.max(lo * lo / np.diag(Qinv), axis=1, initial=0.0)
+        grad = D @ Q.T
+        norms = np.linalg.norm(grad, axis=1)
+        undecided = np.flatnonzero((low <= decided) & (norms > 0))
+        V = grad[undecided] / norms[undecided, None]
+        lo = np.maximum(0.0, np.abs(np.sum(V * D[undecided], axis=1))
+                        - table.direction_spreads(V, rows[undecided]))
+        denom = np.sum((V @ Qinv) * V, axis=1)
+        low[undecided] = np.maximum(low[undecided],
+                                    np.where(denom > 0, lo * lo / denom, 0.0))
+        lows[where] = low
+    return lows
 
 
 def _quad_extreme_point(z: Zonotope, ell: EllipsoidSpec, maximize: bool) -> np.ndarray:
@@ -575,7 +648,7 @@ def _check_one(steps: Sequence[ReachStep], ts: TransformedSpec) -> str:
         hit = any(_quad_center_candidate(zs[j], unsafe) is not None
                   for j in np.flatnonzero(~ok))
     else:
-        ok = np.array([quad_lower(z, unsafe) > unsafe.R ** 2 for z in zs], bool)
+        ok = _quad_lowers(zs, unsafe, unsafe.R ** 2) > unsafe.R ** 2
         hit = any(unsafe.quad(_quad_extreme_point(zs[j], unsafe, maximize=False))
                   <= unsafe.R ** 2 for j in np.flatnonzero(~ok))
     if np.all(ok):

@@ -65,10 +65,6 @@ class TransformedSpec:
         d = Y - reg.a
         return sign * (np.sum((d @ reg.Q) * d, axis=-1) - reg.R ** 2)
 
-    def witness_margin(self, y: np.ndarray) -> float:
-        """:meth:`witness_margins` of the single output sample y."""
-        return float(self.witness_margins(y))
-
     @property
     def witness_scale(self) -> float:
         """Magnitude scale of the witness margin, for guard bands."""

@@ -55,6 +55,7 @@ class VerifyOptions:
             raise ModelError(f"invalid e2 method set {self.e2_methods}")
         # written so that NaN fails every test
         for name, ok, need in (
+                ("gamma", self.gamma >= 0, "nonnegative"),
                 ("step_h", self.step_h is None or self.step_h > 0, "positive"),
                 ("step_lh", self.step_lh > 0, "positive"),
                 ("witness_budget", self.witness_budget >= 1, "at least 1"),

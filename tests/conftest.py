@@ -53,6 +53,13 @@ def batch_trajectories(A, B, C, X0, u_plan, t_f, h):
     return out
 
 
+def contraction_defect(aug):
+    """lambda_max of the symmetric part of A_bar, computed from the whole
+    augmented system: the per-order reference for
+    :attr:`FullOrderResponse.defect`, which the bounds read instead."""
+    return float(np.linalg.eigvalsh((aug.A_bar + aug.A_bar.T) / 2.0).max())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

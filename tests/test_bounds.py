@@ -6,12 +6,12 @@ import pytest
 import redsafe as rs
 from redsafe.balancing import balance
 from redsafe.bounds import (BoundError, FullOrderResponse, augment, combine,
-                            contraction_defect, e1_optimization, e1_simulation,
-                            e1_theoretical, e2_simulation, e2_theoretical,
-                            E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION)
+                            e1_optimization, e1_simulation, e1_theoretical,
+                            e2_simulation, e2_theoretical, E1_THEOREM1,
+                            E1_THEOREM2, E2_THEOREM3, SIMULATION)
 from redsafe.reach import _transition, simulate
 
-from conftest import rand_box, rand_ubox
+from conftest import contraction_defect, rand_box, rand_ubox
 
 
 def scalar_balanced():
@@ -270,6 +270,8 @@ class TestCombine:
             combine(np.zeros(1), np.zeros(1), 0.01, E1_THEOREM1, "magic")
         with pytest.raises(rs.ModelError, match="gamma"):
             combine(np.zeros(1), np.zeros(1), -0.5)
+        with pytest.raises(rs.ModelError, match="gamma"):
+            combine(np.zeros(1), np.zeros(1), float("nan"))
 
 
 @pytest.mark.skipif(not os.environ.get("REDSAFE_BM_MANIFEST"),

@@ -254,6 +254,16 @@ class TestVerifyCmd:
         assert main(["verify", str(small_manifest(tmp_path)), flag, value]) == 3
         assert f"error: {field} must be" in capsys.readouterr().err
 
+    def test_nan_gamma_exits_three_naming_gamma(self, tmp_path, capsys):
+        # NaN passes a `gamma < 0` test; it must be refused by the flag's name
+        # before it reaches the bounds, not later as a non-finite delta
+        path = tmp_path / "g.json"
+        assert main(["gen", "-n", "6", "--seed", "7", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), "--gamma", "nan"]) == 3
+        err = capsys.readouterr().err
+        assert "error: gamma must be nonnegative" in err and "delta" not in err
+
     @pytest.mark.parametrize("command", ["verify", "verify-pss", "reach"])
     def test_order_cap_removed(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:

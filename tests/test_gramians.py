@@ -101,6 +101,8 @@ import redsafe.bounds as bmod  # noqa: E402
 from redsafe.balancing import balance  # noqa: E402
 from redsafe.bounds import FullOrderResponse, augment, e1_optimization  # noqa: E402
 
+from conftest import contraction_defect  # noqa: E402
+
 
 # the package attribute redsafe.gramians is the function, not the module
 gmod = importlib.import_module("redsafe.gramians")
@@ -234,7 +236,7 @@ def reference_e1_optimization(aug, x0):
     as one more candidate when the system is contractive."""
     sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
     scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
-    identity_ok = bmod.contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
+    identity_ok = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
     eps_grid = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
     nk = aug.A_bar.shape[0]
     out = np.empty(aug.p)
@@ -286,7 +288,7 @@ def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
     kinds = []
     for aug in cases:
         scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
-        contractive = bmod.contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
+        contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
         kinds.append(contractive)
         x0 = rs.HyperBox(-np.ones(aug.n), np.ones(aug.n))
         expected = reference_e1_optimization(aug, x0)
@@ -328,7 +330,7 @@ def noncontractive_cases(draw):
     aug = noncontractive_augmented(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                                    n, k, p)
     scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
-    assume(bmod.contraction_defect(aug) > bmod.CONTRACTION_TOL_REL * scale)
+    assume(contraction_defect(aug) > bmod.CONTRACTION_TOL_REL * scale)
     center = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     radius = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     c, r = np.array(center), np.array(radius)

@@ -229,7 +229,7 @@ class TestManifests:
     def test_motor_manifest_is_two_mode_pss(self):
         prob = rs.motor_benchmark()
         assert isinstance(prob.system, rs.PssSystem)
-        assert prob.system.l == 2
+        assert len(prob.system.modes) == 2
         assert prob.system.durations == (0.1, 0.15)
         assert prob.system.n == 8 and prob.system.m == 2 and prob.system.p == 2
         assert len(prob.spec) == 2

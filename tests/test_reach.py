@@ -137,8 +137,9 @@ def naive_reach(sys_, x0, u_box, t_f, step_h):
             Phi, vin, Gin, nPhi, res, ebl, sweep = data(h)
         nxt = Zonotope(Phi @ state.center + vin, np.hstack([Phi @ state.generators, Gin]))
         rho_next = nPhi * rho + res
-        ball = max(rho, rho_next) + 2 * ebl * (state.norm_bound() + rho + drift) \
-            + sweep * in_norm
+        state_norm = np.linalg.norm(state.center) \
+            + np.sum(np.linalg.norm(state.generators, axis=0))
+        ball = max(rho, rho_next) + 2 * ebl * (state_norm + rho + drift) + sweep * in_norm
         hull = enclose(state, nxt)
         hull = Zonotope(C @ hull.center, C @ hull.generators)
         steps.append(rs.ReachStep(t, t + h, Zonotope(hull.center, np.hstack(
@@ -570,7 +571,7 @@ class TestWitnessMargins:
                 assert vals.shape == (7, 3)
                 assert ts.witness_margins(Y[:, 0]).shape == (7,)
                 for idx in np.ndindex(7, 3):
-                    single = ts.witness_margin(Y[idx])
+                    single = ts.witness_margins(Y[idx][None])[0]
                     assert isinstance(single, float)
                     assert single == pytest.approx(naive_margin(ts, Y[idx]), rel=1e-12,
                                                    abs=1e-12)
@@ -844,6 +845,8 @@ class TestTableSpread:
             assert_table_spreads(steps, Gamma)
 
     def test_untraced_verify_assembles_no_step_set(self, monkeypatch):
+        # a polytope spec (the gen instance) and the motor's unsafe-region
+        # ellipsoids both read their step sets from reach's age table
         assembled, reached = [], []
         assemble, reach_fn = reach._StepZonotope._assemble, verifier.reach_lti
 
@@ -860,6 +863,17 @@ class TestTableSpread:
         monkeypatch.setattr(verifier, "reach_lti", counting_reach)
         verdict = rs.verify(rs.random_problem(1, n=6, m=2, p=2, free_dims=3, spec_scale=0.5))
         assert verdict.outcome == SAFE and len(reached) == 4 and min(reached) > 0
+        assert assembled == []
+
+        reached.clear()
+        motor = rs.motor_benchmark()
+        assert all(isinstance(s, rs.EllipsoidSpec) and s.polarity == POLARITY_UNSAFE
+                   for s in motor.spec)
+        verdict = rs.verify_pss(motor, verifier.VerifyOptions(
+            k0=5, k_max=5, e1_methods=(rs.E1_THEOREM2, rs.SIMULATION),
+            e2_methods=(rs.SIMULATION,), step_lh=0.05))
+        assert verdict.outcome == SAFE and verdict.k_used == 5
+        assert len(reached) == 2 and min(reached) > 0
         assert assembled == []
 
 
@@ -893,6 +907,94 @@ def table_cases(draw):
 def test_table_spread_matches_assembled_generators(case):
     sys_, x0, ubox, t_f, step_h, Gamma = case
     assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h), Gamma)
+
+
+# --------------------------------------------------------------------------
+# Unsafe-region ellipsoid checks from reach's age table against assembled
+# step sets.
+
+def random_ellipsoid(rng, p, a, R=1.0):
+    """Unsafe-region ellipsoid centered at a with a random positive definite Q."""
+    A = rng.standard_normal((p, p))
+    return rs.EllipsoidSpec(A @ A.T + np.eye(p), a, R, POLARITY_UNSAFE)
+
+
+def naive_check_ellipsoid(steps, ts):
+    """check_spec against one unsafe-polarity ellipsoid, one step at a time
+    on assembled generators."""
+    ell, R2 = ts.unsafe_region, ts.unsafe_region.R ** 2
+    failed = [s.outputs for s in steps if not reach.quad_lower(s.outputs, ell) > R2]
+    if not failed:
+        return SAFE
+    hit = any(ell.quad(reach._quad_extreme_point(z, ell, maximize=False)) <= R2
+              for z in failed)
+    return MAYBE_UNSAFE if hit else INDETERMINATE
+
+
+@given(table_cases(), st.integers(0, 2**32 - 1))
+def test_table_quad_lower_matches_assembled_generators(case, seed):
+    # an unsafe ellipsoid radius far above every step's bound leaves every
+    # table row to the gradient direction
+    sys_, x0, ubox, t_f, step_h, _ = case
+    rng = np.random.default_rng(seed)
+    steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+    zs = [s.outputs for s in steps]
+    ell = random_ellipsoid(rng, sys_.p, zs[int(rng.integers(len(zs)))].center
+                           + rng.uniform(-2.0, 2.0, sys_.p), R=1e150)
+    lows = reach._quad_lowers(zs, ell, ell.R ** 2)
+    assert np.all(lows <= ell.R ** 2)
+    for z, low in zip(zs, lows):
+        # quad_upper bounds (|v d| + spread)^2 / (v Q^-1 v) for every
+        # direction v, the scale of the rounding in lo^2 / (v Q^-1 v)
+        assert low == pytest.approx(reach.quad_lower(z, ell), rel=1e-12,
+                                    abs=1e-12 * reach.quad_upper(z, ell))
+
+
+class TestTableEllipsoid:
+    def test_check_spec_matches_assembled_reference(self, rng):
+        verdicts = set()
+        for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
+            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+            p = sys_.p
+            for _ in range(3):
+                ell = random_ellipsoid(rng, p, ref[int(rng.integers(len(ref)))].outputs.center
+                                       + rng.uniform(-0.5, 0.5, p))
+                lows = [reach.quad_lower(s.outputs, ell) for s in ref]
+                hi = max(reach.quad_upper(s.outputs, ell) for s in ref)
+                for R2 in (0.5 * min(lows), min(lows) + 0.5 * (max(lows) - min(lows)),
+                           max(lows) + 0.1 * hi, 2.0 * hi):
+                    if not R2 > 0:
+                        continue
+                    spec = rs.EllipsoidSpec(ell.Q, ell.a, np.sqrt(R2), POLARITY_UNSAFE)
+                    ts = transform_spec(spec, rng.uniform(0.0, 0.02, p) * np.sqrt(R2))
+                    # fresh step sets per spec: none is assembled before its check
+                    steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+                    expected = naive_check_ellipsoid(ref, ts)
+                    assert check_spec(steps, ts) == expected
+                    verdicts.add(expected)
+        assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
+
+    def test_decided_rows_skip_the_gradient(self, rng, monkeypatch):
+        # rows the axis spreads already put above the radius read no
+        # gradient spread; the verdict is the same either way
+        calls = []
+        spreads = reach._AgeTable.direction_spreads
+
+        def counting(self, V, rows):
+            calls.append(len(rows))
+            return spreads(self, V, rows)
+
+        monkeypatch.setattr(reach._AgeTable, "direction_spreads", counting)
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        steps = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.02)
+        zs = [s.outputs for s in steps]
+        far = np.max([np.abs(z.center) + z.radius_vector() for z in zs]) * 10.0
+        ell = random_ellipsoid(rng, 2, np.full(2, far))
+        assert check_spec(steps, transform_spec(ell, np.zeros(2))) == SAFE
+        assert sum(calls) == 0
+        calls.clear()
+        lows = reach._quad_lowers(zs, ell, np.inf)
+        assert calls == [len(zs)] and np.all(lows > ell.R ** 2)
 
 
 class TestBatchedSteps:

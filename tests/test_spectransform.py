@@ -196,6 +196,6 @@ class TestProperties:
             y = y_r + rng.uniform(-1, 1, p) * delta
             if ts.safe_region is not None and in_safe(ts.safe_region, y_r):
                 violations += not in_safe(spec, y)
-            if ts.witness_margin(y_r) > 0:
+            if ts.witness_margins(y_r[None])[0] > 0:
                 violations += in_safe(spec, y)
         assert violations == 0

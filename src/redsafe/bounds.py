@@ -4,8 +4,10 @@ truncation, via the augmented error system.
 Four routes are provided: a closed-form zero-input bound from the balanced
 contraction property, a Lyapunov-feasible quadratic bound, a Hankel-tail
 zero-state bound, and simulation-based bounds for both error sources.
-Simulation-derived components are bloated by (1+gamma) when combined, to
-absorb discretization error.
+Simulation-derived components are bloated by (1+gamma) when combined.  The
+zero-state simulation bound's per-step envelope is rigorous on its own, so
+the bloat only covers the gaps between the zero-input simulation's grid
+samples.
 
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
@@ -58,8 +60,10 @@ GAMMA_DEFAULT = 0.01
 #: Default vertex budget of the zero-input simulation bound (2^12).
 VERTEX_CAP = 4096
 
-#: Simulation step control: ||A_bar|| * h <= this value.
-SIM_LH = 0.01
+#: Step control of the impulse-response simulation: ||A_bar|| * h = this
+#: value.  Its per-step envelope is rigorous at any h; the step sets how
+#: close the bound comes to the exact integrals.
+SIM_LH = 0.05
 
 #: Relative state-norm threshold at which an impulse response counts as
 #: decayed, and the hard step cap guarding against non-decay.
@@ -324,11 +328,11 @@ class FullOrderResponse:
     """The full-order half of the simulation bounds of one mode, shared by
     every order k.
 
-    The e2 impulse responses start from B_t and record C_t x, C_t A_t^2 x
-    and ||x||^2 per channel; the e1 responses start from the lifted
-    generators [H c, H diag(r)] of the initial box (center c, free half-widths
-    r) and record C_t x and the generators' Gram matrix, from which every
-    vertex follows.  Both are simulated lazily, block by block, as far as the
+    The e2 impulse responses start from B_t and record C_t x, C_t A_t^2 x,
+    C_t A_t^3 x and ||x||^2 per channel; the e1 responses start from the
+    lifted generators [H c, H diag(r)] of the initial box (center c, free
+    half-widths r) and record C_t x and the generators' Gram matrix, from
+    which every vertex follows.  Both are simulated lazily, block by block, as far as the
     orders asking for them need.  Build one per mode with
     ``FullOrderResponse.of(bal)`` and every order's augmented system from it
     with :func:`augment`.
@@ -368,8 +372,9 @@ class FullOrderResponse:
     def impulse(self) -> _Orbit:
         """The e2 orbit from B_t at step SIM_LH / L."""
         if self._impulse is None:
+            CA2 = self.C @ self.A @ self.A
             self._impulse = _Orbit(self.A, self._step(SIM_LH), self.B,
-                                   (self.C, self.C @ self.A @ self.A), gram=False)
+                                   (self.C, CA2, CA2 @ self.A), gram=False)
         return self._impulse
 
     def initial(self, x0: HyperBox) -> _Orbit:
@@ -526,21 +531,25 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     One simulation per input channel (state initialized to that column of
     B_bar, zero input) runs until the state norm falls below ``decay_tol``
     relative, or to ``horizon`` when given (sound for windows the error
-    cannot outlive, e.g. PSS mode durations).  The per-step integrand is
-    over-approximated by the max of the endpoint values times (1 + ||A_bar||h)
-    to keep the bound one sided, and an analytic tail term covers whatever
-    lies beyond the simulated range.  The full-order half of the responses
-    (C_t x, C_t A_t^2 x and ||x||^2 per step) is read from the mode's
+    cannot outlive, e.g. PSS mode durations).  Each step's envelope is
+    second order and rigorous: with M a bound on |y''| within the step (from
+    C_bar A_bar^2 x at its endpoints and C_bar A_bar^3 x for the change in
+    between), the |kernel| integral takes the trapezoid of the endpoint
+    magnitudes plus h^3/12 M, and an analytic tail term covers whatever lies
+    beyond the simulated range.  The full-order half of the responses (C_t x,
+    C_t A_t^2 x, C_t A_t^3 x and ||x||^2 per step) is read from the mode's
     response ``aug.full``; this order simulates only its reduced half, and
     the per-step envelopes are evaluated block by block as array operations.
 
     The same pass yields two bounds.  The plain one multiplies the |kernel|
     integral by ||u||_inf.  The split one splits the input box into center
     and deviation: the center part is bounded by the running signed kernel
-    integral (with a rigorous trapezoid remainder) and only the deviation
-    multiplies the |kernel| integral.  Both are sound for arbitrary
-    measurable inputs in the box; the split one is much tighter when the box
-    is a narrow band around a nonzero center.
+    integral (the trapezoid sums plus their h^3/12 M remainders at the
+    nodes, and between nodes h |dy|/8 + h^3/16 M for the distance to their
+    linear interpolant) and only the deviation multiplies the |kernel|
+    integral.  Both are sound for arbitrary measurable inputs in the box;
+    the split one is much tighter when the box is a narrow band around a
+    nonzero center.
 
     Returns (plain, split, truncated); ``truncated`` is set when the step cap
     was reached before decay and no tail certificate was available, in which
@@ -555,14 +564,18 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     orbit = aug.full.impulse()
     h = orbit.h
     A_r, C_r = aug.A_bar[n:, n:], aug.C_bar[:, n:]
-    # second-derivative observable: |y_i''| = |C_i A^2 x| inherits whatever
-    # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||
+    # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
+    # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
+    # and C_i A^3 x bounds its change within a step
     D2_r = C_r @ A_r @ A_r
-    blocks = _error_orbit(orbit, A_r, aug.B_bar[n:], (C_r, D2_r), gram=False)
-    d2_norms = np.linalg.norm(np.hstack([orbit.maps[1], D2_r]), axis=1)
+    D3_r = D2_r @ A_r
+    blocks = _error_orbit(orbit, A_r, aug.B_bar[n:], (C_r, D2_r, D3_r), gram=False)
+    d3_norms = np.linalg.norm(np.hstack([orbit.maps[2], D3_r]), axis=1)
     x0_norms = np.linalg.norm(aug.B_bar, axis=0)
     x0_norms[x0_norms == 0] = 1.0
-    grow = np.exp(L * h)
+    # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
+    # nearer endpoint of a step
+    half_grow = np.expm1(L * h / 2.0)
 
     I_abs = np.zeros((p, m))
     R_run = np.zeros((p, m))
@@ -571,12 +584,12 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     t = 0.0
     first = 0
     prev = None
-    for Y, D2, sq in blocks:
+    for Y, D2, D3, sq in blocks:
         # states first, first+1, ... of this block, at the times a step loop
         # would have reached them
         count = len(Y)
         times = np.zeros(1) if prev is None else _block_times(t, h, count)
-        D2 = np.abs(D2)
+        D2, D3 = np.abs(D2), np.abs(D3)
         norms = np.sqrt(sq)
         at_horizon = np.zeros(count, bool) if horizon is None \
             else times >= horizon - 1e-12 * horizon
@@ -586,27 +599,34 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
         end = int(np.argmax(stop)) + 1 if stopped else count
         if prev is not None:
             # step j runs from state j-1 to state j
-            Ys = np.concatenate([prev[0][None], Y[:end]])
-            D2s = np.concatenate([prev[1][None], D2[:end]])
-            Ns = np.concatenate([prev[2][None], norms[:end]])
-            peak = np.maximum(np.abs(Ys[:-1]), np.abs(Ys[1:]))
-            # in-step |y''| bound: endpoint max of the observed |C A^2 x| plus
-            # the first-order growth (e^{Lh}-1) ||C_i A^2|| ||x||
-            ddot = np.maximum(D2s[:-1], D2s[1:]) \
-                + (grow - 1.0) * (d2_norms[:, None] * np.maximum(Ns[:-1], Ns[1:])[:, None, :])
-            # interior max of a C^2 signal exceeds its endpoint max by at most
-            # h^2/8 max|y''|, which also covers zero crossings
-            bulge = (h * h / 8.0) * ddot
-            I_abs = _accumulate(I_abs, h * (peak * (1.0 + L * h) + bulge))[-1]
+            Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
+                                for a, b in zip(prev, (Y, D2, D3, norms)))
+            # in-step |y''| bound M: every point of a step lies within h/2 of
+            # an endpoint e, where y'' = C A^2 x_e changes by at most
+            # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e|
+            # + (e^{Lh/2}-1) ||C_i A^3|| ||x_e|| there
+            ddot = np.maximum(D2s[:-1], D2s[1:]) + (h / 2.0) * (
+                np.maximum(D3s[:-1], D3s[1:])
+                + half_grow * (d3_norms[:, None] * np.maximum(Ns[:-1], Ns[1:])[:, None, :]))
+            # int |y| <= int |linear interpolant| + int |y - interpolant|, and
+            # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
+            rem = (h ** 3 / 12.0) * ddot
+            I_abs = _accumulate(I_abs, h * (np.abs(Ys[:-1]) + np.abs(Ys[1:])) / 2.0 + rem)[-1]
             runs = _accumulate(R_run, h * (Ys[:-1] + Ys[1:]) / 2.0)
-            # rigorous per-step trapezoid remainder: h^3/12 max|y''|
-            traps = _accumulate(trap_budget, (h ** 3 / 12.0) * ddot)
-            R_max = np.maximum(R_max, np.max(np.abs(runs) + h * (peak + bulge) + traps,
-                                             axis=0))
+            # the same h^3/12 M bounds each step's trapezoid remainder
+            traps = _accumulate(trap_budget, rem)
+            # the running integral R at the step's nodes is within the summed
+            # remainders of the trapezoid sums, and between them within
+            # h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2) of their linear interpolant
+            nodes = np.abs(runs) + traps
+            ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
+                              nodes)
+            inner = (h / 8.0) * np.abs(Ys[1:] - Ys[:-1]) + (h ** 3 / 16.0) * ddot
+            R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
             R_run, trap_budget = runs[-1], traps[-1]
         if stopped:
             break
-        prev = (Y[-1], D2[-1], norms[-1])
+        prev = (Y[-1], D2[-1], D3[-1], norms[-1])
         t = times[-1]
         first += count
     reached_horizon = bool(at_horizon[end - 1])

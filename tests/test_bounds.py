@@ -338,15 +338,16 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
     x0_norms = np.linalg.norm(X, axis=0)
     x0_norms[x0_norms == 0] = 1.0
     c_norms = np.linalg.norm(aug.C_bar, axis=1)
-    grow = np.exp(L * h)
     D2 = aug.C_bar @ aug.A_bar @ aug.A_bar
-    d2_norms = np.linalg.norm(D2, axis=1)
+    D3 = D2 @ aug.A_bar
+    d3_norms = np.linalg.norm(D3, axis=1)
     I_abs = np.zeros((p, m))
     R_run = np.zeros((p, m))
     R_max = np.zeros((p, m))
     trap_budget = np.zeros((p, m))
     Y_prev = aug.C_bar @ X
     D2_prev = np.abs(D2 @ X)
+    D3_prev = np.abs(D3 @ X)
     norms_prev = np.linalg.norm(X, axis=0)
     t = 0.0
     steps = 0
@@ -361,16 +362,20 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
         X = Phi @ X
         Y_cur = aug.C_bar @ X
         D2_cur = np.abs(D2 @ X)
+        D3_cur = np.abs(D3 @ X)
         norms_cur = np.linalg.norm(X, axis=0)
-        peak = np.maximum(np.abs(Y_prev), np.abs(Y_cur))
-        ddot = np.maximum(D2_prev, D2_cur) \
-            + (grow - 1.0) * np.outer(d2_norms, np.maximum(norms_prev, norms_cur))
-        bulge = (h * h / 8.0) * ddot
-        I_abs += h * (peak * (1.0 + L * h) + bulge)
+        # in-step |y''| bound from the nearer endpoint, within h/2
+        ddot = np.maximum(D2_prev, D2_cur) + (h / 2.0) * (
+            np.maximum(D3_prev, D3_cur)
+            + np.expm1(L * h / 2.0) * np.outer(d3_norms, np.maximum(norms_prev, norms_cur)))
+        node_prev = np.abs(R_run) + trap_budget
+        I_abs += h * (np.abs(Y_prev) + np.abs(Y_cur)) / 2.0 + (h ** 3 / 12.0) * ddot
         R_run += h * (Y_prev + Y_cur) / 2.0
         trap_budget += (h ** 3 / 12.0) * ddot
-        R_max = np.maximum(R_max, np.abs(R_run) + h * (peak + bulge) + trap_budget)
-        Y_prev, D2_prev, norms_prev = Y_cur, D2_cur, norms_cur
+        node_cur = np.abs(R_run) + trap_budget
+        R_max = np.maximum(R_max, np.maximum(node_prev, node_cur)
+                           + (h / 8.0) * np.abs(Y_cur - Y_prev) + (h ** 3 / 16.0) * ddot)
+        Y_prev, D2_prev, D3_prev, norms_prev = Y_cur, D2_cur, D3_cur, norms_cur
         t += h
         steps += 1
     truncated = False
@@ -660,3 +665,66 @@ class TestContractionPerMode:
             e1_theoretical(aug, box)
         assert np.all(np.isfinite(e1_optimization(aug, box)))
 
+
+
+# --------------------------------------------------------------------------
+# The simulation e2 bound against the exact integrals it bounds, taken on a
+# grid 64 times finer than its step.
+
+def fine_kernel_integrals(aug, C, horizon, h):
+    """For the kernel K(t) = C e^{A_bar t} B_bar on [0, horizon], sampled at
+    step h/64: int |K| (p, m) and the running integrals int_0^t K at every
+    sample (samples, p, m), both by the trapezoid rule."""
+    hf = h / 64.0
+    Phi = scipy.linalg.expm(aug.A_bar * hf)
+    # C Phi^j for j = 0 ... 63, then whole coarse steps of Phi^64
+    offsets = [C]
+    for _ in range(63):
+        offsets.append(offsets[-1] @ Phi)
+    offsets = np.stack(offsets)
+    Phi64 = np.linalg.matrix_power(Phi, 64)
+    X, samples = aug.B_bar.copy(), []
+    for _ in range(int(horizon / h) + 1):
+        samples.append(offsets @ X)
+        X = Phi64 @ X
+    K = np.concatenate(samples)[:int(horizon / hf) + 1]
+    K_abs = np.abs(K)
+    abs_integral = hf * (np.sum(K_abs, axis=0) - (K_abs[0] + K_abs[-1]) / 2.0)
+    running = np.concatenate([np.zeros_like(K[:1]),
+                              np.cumsum(hf * (K[:-1] + K[1:]) / 2.0, axis=0)])
+    return abs_integral, running
+
+
+@st.composite
+def e2_cases(draw):
+    """A balanced random system at n <= 8, an input box with a nonzero center
+    and a horizon of up to a few time constants."""
+    n, m, p = draw(st.integers(2, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bal = balance(rs.random_stable_system(rng, n, m, p))
+    lo = rng.uniform(-1.0, 1.0, size=m)
+    u_box = rs.HyperBox(lo, lo + rng.uniform(0.05, 1.0, size=m))
+    return bal, u_box, draw(st.floats(0.2, 3.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(e2_cases())
+def test_e2_simulation_bounds_fine_grid_integrals(case):
+    # plain >= int |K| ||u||_inf and split >= max_t |R(t) u_c| + int |K| u_r,
+    # with R the running integral of K; the fine grid is exact to about
+    # (h L / 64)^2, far inside the bounds' slack, and the 1e-12 of the two
+    # halves' size covers rounding where the error kernel vanishes (k = n)
+    bal, u_box, horizon = case
+    n = bal.A_t.shape[0]
+    u_inf = np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
+    for k in (1, n - 1, n):
+        aug = augment(FullOrderResponse.of(bal), k)
+        plain, split, truncated = e2_simulation(aug, u_box, horizon=horizon)
+        assert not truncated
+        h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
+        I_abs, R = fine_kernel_integrals(aug, aug.C_bar, horizon, h)
+        scale = fine_kernel_integrals(aug, mirrored(aug).C_bar, horizon, h)[0] @ u_inf
+        slack = 1e-12 * scale
+        assert np.all(plain >= I_abs @ u_inf - slack)
+        center = np.max(np.abs(R @ u_box.center), axis=0)
+        assert np.all(split >= center + I_abs @ u_box.halfwidth - slack)

@@ -3,11 +3,12 @@ truncation, via the augmented error system.
 
 Four routes are provided: a closed-form zero-input bound from the balanced
 contraction property, a Lyapunov-feasible quadratic bound, a Hankel-tail
-zero-state bound, and simulation-based bounds for both error sources.
-Simulation-derived components are bloated by (1+gamma) when combined.  The
-zero-state simulation bound's per-step envelope is rigorous on its own, so
-the bloat only covers the gaps between the zero-input simulation's grid
-samples.
+zero-state bound, and simulation-based bounds for both error sources.  Each
+is sound for its own error source, so :func:`assemble` bounds the output
+error by delta = min over the zero-input (e1) candidates + min over the
+zero-state (e2) candidates, per output.  The zero-state simulation bound's
+per-step envelope is rigorous on its own; only the zero-input simulation
+bound, read at grid samples, is bloated by (1+gamma) before it competes.
 
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
@@ -47,14 +48,11 @@ E1_THEOREM2 = "theorem2"
 E2_THEOREM3 = "theorem3"
 SIMULATION = "simulation"
 
-_E1_METHODS = (E1_THEOREM1, E1_THEOREM2, SIMULATION)
-_E2_METHODS = (E2_THEOREM3, SIMULATION)
-
 #: Numerical slack, relative to ||A_bar||, for the contraction precondition
 #: lambda_max(A_bar + A_bar^T) <= 0 of the closed-form zero-input bound.
 CONTRACTION_TOL_REL = 1e-8
 
-#: Default bloat factor applied to simulation-derived bound components.
+#: Default bloat factor of the zero-input simulation bound.
 GAMMA_DEFAULT = 0.01
 
 #: Default vertex budget of the zero-input simulation bound (2^12).
@@ -438,7 +436,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     The bound is the max over vertices and the time grid of |ybar_i(t)|.
     The error is linear in the initial state, so the vertex max covers the
     whole box at each sampled time; the remaining discretization gap is what
-    the gamma bloat in :func:`combine` absorbs.  Refuses boxes with more than
+    the caller's (1+gamma) bloat absorbs.  Refuses boxes with more than
     ``vertex_cap`` vertices, naming the count.  The vertex responses are
     those of the box generators: at every step the vertex max of |ybar_i| is
     |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and vertex state norms come from
@@ -525,7 +523,7 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
                   decay_tol: float = DECAY_TOL,
                   horizon: float | None = None,
                   max_steps: int = MAX_IMPULSE_STEPS
-                  ) -> tuple[np.ndarray, np.ndarray, bool]:
+                  ) -> tuple[np.ndarray, bool]:
     """Zero-state bound by integrating the augmented impulse responses.
 
     One simulation per input channel (state initialized to that column of
@@ -541,25 +539,24 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     response ``aug.full``; this order simulates only its reduced half, and
     the per-step envelopes are evaluated block by block as array operations.
 
-    The same pass yields two bounds.  The plain one multiplies the |kernel|
-    integral by ||u||_inf.  The split one splits the input box into center
-    and deviation: the center part is bounded by the running signed kernel
-    integral (the trapezoid sums plus their h^3/12 M remainders at the
-    nodes, and between nodes h |dy|/8 + h^3/16 M for the distance to their
-    linear interpolant) and only the deviation multiplies the |kernel|
-    integral.  Both are sound for arbitrary measurable inputs in the box;
-    the split one is much tighter when the box is a narrow band around a
-    nonzero center.
+    The input box is split into center and deviation: only the deviation
+    multiplies the |kernel| integral I_abs, and the center multiplies a
+    bound on sup_t |R(t)| of the running signed kernel integral R, the
+    smaller of I_abs and R_max (the trapezoid sums plus their h^3/12 M
+    remainders at the nodes, and between nodes h |dy|/8 + h^3/16 M for the
+    distance to their linear interpolant).  Both factors bound sup_t |R(t)|,
+    so the bound is sound for arbitrary measurable inputs in the box and
+    never exceeds I_abs ||u||_inf.
 
-    Returns (plain, split, truncated); ``truncated`` is set when the step cap
-    was reached before decay and no tail certificate was available, in which
-    case the caller should reject both bounds.
+    Returns (e2, truncated); ``truncated`` is set when the step cap was
+    reached before decay and no tail certificate was available, in which
+    case the caller should reject the bound.
     """
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")
     p, m, n = aug.p, aug.m, aug.n
     if m == 0 or not np.any(aug.B_bar):
-        return np.zeros(p), np.zeros(p), False
+        return np.zeros(p), False
     L = aug.full.L
     orbit = aug.full.impulse()
     h = orbit.h
@@ -644,51 +641,57 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
             I_abs += tail
             R_max += tail
 
-    plain = I_abs @ np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
-    split = R_max @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
-    return plain, split, truncated
+    e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
+    return e2, truncated
 
 
 @dataclass(frozen=True)
 class ErrorBound:
-    """Combined per-output bound delta = (1+gamma)(e1 + e2).
+    """Per-output bound delta = e1 + e2 assembled from the best candidate of
+    each error source.
 
-    ``gamma`` is the bloat factor actually applied: zero when both components
-    are theorem derived, the configured value otherwise.  ``rho`` = ||delta||_2
-    is the precision of the induced approximate bisimulation.
+    ``e1`` (``e2``) is the componentwise minimum of the zero-input
+    (zero-state) candidates, and ``e1_method[i]`` (``e2_method[i]``) names
+    the method whose value output i took.
     """
 
     e1: np.ndarray
     e2: np.ndarray
     delta: np.ndarray
-    rho: float
-    e1_method: str
-    e2_method: str
-    gamma: float
+    e1_method: tuple[str, ...]
+    e2_method: tuple[str, ...]
 
 
-def combine(e1: np.ndarray, e2: np.ndarray, gamma: float = GAMMA_DEFAULT,
-            e1_method: str = E1_THEOREM1, e2_method: str = E2_THEOREM3) -> ErrorBound:
-    """Total bound delta_i = (1+gamma_applied)(e1_i + e2_i).
-
-    gamma_applied is zero when both components are theorem derived and
-    ``gamma`` when either came from simulation (conservative for mixed
-    pairs).
-    """
-    if not gamma >= 0:
-        raise ModelError(f"gamma must be nonnegative, got {gamma}")
-    if e1_method not in _E1_METHODS:
-        raise ModelError(f"e1_method must be one of {_E1_METHODS}, got {e1_method!r}")
-    if e2_method not in _E2_METHODS:
-        raise ModelError(f"e2_method must be one of {_E2_METHODS}, got {e2_method!r}")
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if e1.shape != e2.shape:
-        raise ModelError(f"e1 and e2 have different shapes: {e1.shape} vs {e2.shape}")
-    if np.any(e1 < 0) or np.any(e2 < 0) or not np.all(np.isfinite(e1)) \
-            or not np.all(np.isfinite(e2)):
+def _least(candidates: dict[str, np.ndarray], shape: tuple[int, ...]
+           ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Componentwise minimum of per-output candidate vectors and the label
+    of the winner per output; ties go to the earlier candidate."""
+    labels = list(candidates)
+    stack = [np.asarray(candidates[label], dtype=float) for label in labels]
+    if any(v.shape != shape for v in stack):
+        raise ModelError(f"bound components must all have shape {shape}")
+    stack = np.stack(stack)
+    # written so that NaN fails the test
+    if not np.all((stack >= 0) & np.isfinite(stack)):
         raise ModelError("bound components must be finite and nonnegative")
-    applied = 0.0 if (e1_method != SIMULATION and e2_method != SIMULATION) else float(gamma)
-    delta = (1.0 + applied) * (e1 + e2)
-    return ErrorBound(e1=e1, e2=e2, delta=delta, rho=float(np.linalg.norm(delta)),
-                      e1_method=e1_method, e2_method=e2_method, gamma=applied)
+    win = np.argmin(stack, axis=0)
+    return stack[win, np.arange(stack.shape[1])], tuple(labels[i] for i in win)
+
+
+def assemble(e1s: dict[str, np.ndarray], e2s: dict[str, np.ndarray]) -> ErrorBound:
+    """delta = min over the e1 candidates + min over the e2 candidates, per
+    output.
+
+    Every candidate must be sound for its own error source (the zero-input
+    simulation bound already bloated), so the sum of the two minima bounds
+    the output error.  Candidates are tried in the dicts' order, and an
+    output whose candidates tie takes the earlier label.  Refuses empty
+    candidate sets, mismatched shapes and non-finite or negative components.
+    """
+    if not e1s or not e2s:
+        raise ModelError("delta needs at least one e1 and one e2 candidate")
+    shape = np.shape(next(iter(e1s.values())))
+    e1, e1_method = _least(e1s, shape)
+    e2, e2_method = _least(e2s, shape)
+    return ErrorBound(e1=e1, e2=e2, delta=e1 + e2, e1_method=e1_method,
+                      e2_method=e2_method)

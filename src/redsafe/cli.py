@@ -67,8 +67,6 @@ def _options_from(args) -> VerifyOptions:
         kwargs["e1_methods"] = tuple(dict.fromkeys(args.e1))
     if getattr(args, "e2", None):
         kwargs["e2_methods"] = tuple(dict.fromkeys(args.e2))
-    if getattr(args, "no_split", False):
-        kwargs["e2_input_split"] = False
     if getattr(args, "geometric", False):
         kwargs["geometric_schedule"] = True
     return VerifyOptions(**kwargs)
@@ -153,22 +151,28 @@ def cmd_bounds(args) -> int:
         full = bnd.FullOrderResponse.of(bal)
         for k in ks:
             t0 = time.perf_counter()
-            pairs, delta_min, _, notes = bound_candidates(
+            e1s, e2s, bound, notes = bound_candidates(
                 bal, full, k, x0, problem.inputs, horizon, opts)
             dt = time.perf_counter() - t0 if args.timing else 0.0
-            for plabel, b in pairs:
-                rows.append({"system": name, "k": k, "method": plabel,
-                             "e1": b.e1.tolist(), "e2": b.e2.tolist(),
-                             "delta": b.delta.tolist(), "time_s": round(dt, 6)})
-            if delta_min is not None:
-                rows.append({"system": name, "k": k, "method": "min", "e1": None,
-                             "e2": None, "delta": delta_min.tolist(),
-                             "time_s": round(dt, 6)})
+            rows += [_bound_row(name, k, method, dt, e1=e1) for method, e1 in e1s.items()]
+            rows += [_bound_row(name, k, method, dt, e2=e2) for method, e2 in e2s.items()]
+            if bound is not None:
+                rows.append(_bound_row(name, k, "min", dt, bound.e1, bound.e2, bound.delta))
             for note in notes:
                 print(f"note: k={k} {note}", file=sys.stderr)
     doc = {"format_version": 1, "rows": rows}
     _emit(doc, args, _bounds_text, _bounds_csv)
     return 0
+
+
+def _bound_row(system: str, k: int, method: str, dt: float,
+               e1=None, e2=None, delta=None) -> dict:
+    """One row of a bound table; a column the row does not fill is null."""
+    row = {"system": system, "k": k, "method": method}
+    row.update((name, None if v is None else v.tolist())
+               for name, v in (("e1", e1), ("e2", e2), ("delta", delta)))
+    row["time_s"] = round(dt, 6)
+    return row
 
 
 def _fmt_vec(v) -> str:
@@ -178,10 +182,10 @@ def _fmt_vec(v) -> str:
 
 
 def _bounds_text(doc) -> str:
-    header = f"{'system':<28} {'k':>3} {'method':<32} {'e1':<26} {'e2':<26} {'delta':<26} {'t(s)':>8}"
+    header = f"{'system':<28} {'k':>3} {'method':<12} {'e1':<26} {'e2':<26} {'delta':<26} {'t(s)':>8}"
     lines = [header, "-" * len(header)]
     for r in doc["rows"]:
-        lines.append(f"{r['system']:<28} {r['k']:>3} {r['method']:<32} "
+        lines.append(f"{r['system']:<28} {r['k']:>3} {r['method']:<12} "
                      f"{_fmt_vec(r['e1']):<26} {_fmt_vec(r['e2']):<26} "
                      f"{_fmt_vec(r['delta']):<26} {r['time_s']:>8.3f}")
     return "\n".join(lines) + "\n"
@@ -190,10 +194,11 @@ def _bounds_text(doc) -> str:
 def _bounds_csv(doc) -> str:
     lines = ["system,k,method,output,e1,e2,delta,time_s"]
     for r in doc["rows"]:
-        for i, d in enumerate(r["delta"]):
-            e1 = r["e1"][i] if r["e1"] is not None else ""
-            e2 = r["e2"][i] if r["e2"] is not None else ""
-            lines.append(f"{r['system']},{r['k']},{r['method']},{i},{e1},{e2},{d},{r['time_s']}")
+        cols = [r["e1"], r["e2"], r["delta"]]
+        outputs = len(next(c for c in cols if c is not None))
+        for i in range(outputs):
+            vals = ",".join("" if c is None else str(c[i]) for c in cols)
+            lines.append(f"{r['system']},{r['k']},{r['method']},{i},{vals},{r['time_s']}")
     return "\n".join(lines) + "\n"
 
 
@@ -260,13 +265,9 @@ def _verdict_doc(verdict) -> dict:
                           "seconds": e.seconds, "notes": list(e.notes)}
                          for e in verdict.per_k_log]}
     if verdict.delta is not None:
-        doc["delta"] = {"e1": verdict.delta.e1.tolist(), "e2": verdict.delta.e2.tolist(),
-                        "delta": verdict.delta.delta.tolist(), "rho": verdict.delta.rho,
-                        "e1_method": verdict.delta.e1_method,
-                        "e2_method": verdict.delta.e2_method,
-                        "gamma": verdict.delta.gamma}
-    if verdict.mode_deltas is not None:
-        doc["mode_deltas"] = [d.tolist() for d in verdict.mode_deltas]
+        doc["delta"] = [{"e1": b.e1.tolist(), "e2": b.e2.tolist(), "delta": b.delta.tolist(),
+                         "e1_method": list(b.e1_method), "e2_method": list(b.e2_method)}
+                        for b in verdict.delta]
     if verdict.witness is not None:
         w = verdict.witness
         doc["witness"] = {"init_state": w.init_state.tolist(), "margin": w.margin,
@@ -327,14 +328,12 @@ def cmd_bench(args) -> int:
                     continue
                 for mname, opts in method_sets.items():
                     t0 = time.perf_counter()
-                    pairs, delta_min, best, _ = bound_candidates(
+                    _, _, bound, _ = bound_candidates(
                         bal, full, k, x0, problem.inputs, horizon, opts)
                     dt = time.perf_counter() - t0 if args.timing else 0.0
-                    if best is None:
-                        continue
-                    rows.append({"system": name, "k": k, "method": mname,
-                                 "e1": best.e1.tolist(), "e2": best.e2.tolist(),
-                                 "delta": best.delta.tolist(), "time_s": round(dt, 6)})
+                    if bound is not None:
+                        rows.append(_bound_row(name, k, mname, dt, bound.e1, bound.e2,
+                                               bound.delta))
     doc = {"format_version": 1, "rows": rows}
     _emit(doc, args, _bounds_text, _bounds_csv)
     return 0
@@ -375,9 +374,7 @@ def _add_bound_opts(sp):
     sp.add_argument("--e2", action="append",
                     choices=(bnd.E2_THEOREM3, bnd.SIMULATION),
                     help="enable a zero-state bound method (repeatable)")
-    sp.add_argument("--no-split", action="store_true",
-                    help="disable the center+deviation refinement of the e2 simulation")
-    sp.add_argument("--gamma", type=float, help="bloat factor for simulation bounds")
+    sp.add_argument("--gamma", type=float, help="bloat factor of the e1 simulation bound")
     sp.add_argument("--vertex-cap", dest="vertex_cap", type=int,
                     help="vertex budget of the e1 simulation bound")
 

@@ -1,8 +1,9 @@
 """The k-incrementing verification semi-algorithm for LTI and PSS problems.
 
-Each iteration builds an order-k abstraction, computes the error bound by
-every enabled method (the componentwise minimum of sound bounds is sound),
-transforms the spec, runs reachability on the reduced system and checks it.
+Each iteration builds an order-k abstraction, bounds each error source by
+every enabled method and takes delta = min e1 + min e2 per output (each
+candidate is sound for its source), transforms the spec, runs reachability
+on the reduced system and checks it.
 Safe and witness-confirmed Unsafe stop the loop; otherwise the order grows
 by one until k_max.  A PSS resets its state at every switch, so each mode is
 an independent LTI check over its own duration; an LTI problem is the
@@ -19,7 +20,7 @@ import numpy as np
 from . import bounds as bnd
 from .balancing import BalancedRealization, balance, truncate
 from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
-                     ErrorBound, combine)
+                     ErrorBound)
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
                     VerificationProblem)
 from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
@@ -36,7 +37,6 @@ class VerifyOptions:
     k_max: int | None = None
     e1_methods: tuple[str, ...] = (E1_THEOREM1, E1_THEOREM2, SIMULATION)
     e2_methods: tuple[str, ...] = (E2_THEOREM3, SIMULATION)
-    e2_input_split: bool = True
     gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
     step_lh: float = STEP_LH
@@ -78,11 +78,13 @@ class PerKEntry:
 class Verdict:
     outcome: str
     k_used: int | None
-    delta: ErrorBound | None
+    #: The assembled bound of each mode bounded at ``k_used``, in
+    #: :func:`problem_modes` order; an Unsafe verdict stops at the mode of
+    #: its witness.
+    delta: tuple[ErrorBound, ...] | None
     delta_used: np.ndarray | None
     witness: WitnessTrajectory | None
     per_k_log: list[PerKEntry]
-    mode_deltas: tuple[np.ndarray, ...] | None = None
 
     @property
     def exit_code(self) -> int:
@@ -99,8 +101,9 @@ def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
             elif method == E1_THEOREM2:
                 out[method] = bnd.e1_optimization(aug, x0)
             else:
-                out[method] = bnd.e1_simulation(aug, x0, horizon,
-                                                vertex_cap=opts.vertex_cap)
+                # the only bound read at grid samples; the bloat covers the gaps
+                out[method] = (1.0 + opts.gamma) * bnd.e1_simulation(
+                    aug, x0, horizon, vertex_cap=opts.vertex_cap)
         except (ModelError, bnd.BoundError) as exc:
             notes.append(f"e1 {method} skipped: {exc}")
     return out
@@ -113,40 +116,33 @@ def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float
         if method == E2_THEOREM3:
             out[method] = bnd.e2_theoretical(bal.sigma, aug.k, u_box, aug.p)
             continue
-        plain, split, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
+        e2, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
         if truncated:
             notes.append("e2 simulation truncated before decay; bound dropped")
-            if opts.e2_input_split:
-                notes.append("split e2 simulation truncated before decay; bound dropped")
-            continue
-        out[method] = plain
-        if opts.e2_input_split:
-            out[method + "(split)"] = split
+        else:
+            out[method] = e2
     return out
 
 
 def bound_candidates(bal: BalancedRealization, full: bnd.FullOrderResponse, k: int,
                      x0: HyperBox, u_box: HyperBox, horizon: float,
                      opts: VerifyOptions = VerifyOptions()):
-    """Every enabled bound pairing for one abstraction order.
+    """Every enabled bound method's vector for one abstraction order, and
+    the bound assembled from them.
 
     ``full`` is the mode's ``FullOrderResponse.of(bal)``; pass the same one
-    at every order of the mode.  Returns (pairs, delta_min, best, notes):
-    labeled ErrorBounds, the componentwise minimum over them (sound), the
-    pairing with the smallest rho, and notes about skipped methods.
+    at every order of the mode.  Returns (e1s, e2s, bound, notes): the e1
+    and e2 vectors by method in ``opts`` order, the simulated e1 already
+    bloated by (1+gamma); the ErrorBound that :func:`bounds.assemble`
+    builds from them, or None when either source has no candidate; and
+    notes about skipped methods.
     """
     notes: list[str] = []
     aug = bnd.augment(full, k)
     e1s = _candidate_e1(aug, x0, horizon, opts, notes)
     e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes)
-    pairs = [(f"{l1}+{l2}", combine(e1, e2, opts.gamma, l1,
-                                    SIMULATION if l2.startswith(SIMULATION) else l2))
-             for l1, e1 in e1s.items() for l2, e2 in e2s.items()]
-    if not pairs:
-        return [], None, None, notes
-    delta_min = np.min(np.stack([b.delta for _, b in pairs]), axis=0)
-    best = min(pairs, key=lambda item: item[1].rho)[1]
-    return pairs, delta_min, best, notes
+    bound = bnd.assemble(e1s, e2s) if e1s and e2s else None
+    return e1s, e2s, bound, notes
 
 
 def problem_modes(problem: VerificationProblem
@@ -181,7 +177,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
 
     Safe requires every mode to check out at the same k; any validated
     witness makes the whole problem Unsafe.  PSS bound labels and notes
-    carry their mode; an LTI problem's carry none and report no mode deltas.
+    carry their mode; an LTI problem's carry none.
     """
     modes = problem_modes(problem)
     labeled = bool(modes[0][0])
@@ -200,25 +196,21 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
         notes: list[str] = []
         bounds_log: dict[str, list[float]] = {}
         mode_outcomes: list[str] = []
-        mode_deltas: list[np.ndarray] = []
-        worst: ErrorBound | None = None
+        mode_bounds: list[ErrorBound] = []
         for rho, ((label, _, x0, horizon), bal, full) in enumerate(
                 zip(modes, bals, responses)):
             key, say = (f"{label}:", f"mode {rho}: ") if labeled else ("", "")
             abstraction = truncate(bal, k, x0)
-            pairs, delta_min, best, mode_notes = bound_candidates(
+            _, _, bound, mode_notes = bound_candidates(
                 bal, full, k, x0, problem.inputs, horizon, opts)
             notes.extend(say + note for note in mode_notes)
-            if delta_min is None:
+            if bound is None:
                 notes.append(say + "no bound method produced a value")
                 mode_outcomes.append(INDETERMINATE)
                 continue
-            for plabel, b in pairs:
-                bounds_log[key + plabel] = b.delta.tolist()
-            mode_deltas.append(delta_min)
-            if worst is None or best.rho > worst.rho:
-                worst = best
-            transformed = [transform_spec(s, delta_min) for s in problem.spec]
+            bounds_log[key + "delta"] = bound.delta.tolist()
+            mode_bounds.append(bound)
+            transformed = [transform_spec(s, bound.delta) for s in problem.spec]
             if all(ts.safe_region is None for ts in transformed) \
                     and problem.polarity == "safe-region":
                 notes.append(say + "transformed safe region empty at this k")
@@ -240,9 +232,9 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                     log.append(PerKEntry(k=k, bounds=bounds_log, outcome=UNSAFE,
                                          seconds=time.perf_counter() - t0,
                                          notes=tuple(notes)))
-                    return Verdict(outcome=UNSAFE, k_used=k, delta=worst,
-                                   delta_used=delta_min, witness=witness, per_k_log=log,
-                                   mode_deltas=tuple(mode_deltas) if labeled else None)
+                    return Verdict(outcome=UNSAFE, k_used=k, delta=tuple(mode_bounds),
+                                   delta_used=bound.delta, witness=witness,
+                                   per_k_log=log)
                 notes.append(say + "step sets touch the unsafe region but no witness found")
             mode_outcomes.append(outcome)
         all_safe = all(v == SAFE for v in mode_outcomes)
@@ -250,10 +242,10 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                              outcome=SAFE if all_safe else INDETERMINATE,
                              seconds=time.perf_counter() - t0, notes=tuple(notes)))
         if all_safe:
-            return Verdict(outcome=SAFE, k_used=k, delta=worst,
-                           delta_used=np.max(np.stack(mode_deltas), axis=0),
-                           witness=None, per_k_log=log,
-                           mode_deltas=tuple(mode_deltas) if labeled else None)
+            return Verdict(outcome=SAFE, k_used=k, delta=tuple(mode_bounds),
+                           delta_used=np.max(np.stack([b.delta for b in mode_bounds]),
+                                             axis=0),
+                           witness=None, per_k_log=log)
     return Verdict(outcome=INDETERMINATE, k_used=None, delta=None, delta_used=None,
                    witness=None, per_k_log=log)
 

@@ -116,8 +116,17 @@ class TestBoundsCmd:
         code = main(["bounds", str(path), "-k", "2", "--format", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        methods = {r["method"] for r in doc["rows"]}
-        assert "theorem1+theorem3" in methods and "min" in methods
+        # one row per e1 method, one per e2 method, then the assembled min
+        filled = [(r["method"], r["e1"] is not None, r["e2"] is not None,
+                   r["delta"] is not None) for r in doc["rows"]]
+        assert filled == [("theorem1", True, False, False), ("theorem2", True, False, False),
+                          ("simulation", True, False, False),
+                          ("theorem3", False, True, False), ("simulation", False, True, False),
+                          ("min", True, True, True)]
+        e1_rows, e2_rows, least = doc["rows"][:3], doc["rows"][3:5], doc["rows"][5]
+        assert least["e1"] == np.min([r["e1"] for r in e1_rows], axis=0).tolist()
+        assert least["e2"] == np.min([r["e2"] for r in e2_rows], axis=0).tolist()
+        assert least["delta"] == (np.array(least["e1"]) + least["e2"]).tolist()
         assert all(r["time_s"] == 0.0 for r in doc["rows"])
 
     def test_text_table(self, tmp_path, capsys):
@@ -131,8 +140,10 @@ class TestBoundsCmd:
         path = small_manifest(tmp_path)
         code = main(["bounds", str(path), "-k", "2", "--format", "csv"])
         assert code == 0
-        header = capsys.readouterr().out.splitlines()[0]
+        header, *lines = capsys.readouterr().out.splitlines()
         assert header == "system,k,method,output,e1,e2,delta,time_s"
+        # null columns stay empty
+        assert [line.split(",")[2:7].count("") for line in lines] == [2] * 5 + [0]
 
     @pytest.mark.parametrize("flag", ["--k0", "--k-max", "--step-h", "--step-lh",
                                       "--witness-budget", "--time-budget"])
@@ -264,10 +275,14 @@ class TestVerifyCmd:
         err = capsys.readouterr().err
         assert "error: gamma must be nonnegative" in err and "delta" not in err
 
-    @pytest.mark.parametrize("command", ["verify", "verify-pss", "reach"])
-    def test_order_cap_removed(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, flag", [
+        *(pytest.param(c, ["--order-cap", "20"], id=c) for c in ("verify", "verify-pss", "reach")),
+        *(pytest.param(c, ["--no-split"], id=f"{c}-no-split")
+          for c in ("verify", "verify-pss", "bounds"))])
+    def test_order_cap_removed(self, tmp_path, capsys, command, flag):
+        # removed flags are unknown flags, exit 3
         with pytest.raises(SystemExit) as exc:
-            main([command, str(small_manifest(tmp_path)), "--order-cap", "20"])
+            main([command, str(small_manifest(tmp_path)), *flag])
         assert exc.value.code == 3 and "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_manifest_exits_three(self, tmp_path):

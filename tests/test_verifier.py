@@ -134,8 +134,10 @@ class TestVerifyPss:
         assert v_lti.outcome == v_pss.outcome
         assert v_lti.k_used == v_pss.k_used
         assert np.allclose(v_lti.delta_used, v_pss.delta_used, rtol=1e-9)
-        assert v_lti.mode_deltas is None
-        assert len(v_pss.mode_deltas) == 1
+        assert len(v_lti.delta) == len(v_pss.delta) == 1
+        assert np.allclose(v_lti.delta[0].delta, v_pss.delta[0].delta, rtol=1e-9)
+        assert (v_lti.delta[0].e1_method, v_lti.delta[0].e2_method) \
+            == (v_pss.delta[0].e1_method, v_pss.delta[0].e2_method)
         # the same loop runs for both; only the PSS labels carry the mode
         lti_log = [(e.k, e.outcome, e.bounds, e.notes) for e in v_lti.per_k_log]
         pss_log = [(e.k, e.outcome,
@@ -185,9 +187,10 @@ def test_e2_theoretical_component_nonincreasing_end_to_end(rng):
     opts = VerifyOptions(e1_methods=("theorem1",), e2_methods=("theorem3",))
     prev = None
     for k in range(2, 8):
-        pairs, delta_min, best, _ = bound_candidates(
+        _, e2s, bound, _ = bound_candidates(
             bal, full, k, prob.x0, prob.inputs, prob.t_f, opts)
-        e2 = dict(pairs)["theorem1+theorem3"].e2
+        e2 = e2s["theorem3"]
+        assert np.array_equal(bound.e2, e2)
         if prev is not None:
             assert np.all(e2 <= prev + 1e-12)
         prev = e2

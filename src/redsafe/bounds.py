@@ -16,17 +16,23 @@ every simulated response are the same at every order k.  By Cauchy
 interlacing so is lambda_max(sym A_bar) = lambda_max(sym A_t), the
 contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
 computes these once per mode and simulates that half once, keeping only its
-output samples and state-norm data; :func:`augment` builds each order's
-system from it and stores it there, and each order then simulates only its
-k-dimensional reduced half.  Both halves are simulated in blocks of steps
-built by doubling: within a block, the states f+1 ... 2f are Phi^f times the
-states 1 ... f, from Phi, Phi^2, Phi^4, ... computed once per orbit, so a
-block costs about log2(block) matrix products and one projection product
-instead of a Python-level step loop.  Every certificate alpha P >= C_i^T C_i
-of the quadratic bound has lambda_max(alpha P) >= ||C_i||^2, so none beats
-the scaled identity, which is feasible when the augmented system is
-contractive; certificates (p+1 Lyapunov solves per order) are built only
-where it is not.
+output samples and state-norm bounds, exact where its states are formed;
+:func:`augment` builds each order's system from it and stores it there, and
+each order then simulates only its k-dimensional reduced half.  Both halves
+are simulated in blocks of steps built by doubling: within a block, the
+states f+1 ... 2f are Phi^f times the states 1 ... f, from Phi, Phi^2,
+Phi^4, ... computed once per orbit, so a block costs about log2(block)
+matrix products and one projection product instead of a Python-level step
+loop.  Where the full-order half has at least four states per output row it
+takes giant steps of s = floor(n / rows) steps instead: only every s-th
+state is formed, each step's outputs are read from it through the left
+stack [M Phi; ...; M Phi^s] of its maps M, and the state norms between
+giant steps are bounded from the last giant step's, so a step costs about
+4 rows n m flops instead of 2 n^2 m.  Every certificate
+alpha P >= C_i^T C_i of the quadratic bound has lambda_max(alpha P) >=
+||C_i||^2, so none beats the scaled identity, which is feasible when the
+augmented system is contractive; certificates (p+1 Lyapunov solves per
+order) are built only where it is not.
 """
 
 from __future__ import annotations
@@ -210,7 +216,9 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
 E1_SIM_LH = 0.02
 
 #: Doubles held by one block of simulated states: a block of steps is built
-#: by doubling from its first state and then projected as a whole.
+#: by doubling from its first state and then projected as a whole.  A
+#: giant-step block keeps the same number of steps, rounded down to whole
+#: giant steps (at least one), and forms only one state per giant step.
 ORBIT_BLOCK_DOUBLES = 1 << 19
 
 
@@ -243,58 +251,116 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int) -> np.ndarra
     return out
 
 
-def _project(states: np.ndarray, width: int, maps: tuple[np.ndarray, ...],
-             gram: bool) -> list[np.ndarray]:
-    """Each map applied to a block of states (n, steps*width), step-major as
-    :func:`_propagate` lays them out, then the squared column norms of the
-    states (``gram`` False) or their Gram matrices (``gram`` True).  The
-    results come per step: (steps, rows, width), then (steps, width) or
-    (steps, width, width).  The maps share one product."""
+def _norm_data(states: np.ndarray, width: int, gram: bool) -> np.ndarray:
+    """Per state of a block (n, steps*width), step-major as :func:`_propagate`
+    lays them out: the squared column norms (steps, width) (``gram`` False)
+    or the Gram matrix (steps, width, width) (``gram`` True)."""
     n, steps = states.shape[0], states.shape[1] // width
-    images = (np.vstack(maps) @ states).reshape(-1, steps, width).swapaxes(0, 1)
-    out = np.split(images, np.cumsum([M.shape[0] for M in maps[:-1]]), axis=1)
     if gram:
         # step j's states as an (n, width) view
         per_step = states.reshape(n, steps, width).swapaxes(0, 1)
-        out.append(per_step.swapaxes(-1, -2) @ per_step)
-    else:
-        out.append(np.einsum("ij,ij->j", states, states).reshape(steps, width))
-    return out
+        return per_step.swapaxes(-1, -2) @ per_step
+    return np.einsum("ij,ij->j", states, states).reshape(steps, width)
+
+
+def _split_maps(images: np.ndarray, maps: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Per-step images (steps, rows, width) of the stacked maps, split per map."""
+    return np.split(images, np.cumsum([M.shape[0] for M in maps[:-1]]), axis=1)
+
+
+def _project(states: np.ndarray, width: int, maps: tuple[np.ndarray, ...],
+             gram: bool) -> list[np.ndarray]:
+    """Each map applied to a block of states (n, steps*width), step-major as
+    :func:`_propagate` lays them out, then the states' :func:`_norm_data`.
+    The results come per step: (steps, rows, width), then (steps, width) or
+    (steps, width, width).  The maps share one product."""
+    steps = states.shape[1] // width
+    images = (np.vstack(maps) @ states).reshape(-1, steps, width).swapaxes(0, 1)
+    return _split_maps(images, maps) + [_norm_data(states, width, gram)]
 
 
 class _Orbit:
     """Projections of the states Phi^j X0, j = 0, 1, ..., with Phi = e^{A h},
-    simulated block by block on first request and kept.
+    simulated block by block on first request and kept, with upper bounds
+    on the states' norm data.
 
-    A block of ``block`` steps starts from Phi times the last state of the
-    block before it and is built by doubling (:func:`_propagate`) from the
-    powers Phi, Phi^2, Phi^4, ..., computed once per orbit (about
-    2 n^3 log2(block) flops for n states).  It is then projected with one
-    product for all maps and one norm or Gram reduction.  For m columns a
-    block costs about 2 n^2 m block flops, as a step loop does, but in
-    log2(block) + 1 products instead of block small ones, so the reduced
-    orders, whose steps cost mostly interpreter time, get cheaper and the
-    full-order half runs at matrix-product speed.  Of the states only the
-    last is kept."""
+    With n states, ``rows`` map rows in all and m columns, a step costs
+    2 n^2 m flops when the state is formed.  Where n >= 4 rows, the orbit
+    instead takes giant steps of ``stride`` s = floor(n / rows) steps (baby
+    step / giant step): step s b + a, 1 <= a <= s, is read as
+    (M Phi^a)(Phi^{s b} X0) from the left stack [M Phi; ...; M Phi^s] of
+    the stacked maps M, built once with s (rows x n)(n x n) products, and
+    the giant states R_b = Phi^{s b} X0 are built by doubling from Phi^s.
+    A step then costs 2 rows n m + 2 n^2 m / s, about 4 rows n m flops,
+    and only the giant states are formed.  Their norm data (squared column
+    norms, or Gram matrices) is exact; between them, step s b + a carries
+    e^{2 mu a h} times R_b's, an upper bound in the Loewner order since
+    ||e^{A t}||_2 <= e^{mu t} for mu = max(``defect``, 0) and ``defect`` >=
+    lambda_max(sym A).  Every reader of the norm data uses it only as an
+    upper bound.
+
+    Otherwise each block of ``block`` steps starts from Phi times the last
+    state of the block before it and is built by doubling
+    (:func:`_propagate`) from the powers Phi, Phi^2, Phi^4, ..., computed
+    once per orbit, then projected with one product for all maps and one
+    norm or Gram reduction: 2 n^2 m flops per step, as a step loop spends,
+    but in log2(block) + 1 products instead of block small ones.  Either
+    way only the last state is kept."""
 
     def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
-                 maps: tuple[np.ndarray, ...], gram: bool):
+                 maps: tuple[np.ndarray, ...], gram: bool, defect: float):
+        n, width = X0.shape
+        rows = sum(M.shape[0] for M in maps)
         self.h = h
-        self.block = max(16, min(512, ORBIT_BLOCK_DOUBLES // max(1, X0.size)))
-        self.head = _project(X0, X0.shape[1], maps, gram)
+        self.stride = n // rows if n >= 4 * rows else 1
+        block = max(16, min(512, ORBIT_BLOCK_DOUBLES // max(1, X0.size)))
+        giants = max(1, block // self.stride)
+        self.block = giants * self.stride
+        self.head = _project(X0, width, maps, gram)
         self.maps, self._gram = maps, gram
-        self._powers = _doubling_powers(_transition(A, h), self.block)
         self._last = X0
         self._blocks: list[list[np.ndarray]] = []
+        Phi = _transition(A, h)
+        if self.stride == 1:
+            self._powers = _doubling_powers(Phi, self.block)
+            return
+        left = [np.vstack(maps) @ Phi]
+        for _ in range(self.stride - 1):
+            left.append(left[-1] @ Phi)
+        self._left = np.vstack(left)
+        self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride), giants)
+        # e^{2 mu a h} for a = 1 ... s-1
+        self._growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(1, self.stride))
 
     def __getitem__(self, i: int) -> list[np.ndarray]:
         """Block i: the projections of steps 1 + i*block ... (i+1)*block."""
         while len(self._blocks) <= i:
             width = self._last.shape[1]
-            states = _propagate(self._powers, self._last, self.block)
+            if self.stride == 1:
+                states = _propagate(self._powers, self._last, self.block)
+                block = _project(states, width, self.maps, self._gram)
+            else:
+                states, block = self._giant_block(width)
             self._last = states[:, -width:].copy()
-            self._blocks.append(_project(states, width, self.maps, self._gram))
+            self._blocks.append(block)
         return self._blocks[i]
+
+    def _giant_block(self, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The next block's giant states, its first the last state of the
+        block before, and the block's projections read from them."""
+        s, giants = self.stride, self.block // self.stride
+        # R_b, ..., R_{b+giants} with R_b the last state of the block before
+        states = np.hstack([self._last, _propagate(self._powers, self._last, giants)])
+        # row (a-1) rows + r, column g width + c is step s g + a of the block
+        images = (self._left @ states[:, :-width]).reshape(s, -1, giants, width)
+        images = images.transpose(2, 0, 1, 3).reshape(self.block, -1, width)
+        data = _norm_data(states, width, self._gram)
+        # step s g + a carries R_g's data grown by e^{2 mu a h} for a < s,
+        # and R_{g+1}'s own at a = s
+        growth = self._growth.reshape((1, -1) + (1,) * (data.ndim - 1))
+        bounds = np.concatenate([growth * data[:-1, None], data[1:, None]], axis=1)
+        return states, _split_maps(images, self.maps) + [
+            bounds.reshape((self.block,) + data.shape[1:])]
 
 
 def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
@@ -372,7 +438,7 @@ class FullOrderResponse:
         if self._impulse is None:
             CA2 = self.C @ self.A @ self.A
             self._impulse = _Orbit(self.A, self._step(SIM_LH), self.B,
-                                   (self.C, CA2, CA2 @ self.A), gram=False)
+                                   (self.C, CA2, CA2 @ self.A), False, self.defect)
         return self._impulse
 
     def initial(self, x0: HyperBox) -> _Orbit:
@@ -381,7 +447,7 @@ class FullOrderResponse:
         if self._initial is None or self._initial[0] != x0:
             self._initial = (x0, _Orbit(self.A, self._step(E1_SIM_LH),
                                         self.H @ _box_generators(x0), (self.C,),
-                                        gram=True))
+                                        True, self.defect))
         return self._initial[1]
 
 

@@ -375,14 +375,40 @@ import redsafe.bounds as bmod  # noqa: E402
 from redsafe.verifier import problem_modes  # noqa: E402
 
 
-def naive_e1_simulation(aug, x0, t_f, decay_tol=bmod.DECAY_TOL):
-    """Every vertex stepped through e^{A_bar h}; returns (bound, steps)."""
+class NormRule:
+    """Squared state norms per column as the full-order orbits carry them:
+    the full-order half exact every ``stride`` steps (floor(n / rows) where
+    n >= 4 rows, else 1, or 1 when ``exact``) and e^{2 mu a h} times that
+    value a steps later, with mu = max(lambda_max(sym A_t), 0); the reduced
+    half exact.  Called once per step, from step 0 on."""
+
+    def __init__(self, aug, rows, h, exact=False):
+        n = self.n = aug.n
+        self.stride = n // rows if n >= 4 * rows and not exact else 1
+        A_t = aug.A_bar[:n, :n]
+        self.mu = max(float(np.linalg.eigvalsh((A_t + A_t.T) / 2.0).max()), 0.0)
+        self.h = h
+
+    def __call__(self, X, step):
+        full = np.sum(X[:self.n] ** 2, axis=0)
+        a = step % self.stride
+        if a == 0:
+            self.anchor = full
+        else:
+            full = np.exp(2.0 * self.mu * self.h * a) * self.anchor
+        return full + np.sum(X[self.n:] ** 2, axis=0)
+
+
+def naive_e1_simulation(aug, x0, t_f, decay_tol=bmod.DECAY_TOL, exact_norms=False):
+    """Every vertex stepped through e^{A_bar h}, its norm read by
+    :class:`NormRule` (``exact_norms``: at every step); returns (bound, steps)."""
     X = aug.lift @ x0.vertices()
     best = np.max(np.abs(aug.C_bar @ X), axis=1)
     L = float(np.linalg.norm(aug.A_bar, 2))
     h = bmod.E1_SIM_LH / L
     Phi = _transition(aug.A_bar, h)
-    x0n = float(np.max(np.linalg.norm(X, axis=0)))
+    norm = NormRule(aug, aug.p, h, exact_norms)
+    x0n = float(np.sqrt(np.max(norm(X, 0))))
     contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
     t = 0.0
     steps = 0
@@ -392,18 +418,19 @@ def naive_e1_simulation(aug, x0, t_f, decay_tol=bmod.DECAY_TOL):
         t += h
         steps += 1
         best = np.maximum(best, np.max(np.abs(aug.C_bar @ X), axis=1))
-        if contractive and float(np.max(np.linalg.norm(X, axis=0))) <= decay_tol * x0n:
+        xn = float(np.sqrt(np.max(norm(X, steps))))
+        if contractive and xn <= decay_tol * x0n:
             decayed = True
             break
     if decayed:
-        tail = np.linalg.norm(aug.C_bar, axis=1) * float(np.max(np.linalg.norm(X, axis=0)))
-        best = np.maximum(best, tail)
+        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * xn)
     return best, steps
 
 
 def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
-                        max_steps=bmod.MAX_IMPULSE_STEPS):
-    """The impulse responses stepped through e^{A_bar h} one step at a time;
+                        max_steps=bmod.MAX_IMPULSE_STEPS, exact_norms=False):
+    """The impulse responses stepped through e^{A_bar h} one step at a time,
+    their norms read by :class:`NormRule` (``exact_norms``: at every step);
     returns (e2, truncated, steps, I_abs)."""
     p, m = aug.p, aug.m
     if m == 0 or not np.any(aug.B_bar):
@@ -411,6 +438,7 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
     L = float(np.linalg.norm(aug.A_bar, 2))
     h = bmod.SIM_LH / L
     Phi = _transition(aug.A_bar, h)
+    norm = NormRule(aug, 3 * p, h, exact_norms)
     X = aug.B_bar.copy()
     x0_norms = np.linalg.norm(X, axis=0)
     x0_norms[x0_norms == 0] = 1.0
@@ -425,7 +453,7 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
     Y_prev = aug.C_bar @ X
     D2_prev = np.abs(D2 @ X)
     D3_prev = np.abs(D3 @ X)
-    norms_prev = np.linalg.norm(X, axis=0)
+    norms_prev = np.sqrt(norm(X, 0))
     t = 0.0
     steps = 0
     reached_horizon = False
@@ -433,14 +461,13 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
         if horizon is not None and t >= horizon - 1e-12 * horizon:
             reached_horizon = True
             break
-        norms = np.linalg.norm(X, axis=0)
-        if np.all(norms <= decay_tol * x0_norms) or steps >= max_steps:
+        if np.all(norms_prev <= decay_tol * x0_norms) or steps >= max_steps:
             break
         X = Phi @ X
         Y_cur = aug.C_bar @ X
         D2_cur = np.abs(D2 @ X)
         D3_cur = np.abs(D3 @ X)
-        norms_cur = np.linalg.norm(X, axis=0)
+        norms_cur = np.sqrt(norm(X, steps + 1))
         # in-step |y''| bound from the nearer endpoint, within h/2
         ddot = np.maximum(D2_prev, D2_cur) + (h / 2.0) * (
             np.maximum(D3_prev, D3_cur)
@@ -461,7 +488,7 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
         if kappa is None:
             truncated = True
         else:
-            tail = kappa * np.outer(c_norms, np.linalg.norm(X, axis=0))
+            tail = kappa * np.outer(c_norms, norms_prev)
             I_abs += tail
             R_max += tail
     e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
@@ -602,6 +629,43 @@ class TestSimulationMatchesNaiveLoops:
                 assert 0 < steps < 50.0 * np.linalg.norm(aug.A_bar, 2) / bmod.SIM_LH / 2
 
 
+@pytest.mark.parametrize("n, seed, m, p, decay", [(48, 6, 3, 2, (2.0, 4.0)),
+                                                  (96, 2, 2, 2, (0.5, 2.0)),
+                                                  (150, 3, 12, 4, (0.5, 2.0))])
+def test_giant_steps_bracket_exact_norm_loops(n, seed, m, p, decay, steps_taken):
+    # at giant sizes each bound lies at or above the naive loop's with exact
+    # norms at every step, and above it by at most 1e-6 of the two halves'
+    # size (the mirrored bound, as in assert_matches): the norm bounds enter
+    # e2 through ||C_i A^3|| ||x||, which grows with the full-order state and
+    # not with the error (at n = 96, k = 32, where e2 is a thousandth of that
+    # size, the excess is 4.6e-6 of e2 itself).  The fast-decaying system
+    # stops on decay (e1 with the monotone tail, e2 with the certificate
+    # tail), the others at the horizon; the n = 96 system is not contractive,
+    # so its norm bounds grow between giant steps.
+    rng = np.random.default_rng(seed)
+    bal = balance(rs.random_stable_system(rng, n, m, p, decay=decay))
+    x0 = rand_box(rng, n, 3)
+    u_box = rand_ubox(rng, m)
+    decays = decay[0] > 1.0
+    horizon = 50.0 if decays else 0.5
+    for k in (2, n // 3):
+        aug = augment(FullOrderResponse.of(bal), k)
+        assert aug.full.impulse().stride > 1 and aug.full.initial(x0).stride > 1
+        ref, ref_steps = naive_e1_simulation(aug, x0, horizon, exact_norms=True)
+        e1 = e1_simulation(aug, x0, horizon)
+        assert steps_taken("e1") >= ref_steps
+        assert (ref_steps * bmod.E1_SIM_LH / aug.full.L < horizon - 1.0) == decays
+        pairs = [(e1, ref, e1_simulation(mirrored(aug), x0, horizon))]
+        steps_taken("e1")
+        for kw in ({"horizon": horizon}, {}) if decays else ({"horizon": horizon},):
+            pairs.append((e2_simulation(aug, u_box, **kw)[0],
+                          naive_e2_simulation(aug, u_box, exact_norms=True, **kw)[0],
+                          e2_simulation(mirrored(aug), u_box, **kw)[0]))
+        for new, ref, scale in pairs:
+            assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
+            assert np.all(new <= ref + 1e-6 * np.maximum(ref, scale))
+
+
 class TestFullOrderResponse:
     def test_shared_response_matches_fresh_calls(self):
         # the shared half is filled at k=40, then read at k=5 and k=20; each
@@ -679,7 +743,8 @@ def test_block_projections_match_per_step_maps(rng):
     X0 = rng.standard_normal((9, 3))
     maps = (rng.standard_normal((2, 9)), rng.standard_normal((4, 9)))
     for gram in (False, True):
-        orbit = bmod._Orbit(A, 0.01, X0, maps, gram)
+        orbit = bmod._Orbit(A, 0.01, X0, maps, gram, np.linalg.eigvalsh(A + A.T).max() / 2)
+        assert orbit.stride == 1
         Phi, x = _transition(A, 0.01), X0
         for j in range(2 * orbit.block + 1):
             block = orbit.head if j == 0 else orbit[(j - 1) // orbit.block]
@@ -693,6 +758,95 @@ def test_block_projections_match_per_step_maps(rng):
             expected = x.T @ x if gram else np.sum(x * x, axis=0)
             np.testing.assert_allclose(block[-1][row], expected, rtol=0,
                                        atol=1e-12 * scale * scale)
+
+
+@st.composite
+def giant_orbit_cases(draw):
+    """A state matrix A, contractive (negative-definite symmetric part) or
+    Hurwitz with lambda_max(sym A) > 0, at n >= 4 rows; one to three maps of
+    ``rows`` rows in all; a start block X0 of width w whose first column is
+    the top eigenvector of sym A, along which the norm grows at first when A
+    is not contractive; and a step h with ||A|| h in [0.01, 0.1]."""
+    rows = draw(st.integers(1, 12))
+    n = draw(st.integers(max(16, 4 * rows), 96))
+    width = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    top = np.linalg.eigvalsh(G + G.T).max() / 2.0
+    right = np.max(np.linalg.eigvals(G).real)
+    if draw(st.booleans()):
+        shift = top + draw(st.floats(0.05, 1.0))
+    else:
+        shift = right + draw(st.floats(0.1, 0.9)) * (top - right)
+    A = G - shift * np.eye(n)
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=2))) if rows > 1 else []
+    maps = tuple(rng.standard_normal((b - a, n))
+                 for a, b in zip([0] + cuts, cuts + [rows]))
+    h = draw(st.floats(0.01, 0.1)) / np.linalg.norm(A, 2)
+    X0 = rng.standard_normal((n, width))
+    X0[:, 0] = np.linalg.eigh(A + A.T)[1][:, -1]
+    return A, h, X0, maps, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=40)
+@given(giant_orbit_cases())
+def test_giant_steps_match_step_loop(case):
+    # the first two blocks against a sequential step loop: images within
+    # rounding at every step, norm data exact at giant steps and never below
+    # the exact data between them (for Gram matrices, in the Loewner order)
+    A, h, X0, maps, gram = case
+    (n, width), rows = X0.shape, sum(M.shape[0] for M in maps)
+    defect = np.linalg.eigvalsh(A + A.T).max() / 2.0
+    orbit = bmod._Orbit(A, h, X0, maps, gram, defect)
+    assert orbit.stride == n // rows and orbit.block % orbit.stride == 0
+    steps = 2 * orbit.block
+    Phi, x, states = _transition(A, h), X0, [X0]
+    for _ in range(steps):
+        x = Phi @ x
+        states.append(x)
+    states = np.stack(states)
+    got = [np.concatenate([head, b0, b1]) for head, b0, b1 in zip(orbit.head, orbit[0], orbit[1])]
+    scale = np.max(np.linalg.norm(states, axis=1))
+    for M, images in zip(maps, got):
+        assert images.shape == (steps + 1, M.shape[0], width)
+        assert np.max(np.abs(images - M @ states)) <= 1e-12 * scale * np.linalg.norm(M)
+    exact = states.swapaxes(1, 2) @ states if gram else np.sum(states * states, axis=1)
+    slack = 1e-12 * scale * scale
+    at_giant = np.arange(steps + 1) % orbit.stride == 0
+    assert np.max(np.abs(got[-1] - exact)[at_giant]) <= slack
+    excess = np.linalg.eigvalsh(got[-1] - exact) if gram else got[-1] - exact
+    assert np.min(excess) >= -slack
+
+
+def test_giant_step_paths_by_shape(monkeypatch):
+    # the motor's e2 orbits and the golden instances' keep the per-step path
+    # (their e1 orbits, at n >= 4 p, take giant steps); the sweep's mode, at
+    # n = 150 and p = 4, takes giant steps of 12 (e2, 3p rows) and 37 (e1)
+    for _, system, _, _ in problem_modes(rs.motor_benchmark()):
+        assert FullOrderResponse.of(balance(system)).impulse().stride == 1
+    for n, seed in ((6, 7), (8, 6)):
+        system = rs.random_problem(seed, n, 1, 1).system
+        assert FullOrderResponse.of(balance(system)).impulse().stride == 1
+    prob = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9)
+    full = FullOrderResponse.of(balance(prob.system))
+    impulse, initial = full.impulse(), full.initial(prob.x0)
+    assert (impulse.stride, initial.stride) == (12, 37)
+    # on the giant path only giant states are formed: every full-order
+    # state block holds block / stride states, never a whole block's
+    shapes = []
+    propagate = bmod._propagate
+
+    def recording(powers, X, steps):
+        out = propagate(powers, X, steps)
+        shapes.append(out.shape)
+        return out
+    monkeypatch.setattr(bmod, "_propagate", recording)
+    aug = augment(full, 5)
+    e1_simulation(aug, prob.x0, prob.t_f)
+    e2_simulation(aug, prob.inputs, horizon=prob.t_f)
+    full_shapes = {shape for shape in shapes if shape[0] == 150}
+    assert full_shapes == {(150, impulse.block // 12 * 12), (150, initial.block // 37 * 7)}
+    assert all(shape[0] == 5 for shape in shapes if shape[0] != 150)
 
 
 class TestContractionPerMode:

@@ -25,14 +25,15 @@ Phi^4, ... computed once per orbit, so a block costs about log2(block)
 matrix products and one projection product instead of a Python-level step
 loop.  Where the full-order half has at least four states per output row it
 takes giant steps of s = floor(n / rows) steps instead: only every s-th
-state is formed, each step's outputs are read from it through the left
-stack [M Phi; ...; M Phi^s] of its maps M, and the state norms between
-giant steps are bounded from the last giant step's, so a step costs about
-4 rows n m flops instead of 2 n^2 m.  Every certificate
-alpha P >= C_i^T C_i of the quadratic bound has lambda_max(alpha P) >=
-||C_i||^2, so none beats the scaled identity, which is feasible when the
-augmented system is contractive; certificates (p+1 Lyapunov solves per
-order) are built only where it is not.
+state is formed, each step's outputs are read from the last one through
+the left stack [M Phi; ...; M Phi^{s-1}] of its maps M (and as M times
+the next one at giant steps), and the state norms between giant steps
+are bounded from the last giant step's, so a step costs about 4 rows n m
+flops instead of 2 n^2 m.  Every certificate alpha P >= C_i^T C_i of the
+quadratic bound has lambda_max(alpha P) >= ||C_i||^2, so none beats the
+scaled identity, which is feasible when the augmented system is
+contractive; certificates (p+1 Lyapunov solves per order) are built only
+where it is not.
 """
 
 from __future__ import annotations
@@ -285,27 +286,23 @@ class _Orbit:
     on the states' norm data.
 
     With n states, ``rows`` map rows in all and m columns, a step costs
-    2 n^2 m flops when the state is formed.  Where n >= 4 rows, the orbit
-    instead takes giant steps of ``stride`` s = floor(n / rows) steps (baby
-    step / giant step): step s b + a, 1 <= a <= s, is read as
-    (M Phi^a)(Phi^{s b} X0) from the left stack [M Phi; ...; M Phi^s] of
-    the stacked maps M, built once with s (rows x n)(n x n) products, and
-    the giant states R_b = Phi^{s b} X0 are built by doubling from Phi^s.
-    A step then costs 2 rows n m + 2 n^2 m / s, about 4 rows n m flops,
-    and only the giant states are formed.  Their norm data (squared column
-    norms, or Gram matrices) is exact; between them, step s b + a carries
-    e^{2 mu a h} times R_b's, an upper bound in the Loewner order since
-    ||e^{A t}||_2 <= e^{mu t} for mu = max(``defect``, 0) and ``defect`` >=
-    lambda_max(sym A).  Every reader of the norm data uses it only as an
-    upper bound.
-
-    Otherwise each block of ``block`` steps starts from Phi times the last
-    state of the block before it and is built by doubling
-    (:func:`_propagate`) from the powers Phi, Phi^2, Phi^4, ..., computed
-    once per orbit, then projected with one product for all maps and one
-    norm or Gram reduction: 2 n^2 m flops per step, as a step loop spends,
-    but in log2(block) + 1 products instead of block small ones.  Either
-    way only the last state is kept."""
+    2 n^2 m flops when its state is formed.  The orbit forms only the giant
+    states R_b = Phi^{s b} X0, every ``stride`` s = floor(n / rows) steps
+    where n >= 4 rows and every step otherwise (baby step / giant step).  A
+    block of giant states is built by doubling (:func:`_propagate`) from
+    the powers Phi^s, Phi^{2s}, Phi^{4s}, ..., computed once per orbit, and
+    step s b + a is read as (M Phi^a) R_b for 1 <= a < s, from the left
+    stack [M Phi; ...; M Phi^{s-1}] of the stacked maps M (s - 1
+    (rows x n)(n x n) products, once per orbit), and as M R_{b+1} at
+    a = s.  A step then costs 2 rows n m + 2 n^2 m / s flops, about
+    4 rows n m when s > 1; at s = 1 the left stack is empty and a step
+    costs 2 n^2 m, as a step loop spends, but in log2(block) + 1 products
+    instead of block small ones.  The giant states' norm data (squared
+    column norms, or Gram matrices) is exact; between them, step s b + a
+    carries e^{2 mu a h} times R_b's, an upper bound in the Loewner order
+    since ||e^{A t}||_2 <= e^{mu t} for mu = max(``defect``, 0) and
+    ``defect`` >= lambda_max(sym A).  Every reader of the norm data uses it
+    only as an upper bound.  Of the states only the last is kept."""
 
     def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
                  maps: tuple[np.ndarray, ...], gram: bool, defect: float):
@@ -318,16 +315,13 @@ class _Orbit:
         self.block = giants * self.stride
         self.head = _project(X0, width, maps, gram)
         self.maps, self._gram = maps, gram
-        self._last = X0
+        self._last, self._last_data = X0, self.head[-1][0]
         self._blocks: list[list[np.ndarray]] = []
         Phi = _transition(A, h)
-        if self.stride == 1:
-            self._powers = _doubling_powers(Phi, self.block)
-            return
-        left = [np.vstack(maps) @ Phi]
+        left = [np.vstack(maps)]
         for _ in range(self.stride - 1):
             left.append(left[-1] @ Phi)
-        self._left = np.vstack(left)
+        self._stacked, self._left = left[0], np.vstack(left)[rows:]
         self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride), giants)
         # e^{2 mu a h} for a = 1 ... s-1
         self._growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(1, self.stride))
@@ -335,31 +329,29 @@ class _Orbit:
     def __getitem__(self, i: int) -> list[np.ndarray]:
         """Block i: the projections of steps 1 + i*block ... (i+1)*block."""
         while len(self._blocks) <= i:
-            width = self._last.shape[1]
-            if self.stride == 1:
-                states = _propagate(self._powers, self._last, self.block)
-                block = _project(states, width, self.maps, self._gram)
-            else:
-                states, block = self._giant_block(width)
-            self._last = states[:, -width:].copy()
-            self._blocks.append(block)
+            self._blocks.append(self._next_block())
         return self._blocks[i]
 
-    def _giant_block(self, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The next block's giant states, its first the last state of the
-        block before, and the block's projections read from them."""
-        s, giants = self.stride, self.block // self.stride
-        # R_b, ..., R_{b+giants} with R_b the last state of the block before
-        states = np.hstack([self._last, _propagate(self._powers, self._last, giants)])
-        # row (a-1) rows + r, column g width + c is step s g + a of the block
-        images = (self._left @ states[:, :-width]).reshape(s, -1, giants, width)
-        images = images.transpose(2, 0, 1, 3).reshape(self.block, -1, width)
+    def _next_block(self) -> list[np.ndarray]:
+        """The projections of the block after the last one built."""
+        s, (rows, width) = self.stride, (self._stacked.shape[0], self._last.shape[1])
+        giants = self.block // s
+        # R_1 ... R_G after R_0, the last state of the block before
+        states = _propagate(self._powers, self._last, giants)
         data = _norm_data(states, width, self._gram)
-        # step s g + a carries R_g's data grown by e^{2 mu a h} for a < s,
-        # and R_{g+1}'s own at a = s
-        growth = self._growth.reshape((1, -1) + (1,) * (data.ndim - 1))
-        bounds = np.concatenate([growth * data[:-1, None], data[1:, None]], axis=1)
-        return states, _split_maps(images, self.maps) + [
+        starts = np.hstack([self._last, states[:, :-width]])
+        # step s g + a of the block at [g, a - 1]: (M Phi^a) R_g for a < s,
+        # M R_{g+1} at a = s, with R_g's data grown by e^{2 mu a h} for a < s
+        images = np.empty((giants, s, rows, width))
+        images[:, :-1] = (self._left @ starts).reshape(s - 1, rows, giants, width) \
+            .transpose(2, 0, 1, 3)
+        images[:, -1] = (self._stacked @ states).reshape(rows, giants, width).swapaxes(0, 1)
+        bounds = np.empty((giants, s) + data.shape[1:])
+        growth = self._growth.reshape((-1,) + (1,) * (data.ndim - 1))
+        bounds[:, :-1] = growth * np.concatenate([self._last_data[None], data[:-1]])[:, None]
+        bounds[:, -1] = data
+        self._last, self._last_data = states[:, -width:].copy(), data[-1]
+        return _split_maps(images.reshape(self.block, rows, width), self.maps) + [
             bounds.reshape((self.block,) + data.shape[1:])]
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -629,41 +630,65 @@ class TestSimulationMatchesNaiveLoops:
                 assert 0 < steps < 50.0 * np.linalg.norm(aug.A_bar, 2) / bmod.SIM_LH / 2
 
 
-@pytest.mark.parametrize("n, seed, m, p, decay", [(48, 6, 3, 2, (2.0, 4.0)),
-                                                  (96, 2, 2, 2, (0.5, 2.0)),
-                                                  (150, 3, 12, 4, (0.5, 2.0))])
-def test_giant_steps_bracket_exact_norm_loops(n, seed, m, p, decay, steps_taken):
-    # at giant sizes each bound lies at or above the naive loop's with exact
-    # norms at every step, and above it by at most 1e-6 of the two halves'
-    # size (the mirrored bound, as in assert_matches): the norm bounds enter
-    # e2 through ||C_i A^3|| ||x||, which grows with the full-order state and
-    # not with the error (at n = 96, k = 32, where e2 is a thousandth of that
-    # size, the excess is 4.6e-6 of e2 itself).  The fast-decaying system
-    # stops on decay (e1 with the monotone tail, e2 with the certificate
-    # tail), the others at the horizon; the n = 96 system is not contractive,
-    # so its norm bounds grow between giant steps.
+#: Giant-size systems (n, seed, m, p, decay) of the bracket tests: the
+#: fast-decaying one stops on decay (e1 with the monotone tail, e2 with the
+#: certificate tail), the others at the horizon; the n = 96 one is not
+#: contractive, so its norm bounds grow between giant steps.
+BRACKET_SYSTEMS = ((48, 6, 3, 2, (2.0, 4.0)), (96, 2, 2, 2, (0.5, 2.0)),
+                   (150, 3, 12, 4, (0.5, 2.0)))
+BRACKET_CASES = [pytest.param(system, k, id=f"n{system[0]}-k{k}")
+                 for system in BRACKET_SYSTEMS for k in (2, system[0] // 3)]
+
+
+@functools.cache
+def giant_bracket(system, k):
+    """Order k of a :data:`BRACKET_SYSTEMS` system: (aug, x0, horizon, the
+    exact-norm naive e1 loop's step count, and per bound (bound, the naive
+    loop's bound with exact norms at every step, the mirrored system's
+    bound))."""
+    n, seed, m, p, decay = system
     rng = np.random.default_rng(seed)
     bal = balance(rs.random_stable_system(rng, n, m, p, decay=decay))
     x0 = rand_box(rng, n, 3)
     u_box = rand_ubox(rng, m)
-    decays = decay[0] > 1.0
-    horizon = 50.0 if decays else 0.5
-    for k in (2, n // 3):
-        aug = augment(FullOrderResponse.of(bal), k)
-        assert aug.full.impulse().stride > 1 and aug.full.initial(x0).stride > 1
-        ref, ref_steps = naive_e1_simulation(aug, x0, horizon, exact_norms=True)
-        e1 = e1_simulation(aug, x0, horizon)
-        assert steps_taken("e1") >= ref_steps
-        assert (ref_steps * bmod.E1_SIM_LH / aug.full.L < horizon - 1.0) == decays
-        pairs = [(e1, ref, e1_simulation(mirrored(aug), x0, horizon))]
-        steps_taken("e1")
-        for kw in ({"horizon": horizon}, {}) if decays else ({"horizon": horizon},):
-            pairs.append((e2_simulation(aug, u_box, **kw)[0],
-                          naive_e2_simulation(aug, u_box, exact_norms=True, **kw)[0],
-                          e2_simulation(mirrored(aug), u_box, **kw)[0]))
-        for new, ref, scale in pairs:
-            assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
-            assert np.all(new <= ref + 1e-6 * np.maximum(ref, scale))
+    horizon = 50.0 if decay[0] > 1.0 else 0.5
+    aug = augment(FullOrderResponse.of(bal), k)
+    ref, ref_steps = naive_e1_simulation(aug, x0, horizon, exact_norms=True)
+    bounds = [(e1_simulation(aug, x0, horizon), ref, e1_simulation(mirrored(aug), x0, horizon))]
+    for kw in ({"horizon": horizon}, {}) if decay[0] > 1.0 else ({"horizon": horizon},):
+        bounds.append((e2_simulation(aug, u_box, **kw)[0],
+                       naive_e2_simulation(aug, u_box, exact_norms=True, **kw)[0],
+                       e2_simulation(mirrored(aug), u_box, **kw)[0]))
+    return aug, x0, horizon, ref_steps, bounds
+
+
+@pytest.mark.parametrize("system, k", BRACKET_CASES)
+def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
+    # at giant sizes each bound lies at or above the naive loop's with exact
+    # norms at every step, within rounding relative to the two halves' size
+    # (the mirrored bound, as in assert_matches), and e1 takes at least the
+    # loop's steps, stopping on decay for the fast-decaying system only
+    aug, x0, horizon, ref_steps, bounds = giant_bracket(system, k)
+    assert aug.full.impulse().stride > 1 and aug.full.initial(x0).stride > 1
+    steps_taken("e1")
+    e1_simulation(aug, x0, horizon)
+    assert steps_taken("e1") >= ref_steps
+    assert (ref_steps * bmod.E1_SIM_LH / aug.full.L < horizon - 1.0) == (system[4][0] > 1.0)
+    for new, ref, scale in bounds:
+        assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
+
+
+@pytest.mark.parametrize("system, k", [
+    pytest.param(*case.values, id=case.id, marks=pytest.mark.xfail(strict=True, reason=(
+        "known excess: e2 is 4.6e-6 above the exact-norm loop, from the norm "
+        "bound between giant steps in its third-order growth term")))
+    if case.id == "n96-k32" else case for case in BRACKET_CASES])
+def test_giant_steps_within_1e6_of_exact_norm_loops(system, k):
+    # each bound lies within 1e-6 relative of the exact-norm loop's; the
+    # non-contractive n = 96 system at k = 32, where e2 is about a thousandth
+    # of the two halves' size, does not meet it (see ROADMAP item 4)
+    for new, ref, _ in giant_bracket(system, k)[-1]:
+        assert np.all(new <= ref * (1.0 + 1e-6))
 
 
 class TestFullOrderResponse:

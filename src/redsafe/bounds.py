@@ -48,7 +48,7 @@ import scipy.linalg
 from .balancing import BalancedRealization, box_image
 from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
 from .model import HyperBox, ModelError, StabilityError
-from .reach import _transition
+from .reach import _doubling_powers, _propagate, _transition
 
 E1_THEOREM1 = "theorem1"
 E1_THEOREM2 = "theorem2"
@@ -221,35 +221,6 @@ E1_SIM_LH = 0.02
 #: giant-step block keeps the same number of steps, rounded down to whole
 #: giant steps (at least one), and forms only one state per giant step.
 ORBIT_BLOCK_DOUBLES = 1 << 19
-
-
-def _doubling_powers(Phi: np.ndarray, steps: int) -> list[np.ndarray]:
-    """Phi, Phi^2, Phi^4, ...: every power Phi^f with f < steps that
-    :func:`_propagate` doubles by."""
-    powers = [Phi]
-    while 2 ** len(powers) < steps:
-        powers.append(powers[-1] @ powers[-1])
-    return powers
-
-
-def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int) -> np.ndarray:
-    """The states Phi X, Phi^2 X, ..., Phi^steps X as one (n, steps*m) array
-    with step-major columns: columns j*m ... (j+1)*m - 1 hold Phi^(j+1) X.
-
-    The block is built by doubling: after the first state, the states
-    f+1 ... 2f are Phi^f times the states 1 ... f, one product per power in
-    ``powers`` (from :func:`_doubling_powers`)."""
-    n, m = X.shape
-    out = np.empty((n, steps * m))
-    np.matmul(powers[0], X, out=out[:, :m])
-    f = 1
-    for P in powers:
-        if f >= steps:
-            break
-        g = min(f, steps - f)
-        np.matmul(P, out[:, :g * m], out=out[:, f * m:(f + g) * m])
-        f *= 2
-    return out
 
 
 def _norm_data(states: np.ndarray, width: int, gram: bool) -> np.ndarray:

@@ -22,12 +22,14 @@ ellipsoids read their axis spreads the same way and the spread of each
 step's own gradient direction from a cumulative sum over the table's
 columns.  For order k, p outputs and r rows a step then costs
 O(k^2 (k + m)) arithmetic to build and O(r k) to check, rather than
-O(r p g_j) over its g_j input columns, and neither takes a Python-level
-loop body beyond the recursion itself.
+O(r p g_j) over its g_j input columns, and neither makes a matrix product
+per step: the exact recursions are built by doubling, in about log2 N
+products for N steps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -251,6 +253,41 @@ def _transition(A: np.ndarray, h: float, B: np.ndarray | None = None):
     return E[:n, :n], E[:n, n:]
 
 
+def _doubling_powers(Phi: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Phi, Phi^2, Phi^4, ...: every power Phi^f with f < steps that
+    :func:`_propagate` doubles by."""
+    powers = [Phi]
+    while 2 ** len(powers) < steps:
+        powers.append(powers[-1] @ powers[-1])
+    return powers
+
+
+def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The states Phi X, Phi^2 X, ..., Phi^steps X as one (n, steps*m) array
+    with step-major columns: columns j*m ... (j+1)*m - 1 hold Phi^(j+1) X.
+
+    The block is built by doubling: after the first state, the states
+    f+1 ... 2f are Phi^f times the states 1 ... f, one product per power in
+    ``powers`` (from :func:`_doubling_powers`).  It is written into ``out``
+    when given, which may be a column slice of a larger buffer.  Both the
+    simulation bounds' orbits and :func:`reach_lti`'s exact recursions are
+    built here."""
+    n, m = X.shape
+    if out is None:
+        out = np.empty((n, steps * m))
+    if steps:
+        np.matmul(powers[0], X, out=out[:, :m])
+    f = 1
+    for P in powers:
+        if f >= steps:
+            break
+        g = min(f, steps - f)
+        np.matmul(P, out[:, :g * m], out=out[:, f * m:(f + g) * m])
+        f *= 2
+    return out
+
+
 #: Default reach step control: ||A||_2 * h <= this value.
 STEP_LH = 0.1
 
@@ -279,13 +316,17 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     Each M_a, the output images of its hull pairs and its column norms are
     computed once, into an age table shared by the returned steps.
 
-    Cost model, for order k, m input columns, p outputs and N full steps:
-    the exact recursions c <- Phi c + v, H <- Phi H (at most k columns),
-    rho <- ||Phi|| rho + res and M_a <- Phi M_{a-1} take one loop of N
-    iterations, O(k^2 (k + m)) each, writing into preallocated (N + 1, ...)
-    arrays.  Every step's center, dense columns [d, (H + H')/2, (H - H')/2],
-    state norm and ball radius are then single array expressions over those
-    arrays, and the table's output images come from one product C M.  Step
+    Cost model, for order k, m input columns, g0 <= k initial generators,
+    p outputs and N full steps: the exact recursions c <- Phi c + v,
+    H <- Phi H and M_a <- Phi M_{a-1} are built by doubling
+    (:func:`_propagate`), about log2 N products each and O(N k^2 (1 + g0 +
+    m)) flops in all, straight into step-major buffers of (N + 1)(k + 1),
+    (N + 1) k g0 and N k m doubles; the center's is the orbit of [c; 1]
+    under [[Phi, v], [0, 1]].  rho <- ||Phi|| rho + res stays a scalar
+    recursion.  Every step's center, dense columns [d, (CH + CH')/2,
+    (CH - CH')/2] (from the output images CH, p x g0 per step), state norm
+    and ball radius are then single array expressions over those buffers,
+    and the table's output images come from one product C M.  Step
     j's input columns, every age below j, are described by j, not gathered.
     The generator array of a full step is assembled on first read of
     ``outputs.generators`` (O(p g_j) for g_j input columns); a polytope row
@@ -335,41 +376,61 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(step_h)
     in_norm = float(np.linalg.norm(B, 2) * np.linalg.norm(ur)) if ur.size else 0.0
 
-    grid = []
-    t = 0.0
-    while t < t_f - 1e-12 * max(1.0, t_f):
-        h = min(step_h, t_f - t)
-        grid.append((t, h))
-        t += h
-    # only the last step can be shorter than step_h
-    n_full = len(grid) - int(grid[-1][1] < step_h * (1 - 1e-9))
+    # step start times summed in sequence as `t += step_h` sums them, up to
+    # the first that meets the stopping rule; only the last step can be
+    # shorter than step_h
+    starts = np.cumsum(np.concatenate([[0.0], np.full(int(np.ceil(t_f / step_h)) + 1, step_h)]))
+    starts = starts[:np.searchsorted(starts, t_f - 1e-12 * max(1.0, t_f))].tolist()
+    h_last = min(step_h, t_f - starts[-1])
+    ends = starts[1:] + [starts[-1] + h_last]
+    n_full = len(starts) - int(h_last < step_h * (1 - 1e-9))
 
-    # the exact sequential recursions, state j in row j: center c, the images
-    # H = Phi^j G0 of the initial generators, the envelope radius rho, and
-    # the age table's columns M_a = Phi^a G_in in column block a
+    # the exact recursions, state j in column block j of a step-major
+    # buffer, each built by doubling straight into its buffer: the center
+    # c <- Phi c + vin as the orbit of [c; 1] under [[Phi, vin], [0, 1]]
+    # (whose powers hold Phi's powers in their top-left blocks), the images
+    # H = Phi^j G0 of the initial generators, and the age table's columns
+    # M_a = Phi^a G_in; the envelope radius rho <- ||Phi|| rho + res stays a
+    # scalar recursion
     init = Zonotope.from_box(x0)
-    m = Gin.shape[1]
-    cs = np.empty((n_full + 1, n))
-    Hs = np.empty((n_full + 1, n, init.order))
-    rhos = np.empty(n_full + 1)
+    m, g0, p = Gin.shape[1], init.order, C.shape[0]
+    aug = np.eye(n + 1)
+    aug[:n, :n], aug[:n, n] = Phi, vin
+    powers = _doubling_powers(aug, n_full)
+    Phi_powers = [P[:n, :n] for P in powers]
+    cs = np.empty((n + 1, n_full + 1))
+    cs[:n, 0], cs[n, 0] = init.center, 1.0
+    _propagate(powers, cs[:, :1], n_full, out=cs[:, 1:])
+    cs = cs[:n].T
+    # dense, which the table keeps, is allocated before the orbit buffers,
+    # so that the heap space they free is not left below it
+    dense = np.empty((n_full, p, 1 + 2 * g0))
     M = np.empty((n, n_full * m))
-    cs[0], Hs[0], rhos[0] = init.center, init.generators, 0.0
     if n_full:
         M[:, :m] = Gin
-    for j in range(n_full):
-        np.matmul(Phi, cs[j], out=cs[j + 1])
-        cs[j + 1] += vin
-        np.matmul(Phi, Hs[j], out=Hs[j + 1])
-        rhos[j + 1] = nPhi * rhos[j] + res_ball
-        if j:
-            np.matmul(Phi, M[:, (j - 1) * m:j * m], out=M[:, j * m:(j + 1) * m])
+    _propagate(Phi_powers, Gin, max(n_full - 1, 0), out=M[:, m:])
+    H = np.empty((n, (n_full + 1) * g0))
+    H[:, :g0] = init.generators
+    _propagate(Phi_powers, init.generators, n_full, out=H[:, g0:])
+    rhos = np.fromiter(itertools.accumulate(
+        range(n_full), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, n_full + 1)
+
+    def column_norms(X):
+        # without the squared copy of X that np.linalg.norm makes
+        return np.sqrt(np.einsum("ij,ij->j", X, X))
 
     # norm_prefix[j] sums the norms of every input column injected before
     # step j, and state_norms[j] bounds the norm of the state step j starts in
     norm_prefix = np.concatenate(
-        [[0.0], np.cumsum(np.linalg.norm(M, axis=0).reshape(n_full, m).sum(axis=1))])
-    state_norms = np.linalg.norm(cs, axis=1) + np.sum(np.linalg.norm(Hs, axis=1), axis=1) \
-        + norm_prefix
+        [[0.0], np.cumsum(column_norms(M).reshape(n_full, m).sum(axis=1))])
+    state_norms = np.linalg.norm(cs, axis=1) \
+        + column_norms(H).reshape(n_full + 1, g0).sum(axis=1) + norm_prefix
+    # H, the largest array of the call, is read only through its output
+    # images (state j in row j of CH) and its last state from here on, so
+    # it is released before the table is built
+    CH = (C @ H).reshape(p, n_full + 1, g0).transpose(1, 0, 2)
+    H_last = H[:, n_full * g0:].copy()
+    del H
 
     def ball_of(state_norm, rho, rho_next):
         """Envelope-ball radius of a step (or of an array of steps) from the
@@ -380,30 +441,31 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     # every full step's center and dense columns at once; the step hull
     # pairs state j with state j + 1, and a table column of age a with its
     # image of age a + 1
-    c, c_next, H, H_next = cs[:-1], cs[1:], Hs[:-1], Hs[1:]
-    dense = np.concatenate([(((c - c_next) / 2.0) @ C.T)[:, :, None],
-                            C @ ((H + H_next) / 2.0), C @ ((H - H_next) / 2.0)], axis=2)
+    c, c_next = cs[:-1], cs[1:]
+    dense[:, :, 0] = ((c - c_next) / 2.0) @ C.T
+    np.add(CH[:-1], CH[1:], out=dense[:, :, 1:1 + g0])
+    np.subtract(CH[:-1], CH[1:], out=dense[:, :, 1 + g0:])
+    dense[:, :, 1:] /= 2.0
     CM = C @ M
     older, newer = CM[:, :max(n_full - 1, 0) * m], CM[:, m:]
     balls = ball_of(state_norms[:-1], rhos[:-1], rhos[1:])
     table = _AgeTable(((c + c_next) / 2.0) @ C.T, dense, balls,
                       (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
                       np.linalg.norm(C, axis=1), m)
-    steps = [ReachStep(t, t + h, _StepZonotope(table, j))
-             for j, (t, h) in enumerate(grid[:n_full])]
-    if n_full < len(grid):
+    steps = [ReachStep(t0, t1, _StepZonotope(table, j))
+             for j, (t0, t1) in enumerate(zip(starts[:n_full], ends))]
+    if n_full < len(starts):
         # the partial last step is built in output space: only its p x g
         # generator arrays are ever formed
-        t, h = grid[-1]
-        Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h)
+        Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h_last)
         idx = table.oldest_first(n_full)
         CPhi = C @ Phi
-        state = Zonotope(C @ cs[-1], np.hstack([C @ Hs[-1], CM[:, idx]]))
+        state = Zonotope(C @ cs[-1], np.hstack([CH[-1], CM[:, idx]]))
         nxt = Zonotope(C @ (Phi @ cs[-1] + vin),
-                       np.hstack([CPhi @ Hs[-1], (CPhi @ M)[:, idx], C @ Gin]))
+                       np.hstack([CPhi @ H_last, (CPhi @ M)[:, idx], C @ Gin]))
         hull = enclose(state, nxt)
         ball = float(ball_of(state_norms[-1], rhos[-1], nPhi * rhos[-1] + res_ball))
-        steps.append(ReachStep(t, t + h, Zonotope(
+        steps.append(ReachStep(starts[-1], ends[-1], Zonotope(
             hull.center, np.hstack([hull.generators, table.ball_columns(ball)]))))
     return steps
 

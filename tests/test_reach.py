@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -907,6 +909,65 @@ def table_cases(draw):
 def test_table_spread_matches_assembled_generators(case):
     sys_, x0, ubox, t_f, step_h, Gamma = case
     assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h), Gamma)
+
+
+# --------------------------------------------------------------------------
+# reach_lti's recursions, built by doubling, against the step loop of
+# naive_reach.
+
+#: Full step counts around the powers of two the doubling splits at.
+DOUBLING_COUNTS = sorted({1, 2, 3} | {2 ** j + d for j in range(2, 9) for d in (-1, 1)})
+
+
+@st.composite
+def doubling_cases(draw):
+    """(system, x0, input box, t_f, step_h) at orders 1-12, with an
+    all-pinned input box, a point x0, a non-Hurwitz A, no full step
+    (t_f < step_h) or a partial last step drawn in."""
+    n, m, p = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys_ = rs.random_stable_system(rng, n, m, p)
+    if draw(st.booleans()):
+        # shift the spectrum right: some eigenvalues unstable
+        sys_ = rs.LtiSystem(sys_.A + draw(st.floats(0.5, 2.5)) * np.eye(n), sys_.B, sys_.C)
+    ubox = rand_ubox(rng, m)
+    if draw(st.booleans()):
+        ubox = rs.HyperBox(ubox.center, ubox.center)
+    x0 = rand_box(rng, n, draw(st.integers(0, n)))
+    full = draw(st.sampled_from([0] + DOUBLING_COUNTS))
+    partial = draw(st.sampled_from([0.0, 0.37, 0.81])) if full else 0.37
+    step_h = draw(st.floats(0.2, 1.0)) * reach.STEP_LH / np.linalg.norm(sys_.A, 2)
+    return sys_, x0, ubox, step_h * (full + partial), step_h
+
+
+@given(doubling_cases(), st.integers(0, 2**32 - 1))
+def test_doubling_matches_naive_reach(case, seed):
+    sys_, x0, ubox, t_f, step_h = case
+    steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+    ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+    # the step times are the step loop's, bit for bit
+    assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
+    assert_same_sets(steps, ref, np.random.default_rng(seed))
+
+
+def test_reach_peak_memory_is_its_orbit_buffers():
+    # a call shaped like the k = 40 reach of the n = 150 sweep: its traced
+    # peak stays within 1.25x of the initial-generator and input-column
+    # orbit buffers, 8 B x ((N + 1) k g0 + N k m), plus what the returned
+    # steps keep
+    rng = np.random.default_rng(40)
+    k, m = 40, 12
+    sys_ = rs.random_stable_system(rng, k, m, 4)
+    x0, ubox = rand_box(rng, k), rand_ubox(rng, m)
+    tracemalloc.start()
+    try:
+        steps = reach_lti(sys_, x0, ubox, 1.0, 1e-3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_full, g0 = len(steps), Zonotope.from_box(x0).order
+    assert n_full == 1000 and g0 == k
+    assert peak <= 1.25 * (8 * ((n_full + 1) * k * g0 + n_full * k * m) + kept)
 
 
 # --------------------------------------------------------------------------

@@ -62,9 +62,6 @@ CONTRACTION_TOL_REL = 1e-8
 #: Default bloat factor of the zero-input simulation bound.
 GAMMA_DEFAULT = 0.01
 
-#: Default vertex budget of the zero-input simulation bound (2^12).
-VERTEX_CAP = 4096
-
 #: Step control of the impulse-response simulation: ||A_bar|| * h = this
 #: value.  Its per-step envelope is rigorous at any h; the step sets how
 #: close the bound comes to the exact integrals.
@@ -223,16 +220,10 @@ E1_SIM_LH = 0.02
 ORBIT_BLOCK_DOUBLES = 1 << 19
 
 
-def _norm_data(states: np.ndarray, width: int, gram: bool) -> np.ndarray:
-    """Per state of a block (n, steps*width), step-major as :func:`_propagate`
-    lays them out: the squared column norms (steps, width) (``gram`` False)
-    or the Gram matrix (steps, width, width) (``gram`` True)."""
-    n, steps = states.shape[0], states.shape[1] // width
-    if gram:
-        # step j's states as an (n, width) view
-        per_step = states.reshape(n, steps, width).swapaxes(0, 1)
-        return per_step.swapaxes(-1, -2) @ per_step
-    return np.einsum("ij,ij->j", states, states).reshape(steps, width)
+def _norm_data(states: np.ndarray, width: int) -> np.ndarray:
+    """The squared column norms (steps, width) of a block of states
+    (n, steps*width), step-major as :func:`_propagate` lays them out."""
+    return np.einsum("ij,ij->j", states, states).reshape(-1, width)
 
 
 def _split_maps(images: np.ndarray, maps: tuple[np.ndarray, ...]) -> list[np.ndarray]:
@@ -240,15 +231,15 @@ def _split_maps(images: np.ndarray, maps: tuple[np.ndarray, ...]) -> list[np.nda
     return np.split(images, np.cumsum([M.shape[0] for M in maps[:-1]]), axis=1)
 
 
-def _project(states: np.ndarray, width: int, maps: tuple[np.ndarray, ...],
-             gram: bool) -> list[np.ndarray]:
+def _project(states: np.ndarray, width: int,
+             maps: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """Each map applied to a block of states (n, steps*width), step-major as
     :func:`_propagate` lays them out, then the states' :func:`_norm_data`.
-    The results come per step: (steps, rows, width), then (steps, width) or
-    (steps, width, width).  The maps share one product."""
+    The results come per step: (steps, rows, width), then (steps, width).
+    The maps share one product."""
     steps = states.shape[1] // width
     images = (np.vstack(maps) @ states).reshape(-1, steps, width).swapaxes(0, 1)
-    return _split_maps(images, maps) + [_norm_data(states, width, gram)]
+    return _split_maps(images, maps) + [_norm_data(states, width)]
 
 
 class _Orbit:
@@ -269,14 +260,14 @@ class _Orbit:
     4 rows n m when s > 1; at s = 1 the left stack is empty and a step
     costs 2 n^2 m, as a step loop spends, but in log2(block) + 1 products
     instead of block small ones.  The giant states' norm data (squared
-    column norms, or Gram matrices) is exact; between them, step s b + a
-    carries e^{2 mu a h} times R_b's, an upper bound in the Loewner order
-    since ||e^{A t}||_2 <= e^{mu t} for mu = max(``defect``, 0) and
-    ``defect`` >= lambda_max(sym A).  Every reader of the norm data uses it
-    only as an upper bound.  Of the states only the last is kept."""
+    column norms) is exact; between them, step s b + a carries
+    e^{2 mu a h} times R_b's, an upper bound since ||e^{A t}||_2 <= e^{mu t}
+    for mu = max(``defect``, 0) and ``defect`` >= lambda_max(sym A).  Every
+    reader of the norm data uses it only as an upper bound.  Of the states
+    only the last is kept."""
 
     def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
-                 maps: tuple[np.ndarray, ...], gram: bool, defect: float):
+                 maps: tuple[np.ndarray, ...], defect: float):
         n, width = X0.shape
         rows = sum(M.shape[0] for M in maps)
         self.h = h
@@ -284,8 +275,8 @@ class _Orbit:
         block = max(16, min(512, ORBIT_BLOCK_DOUBLES // max(1, X0.size)))
         giants = max(1, block // self.stride)
         self.block = giants * self.stride
-        self.head = _project(X0, width, maps, gram)
-        self.maps, self._gram = maps, gram
+        self.head = _project(X0, width, maps)
+        self.maps = maps
         self._last, self._last_data = X0, self.head[-1][0]
         self._blocks: list[list[np.ndarray]] = []
         Phi = _transition(A, h)
@@ -309,7 +300,7 @@ class _Orbit:
         giants = self.block // s
         # R_1 ... R_G after R_0, the last state of the block before
         states = _propagate(self._powers, self._last, giants)
-        data = _norm_data(states, width, self._gram)
+        data = _norm_data(states, width)
         starts = np.hstack([self._last, states[:, :-width]])
         # step s g + a of the block at [g, a - 1]: (M Phi^a) R_g for a < s,
         # M R_{g+1} at a = s, with R_g's data grown by e^{2 mu a h} for a < s
@@ -317,28 +308,28 @@ class _Orbit:
         images[:, :-1] = (self._left @ starts).reshape(s - 1, rows, giants, width) \
             .transpose(2, 0, 1, 3)
         images[:, -1] = (self._stacked @ states).reshape(rows, giants, width).swapaxes(0, 1)
-        bounds = np.empty((giants, s) + data.shape[1:])
-        growth = self._growth.reshape((-1,) + (1,) * (data.ndim - 1))
-        bounds[:, :-1] = growth * np.concatenate([self._last_data[None], data[:-1]])[:, None]
+        bounds = np.empty((giants, s, width))
+        bounds[:, :-1] = self._growth[:, None] \
+            * np.concatenate([self._last_data[None], data[:-1]])[:, None]
         bounds[:, -1] = data
         self._last, self._last_data = states[:, -width:].copy(), data[-1]
         return _split_maps(images.reshape(self.block, rows, width), self.maps) + [
-            bounds.reshape((self.block,) + data.shape[1:])]
+            bounds.reshape(self.block, width)]
 
 
 def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
-                 maps_r: tuple[np.ndarray, ...], gram: bool):
+                 maps_r: tuple[np.ndarray, ...]):
     """Projected blocks of the augmented orbit: the shared full-order part
     plus this order's reduced part, stepped by the same h and built by the
     same doubling.  Step 0 comes first as a block of its own, then blocks of
     ``full.block`` steps."""
     width = X_r.shape[1]
-    yield [f + r for f, r in zip(full.head, _project(X_r, width, maps_r, gram))]
+    yield [f + r for f, r in zip(full.head, _project(X_r, width, maps_r))]
     powers = _doubling_powers(_transition(A_r, full.h), full.block)
     for i in itertools.count():
         states = _propagate(powers, X_r, full.block)
         X_r = states[:, -width:].copy()
-        yield [f + r for f, r in zip(full[i], _project(states, width, maps_r, gram))]
+        yield [f + r for f, r in zip(full[i], _project(states, width, maps_r))]
 
 
 def _block_times(t: float, h: float, count: int) -> np.ndarray:
@@ -358,11 +349,11 @@ class FullOrderResponse:
     The e2 impulse responses start from B_t and record C_t x, C_t A_t^2 x,
     C_t A_t^3 x and ||x||^2 per channel; the e1 responses start from the
     lifted generators [H c, H diag(r)] of the initial box (center c, free
-    half-widths r) and record C_t x and the generators' Gram matrix, from
-    which every vertex follows.  Both are simulated lazily, block by block, as far as the
-    orders asking for them need.  Build one per mode with
-    ``FullOrderResponse.of(bal)`` and every order's augmented system from it
-    with :func:`augment`.
+    half-widths r) and record C_t x and ||x||^2 per generator, from which
+    every vertex's output and a bound on its norm follow.  Both are
+    simulated lazily, block by block, as far as the orders asking for them
+    need.  Build one per mode with ``FullOrderResponse.of(bal)`` and every
+    order's augmented system from it with :func:`augment`.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray):
@@ -401,7 +392,7 @@ class FullOrderResponse:
         if self._impulse is None:
             CA2 = self.C @ self.A @ self.A
             self._impulse = _Orbit(self.A, self._step(SIM_LH), self.B,
-                                   (self.C, CA2, CA2 @ self.A), False, self.defect)
+                                   (self.C, CA2, CA2 @ self.A), self.defect)
         return self._impulse
 
     def initial(self, x0: HyperBox) -> _Orbit:
@@ -410,7 +401,7 @@ class FullOrderResponse:
         if self._initial is None or self._initial[0] != x0:
             self._initial = (x0, _Orbit(self.A, self._step(E1_SIM_LH),
                                         self.H @ _box_generators(x0), (self.C,),
-                                        True, self.defect))
+                                        self.defect))
         return self._initial[1]
 
 
@@ -423,94 +414,60 @@ def _box_generators(box: HyperBox) -> np.ndarray:
     return gens
 
 
-def _vertex_signs(f: int) -> np.ndarray:
-    """(1+f, 2^f) coefficients [1; s] of every vertex of an f-dim box."""
-    bits = (np.arange(1 << f)[None, :] >> np.arange(f)[:, None]) & 1
-    return np.vstack([np.ones((1, 1 << f)), 2.0 * bits - 1.0])
-
-
 def _vertex_peak(Y: np.ndarray) -> np.ndarray:
     """max over vertices of |y_s| = |y_c| + sum_d |y_d|, per row of the
     generator outputs Y (last axis: center, then one column per free dim)."""
     return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
 
 
-def _max_vertex_norm(gram: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """max over vertices of ||x_s|| = sqrt(s^T G s), per Gram matrix G of a block."""
-    chunk = max(1, ORBIT_BLOCK_DOUBLES // signs.size)
-    sq = [np.max(np.sum((gram[a:a + chunk] @ signs) * signs, axis=1), axis=1)
-          for a in range(0, len(gram), chunk)]
-    return np.sqrt(np.maximum(np.concatenate(sq), 0.0))
-
-
-def _decayed_vertex_norms(gram: np.ndarray, signs: np.ndarray,
-                          threshold: float) -> np.ndarray:
-    """Per Gram matrix of a block, the max vertex norm where it is at most
-    ``threshold`` and inf elsewhere.  The vertex mean of s^T G s is trace(G),
-    so only steps whose trace is near or below threshold^2 are enumerated."""
-    out = np.full(len(gram), np.inf)
-    near = np.nonzero(np.trace(gram, axis1=1, axis2=2)
-                      <= (1.0 + 1e-6) * threshold * threshold)[0]
-    if near.size:
-        norms = _max_vertex_norm(gram[near], signs)
-        out[near] = np.where(norms <= threshold, norms, np.inf)
-    return out
-
-
 def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
-                  vertex_cap: int = VERTEX_CAP,
                   decay_tol: float = DECAY_TOL) -> np.ndarray:
-    """Zero-input bound by simulating every vertex of the initial box.
+    """Zero-input bound by simulating the generators of the initial box.
 
     The bound is the max over vertices and the time grid of |ybar_i(t)|.
     The error is linear in the initial state, so the vertex max covers the
     whole box at each sampled time; the remaining discretization gap is what
-    the caller's (1+gamma) bloat absorbs.  Refuses boxes with more than
-    ``vertex_cap`` vertices, naming the count.  The vertex responses are
-    those of the box generators: at every step the vertex max of |ybar_i| is
-    |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and vertex state norms come from
-    the generators' Gram matrix.  The full-order half of these responses is
-    read from the mode's response ``aug.full``.
+    the caller's (1+gamma) bloat absorbs.  The vertex responses are those of
+    the box generators [c, r_1 e_1, ..., r_f e_f]: at every step the vertex
+    max of |ybar_i| is |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and every
+    vertex state norm is at most the sum of the generators' norms (the
+    triangle inequality), so no vertex is enumerated.  The full-order half
+    of these responses is read from the mode's response ``aug.full``.
 
-    When the augmented system is contractive the simulation stops once the
-    states have decayed, covering the remaining window with the monotone tail
-    ||C_i|| ||x(T)||.
+    When the augmented system is contractive the simulation stops once that
+    norm sum has decayed to ``decay_tol`` times its value at t = 0, covering
+    the remaining window with the monotone tail ||C_i|| times the sum:
+    every point of the box has ||x(t)|| <= ||x(T)|| for t >= T.
     """
     if x0.dim != aug.n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={aug.n}")
-    count = x0.vertex_count()
-    if count > vertex_cap:
-        raise ModelError(
-            f"initial box has 2**{len(x0.free_dims())} = {count} vertices, "
-            f"exceeding the cap {vertex_cap}; use a theoretical e1 bound instead")
     if t_f <= 0:
         raise ModelError(f"t_f must be positive, got {t_f}")
     n, L = aug.n, aug.full.L
     orbit = aug.full.initial(x0)
     blocks = _error_orbit(orbit, aug.A_bar[n:, n:], aug.lift[n:] @ _box_generators(x0),
-                          (aug.C_bar[:, n:],), gram=True)
-    Y, G = next(blocks)
+                          (aug.C_bar[:, n:],))
+    Y, sq = next(blocks)
     best = _vertex_peak(Y[0])
     if L == 0.0:
         return best
-    signs = _vertex_signs(len(x0.free_dims()))
     contractive = aug.full.contractive
-    x0n = float(_max_vertex_norm(G, signs)[0]) if contractive else 0.0
+    threshold = decay_tol * float(np.sum(np.sqrt(sq[0])))
     t = 0.0
-    for Y, G in blocks:
+    for Y, sq in blocks:
         times = _block_times(t, orbit.h, len(Y))
-        # the max vertex norm at decayed steps, inf elsewhere
-        decayed = _decayed_vertex_norms(G, signs, decay_tol * x0n) if contractive \
-            else np.full(len(Y), np.inf)
-        stop = (times >= t_f) | (decayed < np.inf)
+        # every vertex norm is at most the sum of the generator norms
+        norms = np.sum(np.sqrt(sq), axis=1)
+        decayed = contractive & (norms <= threshold)
+        stop = (times >= t_f) | decayed
         end = int(np.argmax(stop)) + 1 if stop.any() else len(Y)
         best = np.maximum(best, np.max(_vertex_peak(Y[:end]), axis=0))
         if stop.any():
             break
         t = times[-1]
-    if decayed[end - 1] < np.inf:
+    if decayed[end - 1]:
         # monotone convergence: |y_i(t)| <= ||C_i|| ||x(T)|| for all t >= T
-        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * decayed[end - 1])
+        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * norms[end - 1])
     return best
 
 
@@ -595,7 +552,7 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     # and C_i A^3 x bounds its change within a step
     D2_r = C_r @ A_r @ A_r
     D3_r = D2_r @ A_r
-    blocks = _error_orbit(orbit, A_r, aug.B_bar[n:], (C_r, D2_r, D3_r), gram=False)
+    blocks = _error_orbit(orbit, A_r, aug.B_bar[n:], (C_r, D2_r, D3_r))
     d3_norms = np.linalg.norm(np.hstack([orbit.maps[2], D3_r]), axis=1)
     x0_norms = np.linalg.norm(aug.B_bar, axis=0)
     x0_norms[x0_norms == 0] = 1.0

@@ -59,7 +59,7 @@ def _emit(doc, args, text_renderer=None, csv_renderer=None) -> None:
 def _options_from(args) -> VerifyOptions:
     kwargs = {}
     for name in ("k0", "k_max", "gamma", "step_h", "step_lh",
-                 "witness_budget", "vertex_cap", "seed", "time_budget"):
+                 "witness_budget", "seed", "time_budget"):
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val
@@ -96,7 +96,7 @@ def cmd_reduce(args) -> int:
         hsv = [hankel_singular_values(s).tolist() for s in systems]
     else:
         # balance() yields the very Hankel values of hankel_singular_values,
-        # so each system is balanced (and its gramians built) once
+        # so each system's Lyapunov equations are solved once
         bals = [balance(s) for s in systems]
         hsv = [bal.sigma.tolist() for bal in bals]
     doc["hsv"] = hsv if pss else hsv[0]
@@ -375,8 +375,6 @@ def _add_bound_opts(sp):
                     choices=(bnd.E2_THEOREM3, bnd.SIMULATION),
                     help="enable a zero-state bound method (repeatable)")
     sp.add_argument("--gamma", type=float, help="bloat factor of the e1 simulation bound")
-    sp.add_argument("--vertex-cap", dest="vertex_cap", type=int,
-                    help="vertex budget of the e1 simulation bound")
 
 
 def _add_verify_opts(sp):

@@ -33,8 +33,8 @@ def random_problem(seed: int, n: int, m: int, p: int,
     The safe box is sized from a crude output-range estimate times
     ``spec_scale``, so small scales produce tight (possibly unsafe) specs and
     large scales produce clearly safe ones.  ``free_dims`` limits how many
-    initial-box coordinates get nonzero width (the rest are pinned), keeping
-    vertex enumeration cheap.
+    initial-box coordinates get nonzero width (the rest are pinned), which
+    limits the box vertices the witness search tries as initial states.
     """
     if p >= n:
         raise ModelError(f"need p < n for a reducible instance, got p={p}, n={n}")

@@ -481,7 +481,6 @@ InputLike = Union[None, np.ndarray, Callable[[float], np.ndarray]]
 class Trajectory:
     times: np.ndarray
     outputs: np.ndarray  # (samples, p), or (samples, p, B) for a batch
-    states: np.ndarray   # (samples, n), or (samples, n, B) for a batch
 
 
 def _step_inputs(u: InputLike, m: int, times: np.ndarray,
@@ -516,9 +515,9 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 
     ``x0`` of shape (n, B) simulates a batch of B initial states in one step
     loop; ``u`` may then also be a (steps, m, B) array of per-state inputs,
-    and the trajectory's outputs and states have shapes (samples, p, B) and
-    (samples, n, B).  A state that becomes non-finite anywhere in the batch
-    raises ModelError.
+    and the trajectory's outputs have shape (samples, p, B).  Only the
+    current state is kept.  A state that becomes non-finite anywhere in the
+    batch raises ModelError.
     """
     if h is None:
         h = default_step(t_f, sys.A)
@@ -530,14 +529,13 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     else:
         x, batch = x.reshape(sys.n), ()
     if t_f <= 0:
-        y = sys.C @ x
-        return Trajectory(np.zeros(1), y[None], x[None])
+        return Trajectory(np.zeros(1), (sys.C @ x)[None])
     steps = int(np.ceil(t_f / h - 1e-12))
     times = np.minimum(np.arange(steps + 1) * h, t_f)
     uval = _step_inputs(u, sys.m, times, batch)
     Phi, PsiB = _transition(sys.A, h, sys.B)
-    states = np.empty((steps + 1,) + x.shape)
-    states[0] = x
+    outputs = np.empty((steps + 1, sys.p) + batch)
+    outputs[0] = sys.C @ x
     last_h = times[-1] - times[-2]
     Phi_last, PsiB_last = (Phi, PsiB) if abs(last_h - h) < 1e-12 * h else \
         _transition(sys.A, last_h, sys.B)
@@ -546,9 +544,8 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
         x = P @ x + Q @ uval[j]
         if not np.all(np.isfinite(x)):
             raise ModelError(f"state became non-finite at t={times[j + 1]:.6g}")
-        states[j + 1] = x
-    outputs = sys.C @ states if batch else states @ sys.C.T
-    return Trajectory(times, outputs, states)
+        outputs[j + 1] = sys.C @ x
+    return Trajectory(times, outputs)
 
 
 # --------------------------------------------------------------------------

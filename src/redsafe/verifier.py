@@ -40,7 +40,6 @@ class VerifyOptions:
     gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
     step_lh: float = STEP_LH
-    vertex_cap: int = bnd.VERTEX_CAP
     witness_budget: int = 64
     seed: int = 0
     time_budget: float | None = None
@@ -102,8 +101,7 @@ def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
                 out[method] = bnd.e1_optimization(aug, x0)
             else:
                 # the only bound read at grid samples; the bloat covers the gaps
-                out[method] = (1.0 + opts.gamma) * bnd.e1_simulation(
-                    aug, x0, horizon, vertex_cap=opts.vertex_cap)
+                out[method] = (1.0 + opts.gamma) * bnd.e1_simulation(aug, x0, horizon)
         except (ModelError, bnd.BoundError) as exc:
             notes.append(f"e1 {method} skipped: {exc}")
     return out

@@ -253,9 +253,13 @@ class TestVerifyCmd:
         assert doc["outcome"] == "Unsafe" and "witness" in doc
 
     def test_unknown_flag_exits_three(self, tmp_path):
+        # a removed flag (the e1 simulation's former vertex budget) is unknown
         path = small_manifest(tmp_path)
-        code, out, err = run_cli("verify", path, "--definitely-not-a-flag")
-        assert code == 3
+        for args in (("verify", path, "--definitely-not-a-flag"),
+                     ("verify", path, "--vertex-cap", "4096"),
+                     ("bounds", path, "--vertex-cap", "4096")):
+            code, out, err = run_cli(*args)
+            assert code == 3 and "unrecognized arguments" in err
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--step-h", "0", "step_h"), ("--step-lh", "0", "step_lh"),

@@ -525,15 +525,12 @@ class TestBatchedSimulate:
                              lambda b: (lambda t: np.array([np.sin(t), 1.0])))):
                 batch = simulate(sys_, X, u, t_f, h)
                 assert batch.outputs.shape == (len(batch.times), 3, 5)
-                assert batch.states.shape == (len(batch.times), 4, 5)
                 for b in range(5):
                     one = simulate(sys_, X[:, b], u_of(b), t_f, h)
                     assert np.array_equal(one.times, batch.times)
                     assert one.outputs.shape == (len(one.times), 3)
                     assert np.allclose(batch.outputs[:, :, b], one.outputs,
                                        rtol=1e-12, atol=1e-12 * np.abs(one.outputs).max())
-                    assert np.allclose(batch.states[:, :, b], one.states,
-                                       rtol=1e-12, atol=1e-12 * np.abs(one.states).max())
 
     def test_batch_input_shape_checked(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 2, 1)

@@ -43,7 +43,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .balancing import BalancedRealization, box_image
 from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
@@ -172,10 +171,10 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     Otherwise the candidates are alpha P(eps) over a grid of shifts, with
     A_bar^T P(eps) + P(eps) A_bar = -(C_i^T C_i + eps I) and
     alpha = max(1, C_i P(eps)^-1 C_i^T) (the generalized eigenvalue of the
-    rank-one pair).  P(eps) = P_C,i + eps P_I comes from p+1 solves on one
-    Schur form; each combination must meet the Lyapunov residual tolerance
-    against its own right-hand side, and BoundError is raised when no
-    candidate of some output does.  The contraction test is read from the
+    rank-one pair).  P(eps) = P_C,i + eps P_I comes from p+1 right-hand
+    sides of one sign iteration; each combination must meet the Lyapunov
+    residual tolerance against its own right-hand side, and BoundError is
+    raised when no candidate of some output does.  The contraction test is read from the
     mode's response ``aug.full``.
     """
     if aug.full.contractive:
@@ -198,10 +197,11 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
             if not lyapunov_residual(At, CtC[i] + eps * eye, P) <= LYAP_TOL:
                 continue
             try:
-                alpha = max(1.0, float(Ci @ scipy.linalg.cho_solve(
-                    scipy.linalg.cho_factor(P), Ci)))
-            except scipy.linalg.LinAlgError:
+                L = np.linalg.cholesky(P)
+            except np.linalg.LinAlgError:
                 continue
+            # C_i P^-1 C_i^T = ||L^-1 C_i||^2 for P = L L^T
+            alpha = max(1.0, float(np.sum(np.linalg.solve(L, Ci) ** 2)))
             lam_max = float(np.linalg.eigvalsh(alpha * P).max())
             out[i] = min(out[i], np.sqrt(lam_max) * sup_norm)
     if not np.all(np.isfinite(out)):

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-import scipy.io
 
 FORMAT_VERSION = 1
 
@@ -421,9 +420,15 @@ def check_stability(sys: LtiSystem | np.ndarray, margin: float | None = None) ->
 
     ``margin`` defaults to STABILITY_MARGIN_REL * ||A||_2.
     """
-    A = sys.A if isinstance(sys, LtiSystem) else np.asarray(sys, dtype=float)
     if margin is not None and margin <= 0:
         raise ModelError(f"stability margin must be positive, got {margin}")
+    return _spectrum_report(sys, margin)[1]
+
+
+def _spectrum_report(sys: LtiSystem | np.ndarray,
+                     margin: float | None) -> tuple[np.ndarray, StabilityReport]:
+    """The eigenvalues of A and the stability report read off them."""
+    A = sys.A if isinstance(sys, LtiSystem) else np.asarray(sys, dtype=float)
     try:
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -431,31 +436,21 @@ def check_stability(sys: LtiSystem | np.ndarray, margin: float | None = None) ->
     abscissa = float(np.max(eigs.real)) if A.size else float("-inf")
     if margin is None:
         margin = _default_margin(A)
-    return StabilityReport(abscissa < -margin, abscissa, margin)
+    return eigs, StabilityReport(abscissa < -margin, abscissa, margin)
 
 
 def _default_margin(A: np.ndarray) -> float:
     return STABILITY_MARGIN_REL * max(1e-300, np.linalg.norm(A, 2))
 
 
-def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system",
-                    abscissa: float | None = None) -> float:
-    """Raise StabilityError unless Hurwitz; returns the abscissa.
-
-    ``abscissa`` is the spectral abscissa when the caller already has it
-    (the diagonal of a real Schur form holds the real parts of the
-    eigenvalues); no eigenvalues are computed then."""
-    if abscissa is None:
-        rep = check_stability(sys)
-    else:
-        margin = _default_margin(sys.A if isinstance(sys, LtiSystem)
-                                 else np.asarray(sys, dtype=float))
-        rep = StabilityReport(abscissa < -margin, abscissa, margin)
+def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system") -> np.ndarray:
+    """Raise StabilityError unless Hurwitz; returns the eigenvalues."""
+    eigs, rep = _spectrum_report(sys, None)
     if not rep.stable:
         raise StabilityError(
             f"{what} is not asymptotically stable "
             f"(spectral abscissa {rep.abscissa:.6e}, margin {rep.margin:.1e})")
-    return rep.abscissa
+    return eigs
 
 
 # --------------------------------------------------------------------------
@@ -469,21 +464,80 @@ def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system",
 # array format), so SLICOT benchmark files load unchanged.
 # --------------------------------------------------------------------------
 
+#: The MatrixMarket headers that load_matrix reads: the bundled files and
+#: SLICOT's use no others.
+_MM_FORMATS = ("array", "coordinate")
+_MM_FIELDS = ("real", "integer")
+_MM_SYMMETRIES = ("general", "symmetric")
+
+
+def _read_matrix_market(text: str) -> np.ndarray:
+    """Parse a MatrixMarket matrix; ValueError says what is wrong."""
+    header, _, body = text.partition("\n")
+    banner = header.lower().split()
+    if len(banner) != 5 or banner[:2] != ["%%matrixmarket", "matrix"]:
+        raise ValueError(f"not a MatrixMarket matrix header: {header.strip()!r}")
+    fmt, field, symmetry = banner[2:]
+    for value, allowed in ((fmt, _MM_FORMATS), (field, _MM_FIELDS),
+                           (symmetry, _MM_SYMMETRIES)):
+        if value not in allowed:
+            raise ValueError(f"unsupported MatrixMarket type {value!r} "
+                             f"(expected one of {', '.join(allowed)})")
+    lines = [line for line in body.splitlines() if line.strip() and not line.startswith("%")]
+    if not lines:
+        raise ValueError("missing size line")
+    size = [int(tok) for tok in lines[0].split()]
+    tokens = " ".join(lines[1:]).split()
+    if len(size) != (2 if fmt == "array" else 3) or min(size) < 0:
+        raise ValueError(f"bad size line {lines[0]!r}")
+    rows, cols = size[:2]
+    if symmetry == "symmetric" and rows != cols:
+        raise ValueError(f"symmetric matrix of shape {rows}x{cols}")
+    if fmt == "array":
+        count = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+        if len(tokens) != count:
+            raise ValueError(f"expected {count} values, found {len(tokens)}")
+        values = np.array(tokens, dtype=float)
+        if symmetry == "general":
+            return values.reshape(cols, rows).T.copy()
+        # the lower triangle, column by column
+        mat = np.zeros((rows, cols))
+        upper, lower = np.triu_indices(rows)
+        mat[lower, upper] = values
+        mat[upper, lower] = values
+        return mat
+    if len(tokens) != 3 * size[2]:
+        raise ValueError(f"expected {size[2]} entries, found {len(tokens) / 3:g}")
+    entries = np.array(tokens, dtype=float).reshape(-1, 3)
+    i, j = entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1
+    if np.any(i < 0) or np.any(i >= rows) or np.any(j < 0) or np.any(j >= cols):
+        raise ValueError("entry index out of range")
+    mat = np.zeros((rows, cols))
+    np.add.at(mat, (i, j), entries[:, 2])
+    if symmetry == "symmetric":
+        off = i != j
+        np.add.at(mat, (j[off], i[off]), entries[off, 2])
+    return mat
+
+
 def load_matrix(path: Path) -> np.ndarray:
-    """Read a dense 2-d array from a MatrixMarket file."""
+    """Read a dense 2-d array from a MatrixMarket file: ``array`` or
+    ``coordinate`` format, ``real`` or ``integer`` field, ``general`` or
+    ``symmetric`` symmetry (duplicate coordinate entries add up)."""
     if not Path(path).is_file():
         raise ManifestError(f"matrix file not found: {path}")
     try:
-        mat = scipy.io.mmread(str(path))
-    except Exception as exc:
+        return _read_matrix_market(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read MatrixMarket file {path}: {exc}") from exc
-    if hasattr(mat, "toarray"):
-        mat = mat.toarray()
-    return np.asarray(mat, dtype=float)
 
 
 def save_matrix(path: Path, mat: np.ndarray) -> None:
-    scipy.io.mmwrite(str(path), np.atleast_2d(np.asarray(mat, dtype=float)), precision=17)
+    """Write a dense MatrixMarket ``array real general`` file, column-major
+    with 17 significant digits, so that every double reads back exactly."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    head = f"%%MatrixMarket matrix array real general\n%\n{mat.shape[0]} {mat.shape[1]}\n"
+    Path(path).write_text(head + "".join(f"{v:.16e}\n" for v in mat.T.ravel().tolist()))
 
 
 def numbers(value, field: str) -> np.ndarray:

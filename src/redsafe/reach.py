@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .model import (EllipsoidSpec, HyperBox, LtiSystem, ModelError,
                     PolytopeSpec, POLARITY_SAFE)
@@ -235,21 +234,83 @@ class ReachStep:
     outputs: Zonotope
 
 
+#: Higham, "The scaling and squaring method for the matrix exponential
+#: revisited" (SIAM J. Matrix Anal. Appl. 2005): the coefficients b_0 ... b_m
+#: of the [m/m] Pade approximants of e^A, and for each degree the largest
+#: ||A||_1 at which it meets the unit roundoff.
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of e^A, (V - U)^-1 (V + U) with U the odd
+    and V the even part of the numerator."""
+    b = _PADE_COEFFS[m]
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+    else:
+        U, V, power = b[3] * A2, b[2] * A2, A2
+        for j in range(2, m // 2 + 1):
+            power = power @ A2
+            U += b[2 * j + 1] * power
+            V += b[2 * j] * power
+    # the identity terms, added on the diagonals
+    diag = slice(None, None, A.shape[0] + 1)
+    U.flat[diag] += b[1]
+    V.flat[diag] += b[0]
+    U = A @ U
+    return np.linalg.solve(V - U, V + U)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """e^A by scaling and squaring (Higham 2005): the lowest Pade degree of
+    3, 5, 7, 9 whose bound covers ||A||_1, otherwise degree 13 on A / 2^s
+    with s the fewest halvings that bring ||A||_1 under its bound, squared
+    s times.  A non-finite result raises ModelError."""
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise ModelError("matrix exponential is not finite")
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            X = _pade(A, m)
+            break
+    else:
+        s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+        X = _pade(np.ldexp(A, -s), 13)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                X = X @ X
+    if not np.all(np.isfinite(X)):
+        raise ModelError("matrix exponential is not finite")
+    return X
+
+
 def _transition(A: np.ndarray, h: float, B: np.ndarray | None = None):
     """Phi = e^{Ah} and, when B is given, PsiB = int_0^h e^{As} ds B."""
     n = A.shape[0]
     if B is None:
-        Phi = scipy.linalg.expm(A * h)
-        if not np.all(np.isfinite(Phi)):
-            raise ModelError("matrix exponential is not finite")
-        return Phi
+        return _expm(A * h)
     m = B.shape[1]
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
     M[:n, n:] = B
-    E = scipy.linalg.expm(M * h)
-    if not np.all(np.isfinite(E)):
-        raise ModelError("matrix exponential is not finite")
+    E = _expm(M * h)
     return E[:n, :n], E[:n, n:]
 
 

@@ -411,3 +411,28 @@ def test_json_matches_golden(name, tmp_path, capsys):
     main([command, str(manifest), *options, "--format", "json"])
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert_matches_golden(json.loads(capsys.readouterr().out), expected)
+
+
+# --------------------------------------------------------------------------
+# numpy is the runtime: scipy is only the tests' oracle.
+
+RUNTIME_SESSION = """
+import sys
+import redsafe as rs
+from redsafe.cli import main
+assert "scipy" not in sys.modules, "import redsafe"
+verdict = rs.verify_pss(rs.motor_benchmark(), rs.VerifyOptions(
+    k0=5, k_max=5, e1_methods=(rs.E1_THEOREM2, rs.SIMULATION),
+    e2_methods=(rs.SIMULATION,), step_lh=0.05))
+assert verdict.outcome == rs.SAFE and "scipy" not in sys.modules, "motor verify_pss"
+manifest = sys.argv[1]
+assert main(["gen", "-n", "6", "--seed", "7", "--output", manifest]) == 0
+main(["verify", manifest, "--format", "json"])
+assert "scipy" not in sys.modules, "gen and verify"
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_SESSION, str(tmp_path / "g.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

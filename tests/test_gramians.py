@@ -90,7 +90,7 @@ def test_transformation_law(rng):
 
 
 # --------------------------------------------------------------------------
-# Several right-hand sides per call: one Hurwitz check and one Schur form.
+# Several right-hand sides per call: one Hurwitz check and one sign iteration.
 
 import importlib  # noqa: E402
 
@@ -136,37 +136,38 @@ def counting_eigvals(monkeypatch):
 
 
 def test_hurwitz_checked_once_per_call(rng, monkeypatch):
-    # one check per call, read off the Schur form: no eigenvalues computed
+    # one check per call, however many right-hand sides: one eigvals
     calls = []
     original = gmod.require_hurwitz
 
-    def counting(A, what, **kwargs):
+    def counting(A, what):
         calls.append(what)
-        return original(A, what, **kwargs)
+        return original(A, what)
     monkeypatch.setattr(gmod, "require_hurwitz", counting)
     eigvals = counting_eigvals(monkeypatch)
-    solve_lyapunov(rs.random_stable_system(rng, 8, 1, 1).A, psd_stack(rng, 8, 5))
-    assert len(calls) == 1 and eigvals == []
+    A = rs.random_stable_system(rng, 8, 1, 1).A
+    solve_lyapunov(A, psd_stack(rng, 8, 5))
+    assert len(calls) == 1 and eigvals == [(8, 8)]
+    # the dual right-hand sides share the check
+    solve_lyapunov(A, psd_stack(rng, 8, 2), Q_t=psd_stack(rng, 8, 3))
+    assert len(calls) == 2 and eigvals == [(8, 8)] * 2
 
 
-def test_balance_computes_no_eigenvalues(rng, monkeypatch):
+def test_balance_computes_the_spectrum_once(rng, monkeypatch):
+    # both gramians come from one solve, so one eigvals for the system
     sys_ = rs.random_stable_system(rng, 12, 2, 2)
     eigvals = counting_eigvals(monkeypatch)
     balance(sys_)
-    assert eigvals == []
+    assert eigvals == [(12, 12)]
 
 
-def test_schur_abscissa_matches_eigenvalues(rng):
-    # real Schur diagonals carry the real parts of complex pairs, so the
-    # Schur-based check decides as the eigenvalue-based one does, including
-    # systems near the margin and unstable ones
+def test_hurwitz_check_matches_check_stability(rng):
+    # a solve raises StabilityError exactly when check_stability calls A
+    # unstable, including systems near the margin and unstable ones
     for n in (1, 2, 5, 12, 30):
         for shift in (-1.0, -1e-6, 0.0, 0.5):
             A = rng.standard_normal((n, n))
             A += (shift - np.max(np.linalg.eigvals(A).real)) * np.eye(n)
-            R, _ = scipy.linalg.schur(A, output="real")
-            assert np.max(np.diag(R)) == pytest.approx(
-                rs.check_stability(A).abscissa, abs=1e-12 * np.linalg.norm(A, 2))
             stable = rs.check_stability(A).stable
             try:
                 solve_lyapunov(A, np.eye(n))
@@ -214,11 +215,93 @@ def test_zero_right_hand_sides_are_exact(rng, monkeypatch):
     assert np.array_equal(P[1], np.zeros((5, 5)))
     assert np.array_equal(P[0], solve_lyapunov(A, Q)) and np.array_equal(P[0], P[2])
 
-    # an all-zero stack is still checked from the Schur form, without
-    # computing eigenvalues, and solved exactly
+    # an all-zero stack is still checked for stability, with one eigvals,
+    # and solved exactly
     eigvals = counting_eigvals(monkeypatch)
     assert np.array_equal(solve_lyapunov(A, np.zeros((2, 5, 5))), np.zeros((2, 5, 5)))
-    assert eigvals == []
+    assert eigvals == [(5, 5)]
+
+
+def test_dual_shape_validation():
+    with pytest.raises(ValueError, match="Q_t must match"):
+        solve_lyapunov(-np.eye(2), np.eye(2), Q_t=np.eye(3))
+
+
+# --------------------------------------------------------------------------
+# The sign iteration against Bartels-Stewart (scipy, a test-only oracle).
+
+def assert_matches_bartels_stewart(A, Q, Q_t, rtol):
+    pair = solve_lyapunov(A, Q, Q_t=Q_t)
+    for P, A_, Q_, res in ((pair.Wc, A, Q, pair.residual_c),
+                           (pair.Wo, A.T, Q_t, pair.residual_o)):
+        ref = scipy.linalg.solve_continuous_lyapunov(A_, -Q_)
+        assert np.linalg.norm(P - ref) <= rtol * np.linalg.norm(ref)
+        assert res == lyapunov_residual(A_, Q_, P)
+        # no less accurate than the Schur-based solve
+        assert res <= 10 * lyapunov_residual(A_, Q_, (ref + ref.T) / 2) + 1e-17
+
+
+def test_sign_solve_matches_bartels_stewart_on_the_motor():
+    # the two identical motors repeat every eigenvalue of each mode; the
+    # largest difference, 5.4e-13 in Wo, is where the Schur-based residual
+    # is a hundred times the sign iteration's
+    for mode in rs.motor_benchmark().system.modes:
+        assert_matches_bartels_stewart(mode.A, mode.B @ mode.B.T, mode.C.T @ mode.C, 1e-11)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 3.0, 10.0])
+def test_sign_solve_matches_bartels_stewart_non_normal(coupling):
+    # triangular A with a strong upper coupling: the Lyapunov operator's
+    # condition number reaches 1e18 at coupling 10
+    rng = np.random.default_rng(int(coupling))
+    n = 10
+    A = -np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(coupling * rng.uniform(0.5, 1.5, (n, n)), 1)
+    B, C = rng.standard_normal((n, 2)), rng.standard_normal((3, n))
+    assert_matches_bartels_stewart(A, B @ B.T, C.T @ C, 1e-12)
+
+
+def test_dual_solve_equals_a_solve_on_the_transpose(rng):
+    for n in (1, 5, 30, 80):
+        sys_ = rs.random_stable_system(rng, n, 2, 3)
+        Qs, Qts = psd_stack(rng, n, 2), psd_stack(rng, n, 3)
+        pair = solve_lyapunov(sys_.A, Qs, Q_t=Qts)
+        assert pair.Wc.shape == Qs.shape and pair.Wo.shape == Qts.shape
+        # the right-hand sides of A carry through the iteration unchanged
+        assert np.array_equal(pair.Wc, solve_lyapunov(sys_.A, Qs))
+        separate = solve_lyapunov(sys_.A.T, Qts)
+        for P, ref in zip(pair.Wo, separate):
+            assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert pair.residual_o == max(lyapunov_residual(sys_.A.T, Q, P)
+                                      for Q, P in zip(Qts, pair.Wo))
+
+
+def test_gramians_reuse_the_solve_residuals(rng, monkeypatch):
+    # one solve per system, and no second residual evaluation
+    sys_ = rs.random_stable_system(rng, 9, 2, 2)
+    solves, residuals = [], []
+    solve, residual = gmod.solve_lyapunov, gmod.lyapunov_residual
+    monkeypatch.setattr(gmod, "solve_lyapunov",
+                        lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+    monkeypatch.setattr(gmod, "lyapunov_residual",
+                        lambda *a: residuals.append(a) or residual(*a))
+    g = rs.gramians(sys_)
+    assert len(solves) == 1 and len(residuals) == 2
+    assert g.residual_c == residual(sys_.A, sys_.B @ sys_.B.T, g.Wc)
+    assert g.residual_o == residual(sys_.A.T, sys_.C.T @ sys_.C, g.Wo)
+
+
+def test_sign_iteration_failures_raise_solver_error(monkeypatch):
+    A = np.array([[-1.0, 5.0], [0.0, -2.0]])
+    monkeypatch.setattr(gmod, "SIGN_MAX_ITER", 2)
+    with pytest.raises(rs.SolverError, match="did not converge in 2 steps"):
+        solve_lyapunov(A, np.eye(2))
+    monkeypatch.undo()
+
+    def singular(Z):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(rs.SolverError, match="singular iterate"):
+        solve_lyapunov(A, np.eye(2))
 
 
 def test_stack_shape_validation():

@@ -267,3 +267,74 @@ def test_coordinate_format_matrix_loads(tmp_path):
     prob = rs.parse_problem(path)
     assert prob.system.n == 2
     assert np.array_equal(prob.system.A, np.diag([-1.0, -2.0]))
+
+
+# --------------------------------------------------------------------------
+# MatrixMarket I/O against scipy.io (a test-only oracle).
+
+from redsafe.model import load_matrix  # noqa: E402
+
+
+def test_matrix_round_trip_is_bit_exact(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    mat = np.array([[0.0, -0.0, tiny, -tiny],
+                    [1e308, -1e308, np.finfo(float).max, 2.2250738585072014e-308],
+                    [np.pi, -1.0 / 3.0, 1e-300, 123456789.123456789]])
+    save_matrix(tmp_path / "M.mtx", mat)
+    again = load_matrix(tmp_path / "M.mtx")
+    assert again.shape == mat.shape
+    assert np.array_equal(again.view(np.int64), mat.view(np.int64))
+
+
+def test_save_matrix_writes_scipy_layout(tmp_path):
+    # a non-symmetric matrix is written byte for byte as scipy.io.mmwrite
+    # writes it, vectors as one-row matrices
+    import scipy.io
+    rng = np.random.default_rng(4)
+    for mat in (rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-200, 200, (4, 3)),
+                np.array([[-0.0, 1.5]])):
+        save_matrix(tmp_path / "ours.mtx", mat)
+        scipy.io.mmwrite(tmp_path / "theirs.mtx", mat, precision=17)
+        assert (tmp_path / "ours.mtx").read_bytes() == (tmp_path / "theirs.mtx").read_bytes()
+    save_matrix(tmp_path / "v.mtx", np.array([1.0, 2.0]))
+    assert load_matrix(tmp_path / "v.mtx").shape == (1, 2)
+
+
+def test_scipy_written_files_load_as_scipy_reads_them(tmp_path):
+    import scipy.io
+    import scipy.sparse
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((5, 5))
+    S = S + S.T
+    cases = {
+        "array_general": rng.standard_normal((4, 6)),
+        "array_symmetric": S,
+        "array_integer": rng.integers(-9, 9, (3, 2)),
+        "coordinate_general": scipy.sparse.random(6, 4, density=0.4, random_state=1),
+        "coordinate_symmetric": scipy.sparse.coo_matrix(S * (np.abs(S) > 0.8)),
+    }
+    for name, mat in cases.items():
+        path = tmp_path / f"{name}.mtx"
+        scipy.io.mmwrite(path, mat, precision=17)
+        kind = name.split("_")
+        header = path.read_text().splitlines()[0].split()
+        assert header[2] == kind[0] and kind[1] in header[3:], name
+        ref = scipy.io.mmread(path)
+        ref = ref.toarray() if hasattr(ref, "toarray") else ref
+        assert np.array_equal(load_matrix(path), ref), name
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n", "'pattern'"),
+    ("%%MatrixMarket matrix array complex general\n1 1\n1.0 2.0\n", "'complex'"),
+    ("%%MatrixMarket matrix array real skew-symmetric\n2 2\n1.0\n", "'skew-symmetric'"),
+    ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", "expected 4 values"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "out of range"),
+    ("1 1\n1.0\n", "not a MatrixMarket matrix header"),
+])
+def test_unsupported_matrix_files_raise_manifest_error(tmp_path, text, reason):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(rs.ManifestError, match="bad.mtx") as err:
+        load_matrix(path)
+    assert reason in str(err.value)

@@ -1099,3 +1099,74 @@ class TestBatchedSteps:
             with pytest.raises(ValueError, match="read-only"):
                 view *= 2.0
         z.generators[...] = 0.0  # the assembled array is the step's own
+
+
+# --------------------------------------------------------------------------
+# The scaling-and-squaring exponential against scipy (a test-only oracle).
+
+import scipy.linalg  # noqa: E402
+from hypothesis import example  # noqa: E402
+
+#: One ||A||_1 inside each Pade degree's range (3, 5, 7, 9), then degree 13
+#: without and with squarings; the motor's ||A||_1 h is about 1.4e3.
+DEGREE_NORMS = ((1e-3, 3, 0), (0.1, 5, 0), (0.5, 7, 0), (1.5, 9, 0), (5.0, 13, 0),
+                (1.4e3, 13, 9), (1e4, 13, 11))
+
+
+def stable_matrix(seed: int, n: int, norm1: float) -> np.ndarray:
+    """A random matrix shifted left of its spectral radius (so e^A stays
+    bounded at any scale) and scaled to the given 1-norm."""
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    A -= (np.max(np.abs(np.linalg.eigvals(A))) + 0.1) * np.eye(n)
+    return A * (norm1 / np.abs(A).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("norm1, degree, squarings", DEGREE_NORMS)
+def test_expm_picks_the_pade_degree_by_norm(norm1, degree, squarings, monkeypatch):
+    calls = []
+    pade = reach._pade
+
+    def spy(A, m):
+        calls.append((m, np.abs(A).sum(axis=0).max()))
+        return pade(A, m)
+    monkeypatch.setattr(reach, "_pade", spy)
+    reach._expm(stable_matrix(0, 6, norm1))
+    (m, scaled), = calls
+    assert m == degree and scaled == pytest.approx(norm1 / 2.0 ** squarings, rel=1e-15)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(-3.0, 4.0))
+@example(0, 8, -3.0)
+@example(1, 8, -1.0)
+@example(2, 8, float(np.log10(0.5)))
+@example(3, 8, float(np.log10(1.5)))
+@example(4, 8, float(np.log10(5.0)))
+@example(5, 8, float(np.log10(1.4e3)))
+@example(6, 8, 4.0)
+def test_expm_matches_scipy(seed, n, log_norm):
+    # both are backward stable, and the exponential's relative condition
+    # number grows with ||A||, so they agree to about ||A||_1 units in the
+    # last place (measured: 5e-12 relative at ||A||_1 = 1e3)
+    A = stable_matrix(seed, n, 10.0 ** log_norm)
+    ref = scipy.linalg.expm(A)
+    tol = 100 * np.finfo(float).eps * max(1.0, np.abs(A).sum(axis=0).max())
+    assert np.linalg.norm(reach._expm(A) - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_motor_transitions_match_scipy():
+    # the motor's full-order transitions at its verification step
+    for mode in rs.motor_benchmark().system.modes:
+        h = 0.05 / np.linalg.norm(mode.A, 2)
+        Phi, PsiB = _transition(mode.A, h, mode.B)
+        M = np.block([[mode.A, mode.B], [np.zeros((mode.m, mode.n + mode.m))]])
+        E = scipy.linalg.expm(M * h)
+        np.testing.assert_allclose(Phi, E[:mode.n, :mode.n], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(PsiB, E[:mode.n, mode.n:], rtol=0,
+                                   atol=1e-14 * np.abs(E[:mode.n, mode.n:]).max())
+
+
+def test_expm_not_finite_raises_model_error():
+    with pytest.raises(rs.ModelError, match="not finite"):
+        reach._expm(np.array([[np.nan]]))
+    with pytest.raises(rs.ModelError, match="not finite"):
+        reach._expm(np.array([[1e3]]))

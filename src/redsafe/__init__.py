@@ -15,7 +15,7 @@ from .model import (EllipsoidSpec, HyperBox, LtiSystem, ManifestError,
                     ModelError, PolytopeSpec, PssSystem, StabilityError,
                     VerificationProblem, POLARITY_SAFE, POLARITY_UNSAFE,
                     check_stability, parse_problem, serialize_problem)
-from .reach import (ReachStep, Trajectory, WitnessTrajectory,
+from .reach import (ReachSets, ReachStep, Trajectory, WitnessTrajectory,
                     Zonotope, check_spec, find_unsafe_witness, reach_lti,
                     simulate, SAFE, UNSAFE, MAYBE_UNSAFE, INDETERMINATE)
 from .spectransform import (TransformedSpec, transform_ellipsoid,

@@ -230,7 +230,7 @@ def cmd_reach(args) -> int:
     sys_ = problem.system
     step_h = args.step_h if args.step_h is not None else default_step(
         problem.t_f, sys_.A, lh=args.step_lh)
-    steps = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h)
+    steps = list(reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h))
     doc = {"format_version": 1, "name": problem.name, "step_h": step_h,
            "steps": [{"t0": s.t0, "t1": s.t1,
                       "center": s.outputs.center.tolist(),

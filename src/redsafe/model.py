@@ -150,17 +150,14 @@ class HyperBox:
         """Number of distinct vertices: 2**(free dims)."""
         return 1 << len(self.free_dims())
 
-    def vertices(self, cap: int | None = None) -> np.ndarray:
+    def vertices(self) -> np.ndarray:
         """All distinct vertices as columns of a (dim, count) array.
 
-        Degenerate coordinates contribute no branching.  Raises ModelError if
-        the count exceeds ``cap``.
+        Degenerate coordinates contribute no branching; the count is
+        :meth:`vertex_count`, which a caller checks first.
         """
         free = self.free_dims()
         count = 1 << len(free)
-        if cap is not None and count > cap:
-            raise ModelError(
-                f"box has 2**{len(free)} = {count} vertices, exceeding cap {cap}")
         out = np.tile(self.center[:, None], (1, count))
         for bit, d in enumerate(free):
             mask = (np.arange(count) >> bit) & 1

@@ -12,16 +12,17 @@ By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
 each of them, its output image and its norm are computed once, in an age
 table shared by every step set of a call.  The table also holds every
 step's center, few dense columns and ball radius, computed for all steps at
-once from the states of the exact recursion.  A step is a row of that
-table: its generator array is assembled only when something reads it
-(safe-region ellipsoids, the hit search on a step that fails its check,
-``reach --format json``).  Polytope rows read their spread from the table,
-built for every step in one pass per Gamma from per-age row sums, the
-support-function view of Le Guernic & Girard (NAHS 2010).  Unsafe-region
-ellipsoids read their axis spreads the same way and the spread of each
-step's own gradient direction from a cumulative sum over the table's
-columns.  For order k, p outputs and r rows a step then costs
-O(k^2 (k + m)) arithmetic to build and O(r k) to check, rather than
+once from the states of the exact recursion.  A full step is a row of that
+table, and :func:`reach_lti` returns the table itself as a
+:class:`ReachSets`: ``ReachSets[j]`` assembles step j's generator array
+only when something reads it (safe-region ellipsoids, the hit search on a
+step that fails its check, ``reach --format json``).  Polytope rows read
+their spread from the table, built for every step in one pass per Gamma
+from per-age row sums, the support-function view of Le Guernic & Girard
+(NAHS 2010).  Unsafe-region ellipsoids read their axis spreads the same way
+and the spread of each step's own gradient direction from a cumulative sum
+over the table's columns.  For order k, p outputs and r rows a step then
+costs O(k^2 (k + m)) arithmetic to build and O(r k) to check, rather than
 O(r p g_j) over its g_j input columns, and neither makes a matrix product
 per step: the exact recursions are built by doubling, in about log2 N
 products for N steps.
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from collections.abc import Sequence
+from typing import Callable, Union
 
 import numpy as np
 
@@ -128,6 +130,20 @@ class _AgeTable:
         """Age-indexed columns of step j's inputs, oldest first."""
         return np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()
 
+    def generators(self, j: int) -> np.ndarray:
+        """Step j's output generator array: d, H+, input+, new, H-, input-,
+        -new, ball, with the dense columns [d, H+, H-] and the input columns
+        oldest first."""
+        # the array is allocated before the blocks are computed: allocated
+        # after them, it leaves a hole in the heap that grows every step
+        dense, ball = self.dense[j], float(self.balls[j])
+        p, split = dense.shape[0], 1 + dense.shape[1] // 2
+        G = np.empty((p, dense.shape[1] + 2 * (j + 1) * self.m + (p if ball > 0 else 0)))
+        idx = self.oldest_first(j)
+        return np.concatenate([dense[:, :split], self.Y_plus[:, idx], self.Y_new,
+                               dense[:, split:], self.Y_minus[:, idx], -self.Y_new,
+                               self.ball_columns(ball)], axis=1, out=G)
+
     def ball_columns(self, ball: float) -> np.ndarray:
         """Image of a state-space 2-ball: per-output radius ball*||C_i||_2."""
         return np.diag(ball * self.C_rows) if ball > 0 else np.zeros((self.C_rows.size, 0))
@@ -177,61 +193,53 @@ class _AgeTable:
 _DIRECTION_CHUNK = 64
 
 
-class _StepZonotope(Zonotope):
-    """Output set of a full reach step, kept compact as row ``step`` of the
-    call's age table: its center, its dense columns [d, (H + H')/2,
-    (H - H')/2] and its ball radius.  ``generators`` assembles the array on
-    first read (d, H+, input+, new, H-, input-, -new, ball) and caches it;
-    ``row_spread`` reads the table's spreads instead, and so do the polytope
-    and unsafe-ellipsoid checks of :func:`check_spec`."""
-
-    __slots__ = ("table", "step", "_assembled")
-
-    def __init__(self, table: _AgeTable, step: int):
-        self.center = table.centers[step]
-        self.table, self.step = table, step
-        self._assembled = None
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.table.dense[self.step]
-
-    @property
-    def ball(self) -> float:
-        return float(self.table.balls[self.step])
-
-    @property
-    def generators(self) -> np.ndarray:
-        if self._assembled is None:
-            self._assembled = self._assemble()
-        return self._assembled
-
-    def _assemble(self) -> np.ndarray:
-        # the array is allocated before the blocks are computed: allocated
-        # after them, it leaves a hole in the heap that grows every step
-        t, p, dense, ball = self.table, self.center.size, self.dense, self.ball
-        split = 1 + dense.shape[1] // 2
-        G = np.empty((p, dense.shape[1] + 2 * (self.step + 1) * t.m + (p if ball > 0 else 0)))
-        idx = t.oldest_first(self.step)
-        return np.concatenate([dense[:, :split], t.Y_plus[:, idx], t.Y_new,
-                               dense[:, split:], t.Y_minus[:, idx], -t.Y_new,
-                               t.ball_columns(ball)], axis=1, out=G)
-
-    def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
-        return self.table.row_spreads(Gamma)[self.step]
-
-
 @dataclass(frozen=True)
 class ReachStep:
-    """Output-space over-approximation over one time interval.
-
-    The ``outputs`` of a full step made by :func:`reach_lti` are compact:
-    their generator array is assembled on first read, and the spreads of
-    polytope rows and of unsafe-ellipsoid directions come from the call's
-    age table without it."""
+    """Output-space over-approximation over one time interval."""
     t0: float
     t1: float
     outputs: Zonotope
+
+
+class ReachSets(Sequence):
+    """The output reach sets of one :func:`reach_lti` call, one per step.
+
+    ``t0`` and ``t1`` hold every step's interval.  The first ``rows`` steps
+    are the rows of ``table`` (None for explicit step sets), and ``extra``
+    holds the explicit zonotopes of the steps after them.  Indexing
+    assembles a :class:`ReachStep` on demand and keeps nothing; a slice
+    returns a list.  :func:`check_spec` reads the table's rows without
+    assembling them."""
+
+    def __init__(self, t0, t1, table: _AgeTable | None, extra: Sequence[Zonotope]):
+        self.t0, self.t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        self.table, self.extra = table, tuple(extra)
+
+    @classmethod
+    def of(cls, steps: Sequence[ReachStep]) -> "ReachSets":
+        """Explicit step sets as a result with no table; a ReachSets is
+        returned as it is."""
+        if isinstance(steps, ReachSets):
+            return steps
+        steps = list(steps)
+        return cls([s.t0 for s in steps], [s.t1 for s in steps], None,
+                   [s.outputs for s in steps])
+
+    @property
+    def rows(self) -> int:
+        return 0 if self.table is None else len(self.table.balls)
+
+    def __len__(self) -> int:
+        return self.rows + len(self.extra)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        j = range(len(self))[j]  # IndexError out of range, negative from the end
+        rows = self.rows
+        z = Zonotope(self.table.centers[j], self.table.generators(j)) if j < rows \
+            else self.extra[j - rows]
+        return ReachStep(float(self.t0[j]), float(self.t1[j]), z)
 
 
 #: Higham, "The scaling and squaring method for the matrix exponential
@@ -365,17 +373,17 @@ def default_step(t_f: float, A: np.ndarray, target: int = 200, lh: float = STEP_
 
 
 def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
-              step_h: float | None = None) -> list[ReachStep]:
+              step_h: float | None = None) -> ReachSets:
     """Over-approximate output reach sets of a stable or unstable LTI system.
 
-    Returns step sets whose intervals tile [0, t_f]; every admissible output
-    trajectory (measurable u in the box) stays inside the step set of its
-    interval.
+    Returns step sets whose intervals tile [0, t_f], as one
+    :class:`ReachSets`; every admissible output trajectory (measurable u in
+    the box) stays inside the step set of its interval.
 
     After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
     Each M_a, the output images of its hull pairs and its column norms are
-    computed once, into an age table shared by the returned steps.
+    computed once, into an age table whose rows are the full steps.
 
     Cost model, for order k, m input columns, g0 <= k initial generators,
     p outputs and N full steps: the exact recursions c <- Phi c + v,
@@ -389,12 +397,13 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     and ball radius are then single array expressions over those buffers,
     and the table's output images come from one product C M.  Step
     j's input columns, every age below j, are described by j, not gathered.
-    The generator array of a full step is assembled on first read of
-    ``outputs.generators`` (O(p g_j) for g_j input columns); a polytope row
-    or unsafe-ellipsoid direction spread reads the table instead (see
-    :class:`_StepZonotope`).  A partial last step maps its columns through
-    its own transition in output space, so its arrays are p x g_j rather
-    than k x g_j, and is built in full.
+    The result is a :class:`ReachSets` over the table's rows: indexing it
+    assembles a full step's generator array (O(p g_j) for g_j input
+    columns, :meth:`_AgeTable.generators`), while :func:`check_spec` reads
+    polytope-row and unsafe-ellipsoid spreads from the table.  A partial
+    last step maps its columns through its own transition in output space,
+    so its arrays are p x g_j rather than k x g_j, and is built in full as
+    the result's one ``extra`` zonotope.
     """
     if step_h is None:
         step_h = default_step(t_f, sys.A)
@@ -513,8 +522,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     table = _AgeTable(((c + c_next) / 2.0) @ C.T, dense, balls,
                       (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
                       np.linalg.norm(C, axis=1), m)
-    steps = [ReachStep(t0, t1, _StepZonotope(table, j))
-             for j, (t0, t1) in enumerate(zip(starts[:n_full], ends))]
+    extra = []
     if n_full < len(starts):
         # the partial last step is built in output space: only its p x g
         # generator arrays are ever formed
@@ -526,9 +534,9 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
                        np.hstack([CPhi @ H_last, (CPhi @ M)[:, idx], C @ Gin]))
         hull = enclose(state, nxt)
         ball = float(ball_of(state_norms[-1], rhos[-1], nPhi * rhos[-1] + res_ball))
-        steps.append(ReachStep(starts[-1], ends[-1], Zonotope(
-            hull.center, np.hstack([hull.generators, table.ball_columns(ball)]))))
-    return steps
+        extra.append(Zonotope(hull.center, np.hstack([hull.generators,
+                                                      table.ball_columns(ball)])))
+    return ReachSets(starts, ends, table, extra)
 
 
 # --------------------------------------------------------------------------
@@ -613,36 +621,18 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # Spec checking.
 # --------------------------------------------------------------------------
 
-def _table_rows(zs: Sequence[Zonotope]
-                ) -> tuple[list[tuple[_AgeTable, list[int], list[int]]], list[int]]:
-    """The zonotopes grouped by the reach age table they are rows of: per
-    table, the table, the positions in zs of its rows and their steps; then
-    the positions of the zonotopes that are no table's rows."""
-    gathers: dict[int, tuple[_AgeTable, list[int], list[int]]] = {}
-    others = []
-    for i, z in enumerate(zs):
-        if isinstance(z, _StepZonotope):
-            _, where, rows = gathers.setdefault(id(z.table), (z.table, [], []))
-            where.append(i)
-            rows.append(z.step)
-        else:
-            others.append(i)
-    return list(gathers.values()), others
-
-
-def _poly_spreads(zs: Sequence[Zonotope], Gamma: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _poly_spreads(sets: ReachSets, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sets, rows) arrays of Gamma @ center and of the per-row spread
-    sum_j |(Gamma G)_ij| of each zonotope: the row values of its points lie
-    in Gc -/+ spread.  Sets that are rows of a reach age table are read from
-    its per-Gamma spreads in one gather per table."""
-    Gc, spread = np.empty((len(zs), Gamma.shape[0])), np.empty((len(zs), Gamma.shape[0]))
-    tables, others = _table_rows(zs)
-    for i in others:
-        Gc[i], spread[i] = Gamma @ zs[i].center, zs[i].row_spread(Gamma)
-    for table, where, rows in tables:
-        Gc[where] = table.centers[rows] @ Gamma.T
-        spread[where] = table.row_spreads(Gamma)[rows]
+    sum_j |(Gamma G)_ij| of each step set: the row values of its points lie
+    in Gc -/+ spread.  The table's rows are read from its per-Gamma spreads
+    in one expression."""
+    Gc, spread = np.empty((len(sets), Gamma.shape[0])), np.empty((len(sets), Gamma.shape[0]))
+    rows = sets.rows
+    if rows:
+        Gc[:rows] = sets.table.centers @ Gamma.T
+        spread[:rows] = sets.table.row_spreads(Gamma)
+    for i, z in enumerate(sets.extra, rows):
+        Gc[i], spread[i] = Gamma @ z.center, z.row_spread(Gamma)
     return Gc, spread
 
 
@@ -681,36 +671,35 @@ def quad_lower(z: Zonotope, ell: EllipsoidSpec) -> float:
     return best
 
 
-def _quad_lowers(zs: Sequence[Zonotope], ell: EllipsoidSpec, decided: float) -> np.ndarray:
-    """:func:`quad_lower` of each zonotope, wherever it is at most
+def _quad_lowers(sets: ReachSets, ell: EllipsoidSpec, decided: float) -> np.ndarray:
+    """:func:`quad_lower` of each step set, wherever it is at most
     ``decided``; where it is above, the value returned is above too.
 
-    Rows of a reach age table read their spreads from the table: the axis
-    spreads from its identity-row spreads, for every row at once, and the
-    gradient direction's from :meth:`_AgeTable.direction_spreads`, only for
-    the rows whose axis bound is at most ``decided``.  The gradient can only
-    raise the bound, so a row the axes put above ``decided`` stays above.
-    Other zonotopes call :func:`quad_lower`."""
-    lows = np.empty(len(zs))
-    tables, others = _table_rows(zs)
-    for i in others:
-        lows[i] = quad_lower(zs[i], ell)
-    Q, Qinv = ell.Q, ell.Q_inv
-    for table, where, rows in tables:
-        rows = np.asarray(rows)
-        D = table.centers[rows] - ell.a
-        lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p))[rows])
+    The table's rows read their spreads from the table: the axis spreads
+    from its identity-row spreads, for every row at once, and the gradient
+    direction's from :meth:`_AgeTable.direction_spreads`, only for the rows
+    whose axis bound is at most ``decided``.  The gradient can only raise
+    the bound, so a row the axes put above ``decided`` stays above.  The
+    explicit zonotopes call :func:`quad_lower`."""
+    lows = np.empty(len(sets))
+    rows = sets.rows
+    for i, z in enumerate(sets.extra, rows):
+        lows[i] = quad_lower(z, ell)
+    if rows:
+        table, Q, Qinv = sets.table, ell.Q, ell.Q_inv
+        D = table.centers - ell.a
+        lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p)))
         low = np.max(lo * lo / np.diag(Qinv), axis=1, initial=0.0)
         grad = D @ Q.T
         norms = np.linalg.norm(grad, axis=1)
         undecided = np.flatnonzero((low <= decided) & (norms > 0))
         V = grad[undecided] / norms[undecided, None]
         lo = np.maximum(0.0, np.abs(np.sum(V * D[undecided], axis=1))
-                        - table.direction_spreads(V, rows[undecided]))
+                        - table.direction_spreads(V, undecided))
         denom = np.sum((V @ Qinv) * V, axis=1)
         low[undecided] = np.maximum(low[undecided],
                                     np.where(denom > 0, lo * lo / denom, 0.0))
-        lows[where] = low
+        lows[:rows] = low
     return lows
 
 
@@ -730,46 +719,45 @@ def _quad_extreme_point(z: Zonotope, ell: EllipsoidSpec, maximize: bool) -> np.n
     return y
 
 
-def _check_one(steps: Sequence[ReachStep], ts: TransformedSpec) -> str:
+def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
     """Three-way verdict of the step sets against one transformed predicate.
 
     ``ok`` marks the steps that pass (contained in the shrunk safe region for
     a safe-polarity source, certainly disjoint from the grown region for an
     unsafe-polarity one); the steps that fail are searched for a certified
-    hit.  Polytope regions are checked for all steps at once."""
-    zs = [step.outputs for step in steps]
+    hit.  Polytope regions are checked for all steps at once.  A step set's
+    generators are assembled only where they are read: safe-region
+    ellipsoids and the hit search on failing steps."""
     unsafe = ts.unsafe_region
     if ts.source_polarity == POLARITY_SAFE:
         safe = ts.safe_region
         spread = None
         if safe is None:
-            ok = np.zeros(len(zs), bool)
+            ok = np.zeros(len(sets), bool)
         elif isinstance(safe, PolytopeSpec):
-            spread = _poly_spreads(zs, safe.Gamma)
+            spread = _poly_spreads(sets, safe.Gamma)
             ok = np.all(spread[0] + spread[1] + safe.Psi <= 0.0, axis=1)
         else:
-            ok = np.array([quad_upper(z, safe) <= safe.R ** 2 for z in zs], bool)
+            ok = np.array([quad_upper(s.outputs, safe) <= safe.R ** 2 for s in sets], bool)
         failed = np.flatnonzero(~ok)
         if isinstance(unsafe, PolytopeSpec):
             # exact: some point of a step set violates a grown row;
             # transform_polytope shrinks and grows the same rows, so one
             # spread per step serves both regions
-            if spread is not None and np.array_equal(safe.Gamma, unsafe.Gamma):
-                Gc, s = spread[0][failed], spread[1][failed]
-            else:
-                Gc, s = _poly_spreads([zs[j] for j in failed], unsafe.Gamma)
-            hit = bool(np.any(Gc + s + unsafe.Psi > 0.0))
+            if spread is None or not np.array_equal(safe.Gamma, unsafe.Gamma):
+                spread = _poly_spreads(sets, unsafe.Gamma)
+            hit = bool(np.any(spread[0][failed] + spread[1][failed] + unsafe.Psi > 0.0))
         else:
-            hit = any(unsafe.quad(_quad_extreme_point(zs[j], unsafe, maximize=True))
+            hit = any(unsafe.quad(_quad_extreme_point(sets[j].outputs, unsafe, maximize=True))
                       > unsafe.R ** 2 for j in failed)
     elif isinstance(unsafe, PolytopeSpec):
-        Gc, s = _poly_spreads(zs, unsafe.Gamma)
+        Gc, s = _poly_spreads(sets, unsafe.Gamma)
         ok = np.any(Gc - s + unsafe.Psi > 0.0, axis=1)
-        hit = any(_quad_center_candidate(zs[j], unsafe) is not None
+        hit = any(_quad_center_candidate(sets[j].outputs, unsafe) is not None
                   for j in np.flatnonzero(~ok))
     else:
-        ok = _quad_lowers(zs, unsafe, unsafe.R ** 2) > unsafe.R ** 2
-        hit = any(unsafe.quad(_quad_extreme_point(zs[j], unsafe, maximize=False))
+        ok = _quad_lowers(sets, unsafe, unsafe.R ** 2) > unsafe.R ** 2
+        hit = any(unsafe.quad(_quad_extreme_point(sets[j].outputs, unsafe, maximize=False))
                   <= unsafe.R ** 2 for j in np.flatnonzero(~ok))
     if np.all(ok):
         return SAFE
@@ -803,7 +791,8 @@ def check_spec(steps: Sequence[ReachStep],
     """
     if isinstance(transformed, TransformedSpec):
         transformed = [transformed]
-    verdicts = [_check_one(steps, ts) for ts in transformed]
+    sets = ReachSets.of(steps)
+    verdicts = [_check_one(sets, ts) for ts in transformed]
     if all(v == SAFE for v in verdicts):
         return SAFE
     if any(v == MAYBE_UNSAFE for v in verdicts):
@@ -828,9 +817,11 @@ class WitnessTrajectory:
 
 
 #: Candidates per batched :func:`simulate` call of the witness search, so its
-#: arrays stay bounded whatever the budget: (steps + 1)(n + p) + steps m
-#: floats per candidate, about 29 MB for 64 candidates of 995 steps at order
-#: 40 with 4 outputs and 12 inputs.
+#: arrays stay bounded whatever the budget: per candidate (steps + 1) p
+#: output and steps m plan floats, and one state of n.  For 64 candidates of
+#: 995 steps at order 40 with 4 outputs and 12 inputs that is 8.2 MB; with
+#: the (samples, B, rows) margins of an 8-row box spec the traced peak of
+#: such a search is 16.5 MB.
 WITNESS_CHUNK = 64
 
 

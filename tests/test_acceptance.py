@@ -145,7 +145,8 @@ def test_criterion_04_bound_soundness():
             # zero-input trials validate the e1 routes alone; only the
             # simulated e1, read at grid samples, is bloated
             e1s[SIMULATION] = (1 + GAMMA) * e1s[SIMULATION]
-            Xv = x0.vertices(cap=4096)
+            assert x0.vertex_count() <= 4096
+            Xv = x0.vertices()
             Xi = x0.sample(rng, 10)
             z_in = peaks(aug.lift @ np.hstack([Xv, Xi]))
             for bound in e1s.values():
@@ -263,12 +264,13 @@ def _oracle_outputs(prob, rng, fine=2000):
     """Dense output sampling: vertices x (corner + random piecewise-constant
     inputs) on a fine grid; >= 1e5 output samples."""
     sys_ = prob.system
-    X0 = np.hstack([prob.x0.vertices(cap=1 << 12),
+    assert prob.x0.vertex_count() <= 1 << 12 and prob.inputs.vertex_count() <= 64
+    X0 = np.hstack([prob.x0.vertices(),
                     prob.x0.sample(rng, 16)])
     n_traj = X0.shape[1]
     h = prob.t_f / fine
     plans = []
-    corners = prob.inputs.vertices(cap=64)
+    corners = prob.inputs.vertices()
     for i in range(corners.shape[1]):
         plans.append(lambda s, i=i: np.tile(corners[:, i:i + 1], (1, n_traj)))
     state = {}

@@ -72,11 +72,6 @@ class TestHyperBox:
         assert set(verts[1]) == {-1.0, 1.0}
         assert np.all(verts[0] == 0.0) and np.all(verts[2] == 2.0)
 
-    def test_vertex_cap(self):
-        box = rs.HyperBox(-np.ones(5), np.ones(5))
-        with pytest.raises(rs.ModelError, match="32"):
-            box.vertices(cap=16)
-
     def test_samples_inside(self, rng):
         box = rand_box(rng, 6, 4)
         xs = box.sample(rng, 50)

@@ -204,7 +204,8 @@ class TestReachEquivalence:
         x0, ubox, t_f, step_h = rand_box(rng, 3), rand_ubox(rng, 2), 6.0, 0.05
         steps = reach_lti(sys_, x0, ubox, t_f, step_h)
         h_sim = step_h / 2
-        X0 = np.hstack([x0.vertices(cap=64), x0.sample(rng, 200)])
+        assert x0.vertex_count() <= 64
+        X0 = np.hstack([x0.vertices(), x0.sample(rng, 200)])
         state = {"U": ubox.sample(rng, X0.shape[1])}
 
         def u_plan(step):
@@ -347,7 +348,8 @@ class TestReachProperties:
             t_f = 1.0
             steps = reach_lti(sys_, x0, ubox, t_f)
             h_sim = (steps[0].t1 - steps[0].t0) / 2
-            X0 = np.hstack([x0.vertices(cap=64), x0.sample(rng, 8)])
+            assert x0.vertex_count() <= 64
+            X0 = np.hstack([x0.vertices(), x0.sample(rng, 8)])
             state = {"U": ubox.sample(rng, X0.shape[1])}
 
             def u_plan(step):
@@ -781,13 +783,15 @@ from hypothesis import given, strategies as st  # noqa: E402
 from redsafe import verifier  # noqa: E402
 
 
-def assert_table_spreads(steps, Gamma):
-    """Each step's row spread as read from the age table equals sum |Gamma G|
-    over its assembled generators within 1e-12 of their scale."""
-    for step in steps:
-        z = step.outputs
-        direct = np.sum(np.abs(Gamma @ z.generators), axis=1)
-        np.testing.assert_allclose(z.row_spread(Gamma), direct, rtol=1e-12,
+def assert_table_spreads(sets, Gamma):
+    """Each step's row spread as check_spec reads it (from the age table for
+    its rows) equals sum |Gamma G| over its assembled generators within
+    1e-12 of their scale."""
+    _, spreads = reach._poly_spreads(sets, Gamma)
+    assert len(spreads) == len(sets)
+    for step, spread in zip(sets, spreads):
+        direct = np.sum(np.abs(Gamma @ step.outputs.generators), axis=1)
+        np.testing.assert_allclose(spread, direct, rtol=1e-12,
                                    atol=1e-12 * np.max(direct, initial=0.0))
 
 
@@ -847,18 +851,18 @@ class TestTableSpread:
         # a polytope spec (the gen instance) and the motor's unsafe-region
         # ellipsoids both read their step sets from reach's age table
         assembled, reached = [], []
-        assemble, reach_fn = reach._StepZonotope._assemble, verifier.reach_lti
+        generators, reach_fn = reach._AgeTable.generators, verifier.reach_lti
 
-        def counting_assemble(self):
-            assembled.append(self.step)
-            return assemble(self)
+        def counting_generators(self, j):
+            assembled.append(j)
+            return generators(self, j)
 
         def counting_reach(*args, **kwargs):
             steps = reach_fn(*args, **kwargs)
             reached.append(len(steps))
             return steps
 
-        monkeypatch.setattr(reach._StepZonotope, "_assemble", counting_assemble)
+        monkeypatch.setattr(reach._AgeTable, "generators", counting_generators)
         monkeypatch.setattr(verifier, "reach_lti", counting_reach)
         verdict = rs.verify(rs.random_problem(1, n=6, m=2, p=2, free_dims=3, spec_scale=0.5))
         assert verdict.outcome == SAFE and len(reached) == 4 and min(reached) > 0
@@ -999,7 +1003,7 @@ def test_table_quad_lower_matches_assembled_generators(case, seed):
     zs = [s.outputs for s in steps]
     ell = random_ellipsoid(rng, sys_.p, zs[int(rng.integers(len(zs)))].center
                            + rng.uniform(-2.0, 2.0, sys_.p), R=1e150)
-    lows = reach._quad_lowers(zs, ell, ell.R ** 2)
+    lows = reach._quad_lowers(steps, ell, ell.R ** 2)
     assert np.all(lows <= ell.R ** 2)
     for z, low in zip(zs, lows):
         # quad_upper bounds (|v d| + spread)^2 / (v Q^-1 v) for every
@@ -1051,7 +1055,7 @@ class TestTableEllipsoid:
         assert check_spec(steps, transform_spec(ell, np.zeros(2))) == SAFE
         assert sum(calls) == 0
         calls.clear()
-        lows = reach._quad_lowers(zs, ell, np.inf)
+        lows = reach._quad_lowers(steps, ell, np.inf)
         assert calls == [len(zs)] and np.all(lows > ell.R ** 2)
 
 
@@ -1062,43 +1066,123 @@ class TestBatchedSteps:
     def test_steps_match_per_step_reference(self, rng):
         partial = 0
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
-            steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+            sets = reach_lti(sys_, x0, ubox, t_f, step_h)
             ref = naive_reach(sys_, x0, ubox, t_f, step_h)
-            assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
-            p, g0 = sys_.p, Zonotope.from_box(x0).order
+            assert [(s.t0, s.t1) for s in sets] == [(r.t0, r.t1) for r in ref]
+            table, p, g0 = sets.table, sys_.p, Zonotope.from_box(x0).order
             C_rows = np.linalg.norm(sys_.C, axis=1)
             Gamma = rng.standard_normal((3, p))
-            for s, r in zip(steps, ref):
+            spreads = table.row_spreads(Gamma)
+            for j, (s, r) in enumerate(zip(sets, ref)):
                 z, G = s.outputs, r.outputs.generators
                 scale = np.max(np.abs(G))
                 close = dict(rtol=0, atol=1e-12 * scale)
                 np.testing.assert_allclose(z.center, r.outputs.center, rtol=0,
                                            atol=1e-12 * np.max(np.abs(r.outputs.center)))
                 np.testing.assert_allclose(z.generators, G, **close)
-                np.testing.assert_allclose(z.row_spread(Gamma),
-                                           np.sum(np.abs(Gamma @ G), axis=1), rtol=1e-12,
-                                           atol=1e-12 * scale * np.abs(Gamma).sum())
-                if isinstance(z, reach._StepZonotope):
+                if j < sets.rows:
+                    np.testing.assert_allclose(spreads[j], np.sum(np.abs(Gamma @ G), axis=1),
+                                               rtol=1e-12,
+                                               atol=1e-12 * scale * np.abs(Gamma).sum())
                     hull = (G.shape[1] - 1 - p) // 2
                     cols = np.r_[0, 1:1 + g0, 1 + hull:1 + hull + g0]
-                    np.testing.assert_allclose(z.dense, G[:, cols], **close)
-                    np.testing.assert_allclose(z.ball * C_rows, np.diag(G[:, -p:]), **close)
+                    np.testing.assert_allclose(table.dense[j], G[:, cols], **close)
+                    np.testing.assert_allclose(table.balls[j] * C_rows, np.diag(G[:, -p:]),
+                                               **close)
                 else:
                     partial += 1
-                    assert s is steps[-1]
+                    assert j == len(sets) - 1 and z is sets.extra[0]
         assert partial
 
     def test_shared_table_is_read_only(self, rng):
-        # a step set's center, dense columns and spreads are views of the
-        # call's table; changing one in place must fail, not alter the rest
+        # a step set's center, the table's dense columns and its spreads are
+        # shared by every read of the result; changing one in place must
+        # fail, not alter the rest
         sys_, x0, ubox, t_f, step_h = next(iter(reach_cases(rng)))
-        z = reach_lti(sys_, x0, ubox, t_f, step_h)[0].outputs
-        assert isinstance(z, reach._StepZonotope)
-        spread = z.row_spread(np.eye(sys_.p))
-        for view in (z.center, z.dense, spread):
+        sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+        z = sets[0].outputs
+        for view in (z.center, sets.table.dense[0], sets.table.row_spreads(np.eye(sys_.p))):
             with pytest.raises(ValueError, match="read-only"):
                 view *= 2.0
         z.generators[...] = 0.0  # the assembled array is the step's own
+        assert np.any(sets[0].outputs.generators != 0.0)
+
+
+class TestReachSets:
+    """The result of reach_lti as a sequence of steps, and check_spec on it
+    against check_spec on its explicit zonotopes."""
+
+    def test_sequence_matches_naive_reach(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
+        # full steps only, a partial last step, and no full step at all
+        for t_f, step_h, rows, extra in ((0.9, 0.3, 3, 0), (1.0, 0.3, 3, 1), (0.2, 0.3, 0, 1)):
+            sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+            assert isinstance(sets, rs.ReachSets)
+            assert (sets.rows, len(sets.extra), len(sets)) == (rows, extra, len(ref))
+            assert_same_sets(list(sets), ref, rng)
+            assert [s.t0 for s in sets] == [r.t0 for r in ref]
+            assert [s.t1 for s in sets] == [r.t1 for r in ref]
+            for j in range(-len(sets), len(sets)):
+                a, b = sets[j], ref[j]
+                assert (a.t0, a.t1) == (b.t0, b.t1)
+                np.testing.assert_array_equal(a.outputs.center, sets[j % len(sets)].outputs.center)
+            for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2),
+                       slice(5, 9)):
+                got = sets[sl]
+                assert isinstance(got, list)
+                assert [(s.t0, s.t1, s.outputs.order) for s in got] == \
+                    [(s.t0, s.t1, s.outputs.order) for s in ref[sl]]
+            for j in (len(sets), -len(sets) - 1):
+                with pytest.raises(IndexError):
+                    sets[j]
+
+    def test_steps_are_assembled_on_each_read(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        sets = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.3)
+        first, again = sets[1], sets[1]
+        assert first is not again and first.outputs.generators is not again.outputs.generators
+        np.testing.assert_array_equal(first.outputs.generators, again.outputs.generators)
+        assert first.t0 == sets.t0[1] and type(first.t0) is float
+
+    def test_of_explicit_steps(self, rng):
+        steps = [rs.ReachStep(j, j + 1.0, Zonotope(rng.standard_normal(2),
+                                                   rng.standard_normal((2, 3))))
+                 for j in range(4)]
+        sets = rs.ReachSets.of(steps)
+        assert sets.table is None and sets.rows == 0 and len(sets) == 4
+        assert [s.outputs for s in sets] == [s.outputs for s in steps]
+        assert [(s.t0, s.t1) for s in sets] == [(s.t0, s.t1) for s in steps]
+        assert rs.ReachSets.of(sets) is sets
+        assert len(rs.ReachSets.of([])) == 0
+
+    def test_check_spec_matches_explicit_steps(self, rng):
+        # list(sets) holds explicit zonotopes, which check_spec reads from
+        # their generators; the table read of the same sets must agree
+        verdicts = set()
+        for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
+            sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+            steps, p = list(sets), sys_.p
+            specs = list(polytope_specs(rng, steps, p))
+            for _ in range(2):
+                ell = random_ellipsoid(rng, p, steps[int(rng.integers(len(steps)))].outputs.center)
+                lows = [reach.quad_lower(s.outputs, ell) for s in steps]
+                # radii just above the closest step's bound and around the
+                # median decide on the spreads of single steps
+                for R2 in (0.5 * min(lows), (1 + 1e-6) * min(lows), float(np.median(lows)),
+                           max(lows) + 0.1, 4.0 * max(lows) + 1.0):
+                    if R2 > 0:
+                        for polarity in (POLARITY_SAFE, POLARITY_UNSAFE):
+                            spec = rs.EllipsoidSpec(ell.Q, ell.a, np.sqrt(R2), polarity)
+                            specs.append(transform_spec(spec, np.zeros(p)))
+            for ts in specs:
+                expected = check_spec(steps, ts)
+                assert check_spec(sets, ts) == expected
+                verdicts.add((type(ts.source).__name__, ts.source_polarity, expected))
+        assert {v for *_, v in verdicts} == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
+        assert {kind for kind, *_ in verdicts} == {"PolytopeSpec", "EllipsoidSpec"}
+        assert {pol for _, pol, _ in verdicts} == {POLARITY_SAFE, POLARITY_UNSAFE}
 
 
 # --------------------------------------------------------------------------

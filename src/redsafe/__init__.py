@@ -18,9 +18,7 @@ from .model import (EllipsoidSpec, HyperBox, LtiSystem, ManifestError,
 from .reach import (ReachSets, ReachStep, Trajectory, WitnessTrajectory,
                     Zonotope, check_spec, find_unsafe_witness, reach_lti,
                     simulate, SAFE, UNSAFE, MAYBE_UNSAFE, INDETERMINATE)
-from .spectransform import (TransformedSpec, transform_ellipsoid,
-                            transform_polytope, transform_pss, transform_spec,
-                            transform_unsafe_ellipsoid, transform_unsafe_polytope)
+from .spectransform import TransformedSpec, transform_spec
 from .verifier import PerKEntry, Verdict, VerifyOptions, verify, verify_pss
 
 __version__ = "0.1.0"

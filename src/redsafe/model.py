@@ -7,6 +7,7 @@ a specific error, never clamped.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -22,8 +23,10 @@ POLARITY_UNSAFE = "unsafe-region"
 _POLARITIES = (POLARITY_SAFE, POLARITY_UNSAFE)
 
 #: Default relative stability margin: a system counts as Hurwitz only if its
-#: spectral abscissa is below -margin, margin = STABILITY_MARGIN_REL * ||A||_2.
+#: spectral abscissa is below -margin, margin = STABILITY_MARGIN_REL * ||A||_F.
 #: Numerically marginal systems make the infinite-horizon gramians ill-posed.
+#: The Frobenius norm needs no factorization, and since ||A||_F >= ||A||_2 it
+#: refuses every system that the spectral norm would.
 STABILITY_MARGIN_REL = 1e-9
 
 
@@ -60,6 +63,16 @@ def _as_vector(name: str, value) -> np.ndarray:
 def _freeze(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.setflags(write=False)
+
+
+def _fields_equal(self, other) -> bool:
+    """Equality of two instances of one dataclass, field by field, arrays by
+    value.  A class body that sets ``__eq__`` to it stays unhashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                            for f in dataclasses.fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +113,7 @@ class LtiSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LtiSystem):
-            return NotImplemented
-        return (np.array_equal(self.A, other.A)
-                and np.array_equal(self.B, other.B)
-                and np.array_equal(self.C, other.C))
+    __eq__ = _fields_equal
 
     def __repr__(self) -> str:
         return f"LtiSystem(n={self.n}, m={self.m}, p={self.p})"
@@ -172,10 +180,7 @@ class HyperBox:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lb - tol) and np.all(x <= self.ub + tol))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HyperBox):
-            return NotImplemented
-        return np.array_equal(self.lb, other.lb) and np.array_equal(self.ub, other.ub)
+    __eq__ = _fields_equal
 
     def __repr__(self) -> str:
         return f"HyperBox(dim={self.dim})"
@@ -217,12 +222,7 @@ class PolytopeSpec:
         """Row values Gamma @ y + Psi; membership semantics are the caller's."""
         return self.Gamma @ np.asarray(y, dtype=float) + self.Psi
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolytopeSpec):
-            return NotImplemented
-        return (np.array_equal(self.Gamma, other.Gamma)
-                and np.array_equal(self.Psi, other.Psi)
-                and self.polarity == other.polarity)
+    __eq__ = _fields_equal
 
 
 #: Relative symmetry tolerance for ellipsoid shape matrices.
@@ -279,13 +279,7 @@ class EllipsoidSpec:
         """The coordinate unit vectors of the output space."""
         return tuple(np.eye(self.p))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EllipsoidSpec):
-            return NotImplemented
-        return (np.array_equal(self.Q, other.Q)
-                and np.array_equal(self.a, other.a)
-                and self.R == other.R
-                and self.polarity == other.polarity)
+    __eq__ = _fields_equal
 
 
 SafetyPredicate = Union[PolytopeSpec, EllipsoidSpec]
@@ -341,12 +335,7 @@ class PssSystem:
     def p(self) -> int:
         return self.modes[0].p
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PssSystem):
-            return NotImplemented
-        return (self.modes == other.modes
-                and self.durations == other.durations
-                and self.mode_initial_sets == other.mode_initial_sets)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,15 +384,7 @@ class VerificationProblem:
     def polarity(self) -> str:
         return self.spec[0].polarity
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerificationProblem):
-            return NotImplemented
-        return (self.system == other.system
-                and self.x0 == other.x0
-                and self.inputs == other.inputs
-                and self.spec == other.spec
-                and self.t_f == other.t_f
-                and self.name == other.name)
+    __eq__ = _fields_equal
 
 
 class StabilityReport(NamedTuple):
@@ -415,7 +396,7 @@ class StabilityReport(NamedTuple):
 def check_stability(sys: LtiSystem | np.ndarray, margin: float | None = None) -> StabilityReport:
     """Decide whether A is Hurwitz with margin; returns the spectral abscissa.
 
-    ``margin`` defaults to STABILITY_MARGIN_REL * ||A||_2.
+    ``margin`` defaults to STABILITY_MARGIN_REL * ||A||_F (Frobenius).
     """
     if margin is not None and margin <= 0:
         raise ModelError(f"stability margin must be positive, got {margin}")
@@ -437,7 +418,7 @@ def _spectrum_report(sys: LtiSystem | np.ndarray,
 
 
 def _default_margin(A: np.ndarray) -> float:
-    return STABILITY_MARGIN_REL * max(1e-300, np.linalg.norm(A, 2))
+    return STABILITY_MARGIN_REL * max(1e-300, np.linalg.norm(A))
 
 
 def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system") -> np.ndarray:

@@ -742,7 +742,7 @@ def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
         failed = np.flatnonzero(~ok)
         if isinstance(unsafe, PolytopeSpec):
             # exact: some point of a step set violates a grown row;
-            # transform_polytope shrinks and grows the same rows, so one
+            # transform_spec shrinks and grows the same rows, so one
             # spread per step serves both regions
             if spread is None or not np.array_equal(safe.Gamma, unsafe.Gamma):
                 spread = _poly_spreads(sets, unsafe.Gamma)
@@ -820,8 +820,8 @@ class WitnessTrajectory:
 #: arrays stay bounded whatever the budget: per candidate (steps + 1) p
 #: output and steps m plan floats, and one state of n.  For 64 candidates of
 #: 995 steps at order 40 with 4 outputs and 12 inputs that is 8.2 MB; with
-#: the (samples, B, rows) margins of an 8-row box spec the traced peak of
-#: such a search is 16.5 MB.
+#: the one (samples, B, rows) array of an 8-row box spec's margins the traced
+#: peak of such a search is 12.8 MB.
 WITNESS_CHUNK = 64
 
 

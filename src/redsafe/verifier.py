@@ -22,7 +22,7 @@ from .balancing import BalancedRealization, balance, truncate
 from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
                      ErrorBound)
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
-                    VerificationProblem)
+                    VerificationProblem, POLARITY_SAFE)
 from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
                     STEP_LH, WitnessTrajectory, check_spec, default_step,
                     find_unsafe_witness, reach_lti)
@@ -210,7 +210,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             mode_bounds.append(bound)
             transformed = [transform_spec(s, bound.delta) for s in problem.spec]
             if all(ts.safe_region is None for ts in transformed) \
-                    and problem.polarity == "safe-region":
+                    and problem.polarity == POLARITY_SAFE:
                 notes.append(say + "transformed safe region empty at this k")
             step_h = opts.step_h if opts.step_h is not None else \
                 default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)

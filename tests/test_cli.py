@@ -413,6 +413,33 @@ def test_json_matches_golden(name, tmp_path, capsys):
     assert_matches_golden(json.loads(capsys.readouterr().out), expected)
 
 
+#: Every kind and polarity of predicate over p = 2 outputs, a zero Gamma row
+#: among them, with per-mode deltas; in mode 2 the shrunk ellipsoid vanishes
+#: for both polarities.
+TRANSFORM_SPEC_INPUT = {
+    "spec": [
+        {"kind": "polytope", "polarity": "safe-region",
+         "Gamma": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]],
+         "Psi": [-1.0, -1.0, -0.75, -0.75, -0.25]},
+        {"kind": "polytope", "polarity": "unsafe-region",
+         "Gamma": [[1.0, 1.0], [-1.0, 0.5]], "Psi": [-2.0, 0.3]},
+        {"kind": "ellipsoid", "polarity": "safe-region",
+         "Q": [[2.0, 0.6], [0.6, 1.0]], "a": [0.1, -0.2], "R": 0.5},
+        {"kind": "ellipsoid", "polarity": "unsafe-region",
+         "Q": [[178.0, 0.0], [0.0, 625.0]], "a": [0.325, 0.16], "R": 1.0},
+    ],
+    "delta": [[0.0234, 0.0189], [0.5, 0.4]],
+}
+
+
+def test_transform_spec_matches_golden(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TRANSFORM_SPEC_INPUT))
+    assert main(["transform-spec", str(path), "--format", "json"]) == 0
+    expected = json.loads((GOLDEN / "transform_spec_mixed.json").read_text())
+    assert_matches_golden(json.loads(capsys.readouterr().out), expected)
+
+
 # --------------------------------------------------------------------------
 # numpy is the runtime: scipy is only the tests' oracle.
 

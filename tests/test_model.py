@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import redsafe as rs
-from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE, save_matrix
+from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE, require_hurwitz, save_matrix
 
 from conftest import rand_box, rand_ubox
 
@@ -176,6 +176,15 @@ class TestStability:
         rep = rs.check_stability(motor.system.modes[0])
         assert rep.stable
         assert rep.abscissa == pytest.approx(np.max(np.linalg.eigvals(A0).real), rel=1e-9)
+
+    def test_default_margin_scales_with_frobenius_norm(self):
+        # ||A||_2 = 1 and ||A||_F = 2: an abscissa of -1.5e-9 clears
+        # 1e-9 ||A||_2 but not 1e-9 ||A||_F, so the system is refused
+        A = np.diag([-1.5e-9, -1.0, -1.0, -1.0, -1.0])
+        rep = rs.check_stability(A)
+        assert not rep.stable and rep.margin == pytest.approx(2e-9, rel=1e-12)
+        with pytest.raises(rs.StabilityError, match="not asymptotically stable"):
+            require_hurwitz(A)
 
     def test_margin_must_be_positive(self):
         with pytest.raises(rs.ModelError, match="margin"):

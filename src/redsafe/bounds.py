@@ -47,12 +47,15 @@ import numpy as np
 from .balancing import BalancedRealization, box_image
 from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
 from .model import HyperBox, ModelError, StabilityError
-from .reach import _doubling_powers, _propagate, _transition
+from .reach import Zonotope, _doubling_powers, _propagate, _transition
 
 E1_THEOREM1 = "theorem1"
 E1_THEOREM2 = "theorem2"
 E2_THEOREM3 = "theorem3"
 SIMULATION = "simulation"
+#: Every bound method of each error source, in the default order.
+E1_METHODS = (E1_THEOREM1, E1_THEOREM2, SIMULATION)
+E2_METHODS = (E2_THEOREM3, SIMULATION)
 
 #: Numerical slack, relative to ||A_bar||, for the contraction precondition
 #: lambda_max(A_bar + A_bar^T) <= 0 of the closed-form zero-input bound.
@@ -66,8 +69,8 @@ GAMMA_DEFAULT = 0.01
 #: close the bound comes to the exact integrals.
 SIM_LH = 0.05
 
-#: Relative state-norm threshold at which an impulse response counts as
-#: decayed, and the hard step cap guarding against non-decay.
+#: Relative state-norm threshold at which a simulated response counts as
+#: decayed, and the hard step cap of the impulse responses against non-decay.
 DECAY_TOL = 1e-9
 MAX_IMPULSE_STEPS = 400_000
 
@@ -407,11 +410,7 @@ class FullOrderResponse:
 
 def _box_generators(box: HyperBox) -> np.ndarray:
     """[c, r_1 e_1, ..., r_f e_f] over the free dims: vertex s is c + sum s_d r_d e_d."""
-    free = box.free_dims()
-    gens = np.zeros((box.dim, 1 + len(free)))
-    gens[:, 0] = box.center
-    gens[free, 1 + np.arange(len(free))] = box.halfwidth[free]
-    return gens
+    return np.hstack([box.center[:, None], Zonotope.from_box(box).generators])
 
 
 def _vertex_peak(Y: np.ndarray) -> np.ndarray:
@@ -420,8 +419,7 @@ def _vertex_peak(Y: np.ndarray) -> np.ndarray:
     return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
 
 
-def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
-                  decay_tol: float = DECAY_TOL) -> np.ndarray:
+def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float) -> np.ndarray:
     """Zero-input bound by simulating the generators of the initial box.
 
     The bound is the max over vertices and the time grid of |ybar_i(t)|.
@@ -435,7 +433,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     of these responses is read from the mode's response ``aug.full``.
 
     When the augmented system is contractive the simulation stops once that
-    norm sum has decayed to ``decay_tol`` times its value at t = 0, covering
+    norm sum has decayed to DECAY_TOL times its value at t = 0, covering
     the remaining window with the monotone tail ||C_i|| times the sum:
     every point of the box has ||x(t)|| <= ||x(T)|| for t >= T.
     """
@@ -452,7 +450,7 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float,
     if L == 0.0:
         return best
     contractive = aug.full.contractive
-    threshold = decay_tol * float(np.sum(np.sqrt(sq[0])))
+    threshold = DECAY_TOL * float(np.sum(np.sqrt(sq[0])))
     t = 0.0
     for Y, sq in blocks:
         times = _block_times(t, orbit.h, len(Y))
@@ -506,14 +504,13 @@ def _decay_certificate(A: np.ndarray) -> float | None:
 
 
 def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
-                  decay_tol: float = DECAY_TOL,
                   horizon: float | None = None,
                   max_steps: int = MAX_IMPULSE_STEPS
                   ) -> tuple[np.ndarray, bool]:
     """Zero-state bound by integrating the augmented impulse responses.
 
     One simulation per input channel (state initialized to that column of
-    B_bar, zero input) runs until the state norm falls below ``decay_tol``
+    B_bar, zero input) runs until the state norm falls below DECAY_TOL
     relative, or to ``horizon`` when given (sound for windows the error
     cannot outlive, e.g. PSS mode durations).  Each step's envelope is
     second order and rigorous: with M a bound on |y''| within the step (from
@@ -576,7 +573,7 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
         norms = np.sqrt(sq)
         at_horizon = np.zeros(count, bool) if horizon is None \
             else times >= horizon - 1e-12 * horizon
-        stop = at_horizon | np.all(norms <= decay_tol * x0_norms, axis=1) \
+        stop = at_horizon | np.all(norms <= DECAY_TOL * x0_norms, axis=1) \
             | (first + np.arange(count) >= max_steps)
         stopped = bool(stop.any())
         end = int(np.argmax(stop)) + 1 if stopped else count

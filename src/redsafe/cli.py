@@ -139,27 +139,35 @@ def _default_reduced_path(args) -> Path:
     return src.with_name(f"{src.stem}_k{args.k}.json")
 
 
-def cmd_bounds(args) -> int:
-    problem = parse_problem(args.manifest)
-    opts = _options_from(args)
-    ks = [args.k] if args.k is not None else \
-        list(range(problem.system.p + 1, problem.system.n + 1))
-    rows = []
-    for label, sys_, x0, horizon in problem_modes(problem):
-        name = problem.name + (f"[{label}]" if label else "")
+def _bound_tables(problem: VerificationProblem, ks, method_sets):
+    """(system name, k, label, seconds, :func:`bound_candidates` result) for
+    each mode of the problem, each order in ``ks`` and each (label,
+    VerifyOptions) pair of ``method_sets``; each mode is balanced once."""
+    for mode, sys_, x0, horizon in problem_modes(problem):
+        name = problem.name + (f"[{mode}]" if mode else "")
         bal = balance(sys_)
         full = bnd.FullOrderResponse.of(bal)
         for k in ks:
-            t0 = time.perf_counter()
-            e1s, e2s, bound, notes = bound_candidates(
-                bal, full, k, x0, problem.inputs, horizon, opts)
-            dt = time.perf_counter() - t0 if args.timing else 0.0
-            rows += [_bound_row(name, k, method, dt, e1=e1) for method, e1 in e1s.items()]
-            rows += [_bound_row(name, k, method, dt, e2=e2) for method, e2 in e2s.items()]
-            if bound is not None:
-                rows.append(_bound_row(name, k, "min", dt, bound.e1, bound.e2, bound.delta))
-            for note in notes:
-                print(f"note: k={k} {note}", file=sys.stderr)
+            for label, opts in method_sets:
+                t0 = time.perf_counter()
+                result = bound_candidates(bal, full, k, x0, problem.inputs, horizon, opts)
+                yield name, k, label, time.perf_counter() - t0, result
+
+
+def cmd_bounds(args) -> int:
+    problem = parse_problem(args.manifest)
+    ks = [args.k] if args.k is not None else \
+        list(range(problem.system.p + 1, problem.system.n + 1))
+    rows = []
+    for name, k, _, dt, (e1s, e2s, bound, notes) in _bound_tables(
+            problem, ks, [(None, _options_from(args))]):
+        dt = dt if args.timing else 0.0
+        rows += [_bound_row(name, k, method, dt, e1=e1) for method, e1 in e1s.items()]
+        rows += [_bound_row(name, k, method, dt, e2=e2) for method, e2 in e2s.items()]
+        if bound is not None:
+            rows.append(_bound_row(name, k, "min", dt, bound.e1, bound.e2, bound.delta))
+        for note in notes:
+            print(f"note: k={k} {note}", file=sys.stderr)
     doc = {"format_version": 1, "rows": rows}
     _emit(doc, args, _bounds_text, _bounds_csv)
     return 0
@@ -318,22 +326,12 @@ def cmd_bench(args) -> int:
             print(f"notice: benchmark manifest {mpath} not found, skipped", file=sys.stderr)
             continue
         problem = parse_problem(mpath)
-        ks = args.ks or [4, 5]
-        for label, sys_, x0, horizon in problem_modes(problem):
-            name = problem.name + (f"[{label}]" if label else "")
-            bal = balance(sys_)
-            full = bnd.FullOrderResponse.of(bal)
-            for k in ks:
-                if not (sys_.p < k <= sys_.n):
-                    continue
-                for mname, opts in method_sets.items():
-                    t0 = time.perf_counter()
-                    _, _, bound, _ = bound_candidates(
-                        bal, full, k, x0, problem.inputs, horizon, opts)
-                    dt = time.perf_counter() - t0 if args.timing else 0.0
-                    if bound is not None:
-                        rows.append(_bound_row(name, k, mname, dt, bound.e1, bound.e2,
-                                               bound.delta))
+        ks = [k for k in args.ks or [4, 5] if problem.system.p < k <= problem.system.n]
+        for name, k, label, dt, (_, _, bound, _) in _bound_tables(problem, ks,
+                                                                  method_sets.items()):
+            if bound is not None:
+                rows.append(_bound_row(name, k, label, dt if args.timing else 0.0,
+                                       bound.e1, bound.e2, bound.delta))
     doc = {"format_version": 1, "rows": rows}
     _emit(doc, args, _bounds_text, _bounds_csv)
     return 0
@@ -368,11 +366,9 @@ def _add_common(sp, manifest=True):
 
 def _add_bound_opts(sp):
     """Flags that choose and tune the error-bound methods."""
-    sp.add_argument("--e1", action="append",
-                    choices=(bnd.E1_THEOREM1, bnd.E1_THEOREM2, bnd.SIMULATION),
+    sp.add_argument("--e1", action="append", choices=bnd.E1_METHODS,
                     help="enable a zero-input bound method (repeatable)")
-    sp.add_argument("--e2", action="append",
-                    choices=(bnd.E2_THEOREM3, bnd.SIMULATION),
+    sp.add_argument("--e2", action="append", choices=bnd.E2_METHODS,
                     help="enable a zero-state bound method (repeatable)")
     sp.add_argument("--gamma", type=float, help="bloat factor of the e1 simulation bound")
 

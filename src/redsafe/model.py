@@ -176,10 +176,6 @@ class HyperBox:
         """Uniform samples as columns of a (dim, count) array."""
         return self.lb[:, None] + (self.ub - self.lb)[:, None] * rng.random((self.dim, count))
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lb - tol) and np.all(x <= self.ub + tol))
-
     __eq__ = _fields_equal
 
     def __repr__(self) -> str:
@@ -209,10 +205,6 @@ class PolytopeSpec:
         _freeze(Gamma, Psi)
         object.__setattr__(self, "Gamma", Gamma)
         object.__setattr__(self, "Psi", Psi)
-
-    @property
-    def q(self) -> int:
-        return self.Gamma.shape[0]
 
     @property
     def p(self) -> int:
@@ -644,32 +636,28 @@ def serialize_problem(problem: VerificationProblem, manifest_path: str | Path) -
     """
     path = Path(manifest_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    stem = path.stem
+
+    def box(b: HyperBox) -> dict:
+        return {"lb": b.lb.tolist(), "ub": b.ub.tolist()}
+
+    def matrices(sys_: LtiSystem, prefix: str) -> dict:
+        """Write the system's A, B and C as prefix_A.mtx, ...; their names."""
+        names = {key: f"{prefix}_{key}.mtx" for key in "ABC"}
+        for key, fname in names.items():
+            save_matrix(path.parent / fname, getattr(sys_, key))
+        return names
+
     doc: dict = {"format_version": FORMAT_VERSION, "name": problem.name,
-                 "input": {"lb": problem.inputs.lb.tolist(), "ub": problem.inputs.ub.tolist()},
-                 "spec": spec_to_json(problem.spec), "t_f": problem.t_f}
-    if isinstance(problem.system, PssSystem):
+                 "input": box(problem.inputs), "spec": spec_to_json(problem.spec),
+                 "t_f": problem.t_f}
+    sys_ = problem.system
+    if isinstance(sys_, PssSystem):
         doc["type"] = "pss"
-        doc["modes"] = []
-        for i, (mode, dur, box) in enumerate(zip(problem.system.modes,
-                                                 problem.system.durations,
-                                                 problem.system.mode_initial_sets)):
-            names = {}
-            for key, mat in (("A", mode.A), ("B", mode.B), ("C", mode.C)):
-                fname = f"{stem}_mode{i}_{key}.mtx"
-                save_matrix(path.parent / fname, mat)
-                names[key] = fname
-            doc["modes"].append({"matrices": names, "duration": dur,
-                                 "x0": {"lb": box.lb.tolist(), "ub": box.ub.tolist()}})
+        doc["modes"] = [{"matrices": matrices(mode, f"{path.stem}_mode{i}"),
+                         "duration": dur, "x0": box(x0)}
+                        for i, (mode, dur, x0) in enumerate(zip(
+                            sys_.modes, sys_.durations, sys_.mode_initial_sets))]
     else:
-        doc["type"] = "lti"
-        names = {}
-        for key, mat in (("A", problem.system.A), ("B", problem.system.B),
-                         ("C", problem.system.C)):
-            fname = f"{stem}_{key}.mtx"
-            save_matrix(path.parent / fname, mat)
-            names[key] = fname
-        doc["matrices"] = names
-        doc["x0"] = {"lb": problem.x0.lb.tolist(), "ub": problem.x0.ub.tolist()}
+        doc.update(type="lti", matrices=matrices(sys_, path.stem), x0=box(problem.x0))
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path

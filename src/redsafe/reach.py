@@ -64,10 +64,10 @@ class Zonotope:
 
     @classmethod
     def from_box(cls, box: HyperBox) -> "Zonotope":
-        r = box.halfwidth
-        idx = np.nonzero(r > 0)[0]
-        G = np.zeros((box.dim, idx.size))
-        G[idx, np.arange(idx.size)] = r[idx]
+        """The box, with one generator r_d e_d per free dim d."""
+        free = box.free_dims()
+        G = np.zeros((box.dim, free.size))
+        G[free, np.arange(free.size)] = box.halfwidth[free]
         return cls(box.center, G)
 
     @property
@@ -361,12 +361,13 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
 STEP_LH = 0.1
 
 
-def default_step(t_f: float, A: np.ndarray, target: int = 200, lh: float = STEP_LH) -> float:
-    """Default reach/simulation step: min(t_f/target, lh/||A||_2)."""
+def default_step(t_f: float, A: np.ndarray, lh: float = STEP_LH) -> float:
+    """Default reach/simulation step: min(t_f/200, lh/||A||_2), so at least
+    200 steps over the horizon."""
     if not lh > 0:
         raise ModelError(f"step_lh must be positive, got {lh}")
     nA = np.linalg.norm(A, 2) if A.size else 0.0
-    h = t_f / target if t_f > 0 else 1.0
+    h = t_f / 200 if t_f > 0 else 1.0
     if nA > 0:
         h = min(h, lh / nA)
     return h
@@ -731,22 +732,19 @@ def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
     unsafe = ts.unsafe_region
     if ts.source_polarity == POLARITY_SAFE:
         safe = ts.safe_region
-        spread = None
         if safe is None:
             ok = np.zeros(len(sets), bool)
         elif isinstance(safe, PolytopeSpec):
-            spread = _poly_spreads(sets, safe.Gamma)
-            ok = np.all(spread[0] + spread[1] + safe.Psi <= 0.0, axis=1)
+            Gc, s = _poly_spreads(sets, safe.Gamma)
+            ok = np.all(Gc + s + safe.Psi <= 0.0, axis=1)
         else:
-            ok = np.array([quad_upper(s.outputs, safe) <= safe.R ** 2 for s in sets], bool)
+            ok = np.array([quad_upper(z.outputs, safe) <= safe.R ** 2 for z in sets], bool)
         failed = np.flatnonzero(~ok)
         if isinstance(unsafe, PolytopeSpec):
-            # exact: some point of a step set violates a grown row;
-            # transform_spec shrinks and grows the same rows, so one
-            # spread per step serves both regions
-            if spread is None or not np.array_equal(safe.Gamma, unsafe.Gamma):
-                spread = _poly_spreads(sets, unsafe.Gamma)
-            hit = bool(np.any(spread[0][failed] + spread[1][failed] + unsafe.Psi > 0.0))
+            # exact: some point of a step set violates a grown row; the
+            # grown rows are the shrunk ones, whose spreads the table keeps
+            Gc, s = _poly_spreads(sets, unsafe.Gamma)
+            hit = bool(np.any(Gc[failed] + s[failed] + unsafe.Psi > 0.0))
         else:
             hit = any(unsafe.quad(_quad_extreme_point(sets[j].outputs, unsafe, maximize=True))
                       > unsafe.R ** 2 for j in failed)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .balancing import BalancedRealization, balance, truncate
-from .bounds import (E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION,
-                     ErrorBound)
+from .bounds import E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, ErrorBound
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
                     VerificationProblem, POLARITY_SAFE)
 from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
@@ -35,8 +34,8 @@ class VerifyOptions:
 
     k0: int | None = None
     k_max: int | None = None
-    e1_methods: tuple[str, ...] = (E1_THEOREM1, E1_THEOREM2, SIMULATION)
-    e2_methods: tuple[str, ...] = (E2_THEOREM3, SIMULATION)
+    e1_methods: tuple[str, ...] = bnd.E1_METHODS
+    e2_methods: tuple[str, ...] = bnd.E2_METHODS
     gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
     step_lh: float = STEP_LH
@@ -46,12 +45,10 @@ class VerifyOptions:
     geometric_schedule: bool = False
 
     def __post_init__(self):
-        bad = set(self.e1_methods) - {E1_THEOREM1, E1_THEOREM2, SIMULATION}
-        if bad or not self.e1_methods:
-            raise ModelError(f"invalid e1 method set {self.e1_methods}")
-        bad = set(self.e2_methods) - {E2_THEOREM3, SIMULATION}
-        if bad or not self.e2_methods:
-            raise ModelError(f"invalid e2 method set {self.e2_methods}")
+        for source, methods, known in (("e1", self.e1_methods, bnd.E1_METHODS),
+                                       ("e2", self.e2_methods, bnd.E2_METHODS)):
+            if set(methods) - set(known) or not methods:
+                raise ModelError(f"invalid {source} method set {methods}")
         # written so that NaN fails every test
         for name, ok, need in (
                 ("gamma", self.gamma >= 0, "nonnegative"),

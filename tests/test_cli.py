@@ -102,6 +102,25 @@ class TestReduce:
         doc = json.loads(capsys.readouterr().out)
         assert doc["hsv"] == (hsv if kind == "pss" else hsv[0])
 
+    def test_motor_pss_reduced_manifest(self, tmp_path, capsys):
+        path = rs.benchmarks.MOTOR_MANIFEST
+        system = rs.parse_problem(path).system
+        assert main(["reduce", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["hsv"] == \
+            [rs.hankel_singular_values(mode).tolist() for mode in system.modes]
+        out = tmp_path / "r.json"
+        assert main(["reduce", str(path), "-k", "5", "--reduced", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(f.name for f in tmp_path.glob("*.mtx")) == \
+            [f"r_mode{i}_{key}.mtx" for i in (0, 1) for key in "ABC"]
+        reduced = rs.parse_problem(out).system
+        assert reduced.durations == system.durations
+        for mode, box, got, got_box in zip(system.modes, system.mode_initial_sets,
+                                           reduced.modes, reduced.mode_initial_sets):
+            abstraction = rs.truncate(rs.balance(mode), 5, box)
+            assert got == abstraction.reduced and got_box == abstraction.x0_reduced
+        assert main(["verify-pss", str(out)]) == 0
+
     def test_missing_matrix_file_names_path(self, tmp_path):
         path = minimal_problem(tmp_path, matrices={"A": "gone.mtx", "B": "B.mtx",
                                                    "C": "C.mtx"})
@@ -368,9 +387,11 @@ class TestHelp:
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: fixture name -> (``gen`` arguments, or None for the bundled motor, and the
-#: command with its options)
+#: fixture name -> (``gen`` arguments, None for the bundled motor or False
+#: for a command that reads no manifest, and the command with its options)
 GOLDEN_CASES = {
+    "bounds_motor_k5": (None, ["bounds", "-k", "5"]),
+    "bench_motor": (False, ["bench"]),
     "verify_n6_seed7": (["-n", "6", "--seed", "7"], ["verify"]),
     "verify_n8_seed6_tight": (["-n", "8", "--seed", "6", "--spec-scale", "0.3"], ["verify"]),
     "verify_pss_motor_k5": (None, ["verify-pss", "--k0", "5", "--k-max", "5",
@@ -403,12 +424,14 @@ def assert_matches_golden(doc, expected, where="$"):
 def test_json_matches_golden(name, tmp_path, capsys):
     from redsafe.benchmarks import MOTOR_MANIFEST
     gen_args, (command, *options) = GOLDEN_CASES[name]
-    manifest = MOTOR_MANIFEST
-    if gen_args is not None:
-        manifest = tmp_path / "g.json"
-        assert main(["gen", *gen_args, "--output", str(manifest)]) == 0
+    manifest = [str(MOTOR_MANIFEST)]
+    if gen_args is False:
+        manifest = []
+    elif gen_args is not None:
+        manifest = [str(tmp_path / "g.json")]
+        assert main(["gen", *gen_args, "--output", *manifest]) == 0
         capsys.readouterr()
-    main([command, str(manifest), *options, "--format", "json"])
+    main([command, *manifest, *options, "--format", "json"])
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert_matches_golden(json.loads(capsys.readouterr().out), expected)
 

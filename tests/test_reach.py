@@ -76,7 +76,7 @@ class TestReach:
         x0 = rand_box(rng, 4, 4)
         ubox = rand_ubox(rng, 2)
         t_f = 1.5
-        steps = reach_lti(sys_, x0, ubox, t_f)
+        steps = list(reach_lti(sys_, x0, ubox, t_f))
         h_sim = (steps[0].t1 - steps[0].t0) / 3
         n_traj = 500
         X0 = x0.sample(rng, n_traj)
@@ -202,7 +202,7 @@ class TestReachEquivalence:
         # whose input columns have decayed to nothing
         sys_ = rs.random_stable_system(rng, 3, 2, 2, decay=(4.0, 8.0))
         x0, ubox, t_f, step_h = rand_box(rng, 3), rand_ubox(rng, 2), 6.0, 0.05
-        steps = reach_lti(sys_, x0, ubox, t_f, step_h)
+        steps = list(reach_lti(sys_, x0, ubox, t_f, step_h))
         h_sim = step_h / 2
         assert x0.vertex_count() <= 64
         X0 = np.hstack([x0.vertices(), x0.sample(rng, 200)])
@@ -346,7 +346,7 @@ class TestReachProperties:
             x0 = rand_box(rng, n, n)
             ubox = rand_ubox(rng, m)
             t_f = 1.0
-            steps = reach_lti(sys_, x0, ubox, t_f)
+            steps = list(reach_lti(sys_, x0, ubox, t_f))
             h_sim = (steps[0].t1 - steps[0].t0) / 2
             assert x0.vertex_count() <= 64
             X0 = np.hstack([x0.vertices(), x0.sample(rng, 8)])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -189,10 +191,25 @@ class TestProperties:
                 return not inside(ts.unsafe_region, y_r)
             return ts.safe_region is not None and inside(ts.safe_region, y_r)
 
+        def samples():
+            for _ in range(1000):
+                y_r = rng.uniform(-3, 3, p)
+                yield y_r, y_r + rng.uniform(-1, 1, p) * delta
+            if shape.endswith("ellipsoid"):
+                # y_r between radius R + Delta_R/2 and R + Delta_R along
+                # random directions, y at the corners of its delta box: a
+                # radius grown by less than Delta_R lets such a y_r pass
+                # with a full-order neighbour on the wrong side
+                corners = np.array(list(itertools.product((-1.0, 1.0), repeat=p))) * delta
+                for _ in range(200):
+                    u = rng.standard_normal(p)
+                    radius = rng.uniform(spec.R + ts.Delta / 2, spec.R + ts.Delta)
+                    y_r = spec.a + radius * u / np.sqrt(u @ spec.Q @ u)
+                    for y in y_r + corners:
+                        yield y_r, y
+
         violations, certified, witnessed = 0, 0, 0
-        for _ in range(1000):
-            y_r = rng.uniform(-3, 3, p)
-            y = y_r + rng.uniform(-1, 1, p) * delta
+        for y_r, y in samples():
             safe = inside(spec, y) == (polarity == POLARITY_SAFE)
             if certified_safe(y_r):
                 certified += 1

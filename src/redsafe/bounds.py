@@ -10,6 +10,16 @@ zero-state (e2) candidates, per output.  The zero-state simulation bound's
 per-step envelope is rigorous on its own; only the zero-input simulation
 bound, read at grid samples, is bloated by (1+gamma) before it competes.
 
+Both simulation bounds hold on a finite window [0, horizon] (t_f, or a PSS
+mode's duration) and share one stop rule: they stop at the horizon, or
+earlier only when the augmented system is contractive and its simulated
+response has decayed, at T.  A monotone tail covers the rest of the window:
+||x(t)|| <= e^{mu tau} ||x(T)|| on [T, horizon], tau = horizon - T, with
+mu = max(lambda_max(sym A_bar), 0), which a contractive system keeps within
+the contraction tolerance.  So e1 bounds |y_i| there by ||C_i|| e^{mu tau}
+||x(T)||, and e2 the integral of channel j's |y_i| by ||C_i|| ||x_j(T)|| tau
+e^{mu tau}.
+
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
 every simulated response are the same at every order k.  By Cauchy
@@ -46,7 +56,7 @@ import numpy as np
 
 from .balancing import BalancedRealization, box_image
 from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
-from .model import HyperBox, ModelError, StabilityError
+from .model import HyperBox, ModelError
 from .reach import Zonotope, _doubling_powers, _propagate, _transition
 
 E1_THEOREM1 = "theorem1"
@@ -69,10 +79,9 @@ GAMMA_DEFAULT = 0.01
 #: close the bound comes to the exact integrals.
 SIM_LH = 0.05
 
-#: Relative state-norm threshold at which a simulated response counts as
-#: decayed, and the hard step cap of the impulse responses against non-decay.
+#: Relative state-norm threshold at which a simulated response of a
+#: contractive system counts as decayed.
 DECAY_TOL = 1e-9
-MAX_IMPULSE_STEPS = 400_000
 
 
 class BoundError(RuntimeError):
@@ -345,6 +354,29 @@ def _accumulate(carry: np.ndarray, incs: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([carry[None], incs]), axis=0)[1:]
 
 
+def _require_horizon(horizon: float) -> None:
+    """Refuse a window the simulation bounds could not reach."""
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ModelError(f"horizon must be a finite positive real, got {horizon}")
+
+
+def _stop(full: FullOrderResponse, times: np.ndarray, horizon: float,
+          decayed: np.ndarray) -> tuple[int | None, float | None]:
+    """The stop rule of both simulation bounds in a block of states at
+    ``times``: the first state that reaches the horizon (up to 1e-12
+    relative, the rounding of the accumulated times) or, when the mode is
+    contractive, has ``decayed``.  Returns (end, window): ``end`` is None
+    when the block runs on, else the number of its states up to and
+    including that one (at time T); ``window`` is horizon - T after a stop
+    on decay, the part of the window the tails cover, and None otherwise."""
+    decayed = full.contractive & decayed
+    stop = (times >= horizon - 1e-12 * horizon) | decayed
+    if not stop.any():
+        return None, None
+    j = int(np.argmax(stop))
+    return j + 1, (max(horizon - float(times[j]), 0.0) if decayed[j] else None)
+
+
 class FullOrderResponse:
     """The full-order half of the simulation bounds of one mode, shared by
     every order k.
@@ -383,6 +415,11 @@ class FullOrderResponse:
         defect is at most CONTRACTION_TOL_REL * max(1, ||A_bar||_2)."""
         return self.defect <= CONTRACTION_TOL_REL * max(1.0, self.L)
 
+    def growth(self, t: float) -> float:
+        """e^{mu t} with mu = max(defect, 0): ||e^{A_bar t}||_2 <= e^{mu t}
+        for t >= 0 at every order, and 1.0 on a mode whose defect is <= 0."""
+        return float(np.exp(max(self.defect, 0.0) * t))
+
     def _step(self, lh: float) -> float:
         return lh / self.L if self.L > 0 else 1.0
 
@@ -419,8 +456,9 @@ def _vertex_peak(Y: np.ndarray) -> np.ndarray:
     return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
 
 
-def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float) -> np.ndarray:
-    """Zero-input bound by simulating the generators of the initial box.
+def e1_simulation(aug: AugmentedSystem, x0: HyperBox, horizon: float) -> np.ndarray:
+    """Zero-input bound on [0, horizon] by simulating the generators of the
+    initial box.
 
     The bound is the max over vertices and the time grid of |ybar_i(t)|.
     The error is linear in the initial state, so the vertex max covers the
@@ -432,15 +470,15 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float) -> np.ndarray:
     triangle inequality), so no vertex is enumerated.  The full-order half
     of these responses is read from the mode's response ``aug.full``.
 
-    When the augmented system is contractive the simulation stops once that
-    norm sum has decayed to DECAY_TOL times its value at t = 0, covering
-    the remaining window with the monotone tail ||C_i|| times the sum:
-    every point of the box has ||x(t)|| <= ||x(T)|| for t >= T.
+    The simulation stops at the horizon, or at T once the augmented system
+    is contractive and that norm sum has decayed to DECAY_TOL times its
+    value at t = 0 (:func:`_stop`).  The tail ||C_i|| e^{mu tau} times the
+    sum at T then covers the rest of the window, tau = horizon - T: every
+    point of the box has ||x(t)|| <= e^{mu (t - T)} ||x(T)|| for t >= T.
     """
     if x0.dim != aug.n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={aug.n}")
-    if t_f <= 0:
-        raise ModelError(f"t_f must be positive, got {t_f}")
+    _require_horizon(horizon)
     n, L = aug.n, aug.full.L
     orbit = aug.full.initial(x0)
     blocks = _error_orbit(orbit, aug.A_bar[n:, n:], aug.lift[n:] @ _box_generators(x0),
@@ -449,23 +487,21 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, t_f: float) -> np.ndarray:
     best = _vertex_peak(Y[0])
     if L == 0.0:
         return best
-    contractive = aug.full.contractive
     threshold = DECAY_TOL * float(np.sum(np.sqrt(sq[0])))
     t = 0.0
     for Y, sq in blocks:
         times = _block_times(t, orbit.h, len(Y))
         # every vertex norm is at most the sum of the generator norms
         norms = np.sum(np.sqrt(sq), axis=1)
-        decayed = contractive & (norms <= threshold)
-        stop = (times >= t_f) | decayed
-        end = int(np.argmax(stop)) + 1 if stop.any() else len(Y)
+        end, window = _stop(aug.full, times, horizon, norms <= threshold)
         best = np.maximum(best, np.max(_vertex_peak(Y[:end]), axis=0))
-        if stop.any():
+        if end is not None:
             break
         t = times[-1]
-    if decayed[end - 1]:
-        # monotone convergence: |y_i(t)| <= ||C_i|| ||x(T)|| for all t >= T
-        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * norms[end - 1])
+    if window is not None:
+        # |y_i(t)| <= ||C_i|| e^{mu tau} ||x(T)|| for all t in [T, horizon]
+        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * norms[end - 1]
+                          * aug.full.growth(window))
     return best
 
 
@@ -489,57 +525,40 @@ def e2_theoretical(sigma: np.ndarray, k: int, u_box: HyperBox,
     return np.full(n_outputs, tail * u_inf)
 
 
-def _decay_certificate(A: np.ndarray) -> float | None:
-    """kappa with int_T^inf ||x(t)|| dt <= kappa ||x(T)|| for dx/dt = A x,
-    from a Lyapunov certificate; None if unavailable."""
-    try:
-        P = solve_lyapunov(A.T, np.eye(A.shape[0]))
-    except (SolverError, StabilityError, np.linalg.LinAlgError):
-        return None
-    ev = np.linalg.eigvalsh(P)
-    if ev[0] <= 0:
-        return None
-    # V = x^T P x decays at rate 1/lmax; ||x|| <= sqrt(cond) e^{-t/(2 lmax)}
-    return float(np.sqrt(ev[-1] / ev[0]) * 2.0 * ev[-1])
-
-
-def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
-                  horizon: float | None = None,
-                  max_steps: int = MAX_IMPULSE_STEPS
-                  ) -> tuple[np.ndarray, bool]:
-    """Zero-state bound by integrating the augmented impulse responses.
+def e2_simulation(aug: AugmentedSystem, u_box: HyperBox, horizon: float) -> np.ndarray:
+    """Zero-state bound on [0, horizon] by integrating the augmented impulse
+    responses.
 
     One simulation per input channel (state initialized to that column of
-    B_bar, zero input) runs until the state norm falls below DECAY_TOL
-    relative, or to ``horizon`` when given (sound for windows the error
-    cannot outlive, e.g. PSS mode durations).  Each step's envelope is
-    second order and rigorous: with M a bound on |y''| within the step (from
-    C_bar A_bar^2 x at its endpoints and C_bar A_bar^3 x for the change in
-    between), the |kernel| integral takes the trapezoid of the endpoint
-    magnitudes plus h^3/12 M, and an analytic tail term covers whatever lies
-    beyond the simulated range.  The full-order half of the responses (C_t x,
-    C_t A_t^2 x, C_t A_t^3 x and ||x||^2 per step) is read from the mode's
-    response ``aug.full``; this order simulates only its reduced half, and
-    the per-step envelopes are evaluated block by block as array operations.
+    B_bar, zero input) runs to the horizon, or to T once the augmented
+    system is contractive and every channel's state norm has fallen below
+    DECAY_TOL relative (:func:`_stop`); the tail ||C_i|| ||x_j(T)|| tau
+    e^{mu tau}, tau = horizon - T, then bounds the rest of each |kernel|
+    integral.  Each step's envelope is second order and rigorous: with M a
+    bound on |y''| within the step (from C_bar A_bar^2 x at its endpoints and
+    C_bar A_bar^3 x for the change in between), the |kernel| integral takes
+    the trapezoid of the endpoint magnitudes plus h^3/12 M.  The full-order
+    half of the responses (C_t x, C_t A_t^2 x, C_t A_t^3 x and ||x||^2 per
+    step) is read from the mode's response ``aug.full``; this order
+    simulates only its reduced half, and the per-step envelopes are
+    evaluated block by block as array operations.
 
     The input box is split into center and deviation: only the deviation
     multiplies the |kernel| integral I_abs, and the center multiplies a
     bound on sup_t |R(t)| of the running signed kernel integral R, the
     smaller of I_abs and R_max (the trapezoid sums plus their h^3/12 M
     remainders at the nodes, and between nodes h |dy|/8 + h^3/16 M for the
-    distance to their linear interpolant).  Both factors bound sup_t |R(t)|,
-    so the bound is sound for arbitrary measurable inputs in the box and
-    never exceeds I_abs ||u||_inf.
-
-    Returns (e2, truncated); ``truncated`` is set when the step cap was
-    reached before decay and no tail certificate was available, in which
-    case the caller should reject the bound.
+    distance to their linear interpolant; the tail bounds R's change after
+    T).  Both factors bound sup_t |R(t)|, so the bound is sound for
+    arbitrary measurable inputs in the box and never exceeds I_abs
+    ||u||_inf.
     """
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")
+    _require_horizon(horizon)
     p, m, n = aug.p, aug.m, aug.n
     if m == 0 or not np.any(aug.B_bar):
-        return np.zeros(p), False
+        return np.zeros(p)
     L = aug.full.L
     orbit = aug.full.impulse()
     h = orbit.h
@@ -561,71 +580,54 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox,
     R_run = np.zeros((p, m))
     R_max = np.zeros((p, m))
     trap_budget = np.zeros((p, m))
+    Y, D2, D3, sq = next(blocks)
+    prev = (Y[0], np.abs(D2[0]), np.abs(D3[0]), np.sqrt(sq[0]))
     t = 0.0
-    first = 0
-    prev = None
     for Y, D2, D3, sq in blocks:
-        # states first, first+1, ... of this block, at the times a step loop
-        # would have reached them
-        count = len(Y)
-        times = np.zeros(1) if prev is None else _block_times(t, h, count)
+        # the states after prev, at the times a step loop would reach them
+        times = _block_times(t, h, len(Y))
         D2, D3 = np.abs(D2), np.abs(D3)
         norms = np.sqrt(sq)
-        at_horizon = np.zeros(count, bool) if horizon is None \
-            else times >= horizon - 1e-12 * horizon
-        stop = at_horizon | np.all(norms <= DECAY_TOL * x0_norms, axis=1) \
-            | (first + np.arange(count) >= max_steps)
-        stopped = bool(stop.any())
-        end = int(np.argmax(stop)) + 1 if stopped else count
-        if prev is not None:
-            # step j runs from state j-1 to state j
-            Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
-                                for a, b in zip(prev, (Y, D2, D3, norms)))
-            # in-step |y''| bound M: every point of a step lies within h/2 of
-            # an endpoint e, where y'' = C A^2 x_e changes by at most
-            # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e|
-            # + (e^{Lh/2}-1) ||C_i A^3|| ||x_e|| there
-            ddot = np.maximum(D2s[:-1], D2s[1:]) + (h / 2.0) * (
-                np.maximum(D3s[:-1], D3s[1:])
-                + half_grow * (d3_norms[:, None] * np.maximum(Ns[:-1], Ns[1:])[:, None, :]))
-            # int |y| <= int |linear interpolant| + int |y - interpolant|, and
-            # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
-            rem = (h ** 3 / 12.0) * ddot
-            I_abs = _accumulate(I_abs, h * (np.abs(Ys[:-1]) + np.abs(Ys[1:])) / 2.0 + rem)[-1]
-            runs = _accumulate(R_run, h * (Ys[:-1] + Ys[1:]) / 2.0)
-            # the same h^3/12 M bounds each step's trapezoid remainder
-            traps = _accumulate(trap_budget, rem)
-            # the running integral R at the step's nodes is within the summed
-            # remainders of the trapezoid sums, and between them within
-            # h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2) of their linear interpolant
-            nodes = np.abs(runs) + traps
-            ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
-                              nodes)
-            inner = (h / 8.0) * np.abs(Ys[1:] - Ys[:-1]) + (h ** 3 / 16.0) * ddot
-            R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
-            R_run, trap_budget = runs[-1], traps[-1]
-        if stopped:
+        end, window = _stop(aug.full, times, horizon,
+                            np.all(norms <= DECAY_TOL * x0_norms, axis=1))
+        # step j runs from state j-1 to state j
+        Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
+                            for a, b in zip(prev, (Y, D2, D3, norms)))
+        # in-step |y''| bound M: every point of a step lies within h/2 of
+        # an endpoint e, where y'' = C A^2 x_e changes by at most
+        # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e|
+        # + (e^{Lh/2}-1) ||C_i A^3|| ||x_e|| there
+        ddot = np.maximum(D2s[:-1], D2s[1:]) + (h / 2.0) * (
+            np.maximum(D3s[:-1], D3s[1:])
+            + half_grow * (d3_norms[:, None] * np.maximum(Ns[:-1], Ns[1:])[:, None, :]))
+        # int |y| <= int |linear interpolant| + int |y - interpolant|, and
+        # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
+        rem = (h ** 3 / 12.0) * ddot
+        I_abs = _accumulate(I_abs, h * (np.abs(Ys[:-1]) + np.abs(Ys[1:])) / 2.0 + rem)[-1]
+        runs = _accumulate(R_run, h * (Ys[:-1] + Ys[1:]) / 2.0)
+        # the same h^3/12 M bounds each step's trapezoid remainder
+        traps = _accumulate(trap_budget, rem)
+        # the running integral R at the step's nodes is within the summed
+        # remainders of the trapezoid sums, and between them within
+        # h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2) of their linear interpolant
+        nodes = np.abs(runs) + traps
+        ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
+                          nodes)
+        inner = (h / 8.0) * np.abs(Ys[1:] - Ys[:-1]) + (h ** 3 / 16.0) * ddot
+        R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
+        R_run, trap_budget = runs[-1], traps[-1]
+        if end is not None:
             break
         prev = (Y[-1], D2[-1], D3[-1], norms[-1])
         t = times[-1]
-        first += count
-    reached_horizon = bool(at_horizon[end - 1])
-    final_norms = norms[end - 1]
-
-    # whatever lies beyond the simulated range is covered by a Lyapunov tail
-    # certificate; without one the bound is flagged as truncated.
-    truncated = False
-    if not reached_horizon:
-        kappa = _decay_certificate(aug.A_bar)
-        if kappa is None:
-            truncated = True
-        else:
-            tail = kappa * np.outer(np.linalg.norm(aug.C_bar, axis=1), final_norms)
-            I_abs += tail
-            R_max += tail
-
-    e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
-    return e2, truncated
+    if window is not None:
+        # int_T^horizon |y_i| <= ||C_i|| ||x_j(T)|| tau e^{mu tau}, and R
+        # changes by at most as much after T
+        tail = np.outer(np.linalg.norm(aug.C_bar, axis=1), norms[end - 1]) \
+            * (window * aug.full.growth(window))
+        I_abs += tail
+        R_max += tail
+    return np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .balancing import BalancedRealization, balance, truncate
-from .bounds import E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, ErrorBound
+from .bounds import E1_THEOREM1, E1_THEOREM2, E2_THEOREM3, SIMULATION, ErrorBound
 from .model import (HyperBox, LtiSystem, ModelError, PssSystem,
                     VerificationProblem, POLARITY_SAFE)
 from .reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, UNSAFE,
@@ -87,38 +87,6 @@ class Verdict:
         return {SAFE: 0, UNSAFE: 1}.get(self.outcome, 2)
 
 
-def _candidate_e1(aug, x0: HyperBox, horizon: float, opts: VerifyOptions,
-                  notes: list[str]) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for method in opts.e1_methods:
-        try:
-            if method == E1_THEOREM1:
-                out[method] = bnd.e1_theoretical(aug, x0)
-            elif method == E1_THEOREM2:
-                out[method] = bnd.e1_optimization(aug, x0)
-            else:
-                # the only bound read at grid samples; the bloat covers the gaps
-                out[method] = (1.0 + opts.gamma) * bnd.e1_simulation(aug, x0, horizon)
-        except (ModelError, bnd.BoundError) as exc:
-            notes.append(f"e1 {method} skipped: {exc}")
-    return out
-
-
-def _candidate_e2(bal: BalancedRealization, aug, u_box: HyperBox, horizon: float,
-                  opts: VerifyOptions, notes: list[str]) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for method in opts.e2_methods:
-        if method == E2_THEOREM3:
-            out[method] = bnd.e2_theoretical(bal.sigma, aug.k, u_box, aug.p)
-            continue
-        e2, truncated = bnd.e2_simulation(aug, u_box, horizon=horizon)
-        if truncated:
-            notes.append("e2 simulation truncated before decay; bound dropped")
-        else:
-            out[method] = e2
-    return out
-
-
 def bound_candidates(bal: BalancedRealization, full: bnd.FullOrderResponse, k: int,
                      x0: HyperBox, u_box: HyperBox, horizon: float,
                      opts: VerifyOptions = VerifyOptions()):
@@ -134,8 +102,22 @@ def bound_candidates(bal: BalancedRealization, full: bnd.FullOrderResponse, k: i
     """
     notes: list[str] = []
     aug = bnd.augment(full, k)
-    e1s = _candidate_e1(aug, x0, horizon, opts, notes)
-    e2s = _candidate_e2(bal, aug, u_box, horizon, opts, notes)
+    compute = {
+        ("e1", E1_THEOREM1): lambda: bnd.e1_theoretical(aug, x0),
+        ("e1", E1_THEOREM2): lambda: bnd.e1_optimization(aug, x0),
+        # the only bound read at grid samples; the bloat covers the gaps
+        ("e1", SIMULATION): lambda: (1.0 + opts.gamma) * bnd.e1_simulation(aug, x0, horizon),
+        ("e2", E2_THEOREM3): lambda: bnd.e2_theoretical(bal.sigma, k, u_box, aug.p),
+        ("e2", SIMULATION): lambda: bnd.e2_simulation(aug, u_box, horizon),
+    }
+    e1s: dict[str, np.ndarray] = {}
+    e2s: dict[str, np.ndarray] = {}
+    for source, methods, out in (("e1", opts.e1_methods, e1s), ("e2", opts.e2_methods, e2s)):
+        for method in methods:
+            try:
+                out[method] = compute[source, method]()
+            except (ModelError, bnd.BoundError) as exc:
+                notes.append(f"{source} {method} skipped: {exc}")
     bound = bnd.assemble(e1s, e2s) if e1s and e2s else None
     return e1s, e2s, bound, notes
 

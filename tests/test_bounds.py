@@ -167,16 +167,14 @@ class TestE2Simulation:
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
         zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H), 2)
-        e2, truncated = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]))
+        e2 = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]), 5.0)
         assert np.array_equal(e2, np.zeros(1))
-        assert not truncated
 
     def test_identity_truncation_negligible(self, rng):
         sys_ = rs.random_stable_system(rng, 5, 2, 1)
         bal = balance(sys_)
         aug = augment(FullOrderResponse.of(bal), 5)
-        e2, truncated = e2_simulation(aug, rand_ubox(rng, 2))
-        assert not truncated
+        e2 = e2_simulation(aug, rand_ubox(rng, 2), 50.0)
         assert np.all(e2 <= 1e-5)
 
     def test_below_theorem_three(self, rng):
@@ -184,8 +182,7 @@ class TestE2Simulation:
         bal = balance(sys_)
         aug = augment(FullOrderResponse.of(bal), 4)
         ubox = rand_ubox(rng, 1)
-        sim, truncated = e2_simulation(aug, ubox)
-        assert not truncated
+        sim = e2_simulation(aug, ubox, 50.0)
         thm = e2_theoretical(bal.sigma, 4, ubox, 1)
         assert np.all(sim <= thm + 1e-9)
 
@@ -197,8 +194,8 @@ class TestE2Simulation:
         bal = balance(sys_)
         aug = augment(FullOrderResponse.of(bal), 3)
         ubox = rs.HyperBox([0.2, 0.1], [0.4, 0.3])
-        e2, _ = e2_simulation(aug, ubox)
-        I_abs = naive_e2_simulation(aug, ubox)[3]
+        e2 = e2_simulation(aug, ubox, 20.0)
+        I_abs = naive_e2_simulation(aug, ubox, 20.0)[2]
         plain = I_abs @ np.maximum(np.abs(ubox.lb), np.abs(ubox.ub))
         assert np.all(e2 <= plain * (1 + 1e-9) + 1e-12)
 
@@ -207,21 +204,24 @@ class TestE2Simulation:
         bal = balance(sys_)
         aug = augment(FullOrderResponse.of(bal), 2)
         ubox = rs.HyperBox([-1.0], [1.0])
-        short, _ = e2_simulation(aug, ubox, horizon=0.05)
-        full, _ = e2_simulation(aug, ubox)
+        short = e2_simulation(aug, ubox, 0.05)
+        full = e2_simulation(aug, ubox, 50.0)
         assert np.all(short <= full + 1e-12)
 
-    def test_step_cap_flags_truncation(self, rng, monkeypatch):
-        sys_ = rs.random_stable_system(rng, 5, 1, 1)
-        bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 2)
-        import redsafe.bounds as bmod
 
-        def no_certificate(A):
-            return None
-        monkeypatch.setattr(bmod, "_decay_certificate", no_certificate)
-        _, truncated = e2_simulation(aug, rs.HyperBox([-1.0], [1.0]), max_steps=5)
-        assert truncated
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_simulation_bounds_refuse_unreachable_horizons(horizon):
+    # a horizon neither simulation could reach is refused by name, also for
+    # a system whose zero input matrix would make e2 zero without a step
+    bal = balance(rs.random_stable_system(np.random.default_rng(2), 5, 1, 1))
+    aug = augment(FullOrderResponse.of(bal), 2)
+    zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H), 2)
+    box, ubox = rs.HyperBox(-np.ones(5), np.ones(5)), rs.HyperBox([-1.0], [1.0])
+    for call in (lambda: e1_simulation(aug, box, horizon),
+                 lambda: e2_simulation(aug, ubox, horizon),
+                 lambda: e2_simulation(zb, ubox, horizon)):
+        with pytest.raises(rs.ModelError, match="horizon must be a finite positive real"):
+            call()
 
 
 class TestCombine:
@@ -258,8 +258,7 @@ class TestCombine:
         prob, _, aug, e1s, e2s, _ = self.candidates(gamma=0.05)
         raw = e1_simulation(aug, prob.x0, prob.t_f)
         assert np.array_equal(e1s[SIMULATION], (1 + 0.05) * raw)
-        assert np.array_equal(e2s[SIMULATION],
-                              e2_simulation(aug, prob.inputs, horizon=prob.t_f)[0])
+        assert np.array_equal(e2s[SIMULATION], e2_simulation(aug, prob.inputs, prob.t_f))
         b = assemble({SIMULATION: e1s[SIMULATION]}, {SIMULATION: e2s[SIMULATION]})
         assert np.array_equal(b.delta, (1 + 0.05) * raw + e2s[SIMULATION])
 
@@ -392,11 +391,18 @@ class NormRule:
         return full + np.sum(X[self.n:] ** 2, axis=0)
 
 
-def naive_e1_simulation(aug, x0, t_f, decay_tol=bmod.DECAY_TOL, exact_norms=False):
+def naive_tail_growth(aug, window):
+    """e^{mu window} with mu = max(lambda_max(sym A_bar), 0), from the whole
+    augmented system."""
+    return np.exp(max(contraction_defect(aug), 0.0) * window)
+
+
+def naive_e1_simulation(aug, x0, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=False):
     """Every vertex stepped through e^{A_bar h} for the outputs, and the
     lifted box generators [c, r_1 e_1, ..., r_f e_f] beside them, whose
     norms, read by :class:`NormRule` (``exact_norms``: at every step), sum
-    to the bound on every vertex norm; returns (bound, steps)."""
+    to the bound on every vertex norm.  Stops at the horizon or, on a
+    contractive system, once that sum has decayed; returns (bound, steps)."""
     X = aug.lift @ x0.vertices()
     G = aug.lift @ np.column_stack([x0.center, np.diag(x0.halfwidth)[:, x0.free_dims()]])
     best = np.max(np.abs(aug.C_bar @ X), axis=1)
@@ -409,7 +415,7 @@ def naive_e1_simulation(aug, x0, t_f, decay_tol=bmod.DECAY_TOL, exact_norms=Fals
     t = 0.0
     steps = 0
     decayed = False
-    while t < t_f:
+    while t < horizon - 1e-12 * horizon:
         X, G = Phi @ X, Phi @ G
         t += h
         steps += 1
@@ -419,18 +425,19 @@ def naive_e1_simulation(aug, x0, t_f, decay_tol=bmod.DECAY_TOL, exact_norms=Fals
             decayed = True
             break
     if decayed:
-        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * xn)
+        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * xn
+                          * naive_tail_growth(aug, max(horizon - t, 0.0)))
     return best, steps
 
 
-def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
-                        max_steps=bmod.MAX_IMPULSE_STEPS, exact_norms=False):
+def naive_e2_simulation(aug, u_box, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=False):
     """The impulse responses stepped through e^{A_bar h} one step at a time,
-    their norms read by :class:`NormRule` (``exact_norms``: at every step);
-    returns (e2, truncated, steps, I_abs)."""
+    their norms read by :class:`NormRule` (``exact_norms``: at every step),
+    under the stop rule of :func:`naive_e1_simulation`; returns (e2, steps,
+    I_abs)."""
     p, m = aug.p, aug.m
     if m == 0 or not np.any(aug.B_bar):
-        return np.zeros(p), False, 0, np.zeros((p, m))
+        return np.zeros(p), 0, np.zeros((p, m))
     L = float(np.linalg.norm(aug.A_bar, 2))
     h = bmod.SIM_LH / L
     Phi = _transition(aug.A_bar, h)
@@ -439,6 +446,7 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
     x0_norms = np.linalg.norm(X, axis=0)
     x0_norms[x0_norms == 0] = 1.0
     c_norms = np.linalg.norm(aug.C_bar, axis=1)
+    contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
     D2 = aug.C_bar @ aug.A_bar @ aug.A_bar
     D3 = D2 @ aug.A_bar
     d3_norms = np.linalg.norm(D3, axis=1)
@@ -452,13 +460,8 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
     norms_prev = np.sqrt(norm(X, 0))
     t = 0.0
     steps = 0
-    reached_horizon = False
-    while True:
-        if horizon is not None and t >= horizon - 1e-12 * horizon:
-            reached_horizon = True
-            break
-        if np.all(norms_prev <= decay_tol * x0_norms) or steps >= max_steps:
-            break
+    decayed = False
+    while t < horizon - 1e-12 * horizon:
         X = Phi @ X
         Y_cur = aug.C_bar @ X
         D2_cur = np.abs(D2 @ X)
@@ -478,17 +481,16 @@ def naive_e2_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, horizon=None,
         Y_prev, D2_prev, D3_prev, norms_prev = Y_cur, D2_cur, D3_cur, norms_cur
         t += h
         steps += 1
-    truncated = False
-    if not reached_horizon:
-        kappa = bmod._decay_certificate(aug.A_bar)
-        if kappa is None:
-            truncated = True
-        else:
-            tail = kappa * np.outer(c_norms, norms_prev)
-            I_abs += tail
-            R_max += tail
+        if contractive and np.all(norms_prev <= decay_tol * x0_norms):
+            decayed = True
+            break
+    if decayed:
+        window = max(horizon - t, 0.0)
+        tail = np.outer(c_norms, norms_prev) * (window * naive_tail_growth(aug, window))
+        I_abs += tail
+        R_max += tail
     e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
-    return e2, truncated, steps, I_abs
+    return e2, steps, I_abs
 
 
 def mirrored(aug):
@@ -531,20 +533,20 @@ def steps_taken(monkeypatch):
     return take
 
 
-def check_e1(aug, x0, t_f, steps_taken):
-    ref, ref_steps = naive_e1_simulation(aug, x0, t_f)
-    new = e1_simulation(aug, x0, t_f)
+def check_e1(aug, x0, horizon, steps_taken):
+    ref, ref_steps = naive_e1_simulation(aug, x0, horizon)
+    new = e1_simulation(aug, x0, horizon)
     assert steps_taken("e1") == ref_steps
-    assert_matches(new, ref, e1_simulation(mirrored(aug), x0, t_f))
+    assert_matches(new, ref, e1_simulation(mirrored(aug), x0, horizon))
     steps_taken("e1")
+    return ref_steps
 
 
-def check_e2(aug, u_box, steps_taken, **kw):
-    ref, ref_truncated, ref_steps, _ = naive_e2_simulation(aug, u_box, **kw)
-    new, truncated = e2_simulation(aug, u_box, **kw)
+def check_e2(aug, u_box, horizon, steps_taken):
+    ref, ref_steps, _ = naive_e2_simulation(aug, u_box, horizon)
+    new = e2_simulation(aug, u_box, horizon)
     assert steps_taken("e2") == ref_steps
-    assert truncated == ref_truncated
-    scale, _ = e2_simulation(mirrored(aug), u_box, **kw)
+    scale = e2_simulation(mirrored(aug), u_box, horizon)
     steps_taken("e2")
     assert_matches(new, ref, scale)
     return ref_steps
@@ -563,21 +565,24 @@ class TestSimulationMatchesNaiveLoops:
             for k in sorted({1, int(rng.integers(1, n + 1)), n}):
                 aug = augment(FullOrderResponse.of(bal), k)
                 check_e1(aug, x0, horizon, steps_taken)
-                check_e2(aug, u_box, steps_taken, horizon=horizon)
+                check_e2(aug, u_box, horizon, steps_taken)
                 if n <= 8:
-                    check_e2(aug, u_box, steps_taken)
+                    # long enough for most responses to stop on decay
+                    check_e2(aug, u_box, 60.0, steps_taken)
 
     def test_horizon_on_a_step_boundary(self, rng, steps_taken):
         # horizons that are whole multiples of h: the accumulated time lands
         # within rounding of the horizon, where the 1e-12 relative slack of
         # the stop rule decides the step count
         bal = balance(rs.random_stable_system(rng, 6, 2, 2))
+        x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
         for k in (2, 6):
             aug = augment(FullOrderResponse.of(bal), k)
-            h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
+            L = np.linalg.norm(aug.A_bar, 2)
             for count in (7, 100, 333, 1000):
-                assert check_e2(aug, u_box, steps_taken, horizon=count * h) == count
+                assert check_e1(aug, x0, count * bmod.E1_SIM_LH / L, steps_taken) == count
+                assert check_e2(aug, u_box, count * bmod.SIM_LH / L, steps_taken) == count
 
     def test_motor_modes(self, steps_taken):
         problem = rs.motor_benchmark()
@@ -586,30 +591,19 @@ class TestSimulationMatchesNaiveLoops:
             for k in (3, 5, system.n):
                 aug = augment(FullOrderResponse.of(bal), k)
                 check_e1(aug, x0, duration, steps_taken)
-                check_e2(aug, problem.inputs, steps_taken, horizon=duration)
-
-    def test_step_cap(self, rng, steps_taken, monkeypatch):
-        bal = balance(rs.random_stable_system(rng, 6, 2, 2))
-        aug = augment(FullOrderResponse.of(bal), 3)
-        u_box = rand_ubox(rng, 2)
-        # the cap lands inside a block and, at 700, past the first block
-        for cap in (5, 37, 700):
-            assert check_e2(aug, u_box, steps_taken, max_steps=cap) == cap
-        monkeypatch.setattr(bmod, "_decay_certificate", lambda A: None)
-        assert check_e2(aug, u_box, steps_taken, max_steps=37) == 37
-        assert e2_simulation(aug, u_box, max_steps=37)[1]
+                check_e2(aug, problem.inputs, duration, steps_taken)
 
     def test_zero_input_columns(self, rng, steps_taken):
         bal = balance(rs.random_stable_system(rng, 7, 3, 2))
         zero_col, zero_b = (augment(FullOrderResponse(bal.A_t, B, bal.C_t, bal.H), 4)
                             for B in (bal.B_t * [1.0, 0.0, 1.0], np.zeros_like(bal.B_t)))
         u_box = rand_ubox(rng, 3)
-        check_e2(zero_col, u_box, steps_taken, horizon=0.7)
-        assert check_e2(zero_b, u_box, steps_taken, horizon=0.7) == 0
+        check_e2(zero_col, u_box, 0.7, steps_taken)
+        assert check_e2(zero_b, u_box, 0.7, steps_taken) == 0
 
     def test_contractive_early_decay(self, rng, steps_taken):
-        # fast modes decay to 1e-9 long before the window closes, so e1 stops
-        # on decay with the monotone tail and e2 adds the certificate tail
+        # fast modes decay to 1e-9 long before the window closes, so both
+        # bounds stop on decay and add their monotone tails
         sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
         bal = balance(sys_)
         x0 = rand_box(rng, 6, 4)
@@ -617,18 +611,45 @@ class TestSimulationMatchesNaiveLoops:
         for k in (2, 4, 6):
             aug = augment(FullOrderResponse.of(bal), k)
             assert contraction_defect(aug) < 0
-            _, e1_steps = naive_e1_simulation(aug, x0, 50.0)
-            assert e1_steps < 50.0 * np.linalg.norm(aug.A_bar, 2) / bmod.E1_SIM_LH / 2
-            check_e1(aug, x0, 50.0, steps_taken)
-            for horizon in (None, 50.0):
-                steps = check_e2(aug, u_box, steps_taken, horizon=horizon)
-                assert 0 < steps < 50.0 * np.linalg.norm(aug.A_bar, 2) / bmod.SIM_LH / 2
+            L = np.linalg.norm(aug.A_bar, 2)
+            assert 0 < check_e1(aug, x0, 50.0, steps_taken) < 50.0 * L / bmod.E1_SIM_LH / 2
+            assert 0 < check_e2(aug, u_box, 50.0, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
+
+    def test_early_stop_covers_the_rest_of_the_window(self, rng, steps_taken):
+        # a horizon three steps past each bound's decay stop: with its tail
+        # the stopped bound lies at or above the naive loop run to the
+        # horizon with no decay stop (decay_tol = 0), whose states stay
+        # above zero there, within rounding relative to the two halves' size
+        sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
+        bal = balance(sys_)
+        x0, u_box = rand_box(rng, 6, 4), rand_ubox(rng, 2)
+        cases = [(augment(FullOrderResponse.of(bal), k), x0, u_box) for k in (2, 4)]
+        # this one's error output is its slow state, so e2's tail is within
+        # a few percent of the kernel integral it stands for
+        slow = FullOrderResponse(np.diag([-60.0, -30.0]), np.ones((2, 1)),
+                                 np.array([[0.05, 1.0]]), np.eye(2))
+        cases.append((augment(slow, 1), rs.HyperBox([-1.0, 0.5], [1.0, 1.0]),
+                      rs.HyperBox([0.5], [1.0])))
+        for aug, x0, u_box in cases:
+            for kind, lh, bound, naive, box in (
+                    ("e1", bmod.E1_SIM_LH, e1_simulation, naive_e1_simulation, x0),
+                    ("e2", bmod.SIM_LH, e2_simulation, naive_e2_simulation, u_box)):
+                bound(aug, box, 50.0)
+                stop = steps_taken(kind)
+                horizon = (stop + 3) * lh / aug.full.L
+                new = bound(aug, box, horizon)
+                assert steps_taken(kind) == stop < horizon * aug.full.L / lh
+                ref, ref_steps = naive(aug, box, horizon, decay_tol=0.0)[:2]
+                assert ref_steps == stop + 3
+                scale = bound(mirrored(aug), box, horizon)
+                steps_taken(kind)
+                assert np.all(new >= ref - 1e-12 * np.maximum(np.abs(ref), scale))
 
 
 #: Giant-size systems (n, seed, m, p, decay) of the bracket tests: the
-#: fast-decaying one stops on decay (e1 with the monotone tail, e2 with the
-#: certificate tail), the others at the horizon; the n = 96 one is not
-#: contractive, so its norm bounds grow between giant steps.
+#: fast-decaying one stops on decay (both bounds with their monotone tails),
+#: the others at the horizon; the n = 96 one is not contractive, so its norm
+#: bounds grow between giant steps.
 BRACKET_SYSTEMS = ((48, 6, 3, 2, (2.0, 4.0)), (96, 2, 2, 2, (0.5, 2.0)),
                    (150, 3, 12, 4, (0.5, 2.0)))
 BRACKET_CASES = [pytest.param(system, k, id=f"n{system[0]}-k{k}")
@@ -650,10 +671,11 @@ def giant_bracket(system, k):
     aug = augment(FullOrderResponse.of(bal), k)
     ref, ref_steps = naive_e1_simulation(aug, x0, horizon, exact_norms=True)
     bounds = [(e1_simulation(aug, x0, horizon), ref, e1_simulation(mirrored(aug), x0, horizon))]
-    for kw in ({"horizon": horizon}, {}) if decay[0] > 1.0 else ({"horizon": horizon},):
-        bounds.append((e2_simulation(aug, u_box, **kw)[0],
-                       naive_e2_simulation(aug, u_box, exact_norms=True, **kw)[0],
-                       e2_simulation(mirrored(aug), u_box, **kw)[0]))
+    # the fast-decaying system's e2 also over a ten times longer window
+    for window in (horizon, 10.0 * horizon) if decay[0] > 1.0 else (horizon,):
+        bounds.append((e2_simulation(aug, u_box, window),
+                       naive_e2_simulation(aug, u_box, window, exact_norms=True)[0],
+                       e2_simulation(mirrored(aug), u_box, window)))
     return aug, x0, horizon, ref_steps, bounds
 
 
@@ -697,9 +719,9 @@ class TestFullOrderResponse:
             aug, fresh_aug = augment(full, k), augment(FullOrderResponse.of(bal), k)
             assert aug.full is full and fresh_aug.full is not full
             shared = (e1_simulation(aug, prob.x0, prob.t_f),
-                      *e2_simulation(aug, prob.inputs, horizon=prob.t_f))
+                      e2_simulation(aug, prob.inputs, prob.t_f))
             fresh = (e1_simulation(fresh_aug, prob.x0, prob.t_f),
-                     *e2_simulation(fresh_aug, prob.inputs, horizon=prob.t_f))
+                     e2_simulation(fresh_aug, prob.inputs, prob.t_f))
             for a, b in zip(shared, fresh):
                 assert np.array_equal(a, b)
 
@@ -860,7 +882,7 @@ def test_giant_step_paths_by_shape(monkeypatch):
     monkeypatch.setattr(bmod, "_propagate", recording)
     aug = augment(full, 5)
     e1_simulation(aug, prob.x0, prob.t_f)
-    e2_simulation(aug, prob.inputs, horizon=prob.t_f)
+    e2_simulation(aug, prob.inputs, prob.t_f)
     full_shapes = {shape for shape in shapes if shape[0] == 150}
     assert full_shapes == {(150, impulse.block // 12 * 12), (150, initial.block // 37 * 7)}
     assert all(shape[0] == 5 for shape in shapes if shape[0] != 150)
@@ -965,8 +987,7 @@ def test_e2_simulation_bounds_fine_grid_integrals(case):
     u_inf = np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
     for k in (1, n - 1, n):
         aug = augment(FullOrderResponse.of(bal), k)
-        e2, truncated = e2_simulation(aug, u_box, horizon=horizon)
-        assert not truncated
+        e2 = e2_simulation(aug, u_box, horizon)
         h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
         I_abs, R = fine_kernel_integrals(aug, aug.C_bar, horizon, h)
         scale = fine_kernel_integrals(aug, mirrored(aug).C_bar, horizon, h)[0] @ u_inf

@@ -196,6 +196,26 @@ def test_e2_theoretical_component_nonincreasing_end_to_end(rng):
         prev = e2
 
 
+def test_refused_methods_of_either_source_are_noted_and_left_out(rng, monkeypatch):
+    # one candidate loop for both sources: a method that refuses is noted
+    # by source and name, and the other methods still assemble delta
+    import redsafe.bounds as bnd
+    from redsafe.verifier import bound_candidates
+    from redsafe.balancing import balance
+    prob = generous_problem(rng, n=7)
+    bal = balance(prob.system)
+
+    def refuse(*args):
+        raise bnd.BoundError("refused")
+    monkeypatch.setattr(bnd, "e1_simulation", refuse)
+    monkeypatch.setattr(bnd, "e2_simulation", refuse)
+    e1s, e2s, bound, notes = bound_candidates(
+        bal, rs.FullOrderResponse.of(bal), 3, prob.x0, prob.inputs, prob.t_f)
+    assert notes == ["e1 simulation skipped: refused", "e2 simulation skipped: refused"]
+    assert list(e1s) == ["theorem1", "theorem2"] and list(e2s) == ["theorem3"]
+    assert np.array_equal(bound.delta, e1s["theorem1"] + e2s["theorem3"])
+
+
 def test_geometric_schedule_doubles_k(rng):
     from redsafe.verifier import _k_schedule
     assert list(_k_schedule(2, 20, geometric=True)) == [2, 4, 8, 16]

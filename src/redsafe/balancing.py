@@ -15,6 +15,7 @@ import numpy as np
 
 from .gramians import GramianPair, gramians
 from .model import HyperBox, LtiSystem, ModelError
+from .reach import Zonotope
 
 #: Relative eigenvalue cutoff below which the controllability gramian (or the
 #: Hankel spectrum) counts as rank deficient and balancing refuses to proceed.
@@ -63,15 +64,17 @@ class BalancedRealization:
 
 @dataclass(frozen=True)
 class Abstraction:
-    """Order-k truncation of a balanced realization plus its initial box.
+    """Order-k truncation of a balanced realization plus its initial set.
 
-    ``x0_reduced`` is the componentwise-exact interval hull of
-    {H[:k] x0 : x0 in X0}.
+    ``x0_zonotope`` is the initial set reach starts from (see
+    :func:`image_zonotope`), and ``x0_reduced`` the componentwise-exact
+    interval hull of {H[:k] x0 : x0 in X0}, which a reduced manifest stores.
     """
 
     reduced: LtiSystem
     k: int
     x0_reduced: HyperBox
+    x0_zonotope: Zonotope
 
 
 def _hankel_factor(g: GramianPair):
@@ -145,6 +148,23 @@ def box_image(L: np.ndarray, box: HyperBox) -> HyperBox:
     return HyperBox(mid - rad, mid + rad)
 
 
+def image_zonotope(L: np.ndarray, box: HyperBox) -> Zonotope:
+    """{L x : x in box} as a zonotope centered at L c.  While the box has at
+    most as many free dims f as L has rows, the image is exact, with one
+    generator L[:, d] r_d per free dim d; past that it is the interval hull
+    of :func:`box_image`, with one axis generator per row of positive
+    radius.  Both contain the image, and the exact one lies within the hull,
+    so the zonotope is never looser than the hull and holds at most min(f,
+    rows) generators."""
+    free = box.free_dims()
+    if free.size <= L.shape[0]:
+        G = L[:, free] * box.halfwidth[free]
+    else:
+        rad = np.abs(L) @ box.halfwidth
+        G = np.diag(rad)[:, rad > 0]
+    return Zonotope(L @ box.center, G)
+
+
 def truncate(bal: BalancedRealization, k: int, x0: HyperBox) -> Abstraction:
     """Order-k truncation of a balanced realization.
 
@@ -158,4 +178,6 @@ def truncate(bal: BalancedRealization, k: int, x0: HyperBox) -> Abstraction:
     if x0.dim != n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={n}")
     reduced = LtiSystem(bal.A_t[:k, :k], bal.B_t[:k, :], bal.C_t[:, :k])
-    return Abstraction(reduced=reduced, k=k, x0_reduced=box_image(bal.H[:k, :], x0))
+    H_k = bal.H[:k, :]
+    return Abstraction(reduced=reduced, k=k, x0_reduced=box_image(H_k, x0),
+                       x0_zonotope=image_zonotope(H_k, x0))

@@ -12,7 +12,10 @@ By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
 each of them, its output image and its norm are computed once, in an age
 table shared by every step set of a call.  The table also holds every
 step's center, few dense columns and ball radius, computed for all steps at
-once from the states of the exact recursion.  A full step is a row of that
+once from the states of the exact recursion.  A step's 1 + 2 g0 dense
+columns come from the images of the g0 initial generators, and g0 <=
+min(f, k) when the initial set is the order-k image of a box with f free
+dims (:func:`balancing.image_zonotope`).  A full step is a row of that
 table, and :func:`reach_lti` returns the table itself as a
 :class:`ReachSets`: ``ReachSets[j]`` assembles step j's generator array
 only when something reads it (safe-region ellipsoids, the hit search on a
@@ -373,20 +376,24 @@ def default_step(t_f: float, A: np.ndarray, lh: float = STEP_LH) -> float:
     return h
 
 
-def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
+def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: float,
               step_h: float | None = None) -> ReachSets:
     """Over-approximate output reach sets of a stable or unstable LTI system.
 
     Returns step sets whose intervals tile [0, t_f], as one
     :class:`ReachSets`; every admissible output trajectory (measurable u in
-    the box) stays inside the step set of its interval.
+    the box) from an initial state in ``x0`` stays inside the step set of
+    its interval.  A box ``x0`` starts as :meth:`Zonotope.from_box`, with
+    one generator per free dim.
 
     After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
     Each M_a, the output images of its hull pairs and its column norms are
     computed once, into an age table whose rows are the full steps.
 
-    Cost model, for order k, m input columns, g0 <= k initial generators,
+    Cost model, for order k, m input columns, g0 initial generators (g0 <=
+    min(f, k) for the image of a box with f free dims, see
+    :func:`balancing.image_zonotope`),
     p outputs and N full steps: the exact recursions c <- Phi c + v,
     H <- Phi H and M_a <- Phi M_{a-1} are built by doubling
     (:func:`_propagate`), about log2 N products each and O(N k^2 (1 + g0 +
@@ -412,6 +419,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
         raise ModelError(f"step_h must be positive, got {step_h}")
     if x0.dim != sys.n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={sys.n}")
+    init = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
     if u_box.dim != sys.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={sys.m}")
     if t_f <= 0:
@@ -421,6 +429,8 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     n = sys.n
     L = float(np.linalg.norm(A, 2)) if A.size else 0.0
     uc, ur = u_box.center, u_box.halfwidth
+    nB = float(np.linalg.norm(B, 2)) if ur.size else 0.0
+    ur_norm = float(np.linalg.norm(ur))
 
     def make_step_data(h: float):
         Phi, PsiB = _transition(A, h, B)
@@ -434,8 +444,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
             psi_gap = (np.exp(L * h) - 1.0) / L - h
         else:
             psi_gap = 0.0
-        res_ball = psi_gap * np.linalg.norm(B, 2) * 2.0 * float(np.linalg.norm(ur)) \
-            if ur.size else 0.0
+        res_ball = psi_gap * nB * 2.0 * ur_norm if ur.size else 0.0
         # curvature envelope for the in-step deviation from the chord between
         # consecutive endpoint states (second order in h, plus the first-order
         # input-variation sweep); any sound envelope is acceptable here.
@@ -445,7 +454,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
         return Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift
 
     Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(step_h)
-    in_norm = float(np.linalg.norm(B, 2) * np.linalg.norm(ur)) if ur.size else 0.0
+    in_norm = nB * ur_norm
 
     # step start times summed in sequence as `t += step_h` sums them, up to
     # the first that meets the stopping rule; only the last step can be
@@ -463,7 +472,6 @@ def reach_lti(sys: LtiSystem, x0: HyperBox, u_box: HyperBox, t_f: float,
     # H = Phi^j G0 of the initial generators, and the age table's columns
     # M_a = Phi^a G_in; the envelope radius rho <- ||Phi|| rho + res stays a
     # scalar recursion
-    init = Zonotope.from_box(x0)
     m, g0, p = Gin.shape[1], init.order, C.shape[0]
     aug = np.eye(n + 1)
     aug[:n, :n], aug[:n, n] = Phi, vin
@@ -817,10 +825,32 @@ class WitnessTrajectory:
 #: Candidates per batched :func:`simulate` call of the witness search, so its
 #: arrays stay bounded whatever the budget: per candidate (steps + 1) p
 #: output and steps m plan floats, and one state of n.  For 64 candidates of
-#: 995 steps at order 40 with 4 outputs and 12 inputs that is 8.2 MB; with
-#: the one (samples, B, rows) array of an 8-row box spec's margins the traced
-#: peak of such a search is 12.8 MB.
+#: 995 steps at order 40 with 4 outputs and 12 inputs that is 8.2 MB, and
+#: with the margin blocks of :data:`WITNESS_MARGIN_BLOCK` the traced peak of
+#: such a search is 8.6 MB (12.8 MB when an 8-row box spec's margins were
+#: formed for every sample at once).
 WITNESS_CHUNK = 64
+
+#: Doubles per block of a chunk's witness margins: samples are scored
+#: max(1, this // (B * width)) at a time, for B candidates and a width of
+#: the spec's rows (outputs for an ellipsoid), so no (samples, B, rows)
+#: array is formed.  For 64 candidates and 8 rows that is 64 samples, a
+#: 256 KB block.
+WITNESS_MARGIN_BLOCK = 1 << 15
+
+
+def _peak_margins(ts: TransformedSpec, samples: np.ndarray) -> np.ndarray:
+    """Each candidate's largest witness margin over (samples, B, p) output
+    samples, taken over blocks of samples; the max is exact, so it equals
+    the max over one :meth:`TransformedSpec.witness_margins` call."""
+    reg = ts.witness_region
+    width = reg.Gamma.shape[0] if isinstance(reg, PolytopeSpec) else samples.shape[2]
+    block = max(1, WITNESS_MARGIN_BLOCK // (samples.shape[1] * width))
+    peak = ts.witness_margins(samples[:block]).max(axis=0)
+    for start in range(block, samples.shape[0], block):
+        np.maximum(peak, ts.witness_margins(samples[start:start + block]).max(axis=0),
+                   out=peak)
+    return peak
 
 
 def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
@@ -842,8 +872,9 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     The initial states are drawn first, then each chunk of ``WITNESS_CHUNK``
     candidates draws its input plans (steps, m) into one (steps, m, B) array
     and is simulated by one batched :func:`simulate` call from its (n, B)
-    initial states.  :meth:`TransformedSpec.witness_margins` scores every
-    sample of the chunk at once; candidates are then taken in order, and
+    initial states.  :meth:`TransformedSpec.witness_margins` scores the
+    chunk's samples a block at a time (``WITNESS_MARGIN_BLOCK``), keeping
+    each candidate's largest margin; candidates are then taken in order, and
     predicates in order within each, for the single-state re-simulation.
     The random draws are made in the order of a candidate-by-candidate
     search, so the same witness is returned.  A state that overflows
@@ -908,7 +939,7 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
         outputs = simulate(sys, X if init_map is None else init_map @ X, plans,
                            t_f, h).outputs
         samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
-        hits = np.stack([ts.witness_margins(samples).max(axis=0) > eta
+        hits = np.stack([_peak_margins(ts, samples) > eta
                          for ts, eta in zip(specs, etas)], axis=1)
         # nonzero walks candidates in order, predicates in order within each
         for b, ts_i in zip(*np.nonzero(hits)):

@@ -195,7 +195,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                 default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
             # the step sets are freed as soon as they are checked, before
             # the witness search allocates its batch
-            outcome = check_spec(reach_lti(abstraction.reduced, abstraction.x0_reduced,
+            outcome = check_spec(reach_lti(abstraction.reduced, abstraction.x0_zonotope,
                                            problem.inputs, horizon, step_h),
                                  transformed)
             if outcome == MAYBE_UNSAFE:

@@ -1,10 +1,12 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import redsafe as rs
-from redsafe.balancing import BalancingWarning, balance, truncate
+from redsafe.balancing import BalancingWarning, balance, box_image, truncate
 from redsafe.reach import simulate
 
 from conftest import rand_box
@@ -136,6 +138,46 @@ def test_x0_reduced_componentwise_tight(rng):
     images = bal.H[:3, :] @ verts
     assert np.allclose(images.min(axis=1), abstraction.x0_reduced.lb, atol=1e-12)
     assert np.allclose(images.max(axis=1), abstraction.x0_reduced.ub, atol=1e-12)
+
+
+@st.composite
+def truncation_cases(draw):
+    """A balanced system at n <= 7, an order k and a box with f free dims,
+    f below, at and above k."""
+    n = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    try:
+        bal = balance(rs.random_stable_system(rng, n, 2, 1))
+    except rs.RankDeficiencyError:
+        assume(False)
+    return bal, draw(st.integers(2, n)), rand_box(rng, n, draw(st.integers(0, n)))
+
+
+@given(truncation_cases())
+def test_initial_zonotope_is_the_exact_image(case):
+    # x0_reduced stays the hull of box_image, bit for bit; x0_zonotope is
+    # centered at H_k c with min(f, k) generators, and lies within that hull
+    bal, k, box = case
+    abstraction = truncate(bal, k, box)
+    H_k, f = bal.H[:k, :], box.free_dims().size
+    hull = box_image(H_k, box)
+    assert np.array_equal(abstraction.x0_reduced.lb, hull.lb)
+    assert np.array_equal(abstraction.x0_reduced.ub, hull.ub)
+    z = abstraction.x0_zonotope
+    assert np.array_equal(z.center, H_k @ box.center)
+    assert z.order == min(f, k)
+    rad = np.abs(H_k) @ box.halfwidth
+    assert np.all(np.abs(z.center - hull.center) + z.radius_vector()
+                  <= hull.halfwidth + 1e-12 * (np.abs(hull.center) + rad))
+    if f <= k:
+        # the zonotope's vertices are the images of the box's vertices
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=f))).T
+        free = box.free_dims()
+        verts = np.repeat(box.center[:, None], signs.shape[1], axis=1)
+        verts[free] += box.halfwidth[free, None] * signs
+        images = H_k @ verts
+        np.testing.assert_allclose(z.center[:, None] + z.generators @ signs, images,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(images)))
 
 
 def test_truncation_at_k_n_preserves_io(rng):

@@ -132,7 +132,8 @@ def naive_reach(sys_, x0, u_box, t_f, step_h):
                 e - 1 - L * h, 2 * (e - 1) / L)
 
     Phi, vin, Gin, nPhi, res, ebl, sweep = data(step_h)
-    state, rho, t, steps = Zonotope.from_box(x0), 0.0, 0.0, []
+    state = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
+    rho, t, steps = 0.0, 0.0, []
     while t < t_f - 1e-12 * max(1.0, t_f):
         h = min(step_h, t_f - t)
         if h < step_h * (1 - 1e-9):
@@ -581,23 +582,54 @@ class TestWitnessMargins:
                     else:
                         assert vals[idx] == pytest.approx(single, rel=1e-12, abs=1e-12)
 
+    def test_peak_over_sample_blocks(self, rng, monkeypatch):
+        # each candidate's peak over blocks of samples is its one-shot peak,
+        # bit for bit, with some candidate peaking at every sample
+        for ts in four_spec_kinds(rng, 2):
+            Y = rng.uniform(-2, 2, (23, 200, 2))
+            margins = ts.witness_margins(Y)
+            if ts.witness_region is not None:
+                assert set(np.argmax(margins, axis=0)) == set(range(23))
+            width = 3 if isinstance(ts.witness_region, rs.PolytopeSpec) else 2
+            for block in (1, 2, 7, 22, 23, 40):
+                monkeypatch.setattr(reach, "WITNESS_MARGIN_BLOCK", block * 200 * width)
+                assert np.array_equal(reach._peak_margins(ts, Y), margins.max(axis=0))
+
+
+def assert_bit_identical(w, ref):
+    if ref is None:
+        assert w is None
+        return
+    assert np.array_equal(w.init_state, ref.init_state)
+    assert np.array_equal(w.step_inputs, ref.step_inputs)
+    assert (w.sample_index, w.predicate_index, w.margin) == \
+        (ref.sample_index, ref.predicate_index, ref.margin)
+
 
 class TestBatchedWitness:
-    def test_spec_kinds_and_polarities(self, rng):
+    def test_spec_kinds_and_polarities(self, rng, monkeypatch):
+        # every search runs with the samples scored at once and in blocks of
+        # 1 and of 7 samples (for a family, 4 for the 3-row polytopes and 7
+        # for the 2-output ellipsoids): the witnesses are bit-identical
+        def search(specs, block):
+            width = 3 if isinstance(specs, rs.TransformedSpec) \
+                and isinstance(specs.witness_region, rs.PolytopeSpec) else 2
+            monkeypatch.setattr(reach, "WITNESS_MARGIN_BLOCK", block * 12 * width)
+            return find_unsafe_witness(sys_, x0, ubox, specs, 1.0, 12, seed=trial)
+
         found = {}
         for trial in range(10):
             sys_ = rs.random_stable_system(rng, 3, 2, 2)
             x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
             specs = four_spec_kinds(rng, 2)
-            for kind, ts in enumerate(specs):
-                ref = naive_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial)
-                assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 12,
-                                                        seed=trial), ref)
-                found.setdefault(kind, set()).add(ref is not None)
             # a family: predicates are scanned in order within each candidate
-            ref = naive_witness(sys_, x0, ubox, specs, 1.0, 12, seed=trial)
-            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, specs, 1.0, 12,
-                                                    seed=trial), ref)
+            for kind, ts in list(enumerate(specs)) + [("family", specs)]:
+                ref = naive_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial)
+                one_shot = search(ts, 10 ** 6)
+                assert_same_witness(one_shot, ref)
+                for block in (1, 7):
+                    assert_bit_identical(search(ts, block), one_shot)
+                found.setdefault(kind, set()).add(ref is not None)
         assert found[4] == {False}
         for kind in range(4):
             assert found[kind] == {True, False}, kind
@@ -781,6 +813,7 @@ class TestSharedSpread:
 from hypothesis import given, strategies as st  # noqa: E402
 
 from redsafe import verifier  # noqa: E402
+from redsafe.balancing import box_image, image_zonotope  # noqa: E402
 
 
 def assert_table_spreads(sets, Gamma):
@@ -864,8 +897,10 @@ class TestTableSpread:
 
         monkeypatch.setattr(reach._AgeTable, "generators", counting_generators)
         monkeypatch.setattr(verifier, "reach_lti", counting_reach)
+        # Safe at k = 5 from the exact initial zonotope (k = 6 from its hull)
         verdict = rs.verify(rs.random_problem(1, n=6, m=2, p=2, free_dims=3, spec_scale=0.5))
-        assert verdict.outcome == SAFE and len(reached) == 4 and min(reached) > 0
+        assert verdict.outcome == SAFE and verdict.k_used == 5
+        assert len(reached) == 3 and min(reached) > 0
         assert assembled == []
 
         reached.clear()
@@ -969,6 +1004,86 @@ def test_reach_peak_memory_is_its_orbit_buffers():
     n_full, g0 = len(steps), Zonotope.from_box(x0).order
     assert n_full == 1000 and g0 == k
     assert peak <= 1.25 * (8 * ((n_full + 1) * k * g0 + n_full * k * m) + kept)
+
+
+# --------------------------------------------------------------------------
+# Reach from the exact image of an initial box against reach from its
+# interval hull.
+
+@st.composite
+def image_cases(draw):
+    """(system of order k, L, box, input box, t_f, step_h): the order-k image
+    L x0 of a box in N >= 1 dims with f free dims, f below, at and above k."""
+    k, m, p = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    N, f = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decay = draw(st.sampled_from([(0.5, 2.0), (4.0, 8.0)]))
+    sys_ = rs.random_stable_system(rng, k, m, p, decay=decay)
+    t_f = draw(st.floats(0.3, 3.0))
+    step_h = t_f / draw(st.floats(5.0, 60.0))
+    return (sys_, rng.standard_normal((k, N)), rand_box(rng, N, min(f, N)),
+            rand_ubox(rng, m), t_f, step_h)
+
+
+class TestExactInitialSet:
+    @given(image_cases())
+    def test_steps_lie_within_the_hull_steps(self, case):
+        # per step and per row of Gamma, the exact-init set's offset from
+        # the hull-init set's center plus its spread is at most the hull's
+        # spread, and every ball is at most the hull's ball
+        sys_, L, box, ubox, t_f, step_h = case
+        exact = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        hull = reach_lti(sys_, box_image(L, box), ubox, t_f, step_h)
+        assert [(s.t0, s.t1) for s in exact] == [(s.t0, s.t1) for s in hull]
+        Gamma = np.vstack([np.eye(sys_.p),
+                           np.random.default_rng(L.size).standard_normal((3, sys_.p))])
+        Gc_e, spread_e = reach._poly_spreads(exact, Gamma)
+        Gc_h, spread_h = reach._poly_spreads(hull, Gamma)
+        scale = np.abs(Gc_h) + spread_h
+        assert np.all(np.abs(Gc_e - Gc_h) + spread_e <= spread_h + 1e-12 * scale)
+        assert np.all(exact.table.balls
+                      <= hull.table.balls + 1e-12 * np.max(scale, initial=0.0))
+        assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f, step_h),
+                         np.random.default_rng(0))
+
+    @given(image_cases())
+    def test_trajectories_stay_inside(self, case):
+        # reduced trajectories from L times the box's vertices and random
+        # points, under bang-bang inputs, stay inside the exact-init step set
+        # of their time in every row of Gamma
+        sys_, L, box, ubox, t_f, step_h = case
+        rng = np.random.default_rng(L.size)
+        sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        verts = box.vertices() if box.vertex_count() <= 64 else np.zeros((box.dim, 0))
+        X0 = L @ np.hstack([verts, box.sample(rng, 40)])
+        switch = rng.integers(1, 6)
+
+        def bang_bang(step):
+            if step % switch == 0:
+                bang_bang.U = np.where(rng.random((sys_.m, X0.shape[1])) < 0.5,
+                                       ubox.lb[:, None], ubox.ub[:, None])
+            return bang_bang.U
+
+        h_sim = step_h / 3
+        out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, bang_bang, t_f, h_sim)
+        Gamma = np.vstack([np.eye(sys_.p), -np.eye(sys_.p), rng.standard_normal((4, sys_.p))])
+        Gc, spread = reach._poly_spreads(sets, Gamma)
+        for idx in range(out.shape[0]):
+            t = idx * h_sim
+            if t > t_f * (1 + 1e-12):
+                break
+            j = min(int(np.searchsorted(sets.t1, t - 1e-12 * t_f)), len(sets) - 1)
+            rows = Gamma @ out[idx]
+            tol = 1e-9 * (1.0 + np.abs(Gc[j]) + spread[j])
+            assert np.all(np.abs(rows - Gc[j][:, None]) <= (spread[j] + tol)[:, None])
+
+    @pytest.mark.parametrize("f", [0, 2, 3, 5])  # below, at and above k = 3
+    def test_dense_columns_per_initial_generator(self, rng, f):
+        bal = rs.balance(rs.random_stable_system(rng, 6, 2, 2))
+        abstraction = rs.truncate(bal, 3, rand_box(rng, 6, f))
+        sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope, rand_ubox(rng, 2),
+                         1.0, 0.05)
+        assert sets.table.dense.shape[2] == 1 + 2 * min(f, 3)
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,9 @@ contraction property, a Lyapunov-feasible quadratic bound, a Hankel-tail
 zero-state bound, and simulation-based bounds for both error sources.  Each
 is sound for its own error source, so :func:`assemble` bounds the output
 error by delta = min over the zero-input (e1) candidates + min over the
-zero-state (e2) candidates, per output.  The zero-state simulation bound's
-per-step envelope is rigorous on its own; only the zero-input simulation
-bound, read at grid samples, is bloated by (1+gamma) before it competes.
+zero-state (e2) candidates, per output.  Both simulation bounds cover the
+gaps between their steps with a rigorous second-order envelope, from one
+in-step bound on |y''| per column, so no candidate is bloated.
 
 Both simulation bounds hold on a finite window [0, horizon] (t_f, or a PSS
 mode's duration) and share one stop rule: they stop at the horizon, or
@@ -28,7 +28,9 @@ contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
 computes these once per mode and simulates that half once, keeping only its
 output samples and state-norm bounds, exact where its states are formed;
 :func:`augment` builds each order's system from it and stores it there, and
-each order then simulates only its k-dimensional reduced half.  Both halves
+each order then simulates only its k-dimensional reduced half.  The
+full-order half is one orbit, from the input columns and the initial box's
+generators side by side.  Both halves
 are simulated in blocks of steps built by doubling: within a block, the
 states f+1 ... 2f are Phi^f times the states 1 ... f, from Phi, Phi^2,
 Phi^4, ... computed once per orbit, so a block costs about log2(block)
@@ -71,12 +73,9 @@ E2_METHODS = (E2_THEOREM3, SIMULATION)
 #: lambda_max(A_bar + A_bar^T) <= 0 of the closed-form zero-input bound.
 CONTRACTION_TOL_REL = 1e-8
 
-#: Default bloat factor of the zero-input simulation bound.
-GAMMA_DEFAULT = 0.01
-
-#: Step control of the impulse-response simulation: ||A_bar|| * h = this
-#: value.  Its per-step envelope is rigorous at any h; the step sets how
-#: close the bound comes to the exact integrals.
+#: Step control of the simulation bounds' orbit: ||A_bar|| * h = this
+#: value.  Their per-step envelopes are rigorous at any h; the step sets how
+#: close the bounds come to the exact sups and integrals.
 SIM_LH = 0.05
 
 #: Relative state-norm threshold at which a simulated response of a
@@ -95,7 +94,8 @@ class AugmentedSystem:
     A_bar = diag(A_t, A_r), B_bar stacks (B_t, B_r), C_bar = [C_t, -C_r];
     ``lift`` maps a full-order initial state to (H x0, H[:k] x0).  ``full``
     is the mode's response, whose A, B, C and H are A_t, B_t, C_t and H: the
-    bounds read the full-order half and the contraction test from it.
+    bounds read the full-order half, the contraction test and (e1's
+    simulation) the initial box from it.
     """
 
     A_bar: np.ndarray
@@ -124,7 +124,7 @@ class AugmentedSystem:
 
 def augment(full: FullOrderResponse, k: int) -> AugmentedSystem:
     """Augmented error system for the order-k truncation of the mode whose
-    response is ``full`` (``FullOrderResponse.of(bal)``, one per mode).
+    response is ``full`` (``FullOrderResponse.of(bal, x0)``, one per mode).
 
     Takes a bare order with no p < k requirement, so degenerate cases
     (k = n = p) remain constructible for oracle checks.
@@ -220,10 +220,6 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
         raise failure
     return out
 
-
-#: Step control of the vertex simulation (peaks are broad; gamma covers the
-#: grid gap).
-E1_SIM_LH = 0.02
 
 #: Doubles held by one block of simulated states: a block of steps is built
 #: by doubling from its first state and then projected as a whole.  A
@@ -329,19 +325,19 @@ class _Orbit:
             bounds.reshape(self.block, width)]
 
 
-def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
+def _error_orbit(full: _Orbit, cols: slice, A_r: np.ndarray, X_r: np.ndarray,
                  maps_r: tuple[np.ndarray, ...]):
-    """Projected blocks of the augmented orbit: the shared full-order part
-    plus this order's reduced part, stepped by the same h and built by the
-    same doubling.  Step 0 comes first as a block of its own, then blocks of
-    ``full.block`` steps."""
+    """Projected blocks of the augmented orbit: the columns ``cols`` of the
+    shared full-order orbit plus this order's reduced part from X_r, stepped
+    by the same h and built by the same doubling.  Step 0 comes first as a
+    block of its own, then blocks of ``full.block`` steps."""
     width = X_r.shape[1]
-    yield [f + r for f, r in zip(full.head, _project(X_r, width, maps_r))]
+    yield [f[..., cols] + r for f, r in zip(full.head, _project(X_r, width, maps_r))]
     powers = _doubling_powers(_transition(A_r, full.h), full.block)
     for i in itertools.count():
         states = _propagate(powers, X_r, full.block)
         X_r = states[:, -width:].copy()
-        yield [f + r for f, r in zip(full[i], _project(states, width, maps_r))]
+        yield [f[..., cols] + r for f, r in zip(full[i], _project(states, width, maps_r))]
 
 
 def _block_times(t: float, h: float, count: int) -> np.ndarray:
@@ -378,23 +374,25 @@ def _stop(full: FullOrderResponse, times: np.ndarray, horizon: float,
 
 
 class FullOrderResponse:
-    """The full-order half of the simulation bounds of one mode, shared by
-    every order k.
+    """The full-order half of the simulation bounds of one mode with its
+    initial box ``x0``, shared by every order k.
 
-    The e2 impulse responses start from B_t and record C_t x, C_t A_t^2 x,
-    C_t A_t^3 x and ||x||^2 per channel; the e1 responses start from the
-    lifted generators [H c, H diag(r)] of the initial box (center c, free
-    half-widths r) and record C_t x and ||x||^2 per generator, from which
-    every vertex's output and a bound on its norm follow.  Both are
-    simulated lazily, block by block, as far as the orders asking for them
-    need.  Build one per mode with ``FullOrderResponse.of(bal)`` and every
-    order's augmented system from it with :func:`augment`.
+    One orbit starts from [B_t | H c | H r_1 e_1 ... H r_f e_f], the input
+    columns beside the lifted generators of ``x0`` (center c, free
+    half-widths r), and records C_t x, C_t A_t^2 x, C_t A_t^3 x and ||x||^2
+    per column: e2 reads the first m columns and e1 the rest, from which
+    every vertex's output and a bound on its norm follow.  It is simulated
+    lazily, block by block, as far as the orders asking for it need.  Build
+    one per mode with ``FullOrderResponse.of(bal, x0)`` and every order's
+    augmented system from it with :func:`augment`.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray):
-        self.A, self.B, self.C, self.H = A, B, C, H
-        self._impulse: _Orbit | None = None
-        self._initial: tuple[HyperBox, _Orbit] | None = None
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray,
+                 x0: HyperBox):
+        if x0.dim != A.shape[0]:
+            raise ModelError(f"x0 has dim {x0.dim}, expected n={A.shape[0]}")
+        self.A, self.B, self.C, self.H, self.x0 = A, B, C, H, x0
+        self._orbit: _Orbit | None = None
 
     @functools.cached_property
     def L(self) -> float:
@@ -420,34 +418,108 @@ class FullOrderResponse:
         for t >= 0 at every order, and 1.0 on a mode whose defect is <= 0."""
         return float(np.exp(max(self.defect, 0.0) * t))
 
-    def _step(self, lh: float) -> float:
-        return lh / self.L if self.L > 0 else 1.0
-
     @classmethod
-    def of(cls, bal: BalancedRealization) -> "FullOrderResponse":
-        return cls(bal.A_t, bal.B_t, bal.C_t, bal.H)
+    def of(cls, bal: BalancedRealization, x0: HyperBox) -> "FullOrderResponse":
+        return cls(bal.A_t, bal.B_t, bal.C_t, bal.H, x0)
 
-    def impulse(self) -> _Orbit:
-        """The e2 orbit from B_t at step SIM_LH / L."""
-        if self._impulse is None:
+    def orbit(self) -> _Orbit:
+        """The mode's orbit at step SIM_LH / L, read through (C, CA^2, CA^3)."""
+        if self._orbit is None:
             CA2 = self.C @ self.A @ self.A
-            self._impulse = _Orbit(self.A, self._step(SIM_LH), self.B,
-                                   (self.C, CA2, CA2 @ self.A), self.defect)
-        return self._impulse
-
-    def initial(self, x0: HyperBox) -> _Orbit:
-        """The e1 orbit from the lifted generators of ``x0`` at step
-        E1_SIM_LH / L (rebuilt when asked for another box)."""
-        if self._initial is None or self._initial[0] != x0:
-            self._initial = (x0, _Orbit(self.A, self._step(E1_SIM_LH),
-                                        self.H @ _box_generators(x0), (self.C,),
-                                        self.defect))
-        return self._initial[1]
+            self._orbit = _Orbit(self.A, SIM_LH / self.L if self.L > 0 else 1.0,
+                                 np.hstack([self.B, self.H @ _box_generators(self.x0)]),
+                                 (self.C, CA2, CA2 @ self.A), self.defect)
+        return self._orbit
 
 
 def _box_generators(box: HyperBox) -> np.ndarray:
     """[c, r_1 e_1, ..., r_f e_f] over the free dims: vertex s is c + sum s_d r_d e_d."""
     return np.hstack([box.center[:, None], Zonotope.from_box(box).generators])
+
+
+def _walk(aug: AugmentedSystem, cols: slice, X0: np.ndarray, horizon: float, decayed):
+    """The block walk of both simulation bounds: the columns ``cols`` of the
+    mode's orbit, whose augmented start columns are X0, with this order's
+    reduced half from X0[n:], to the stop of :func:`_stop` under the
+    bound's own ``decayed`` rule (a map from the state-norm bounds
+    (steps, width) of a block to one flag per step).
+
+    Yields per block (Y, ddot, N, window) over its steps up to the stop,
+    with the state before the block prepended, so that step j runs from
+    state j to state j + 1: the error outputs Y (steps+1, p, width), the
+    in-step |y''| bounds ddot (steps, p, width), the state-norm bounds N
+    (steps+1, width), and ``window`` as :func:`_stop` returns it.
+    """
+    n, k, full = aug.n, aug.k, aug.full
+    orbit = full.orbit()
+    h, mu = orbit.h, max(full.defect, 0.0)
+    A_r, C_r, X_r = aug.A_bar[n:, n:], aug.C_bar[:, n:], X0[n:]
+    # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
+    # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
+    # and C_i A^3 x bounds its change within a step
+    D2_r = C_r @ A_r @ A_r
+    D3_r = D2_r @ A_r
+    blocks = _error_orbit(orbit, cols, A_r, X_r, (C_r, D2_r, D3_r))
+    d3_full = orbit.maps[2]
+    d3_norms = np.linalg.norm(np.hstack([d3_full, D3_r]), axis=1)
+    # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
+    # nearer endpoint of a step
+    half_grow = np.expm1(full.L * h / 2.0)
+    # The same change through w = x_f - P x_r, P = [I_k; 0], on which alone
+    # the error output C_t w depends: it is C_t A_t^3 (e^{A_t s} - I) w
+    # + C_t (A_t^3 F(s) + G (e^{A_r s} - I)) x_r with G = A_t^3 P - P A_r^3
+    # and F(s) = e^{A_t s} P - P e^{A_r s}, the integral of
+    # e^{A_t (s-u)} E e^{A_r u} over u in [0, s], E = A_t P - P A_r
+    # = [0; A_t[k:, :k]], so ||F(s)|| <= |s| e^{L|s|} ||E||.  Its bound is
+    # w_coef ||w|| + x_coef ||x||, with ||w(t)|| <= e^{mu t} (||w(0)||
+    # + t ||E|| ||x_r(0)||) from the start columns and ||E|| taken in
+    # Frobenius norm, at least the spectral one.  Every term is 0 at k = n,
+    # where the error output vanishes identically.
+    a3 = np.linalg.norm(d3_full, axis=1)
+    E = np.linalg.norm(full.A[k:, :k])
+    norm_coef, w_coef = half_grow * d3_norms, half_grow * a3
+    x_coef = a3 * (h / 2.0) * np.exp(full.L * h / 2.0) * E \
+        + np.linalg.norm(d3_full[:, :k] + D3_r, axis=1) * half_grow
+    w0 = np.linalg.norm(np.vstack([X0[:k] - X_r, X0[k:n]]), axis=0)
+    r0 = np.linalg.norm(X_r, axis=0)
+    # that bound is the smaller for row i only where x_coef_i < norm_coef_i
+    # and ||w|| < rho_i ||x||, rho_i = (norm_coef_i - x_coef_i) / w_coef_i;
+    # a block is checked against the largest rho_i before it is formed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.max(np.where(x_coef < norm_coef, (norm_coef - x_coef) / w_coef, -np.inf))
+    Y, D2, D3, sq = next(blocks)
+    prev = (Y[0], np.abs(D2[0]), np.abs(D3[0]), np.sqrt(sq[0]))
+    t = 0.0
+    for Y, D2, D3, sq in blocks:
+        # the states after prev, at the times a step loop would reach them
+        times = _block_times(t, h, len(Y))
+        D2, D3 = np.abs(D2), np.abs(D3)
+        norms = np.sqrt(sq)
+        end, window = _stop(full, times, horizon, decayed(norms))
+        Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
+                            for a, b in zip(prev, (Y, D2, D3, norms)))
+        # in-step |y''| bound M: every point of a step lies within h/2 of
+        # an endpoint e, where y'' = C A^2 x_e changes by at most
+        # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e| plus the
+        # smaller bound on its change from x_e: (e^{Lh/2}-1) ||C_i A^3|| ||x_e||,
+        # or the one through w, whose ||w|| bound grows with t and so is
+        # taken at the later end
+        Nm = np.maximum(Ns[:-1], Ns[1:])
+        ts = times[:end, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = np.exp(mu * ts) * (w0 + ts * E * r0)
+            smaller = np.any(W < rho * Nm)
+        change = norm_coef[:, None] * Nm[:, None, :]
+        if smaller:
+            change = np.fmin(change, w_coef[:, None] * W[:, None, :]
+                             + x_coef[:, None] * Nm[:, None, :])
+        ddot = np.maximum(D2s[:-1], D2s[1:]) + (h / 2.0) * (np.maximum(D3s[:-1], D3s[1:])
+                                                            + change)
+        yield Ys, ddot, Ns, window
+        if end is not None:
+            return
+        prev = (Y[-1], D2[-1], D3[-1], norms[-1])
+        t = times[-1]
 
 
 def _vertex_peak(Y: np.ndarray) -> np.ndarray:
@@ -456,19 +528,21 @@ def _vertex_peak(Y: np.ndarray) -> np.ndarray:
     return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
 
 
-def e1_simulation(aug: AugmentedSystem, x0: HyperBox, horizon: float) -> np.ndarray:
-    """Zero-input bound on [0, horizon] by simulating the generators of the
-    initial box.
+def e1_simulation(aug: AugmentedSystem, horizon: float) -> np.ndarray:
+    """Zero-input bound on [0, horizon] over the initial box of the mode's
+    response ``aug.full``, by simulating the box's generators.
 
-    The bound is the max over vertices and the time grid of |ybar_i(t)|.
-    The error is linear in the initial state, so the vertex max covers the
-    whole box at each sampled time; the remaining discretization gap is what
-    the caller's (1+gamma) bloat absorbs.  The vertex responses are those of
-    the box generators [c, r_1 e_1, ..., r_f e_f]: at every step the vertex
-    max of |ybar_i| is |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and every
-    vertex state norm is at most the sum of the generators' norms (the
-    triangle inequality), so no vertex is enumerated.  The full-order half
-    of these responses is read from the mode's response ``aug.full``.
+    The error is linear in the initial state, so with the generator
+    responses [c, r_1 e_1, ..., r_f e_f] the vertex max of |ybar_i| at any
+    time is V_i = |ybar_i(c)| + sum_d |ybar_i(r_d e_d)|, and every vertex
+    state norm is at most the sum of the generators' norms (the triangle
+    inequality), so no vertex is enumerated.  The envelope between steps is
+    rigorous: on a step of length h each generator's output lies within
+    h^2/8 M_g of its linear interpolant, with M_g the in-step |y''| bound
+    of :func:`_walk`, and a vertex's sum of interpolants is linear in t, so
+    step j bounds every vertex by max(V_j, V_{j+1}) + h^2/8 sum_g M_g.  The
+    full-order half of these responses is the generator columns of the
+    mode's orbit; this order simulates only its reduced half.
 
     The simulation stops at the horizon, or at T once the augmented system
     is contractive and that norm sum has decayed to DECAY_TOL times its
@@ -476,31 +550,19 @@ def e1_simulation(aug: AugmentedSystem, x0: HyperBox, horizon: float) -> np.ndar
     sum at T then covers the rest of the window, tau = horizon - T: every
     point of the box has ||x(t)|| <= e^{mu (t - T)} ||x(T)|| for t >= T.
     """
-    if x0.dim != aug.n:
-        raise ModelError(f"x0 has dim {x0.dim}, expected n={aug.n}")
     _require_horizon(horizon)
-    n, L = aug.n, aug.full.L
-    orbit = aug.full.initial(x0)
-    blocks = _error_orbit(orbit, aug.A_bar[n:, n:], aug.lift[n:] @ _box_generators(x0),
-                          (aug.C_bar[:, n:],))
-    Y, sq = next(blocks)
-    best = _vertex_peak(Y[0])
-    if L == 0.0:
-        return best
-    threshold = DECAY_TOL * float(np.sum(np.sqrt(sq[0])))
-    t = 0.0
-    for Y, sq in blocks:
-        times = _block_times(t, orbit.h, len(Y))
-        # every vertex norm is at most the sum of the generator norms
-        norms = np.sum(np.sqrt(sq), axis=1)
-        end, window = _stop(aug.full, times, horizon, norms <= threshold)
-        best = np.maximum(best, np.max(_vertex_peak(Y[:end]), axis=0))
-        if end is not None:
-            break
-        t = times[-1]
+    X0 = aug.lift @ _box_generators(aug.full.x0)
+    threshold = DECAY_TOL * float(np.sum(np.linalg.norm(X0, axis=0)))
+    bulge = aug.full.orbit().h ** 2 / 8.0
+    best = np.zeros(aug.p)
+    for Y, ddot, N, window in _walk(aug, slice(aug.m, None), X0, horizon,
+                                    lambda norms: np.sum(norms, axis=1) <= threshold):
+        V = _vertex_peak(Y)
+        best = np.maximum(best, np.max(np.maximum(V[:-1], V[1:])
+                                       + bulge * np.sum(ddot, axis=-1), axis=0))
     if window is not None:
         # |y_i(t)| <= ||C_i|| e^{mu tau} ||x(T)|| for all t in [T, horizon]
-        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * norms[end - 1]
+        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * np.sum(N[-1])
                           * aug.full.growth(window))
     return best
 
@@ -534,12 +596,10 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox, horizon: float) -> np.n
     system is contractive and every channel's state norm has fallen below
     DECAY_TOL relative (:func:`_stop`); the tail ||C_i|| ||x_j(T)|| tau
     e^{mu tau}, tau = horizon - T, then bounds the rest of each |kernel|
-    integral.  Each step's envelope is second order and rigorous: with M a
-    bound on |y''| within the step (from C_bar A_bar^2 x at its endpoints and
-    C_bar A_bar^3 x for the change in between), the |kernel| integral takes
-    the trapezoid of the endpoint magnitudes plus h^3/12 M.  The full-order
-    half of the responses (C_t x, C_t A_t^2 x, C_t A_t^3 x and ||x||^2 per
-    step) is read from the mode's response ``aug.full``; this order
+    integral.  Each step's envelope is second order and rigorous: with M the
+    in-step bound on |y''| of :func:`_walk`, the |kernel| integral takes the
+    trapezoid of the endpoint magnitudes plus h^3/12 M.  The full-order half
+    of the responses is the input columns of the mode's orbit; this order
     simulates only its reduced half, and the per-step envelopes are
     evaluated block by block as array operations.
 
@@ -556,55 +616,24 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox, horizon: float) -> np.n
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")
     _require_horizon(horizon)
-    p, m, n = aug.p, aug.m, aug.n
+    p, m = aug.p, aug.m
     if m == 0 or not np.any(aug.B_bar):
         return np.zeros(p)
-    L = aug.full.L
-    orbit = aug.full.impulse()
-    h = orbit.h
-    A_r, C_r = aug.A_bar[n:, n:], aug.C_bar[:, n:]
-    # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
-    # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
-    # and C_i A^3 x bounds its change within a step
-    D2_r = C_r @ A_r @ A_r
-    D3_r = D2_r @ A_r
-    blocks = _error_orbit(orbit, A_r, aug.B_bar[n:], (C_r, D2_r, D3_r))
-    d3_norms = np.linalg.norm(np.hstack([orbit.maps[2], D3_r]), axis=1)
+    h = aug.full.orbit().h
     x0_norms = np.linalg.norm(aug.B_bar, axis=0)
     x0_norms[x0_norms == 0] = 1.0
-    # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
-    # nearer endpoint of a step
-    half_grow = np.expm1(L * h / 2.0)
-
     I_abs = np.zeros((p, m))
     R_run = np.zeros((p, m))
     R_max = np.zeros((p, m))
     trap_budget = np.zeros((p, m))
-    Y, D2, D3, sq = next(blocks)
-    prev = (Y[0], np.abs(D2[0]), np.abs(D3[0]), np.sqrt(sq[0]))
-    t = 0.0
-    for Y, D2, D3, sq in blocks:
-        # the states after prev, at the times a step loop would reach them
-        times = _block_times(t, h, len(Y))
-        D2, D3 = np.abs(D2), np.abs(D3)
-        norms = np.sqrt(sq)
-        end, window = _stop(aug.full, times, horizon,
-                            np.all(norms <= DECAY_TOL * x0_norms, axis=1))
-        # step j runs from state j-1 to state j
-        Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
-                            for a, b in zip(prev, (Y, D2, D3, norms)))
-        # in-step |y''| bound M: every point of a step lies within h/2 of
-        # an endpoint e, where y'' = C A^2 x_e changes by at most
-        # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e|
-        # + (e^{Lh/2}-1) ||C_i A^3|| ||x_e|| there
-        ddot = np.maximum(D2s[:-1], D2s[1:]) + (h / 2.0) * (
-            np.maximum(D3s[:-1], D3s[1:])
-            + half_grow * (d3_norms[:, None] * np.maximum(Ns[:-1], Ns[1:])[:, None, :]))
+    for Y, ddot, N, window in _walk(aug, slice(0, m), aug.B_bar, horizon,
+                                    lambda norms: np.all(norms <= DECAY_TOL * x0_norms,
+                                                         axis=1)):
         # int |y| <= int |linear interpolant| + int |y - interpolant|, and
         # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
         rem = (h ** 3 / 12.0) * ddot
-        I_abs = _accumulate(I_abs, h * (np.abs(Ys[:-1]) + np.abs(Ys[1:])) / 2.0 + rem)[-1]
-        runs = _accumulate(R_run, h * (Ys[:-1] + Ys[1:]) / 2.0)
+        I_abs = _accumulate(I_abs, h * (np.abs(Y[:-1]) + np.abs(Y[1:])) / 2.0 + rem)[-1]
+        runs = _accumulate(R_run, h * (Y[:-1] + Y[1:]) / 2.0)
         # the same h^3/12 M bounds each step's trapezoid remainder
         traps = _accumulate(trap_budget, rem)
         # the running integral R at the step's nodes is within the summed
@@ -613,17 +642,13 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox, horizon: float) -> np.n
         nodes = np.abs(runs) + traps
         ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
                           nodes)
-        inner = (h / 8.0) * np.abs(Ys[1:] - Ys[:-1]) + (h ** 3 / 16.0) * ddot
+        inner = (h / 8.0) * np.abs(Y[1:] - Y[:-1]) + (h ** 3 / 16.0) * ddot
         R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
         R_run, trap_budget = runs[-1], traps[-1]
-        if end is not None:
-            break
-        prev = (Y[-1], D2[-1], D3[-1], norms[-1])
-        t = times[-1]
     if window is not None:
         # int_T^horizon |y_i| <= ||C_i|| ||x_j(T)|| tau e^{mu tau}, and R
         # changes by at most as much after T
-        tail = np.outer(np.linalg.norm(aug.C_bar, axis=1), norms[end - 1]) \
+        tail = np.outer(np.linalg.norm(aug.C_bar, axis=1), N[-1]) \
             * (window * aug.full.growth(window))
         I_abs += tail
         R_max += tail
@@ -636,8 +661,9 @@ class ErrorBound:
     each error source.
 
     ``e1`` (``e2``) is the componentwise minimum of the zero-input
-    (zero-state) candidates, and ``e1_method[i]`` (``e2_method[i]``) names
-    the method whose value output i took.
+    (zero-state) candidates, each sound as computed and none bloated, and
+    ``e1_method[i]`` (``e2_method[i]``) names the method whose value output
+    i took.
     """
 
     e1: np.ndarray
@@ -667,9 +693,9 @@ def assemble(e1s: dict[str, np.ndarray], e2s: dict[str, np.ndarray]) -> ErrorBou
     """delta = min over the e1 candidates + min over the e2 candidates, per
     output.
 
-    Every candidate must be sound for its own error source (the zero-input
-    simulation bound already bloated), so the sum of the two minima bounds
-    the output error.  Candidates are tried in the dicts' order, and an
+    Every candidate must be sound for its own error source, as every method
+    of this module is with no bloat, so the sum of the two minima bounds the
+    output error.  Candidates are tried in the dicts' order, and an
     output whose candidates tie takes the earlier label.  Refuses empty
     candidate sets, mismatched shapes and non-finite or negative components.
     """

@@ -58,7 +58,7 @@ def _emit(doc, args, text_renderer=None, csv_renderer=None) -> None:
 
 def _options_from(args) -> VerifyOptions:
     kwargs = {}
-    for name in ("k0", "k_max", "gamma", "step_h", "step_lh",
+    for name in ("k0", "k_max", "step_h", "step_lh",
                  "witness_budget", "seed", "time_budget"):
         val = getattr(args, name, None)
         if val is not None:
@@ -146,11 +146,11 @@ def _bound_tables(problem: VerificationProblem, ks, method_sets):
     for mode, sys_, x0, horizon in problem_modes(problem):
         name = problem.name + (f"[{mode}]" if mode else "")
         bal = balance(sys_)
-        full = bnd.FullOrderResponse.of(bal)
+        full = bnd.FullOrderResponse.of(bal, x0)
         for k in ks:
             for label, opts in method_sets:
                 t0 = time.perf_counter()
-                result = bound_candidates(bal, full, k, x0, problem.inputs, horizon, opts)
+                result = bound_candidates(bal, full, k, problem.inputs, horizon, opts)
                 yield name, k, label, time.perf_counter() - t0, result
 
 
@@ -365,12 +365,11 @@ def _add_common(sp, manifest=True):
 
 
 def _add_bound_opts(sp):
-    """Flags that choose and tune the error-bound methods."""
+    """Flags that choose the error-bound methods."""
     sp.add_argument("--e1", action="append", choices=bnd.E1_METHODS,
                     help="enable a zero-input bound method (repeatable)")
     sp.add_argument("--e2", action="append", choices=bnd.E2_METHODS,
                     help="enable a zero-state bound method (repeatable)")
-    sp.add_argument("--gamma", type=float, help="bloat factor of the e1 simulation bound")
 
 
 def _add_verify_opts(sp):

@@ -390,8 +390,9 @@ def check_stability(sys: LtiSystem | np.ndarray, margin: float | None = None) ->
 
     ``margin`` defaults to STABILITY_MARGIN_REL * ||A||_F (Frobenius).
     """
-    if margin is not None and margin <= 0:
-        raise ModelError(f"stability margin must be positive, got {margin}")
+    # written so that NaN fails the test
+    if margin is not None and not 0 < margin < np.inf:
+        raise ModelError(f"stability margin must be a finite positive real, got {margin}")
     return _spectrum_report(sys, margin)[1]
 
 

@@ -595,12 +595,16 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     loop; ``u`` may then also be a (steps, m, B) array of per-state inputs,
     and the trajectory's outputs have shape (samples, p, B).  Only the
     current state is kept.  A state that becomes non-finite anywhere in the
-    batch raises ModelError.
+    batch raises ModelError, as do a non-finite ``t_f`` and an ``h`` that is
+    not a finite positive real; ``t_f <= 0`` gives the one sample at t = 0.
     """
+    if not np.isfinite(t_f):
+        raise ModelError(f"t_f must be finite, got {t_f}")
     if h is None:
         h = default_step(t_f, sys.A)
-    if h <= 0:
-        raise ModelError(f"step h must be positive, got {h}")
+    # written so that NaN fails the test
+    if not 0 < h < np.inf:
+        raise ModelError(f"step h must be a finite positive real, got {h}")
     x = np.asarray(x0, dtype=float)
     if x.ndim == 2 and x.shape[0] == sys.n:
         batch = x.shape[1:]

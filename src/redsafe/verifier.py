@@ -36,7 +36,6 @@ class VerifyOptions:
     k_max: int | None = None
     e1_methods: tuple[str, ...] = bnd.E1_METHODS
     e2_methods: tuple[str, ...] = bnd.E2_METHODS
-    gamma: float = bnd.GAMMA_DEFAULT
     step_h: float | None = None
     step_lh: float = STEP_LH
     witness_budget: int = 64
@@ -51,7 +50,6 @@ class VerifyOptions:
                 raise ModelError(f"invalid {source} method set {methods}")
         # written so that NaN fails every test
         for name, ok, need in (
-                ("gamma", self.gamma >= 0, "nonnegative"),
                 ("step_h", self.step_h is None or self.step_h > 0, "positive"),
                 ("step_lh", self.step_lh > 0, "positive"),
                 ("witness_budget", self.witness_budget >= 1, "at least 1"),
@@ -88,25 +86,25 @@ class Verdict:
 
 
 def bound_candidates(bal: BalancedRealization, full: bnd.FullOrderResponse, k: int,
-                     x0: HyperBox, u_box: HyperBox, horizon: float,
+                     u_box: HyperBox, horizon: float,
                      opts: VerifyOptions = VerifyOptions()):
-    """Every enabled bound method's vector for one abstraction order, and
-    the bound assembled from them.
+    """Every enabled bound method's vector for one abstraction order over
+    the mode's initial box ``full.x0``, and the bound assembled from them.
 
-    ``full`` is the mode's ``FullOrderResponse.of(bal)``; pass the same one
-    at every order of the mode.  Returns (e1s, e2s, bound, notes): the e1
-    and e2 vectors by method in ``opts`` order, the simulated e1 already
-    bloated by (1+gamma); the ErrorBound that :func:`bounds.assemble`
-    builds from them, or None when either source has no candidate; and
-    notes about skipped methods.
+    ``full`` is the mode's ``FullOrderResponse.of(bal, x0)``; pass the same
+    one at every order of the mode.  Returns (e1s, e2s, bound, notes): the
+    e1 and e2 vectors by method in ``opts`` order, each sound as computed,
+    with no bloat; the ErrorBound that :func:`bounds.assemble` builds from
+    them, or None when either source has no candidate; and notes about
+    skipped methods.
     """
     notes: list[str] = []
     aug = bnd.augment(full, k)
+    x0 = full.x0
     compute = {
         ("e1", E1_THEOREM1): lambda: bnd.e1_theoretical(aug, x0),
         ("e1", E1_THEOREM2): lambda: bnd.e1_optimization(aug, x0),
-        # the only bound read at grid samples; the bloat covers the gaps
-        ("e1", SIMULATION): lambda: (1.0 + opts.gamma) * bnd.e1_simulation(aug, x0, horizon),
+        ("e1", SIMULATION): lambda: bnd.e1_simulation(aug, horizon),
         ("e2", E2_THEOREM3): lambda: bnd.e2_theoretical(bal.sigma, k, u_box, aug.p),
         ("e2", SIMULATION): lambda: bnd.e2_simulation(aug, u_box, horizon),
     }
@@ -160,7 +158,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
     labeled = bool(modes[0][0])
     k0, k_max = _resolve_orders(problem.system.n, problem.system.p, opts)
     bals = [balance(system) for _, system, _, _ in modes]
-    responses = [bnd.FullOrderResponse.of(bal) for bal in bals]
+    responses = [bnd.FullOrderResponse.of(bal, x0) for bal, (_, _, x0, _) in zip(bals, modes)]
     log: list[PerKEntry] = []
     started = time.perf_counter()
 
@@ -179,7 +177,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             key, say = (f"{label}:", f"mode {rho}: ") if labeled else ("", "")
             abstraction = truncate(bal, k, x0)
             _, _, bound, mode_notes = bound_candidates(
-                bal, full, k, x0, problem.inputs, horizon, opts)
+                bal, full, k, problem.inputs, horizon, opts)
             notes.extend(say + note for note in mode_notes)
             if bound is None:
                 notes.append(say + "no bound method produced a value")

@@ -212,14 +212,14 @@ class TestAugmentedInitialNorm:
     def test_point_at_origin(self, rng):
         bal = balance(rs.random_stable_system(rng, 4, 1, 1))
         box = rs.HyperBox(np.zeros(4), np.zeros(4))
-        aug = rs.augment(rs.FullOrderResponse.of(bal), 2)
+        aug = rs.augment(rs.FullOrderResponse.of(bal, box), 2)
         assert rs.sup_box_norm(aug.lift_box(box)) == 0.0
 
     def test_scalar_exact(self):
         # H = sqrt(3/2): lifted vector is (H, H) t over t in [-1, 1]
         bal = balance(scalar_system())
         box = rs.HyperBox([-1.0], [1.0])
-        aug = rs.augment(rs.FullOrderResponse.of(bal), 1)
+        aug = rs.augment(rs.FullOrderResponse.of(bal, box), 1)
         sup = rs.sup_box_norm(aug.lift_box(box))
         expected = np.sqrt(2.0) * abs(bal.H[0, 0])
         assert sup == pytest.approx(expected, rel=1e-12)
@@ -232,7 +232,7 @@ class TestAugmentedInitialNorm:
         bal = balance(sys_)
         box = rand_box(rng, 5, 5)
         k = 3
-        aug = rs.augment(rs.FullOrderResponse.of(bal), k)
+        aug = rs.augment(rs.FullOrderResponse.of(bal, box), k)
         bound = rs.sup_box_norm(aug.lift_box(box))
         L = np.vstack([bal.H, bal.H[:k, :]])
         verts = box.vertices()

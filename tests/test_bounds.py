@@ -20,10 +20,17 @@ def scalar_balanced():
     return balance(rs.LtiSystem([[-1.0]], [[2.0]], [[3.0]]))
 
 
+def response(bal, x0=None):
+    """``FullOrderResponse.of(bal, x0)``, with the origin for ``x0`` where
+    no simulated e1 reads the box."""
+    n = bal.A_t.shape[0]
+    return FullOrderResponse.of(bal, rs.HyperBox(np.zeros(n), np.zeros(n)) if x0 is None else x0)
+
+
 class TestAugment:
     def test_scalar_blocks(self):
         bal = scalar_balanced()
-        aug = augment(FullOrderResponse.of(bal), 1)
+        aug = augment(response(bal), 1)
         a = bal.A_t[0, 0]
         c = bal.C_t[0, 0]
         assert np.allclose(aug.A_bar, np.diag([a, a]))
@@ -35,7 +42,7 @@ class TestAugment:
         sys_ = rs.random_stable_system(rng, 6, 2, 2)
         bal = balance(sys_)
         k = 3
-        aug = augment(FullOrderResponse.of(bal), k)
+        aug = augment(response(bal), k)
         x0 = rng.standard_normal(6)
         u = rng.standard_normal(2) * 0.5
         h = 0.01 / np.linalg.norm(aug.A_bar, 2)
@@ -50,7 +57,7 @@ class TestAugment:
     def test_zero_input_zero_state_gives_zero_output(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 2)
+        aug = augment(response(bal), 2)
         traj = simulate(rs.LtiSystem(aug.A_bar, aug.B_bar, aug.C_bar),
                         np.zeros(6), None, 1.0, 0.01)
         assert np.allclose(traj.outputs, 0.0)
@@ -59,15 +66,15 @@ class TestAugment:
 class TestE1Theoretical:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
-        aug = augment(FullOrderResponse.of(bal), 1)
         box = rs.HyperBox([0.0], [0.0])
+        aug = augment(response(bal, box), 1)
         assert np.array_equal(e1_theoretical(aug, box), np.zeros(1))
 
     def test_scalar_chain_value(self):
         # hand-evaluated: C_bar = [2.4495, -2.4495], ||C_bar|| = 3.4641,
         # sup ||xbar0|| = 1.7321 over X0 = [-1, 1]
         bal = scalar_balanced()
-        aug = augment(FullOrderResponse.of(bal), 1)
+        aug = augment(response(bal), 1)
         bound = e1_theoretical(aug, rs.HyperBox([-1.0], [1.0]))
         assert bound == pytest.approx([6.0], rel=1e-12)
 
@@ -75,25 +82,26 @@ class TestE1Theoretical:
         # k = n: the true error is 0, any sound bound is >= it
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 4)
         box = rand_box(rng, 4, 3)
-        sim = e1_simulation(aug, box, 2.0)
+        aug = augment(response(bal, box), 4)
+        sim = e1_simulation(aug, 2.0)
         assert np.all(sim <= 1e-10)
         assert np.all(e1_theoretical(aug, box) >= sim)
 
     def test_noncontractive_rejected(self):
         # a stable but non-contractive pair would make the bound unsound
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
-        bad = augment(FullOrderResponse(A, np.zeros((2, 1)), np.ones((1, 2)), np.eye(2)), 1)
+        box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
+        bad = augment(FullOrderResponse(A, np.zeros((2, 1)), np.ones((1, 2)), np.eye(2), box), 1)
         assert contraction_defect(bad) > 0
         with pytest.raises(BoundError, match="contractive"):
-            e1_theoretical(bad, rs.HyperBox([-1.0, -1.0], [1.0, 1.0]))
+            e1_theoretical(bad, box)
 
 
 class TestE1Optimization:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
-        aug = augment(FullOrderResponse.of(bal), 1)
+        aug = augment(response(bal), 1)
         box = rs.HyperBox([0.0], [0.0])
         assert np.array_equal(e1_optimization(aug, box), np.zeros(1))
 
@@ -103,7 +111,7 @@ class TestE1Optimization:
             sys_ = rs.random_stable_system(rng, n, 1, 1)
             bal = balance(sys_)
             k = int(rng.integers(2, n + 1))
-            aug = augment(FullOrderResponse.of(bal), k)
+            aug = augment(response(bal), k)
             box = rand_box(rng, n, min(n, 6))
             t1 = e1_theoretical(aug, box)
             t2 = e1_optimization(aug, box)
@@ -113,7 +121,7 @@ class TestE1Optimization:
         # 200 sampled vertices of a 6-dim system never exceed the bound
         sys_ = rs.random_stable_system(rng, 6, 1, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 3)
+        aug = augment(response(bal), 3)
         box = rand_box(rng, 6, 6)
         bound = e1_optimization(aug, box)
         verts = box.vertices()[:, rng.choice(64, size=min(200, 64), replace=False)]
@@ -130,16 +138,15 @@ class TestE1Optimization:
 class TestE1Simulation:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
-        aug = augment(FullOrderResponse.of(bal), 1)
-        box = rs.HyperBox([0.0], [0.0])
-        assert np.allclose(e1_simulation(aug, box, 1.0), 0.0)
+        aug = augment(response(bal), 1)
+        assert np.allclose(e1_simulation(aug, 1.0), 0.0)
 
     def test_below_theorem_one(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 2)
         box = rand_box(rng, 4, 4)
-        sim = e1_simulation(aug, box, 3.0)
+        aug = augment(response(bal, box), 2)
+        sim = e1_simulation(aug, 3.0)
         t1 = e1_theoretical(aug, box)
         assert np.all(sim <= t1 * (1 + 1e-9))
 
@@ -166,21 +173,22 @@ class TestE2Simulation:
     def test_zero_b(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
-        zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H), 2)
+        zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H,
+                                       rand_box(rng, 4, 2)), 2)
         e2 = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]), 5.0)
         assert np.array_equal(e2, np.zeros(1))
 
     def test_identity_truncation_negligible(self, rng):
         sys_ = rs.random_stable_system(rng, 5, 2, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 5)
+        aug = augment(response(bal), 5)
         e2 = e2_simulation(aug, rand_ubox(rng, 2), 50.0)
         assert np.all(e2 <= 1e-5)
 
     def test_below_theorem_three(self, rng):
         sys_ = rs.random_stable_system(rng, 8, 1, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 4)
+        aug = augment(response(bal), 4)
         ubox = rand_ubox(rng, 1)
         sim = e2_simulation(aug, ubox, 50.0)
         thm = e2_theoretical(bal.sigma, 4, ubox, 1)
@@ -192,7 +200,7 @@ class TestE2Simulation:
         # here with I_abs from the naive step loop
         sys_ = rs.random_stable_system(rng, 7, 2, 2)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 3)
+        aug = augment(response(bal), 3)
         ubox = rs.HyperBox([0.2, 0.1], [0.4, 0.3])
         e2 = e2_simulation(aug, ubox, 20.0)
         I_abs = naive_e2_simulation(aug, ubox, 20.0)[2]
@@ -202,7 +210,7 @@ class TestE2Simulation:
     def test_horizon_limits_accumulation(self, rng):
         sys_ = rs.random_stable_system(rng, 6, 1, 1)
         bal = balance(sys_)
-        aug = augment(FullOrderResponse.of(bal), 2)
+        aug = augment(response(bal), 2)
         ubox = rs.HyperBox([-1.0], [1.0])
         short = e2_simulation(aug, ubox, 0.05)
         full = e2_simulation(aug, ubox, 50.0)
@@ -214,10 +222,10 @@ def test_simulation_bounds_refuse_unreachable_horizons(horizon):
     # a horizon neither simulation could reach is refused by name, also for
     # a system whose zero input matrix would make e2 zero without a step
     bal = balance(rs.random_stable_system(np.random.default_rng(2), 5, 1, 1))
-    aug = augment(FullOrderResponse.of(bal), 2)
-    zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H), 2)
     box, ubox = rs.HyperBox(-np.ones(5), np.ones(5)), rs.HyperBox([-1.0], [1.0])
-    for call in (lambda: e1_simulation(aug, box, horizon),
+    aug = augment(response(bal, box), 2)
+    zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H, box), 2)
+    for call in (lambda: e1_simulation(aug, horizon),
                  lambda: e2_simulation(aug, ubox, horizon),
                  lambda: e2_simulation(zb, ubox, horizon)):
         with pytest.raises(rs.ModelError, match="horizon must be a finite positive real"):
@@ -226,8 +234,8 @@ def test_simulation_bounds_refuse_unreachable_horizons(horizon):
 
 class TestCombine:
     """delta = min over the e1 candidates + min over the e2 candidates, as
-    ``bound_candidates`` feeds them to ``assemble``: only the simulated e1 is
-    bloated by (1+gamma)."""
+    ``bound_candidates`` feeds them to ``assemble``: every candidate is the
+    value of its method as it stands, with no bloat."""
 
     K = 4
 
@@ -235,12 +243,12 @@ class TestCombine:
     def problem(seed=3):
         prob = rs.random_problem(seed, 8, 2, 2, free_dims=4)
         bal = balance(prob.system)
-        return prob, bal, FullOrderResponse.of(bal)
+        return prob, bal, FullOrderResponse.of(bal, prob.x0)
 
     def candidates(self, k=K, seed=3, **options):
         prob, bal, full = self.problem(seed)
-        e1s, e2s, bound, notes = bound_candidates(bal, full, k, prob.x0, prob.inputs,
-                                                  prob.t_f, rs.VerifyOptions(**options))
+        e1s, e2s, bound, notes = bound_candidates(bal, full, k, prob.inputs, prob.t_f,
+                                                  rs.VerifyOptions(**options))
         assert not notes
         return prob, bal, augment(full, k), e1s, e2s, bound
 
@@ -253,22 +261,19 @@ class TestCombine:
         b = assemble({E1_THEOREM1: e1s[E1_THEOREM1]}, {E2_THEOREM3: e2s[E2_THEOREM3]})
         assert np.array_equal(b.delta, e1s[E1_THEOREM1] + e2s[E2_THEOREM3])
 
-    def test_simulation_pair_bloated(self):
-        # the simulated e1 alone carries (1+gamma): e2's envelope is rigorous
-        prob, _, aug, e1s, e2s, _ = self.candidates(gamma=0.05)
-        raw = e1_simulation(aug, prob.x0, prob.t_f)
-        assert np.array_equal(e1s[SIMULATION], (1 + 0.05) * raw)
-        assert np.array_equal(e2s[SIMULATION], e2_simulation(aug, prob.inputs, prob.t_f))
-        b = assemble({SIMULATION: e1s[SIMULATION]}, {SIMULATION: e2s[SIMULATION]})
-        assert np.array_equal(b.delta, (1 + 0.05) * raw + e2s[SIMULATION])
-
     def test_mixed_pair_unbloated(self):
-        # a theorem e1 next to a simulated e2 is bloated nowhere
+        # a theorem e1 next to a simulated e2, and the two simulated bounds
+        # together, are bloated nowhere
         prob, _, aug, _, e2s, bound = self.candidates(
-            e1_methods=(E1_THEOREM2,), e2_methods=(SIMULATION,), gamma=0.05)
+            e1_methods=(E1_THEOREM2,), e2_methods=(SIMULATION,))
         assert np.array_equal(bound.delta, e1_optimization(aug, prob.x0) + e2s[SIMULATION])
         assert bound.e1_method == (E1_THEOREM2,) * aug.p
         assert bound.e2_method == (SIMULATION,) * aug.p
+        prob, _, aug, e1s, e2s, bound = self.candidates(
+            e1_methods=(SIMULATION,), e2_methods=(SIMULATION,))
+        assert np.array_equal(e1s[SIMULATION], e1_simulation(aug, prob.t_f))
+        assert np.array_equal(e2s[SIMULATION], e2_simulation(aug, prob.inputs, prob.t_f))
+        assert np.array_equal(bound.delta, e1s[SIMULATION] + e2s[SIMULATION])
 
     def test_monotone_in_components(self, rng):
         e1s = {E1_THEOREM1: rng.uniform(0, 1, 3), SIMULATION: rng.uniform(0, 1, 3)}
@@ -310,10 +315,6 @@ class TestCombine:
             rs.VerifyOptions(e1_methods=("magic",))
         with pytest.raises(rs.ModelError, match="e2 method"):
             rs.VerifyOptions(e2_methods=("magic",))
-        with pytest.raises(rs.ModelError, match="gamma"):
-            rs.VerifyOptions(gamma=-0.5)
-        with pytest.raises(rs.ModelError, match="gamma"):
-            rs.VerifyOptions(gamma=float("nan"))
 
     def test_non_finite_components_refused(self):
         ok = np.array([0.1, 0.2])
@@ -328,20 +329,6 @@ class TestCombine:
         with pytest.raises(rs.ModelError, match="at least one"):
             assemble({}, {E2_THEOREM3: ok})
 
-    @pytest.mark.parametrize("seed", [3, 5, 11])
-    def test_never_above_old_pairings(self, seed):
-        # every e1 x e2 pairing bloated as a whole by (1+gamma) whenever
-        # either half is simulated, rebuilt from the unbloated candidates
-        gamma = 0.01
-        for k in (3, 5, 8):
-            _, _, _, e1s, e2s, bound = self.candidates(k, seed, gamma=gamma)
-            raw1 = {**e1s, SIMULATION: e1s[SIMULATION] / (1 + gamma)}
-            for l1, e1 in raw1.items():
-                for l2, e2 in e2s.items():
-                    applied = gamma if SIMULATION in (l1, l2) else 0.0
-                    pairing = (1 + applied) * (e1 + e2)
-                    assert np.all(bound.delta <= pairing * (1 + 1e-12))
-
 
 @pytest.mark.skipif(not os.environ.get("REDSAFE_BM_MANIFEST"),
                     reason="SLICOT building-model matrices are not bundled")
@@ -350,7 +337,7 @@ def test_bm_theoretical_bounds_match_published():
     bal = balance(prob.system)
     e2 = e2_theoretical(bal.sigma, 10, prob.inputs, 1)
     assert e2[0] == pytest.approx(0.0047, rel=0.15)
-    aug = augment(FullOrderResponse.of(bal), 10)
+    aug = augment(FullOrderResponse.of(bal, prob.x0), 10)
     e1 = e1_theoretical(aug, prob.x0)
     delta = assemble({E1_THEOREM1: e1}, {E2_THEOREM3: e2}).delta
     assert delta[0] == pytest.approx(0.0050, rel=0.15)
@@ -397,20 +384,71 @@ def naive_tail_growth(aug, window):
     return np.exp(max(contraction_defect(aug), 0.0) * window)
 
 
-def naive_e1_simulation(aug, x0, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=False):
-    """Every vertex stepped through e^{A_bar h} for the outputs, and the
-    lifted box generators [c, r_1 e_1, ..., r_f e_f] beside them, whose
-    norms, read by :class:`NormRule` (``exact_norms``: at every step), sum
-    to the bound on every vertex norm.  Stops at the horizon or, on a
-    contractive system, once that sum has decayed; returns (bound, steps)."""
+class NaiveDdot:
+    """The in-step |y''| bound of both naive loops per step and column, from
+    C_bar A_bar^2 x and C_bar A_bar^3 x at the step's endpoints and the
+    bound :meth:`change` on the change of the latter within h/2 of them."""
+
+    def __init__(self, aug, h, X0):
+        n, k = aug.n, aug.k
+        L = float(np.linalg.norm(aug.A_bar, 2))
+        self.D2 = aug.C_bar @ aug.A_bar @ aug.A_bar
+        self.D3 = self.D2 @ aug.A_bar
+        grow = np.expm1(L * h / 2.0)
+        a3 = np.linalg.norm(self.D3[:, :n], axis=1)
+        self.E = np.linalg.norm(aug.A_bar[k:n, :k])
+        self.norm_coef = grow * np.linalg.norm(self.D3, axis=1)
+        self.w_coef = grow * a3
+        self.x_coef = a3 * (h / 2.0) * np.exp(L * h / 2.0) * self.E \
+            + np.linalg.norm(self.D3[:, :k] + self.D3[:, n:], axis=1) * grow
+        self.w0 = np.linalg.norm(np.vstack([X0[:k] - X0[n:], X0[k:n]]), axis=0)
+        self.r0 = np.linalg.norm(X0[n:], axis=0)
+        self.mu = max(contraction_defect(aug), 0.0)
+        self.h = h
+
+    def w_norm(self, t):
+        """e^{mu t} (||w(0)|| + t ||A_t[k:, :k]|| ||x_r(0)||) per column, a
+        bound on ||x_f(t) - P x_r(t)|| with P = [I_k; 0]."""
+        return np.exp(self.mu * t) * (self.w0 + t * self.E * self.r0)
+
+    def change(self, N, W):
+        """Bound on |C_bar A_bar^3 (x(t+s) - x(t))| for |s| <= h/2, where
+        ||x(t)|| <= N and :meth:`w_norm` is W: the smaller of the one by
+        N alone and the one through w."""
+        return np.minimum(np.outer(self.norm_coef, N),
+                          np.outer(self.w_coef, W) + np.outer(self.x_coef, N))
+
+    def ends(self, X, norms, t):
+        return np.abs(self.D2 @ X), np.abs(self.D3 @ X), norms, self.w_norm(t)
+
+    def __call__(self, prev, cur):
+        # w_norm grows with t, so the later end bounds both
+        (D2a, D3a, Na, _), (D2b, D3b, Nb, Wb) = prev, cur
+        return np.maximum(D2a, D2b) + (self.h / 2.0) * (
+            np.maximum(D3a, D3b) + self.change(np.maximum(Na, Nb), Wb))
+
+
+def naive_e1_simulation(aug, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=False):
+    """Every vertex of the box ``aug.full.x0`` stepped through e^{A_bar h}
+    at h = SIM_LH / L for the outputs, and the lifted box generators
+    [c, r_1 e_1, ..., r_f e_f] beside them, whose norms, read by
+    :class:`NormRule` (``exact_norms``: at every step), sum to the bound on
+    every vertex norm.  Step j takes the larger vertex peak of its ends
+    plus h^2/8 times the generators' summed in-step |y''| bounds.  Stops at
+    the horizon or, on a contractive system, once that sum has decayed;
+    returns (bound, steps)."""
+    x0 = aug.full.x0
     X = aug.lift @ x0.vertices()
     G = aug.lift @ np.column_stack([x0.center, np.diag(x0.halfwidth)[:, x0.free_dims()]])
-    best = np.max(np.abs(aug.C_bar @ X), axis=1)
     L = float(np.linalg.norm(aug.A_bar, 2))
-    h = bmod.E1_SIM_LH / L
+    h = bmod.SIM_LH / L
     Phi = _transition(aug.A_bar, h)
-    norm = NormRule(aug, aug.p, h, exact_norms)
-    x0n = float(np.sum(np.sqrt(norm(G, 0))))
+    norm = NormRule(aug, 3 * aug.p, h, exact_norms)
+    ddot = NaiveDdot(aug, h, G)
+    peak_prev = np.max(np.abs(aug.C_bar @ X), axis=1)
+    ends_prev = ddot.ends(G, np.sqrt(norm(G, 0)), 0.0)
+    x0n = float(np.sum(ends_prev[2]))
+    best = np.zeros(aug.p)
     contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
     t = 0.0
     steps = 0
@@ -419,8 +457,12 @@ def naive_e1_simulation(aug, x0, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=
         X, G = Phi @ X, Phi @ G
         t += h
         steps += 1
-        best = np.maximum(best, np.max(np.abs(aug.C_bar @ X), axis=1))
-        xn = float(np.sum(np.sqrt(norm(G, steps))))
+        peak_cur = np.max(np.abs(aug.C_bar @ X), axis=1)
+        ends_cur = ddot.ends(G, np.sqrt(norm(G, steps)), t)
+        best = np.maximum(best, np.maximum(peak_prev, peak_cur)
+                          + (h * h / 8.0) * np.sum(ddot(ends_prev, ends_cur), axis=1))
+        peak_prev, ends_prev = peak_cur, ends_cur
+        xn = float(np.sum(ends_cur[2]))
         if contractive and xn <= decay_tol * x0n:
             decayed = True
             break
@@ -443,50 +485,41 @@ def naive_e2_simulation(aug, u_box, horizon, decay_tol=bmod.DECAY_TOL, exact_nor
     Phi = _transition(aug.A_bar, h)
     norm = NormRule(aug, 3 * p, h, exact_norms)
     X = aug.B_bar.copy()
+    ddot = NaiveDdot(aug, h, X)
     x0_norms = np.linalg.norm(X, axis=0)
     x0_norms[x0_norms == 0] = 1.0
     c_norms = np.linalg.norm(aug.C_bar, axis=1)
     contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
-    D2 = aug.C_bar @ aug.A_bar @ aug.A_bar
-    D3 = D2 @ aug.A_bar
-    d3_norms = np.linalg.norm(D3, axis=1)
     I_abs = np.zeros((p, m))
     R_run = np.zeros((p, m))
     R_max = np.zeros((p, m))
     trap_budget = np.zeros((p, m))
     Y_prev = aug.C_bar @ X
-    D2_prev = np.abs(D2 @ X)
-    D3_prev = np.abs(D3 @ X)
-    norms_prev = np.sqrt(norm(X, 0))
+    ends_prev = ddot.ends(X, np.sqrt(norm(X, 0)), 0.0)
     t = 0.0
     steps = 0
     decayed = False
     while t < horizon - 1e-12 * horizon:
         X = Phi @ X
         Y_cur = aug.C_bar @ X
-        D2_cur = np.abs(D2 @ X)
-        D3_cur = np.abs(D3 @ X)
-        norms_cur = np.sqrt(norm(X, steps + 1))
-        # in-step |y''| bound from the nearer endpoint, within h/2
-        ddot = np.maximum(D2_prev, D2_cur) + (h / 2.0) * (
-            np.maximum(D3_prev, D3_cur)
-            + np.expm1(L * h / 2.0) * np.outer(d3_norms, np.maximum(norms_prev, norms_cur)))
+        ends_cur = ddot.ends(X, np.sqrt(norm(X, steps + 1)), t + h)
+        M = ddot(ends_prev, ends_cur)
         node_prev = np.abs(R_run) + trap_budget
-        I_abs += h * (np.abs(Y_prev) + np.abs(Y_cur)) / 2.0 + (h ** 3 / 12.0) * ddot
+        I_abs += h * (np.abs(Y_prev) + np.abs(Y_cur)) / 2.0 + (h ** 3 / 12.0) * M
         R_run += h * (Y_prev + Y_cur) / 2.0
-        trap_budget += (h ** 3 / 12.0) * ddot
+        trap_budget += (h ** 3 / 12.0) * M
         node_cur = np.abs(R_run) + trap_budget
         R_max = np.maximum(R_max, np.maximum(node_prev, node_cur)
-                           + (h / 8.0) * np.abs(Y_cur - Y_prev) + (h ** 3 / 16.0) * ddot)
-        Y_prev, D2_prev, D3_prev, norms_prev = Y_cur, D2_cur, D3_cur, norms_cur
+                           + (h / 8.0) * np.abs(Y_cur - Y_prev) + (h ** 3 / 16.0) * M)
+        Y_prev, ends_prev = Y_cur, ends_cur
         t += h
         steps += 1
-        if contractive and np.all(norms_prev <= decay_tol * x0_norms):
+        if contractive and np.all(ends_prev[2] <= decay_tol * x0_norms):
             decayed = True
             break
     if decayed:
         window = max(horizon - t, 0.0)
-        tail = np.outer(c_norms, norms_prev) * (window * naive_tail_growth(aug, window))
+        tail = np.outer(c_norms, ends_prev[2]) * (window * naive_tail_growth(aug, window))
         I_abs += tail
         R_max += tail
     e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
@@ -511,12 +544,13 @@ def assert_matches(new, ref, scale):
 @pytest.fixture
 def steps_taken(monkeypatch):
     """Steps of the last e1/e2 simulation bound, counted from the per-step
-    rows that reach its accumulators (e2 runs three accumulators)."""
+    rows that reach its accumulators (e2 runs three accumulators) and its
+    vertex peaks (the state before each block comes first)."""
     counts = {"e1": 0, "e2": 0}
     peak, accumulate = bmod._vertex_peak, bmod._accumulate
 
     def counting_peak(Y):
-        counts["e1"] += len(Y) if Y.ndim == 3 else 0
+        counts["e1"] += len(Y) - 1
         return peak(Y)
 
     def counting_accumulate(carry, incs):
@@ -533,11 +567,11 @@ def steps_taken(monkeypatch):
     return take
 
 
-def check_e1(aug, x0, horizon, steps_taken):
-    ref, ref_steps = naive_e1_simulation(aug, x0, horizon)
-    new = e1_simulation(aug, x0, horizon)
+def check_e1(aug, horizon, steps_taken):
+    ref, ref_steps = naive_e1_simulation(aug, horizon)
+    new = e1_simulation(aug, horizon)
     assert steps_taken("e1") == ref_steps
-    assert_matches(new, ref, e1_simulation(mirrored(aug), x0, horizon))
+    assert_matches(new, ref, e1_simulation(mirrored(aug), horizon))
     steps_taken("e1")
     return ref_steps
 
@@ -563,8 +597,8 @@ class TestSimulationMatchesNaiveLoops:
             u_box = rand_ubox(rng, sys_.m)
             horizon = float(rng.uniform(0.2, 1.5))
             for k in sorted({1, int(rng.integers(1, n + 1)), n}):
-                aug = augment(FullOrderResponse.of(bal), k)
-                check_e1(aug, x0, horizon, steps_taken)
+                aug = augment(FullOrderResponse.of(bal, x0), k)
+                check_e1(aug, horizon, steps_taken)
                 check_e2(aug, u_box, horizon, steps_taken)
                 if n <= 8:
                     # long enough for most responses to stop on decay
@@ -578,10 +612,10 @@ class TestSimulationMatchesNaiveLoops:
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
         for k in (2, 6):
-            aug = augment(FullOrderResponse.of(bal), k)
+            aug = augment(FullOrderResponse.of(bal, x0), k)
             L = np.linalg.norm(aug.A_bar, 2)
             for count in (7, 100, 333, 1000):
-                assert check_e1(aug, x0, count * bmod.E1_SIM_LH / L, steps_taken) == count
+                assert check_e1(aug, count * bmod.SIM_LH / L, steps_taken) == count
                 assert check_e2(aug, u_box, count * bmod.SIM_LH / L, steps_taken) == count
 
     def test_motor_modes(self, steps_taken):
@@ -589,13 +623,14 @@ class TestSimulationMatchesNaiveLoops:
         for _, system, x0, duration in problem_modes(problem):
             bal = balance(system)
             for k in (3, 5, system.n):
-                aug = augment(FullOrderResponse.of(bal), k)
-                check_e1(aug, x0, duration, steps_taken)
+                aug = augment(FullOrderResponse.of(bal, x0), k)
+                check_e1(aug, duration, steps_taken)
                 check_e2(aug, problem.inputs, duration, steps_taken)
 
     def test_zero_input_columns(self, rng, steps_taken):
         bal = balance(rs.random_stable_system(rng, 7, 3, 2))
-        zero_col, zero_b = (augment(FullOrderResponse(bal.A_t, B, bal.C_t, bal.H), 4)
+        box = rand_box(rng, 7, 3)
+        zero_col, zero_b = (augment(FullOrderResponse(bal.A_t, B, bal.C_t, bal.H, box), 4)
                             for B in (bal.B_t * [1.0, 0.0, 1.0], np.zeros_like(bal.B_t)))
         u_box = rand_ubox(rng, 3)
         check_e2(zero_col, u_box, 0.7, steps_taken)
@@ -609,10 +644,10 @@ class TestSimulationMatchesNaiveLoops:
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
         for k in (2, 4, 6):
-            aug = augment(FullOrderResponse.of(bal), k)
+            aug = augment(FullOrderResponse.of(bal, x0), k)
             assert contraction_defect(aug) < 0
             L = np.linalg.norm(aug.A_bar, 2)
-            assert 0 < check_e1(aug, x0, 50.0, steps_taken) < 50.0 * L / bmod.E1_SIM_LH / 2
+            assert 0 < check_e1(aug, 50.0, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
             assert 0 < check_e2(aug, u_box, 50.0, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
 
     def test_early_stop_covers_the_rest_of_the_window(self, rng, steps_taken):
@@ -623,25 +658,26 @@ class TestSimulationMatchesNaiveLoops:
         sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
         bal = balance(sys_)
         x0, u_box = rand_box(rng, 6, 4), rand_ubox(rng, 2)
-        cases = [(augment(FullOrderResponse.of(bal), k), x0, u_box) for k in (2, 4)]
+        cases = [(augment(FullOrderResponse.of(bal, x0), k), u_box) for k in (2, 4)]
         # this one's error output is its slow state, so e2's tail is within
         # a few percent of the kernel integral it stands for
         slow = FullOrderResponse(np.diag([-60.0, -30.0]), np.ones((2, 1)),
-                                 np.array([[0.05, 1.0]]), np.eye(2))
-        cases.append((augment(slow, 1), rs.HyperBox([-1.0, 0.5], [1.0, 1.0]),
-                      rs.HyperBox([0.5], [1.0])))
-        for aug, x0, u_box in cases:
-            for kind, lh, bound, naive, box in (
-                    ("e1", bmod.E1_SIM_LH, e1_simulation, naive_e1_simulation, x0),
-                    ("e2", bmod.SIM_LH, e2_simulation, naive_e2_simulation, u_box)):
-                bound(aug, box, 50.0)
+                                 np.array([[0.05, 1.0]]), np.eye(2),
+                                 rs.HyperBox([-1.0, 0.5], [1.0, 1.0]))
+        cases.append((augment(slow, 1), rs.HyperBox([0.5], [1.0])))
+        for aug, u_box in cases:
+            for kind, bound, naive in (
+                    ("e1", e1_simulation, naive_e1_simulation),
+                    ("e2", functools.partial(e2_simulation, u_box=u_box),
+                     functools.partial(naive_e2_simulation, u_box=u_box))):
+                bound(aug, horizon=50.0)
                 stop = steps_taken(kind)
-                horizon = (stop + 3) * lh / aug.full.L
-                new = bound(aug, box, horizon)
-                assert steps_taken(kind) == stop < horizon * aug.full.L / lh
-                ref, ref_steps = naive(aug, box, horizon, decay_tol=0.0)[:2]
+                horizon = (stop + 3) * bmod.SIM_LH / aug.full.L
+                new = bound(aug, horizon=horizon)
+                assert steps_taken(kind) == stop < horizon * aug.full.L / bmod.SIM_LH
+                ref, ref_steps = naive(aug, horizon=horizon, decay_tol=0.0)[:2]
                 assert ref_steps == stop + 3
-                scale = bound(mirrored(aug), box, horizon)
+                scale = bound(mirrored(aug), horizon=horizon)
                 steps_taken(kind)
                 assert np.all(new >= ref - 1e-12 * np.maximum(np.abs(ref), scale))
 
@@ -658,7 +694,7 @@ BRACKET_CASES = [pytest.param(system, k, id=f"n{system[0]}-k{k}")
 
 @functools.cache
 def giant_bracket(system, k):
-    """Order k of a :data:`BRACKET_SYSTEMS` system: (aug, x0, horizon, the
+    """Order k of a :data:`BRACKET_SYSTEMS` system: (aug, horizon, the
     exact-norm naive e1 loop's step count, and per bound (bound, the naive
     loop's bound with exact norms at every step, the mirrored system's
     bound))."""
@@ -668,15 +704,15 @@ def giant_bracket(system, k):
     x0 = rand_box(rng, n, 3)
     u_box = rand_ubox(rng, m)
     horizon = 50.0 if decay[0] > 1.0 else 0.5
-    aug = augment(FullOrderResponse.of(bal), k)
-    ref, ref_steps = naive_e1_simulation(aug, x0, horizon, exact_norms=True)
-    bounds = [(e1_simulation(aug, x0, horizon), ref, e1_simulation(mirrored(aug), x0, horizon))]
+    aug = augment(FullOrderResponse.of(bal, x0), k)
+    ref, ref_steps = naive_e1_simulation(aug, horizon, exact_norms=True)
+    bounds = [(e1_simulation(aug, horizon), ref, e1_simulation(mirrored(aug), horizon))]
     # the fast-decaying system's e2 also over a ten times longer window
     for window in (horizon, 10.0 * horizon) if decay[0] > 1.0 else (horizon,):
         bounds.append((e2_simulation(aug, u_box, window),
                        naive_e2_simulation(aug, u_box, window, exact_norms=True)[0],
                        e2_simulation(mirrored(aug), u_box, window)))
-    return aug, x0, horizon, ref_steps, bounds
+    return aug, horizon, ref_steps, bounds
 
 
 @pytest.mark.parametrize("system, k", BRACKET_CASES)
@@ -685,12 +721,12 @@ def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
     # norms at every step, within rounding relative to the two halves' size
     # (the mirrored bound, as in assert_matches), and e1 takes at least the
     # loop's steps, stopping on decay for the fast-decaying system only
-    aug, x0, horizon, ref_steps, bounds = giant_bracket(system, k)
-    assert aug.full.impulse().stride > 1 and aug.full.initial(x0).stride > 1
+    aug, horizon, ref_steps, bounds = giant_bracket(system, k)
+    assert aug.full.orbit().stride > 1
     steps_taken("e1")
-    e1_simulation(aug, x0, horizon)
+    e1_simulation(aug, horizon)
     assert steps_taken("e1") >= ref_steps
-    assert (ref_steps * bmod.E1_SIM_LH / aug.full.L < horizon - 1.0) == (system[4][0] > 1.0)
+    assert (ref_steps * bmod.SIM_LH / aug.full.L < horizon - 1.0) == (system[4][0] > 1.0)
     for new, ref, scale in bounds:
         assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
 
@@ -714,13 +750,12 @@ class TestFullOrderResponse:
         # fresh system simulates its own full-order half
         prob = rs.random_problem(11, 48, 3, 2, free_dims=4)
         bal = balance(prob.system)
-        full = FullOrderResponse.of(bal)
+        full = FullOrderResponse.of(bal, prob.x0)
         for k in (40, 5, 20):
-            aug, fresh_aug = augment(full, k), augment(FullOrderResponse.of(bal), k)
+            aug, fresh_aug = augment(full, k), augment(FullOrderResponse.of(bal, prob.x0), k)
             assert aug.full is full and fresh_aug.full is not full
-            shared = (e1_simulation(aug, prob.x0, prob.t_f),
-                      e2_simulation(aug, prob.inputs, prob.t_f))
-            fresh = (e1_simulation(fresh_aug, prob.x0, prob.t_f),
+            shared = (e1_simulation(aug, prob.t_f), e2_simulation(aug, prob.inputs, prob.t_f))
+            fresh = (e1_simulation(fresh_aug, prob.t_f),
                      e2_simulation(fresh_aug, prob.inputs, prob.t_f))
             for a, b in zip(shared, fresh):
                 assert np.array_equal(a, b)
@@ -741,6 +776,23 @@ class TestFullOrderResponse:
         assert all(len(ids) == 1 for ids in per_mode) and per_mode[0] != per_mode[1]
         for (_, system, _, _), (_, full) in zip(problem_modes(problem), seen[:2]):
             assert np.array_equal(full.A, balance(system).A_t)
+
+    def test_one_orbit_per_mode(self, monkeypatch):
+        # both simulation bounds at every order of a mode read one orbit,
+        # and each of the motor's two modes builds its own
+        problem = rs.motor_benchmark()
+        built = []
+        orbit = bmod._Orbit
+
+        def recording(A, *args):
+            built.append(A)
+            return orbit(A, *args)
+        monkeypatch.setattr(bmod, "_Orbit", recording)
+        verdict = rs.verify_pss(problem, rs.VerifyOptions(k0=3, k_max=5))
+        assert verdict.k_used == 5 and len(verdict.per_k_log) == 3
+        assert len(built) == 2
+        for (_, system, _, _), A in zip(problem_modes(problem), built):
+            assert np.array_equal(A, balance(system).A_t)
 
 
 # --------------------------------------------------------------------------
@@ -858,18 +910,18 @@ def test_giant_steps_match_step_loop(case):
 
 
 def test_giant_step_paths_by_shape(monkeypatch):
-    # the motor's e2 orbits and the golden instances' keep the per-step path
-    # (their e1 orbits, at n >= 4 p, take giant steps); the sweep's mode, at
-    # n = 150 and p = 4, takes giant steps of 12 (e2, 3p rows) and 37 (e1)
-    for _, system, _, _ in problem_modes(rs.motor_benchmark()):
-        assert FullOrderResponse.of(balance(system)).impulse().stride == 1
+    # the motor's orbits and the golden instances' keep the per-step path;
+    # the sweep's mode, at n = 150 and p = 4, takes giant steps of 12 (3p
+    # rows) for its 12 input columns and 7 generator columns together
+    for _, system, x0, _ in problem_modes(rs.motor_benchmark()):
+        assert FullOrderResponse.of(balance(system), x0).orbit().stride == 1
     for n, seed in ((6, 7), (8, 6)):
-        system = rs.random_problem(seed, n, 1, 1).system
-        assert FullOrderResponse.of(balance(system)).impulse().stride == 1
+        prob = rs.random_problem(seed, n, 1, 1)
+        assert FullOrderResponse.of(balance(prob.system), prob.x0).orbit().stride == 1
     prob = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9)
-    full = FullOrderResponse.of(balance(prob.system))
-    impulse, initial = full.impulse(), full.initial(prob.x0)
-    assert (impulse.stride, initial.stride) == (12, 37)
+    full = FullOrderResponse.of(balance(prob.system), prob.x0)
+    orbit = full.orbit()
+    assert orbit.stride == 12 and orbit.head[0].shape == (1, 4, 12 + 7)
     # on the giant path only giant states are formed: every full-order
     # state block holds block / stride states, never a whole block's
     shapes = []
@@ -881,20 +933,22 @@ def test_giant_step_paths_by_shape(monkeypatch):
         return out
     monkeypatch.setattr(bmod, "_propagate", recording)
     aug = augment(full, 5)
-    e1_simulation(aug, prob.x0, prob.t_f)
+    e1_simulation(aug, prob.t_f)
     e2_simulation(aug, prob.inputs, prob.t_f)
     full_shapes = {shape for shape in shapes if shape[0] == 150}
-    assert full_shapes == {(150, impulse.block // 12 * 12), (150, initial.block // 37 * 7)}
-    assert all(shape[0] == 5 for shape in shapes if shape[0] != 150)
+    assert full_shapes == {(150, orbit.block // 12 * 19)}
+    # each order steps its reduced input and generator columns on its own
+    assert {shape for shape in shapes if shape[0] != 150} == {
+        (5, orbit.block * 12), (5, orbit.block * 7)}
 
 
 class TestContractionPerMode:
     def test_mode_defect_is_every_orders_defect(self, rng):
         for n in (5, 14, 30):
             bal = balance(rs.random_stable_system(rng, n, 2, 2))
-            full = FullOrderResponse.of(bal)
+            full = response(bal)
             for k in range(1, n + 1):
-                aug = augment(FullOrderResponse.of(bal), k)
+                aug = augment(response(bal), k)
                 assert full.defect == pytest.approx(contraction_defect(aug),
                                                     abs=1e-14 * full.L)
 
@@ -905,7 +959,7 @@ class TestContractionPerMode:
         bal = balance(prob.system)
         fresh = {}
         for k in (3, 9, 20):
-            aug = augment(FullOrderResponse.of(bal), k)
+            aug = augment(FullOrderResponse.of(bal, prob.x0), k)
             fresh[k] = e1_theoretical(aug, prob.x0), e1_optimization(aug, prob.x0)
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -914,7 +968,7 @@ class TestContractionPerMode:
             calls.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        full = FullOrderResponse.of(bal)
+        full = FullOrderResponse.of(bal, prob.x0)
         for k, (t1, t2) in fresh.items():
             aug = augment(full, k)
             assert np.array_equal(e1_theoretical(aug, prob.x0), t1)
@@ -923,12 +977,12 @@ class TestContractionPerMode:
 
     def test_noncontractive_mode_refused(self):
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
-        full = FullOrderResponse(A, np.ones((2, 1)), np.ones((1, 2)), np.eye(2))
+        box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
+        full = FullOrderResponse(A, np.ones((2, 1)), np.ones((1, 2)), np.eye(2), box)
         aug = augment(full, 1)
         assert np.array_equal(aug.A_bar, scipy.linalg.block_diag(A, A[:1, :1]))
         assert full.defect == pytest.approx(contraction_defect(aug), abs=1e-14)
         assert not full.contractive
-        box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
         with pytest.raises(BoundError, match="not contractive"):
             e1_theoretical(aug, box)
         assert np.all(np.isfinite(e1_optimization(aug, box)))
@@ -986,7 +1040,7 @@ def test_e2_simulation_bounds_fine_grid_integrals(case):
     n = bal.A_t.shape[0]
     u_inf = np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
     for k in (1, n - 1, n):
-        aug = augment(FullOrderResponse.of(bal), k)
+        aug = augment(response(bal), k)
         e2 = e2_simulation(aug, u_box, horizon)
         h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
         I_abs, R = fine_kernel_integrals(aug, aug.C_bar, horizon, h)
@@ -996,25 +1050,54 @@ def test_e2_simulation_bounds_fine_grid_integrals(case):
         assert np.all(e2 >= center + I_abs @ u_box.halfwidth - slack)
 
 
+@settings(deadline=None, max_examples=30)
+@given(e2_cases())
+def test_in_step_change_bound_covers_the_exact_change(case):
+    # the bound on the change of C_bar A_bar^3 x within h/2 of a state, by
+    # its norm or through w = x_f - P x_r, covers the exact change of the
+    # input and lifted initial columns at every order, and ||w|| stays
+    # within its bound; at k = n both are 0 to rounding, which the 1e-12 of
+    # the two halves' size covers
+    bal, _, horizon = case
+    n = bal.A_t.shape[0]
+    rng = np.random.default_rng(n)
+    for k in sorted({1, n - 1, n}):
+        aug = augment(response(bal), k)
+        h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
+        X0 = np.hstack([aug.B_bar, aug.lift @ rng.standard_normal((n, 3))])
+        ddot = NaiveDdot(aug, h, X0)
+        halves = np.sum(np.abs(ddot.D3), axis=1)
+        for t in np.linspace(0.0, horizon, 6):
+            X = scipy.linalg.expm(aug.A_bar * t) @ X0
+            w = X[:n] - np.vstack([X[n:], np.zeros((n - k, X.shape[1]))])
+            W = ddot.w_norm(t)
+            assert np.all(np.linalg.norm(w, axis=0) <= W * (1 + 1e-9) + 1e-12 * np.max(np.abs(X)))
+            bound = ddot.change(np.linalg.norm(X, axis=0), W)
+            slack = 1e-12 * np.outer(halves, np.max(np.abs(X), axis=0))
+            for s in np.linspace(-h / 2.0, h / 2.0, 9):
+                exact = np.abs(ddot.D3 @ (scipy.linalg.expm(aug.A_bar * s) @ X - X))
+                assert np.all(exact <= bound + slack)
+
+
 # --------------------------------------------------------------------------
 # The simulation e1 bound on wide initial boxes (no vertex is enumerated)
-# against sampled vertices stepped on a grid 10 times finer than its step.
+# against sampled vertices stepped on a grid 50 times finer than its step.
 
-def fine_vertex_peaks(aug, X, horizon, h):
+def fine_vertex_peaks(aug, X, horizon, h, fine=50):
     """max over [0, horizon] of |C_bar x(t)| per output for the lifted
-    initial states X, sampled at step h/10."""
-    Phi = _transition(aug.A_bar, h / 10.0)
-    # C_bar Phi^a for a = 0 ... 9, then whole coarse steps of Phi^10
+    initial states X, sampled at step h / ``fine``."""
+    Phi = _transition(aug.A_bar, h / fine)
+    # C_bar Phi^a for a = 0 ... fine-1, then whole coarse steps of Phi^fine
     offsets = [aug.C_bar]
-    for _ in range(9):
+    for _ in range(fine - 1):
         offsets.append(offsets[-1] @ Phi)
     offsets = np.vstack(offsets)
-    Phi10 = np.linalg.matrix_power(Phi, 10)
+    Phi_h = np.linalg.matrix_power(Phi, fine)
     samples = []
     for _ in range(int(horizon / h) + 1):
-        samples.append(np.max(np.abs(offsets @ X).reshape(10, aug.p, -1), axis=2))
-        X = Phi10 @ X
-    return np.max(np.concatenate(samples)[:int(horizon / (h / 10.0)) + 1], axis=0)
+        samples.append(np.max(np.abs(offsets @ X).reshape(fine, aug.p, -1), axis=2))
+        X = Phi_h @ X
+    return np.max(np.concatenate(samples)[:int(horizon / (h / fine)) + 1], axis=0)
 
 
 def wide_box_case(seed, n, nfree, k, horizon, fast):
@@ -1024,8 +1107,9 @@ def wide_box_case(seed, n, nfree, k, horizon, fast):
     rng = np.random.default_rng(seed)
     sys_ = rs.random_stable_system(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                                    decay=(5.0, 10.0) if fast else (0.5, 2.0))
-    aug = augment(FullOrderResponse.of(balance(sys_)), k)
-    return aug, rand_box(rng, n, nfree), horizon, rng
+    x0 = rand_box(rng, n, nfree)
+    aug = augment(FullOrderResponse.of(balance(sys_), x0), k)
+    return aug, horizon, rng
 
 
 @st.composite
@@ -1046,20 +1130,41 @@ def wide_box_cases(draw):
 @given(case=wide_box_cases())
 def test_e1_simulation_covers_sampled_vertices_of_wide_boxes(case):
     # finite at any number of free dims, at least every sampled vertex's
-    # fine-grid peak once bloated by the default gamma (as the verifier
-    # bloats it: a vertex whose peak falls between grid samples may exceed
-    # the unbloated bound, by 1.8e-6 relative at n = 2 with one free dim),
-    # and at most theorem1 where the error system contracts
-    aug, x0, horizon, rng = case
-    e1 = e1_simulation(aug, x0, horizon)
+    # peak on a grid 50 times finer than its step, unbloated (a vertex
+    # whose peak falls between the steps is covered by the in-step
+    # envelope), and at most theorem1 where the error system contracts
+    aug, horizon, rng = case
+    x0 = aug.full.x0
+    e1 = e1_simulation(aug, horizon)
     assert np.all(np.isfinite(e1))
     free = x0.free_dims()
     signs = rng.choice([-1.0, 1.0], size=(len(free), 64))
     X = np.repeat(x0.center[:, None], 64, axis=1)
     X[free] += x0.halfwidth[free, None] * signs
-    h = bmod.E1_SIM_LH / aug.full.L
-    peak = fine_vertex_peaks(aug, aug.lift @ X, horizon, h)
-    scale = e1_simulation(mirrored(aug), x0, horizon)
-    assert np.all((1.0 + bmod.GAMMA_DEFAULT) * e1 >= peak - 1e-12 * scale)
+    peak = fine_vertex_peaks(aug, aug.lift @ X, horizon, aug.full.orbit().h)
+    scale = e1_simulation(mirrored(aug), horizon)
+    assert np.all(e1 >= peak - 1e-12 * scale)
     if aug.full.contractive:
         assert np.all(e1 <= e1_theoretical(aug, x0) * (1 + 1e-9))
+
+
+def test_e1_simulation_covers_a_peak_between_steps():
+    # a lightly damped oscillator whose error output peaks in the middle of
+    # e1's first step: the largest sample misses the peak by about
+    # (omega h / 2)^2 / 2 = 3e-4 relative, and the in-step envelope covers
+    # it, within 1e-3 of the peak.  The reduced state's output column is
+    # zero, so the error output is the full-order one,
+    # e^{-zeta omega t} cos(omega t - phi) from x0 = (-sin phi, cos phi).
+    omega, zeta = 2.0 * np.pi, 1e-3
+    A = omega * np.array([[-zeta, 1.0], [-1.0, -zeta]])
+    h = bmod.SIM_LH / np.linalg.norm(A, 2)
+    phi = omega * h / 2.0
+    x0 = rs.HyperBox([-np.sin(phi), np.cos(phi)], [-np.sin(phi), np.cos(phi)])
+    full = FullOrderResponse(A, np.zeros((2, 1)), np.array([[0.0, 1.0]]), np.eye(2), x0)
+    aug = augment(full, 1)
+    assert full.orbit().h == h and full.contractive
+    e1 = e1_simulation(aug, 3.0)
+    on_steps = fine_vertex_peaks(aug, aug.lift @ x0.center[:, None], 3.0, h, fine=1)
+    peak = fine_vertex_peaks(aug, aug.lift @ x0.center[:, None], 3.0, h, fine=1000)
+    assert np.all(on_steps < peak * (1.0 - 2e-4))
+    assert np.all(peak <= e1) and np.all(e1 <= peak * (1.0 + 1e-3))

@@ -288,25 +288,22 @@ class TestVerifyCmd:
         assert main(["verify", str(small_manifest(tmp_path)), flag, value]) == 3
         assert f"error: {field} must be" in capsys.readouterr().err
 
-    def test_nan_gamma_exits_three_naming_gamma(self, tmp_path, capsys):
-        # NaN passes a `gamma < 0` test; it must be refused by the flag's name
-        # before it reaches the bounds, not later as a non-finite delta
-        path = tmp_path / "g.json"
-        assert main(["gen", "-n", "6", "--seed", "7", "--output", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["verify", str(path), "--gamma", "nan"]) == 3
-        err = capsys.readouterr().err
-        assert "error: gamma must be nonnegative" in err and "delta" not in err
-
     @pytest.mark.parametrize("command, flag", [
         *(pytest.param(c, ["--order-cap", "20"], id=c) for c in ("verify", "verify-pss", "reach")),
         *(pytest.param(c, ["--no-split"], id=f"{c}-no-split")
+          for c in ("verify", "verify-pss", "bounds")),
+        *(pytest.param(c, ["--gamma", "0.01"], id=f"{c}-gamma")
           for c in ("verify", "verify-pss", "bounds"))])
     def test_order_cap_removed(self, tmp_path, capsys, command, flag):
         # removed flags are unknown flags, exit 3
         with pytest.raises(SystemExit) as exc:
             main([command, str(small_manifest(tmp_path)), *flag])
         assert exc.value.code == 3 and "unrecognized arguments" in capsys.readouterr().err
+
+    def test_gamma_option_removed(self):
+        # every bound is rigorous as computed, so no bloat factor is left
+        with pytest.raises(TypeError, match="gamma"):
+            rs.VerifyOptions(gamma=0.01)
 
     def test_missing_manifest_exits_three(self, tmp_path):
         code, out, err = run_cli("verify", tmp_path / "absent.json")

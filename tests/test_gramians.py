@@ -340,6 +340,11 @@ def reference_e1_optimization(aug, x0):
     return out
 
 
+def unit_box(n):
+    """The box [-1, 1]^n."""
+    return rs.HyperBox(-np.ones(n), np.ones(n))
+
+
 def noncontractive_augmented(rng, n, k, p):
     """Hurwitz (triangular) and, unless n is small, not contractive, so the
     certificates and not the scaled identity decide the bound.  The coupling is mild: both ways of
@@ -348,7 +353,7 @@ def noncontractive_augmented(rng, n, k, p):
     A = -np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
     C = rng.standard_normal((p, n))
     H = rng.standard_normal((n, n))
-    return augment(FullOrderResponse(A, np.zeros((n, 1)), C, H), k)
+    return augment(FullOrderResponse(A, np.zeros((n, 1)), C, H, unit_box(n)), k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -367,7 +372,7 @@ def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
              ((3, 1, 1), (5, 2, 3), (8, 8, 2), (12, 5, 4))]
     for n in (6, 14):
         bal = balance(rs.random_stable_system(rng, n, 2, 3))
-        cases += [augment(FullOrderResponse.of(bal), k) for k in (4, n)]
+        cases += [augment(FullOrderResponse.of(bal, unit_box(n)), k) for k in (4, n)]
     kinds = []
     for aug in cases:
         scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
@@ -399,8 +404,8 @@ def test_every_certificate_meets_its_own_residual(rng, monkeypatch):
     aug = noncontractive_augmented(rng, 5, 2, 2)
     with pytest.raises(rs.bounds.BoundError, match="no quadratic certificate met"):
         e1_optimization(aug, rs.HyperBox(-np.ones(5), np.ones(5)))
-    aug = augment(FullOrderResponse.of(balance(rs.random_stable_system(rng, 6, 1, 2))), 3)
-    box = rs.HyperBox(-np.ones(6), np.ones(6))
+    box = unit_box(6)
+    aug = augment(FullOrderResponse.of(balance(rs.random_stable_system(rng, 6, 1, 2)), box), 3)
     assert np.array_equal(e1_optimization(aug, box), bmod.e1_theoretical(aug, box))
 
 

@@ -190,6 +190,14 @@ class TestStability:
         with pytest.raises(rs.ModelError, match="margin"):
             rs.check_stability(rs.LtiSystem([[-1.0]], [[1.0]], [[1.0]]), margin=-1.0)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0])
+    def test_margin_must_be_finite_positive(self, margin):
+        # NaN passes a `margin <= 0` test and would report stable=False with
+        # margin=nan; it is refused like any other margin that is not a
+        # finite positive real
+        with pytest.raises(rs.ModelError, match="stability margin must be"):
+            rs.check_stability(rs.LtiSystem([[-1.0]], [[1.0]], [[1.0]]), margin=margin)
+
 
 class TestManifests:
     def test_minimal_manifest_parses(self, tmp_path):

@@ -248,6 +248,17 @@ class TestSimulate:
         assert traj.times.shape == (1,)
         assert traj.outputs[0, 0] == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("t_f, h, name", [
+        (1.0, float("nan"), "step h"), (1.0, float("inf"), "step h"), (1.0, -0.1, "step h"),
+        (float("nan"), 0.1, "t_f"), (float("inf"), 0.1, "t_f"), (float("-inf"), 0.1, "t_f"),
+        (float("nan"), None, "t_f"), (float("inf"), None, "t_f")])
+    def test_non_finite_arguments_refused(self, t_f, h, name):
+        # NaN passes a `h <= 0` test; every non-finite t_f or h is refused by
+        # name, before a step count is drawn from it
+        sys_ = rs.LtiSystem([[-1.0]], [[1.0]], [[3.0]])
+        with pytest.raises(rs.ModelError, match=f"^{name} must be"):
+            simulate(sys_, np.array([2.0]), None, t_f, h)
+
 
 class TestCheckSpec:
     def _steps(self, center, rad):

@@ -11,9 +11,10 @@ gaps between their steps with a rigorous second-order envelope, from one
 in-step bound on |y''| per column, so no candidate is bloated.
 
 Both simulation bounds hold on a finite window [0, horizon] (t_f, or a PSS
-mode's duration) and share one stop rule: they stop at the horizon, or
-earlier only when the augmented system is contractive and its simulated
-response has decayed, at T.  A monotone tail covers the rest of the window:
+mode's duration) and read one walk of each order's augmented orbit.  It
+stops at the horizon, or earlier only when the augmented system is
+contractive and every column has decayed, at T.  A monotone tail covers the
+rest of the window:
 ||x(t)|| <= e^{mu tau} ||x(T)|| on [T, horizon], tau = horizon - T, with
 mu = max(lambda_max(sym A_bar), 0), which a contractive system keeps within
 the contraction tolerance.  So e1 bounds |y_i| there by ||C_i|| e^{mu tau}
@@ -25,12 +26,11 @@ The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 every simulated response are the same at every order k.  By Cauchy
 interlacing so is lambda_max(sym A_bar) = lambda_max(sym A_t), the
 contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
-computes these once per mode and simulates that half once, keeping only its
-output samples and state-norm bounds, exact where its states are formed;
-:func:`augment` builds each order's system from it and stores it there, and
-each order then simulates only its k-dimensional reduced half.  The
-full-order half is one orbit, from the input columns and the initial box's
-generators side by side.  Both halves
+binds the mode's initial box and horizon, computes these once per mode and
+simulates that half once, from the input columns and the box's generators
+side by side, keeping only its output samples and state-norm bounds, exact
+where its states are formed; :func:`augment` builds each order's system
+from it, which simulates only its k-dimensional reduced half.  Both halves
 are simulated in blocks of steps built by doubling: within a block, the
 states f+1 ... 2f are Phi^f times the states 1 ... f, from Phi, Phi^2,
 Phi^4, ... computed once per orbit, so a block costs about log2(block)
@@ -94,8 +94,9 @@ class AugmentedSystem:
     A_bar = diag(A_t, A_r), B_bar stacks (B_t, B_r), C_bar = [C_t, -C_r];
     ``lift`` maps a full-order initial state to (H x0, H[:k] x0).  ``full``
     is the mode's response, whose A, B, C and H are A_t, B_t, C_t and H: the
-    bounds read the full-order half, the contraction test and (e1's
-    simulation) the initial box from it.
+    bounds read the full-order half, the contraction test, the initial box
+    and the horizon from it.  Both simulation bounds read ``simulated``, one
+    walk of this order's augmented orbit.
     """
 
     A_bar: np.ndarray
@@ -114,17 +115,21 @@ class AugmentedSystem:
     def m(self) -> int:
         return self.B_bar.shape[1]
 
-    def lift_box(self, x0: HyperBox) -> HyperBox:
+    def lift_box(self) -> HyperBox:
         """Componentwise-exact interval hull of the lifted initial states
-        ``lift @ x0`` over a full-order box."""
-        if x0.dim != self.n:
-            raise ModelError(f"x0 has dim {x0.dim}, expected n={self.n}")
-        return box_image(self.lift, x0)
+        ``lift @ x0`` over the mode's box ``full.x0``."""
+        return box_image(self.lift, self.full.x0)
+
+    @functools.cached_property
+    def simulated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What both simulation bounds read from one walk (:func:`_simulate`)."""
+        return _simulate(self)
 
 
 def augment(full: FullOrderResponse, k: int) -> AugmentedSystem:
     """Augmented error system for the order-k truncation of the mode whose
-    response is ``full`` (``FullOrderResponse.of(bal, x0)``, one per mode).
+    response is ``full`` (``FullOrderResponse.of(bal, x0, horizon)``, one per
+    mode).
 
     Takes a bare order with no p < k requirement, so degenerate cases
     (k = n = p) remain constructible for oracle checks.
@@ -149,16 +154,16 @@ def sup_box_norm(box: HyperBox) -> float:
     return float(np.linalg.norm(np.maximum(np.abs(box.lb), np.abs(box.ub))))
 
 
-def _contractive_bound(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+def _contractive_bound(aug: AugmentedSystem) -> np.ndarray:
     """||C_bar_i||_2 * sup ||x0_bar|| per output, with x0_bar ranging over the
-    lift of the full-order initial box ``x0``: theorem1's bound, and
-    theorem2's on a contractive system."""
-    return np.linalg.norm(aug.C_bar, axis=1) * sup_box_norm(aug.lift_box(x0))
+    lift of the mode's initial box: theorem1's bound, and theorem2's on a
+    contractive system."""
+    return np.linalg.norm(aug.C_bar, axis=1) * sup_box_norm(aug.lift_box())
 
 
-def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+def e1_theoretical(aug: AugmentedSystem) -> np.ndarray:
     """Zero-input bound ||C_bar_i||_2 * sup ||x0_bar|| per output, with x0_bar
-    ranging over the lift of the full-order initial box ``x0``.
+    ranging over the lift of the mode's initial box ``aug.full.x0``.
 
     Valid for all t >= 0 because the balanced augmented system is monotone
     convergent (||x_bar(t)|| never exceeds ||x_bar(0)||); the square root on
@@ -169,15 +174,15 @@ def e1_theoretical(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
         raise BoundError(
             "augmented system is not contractive (lambda_max(sym A_bar) = "
             f"{aug.full.defect:.3e}); the zero-input bound would be unsound")
-    return _contractive_bound(aug, x0)
+    return _contractive_bound(aug)
 
 
-def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
+def e1_optimization(aug: AugmentedSystem) -> np.ndarray:
     """Zero-input bound via a feasible (not trace-optimal) quadratic certificate.
 
     A P > 0 with A_bar^T P + P A_bar <= 0 and C_i^T C_i <= P bounds output i
-    by sqrt(lambda_max(P)) times the sup norm of the lifted full-order box
-    ``x0``.  Any such P has lambda_max(P) >= C_i P C_i^T / ||C_i||^2 >=
+    by sqrt(lambda_max(P)) times the sup norm of the lifted initial box
+    ``aug.full.x0``.  Any such P has lambda_max(P) >= C_i P C_i^T / ||C_i||^2 >=
     ||C_i||^2, so on a contractive A_bar, where ||C_i||^2 I is feasible, that
     scaled identity is best and its value is returned without a solve.
     Otherwise the candidates are alpha P(eps) over a grid of shifts, with
@@ -190,8 +195,8 @@ def e1_optimization(aug: AugmentedSystem, x0: HyperBox) -> np.ndarray:
     mode's response ``aug.full``.
     """
     if aug.full.contractive:
-        return _contractive_bound(aug, x0)
-    sup_norm = sup_box_norm(aug.lift_box(x0))
+        return _contractive_bound(aug)
+    sup_norm = sup_box_norm(aug.lift_box())
     failure = BoundError(f"no quadratic certificate met the residual tolerance {LYAP_TOL:.1e}")
     At = aug.A_bar.T
     eye = np.eye(At.shape[0])
@@ -325,19 +330,19 @@ class _Orbit:
             bounds.reshape(self.block, width)]
 
 
-def _error_orbit(full: _Orbit, cols: slice, A_r: np.ndarray, X_r: np.ndarray,
+def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
                  maps_r: tuple[np.ndarray, ...]):
-    """Projected blocks of the augmented orbit: the columns ``cols`` of the
-    shared full-order orbit plus this order's reduced part from X_r, stepped
-    by the same h and built by the same doubling.  Step 0 comes first as a
-    block of its own, then blocks of ``full.block`` steps."""
+    """Projected blocks of the augmented orbit: the shared full-order orbit
+    plus this order's reduced part from X_r, stepped by the same h and built
+    by the same doubling.  Step 0 comes first as a block of its own, then
+    blocks of ``full.block`` steps."""
     width = X_r.shape[1]
-    yield [f[..., cols] + r for f, r in zip(full.head, _project(X_r, width, maps_r))]
+    yield [f + r for f, r in zip(full.head, _project(X_r, width, maps_r))]
     powers = _doubling_powers(_transition(A_r, full.h), full.block)
     for i in itertools.count():
         states = _propagate(powers, X_r, full.block)
         X_r = states[:, -width:].copy()
-        yield [f[..., cols] + r for f, r in zip(full[i], _project(states, width, maps_r))]
+        yield [f + r for f, r in zip(full[i], _project(states, width, maps_r))]
 
 
 def _block_times(t: float, h: float, count: int) -> np.ndarray:
@@ -350,32 +355,10 @@ def _accumulate(carry: np.ndarray, incs: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([carry[None], incs]), axis=0)[1:]
 
 
-def _require_horizon(horizon: float) -> None:
-    """Refuse a window the simulation bounds could not reach."""
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ModelError(f"horizon must be a finite positive real, got {horizon}")
-
-
-def _stop(full: FullOrderResponse, times: np.ndarray, horizon: float,
-          decayed: np.ndarray) -> tuple[int | None, float | None]:
-    """The stop rule of both simulation bounds in a block of states at
-    ``times``: the first state that reaches the horizon (up to 1e-12
-    relative, the rounding of the accumulated times) or, when the mode is
-    contractive, has ``decayed``.  Returns (end, window): ``end`` is None
-    when the block runs on, else the number of its states up to and
-    including that one (at time T); ``window`` is horizon - T after a stop
-    on decay, the part of the window the tails cover, and None otherwise."""
-    decayed = full.contractive & decayed
-    stop = (times >= horizon - 1e-12 * horizon) | decayed
-    if not stop.any():
-        return None, None
-    j = int(np.argmax(stop))
-    return j + 1, (max(horizon - float(times[j]), 0.0) if decayed[j] else None)
-
-
 class FullOrderResponse:
     """The full-order half of the simulation bounds of one mode with its
-    initial box ``x0``, shared by every order k.
+    initial box ``x0`` and its window [0, ``horizon``] (t_f, or a PSS mode's
+    duration), shared by every order k, whose bounds read the box and window here.
 
     One orbit starts from [B_t | H c | H r_1 e_1 ... H r_f e_f], the input
     columns beside the lifted generators of ``x0`` (center c, free
@@ -383,16 +366,19 @@ class FullOrderResponse:
     per column: e2 reads the first m columns and e1 the rest, from which
     every vertex's output and a bound on its norm follow.  It is simulated
     lazily, block by block, as far as the orders asking for it need.  Build
-    one per mode with ``FullOrderResponse.of(bal, x0)`` and every order's
-    augmented system from it with :func:`augment`.
+    one per mode with ``FullOrderResponse.of(bal, x0, horizon)`` and every
+    order's augmented system from it with :func:`augment`.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray,
-                 x0: HyperBox):
+                 x0: HyperBox, horizon: float):
         if x0.dim != A.shape[0]:
             raise ModelError(f"x0 has dim {x0.dim}, expected n={A.shape[0]}")
+        # written so that NaN fails the test
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ModelError(f"horizon must be a finite positive real, got {horizon}")
         self.A, self.B, self.C, self.H, self.x0 = A, B, C, H, x0
-        self._orbit: _Orbit | None = None
+        self.horizon = float(horizon)
 
     @functools.cached_property
     def L(self) -> float:
@@ -413,23 +399,18 @@ class FullOrderResponse:
         defect is at most CONTRACTION_TOL_REL * max(1, ||A_bar||_2)."""
         return self.defect <= CONTRACTION_TOL_REL * max(1.0, self.L)
 
-    def growth(self, t: float) -> float:
-        """e^{mu t} with mu = max(defect, 0): ||e^{A_bar t}||_2 <= e^{mu t}
-        for t >= 0 at every order, and 1.0 on a mode whose defect is <= 0."""
-        return float(np.exp(max(self.defect, 0.0) * t))
-
     @classmethod
-    def of(cls, bal: BalancedRealization, x0: HyperBox) -> "FullOrderResponse":
-        return cls(bal.A_t, bal.B_t, bal.C_t, bal.H, x0)
+    def of(cls, bal: BalancedRealization, x0: HyperBox,
+           horizon: float) -> "FullOrderResponse":
+        return cls(bal.A_t, bal.B_t, bal.C_t, bal.H, x0, horizon)
 
+    @functools.cached_property
     def orbit(self) -> _Orbit:
         """The mode's orbit at step SIM_LH / L, read through (C, CA^2, CA^3)."""
-        if self._orbit is None:
-            CA2 = self.C @ self.A @ self.A
-            self._orbit = _Orbit(self.A, SIM_LH / self.L if self.L > 0 else 1.0,
-                                 np.hstack([self.B, self.H @ _box_generators(self.x0)]),
-                                 (self.C, CA2, CA2 @ self.A), self.defect)
-        return self._orbit
+        CA2 = self.C @ self.A @ self.A
+        return _Orbit(self.A, SIM_LH / self.L if self.L > 0 else 1.0,
+                      np.hstack([self.B, self.H @ _box_generators(self.x0)]),
+                      (self.C, CA2, CA2 @ self.A), self.defect)
 
 
 def _box_generators(box: HyperBox) -> np.ndarray:
@@ -437,29 +418,32 @@ def _box_generators(box: HyperBox) -> np.ndarray:
     return np.hstack([box.center[:, None], Zonotope.from_box(box).generators])
 
 
-def _walk(aug: AugmentedSystem, cols: slice, X0: np.ndarray, horizon: float, decayed):
-    """The block walk of both simulation bounds: the columns ``cols`` of the
-    mode's orbit, whose augmented start columns are X0, with this order's
-    reduced half from X0[n:], to the stop of :func:`_stop` under the
-    bound's own ``decayed`` rule (a map from the state-norm bounds
-    (steps, width) of a block to one flag per step).
+def _walk(aug: AugmentedSystem, X0: np.ndarray):
+    """The one block walk of this order's augmented orbit: the mode's orbit,
+    whose augmented start columns are X0, with this order's reduced half
+    from X0[n:].  It stops at the first state that reaches the horizon (up
+    to 1e-12 relative, the rounding of the accumulated times) or, on a
+    contractive mode, has decayed: every column's state-norm bound is at
+    most DECAY_TOL times its norm at t = 0.  Each bound's tail holds from
+    any stop time T, so one rule serves every column.
 
     Yields per block (Y, ddot, N, window) over its steps up to the stop,
     with the state before the block prepended, so that step j runs from
     state j to state j + 1: the error outputs Y (steps+1, p, width), the
     in-step |y''| bounds ddot (steps, p, width), the state-norm bounds N
-    (steps+1, width), and ``window`` as :func:`_stop` returns it.
+    (steps+1, width), and ``window``, horizon - T after a stop on decay
+    (the part of the window the tails cover) and None otherwise.
     """
     n, k, full = aug.n, aug.k, aug.full
-    orbit = full.orbit()
-    h, mu = orbit.h, max(full.defect, 0.0)
+    orbit = full.orbit
+    h, mu, horizon = orbit.h, max(full.defect, 0.0), full.horizon
     A_r, C_r, X_r = aug.A_bar[n:, n:], aug.C_bar[:, n:], X0[n:]
     # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
     # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
     # and C_i A^3 x bounds its change within a step
     D2_r = C_r @ A_r @ A_r
     D3_r = D2_r @ A_r
-    blocks = _error_orbit(orbit, cols, A_r, X_r, (C_r, D2_r, D3_r))
+    blocks = _error_orbit(orbit, A_r, X_r, (C_r, D2_r, D3_r))
     d3_full = orbit.maps[2]
     d3_norms = np.linalg.norm(np.hstack([d3_full, D3_r]), axis=1)
     # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
@@ -482,6 +466,7 @@ def _walk(aug: AugmentedSystem, cols: slice, X0: np.ndarray, horizon: float, dec
         + np.linalg.norm(d3_full[:, :k] + D3_r, axis=1) * half_grow
     w0 = np.linalg.norm(np.vstack([X0[:k] - X_r, X0[k:n]]), axis=0)
     r0 = np.linalg.norm(X_r, axis=0)
+    decay_at = DECAY_TOL * np.linalg.norm(X0, axis=0)
     # that bound is the smaller for row i only where x_coef_i < norm_coef_i
     # and ||w|| < rho_i ||x||, rho_i = (norm_coef_i - x_coef_i) / w_coef_i;
     # a block is checked against the largest rho_i before it is formed
@@ -495,7 +480,10 @@ def _walk(aug: AugmentedSystem, cols: slice, X0: np.ndarray, horizon: float, dec
         times = _block_times(t, h, len(Y))
         D2, D3 = np.abs(D2), np.abs(D3)
         norms = np.sqrt(sq)
-        end, window = _stop(full, times, horizon, decayed(norms))
+        decayed = full.contractive & np.all(norms <= decay_at, axis=1)
+        stop = (times >= horizon - 1e-12 * horizon) | decayed
+        end = int(np.argmax(stop)) + 1 if stop.any() else None
+        window = max(horizon - float(times[end - 1]), 0.0) if end and decayed[end - 1] else None
         Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
                             for a, b in zip(prev, (Y, D2, D3, norms)))
         # in-step |y''| bound M: every point of a step lies within h/2 of
@@ -528,9 +516,57 @@ def _vertex_peak(Y: np.ndarray) -> np.ndarray:
     return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
 
 
-def e1_simulation(aug: AugmentedSystem, horizon: float) -> np.ndarray:
-    """Zero-input bound on [0, horizon] over the initial box of the mode's
-    response ``aug.full``, by simulating the box's generators.
+def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e1, I_abs, R_max), tails included, from one :func:`_walk` over the
+    augmented start columns [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f]:
+    e1 per output from the box's generators, and from the first m, the
+    input columns, per output and channel the |kernel| integral I_abs and
+    the bound R_max on the running signed kernel integral that
+    :func:`e2_simulation` reads."""
+    m, p, h = aug.m, aug.p, aug.full.orbit.h
+    X0 = np.hstack([aug.B_bar, aug.lift @ _box_generators(aug.full.x0)])
+    bulge = h ** 2 / 8.0
+    e1 = np.zeros(p)
+    I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
+    for Y, ddot, N, window in _walk(aug, X0):
+        V = _vertex_peak(Y[..., m:])
+        e1 = np.maximum(e1, np.max(np.maximum(V[:-1], V[1:])
+                                   + bulge * np.sum(ddot[..., m:], axis=-1), axis=0))
+        Y, ddot = Y[..., :m], ddot[..., :m]
+        # int |y| <= int |linear interpolant| + int |y - interpolant|, and
+        # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
+        rem = (h ** 3 / 12.0) * ddot
+        I_abs = _accumulate(I_abs, h * (np.abs(Y[:-1]) + np.abs(Y[1:])) / 2.0 + rem)[-1]
+        runs = _accumulate(R_run, h * (Y[:-1] + Y[1:]) / 2.0)
+        # the same h^3/12 M bounds each step's trapezoid remainder
+        traps = _accumulate(trap_budget, rem)
+        # the running integral R at the step's nodes is within the summed
+        # remainders of the trapezoid sums, and between them within
+        # h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2) of their linear interpolant
+        nodes = np.abs(runs) + traps
+        ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
+                          nodes)
+        inner = (h / 8.0) * np.abs(Y[1:] - Y[:-1]) + (h ** 3 / 16.0) * ddot
+        R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
+        R_run, trap_budget = runs[-1], traps[-1]
+    if window is not None:
+        c_norms = np.linalg.norm(aug.C_bar, axis=1)
+        # ||e^{A_bar t}||_2 <= e^{mu t} with mu = max(defect, 0), so
+        # |y_i(t)| <= ||C_i|| e^{mu tau} ||x(T)|| for all t in [T, horizon]
+        # and every point of the box
+        growth = float(np.exp(max(aug.full.defect, 0.0) * window))
+        e1 = np.maximum(e1, c_norms * np.sum(N[-1, m:]) * growth)
+        # int_T^horizon |y_i| <= ||C_i|| ||x_j(T)|| tau e^{mu tau}, and R
+        # changes by at most as much after T
+        tail = np.outer(c_norms, N[-1, :m]) * (window * growth)
+        I_abs += tail
+        R_max += tail
+    return e1, I_abs, R_max
+
+
+def e1_simulation(aug: AugmentedSystem) -> np.ndarray:
+    """Zero-input bound on the mode's window [0, horizon] over its initial
+    box, both read from ``aug.full``, by simulating the box's generators.
 
     The error is linear in the initial state, so with the generator
     responses [c, r_1 e_1, ..., r_f e_f] the vertex max of |ybar_i| at any
@@ -540,31 +576,15 @@ def e1_simulation(aug: AugmentedSystem, horizon: float) -> np.ndarray:
     rigorous: on a step of length h each generator's output lies within
     h^2/8 M_g of its linear interpolant, with M_g the in-step |y''| bound
     of :func:`_walk`, and a vertex's sum of interpolants is linear in t, so
-    step j bounds every vertex by max(V_j, V_{j+1}) + h^2/8 sum_g M_g.  The
-    full-order half of these responses is the generator columns of the
-    mode's orbit; this order simulates only its reduced half.
+    step j bounds every vertex by max(V_j, V_{j+1}) + h^2/8 sum_g M_g.
 
-    The simulation stops at the horizon, or at T once the augmented system
-    is contractive and that norm sum has decayed to DECAY_TOL times its
-    value at t = 0 (:func:`_stop`).  The tail ||C_i|| e^{mu tau} times the
-    sum at T then covers the rest of the window, tau = horizon - T: every
-    point of the box has ||x(t)|| <= e^{mu (t - T)} ||x(T)|| for t >= T.
+    The generator responses are columns of this order's one walk
+    (:func:`_walk`), which :func:`e2_simulation` reads too.  After a decay
+    stop at T the tail ||C_i|| e^{mu tau} times the generators' norm sum at
+    T covers the rest of the window, tau = horizon - T: every point of the
+    box has ||x(t)|| <= e^{mu (t - T)} ||x(T)|| for t >= T.
     """
-    _require_horizon(horizon)
-    X0 = aug.lift @ _box_generators(aug.full.x0)
-    threshold = DECAY_TOL * float(np.sum(np.linalg.norm(X0, axis=0)))
-    bulge = aug.full.orbit().h ** 2 / 8.0
-    best = np.zeros(aug.p)
-    for Y, ddot, N, window in _walk(aug, slice(aug.m, None), X0, horizon,
-                                    lambda norms: np.sum(norms, axis=1) <= threshold):
-        V = _vertex_peak(Y)
-        best = np.maximum(best, np.max(np.maximum(V[:-1], V[1:])
-                                       + bulge * np.sum(ddot, axis=-1), axis=0))
-    if window is not None:
-        # |y_i(t)| <= ||C_i|| e^{mu tau} ||x(T)|| for all t in [T, horizon]
-        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * np.sum(N[-1])
-                          * aug.full.growth(window))
-    return best
+    return aug.simulated[0].copy()
 
 
 def e2_theoretical(sigma: np.ndarray, k: int, u_box: HyperBox,
@@ -587,21 +607,18 @@ def e2_theoretical(sigma: np.ndarray, k: int, u_box: HyperBox,
     return np.full(n_outputs, tail * u_inf)
 
 
-def e2_simulation(aug: AugmentedSystem, u_box: HyperBox, horizon: float) -> np.ndarray:
-    """Zero-state bound on [0, horizon] by integrating the augmented impulse
-    responses.
+def e2_simulation(aug: AugmentedSystem, u_box: HyperBox) -> np.ndarray:
+    """Zero-state bound on the mode's window [0, horizon] by integrating the
+    augmented impulse responses.
 
-    One simulation per input channel (state initialized to that column of
-    B_bar, zero input) runs to the horizon, or to T once the augmented
-    system is contractive and every channel's state norm has fallen below
-    DECAY_TOL relative (:func:`_stop`); the tail ||C_i|| ||x_j(T)|| tau
-    e^{mu tau}, tau = horizon - T, then bounds the rest of each |kernel|
-    integral.  Each step's envelope is second order and rigorous: with M the
-    in-step bound on |y''| of :func:`_walk`, the |kernel| integral takes the
-    trapezoid of the endpoint magnitudes plus h^3/12 M.  The full-order half
-    of the responses is the input columns of the mode's orbit; this order
-    simulates only its reduced half, and the per-step envelopes are
-    evaluated block by block as array operations.
+    Each input channel's response starts from its column of B_bar with zero
+    input: the input columns of this order's one walk (:func:`_walk`), which
+    :func:`e1_simulation` reads too.  After a decay stop at T the tail
+    ||C_i|| ||x_j(T)|| tau e^{mu tau}, tau = horizon - T, bounds the rest of
+    each |kernel| integral.  Each step's envelope is second order and
+    rigorous: with M the in-step bound on |y''| of :func:`_walk`, the
+    |kernel| integral takes the trapezoid of the endpoint magnitudes plus
+    h^3/12 M.  A zero input matrix gives exact zeros.
 
     The input box is split into center and deviation: only the deviation
     multiplies the |kernel| integral I_abs, and the center multiplies a
@@ -615,43 +632,7 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox, horizon: float) -> np.n
     """
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")
-    _require_horizon(horizon)
-    p, m = aug.p, aug.m
-    if m == 0 or not np.any(aug.B_bar):
-        return np.zeros(p)
-    h = aug.full.orbit().h
-    x0_norms = np.linalg.norm(aug.B_bar, axis=0)
-    x0_norms[x0_norms == 0] = 1.0
-    I_abs = np.zeros((p, m))
-    R_run = np.zeros((p, m))
-    R_max = np.zeros((p, m))
-    trap_budget = np.zeros((p, m))
-    for Y, ddot, N, window in _walk(aug, slice(0, m), aug.B_bar, horizon,
-                                    lambda norms: np.all(norms <= DECAY_TOL * x0_norms,
-                                                         axis=1)):
-        # int |y| <= int |linear interpolant| + int |y - interpolant|, and
-        # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
-        rem = (h ** 3 / 12.0) * ddot
-        I_abs = _accumulate(I_abs, h * (np.abs(Y[:-1]) + np.abs(Y[1:])) / 2.0 + rem)[-1]
-        runs = _accumulate(R_run, h * (Y[:-1] + Y[1:]) / 2.0)
-        # the same h^3/12 M bounds each step's trapezoid remainder
-        traps = _accumulate(trap_budget, rem)
-        # the running integral R at the step's nodes is within the summed
-        # remainders of the trapezoid sums, and between them within
-        # h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2) of their linear interpolant
-        nodes = np.abs(runs) + traps
-        ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
-                          nodes)
-        inner = (h / 8.0) * np.abs(Y[1:] - Y[:-1]) + (h ** 3 / 16.0) * ddot
-        R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
-        R_run, trap_budget = runs[-1], traps[-1]
-    if window is not None:
-        # int_T^horizon |y_i| <= ||C_i|| ||x_j(T)|| tau e^{mu tau}, and R
-        # changes by at most as much after T
-        tail = np.outer(np.linalg.norm(aug.C_bar, axis=1), N[-1]) \
-            * (window * aug.full.growth(window))
-        I_abs += tail
-        R_max += tail
+    _, I_abs, R_max = aug.simulated
     return np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
 
 

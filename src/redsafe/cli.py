@@ -146,11 +146,11 @@ def _bound_tables(problem: VerificationProblem, ks, method_sets):
     for mode, sys_, x0, horizon in problem_modes(problem):
         name = problem.name + (f"[{mode}]" if mode else "")
         bal = balance(sys_)
-        full = bnd.FullOrderResponse.of(bal, x0)
+        full = bnd.FullOrderResponse.of(bal, x0, horizon)
         for k in ks:
             for label, opts in method_sets:
                 t0 = time.perf_counter()
-                result = bound_candidates(bal, full, k, problem.inputs, horizon, opts)
+                result = bound_candidates(bal, full, k, problem.inputs, opts)
                 yield name, k, label, time.perf_counter() - t0, result
 
 

@@ -34,6 +34,7 @@ products for N steps.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Callable, Union
@@ -413,17 +414,18 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     so its arrays are p x g_j rather than k x g_j, and is built in full as
     the result's one ``extra`` zonotope.
     """
+    # written so that NaN fails the tests
+    if not 0 < t_f < np.inf:
+        raise ModelError(f"t_f must be positive and finite, got {t_f}")
     if step_h is None:
         step_h = default_step(t_f, sys.A)
-    if not step_h > 0:
-        raise ModelError(f"step_h must be positive, got {step_h}")
+    if not 0 < step_h < np.inf:
+        raise ModelError(f"step_h must be positive and finite, got {step_h}")
     if x0.dim != sys.n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={sys.n}")
     init = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
     if u_box.dim != sys.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={sys.m}")
-    if t_f <= 0:
-        raise ModelError(f"t_f must be positive, got {t_f}")
 
     A, B, C = sys.A, sys.B, sys.C
     n = sys.n
@@ -885,14 +887,21 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     anywhere in a chunk raises ModelError, even when an earlier candidate
     of the chunk is a witness.
     """
-    if budget <= 0:
-        raise ValueError(f"witness budget must be positive, got {budget}")
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ModelError(f"witness budget must be a positive integer, got {budget}")
+    # written so that NaN fails the tests
+    if not np.isfinite(t_f):
+        raise ModelError(f"t_f must be finite, got {t_f}")
+    if h is None:
+        h = default_step(t_f, sys.A)
+    if not 0 < h < np.inf:
+        raise ModelError(f"step h must be a finite positive real, got {h}")
+    if not (eta is None or np.isfinite(eta)):
+        raise ModelError(f"eta must be finite, got {eta}")
     if isinstance(transformed_unsafe, TransformedSpec):
         transformed_unsafe = [transformed_unsafe]
     specs = list(transformed_unsafe)
     rng = np.random.default_rng(seed)
-    if h is None:
-        h = default_step(t_f, sys.A)
     etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
     steps = max(1, int(np.ceil(t_f / h - 1e-12)))
     lo, hi = u_box.lb, u_box.ub

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -50,9 +51,14 @@ class VerifyOptions:
                 raise ModelError(f"invalid {source} method set {methods}")
         # written so that NaN fails every test
         for name, ok, need in (
-                ("step_h", self.step_h is None or self.step_h > 0, "positive"),
+                ("k0", self.k0 is None or isinstance(self.k0, Integral), "an integer"),
+                ("k_max", self.k_max is None or isinstance(self.k_max, Integral), "an integer"),
+                ("step_h", self.step_h is None or 0 < self.step_h < np.inf,
+                 "positive and finite"),
                 ("step_lh", self.step_lh > 0, "positive"),
-                ("witness_budget", self.witness_budget >= 1, "at least 1"),
+                ("witness_budget",
+                 isinstance(self.witness_budget, Integral) and self.witness_budget >= 1,
+                 "an integer of at least 1"),
                 ("time_budget", self.time_budget is None or self.time_budget >= 0,
                  "nonnegative")):
             if not ok:
@@ -86,27 +92,26 @@ class Verdict:
 
 
 def bound_candidates(bal: BalancedRealization, full: bnd.FullOrderResponse, k: int,
-                     u_box: HyperBox, horizon: float,
-                     opts: VerifyOptions = VerifyOptions()):
+                     u_box: HyperBox, opts: VerifyOptions = VerifyOptions()):
     """Every enabled bound method's vector for one abstraction order over
-    the mode's initial box ``full.x0``, and the bound assembled from them.
+    the mode's initial box and horizon, and the bound assembled from them.
 
-    ``full`` is the mode's ``FullOrderResponse.of(bal, x0)``; pass the same
-    one at every order of the mode.  Returns (e1s, e2s, bound, notes): the
-    e1 and e2 vectors by method in ``opts`` order, each sound as computed,
-    with no bloat; the ErrorBound that :func:`bounds.assemble` builds from
-    them, or None when either source has no candidate; and notes about
-    skipped methods.
+    ``full`` is the mode's ``FullOrderResponse.of(bal, x0, horizon)``, which
+    binds both; pass the same one at every order of the mode.  Both
+    simulation bounds read one walk of the order's augmented orbit.
+    Returns (e1s, e2s, bound, notes): the e1 and e2 vectors by method in
+    ``opts`` order, each sound as computed, with no bloat; the ErrorBound
+    that :func:`bounds.assemble` builds from them, or None when either
+    source has no candidate; and notes about skipped methods.
     """
     notes: list[str] = []
     aug = bnd.augment(full, k)
-    x0 = full.x0
     compute = {
-        ("e1", E1_THEOREM1): lambda: bnd.e1_theoretical(aug, x0),
-        ("e1", E1_THEOREM2): lambda: bnd.e1_optimization(aug, x0),
-        ("e1", SIMULATION): lambda: bnd.e1_simulation(aug, horizon),
+        ("e1", E1_THEOREM1): lambda: bnd.e1_theoretical(aug),
+        ("e1", E1_THEOREM2): lambda: bnd.e1_optimization(aug),
+        ("e1", SIMULATION): lambda: bnd.e1_simulation(aug),
         ("e2", E2_THEOREM3): lambda: bnd.e2_theoretical(bal.sigma, k, u_box, aug.p),
-        ("e2", SIMULATION): lambda: bnd.e2_simulation(aug, u_box, horizon),
+        ("e2", SIMULATION): lambda: bnd.e2_simulation(aug, u_box),
     }
     e1s: dict[str, np.ndarray] = {}
     e2s: dict[str, np.ndarray] = {}
@@ -158,7 +163,8 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
     labeled = bool(modes[0][0])
     k0, k_max = _resolve_orders(problem.system.n, problem.system.p, opts)
     bals = [balance(system) for _, system, _, _ in modes]
-    responses = [bnd.FullOrderResponse.of(bal, x0) for bal, (_, _, x0, _) in zip(bals, modes)]
+    responses = [bnd.FullOrderResponse.of(bal, x0, horizon)
+                 for bal, (_, _, x0, horizon) in zip(bals, modes)]
     log: list[PerKEntry] = []
     started = time.perf_counter()
 
@@ -176,8 +182,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                 zip(modes, bals, responses)):
             key, say = (f"{label}:", f"mode {rho}: ") if labeled else ("", "")
             abstraction = truncate(bal, k, x0)
-            _, _, bound, mode_notes = bound_candidates(
-                bal, full, k, problem.inputs, horizon, opts)
+            _, _, bound, mode_notes = bound_candidates(bal, full, k, problem.inputs, opts)
             notes.extend(say + note for note in mode_notes)
             if bound is None:
                 notes.append(say + "no bound method produced a value")

@@ -97,13 +97,13 @@ TRIAL_TF = 6.0
 
 
 def _component_bounds(bal, k, x0, u_box):
-    aug = augment(FullOrderResponse.of(bal, x0), k)
+    aug = augment(FullOrderResponse.of(bal, x0, TRIAL_TF), k)
     e1 = {
-        E1_THEOREM1: e1_theoretical(aug, x0),
-        E1_THEOREM2: e1_optimization(aug, x0),
-        SIMULATION: e1_simulation(aug, TRIAL_TF),
+        E1_THEOREM1: e1_theoretical(aug),
+        E1_THEOREM2: e1_optimization(aug),
+        SIMULATION: e1_simulation(aug),
     }
-    sim2 = e2_simulation(aug, u_box, TRIAL_TF)
+    sim2 = e2_simulation(aug, u_box)
     e2 = {
         E2_THEOREM3: e2_theoretical(bal.sigma, k, u_box, aug.p),
         SIMULATION: sim2,
@@ -340,8 +340,8 @@ def test_criterion_10_scale_smoke():
         bal = balance(sys_)
         k = 20
         abstraction = truncate(bal, k, x0)
-        aug = augment(FullOrderResponse.of(bal, x0), k)
-        e1 = e1_theoretical(aug, x0)
+        aug = augment(FullOrderResponse.of(bal, x0, 2.0), k)
+        e1 = e1_theoretical(aug)
         e2 = e2_theoretical(bal.sigma, k, u_box, 10)
         delta = assemble({E1_THEOREM1: e1}, {E2_THEOREM3: e2}).delta
         assert np.all(np.isfinite(delta)) and np.all(delta >= 0)

@@ -20,11 +20,12 @@ def scalar_balanced():
     return balance(rs.LtiSystem([[-1.0]], [[2.0]], [[3.0]]))
 
 
-def response(bal, x0=None):
-    """``FullOrderResponse.of(bal, x0)``, with the origin for ``x0`` where
-    no simulated e1 reads the box."""
+def response(bal, x0=None, horizon=1.0):
+    """``FullOrderResponse.of(bal, x0, horizon)``, with the origin for ``x0``
+    where no bound reads the box."""
     n = bal.A_t.shape[0]
-    return FullOrderResponse.of(bal, rs.HyperBox(np.zeros(n), np.zeros(n)) if x0 is None else x0)
+    return FullOrderResponse.of(bal, rs.HyperBox(np.zeros(n), np.zeros(n)) if x0 is None else x0,
+                                horizon)
 
 
 class TestAugment:
@@ -68,14 +69,14 @@ class TestE1Theoretical:
         bal = scalar_balanced()
         box = rs.HyperBox([0.0], [0.0])
         aug = augment(response(bal, box), 1)
-        assert np.array_equal(e1_theoretical(aug, box), np.zeros(1))
+        assert np.array_equal(e1_theoretical(aug), np.zeros(1))
 
     def test_scalar_chain_value(self):
         # hand-evaluated: C_bar = [2.4495, -2.4495], ||C_bar|| = 3.4641,
         # sup ||xbar0|| = 1.7321 over X0 = [-1, 1]
         bal = scalar_balanced()
-        aug = augment(response(bal), 1)
-        bound = e1_theoretical(aug, rs.HyperBox([-1.0], [1.0]))
+        aug = augment(response(bal, rs.HyperBox([-1.0], [1.0])), 1)
+        bound = e1_theoretical(aug)
         assert bound == pytest.approx([6.0], rel=1e-12)
 
     def test_identity_truncation_floor(self, rng):
@@ -83,27 +84,27 @@ class TestE1Theoretical:
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
         box = rand_box(rng, 4, 3)
-        aug = augment(response(bal, box), 4)
-        sim = e1_simulation(aug, 2.0)
+        aug = augment(response(bal, box, 2.0), 4)
+        sim = e1_simulation(aug)
         assert np.all(sim <= 1e-10)
-        assert np.all(e1_theoretical(aug, box) >= sim)
+        assert np.all(e1_theoretical(aug) >= sim)
 
     def test_noncontractive_rejected(self):
         # a stable but non-contractive pair would make the bound unsound
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
         box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
-        bad = augment(FullOrderResponse(A, np.zeros((2, 1)), np.ones((1, 2)), np.eye(2), box), 1)
+        bad = augment(FullOrderResponse(A, np.zeros((2, 1)), np.ones((1, 2)), np.eye(2), box,
+                                        1.0), 1)
         assert contraction_defect(bad) > 0
         with pytest.raises(BoundError, match="contractive"):
-            e1_theoretical(bad, box)
+            e1_theoretical(bad)
 
 
 class TestE1Optimization:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
         aug = augment(response(bal), 1)
-        box = rs.HyperBox([0.0], [0.0])
-        assert np.array_equal(e1_optimization(aug, box), np.zeros(1))
+        assert np.array_equal(e1_optimization(aug), np.zeros(1))
 
     def test_never_worse_than_closed_form(self, rng):
         for _ in range(6):
@@ -111,19 +112,18 @@ class TestE1Optimization:
             sys_ = rs.random_stable_system(rng, n, 1, 1)
             bal = balance(sys_)
             k = int(rng.integers(2, n + 1))
-            aug = augment(response(bal), k)
-            box = rand_box(rng, n, min(n, 6))
-            t1 = e1_theoretical(aug, box)
-            t2 = e1_optimization(aug, box)
+            aug = augment(response(bal, rand_box(rng, n, min(n, 6))), k)
+            t1 = e1_theoretical(aug)
+            t2 = e1_optimization(aug)
             assert np.all(t2 <= 1.05 * t1 + 1e-12)
 
     def test_monte_carlo_soundness(self, rng):
         # 200 sampled vertices of a 6-dim system never exceed the bound
         sys_ = rs.random_stable_system(rng, 6, 1, 1)
         bal = balance(sys_)
-        aug = augment(response(bal), 3)
         box = rand_box(rng, 6, 6)
-        bound = e1_optimization(aug, box)
+        aug = augment(response(bal, box), 3)
+        bound = e1_optimization(aug)
         verts = box.vertices()[:, rng.choice(64, size=min(200, 64), replace=False)]
         X = aug.lift @ verts
         h = 0.01 / np.linalg.norm(aug.A_bar, 2)
@@ -139,15 +139,15 @@ class TestE1Simulation:
     def test_zero_initial_set(self):
         bal = scalar_balanced()
         aug = augment(response(bal), 1)
-        assert np.allclose(e1_simulation(aug, 1.0), 0.0)
+        assert np.allclose(e1_simulation(aug), 0.0)
 
     def test_below_theorem_one(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
         box = rand_box(rng, 4, 4)
-        aug = augment(response(bal, box), 2)
-        sim = e1_simulation(aug, 3.0)
-        t1 = e1_theoretical(aug, box)
+        aug = augment(response(bal, box, 3.0), 2)
+        sim = e1_simulation(aug)
+        t1 = e1_theoretical(aug)
         assert np.all(sim <= t1 * (1 + 1e-9))
 
 
@@ -174,23 +174,23 @@ class TestE2Simulation:
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
         zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H,
-                                       rand_box(rng, 4, 2)), 2)
-        e2 = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]), 5.0)
+                                       rand_box(rng, 4, 2), 5.0), 2)
+        e2 = e2_simulation(zb, rs.HyperBox([-1.0], [1.0]))
         assert np.array_equal(e2, np.zeros(1))
 
     def test_identity_truncation_negligible(self, rng):
         sys_ = rs.random_stable_system(rng, 5, 2, 1)
         bal = balance(sys_)
-        aug = augment(response(bal), 5)
-        e2 = e2_simulation(aug, rand_ubox(rng, 2), 50.0)
+        aug = augment(response(bal, horizon=50.0), 5)
+        e2 = e2_simulation(aug, rand_ubox(rng, 2))
         assert np.all(e2 <= 1e-5)
 
     def test_below_theorem_three(self, rng):
         sys_ = rs.random_stable_system(rng, 8, 1, 1)
         bal = balance(sys_)
-        aug = augment(response(bal), 4)
+        aug = augment(response(bal, horizon=50.0), 4)
         ubox = rand_ubox(rng, 1)
-        sim = e2_simulation(aug, ubox, 50.0)
+        sim = e2_simulation(aug, ubox)
         thm = e2_theoretical(bal.sigma, 4, ubox, 1)
         assert np.all(sim <= thm + 1e-9)
 
@@ -200,36 +200,34 @@ class TestE2Simulation:
         # here with I_abs from the naive step loop
         sys_ = rs.random_stable_system(rng, 7, 2, 2)
         bal = balance(sys_)
-        aug = augment(response(bal), 3)
+        aug = augment(response(bal, horizon=20.0), 3)
         ubox = rs.HyperBox([0.2, 0.1], [0.4, 0.3])
-        e2 = e2_simulation(aug, ubox, 20.0)
-        I_abs = naive_e2_simulation(aug, ubox, 20.0)[2]
+        e2 = e2_simulation(aug, ubox)
+        I_abs = naive_simulation(aug, ubox)[3]
         plain = I_abs @ np.maximum(np.abs(ubox.lb), np.abs(ubox.ub))
         assert np.all(e2 <= plain * (1 + 1e-9) + 1e-12)
 
     def test_horizon_limits_accumulation(self, rng):
         sys_ = rs.random_stable_system(rng, 6, 1, 1)
         bal = balance(sys_)
-        aug = augment(response(bal), 2)
         ubox = rs.HyperBox([-1.0], [1.0])
-        short = e2_simulation(aug, ubox, 0.05)
-        full = e2_simulation(aug, ubox, 50.0)
+        short = e2_simulation(augment(response(bal, horizon=0.05), 2), ubox)
+        full = e2_simulation(augment(response(bal, horizon=50.0), 2), ubox)
         assert np.all(short <= full + 1e-12)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-def test_simulation_bounds_refuse_unreachable_horizons(horizon):
-    # a horizon neither simulation could reach is refused by name, also for
-    # a system whose zero input matrix would make e2 zero without a step
+def test_response_refuses_unreachable_horizons(horizon):
+    # a horizon the simulation bounds could not reach is refused by name
+    # where the mode's response binds it, also for a system whose zero
+    # input matrix gives e2 exact zeros
     bal = balance(rs.random_stable_system(np.random.default_rng(2), 5, 1, 1))
-    box, ubox = rs.HyperBox(-np.ones(5), np.ones(5)), rs.HyperBox([-1.0], [1.0])
-    aug = augment(response(bal, box), 2)
-    zb = augment(FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H, box), 2)
-    for call in (lambda: e1_simulation(aug, horizon),
-                 lambda: e2_simulation(aug, ubox, horizon),
-                 lambda: e2_simulation(zb, ubox, horizon)):
+    box = rs.HyperBox(-np.ones(5), np.ones(5))
+    for make in (lambda: FullOrderResponse.of(bal, box, horizon),
+                 lambda: FullOrderResponse(bal.A_t, np.zeros_like(bal.B_t), bal.C_t, bal.H,
+                                           box, horizon)):
         with pytest.raises(rs.ModelError, match="horizon must be a finite positive real"):
-            call()
+            make()
 
 
 class TestCombine:
@@ -243,19 +241,19 @@ class TestCombine:
     def problem(seed=3):
         prob = rs.random_problem(seed, 8, 2, 2, free_dims=4)
         bal = balance(prob.system)
-        return prob, bal, FullOrderResponse.of(bal, prob.x0)
+        return prob, bal, FullOrderResponse.of(bal, prob.x0, prob.t_f)
 
     def candidates(self, k=K, seed=3, **options):
         prob, bal, full = self.problem(seed)
-        e1s, e2s, bound, notes = bound_candidates(bal, full, k, prob.inputs, prob.t_f,
+        e1s, e2s, bound, notes = bound_candidates(bal, full, k, prob.inputs,
                                                   rs.VerifyOptions(**options))
         assert not notes
         return prob, bal, augment(full, k), e1s, e2s, bound
 
     def test_theorem_pair_unbloated(self):
         prob, bal, aug, e1s, e2s, _ = self.candidates()
-        assert np.array_equal(e1s[E1_THEOREM1], e1_theoretical(aug, prob.x0))
-        assert np.array_equal(e1s[E1_THEOREM2], e1_optimization(aug, prob.x0))
+        assert np.array_equal(e1s[E1_THEOREM1], e1_theoretical(aug))
+        assert np.array_equal(e1s[E1_THEOREM2], e1_optimization(aug))
         assert np.array_equal(e2s[E2_THEOREM3],
                               e2_theoretical(bal.sigma, self.K, prob.inputs, aug.p))
         b = assemble({E1_THEOREM1: e1s[E1_THEOREM1]}, {E2_THEOREM3: e2s[E2_THEOREM3]})
@@ -266,13 +264,13 @@ class TestCombine:
         # together, are bloated nowhere
         prob, _, aug, _, e2s, bound = self.candidates(
             e1_methods=(E1_THEOREM2,), e2_methods=(SIMULATION,))
-        assert np.array_equal(bound.delta, e1_optimization(aug, prob.x0) + e2s[SIMULATION])
+        assert np.array_equal(bound.delta, e1_optimization(aug) + e2s[SIMULATION])
         assert bound.e1_method == (E1_THEOREM2,) * aug.p
         assert bound.e2_method == (SIMULATION,) * aug.p
         prob, _, aug, e1s, e2s, bound = self.candidates(
             e1_methods=(SIMULATION,), e2_methods=(SIMULATION,))
-        assert np.array_equal(e1s[SIMULATION], e1_simulation(aug, prob.t_f))
-        assert np.array_equal(e2s[SIMULATION], e2_simulation(aug, prob.inputs, prob.t_f))
+        assert np.array_equal(e1s[SIMULATION], e1_simulation(aug))
+        assert np.array_equal(e2s[SIMULATION], e2_simulation(aug, prob.inputs))
         assert np.array_equal(bound.delta, e1s[SIMULATION] + e2s[SIMULATION])
 
     def test_monotone_in_components(self, rng):
@@ -337,8 +335,8 @@ def test_bm_theoretical_bounds_match_published():
     bal = balance(prob.system)
     e2 = e2_theoretical(bal.sigma, 10, prob.inputs, 1)
     assert e2[0] == pytest.approx(0.0047, rel=0.15)
-    aug = augment(FullOrderResponse.of(bal, prob.x0), 10)
-    e1 = e1_theoretical(aug, prob.x0)
+    aug = augment(FullOrderResponse.of(bal, prob.x0, prob.t_f), 10)
+    e1 = e1_theoretical(aug)
     delta = assemble({E1_THEOREM1: e1}, {E2_THEOREM3: e2}).delta
     assert delta[0] == pytest.approx(0.0050, rel=0.15)
 
@@ -385,7 +383,7 @@ def naive_tail_growth(aug, window):
 
 
 class NaiveDdot:
-    """The in-step |y''| bound of both naive loops per step and column, from
+    """The in-step |y''| bound of the naive loop per step and column, from
     C_bar A_bar^2 x and C_bar A_bar^3 x at the step's endpoints and the
     bound :meth:`change` on the change of the latter within h/2 of them."""
 
@@ -428,28 +426,34 @@ class NaiveDdot:
             np.maximum(D3a, D3b) + self.change(np.maximum(Na, Nb), Wb))
 
 
-def naive_e1_simulation(aug, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=False):
-    """Every vertex of the box ``aug.full.x0`` stepped through e^{A_bar h}
-    at h = SIM_LH / L for the outputs, and the lifted box generators
-    [c, r_1 e_1, ..., r_f e_f] beside them, whose norms, read by
-    :class:`NormRule` (``exact_norms``: at every step), sum to the bound on
-    every vertex norm.  Step j takes the larger vertex peak of its ends
-    plus h^2/8 times the generators' summed in-step |y''| bounds.  Stops at
-    the horizon or, on a contractive system, once that sum has decayed;
-    returns (bound, steps)."""
-    x0 = aug.full.x0
+def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False):
+    """Every vertex of the box ``aug.full.x0`` and the start columns
+    [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f] stepped through
+    e^{A_bar h} at h = SIM_LH / L one step at a time, to the horizon
+    ``aug.full.horizon`` or, on a contractive system, until every column's
+    norm, read by :class:`NormRule` (``exact_norms``: at every step), is at
+    most ``decay_tol`` times its norm at t = 0.  For e1 step j takes the
+    larger vertex peak of its ends plus h^2/8 times the generators' summed
+    in-step |y''| bounds, whose norms sum to the bound on every vertex
+    norm; for e2 the input columns' trapezoid envelopes.  Returns (e1, e2,
+    steps, I_abs), tails included."""
+    x0, horizon, m, p = aug.full.x0, aug.full.horizon, aug.m, aug.p
     X = aug.lift @ x0.vertices()
-    G = aug.lift @ np.column_stack([x0.center, np.diag(x0.halfwidth)[:, x0.free_dims()]])
+    G = np.hstack([aug.B_bar, aug.lift @ np.column_stack(
+        [x0.center, np.diag(x0.halfwidth)[:, x0.free_dims()]])])
     L = float(np.linalg.norm(aug.A_bar, 2))
     h = bmod.SIM_LH / L
     Phi = _transition(aug.A_bar, h)
-    norm = NormRule(aug, 3 * aug.p, h, exact_norms)
+    norm = NormRule(aug, 3 * p, h, exact_norms)
     ddot = NaiveDdot(aug, h, G)
-    peak_prev = np.max(np.abs(aug.C_bar @ X), axis=1)
-    ends_prev = ddot.ends(G, np.sqrt(norm(G, 0)), 0.0)
-    x0n = float(np.sum(ends_prev[2]))
-    best = np.zeros(aug.p)
+    c_norms = np.linalg.norm(aug.C_bar, axis=1)
     contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
+    peak_prev = np.max(np.abs(aug.C_bar @ X), axis=1)
+    Y_prev = aug.C_bar @ G[:, :m]
+    ends_prev = ddot.ends(G, np.sqrt(norm(G, 0)), 0.0)
+    x0_norms = ends_prev[2]
+    e1 = np.zeros(p)
+    I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
     t = 0.0
     steps = 0
     decayed = False
@@ -458,52 +462,12 @@ def naive_e1_simulation(aug, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=Fals
         t += h
         steps += 1
         peak_cur = np.max(np.abs(aug.C_bar @ X), axis=1)
+        Y_cur = aug.C_bar @ G[:, :m]
         ends_cur = ddot.ends(G, np.sqrt(norm(G, steps)), t)
-        best = np.maximum(best, np.maximum(peak_prev, peak_cur)
-                          + (h * h / 8.0) * np.sum(ddot(ends_prev, ends_cur), axis=1))
-        peak_prev, ends_prev = peak_cur, ends_cur
-        xn = float(np.sum(ends_cur[2]))
-        if contractive and xn <= decay_tol * x0n:
-            decayed = True
-            break
-    if decayed:
-        best = np.maximum(best, np.linalg.norm(aug.C_bar, axis=1) * xn
-                          * naive_tail_growth(aug, max(horizon - t, 0.0)))
-    return best, steps
-
-
-def naive_e2_simulation(aug, u_box, horizon, decay_tol=bmod.DECAY_TOL, exact_norms=False):
-    """The impulse responses stepped through e^{A_bar h} one step at a time,
-    their norms read by :class:`NormRule` (``exact_norms``: at every step),
-    under the stop rule of :func:`naive_e1_simulation`; returns (e2, steps,
-    I_abs)."""
-    p, m = aug.p, aug.m
-    if m == 0 or not np.any(aug.B_bar):
-        return np.zeros(p), 0, np.zeros((p, m))
-    L = float(np.linalg.norm(aug.A_bar, 2))
-    h = bmod.SIM_LH / L
-    Phi = _transition(aug.A_bar, h)
-    norm = NormRule(aug, 3 * p, h, exact_norms)
-    X = aug.B_bar.copy()
-    ddot = NaiveDdot(aug, h, X)
-    x0_norms = np.linalg.norm(X, axis=0)
-    x0_norms[x0_norms == 0] = 1.0
-    c_norms = np.linalg.norm(aug.C_bar, axis=1)
-    contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
-    I_abs = np.zeros((p, m))
-    R_run = np.zeros((p, m))
-    R_max = np.zeros((p, m))
-    trap_budget = np.zeros((p, m))
-    Y_prev = aug.C_bar @ X
-    ends_prev = ddot.ends(X, np.sqrt(norm(X, 0)), 0.0)
-    t = 0.0
-    steps = 0
-    decayed = False
-    while t < horizon - 1e-12 * horizon:
-        X = Phi @ X
-        Y_cur = aug.C_bar @ X
-        ends_cur = ddot.ends(X, np.sqrt(norm(X, steps + 1)), t + h)
         M = ddot(ends_prev, ends_cur)
+        e1 = np.maximum(e1, np.maximum(peak_prev, peak_cur)
+                        + (h * h / 8.0) * np.sum(M[:, m:], axis=1))
+        M = M[:, :m]
         node_prev = np.abs(R_run) + trap_budget
         I_abs += h * (np.abs(Y_prev) + np.abs(Y_cur)) / 2.0 + (h ** 3 / 12.0) * M
         R_run += h * (Y_prev + Y_cur) / 2.0
@@ -511,19 +475,20 @@ def naive_e2_simulation(aug, u_box, horizon, decay_tol=bmod.DECAY_TOL, exact_nor
         node_cur = np.abs(R_run) + trap_budget
         R_max = np.maximum(R_max, np.maximum(node_prev, node_cur)
                            + (h / 8.0) * np.abs(Y_cur - Y_prev) + (h ** 3 / 16.0) * M)
-        Y_prev, ends_prev = Y_cur, ends_cur
-        t += h
-        steps += 1
-        if contractive and np.all(ends_prev[2] <= decay_tol * x0_norms):
+        peak_prev, Y_prev, ends_prev = peak_cur, Y_cur, ends_cur
+        if contractive and np.all(ends_cur[2] <= decay_tol * x0_norms):
             decayed = True
             break
     if decayed:
         window = max(horizon - t, 0.0)
-        tail = np.outer(c_norms, ends_prev[2]) * (window * naive_tail_growth(aug, window))
+        growth = naive_tail_growth(aug, window)
+        N = ends_prev[2]
+        e1 = np.maximum(e1, c_norms * np.sum(N[m:]) * growth)
+        tail = np.outer(c_norms, N[:m]) * (window * growth)
         I_abs += tail
         R_max += tail
     e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
-    return e2, steps, I_abs
+    return e1, e2, steps, I_abs
 
 
 def mirrored(aug):
@@ -543,46 +508,33 @@ def assert_matches(new, ref, scale):
 
 @pytest.fixture
 def steps_taken(monkeypatch):
-    """Steps of the last e1/e2 simulation bound, counted from the per-step
-    rows that reach its accumulators (e2 runs three accumulators) and its
-    vertex peaks (the state before each block comes first)."""
-    counts = {"e1": 0, "e2": 0}
-    peak, accumulate = bmod._vertex_peak, bmod._accumulate
+    """Steps walked by the simulation bounds since the last call, counted
+    from the per-step rows that reach the vertex peaks (the state before
+    each block comes first)."""
+    count = [0]
+    peak = bmod._vertex_peak
 
     def counting_peak(Y):
-        counts["e1"] += len(Y) - 1
+        count[0] += len(Y) - 1
         return peak(Y)
-
-    def counting_accumulate(carry, incs):
-        counts["e2"] += len(incs)
-        return accumulate(carry, incs)
-
     monkeypatch.setattr(bmod, "_vertex_peak", counting_peak)
-    monkeypatch.setattr(bmod, "_accumulate", counting_accumulate)
 
-    def take(kind):
-        n = counts[kind] // (3 if kind == "e2" else 1)
-        counts[kind] = 0
-        return n
+    def take():
+        steps, count[0] = count[0], 0
+        return steps
     return take
 
 
-def check_e1(aug, horizon, steps_taken):
-    ref, ref_steps = naive_e1_simulation(aug, horizon)
-    new = e1_simulation(aug, horizon)
-    assert steps_taken("e1") == ref_steps
-    assert_matches(new, ref, e1_simulation(mirrored(aug), horizon))
-    steps_taken("e1")
-    return ref_steps
-
-
-def check_e2(aug, u_box, horizon, steps_taken):
-    ref, ref_steps, _ = naive_e2_simulation(aug, u_box, horizon)
-    new = e2_simulation(aug, u_box, horizon)
-    assert steps_taken("e2") == ref_steps
-    scale = e2_simulation(mirrored(aug), u_box, horizon)
-    steps_taken("e2")
-    assert_matches(new, ref, scale)
+def check(aug, u_box, steps_taken):
+    """Both simulation bounds from one walk of the naive loop's steps, each
+    within 1e-12 relative of the loop's; returns the steps."""
+    ref_e1, ref_e2, ref_steps, _ = naive_simulation(aug, u_box)
+    new_e1, new_e2 = e1_simulation(aug), e2_simulation(aug, u_box)
+    assert steps_taken() == ref_steps
+    mir = mirrored(aug)
+    assert_matches(new_e1, ref_e1, e1_simulation(mir))
+    assert_matches(new_e2, ref_e2, e2_simulation(mir, u_box))
+    steps_taken()
     return ref_steps
 
 
@@ -597,12 +549,10 @@ class TestSimulationMatchesNaiveLoops:
             u_box = rand_ubox(rng, sys_.m)
             horizon = float(rng.uniform(0.2, 1.5))
             for k in sorted({1, int(rng.integers(1, n + 1)), n}):
-                aug = augment(FullOrderResponse.of(bal, x0), k)
-                check_e1(aug, horizon, steps_taken)
-                check_e2(aug, u_box, horizon, steps_taken)
+                check(augment(FullOrderResponse.of(bal, x0, horizon), k), u_box, steps_taken)
                 if n <= 8:
-                    # long enough for most responses to stop on decay
-                    check_e2(aug, u_box, 60.0, steps_taken)
+                    # long enough for most orbits to stop on decay
+                    check(augment(FullOrderResponse.of(bal, x0, 60.0), k), u_box, steps_taken)
 
     def test_horizon_on_a_step_boundary(self, rng, steps_taken):
         # horizons that are whole multiples of h: the accumulated time lands
@@ -611,75 +561,74 @@ class TestSimulationMatchesNaiveLoops:
         bal = balance(rs.random_stable_system(rng, 6, 2, 2))
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
+        L = np.linalg.norm(bal.A_t, 2)
         for k in (2, 6):
-            aug = augment(FullOrderResponse.of(bal, x0), k)
-            L = np.linalg.norm(aug.A_bar, 2)
             for count in (7, 100, 333, 1000):
-                assert check_e1(aug, count * bmod.SIM_LH / L, steps_taken) == count
-                assert check_e2(aug, u_box, count * bmod.SIM_LH / L, steps_taken) == count
+                aug = augment(FullOrderResponse.of(bal, x0, count * bmod.SIM_LH / L), k)
+                assert check(aug, u_box, steps_taken) == count
 
     def test_motor_modes(self, steps_taken):
         problem = rs.motor_benchmark()
         for _, system, x0, duration in problem_modes(problem):
             bal = balance(system)
             for k in (3, 5, system.n):
-                aug = augment(FullOrderResponse.of(bal, x0), k)
-                check_e1(aug, duration, steps_taken)
-                check_e2(aug, problem.inputs, duration, steps_taken)
+                check(augment(FullOrderResponse.of(bal, x0, duration), k), problem.inputs,
+                      steps_taken)
 
     def test_zero_input_columns(self, rng, steps_taken):
+        # a zero input matrix walks as far as the box's generators and gives
+        # e2 exact zeros
         bal = balance(rs.random_stable_system(rng, 7, 3, 2))
         box = rand_box(rng, 7, 3)
-        zero_col, zero_b = (augment(FullOrderResponse(bal.A_t, B, bal.C_t, bal.H, box), 4)
+        zero_col, zero_b = (augment(FullOrderResponse(bal.A_t, B, bal.C_t, bal.H, box, 0.7), 4)
                             for B in (bal.B_t * [1.0, 0.0, 1.0], np.zeros_like(bal.B_t)))
         u_box = rand_ubox(rng, 3)
-        check_e2(zero_col, u_box, 0.7, steps_taken)
-        assert check_e2(zero_b, u_box, 0.7, steps_taken) == 0
+        check(zero_col, u_box, steps_taken)
+        assert check(zero_b, u_box, steps_taken) > 0
+        assert np.array_equal(e2_simulation(zero_b, u_box), np.zeros(2))
 
     def test_contractive_early_decay(self, rng, steps_taken):
-        # fast modes decay to 1e-9 long before the window closes, so both
-        # bounds stop on decay and add their monotone tails
+        # fast modes decay to 1e-9 long before the window closes, so every
+        # column has decayed early and both bounds add their monotone tails
         sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
         bal = balance(sys_)
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
         for k in (2, 4, 6):
-            aug = augment(FullOrderResponse.of(bal, x0), k)
+            aug = augment(FullOrderResponse.of(bal, x0, 50.0), k)
             assert contraction_defect(aug) < 0
             L = np.linalg.norm(aug.A_bar, 2)
-            assert 0 < check_e1(aug, 50.0, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
-            assert 0 < check_e2(aug, u_box, 50.0, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
+            assert 0 < check(aug, u_box, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
 
     def test_early_stop_covers_the_rest_of_the_window(self, rng, steps_taken):
-        # a horizon three steps past each bound's decay stop: with its tail
-        # the stopped bound lies at or above the naive loop run to the
+        # a horizon three steps past the walk's decay stop: with their tails
+        # both stopped bounds lie at or above the naive loop run to the
         # horizon with no decay stop (decay_tol = 0), whose states stay
         # above zero there, within rounding relative to the two halves' size
         sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
         bal = balance(sys_)
         x0, u_box = rand_box(rng, 6, 4), rand_ubox(rng, 2)
-        cases = [(augment(FullOrderResponse.of(bal, x0), k), u_box) for k in (2, 4)]
+        cases = [(functools.partial(FullOrderResponse.of, bal, x0), k, u_box) for k in (2, 4)]
         # this one's error output is its slow state, so e2's tail is within
         # a few percent of the kernel integral it stands for
-        slow = FullOrderResponse(np.diag([-60.0, -30.0]), np.ones((2, 1)),
-                                 np.array([[0.05, 1.0]]), np.eye(2),
-                                 rs.HyperBox([-1.0, 0.5], [1.0, 1.0]))
-        cases.append((augment(slow, 1), rs.HyperBox([0.5], [1.0])))
-        for aug, u_box in cases:
-            for kind, bound, naive in (
-                    ("e1", e1_simulation, naive_e1_simulation),
-                    ("e2", functools.partial(e2_simulation, u_box=u_box),
-                     functools.partial(naive_e2_simulation, u_box=u_box))):
-                bound(aug, horizon=50.0)
-                stop = steps_taken(kind)
-                horizon = (stop + 3) * bmod.SIM_LH / aug.full.L
-                new = bound(aug, horizon=horizon)
-                assert steps_taken(kind) == stop < horizon * aug.full.L / bmod.SIM_LH
-                ref, ref_steps = naive(aug, horizon=horizon, decay_tol=0.0)[:2]
-                assert ref_steps == stop + 3
-                scale = bound(mirrored(aug), horizon=horizon)
-                steps_taken(kind)
-                assert np.all(new >= ref - 1e-12 * np.maximum(np.abs(ref), scale))
+        slow = (np.diag([-60.0, -30.0]), np.ones((2, 1)), np.array([[0.05, 1.0]]), np.eye(2),
+                rs.HyperBox([-1.0, 0.5], [1.0, 1.0]))
+        cases.append((functools.partial(FullOrderResponse, *slow), 1, rs.HyperBox([0.5], [1.0])))
+        for response_to, k, u_box in cases:
+            aug = augment(response_to(50.0), k)
+            e1_simulation(aug)
+            stop = steps_taken()
+            horizon = (stop + 3) * bmod.SIM_LH / aug.full.L
+            aug = augment(response_to(horizon), k)
+            new = (e1_simulation(aug), e2_simulation(aug, u_box))
+            assert steps_taken() == stop < horizon * aug.full.L / bmod.SIM_LH
+            *ref, ref_steps, _ = naive_simulation(aug, u_box, decay_tol=0.0)
+            assert ref_steps == stop + 3
+            mir = mirrored(aug)
+            for got, want, scale in zip(new, ref, (e1_simulation(mir),
+                                                   e2_simulation(mir, u_box))):
+                assert np.all(got >= want - 1e-12 * np.maximum(np.abs(want), scale))
+            steps_taken()
 
 
 #: Giant-size systems (n, seed, m, p, decay) of the bracket tests: the
@@ -695,7 +644,7 @@ BRACKET_CASES = [pytest.param(system, k, id=f"n{system[0]}-k{k}")
 @functools.cache
 def giant_bracket(system, k):
     """Order k of a :data:`BRACKET_SYSTEMS` system: (aug, horizon, the
-    exact-norm naive e1 loop's step count, and per bound (bound, the naive
+    exact-norm naive loop's step count, and per bound (bound, the naive
     loop's bound with exact norms at every step, the mirrored system's
     bound))."""
     n, seed, m, p, decay = system
@@ -704,14 +653,15 @@ def giant_bracket(system, k):
     x0 = rand_box(rng, n, 3)
     u_box = rand_ubox(rng, m)
     horizon = 50.0 if decay[0] > 1.0 else 0.5
-    aug = augment(FullOrderResponse.of(bal, x0), k)
-    ref, ref_steps = naive_e1_simulation(aug, horizon, exact_norms=True)
-    bounds = [(e1_simulation(aug, horizon), ref, e1_simulation(mirrored(aug), horizon))]
+    aug = augment(FullOrderResponse.of(bal, x0, horizon), k)
+    ref_e1, _, ref_steps, _ = naive_simulation(aug, u_box, exact_norms=True)
+    bounds = [(e1_simulation(aug), ref_e1, e1_simulation(mirrored(aug)))]
     # the fast-decaying system's e2 also over a ten times longer window
     for window in (horizon, 10.0 * horizon) if decay[0] > 1.0 else (horizon,):
-        bounds.append((e2_simulation(aug, u_box, window),
-                       naive_e2_simulation(aug, u_box, window, exact_norms=True)[0],
-                       e2_simulation(mirrored(aug), u_box, window)))
+        wide = augment(FullOrderResponse.of(bal, x0, window), k)
+        bounds.append((e2_simulation(wide, u_box),
+                       naive_simulation(wide, u_box, exact_norms=True)[1],
+                       e2_simulation(mirrored(wide), u_box)))
     return aug, horizon, ref_steps, bounds
 
 
@@ -719,13 +669,14 @@ def giant_bracket(system, k):
 def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
     # at giant sizes each bound lies at or above the naive loop's with exact
     # norms at every step, within rounding relative to the two halves' size
-    # (the mirrored bound, as in assert_matches), and e1 takes at least the
-    # loop's steps, stopping on decay for the fast-decaying system only
+    # (the mirrored bound, as in assert_matches), and the walk (a fresh one,
+    # the cached system's is done) takes at least the loop's steps,
+    # stopping on decay for the fast-decaying system only
     aug, horizon, ref_steps, bounds = giant_bracket(system, k)
-    assert aug.full.orbit().stride > 1
-    steps_taken("e1")
-    e1_simulation(aug, horizon)
-    assert steps_taken("e1") >= ref_steps
+    assert aug.full.orbit.stride > 1
+    steps_taken()
+    e1_simulation(augment(aug.full, k))
+    assert steps_taken() >= ref_steps
     assert (ref_steps * bmod.SIM_LH / aug.full.L < horizon - 1.0) == (system[4][0] > 1.0)
     for new, ref, scale in bounds:
         assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
@@ -750,13 +701,13 @@ class TestFullOrderResponse:
         # fresh system simulates its own full-order half
         prob = rs.random_problem(11, 48, 3, 2, free_dims=4)
         bal = balance(prob.system)
-        full = FullOrderResponse.of(bal, prob.x0)
+        full = FullOrderResponse.of(bal, prob.x0, prob.t_f)
         for k in (40, 5, 20):
-            aug, fresh_aug = augment(full, k), augment(FullOrderResponse.of(bal, prob.x0), k)
+            fresh_aug = augment(FullOrderResponse.of(bal, prob.x0, prob.t_f), k)
+            aug = augment(full, k)
             assert aug.full is full and fresh_aug.full is not full
-            shared = (e1_simulation(aug, prob.t_f), e2_simulation(aug, prob.inputs, prob.t_f))
-            fresh = (e1_simulation(fresh_aug, prob.t_f),
-                     e2_simulation(fresh_aug, prob.inputs, prob.t_f))
+            shared = (e1_simulation(aug), e2_simulation(aug, prob.inputs))
+            fresh = (e1_simulation(fresh_aug), e2_simulation(fresh_aug, prob.inputs))
             for a, b in zip(shared, fresh):
                 assert np.array_equal(a, b)
 
@@ -793,6 +744,52 @@ class TestFullOrderResponse:
         assert len(built) == 2
         for (_, system, _, _), A in zip(problem_modes(problem), built):
             assert np.array_equal(A, balance(system).A_t)
+
+    def test_one_walk_per_mode_and_order(self, monkeypatch):
+        # one verify_pss on the motor walks each (mode, order)'s augmented
+        # orbit once, and the verifier still calls each simulation bound
+        # once there
+        seen = {"_error_orbit": [], "e1_simulation": [], "e2_simulation": []}
+
+        def record(name, key):
+            original = getattr(bmod, name)
+
+            def recording(*args):
+                seen[name].append(key(*args))
+                return original(*args)
+            monkeypatch.setattr(bmod, name, recording)
+        # the mode by its orbit or its response, the order by k
+        record("_error_orbit", lambda orbit, A_r, *_: (id(orbit), A_r.shape[0]))
+        record("e1_simulation", lambda aug: (id(aug.full), aug.k))
+        record("e2_simulation", lambda aug, u_box: (id(aug.full), aug.k))
+        verdict = rs.verify_pss(rs.motor_benchmark(), rs.VerifyOptions(k0=3, k_max=5))
+        assert verdict.k_used == 5 and len(verdict.per_k_log) == 3
+        for keys in seen.values():
+            assert len(keys) == len(set(keys)) == 6
+            assert sorted(k for _, k in keys) == [3, 3, 4, 4, 5, 5]
+            assert len({mode for mode, _ in keys}) == 2
+
+    def test_mirrored_system_gets_its_own_walk(self, rng, monkeypatch):
+        # the walk is cached on its augmented system: reading a bound again
+        # walks nothing, and a system built from it by dataclasses.replace
+        # walks its own orbit instead of reading the cached one
+        bal = balance(rs.random_stable_system(rng, 6, 2, 2))
+        aug = augment(response(bal, rand_box(rng, 6, 3)), 3)
+        walks = []
+        error_orbit = bmod._error_orbit
+
+        def recording(*args):
+            walks.append(args)
+            return error_orbit(*args)
+        monkeypatch.setattr(bmod, "_error_orbit", recording)
+        u_box = rand_ubox(rng, 2)
+        e1, e2 = e1_simulation(aug), e2_simulation(aug, u_box)
+        assert len(walks) == 1
+        mir = mirrored(aug)
+        assert not np.array_equal(e1_simulation(mir), e1)
+        assert not np.array_equal(e2_simulation(mir, u_box), e2)
+        assert len(walks) == 2 and mir.simulated is not aug.simulated
+        assert np.array_equal(e1_simulation(aug), e1) and len(walks) == 2
 
 
 # --------------------------------------------------------------------------
@@ -914,13 +911,14 @@ def test_giant_step_paths_by_shape(monkeypatch):
     # the sweep's mode, at n = 150 and p = 4, takes giant steps of 12 (3p
     # rows) for its 12 input columns and 7 generator columns together
     for _, system, x0, _ in problem_modes(rs.motor_benchmark()):
-        assert FullOrderResponse.of(balance(system), x0).orbit().stride == 1
+        assert FullOrderResponse.of(balance(system), x0, 1.0).orbit.stride == 1
     for n, seed in ((6, 7), (8, 6)):
         prob = rs.random_problem(seed, n, 1, 1)
-        assert FullOrderResponse.of(balance(prob.system), prob.x0).orbit().stride == 1
+        assert FullOrderResponse.of(balance(prob.system), prob.x0,
+                                    prob.t_f).orbit.stride == 1
     prob = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9)
-    full = FullOrderResponse.of(balance(prob.system), prob.x0)
-    orbit = full.orbit()
+    full = FullOrderResponse.of(balance(prob.system), prob.x0, prob.t_f)
+    orbit = full.orbit
     assert orbit.stride == 12 and orbit.head[0].shape == (1, 4, 12 + 7)
     # on the giant path only giant states are formed: every full-order
     # state block holds block / stride states, never a whole block's
@@ -933,13 +931,12 @@ def test_giant_step_paths_by_shape(monkeypatch):
         return out
     monkeypatch.setattr(bmod, "_propagate", recording)
     aug = augment(full, 5)
-    e1_simulation(aug, prob.t_f)
-    e2_simulation(aug, prob.inputs, prob.t_f)
+    e1_simulation(aug)
+    e2_simulation(aug, prob.inputs)
     full_shapes = {shape for shape in shapes if shape[0] == 150}
     assert full_shapes == {(150, orbit.block // 12 * 19)}
-    # each order steps its reduced input and generator columns on its own
-    assert {shape for shape in shapes if shape[0] != 150} == {
-        (5, orbit.block * 12), (5, orbit.block * 7)}
+    # each order steps its reduced input and generator columns together
+    assert {shape for shape in shapes if shape[0] != 150} == {(5, orbit.block * 19)}
 
 
 class TestContractionPerMode:
@@ -959,8 +956,8 @@ class TestContractionPerMode:
         bal = balance(prob.system)
         fresh = {}
         for k in (3, 9, 20):
-            aug = augment(FullOrderResponse.of(bal, prob.x0), k)
-            fresh[k] = e1_theoretical(aug, prob.x0), e1_optimization(aug, prob.x0)
+            aug = augment(FullOrderResponse.of(bal, prob.x0, prob.t_f), k)
+            fresh[k] = e1_theoretical(aug), e1_optimization(aug)
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -968,24 +965,24 @@ class TestContractionPerMode:
             calls.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        full = FullOrderResponse.of(bal, prob.x0)
+        full = FullOrderResponse.of(bal, prob.x0, prob.t_f)
         for k, (t1, t2) in fresh.items():
             aug = augment(full, k)
-            assert np.array_equal(e1_theoretical(aug, prob.x0), t1)
-            assert np.array_equal(e1_optimization(aug, prob.x0), t2)
+            assert np.array_equal(e1_theoretical(aug), t1)
+            assert np.array_equal(e1_optimization(aug), t2)
         assert calls == [(20, 20)]
 
     def test_noncontractive_mode_refused(self):
         A = np.array([[-0.1, 10.0], [0.0, -0.1]])
         box = rs.HyperBox([-1.0, -1.0], [1.0, 1.0])
-        full = FullOrderResponse(A, np.ones((2, 1)), np.ones((1, 2)), np.eye(2), box)
+        full = FullOrderResponse(A, np.ones((2, 1)), np.ones((1, 2)), np.eye(2), box, 1.0)
         aug = augment(full, 1)
         assert np.array_equal(aug.A_bar, scipy.linalg.block_diag(A, A[:1, :1]))
         assert full.defect == pytest.approx(contraction_defect(aug), abs=1e-14)
         assert not full.contractive
         with pytest.raises(BoundError, match="not contractive"):
-            e1_theoretical(aug, box)
-        assert np.all(np.isfinite(e1_optimization(aug, box)))
+            e1_theoretical(aug)
+        assert np.all(np.isfinite(e1_optimization(aug)))
 
 
 
@@ -1040,8 +1037,8 @@ def test_e2_simulation_bounds_fine_grid_integrals(case):
     n = bal.A_t.shape[0]
     u_inf = np.maximum(np.abs(u_box.lb), np.abs(u_box.ub))
     for k in (1, n - 1, n):
-        aug = augment(response(bal), k)
-        e2 = e2_simulation(aug, u_box, horizon)
+        aug = augment(response(bal, horizon=horizon), k)
+        e2 = e2_simulation(aug, u_box)
         h = bmod.SIM_LH / np.linalg.norm(aug.A_bar, 2)
         I_abs, R = fine_kernel_integrals(aug, aug.C_bar, horizon, h)
         scale = fine_kernel_integrals(aug, mirrored(aug).C_bar, horizon, h)[0] @ u_inf
@@ -1108,7 +1105,7 @@ def wide_box_case(seed, n, nfree, k, horizon, fast):
     sys_ = rs.random_stable_system(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                                    decay=(5.0, 10.0) if fast else (0.5, 2.0))
     x0 = rand_box(rng, n, nfree)
-    aug = augment(FullOrderResponse.of(balance(sys_), x0), k)
+    aug = augment(FullOrderResponse.of(balance(sys_), x0, horizon), k)
     return aug, horizon, rng
 
 
@@ -1135,17 +1132,17 @@ def test_e1_simulation_covers_sampled_vertices_of_wide_boxes(case):
     # envelope), and at most theorem1 where the error system contracts
     aug, horizon, rng = case
     x0 = aug.full.x0
-    e1 = e1_simulation(aug, horizon)
+    e1 = e1_simulation(aug)
     assert np.all(np.isfinite(e1))
     free = x0.free_dims()
     signs = rng.choice([-1.0, 1.0], size=(len(free), 64))
     X = np.repeat(x0.center[:, None], 64, axis=1)
     X[free] += x0.halfwidth[free, None] * signs
-    peak = fine_vertex_peaks(aug, aug.lift @ X, horizon, aug.full.orbit().h)
-    scale = e1_simulation(mirrored(aug), horizon)
+    peak = fine_vertex_peaks(aug, aug.lift @ X, horizon, aug.full.orbit.h)
+    scale = e1_simulation(mirrored(aug))
     assert np.all(e1 >= peak - 1e-12 * scale)
     if aug.full.contractive:
-        assert np.all(e1 <= e1_theoretical(aug, x0) * (1 + 1e-9))
+        assert np.all(e1 <= e1_theoretical(aug) * (1 + 1e-9))
 
 
 def test_e1_simulation_covers_a_peak_between_steps():
@@ -1160,10 +1157,10 @@ def test_e1_simulation_covers_a_peak_between_steps():
     h = bmod.SIM_LH / np.linalg.norm(A, 2)
     phi = omega * h / 2.0
     x0 = rs.HyperBox([-np.sin(phi), np.cos(phi)], [-np.sin(phi), np.cos(phi)])
-    full = FullOrderResponse(A, np.zeros((2, 1)), np.array([[0.0, 1.0]]), np.eye(2), x0)
+    full = FullOrderResponse(A, np.zeros((2, 1)), np.array([[0.0, 1.0]]), np.eye(2), x0, 3.0)
     aug = augment(full, 1)
-    assert full.orbit().h == h and full.contractive
-    e1 = e1_simulation(aug, 3.0)
+    assert full.orbit.h == h and full.contractive
+    e1 = e1_simulation(aug)
     on_steps = fine_vertex_peaks(aug, aug.lift @ x0.center[:, None], 3.0, h, fine=1)
     peak = fine_vertex_peaks(aug, aug.lift @ x0.center[:, None], 3.0, h, fine=1000)
     assert np.all(on_steps < peak * (1.0 - 2e-4))

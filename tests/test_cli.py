@@ -281,12 +281,22 @@ class TestVerifyCmd:
             assert code == 3 and "unrecognized arguments" in err
 
     @pytest.mark.parametrize("flag, value, field", [
-        ("--step-h", "0", "step_h"), ("--step-lh", "0", "step_lh"),
+        ("--step-h", "0", "step_h"), ("--step-h", "inf", "step_h"),
+        ("--step-lh", "0", "step_lh"),
         ("--witness-budget", "0", "witness_budget"),
         ("--time-budget", "-1", "time_budget")])
     def test_out_of_range_option_exits_three(self, tmp_path, capsys, flag, value, field):
         assert main(["verify", str(small_manifest(tmp_path)), flag, value]) == 3
         assert f"error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("k0", 2.5), ("k_max", 2.5), ("witness_budget", 2.5), ("step_h", float("inf")),
+        ("step_h", float("nan"))])
+    def test_options_refuse_values_that_fail_later(self, field, value):
+        # a fractional order or budget would only fail as a TypeError deep
+        # in the k-loop, and an infinite step in the matrix exponential
+        with pytest.raises(rs.ModelError, match=f"^{field} must be"):
+            rs.VerifyOptions(**{field: value})
 
     @pytest.mark.parametrize("command, flag", [
         *(pytest.param(c, ["--order-cap", "20"], id=c) for c in ("verify", "verify-pss", "reach")),

@@ -313,11 +313,11 @@ def test_stack_shape_validation():
         solve_lyapunov(np.ones((2, 3)), np.zeros((2, 2, 3)))
 
 
-def reference_e1_optimization(aug, x0):
+def reference_e1_optimization(aug):
     """The quadratic-certificate bound from 5p separate solves, one per output
     and shift, with the full generalized eigenproblem, and the scaled identity
     as one more candidate when the system is contractive."""
-    sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
+    sup_norm = bmod.sup_box_norm(aug.lift_box())
     scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
     identity_ok = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
     eps_grid = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
@@ -345,15 +345,17 @@ def unit_box(n):
     return rs.HyperBox(-np.ones(n), np.ones(n))
 
 
-def noncontractive_augmented(rng, n, k, p):
+def noncontractive_augmented(rng, n, k, p, x0=None):
     """Hurwitz (triangular) and, unless n is small, not contractive, so the
     certificates and not the scaled identity decide the bound.  The coupling is mild: both ways of
     building P(eps) are accurate to about cond(A_bar) times the unit
-    roundoff, so they can only agree that closely."""
+    roundoff, so they can only agree that closely.  The initial box is
+    ``x0``, by default [-1, 1]^n."""
     A = -np.diag(rng.uniform(0.5, 2.0, n)) + np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
     C = rng.standard_normal((p, n))
     H = rng.standard_normal((n, n))
-    return augment(FullOrderResponse(A, np.zeros((n, 1)), C, H, unit_box(n)), k)
+    return augment(FullOrderResponse(A, np.zeros((n, 1)), C, H,
+                                     unit_box(n) if x0 is None else x0, 1.0), k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,23 +374,22 @@ def test_e1_optimization_matches_per_output_solves(rng, monkeypatch):
              ((3, 1, 1), (5, 2, 3), (8, 8, 2), (12, 5, 4))]
     for n in (6, 14):
         bal = balance(rs.random_stable_system(rng, n, 2, 3))
-        cases += [augment(FullOrderResponse.of(bal, unit_box(n)), k) for k in (4, n)]
+        cases += [augment(FullOrderResponse.of(bal, unit_box(n), 1.0), k) for k in (4, n)]
     kinds = []
     for aug in cases:
         scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
         contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * scale
         kinds.append(contractive)
-        x0 = rs.HyperBox(-np.ones(aug.n), np.ones(aug.n))
-        expected = reference_e1_optimization(aug, x0)
+        expected = reference_e1_optimization(aug)
         assert np.all(np.isfinite(expected))
         solves.clear()
-        got = e1_optimization(aug, x0)
+        got = e1_optimization(aug)
         assert np.allclose(got, expected, rtol=1e-10, atol=0)
         if not contractive:
             assert solves == [(aug.p + 1,) + aug.A_bar.shape]
         else:
             assert solves == []
-            sup_norm = bmod.sup_box_norm(aug.lift_box(x0))
+            sup_norm = bmod.sup_box_norm(aug.lift_box())
             assert np.array_equal(got, np.linalg.norm(aug.C_bar, axis=1) * sup_norm)
     # the smallest triangular draw happens to be contractive
     assert kinds == [True, False, False, False, True, True, True, True]
@@ -403,32 +404,33 @@ def test_every_certificate_meets_its_own_residual(rng, monkeypatch):
     monkeypatch.setattr(bmod, "lyapunov_residual", lambda A, Q, P: 1.0)
     aug = noncontractive_augmented(rng, 5, 2, 2)
     with pytest.raises(rs.bounds.BoundError, match="no quadratic certificate met"):
-        e1_optimization(aug, rs.HyperBox(-np.ones(5), np.ones(5)))
-    box = unit_box(6)
-    aug = augment(FullOrderResponse.of(balance(rs.random_stable_system(rng, 6, 1, 2)), box), 3)
-    assert np.array_equal(e1_optimization(aug, box), bmod.e1_theoretical(aug, box))
+        e1_optimization(aug)
+    aug = augment(FullOrderResponse.of(balance(rs.random_stable_system(rng, 6, 1, 2)),
+                                       unit_box(6), 1.0), 3)
+    assert np.array_equal(e1_optimization(aug), bmod.e1_theoretical(aug))
 
 
 @st.composite
 def noncontractive_cases(draw):
-    """A non-contractive augmented system and a full-order initial box."""
+    """A non-contractive augmented system whose full-order initial box is
+    drawn too."""
     n = draw(st.integers(4, 10))
     k = draw(st.integers(1, n))
     p = draw(st.integers(1, 3))
-    aug = noncontractive_augmented(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-                                   n, k, p)
-    scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
-    assume(contraction_defect(aug) > bmod.CONTRACTION_TOL_REL * scale)
     center = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     radius = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     c, r = np.array(center), np.array(radius)
-    return aug, rs.HyperBox(c - r, c + r)
+    aug = noncontractive_augmented(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                   n, k, p, rs.HyperBox(c - r, c + r))
+    scale = max(1.0, float(np.linalg.norm(aug.A_bar, 2)))
+    assume(contraction_defect(aug) > bmod.CONTRACTION_TOL_REL * scale)
+    return aug
 
 
 @given(noncontractive_cases())
 def test_certificates_never_beat_the_scaled_identity(case):
     # lambda_max(alpha P) >= ||C_i||^2 for every accepted certificate, which
     # is why a contractive system builds none
-    aug, x0 = case
-    identity = np.linalg.norm(aug.C_bar, axis=1) * bmod.sup_box_norm(aug.lift_box(x0))
-    assert np.all(e1_optimization(aug, x0) >= (1.0 - 1e-12) * identity)
+    aug = case
+    identity = np.linalg.norm(aug.C_bar, axis=1) * bmod.sup_box_norm(aug.lift_box())
+    assert np.all(e1_optimization(aug) >= (1.0 - 1e-12) * identity)

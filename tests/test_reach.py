@@ -106,6 +106,18 @@ class TestReach:
         with pytest.raises(rs.ModelError, match="step_h"):
             reach_lti(sys_, rand_box(rng, 3, 1), rand_ubox(rng, 1), 1.0, -0.1)
 
+    @pytest.mark.parametrize("t_f, step_h, name", [
+        (float("nan"), None, "t_f"), (float("inf"), None, "t_f"), (0.0, 0.1, "t_f"),
+        (float("nan"), 0.1, "t_f"), (1.0, float("inf"), "step_h"),
+        (1.0, float("nan"), "step_h"), (1.0, 0.0, "step_h")])
+    def test_bad_scalars_refused(self, rng, t_f, step_h, name):
+        # NaN passes a `t_f <= 0` test; every t_f or step that is not a
+        # positive finite real is refused by name, before a step count or a
+        # transition is drawn from it
+        sys_ = rs.random_stable_system(rng, 3, 1, 1)
+        with pytest.raises(rs.ModelError, match=f"^{name} must be positive and finite"):
+            reach_lti(sys_, rand_box(rng, 3, 1), rand_ubox(rng, 1), t_f, step_h)
+
     def test_intervals_tile_horizon(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 1, 1)
         steps = reach_lti(sys_, rand_box(rng, 3, 2), rand_ubox(rng, 1), 1.0, 0.3)
@@ -313,6 +325,22 @@ class TestWitness:
         with pytest.raises(ValueError, match="budget"):
             find_unsafe_witness(sys_, rand_box(rng, 2, 1), rand_ubox(rng, 1),
                                 ts, 1.0, 0)
+
+    @pytest.mark.parametrize("args, name", [
+        ({"t_f": float("nan")}, "t_f"), ({"t_f": float("inf")}, "t_f"),
+        ({"h": float("nan")}, "step h"), ({"h": 0.0}, "step h"), ({"h": float("inf")}, "step h"),
+        ({"eta": float("nan")}, "eta"), ({"eta": float("inf")}, "eta"),
+        ({"eta": -float("inf")}, "eta"),
+        ({"budget": 0}, "witness budget"), ({"budget": 2.5}, "witness budget")])
+    def test_bad_scalars_refused(self, rng, args, name):
+        # each bad scalar is refused by name with ModelError, not passed on
+        # to fail as a bare ValueError, an overflow or a division by zero,
+        # or (eta = NaN or inf) to fail every margin test and return None
+        sys_ = rs.random_stable_system(rng, 2, 1, 1)
+        ts = transform_spec(rs.PolytopeSpec([[1.0]], [-1.0], POLARITY_SAFE), np.array([0.1]))
+        call = {"t_f": 1.0, "budget": 4, **args}
+        with pytest.raises(rs.ModelError, match=f"^{name} must be"):
+            find_unsafe_witness(sys_, rand_box(rng, 2, 1), rand_ubox(rng, 1), ts, **call)
 
     def test_immediate_witness_at_t0(self):
         # the initial output already violates the grown safe interval

@@ -183,11 +183,11 @@ def test_e2_theoretical_component_nonincreasing_end_to_end(rng):
     from redsafe.balancing import balance
     prob = generous_problem(rng, n=7)
     bal = balance(prob.system)
-    full = rs.FullOrderResponse.of(bal, prob.x0)
+    full = rs.FullOrderResponse.of(bal, prob.x0, prob.t_f)
     opts = VerifyOptions(e1_methods=("theorem1",), e2_methods=("theorem3",))
     prev = None
     for k in range(2, 8):
-        _, e2s, bound, _ = bound_candidates(bal, full, k, prob.inputs, prob.t_f, opts)
+        _, e2s, bound, _ = bound_candidates(bal, full, k, prob.inputs, opts)
         e2 = e2s["theorem3"]
         assert np.array_equal(bound.e2, e2)
         if prev is not None:
@@ -209,7 +209,7 @@ def test_refused_methods_of_either_source_are_noted_and_left_out(rng, monkeypatc
     monkeypatch.setattr(bnd, "e1_simulation", refuse)
     monkeypatch.setattr(bnd, "e2_simulation", refuse)
     e1s, e2s, bound, notes = bound_candidates(
-        bal, rs.FullOrderResponse.of(bal, prob.x0), 3, prob.inputs, prob.t_f)
+        bal, rs.FullOrderResponse.of(bal, prob.x0, prob.t_f), 3, prob.inputs)
     assert notes == ["e1 simulation skipped: refused", "e2 simulation skipped: refused"]
     assert list(e1s) == ["theorem1", "theorem2"] and list(e2s) == ["theorem3"]
     assert np.array_equal(bound.delta, e1s["theorem1"] + e2s["theorem3"])

@@ -27,8 +27,9 @@ and the spread of each step's own gradient direction from a cumulative sum
 over the table's columns.  For order k, p outputs and r rows a step then
 costs O(k^2 (k + m)) arithmetic to build and O(r k) to check, rather than
 O(r p g_j) over its g_j input columns, and neither makes a matrix product
-per step: the exact recursions are built by doubling, in about log2 N
-products for N steps.
+per step: the exact recursions are built in chunks of c states, the first
+by doubling, in about log2 c + N / c products for N steps, and kept only as
+their output images and column norms.
 """
 
 from __future__ import annotations
@@ -92,20 +93,31 @@ class Zonotope:
     def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
         """Per-row sum_j |(Gamma G)_ij|: over the set, Gamma y lies within
         this much of Gamma @ center."""
-        return np.sum(np.abs(Gamma @ self.generators), axis=1)
+        return np.sum(_abs(Gamma @ self.generators), axis=1)
 
     def __repr__(self) -> str:
         return f"Zonotope(dim={self.dim}, order={self.order})"
 
 
+def _abs(X: np.ndarray) -> np.ndarray:
+    """|X|, written over X: for a product that nothing else holds, so that
+    no second array of its size is formed."""
+    return np.abs(X, out=X)
+
+
 def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
-    """Zonotope over-approximation of conv(z1 U z2)."""
+    """Zonotope over-approximation of conv(z1 U z2): generators
+    [(c1 - c2) / 2, (G1 + G2) / 2, (G1 - G2) / 2], the shorter of G1 and G2
+    padded with zero columns.  Written into one array, with no padded copy."""
     g = max(z1.order, z2.order)
-    G1 = np.pad(z1.generators, ((0, 0), (0, g - z1.order)))
-    G2 = np.pad(z2.generators, ((0, 0), (0, g - z2.order)))
-    c = (z1.center + z2.center) / 2.0
-    G = np.hstack([((z1.center - z2.center) / 2.0)[:, None], (G1 + G2) / 2.0, (G1 - G2) / 2.0])
-    return Zonotope(c, G)
+    G = np.zeros((z1.dim, 1 + 2 * g))
+    G[:, 0] = (z1.center - z2.center) / 2.0
+    plus, minus = G[:, 1:1 + g], G[:, 1 + g:]
+    plus[:, :z1.order] = minus[:, :z1.order] = z1.generators
+    plus[:, :z2.order] += z2.generators
+    minus[:, :z2.order] -= z2.generators
+    G[:, 1:] /= 2.0
+    return Zonotope((z1.center + z2.center) / 2.0, G)
 
 
 class _AgeTable:
@@ -161,10 +173,11 @@ class _AgeTable:
         key = (Gamma.shape, Gamma.tobytes())
         if key not in self._spreads:
             steps, r = len(self.balls), Gamma.shape[0]
-            T = np.abs(Gamma @ self.Y_plus) + np.abs(Gamma @ self.Y_minus)
+            T = _abs(Gamma @ self.Y_plus)
+            T += _abs(Gamma @ self.Y_minus)
             per_age = T.reshape(r, max(steps - 1, 0), self.m).sum(axis=2)
             prefix = np.vstack([np.zeros((1, r)), np.cumsum(per_age.T, axis=0)])
-            spreads = np.sum(np.abs(Gamma @ self.dense), axis=2) + prefix[:steps] \
+            spreads = np.sum(_abs(Gamma @ self.dense), axis=2) + prefix[:steps] \
                 + 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1) \
                 + self.balls[:, None] * (np.abs(Gamma) @ self.C_rows)
             spreads.flags.writeable = False
@@ -361,6 +374,45 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
     return out
 
 
+#: Doubles per chunk of a :func:`reach_lti` orbit: a chunk holds
+#: this // (rows x columns) states of the orbit, so no array of every step's
+#: states is formed.  At order 40 with 12 input columns that is 136 of the
+#: sweep's 995 input ages, 512 KB; the motor's orbits (order 5, 2 input
+#: columns) fit in one chunk.
+REACH_CHUNK_DOUBLES = 1 << 16
+
+
+def _orbit_images(powers: list[np.ndarray], X: np.ndarray, count: int,
+                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R`` times the orbit X, Phi X, ..., Phi^(count-1) X of Phi =
+    ``powers[0]``, as one (rows of R, count*w) array with step-major
+    columns, and the 2-norms of the orbit's count*w columns over their
+    first ``R.shape[1]`` rows.
+
+    The orbit is built a chunk of :data:`REACH_CHUNK_DOUBLES` at a time and
+    only its images and norms are kept: the first chunk by doubling from X
+    (:func:`_propagate`, ``powers`` from :func:`_doubling_powers` for at
+    least ``count - 1`` steps), each later one as Phi^c times the one
+    before, for chunks of c states."""
+    rows, w = R.shape[1], X.shape[1]
+    chunk = max(1, REACH_CHUNK_DOUBLES // max(1, X.size))
+    images, norms = np.empty((R.shape[0], count * w)), np.empty(count * w)
+    jump = np.linalg.matrix_power(powers[0], chunk) if count > chunk else None
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        if start == 0:
+            block = np.empty((X.shape[0], size * w))
+            block[:, :w] = X
+            _propagate(powers, X, size - 1, out=block[:, w:])
+        else:
+            block = jump @ block[:, :size * w]
+        states, cols = block[:rows], slice(start * w, (start + size) * w)
+        np.matmul(R, states, out=images[:, cols])
+        # without the squared copy of the states that np.linalg.norm makes
+        norms[cols] = np.sqrt(np.einsum("ij,ij->j", states, states))
+    return images, norms
+
+
 #: Default reach step control: ||A||_2 * h <= this value.
 STEP_LH = 0.1
 
@@ -396,23 +448,27 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     min(f, k) for the image of a box with f free dims, see
     :func:`balancing.image_zonotope`),
     p outputs and N full steps: the exact recursions c <- Phi c + v,
-    H <- Phi H and M_a <- Phi M_{a-1} are built by doubling
-    (:func:`_propagate`), about log2 N products each and O(N k^2 (1 + g0 +
-    m)) flops in all, straight into step-major buffers of (N + 1)(k + 1),
-    (N + 1) k g0 and N k m doubles; the center's is the orbit of [c; 1]
-    under [[Phi, v], [0, 1]].  rho <- ||Phi|| rho + res stays a scalar
-    recursion.  Every step's center, dense columns [d, (CH + CH')/2,
-    (CH - CH')/2] (from the output images CH, p x g0 per step), state norm
-    and ball radius are then single array expressions over those buffers,
-    and the table's output images come from one product C M.  Step
-    j's input columns, every age below j, are described by j, not gathered.
+    H <- Phi H and M_a <- Phi M_{a-1} are built a chunk of
+    :data:`REACH_CHUNK_DOUBLES` at a time (:func:`_orbit_images`), the first
+    chunk of c states by doubling (:func:`_propagate`) and each later one as
+    Phi^c times the one before, about log2 c + N / c products each and
+    O(N k^2 (1 + g0 + m)) flops in all; the center's is the orbit of [c; 1]
+    under [[Phi, v], [0, 1]].  Of each chunk only its output images (p x
+    (1 + g0 + m) per step, 2p rows when there is a partial last step) and
+    its column norms are kept, so no k x N array is formed: at k = 40,
+    N = 995, m = 12 the input orbit alone would be 3.8 MB.  rho <- ||Phi||
+    rho + res stays a scalar recursion.  Every step's center, dense columns
+    [d, (CH + CH')/2, (CH - CH')/2] (from the output images CH, p x g0 per
+    step), state norm and ball radius are then single array expressions over
+    those images, and so are the table's columns.  Step j's input columns,
+    every age below j, are described by j, not gathered.
     The result is a :class:`ReachSets` over the table's rows: indexing it
     assembles a full step's generator array (O(p g_j) for g_j input
     columns, :meth:`_AgeTable.generators`), while :func:`check_spec` reads
     polytope-row and unsafe-ellipsoid spreads from the table.  A partial
-    last step maps its columns through its own transition in output space,
-    so its arrays are p x g_j rather than k x g_j, and is built in full as
-    the result's one ``extra`` zonotope.
+    last step reads its columns' images under its own transition, C Phi_last
+    times every chunk, so its arrays are p x g_j rather than k x g_j, and is
+    built in full as the result's one ``extra`` zonotope.
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -468,50 +524,40 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     n_full = len(starts) - int(h_last < step_h * (1 - 1e-9))
 
     # the exact recursions, state j in column block j of a step-major
-    # buffer, each built by doubling straight into its buffer: the center
+    # orbit, each built a chunk at a time and kept only as its output
+    # images and column norms (:func:`_orbit_images`): the center
     # c <- Phi c + vin as the orbit of [c; 1] under [[Phi, vin], [0, 1]]
     # (whose powers hold Phi's powers in their top-left blocks), the images
     # H = Phi^j G0 of the initial generators, and the age table's columns
     # M_a = Phi^a G_in; the envelope radius rho <- ||Phi|| rho + res stays a
-    # scalar recursion
+    # scalar recursion.  A partial last step also reads its own transition's
+    # images C Phi_last x of the last states and of every age, so its
+    # readout rows are stacked under C's.
     m, g0, p = Gin.shape[1], init.order, C.shape[0]
+    partial = n_full < len(starts)
+    if partial:
+        last = make_step_data(h_last)
+    readout = np.vstack([C, C @ last[0]]) if partial else C
     aug = np.eye(n + 1)
     aug[:n, :n], aug[:n, n] = Phi, vin
     powers = _doubling_powers(aug, n_full)
     Phi_powers = [P[:n, :n] for P in powers]
-    cs = np.empty((n + 1, n_full + 1))
-    cs[:n, 0], cs[n, 0] = init.center, 1.0
-    _propagate(powers, cs[:, :1], n_full, out=cs[:, 1:])
-    cs = cs[:n].T
-    # dense, which the table keeps, is allocated before the orbit buffers,
+    # dense, which the table keeps, is allocated before the orbit chunks,
     # so that the heap space they free is not left below it
     dense = np.empty((n_full, p, 1 + 2 * g0))
-    M = np.empty((n, n_full * m))
-    if n_full:
-        M[:, :m] = Gin
-    _propagate(Phi_powers, Gin, max(n_full - 1, 0), out=M[:, m:])
-    H = np.empty((n, (n_full + 1) * g0))
-    H[:, :g0] = init.generators
-    _propagate(Phi_powers, init.generators, n_full, out=H[:, g0:])
+    Ccs, c_norms = _orbit_images(powers, np.append(init.center, 1.0)[:, None],
+                                 n_full + 1, readout)
+    CHs, h_norms = _orbit_images(Phi_powers, init.generators, n_full + 1, readout)
+    CMs, m_norms = _orbit_images(Phi_powers, Gin, n_full, readout)
     rhos = np.fromiter(itertools.accumulate(
         range(n_full), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, n_full + 1)
 
-    def column_norms(X):
-        # without the squared copy of X that np.linalg.norm makes
-        return np.sqrt(np.einsum("ij,ij->j", X, X))
-
     # norm_prefix[j] sums the norms of every input column injected before
     # step j, and state_norms[j] bounds the norm of the state step j starts in
-    norm_prefix = np.concatenate(
-        [[0.0], np.cumsum(column_norms(M).reshape(n_full, m).sum(axis=1))])
-    state_norms = np.linalg.norm(cs, axis=1) \
-        + column_norms(H).reshape(n_full + 1, g0).sum(axis=1) + norm_prefix
-    # H, the largest array of the call, is read only through its output
-    # images (state j in row j of CH) and its last state from here on, so
-    # it is released before the table is built
-    CH = (C @ H).reshape(p, n_full + 1, g0).transpose(1, 0, 2)
-    H_last = H[:, n_full * g0:].copy()
-    del H
+    norm_prefix = np.concatenate([[0.0], np.cumsum(m_norms.reshape(n_full, m).sum(axis=1))])
+    state_norms = c_norms + h_norms.reshape(n_full + 1, g0).sum(axis=1) + norm_prefix
+    Cc, CM = Ccs[:p].T, CMs[:p]
+    CH = CHs[:p].reshape(p, n_full + 1, g0).transpose(1, 0, 2)
 
     def ball_of(state_norm, rho, rho_next):
         """Envelope-ball radius of a step (or of an array of steps) from the
@@ -522,28 +568,27 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     # every full step's center and dense columns at once; the step hull
     # pairs state j with state j + 1, and a table column of age a with its
     # image of age a + 1
-    c, c_next = cs[:-1], cs[1:]
-    dense[:, :, 0] = ((c - c_next) / 2.0) @ C.T
+    c, c_next = Cc[:-1], Cc[1:]
+    dense[:, :, 0] = (c - c_next) / 2.0
     np.add(CH[:-1], CH[1:], out=dense[:, :, 1:1 + g0])
     np.subtract(CH[:-1], CH[1:], out=dense[:, :, 1 + g0:])
     dense[:, :, 1:] /= 2.0
-    CM = C @ M
     older, newer = CM[:, :max(n_full - 1, 0) * m], CM[:, m:]
     balls = ball_of(state_norms[:-1], rhos[:-1], rhos[1:])
-    table = _AgeTable(((c + c_next) / 2.0) @ C.T, dense, balls,
+    table = _AgeTable((c + c_next) / 2.0, dense, balls,
                       (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
                       np.linalg.norm(C, axis=1), m)
     extra = []
-    if n_full < len(starts):
+    if partial:
         # the partial last step is built in output space: only its p x g
         # generator arrays are ever formed
-        Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(h_last)
+        Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = last
         idx = table.oldest_first(n_full)
-        CPhi = C @ Phi
-        state = Zonotope(C @ cs[-1], np.hstack([CH[-1], CM[:, idx]]))
-        nxt = Zonotope(C @ (Phi @ cs[-1] + vin),
-                       np.hstack([CPhi @ H_last, (CPhi @ M)[:, idx], C @ Gin]))
+        state = Zonotope(Cc[-1], np.hstack([CH[-1], CM[:, idx]]))
+        nxt = Zonotope(Ccs[p:, -1] + C @ vin,
+                       np.hstack([CHs[p:, n_full * g0:], CMs[p:, idx], C @ Gin]))
         hull = enclose(state, nxt)
+        del state, nxt
         ball = float(ball_of(state_norms[-1], rhos[-1], nPhi * rhos[-1] + res_ball))
         extra.append(Zonotope(hull.center, np.hstack([hull.generators,
                                                       table.ball_columns(ball)])))
@@ -585,6 +630,32 @@ def _step_inputs(u: InputLike, m: int, times: np.ndarray,
     return u
 
 
+#: Largest number of steps :func:`simulate` advances with one product.
+SIM_BLOCK_MAX = 16
+
+
+def _block_kernel(Phi: np.ndarray, PsiB: np.ndarray, C: np.ndarray, b: int) -> np.ndarray:
+    """K_b with [y_{j+1}; ...; y_{j+b}; x_{j+b}] = K_b [x_j; u_j; ...; u_{j+b-1}]
+    for x_{i+1} = Phi x_i + PsiB u_i and y_i = C x_i:
+    K_b = [[O_b, T_b], [Phi^b, G_b]] with O_b the stacked C Phi^i
+    (i = 1 ... b), T_b the lower block-Toeplitz matrix whose block (i, l) is
+    C Phi^(i-1-l) PsiB for l < i, and G_b = [Phi^(b-1) PsiB ... PsiB]."""
+    n, m, p = Phi.shape[0], PsiB.shape[1], C.shape[0]
+    K = np.zeros((b * p + n, n + b * m))
+    P, gains = np.eye(n), []  # Phi^i, and Phi^d PsiB for d < b
+    for i in range(1, b + 1):
+        gains.append(P @ PsiB)
+        P = Phi @ P
+        K[(i - 1) * p:i * p, :n] = C @ P
+    K[b * p:, :n] = P
+    out_gains = [C @ G for G in gains]
+    for l in range(b):
+        K[b * p:, n + l * m:n + (l + 1) * m] = gains[b - 1 - l]
+        for i in range(l + 1, b + 1):
+            K[(i - 1) * p:i * p, n + l * m:n + (l + 1) * m] = out_gains[i - 1 - l]
+    return K
+
+
 def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
              h: float | None = None) -> Trajectory:
     """Exact-per-step propagation via the matrix exponential.
@@ -593,12 +664,23 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     switch times align with the grid are propagated exactly).  ``u`` may be
     None, a constant vector, a callable of time, or a (steps, m) array.
 
-    ``x0`` of shape (n, B) simulates a batch of B initial states in one step
-    loop; ``u`` may then also be a (steps, m, B) array of per-state inputs,
-    and the trajectory's outputs have shape (samples, p, B).  Only the
-    current state is kept.  A state that becomes non-finite anywhere in the
-    batch raises ModelError, as do a non-finite ``t_f`` and an ``h`` that is
-    not a finite positive real; ``t_f <= 0`` gives the one sample at t = 0.
+    ``x0`` of shape (n, B) simulates a batch of B initial states at once;
+    ``u`` may then also be a (steps, m, B) array of per-state inputs, and the
+    trajectory's outputs have shape (samples, p, B).
+
+    The steps are taken b at a time, b about n / sqrt(p m) and at most
+    :data:`SIM_BLOCK_MAX`: one product of the block kernel K_b
+    (:func:`_block_kernel`, (b p + n) x (n + b m), built once per call) with
+    [x_j; u_j; ...; u_{j+b-1}] gives the block's b output samples and its
+    last state, about (p + n/b)(n + b m) flops per step and state instead
+    of n (n + m + p), and only the current state is kept.  The steps left
+    after the last whole block, and a partial last step, take one step at a
+    time.  A block with a non-finite entry is taken again one step at a
+    time, so a state that becomes non-finite anywhere in the batch raises
+    ModelError naming the time of its step.  A non-finite ``t_f``, an ``h``
+    that is not a finite positive real, an ``x0`` of the wrong size and a
+    non-finite ``x0`` or ``u`` also raise ModelError; ``t_f <= 0`` gives the
+    one sample at t = 0.
     """
     if not np.isfinite(t_f):
         raise ModelError(f"t_f must be finite, got {t_f}")
@@ -607,28 +689,52 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     # written so that NaN fails the test
     if not 0 < h < np.inf:
         raise ModelError(f"step h must be a finite positive real, got {h}")
+    n, m, p, C = sys.n, sys.m, sys.p, sys.C
     x = np.asarray(x0, dtype=float)
-    if x.ndim == 2 and x.shape[0] == sys.n:
+    if x.ndim == 2 and x.shape[0] == n:
         batch = x.shape[1:]
+    elif x.size == n:
+        x, batch = x.reshape(n), ()
     else:
-        x, batch = x.reshape(sys.n), ()
+        raise ModelError(f"x0 must have shape ({n},) or ({n}, B), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ModelError("x0 must be finite")
     if t_f <= 0:
-        return Trajectory(np.zeros(1), (sys.C @ x)[None])
+        return Trajectory(np.zeros(1), (C @ x)[None])
     steps = int(np.ceil(t_f / h - 1e-12))
     times = np.minimum(np.arange(steps + 1) * h, t_f)
-    uval = _step_inputs(u, sys.m, times, batch)
+    uval = _step_inputs(u, m, times, batch)
+    if not np.all(np.isfinite(uval)):
+        raise ModelError("u must be finite")
     Phi, PsiB = _transition(sys.A, h, sys.B)
-    outputs = np.empty((steps + 1, sys.p) + batch)
-    outputs[0] = sys.C @ x
+    outputs = np.empty((steps + 1, p) + batch)
+    outputs[0] = C @ x
     last_h = times[-1] - times[-2]
     Phi_last, PsiB_last = (Phi, PsiB) if abs(last_h - h) < 1e-12 * h else \
         _transition(sys.A, last_h, sys.B)
-    for j in range(steps):
+
+    def advance(j: int, x: np.ndarray) -> np.ndarray:
         P, Q = (Phi, PsiB) if j < steps - 1 else (Phi_last, PsiB_last)
         x = P @ x + Q @ uval[j]
         if not np.all(np.isfinite(x)):
             raise ModelError(f"state became non-finite at t={times[j + 1]:.6g}")
-        outputs[j + 1] = sys.C @ x
+        outputs[j + 1] = C @ x
+        return x
+
+    # the steps taken with Phi, in whole blocks of b
+    b = int(min(SIM_BLOCK_MAX, max(1, round(n / np.sqrt(max(p * m, 1))))))
+    whole = (steps if Phi_last is Phi else steps - 1) // b * b
+    K = _block_kernel(Phi, PsiB, C, b) if whole else None
+    for j in range(0, whole, b):
+        Z = K @ np.concatenate([x, uval[j:j + b].reshape((b * m,) + batch)])
+        if np.all(np.isfinite(Z)):
+            outputs[j + 1:j + 1 + b] = Z[:b * p].reshape((b, p) + batch)
+            x = Z[b * p:]
+        else:
+            for i in range(j, j + b):
+                x = advance(i, x)
+    for j in range(whole, steps):
+        x = advance(j, x)
     return Trajectory(times, outputs)
 
 
@@ -828,19 +934,24 @@ class WitnessTrajectory:
     sample_index: int = field(default=0)
 
 
-#: Candidates per batched :func:`simulate` call of the witness search, so its
-#: arrays stay bounded whatever the budget: per candidate (steps + 1) p
-#: output and steps m plan floats, and one state of n.  For 64 candidates of
-#: 995 steps at order 40 with 4 outputs and 12 inputs that is 8.2 MB, and
-#: with the margin blocks of :data:`WITNESS_MARGIN_BLOCK` the traced peak of
-#: such a search is 8.6 MB (12.8 MB when an 8-row box spec's margins were
-#: formed for every sample at once).
-WITNESS_CHUNK = 64
+#: Doubles per chunk of the witness search's candidates, which share one
+#: batched :func:`simulate` call: a chunk holds as many candidates as fit
+#: their (steps, m) input plans and (steps + 1, p) output samples in this
+#: many doubles, and at least one, so its arrays stay bounded whatever the
+#: budget.  At order 40 with 995 steps, 12 inputs and 4 outputs that is 16
+#: candidates in 2.0 MB.
+WITNESS_CHUNK_DOUBLES = 1 << 18
+
+
+def _witness_chunk(steps: int, m: int, p: int) -> int:
+    """Candidates per chunk of the witness search (:data:`WITNESS_CHUNK_DOUBLES`)."""
+    return max(1, WITNESS_CHUNK_DOUBLES // (steps * m + (steps + 1) * p))
+
 
 #: Doubles per block of a chunk's witness margins: samples are scored
 #: max(1, this // (B * width)) at a time, for B candidates and a width of
 #: the spec's rows (outputs for an ellipsoid), so no (samples, B, rows)
-#: array is formed.  For 64 candidates and 8 rows that is 64 samples, a
+#: array is formed.  For 16 candidates and 8 rows that is 256 samples, a
 #: 256 KB block.
 WITNESS_MARGIN_BLOCK = 1 << 15
 
@@ -875,10 +986,11 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     space (identity when omitted); drawing from the original box keeps the
     witness sound for the full-order system.
 
-    The initial states are drawn first, then each chunk of ``WITNESS_CHUNK``
-    candidates draws its input plans (steps, m) into one (steps, m, B) array
-    and is simulated by one batched :func:`simulate` call from its (n, B)
-    initial states.  :meth:`TransformedSpec.witness_margins` scores the
+    The initial states are drawn first, then each chunk of candidates, as
+    many as fit :data:`WITNESS_CHUNK_DOUBLES` (16 at order 40 over 995 steps
+    with 12 inputs and 4 outputs, whatever the budget), draws its input
+    plans (steps, m) into one (steps, m, B) array and is simulated by one
+    batched :func:`simulate` call from its (n, B) initial states.  :meth:`TransformedSpec.witness_margins` scores the
     chunk's samples a block at a time (``WITNESS_MARGIN_BLOCK``), keeping
     each candidate's largest margin; candidates are then taken in order, and
     predicates in order within each, for the single-state re-simulation.
@@ -943,8 +1055,10 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                                      predicate_index=ts_i, sample_index=fj)
         return None
 
-    for start in range(0, budget, WITNESS_CHUNK):
-        stop = min(start + WITNESS_CHUNK, budget)
+    def scan(start: int, stop: int) -> WitnessTrajectory | None:
+        """Simulate candidates start ... stop - 1 as one batch and revalidate
+        their hits in order; the chunk's arrays are freed on return, before
+        the next chunk allocates its own."""
         plans = np.empty((steps, u_box.dim, stop - start))
         for b in range(stop - start):
             fill_plan(plans[:, :, b], (start + b) % 4)
@@ -960,4 +1074,11 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                                  plans[:, :, b].copy(), int(ts_i))
             if witness is not None:
                 return witness
+        return None
+
+    chunk = _witness_chunk(steps, u_box.dim, sys.p)
+    for start in range(0, budget, chunk):
+        witness = scan(start, min(start + chunk, budget))
+        if witness is not None:
+            return witness
     return None

@@ -443,6 +443,15 @@ def test_json_matches_golden(name, tmp_path, capsys):
     assert_matches_golden(json.loads(capsys.readouterr().out), expected)
 
 
+@pytest.mark.parametrize("budget", [8, 64])
+def test_reach_golden_in_orbit_chunks(budget, tmp_path, capsys, monkeypatch):
+    # reach's orbits built a state or a few at a time (8 doubles hold one
+    # state of any of the n = 6 orbits, 64 a few) match the golden
+    from redsafe import reach
+    monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", budget)
+    test_json_matches_golden("reach_n6_seed7_h025", tmp_path, capsys)
+
+
 #: Every kind and polarity of predicate over p = 2 outputs, a zero Gamma row
 #: among them, with per-mode deltas; in mode 2 the shrunk ellipsoid vanishes
 #: for both polarities.

@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ class TestSimulate:
         sys_ = rs.LtiSystem([[-1.0]], [[1.0]], [[3.0]])
         with pytest.raises(rs.ModelError, match=f"^{name} must be"):
             simulate(sys_, np.array([2.0]), None, t_f, h)
+
+    @pytest.mark.parametrize("x0, u, name", [
+        (np.array([np.nan, 0.0]), None, "x0"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), None, "x0"),  # a batch
+        (np.zeros(3), None, "x0"),
+        (np.zeros((3, 2)), None, "x0"),
+        (np.zeros(2), np.array([np.inf]), "u"),
+        (np.zeros(2), lambda t: np.array([np.inf if t > 0.3 else 0.0]), "u"),
+        (np.zeros(2), np.full((10, 1), np.nan), "u"),
+        (np.zeros((2, 3)), np.full((10, 1, 3), -np.inf), "u")])
+    def test_bad_initial_state_or_input_refused(self, x0, u, name):
+        # refused by name before the first step, not blamed on the dynamics
+        # as a state that became non-finite, nor left to a bare reshape error
+        sys_ = rs.LtiSystem(-np.eye(2), [[1.0], [0.0]], [[1.0, 1.0]])
+        with pytest.raises(rs.ModelError, match=f"^{name} must"):
+            simulate(sys_, x0, u, 1.0, 0.1)
 
 
 class TestCheckSpec:
@@ -635,6 +652,11 @@ class TestWitnessMargins:
                 assert np.array_equal(reach._peak_margins(ts, Y), margins.max(axis=0))
 
 
+def set_witness_chunk(monkeypatch, chunk):
+    """Make every chunk of the witness search hold ``chunk`` candidates."""
+    monkeypatch.setattr(reach, "_witness_chunk", lambda steps, m, p: chunk)
+
+
 def assert_bit_identical(w, ref):
     if ref is None:
         assert w is None
@@ -676,8 +698,9 @@ class TestBatchedWitness:
     def test_witness_at_a_middle_candidate(self, rng, monkeypatch):
         budget = 12
         sys_, x0, ubox, ts = late_witness_case(rng, 2, budget)
-        for chunk in (reach.WITNESS_CHUNK, 5):
-            monkeypatch.setattr(reach, "WITNESS_CHUNK", chunk)
+        for chunk in (None, 5):
+            if chunk is not None:
+                set_witness_chunk(monkeypatch, chunk)
             log = []
             ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5, log=log)
             assert ref is not None
@@ -689,7 +712,7 @@ class TestBatchedWitness:
         # with a negative eta a coarse hit (margin > eta) can miss the fine
         # bar (margin >= eta/2): first every hit fails, then a later record
         # candidate passes after earlier ones failed
-        monkeypatch.setattr(reach, "WITNESS_CHUNK", 4)
+        set_witness_chunk(monkeypatch, 4)
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
         ts = first_y0_spec(1e3)
@@ -739,17 +762,25 @@ class TestBatchedWitness:
 
     @pytest.mark.parametrize("chunk", [4, None])
     def test_budgets_around_the_chunk_size(self, rng, monkeypatch, chunk):
-        if chunk is not None:
-            monkeypatch.setattr(reach, "WITNESS_CHUNK", chunk)
-        chunk = reach.WITNESS_CHUNK
+        # None: the chunk comes from the doubles budget, here set to hold 5
+        # candidates of 200 steps with 2 inputs and 2 outputs and a part of
+        # a sixth
+        h = 0.005
+        if chunk is None:
+            monkeypatch.setattr(reach, "WITNESS_CHUNK_DOUBLES", 5 * 802 + 401)
+            assert reach._witness_chunk(200, 2, 2) == 5
+            chunk = 5
+        else:
+            set_witness_chunk(monkeypatch, chunk)
         for budget in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-            sys_, x0, ubox, ts = late_witness_case(rng, 2, budget)
-            ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5)
+            sys_, x0, ubox, ts = late_witness_case(rng, 2, budget, h=h)
+            ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5, h=h)
             assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
-                                                    seed=5), ref)
+                                                    seed=5, h=h), ref)
             never = first_y0_spec(1e6)
-            assert naive_witness(sys_, x0, ubox, never, 1.0, budget, seed=5) is None
-            assert find_unsafe_witness(sys_, x0, ubox, never, 1.0, budget, seed=5) is None
+            assert naive_witness(sys_, x0, ubox, never, 1.0, budget, seed=5, h=h) is None
+            assert find_unsafe_witness(sys_, x0, ubox, never, 1.0, budget, seed=5,
+                                       h=h) is None
 
     def test_single_step_horizon(self, rng):
         # with one step, a bang-bang switch drawn at step 1 lies past the end
@@ -775,8 +806,11 @@ class TestBatchedWitness:
         monkeypatch.setattr(reach, "simulate", counting)
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
-        budget = 2 * reach.WITNESS_CHUNK + 1
-        assert find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e6), 1.0, budget) is None
+        # 200 steps of 2 inputs and 2 outputs: 802 doubles per candidate
+        budget = 2 * reach._witness_chunk(200, 2, 2) + 1
+        assert budget == 2 * (reach.WITNESS_CHUNK_DOUBLES // 802) + 1
+        assert find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e6), 1.0, budget,
+                                   h=0.005) is None
         assert calls == [2, 2, 2]
 
 
@@ -1023,26 +1057,6 @@ def test_doubling_matches_naive_reach(case, seed):
     # the step times are the step loop's, bit for bit
     assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
     assert_same_sets(steps, ref, np.random.default_rng(seed))
-
-
-def test_reach_peak_memory_is_its_orbit_buffers():
-    # a call shaped like the k = 40 reach of the n = 150 sweep: its traced
-    # peak stays within 1.25x of the initial-generator and input-column
-    # orbit buffers, 8 B x ((N + 1) k g0 + N k m), plus what the returned
-    # steps keep
-    rng = np.random.default_rng(40)
-    k, m = 40, 12
-    sys_ = rs.random_stable_system(rng, k, m, 4)
-    x0, ubox = rand_box(rng, k), rand_ubox(rng, m)
-    tracemalloc.start()
-    try:
-        steps = reach_lti(sys_, x0, ubox, 1.0, 1e-3)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    n_full, g0 = len(steps), Zonotope.from_box(x0).order
-    assert n_full == 1000 and g0 == k
-    assert peak <= 1.25 * (8 * ((n_full + 1) * k * g0 + n_full * k * m) + kept)
 
 
 # --------------------------------------------------------------------------
@@ -1408,3 +1422,208 @@ def test_expm_not_finite_raises_model_error():
         reach._expm(np.array([[np.nan]]))
     with pytest.raises(rs.ModelError, match="not finite"):
         reach._expm(np.array([[1e3]]))
+
+
+# --------------------------------------------------------------------------
+# simulate's block kernel against the per-step loop.
+
+def stepwise(sys_, x0, u, t_f, h):
+    """Per-step reference: x <- Phi x + Psi u_j one step at a time, the last
+    step over its own length.  Returns (outputs, time of the first
+    non-finite state or None); the outputs stop before that state."""
+    x = np.asarray(x0, dtype=float)
+    steps = int(np.ceil(t_f / h - 1e-12))
+    times = np.minimum(np.arange(steps + 1) * h, t_f)
+    U = reach._step_inputs(u, sys_.m, times, x.shape[1:])
+    full, last = _transition(sys_.A, h, sys_.B), _transition(sys_.A, times[-1] - times[-2], sys_.B)
+    outputs = [sys_.C @ x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            Phi, Psi = full if j < steps - 1 else last
+            x = Phi @ x + Psi @ U[j]
+            if not np.all(np.isfinite(x)):
+                return np.array(outputs), times[j + 1]
+            outputs.append(sys_.C @ x)
+    return np.array(outputs), None
+
+
+def assert_matches_stepwise(sys_, x0, u, t_f, h):
+    traj = simulate(sys_, x0, u, t_f, h)
+    ref, _ = stepwise(sys_, x0, u, t_f, h)
+    assert traj.outputs.shape == ref.shape
+    np.testing.assert_allclose(traj.outputs, ref, rtol=1e-12,
+                               atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def no_input_system(rng, n, p):
+    """A system with m = 0, which LtiSystem refuses but simulate reads."""
+    A = rs.random_stable_system(rng, n, 1, p).A
+    return types.SimpleNamespace(A=A, B=np.zeros((n, 0)), C=rng.standard_normal((p, n)),
+                                 n=n, m=0, p=p)
+
+
+class TestBlockSimulate:
+    def test_block_kernel_is_b_steps(self, rng):
+        sys_ = rs.random_stable_system(rng, 5, 2, 3)
+        Phi, Psi = _transition(sys_.A, 0.1, sys_.B)
+        for b in (1, 2, 5):
+            x, U = rng.standard_normal(5), rng.standard_normal((b, 2))
+            Z = reach._block_kernel(Phi, Psi, sys_.C, b) @ np.concatenate([x, U.ravel()])
+            for i in range(b):
+                x = Phi @ x + Psi @ U[i]
+                np.testing.assert_allclose(Z[i * 3:(i + 1) * 3], sys_.C @ x, rtol=1e-13,
+                                           atol=1e-13)
+            np.testing.assert_allclose(Z[b * 3:], x, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 8, 9])
+    def test_steps_around_the_block(self, rng, steps, monkeypatch):
+        # n = 8 with p = m = 1 takes blocks of SIM_BLOCK_MAX = 4 steps: fewer
+        # steps than a block, exactly one, a remainder, and each of those
+        # with a partial last step; single states and batches under every
+        # kind of input
+        monkeypatch.setattr(reach, "SIM_BLOCK_MAX", 4)
+        sys_ = rs.random_stable_system(rng, 8, 1, 1)
+        for t_f in (0.1 * steps, 0.1 * steps - 0.04):
+            for batch in ((), (3,)):
+                x0 = rng.standard_normal((8,) + batch)
+                plan = rng.standard_normal((steps, 1) + batch)
+                for u in (None, np.array([0.7]), lambda t: np.array([np.cos(3 * t)]),
+                          plan[..., 0] if batch else plan, plan):
+                    assert_matches_stepwise(sys_, x0, u, t_f, 0.1)
+
+    def test_no_inputs_and_zero_horizon(self, rng):
+        sys_ = no_input_system(rng, 6, 2)
+        for t_f in (2.0, 1.97, 0.0):
+            for x0 in (rng.standard_normal(6), rng.standard_normal((6, 4))):
+                if t_f == 0.0:
+                    traj = simulate(sys_, x0, None, t_f, 0.05)
+                    np.testing.assert_array_equal(traj.outputs, (sys_.C @ x0)[None])
+                else:
+                    assert_matches_stepwise(sys_, x0, None, t_f, 0.05)
+
+    @given(st.integers(1, 20), st.integers(1, 6), st.integers(1, 5), st.integers(0, 5),
+           st.integers(0, 2**32 - 1), st.floats(0.2, 3.0))
+    def test_random_shapes_match_stepwise(self, n, m, p, B, seed, t_f):
+        rng = np.random.default_rng(seed)
+        sys_ = rs.random_stable_system(rng, n, m, p)
+        h = 0.05 / max(1.0, np.linalg.norm(sys_.A, 2))
+        shape = (n, B) if B else (n,)
+        steps = int(np.ceil(t_f / h - 1e-12))
+        u = rng.standard_normal((steps, m, B) if B else (steps, m))
+        assert_matches_stepwise(sys_, rng.standard_normal(shape), u, t_f, h)
+
+    def test_first_non_finite_time_matches_stepwise(self):
+        # n = 4, p = m = 1: blocks of 4 steps; the fast mode overflows inside
+        # a block, which is taken again step by step to name the state's time
+        A = np.diag([50.0, -1.0, -2.0, -3.0])
+        sys_ = rs.LtiSystem(A, np.ones((4, 1)), np.ones((1, 4)))
+        for x0 in (np.eye(4)[0], np.stack([np.zeros(4), np.eye(4)[0]], axis=1)):
+            _, t_bad = stepwise(sys_, x0, None, 20.0, 0.1)
+            assert t_bad == pytest.approx(14.2)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(rs.ModelError, match=f"non-finite at t={t_bad:.6g}$"):
+                simulate(sys_, x0, None, 20.0, 0.1)
+
+    def test_overflowing_kernel_falls_back_to_steps(self):
+        # Phi = e^200 is finite but Phi^4 in the block kernel is not: from the
+        # origin with no input every state is 0, and the blocks taken again
+        # step by step say so
+        A = np.diag([2000.0, -1.0, -2.0, -3.0])
+        sys_ = rs.LtiSystem(A, np.ones((4, 1)), np.ones((1, 4)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(sys_, np.zeros(4), np.zeros(1), 1.0, 0.1)
+        np.testing.assert_array_equal(traj.outputs, np.zeros((11, 1)))
+
+
+# --------------------------------------------------------------------------
+# reach_lti's orbits built a chunk at a time against one chunk.
+
+def assert_same_table(sets, ref, rng):
+    assert (sets.rows, len(sets.extra)) == (ref.rows, len(ref.extra))
+    a, b = sets.table, ref.table
+    for name in ("centers", "dense", "balls", "Y_plus", "Y_minus", "Y_new"):
+        x, y = getattr(a, name), getattr(b, name)
+        np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max()),
+                                   err_msg=name)
+    Gamma = rng.standard_normal((3, a.centers.shape[1]))
+    y = b.row_spreads(Gamma)
+    np.testing.assert_allclose(a.row_spreads(Gamma), y, rtol=1e-12,
+                               atol=1e-12 * max(1.0, np.abs(y).max()))
+    for s, r in zip(sets, ref):
+        assert (s.t0, s.t1) == (r.t0, r.t1)
+        for x, y in ((s.outputs.center, r.outputs.center),
+                     (s.outputs.generators, r.outputs.generators)):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max()))
+
+
+class TestReachChunks:
+    @pytest.mark.parametrize("orbit", ["center", "initial", "inputs"])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_chunk_boundaries_match_one_chunk(self, rng, monkeypatch, orbit, partial):
+        # order 3, 2 input columns, 1 initial generator: chunks of c = 4
+        # states of one orbit ([c; 1] has 4 rows, G0 3 x 1, G_in 3 x 2), and
+        # orbits of c - 1, c, c + 1 and 2c + 1 states (the center and the
+        # initial orbit hold one state more than there are full steps)
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox, step_h, c = rand_box(rng, 3, 1), rand_ubox(rng, 2), 0.1, 4
+        size, count_of_steps = {"center": (4, 1), "initial": (3, 1), "inputs": (6, 0)}[orbit]
+        for count in (c - 1, c, c + 1, 2 * c + 1):
+            full = count - count_of_steps
+            t_f = step_h * (full + (0.4 if partial else 0.0))
+            monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", 1 << 30)
+            ref = reach_lti(sys_, x0, ubox, t_f, step_h)
+            monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", c * size)
+            sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+            assert (sets.rows, len(sets.extra)) == (full, int(partial))
+            assert_same_table(sets, ref, rng)
+
+
+# --------------------------------------------------------------------------
+# Memory: reach's orbits and the witness search's chunks stay bounded.
+
+def traced_peak(call):
+    """(result, peak bytes above the start, bytes kept at the end)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept
+
+
+def test_reach_peak_memory_stays_below_its_input_orbit():
+    # a call shaped like the k = 40 reach of the n = 150 sweep (6 free box
+    # dims, 12 inputs, N = 1000 steps): what it forms beyond what it keeps
+    # is under half of the N k m doubles of its input orbit M_a = Phi^a G_in,
+    # and its whole traced peak is below that orbit
+    rng = np.random.default_rng(40)
+    k, m = 40, 12
+    sys_ = rs.random_stable_system(rng, k, m, 4)
+    x0, ubox = rand_box(rng, k, 6), rand_ubox(rng, m)
+    steps, peak, kept = traced_peak(lambda: reach_lti(sys_, x0, ubox, 1.0, 1e-3))
+    orbit = 8 * len(steps) * k * m
+    assert len(steps) == 1000 and steps.rows == 1000
+    assert peak - kept < 0.5 * orbit
+    assert peak < orbit
+
+
+def test_witness_peak_memory_does_not_grow_with_the_budget():
+    # k = 40, 1000 steps, 12 inputs, 4 outputs: no candidate crosses, so
+    # every chunk is simulated; the traced peak stays within the chunk's
+    # doubles budget (plus the initial states, 40 doubles a candidate),
+    # and a budget of 256 peaks no higher than one of 64
+    rng = np.random.default_rng(41)
+    k, m, p = 40, 12, 4
+    sys_ = rs.random_stable_system(rng, k, m, p)
+    x0, ubox = rand_box(rng, k, 6), rand_ubox(rng, m)
+    never = transform_spec(rs.PolytopeSpec(np.eye(p)[:1], [-1e9], POLARITY_SAFE), np.zeros(p))
+    peaks = {}
+    for budget in (64, 256):
+        found, peak, _ = traced_peak(lambda: find_unsafe_witness(
+            sys_, x0, ubox, never, 1.0, budget, h=1e-3))
+        assert found is None
+        peaks[budget] = peak - 8 * k * budget
+    assert reach._witness_chunk(1000, m, p) == 16
+    assert peaks[256] <= 1.05 * peaks[64]
+    assert peaks[256] < 1.5 * 8 * reach.WITNESS_CHUNK_DOUBLES

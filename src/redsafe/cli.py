@@ -58,7 +58,7 @@ def _emit(doc, args, text_renderer=None, csv_renderer=None) -> None:
 
 def _options_from(args) -> VerifyOptions:
     kwargs = {}
-    for name in ("k0", "k_max", "step_h", "step_lh",
+    for name in ("k0", "k_max", "step_lh",
                  "witness_budget", "seed", "time_budget"):
         val = getattr(args, name, None)
         if val is not None:
@@ -239,7 +239,8 @@ def cmd_reach(args) -> int:
     step_h = args.step_h if args.step_h is not None else default_step(
         problem.t_f, sys_.A, lh=args.step_lh)
     steps = list(reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h))
-    doc = {"format_version": 1, "name": problem.name, "step_h": step_h,
+    # the even step that tiles the horizon, at most the step asked for
+    doc = {"format_version": 1, "name": problem.name, "step_h": problem.t_f / len(steps),
            "steps": [{"t0": s.t0, "t1": s.t1,
                       "center": s.outputs.center.tolist(),
                       "generators": s.outputs.generators.tolist()} for s in steps]}
@@ -377,9 +378,8 @@ def _add_verify_opts(sp):
     _add_bound_opts(sp)
     sp.add_argument("--k0", type=int, help="initial abstraction order (default p+1)")
     sp.add_argument("--k-max", dest="k_max", type=int, help="largest order to try (default n)")
-    sp.add_argument("--step-h", dest="step_h", type=float, help="reach step size override")
     sp.add_argument("--step-lh", dest="step_lh", type=float,
-                    help=f"reach step control ||A||*h (default {STEP_LH})")
+                    help=f"reach and witness step control ||A||*h (default {STEP_LH})")
     sp.add_argument("--witness-budget", dest="witness_budget", type=int,
                     help="max candidate trajectories in the witness search")
     sp.add_argument("--time-budget", dest="time_budget", type=float,
@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reach", help="output reach step sets of an LTI manifest")
     _add_common(sp)
-    sp.add_argument("--step-h", dest="step_h", type=float, help="step size override")
+    sp.add_argument("--step-h", dest="step_h", type=float,
+                    help="largest step; the horizon is tiled by equal steps of at most this")
     sp.add_argument("--step-lh", dest="step_lh", type=float, default=STEP_LH,
                     help=f"step control ||A||*h (default {STEP_LH})")
     sp.set_defaults(func=cmd_reach)

@@ -15,8 +15,9 @@ step's center, few dense columns and ball radius, computed for all steps at
 once from the states of the exact recursion.  A step's 1 + 2 g0 dense
 columns come from the images of the g0 initial generators, and g0 <=
 min(f, k) when the initial set is the order-k image of a box with f free
-dims (:func:`balancing.image_zonotope`).  A full step is a row of that
-table, and :func:`reach_lti` returns the table itself as a
+dims (:func:`balancing.image_zonotope`).  The steps tile [0, t_f] evenly,
+so every step is a row of that table, and :func:`reach_lti` returns the
+table itself as a
 :class:`ReachSets`: ``ReachSets[j]`` assembles step j's generator array
 only when something reads it (safe-region ellipsoids, the hit search on a
 step that fails its check, ``reach --format json``).  Polytope rows read
@@ -105,23 +106,8 @@ def _abs(X: np.ndarray) -> np.ndarray:
     return np.abs(X, out=X)
 
 
-def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
-    """Zonotope over-approximation of conv(z1 U z2): generators
-    [(c1 - c2) / 2, (G1 + G2) / 2, (G1 - G2) / 2], the shorter of G1 and G2
-    padded with zero columns.  Written into one array, with no padded copy."""
-    g = max(z1.order, z2.order)
-    G = np.zeros((z1.dim, 1 + 2 * g))
-    G[:, 0] = (z1.center - z2.center) / 2.0
-    plus, minus = G[:, 1:1 + g], G[:, 1 + g:]
-    plus[:, :z1.order] = minus[:, :z1.order] = z1.generators
-    plus[:, :z2.order] += z2.generators
-    minus[:, :z2.order] -= z2.generators
-    G[:, 1:] /= 2.0
-    return Zonotope((z1.center + z2.center) / 2.0, G)
-
-
 class _AgeTable:
-    """The step data shared by the full step sets of one :func:`reach_lti` call.
+    """The step data shared by the step sets of one :func:`reach_lti` call.
 
     Row j of ``centers`` (steps, p), ``dense`` (steps, p, 1 + 2 g0) and
     ``balls`` (steps,) is step j's center, dense columns and ball radius.
@@ -142,10 +128,6 @@ class _AgeTable:
         self.m = m
         self._spreads: dict = {}
 
-    def oldest_first(self, j: int) -> np.ndarray:
-        """Age-indexed columns of step j's inputs, oldest first."""
-        return np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()
-
     def generators(self, j: int) -> np.ndarray:
         """Step j's output generator array: d, H+, input+, new, H-, input-,
         -new, ball, with the dense columns [d, H+, H-] and the input columns
@@ -155,14 +137,13 @@ class _AgeTable:
         dense, ball = self.dense[j], float(self.balls[j])
         p, split = dense.shape[0], 1 + dense.shape[1] // 2
         G = np.empty((p, dense.shape[1] + 2 * (j + 1) * self.m + (p if ball > 0 else 0)))
-        idx = self.oldest_first(j)
+        # the input columns oldest first, and the image of the state-space
+        # 2-ball: per-output radius ball*||C_i||_2
+        idx = np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()
+        balls = np.diag(ball * self.C_rows) if ball > 0 else np.zeros((p, 0))
         return np.concatenate([dense[:, :split], self.Y_plus[:, idx], self.Y_new,
                                dense[:, split:], self.Y_minus[:, idx], -self.Y_new,
-                               self.ball_columns(ball)], axis=1, out=G)
-
-    def ball_columns(self, ball: float) -> np.ndarray:
-        """Image of a state-space 2-ball: per-output radius ball*||C_i||_2."""
-        return np.diag(ball * self.C_rows) if ball > 0 else np.zeros((self.C_rows.size, 0))
+                               balls], axis=1, out=G)
 
     def row_spreads(self, Gamma: np.ndarray) -> np.ndarray:
         """(steps, rows) spreads of every step for the rows of Gamma, built
@@ -175,7 +156,7 @@ class _AgeTable:
             steps, r = len(self.balls), Gamma.shape[0]
             T = _abs(Gamma @ self.Y_plus)
             T += _abs(Gamma @ self.Y_minus)
-            per_age = T.reshape(r, max(steps - 1, 0), self.m).sum(axis=2)
+            per_age = T.reshape(r, steps - 1, self.m).sum(axis=2)
             prefix = np.vstack([np.zeros((1, r)), np.cumsum(per_age.T, axis=0)])
             spreads = np.sum(_abs(Gamma @ self.dense), axis=2) + prefix[:steps] \
                 + 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1) \
@@ -221,14 +202,14 @@ class ReachStep:
 class ReachSets(Sequence):
     """The output reach sets of one :func:`reach_lti` call, one per step.
 
-    ``t0`` and ``t1`` hold every step's interval.  The first ``rows`` steps
-    are the rows of ``table`` (None for explicit step sets), and ``extra``
-    holds the explicit zonotopes of the steps after them.  Indexing
-    assembles a :class:`ReachStep` on demand and keeps nothing; a slice
-    returns a list.  :func:`check_spec` reads the table's rows without
-    assembling them."""
+    ``t0`` and ``t1`` hold every step's interval, and the steps are the rows
+    of ``table``.  Explicit step sets (:meth:`of`) have no table and hold
+    their zonotopes in ``extra``.  Indexing assembles a :class:`ReachStep`
+    on demand and keeps nothing; a slice returns a list.  :func:`check_spec`
+    reads the table's rows without assembling them."""
 
-    def __init__(self, t0, t1, table: _AgeTable | None, extra: Sequence[Zonotope]):
+    def __init__(self, t0, t1, table: _AgeTable | None = None,
+                 extra: Sequence[Zonotope] = ()):
         self.t0, self.t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
         self.table, self.extra = table, tuple(extra)
 
@@ -239,23 +220,18 @@ class ReachSets(Sequence):
         if isinstance(steps, ReachSets):
             return steps
         steps = list(steps)
-        return cls([s.t0 for s in steps], [s.t1 for s in steps], None,
-                   [s.outputs for s in steps])
-
-    @property
-    def rows(self) -> int:
-        return 0 if self.table is None else len(self.table.balls)
+        return cls([s.t0 for s in steps], [s.t1 for s in steps],
+                   extra=[s.outputs for s in steps])
 
     def __len__(self) -> int:
-        return self.rows + len(self.extra)
+        return self.t0.size
 
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(len(self)))]
         j = range(len(self))[j]  # IndexError out of range, negative from the end
-        rows = self.rows
-        z = Zonotope(self.table.centers[j], self.table.generators(j)) if j < rows \
-            else self.extra[j - rows]
+        z = self.extra[j] if self.table is None else \
+            Zonotope(self.table.centers[j], self.table.generators(j))
         return ReachStep(float(self.t0[j]), float(self.t1[j]), z)
 
 
@@ -433,42 +409,41 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
               step_h: float | None = None) -> ReachSets:
     """Over-approximate output reach sets of a stable or unstable LTI system.
 
-    Returns step sets whose intervals tile [0, t_f], as one
-    :class:`ReachSets`; every admissible output trajectory (measurable u in
-    the box) from an initial state in ``x0`` stays inside the step set of
-    its interval.  A box ``x0`` starts as :meth:`Zonotope.from_box`, with
-    one generator per free dim.
+    Returns N = ceil(t_f / step_h) step sets of the even length
+    h = t_f / N <= step_h, whose intervals ``linspace(0, t_f, N + 1)`` tile
+    [0, t_f], as one :class:`ReachSets`; every admissible output trajectory
+    (measurable u in the box) from an initial state in ``x0`` stays inside
+    the step set of its interval.  A horizon within 1e-9 steps of the grid
+    takes no step for the sliver left over, so h exceeds step_h by at most
+    that much.  A box ``x0`` starts as :meth:`Zonotope.from_box`, with one
+    generator per free dim.
 
     After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
     Each M_a, the output images of its hull pairs and its column norms are
-    computed once, into an age table whose rows are the full steps.
+    computed once, into an age table with one row per step.
 
     Cost model, for order k, m input columns, g0 initial generators (g0 <=
     min(f, k) for the image of a box with f free dims, see
     :func:`balancing.image_zonotope`),
-    p outputs and N full steps: the exact recursions c <- Phi c + v,
+    p outputs and N steps: the exact recursions c <- Phi c + v,
     H <- Phi H and M_a <- Phi M_{a-1} are built a chunk of
     :data:`REACH_CHUNK_DOUBLES` at a time (:func:`_orbit_images`), the first
     chunk of c states by doubling (:func:`_propagate`) and each later one as
     Phi^c times the one before, about log2 c + N / c products each and
     O(N k^2 (1 + g0 + m)) flops in all; the center's is the orbit of [c; 1]
     under [[Phi, v], [0, 1]].  Of each chunk only its output images (p x
-    (1 + g0 + m) per step, 2p rows when there is a partial last step) and
-    its column norms are kept, so no k x N array is formed: at k = 40,
-    N = 995, m = 12 the input orbit alone would be 3.8 MB.  rho <- ||Phi||
-    rho + res stays a scalar recursion.  Every step's center, dense columns
-    [d, (CH + CH')/2, (CH - CH')/2] (from the output images CH, p x g0 per
-    step), state norm and ball radius are then single array expressions over
-    those images, and so are the table's columns.  Step j's input columns,
-    every age below j, are described by j, not gathered.
-    The result is a :class:`ReachSets` over the table's rows: indexing it
-    assembles a full step's generator array (O(p g_j) for g_j input
-    columns, :meth:`_AgeTable.generators`), while :func:`check_spec` reads
-    polytope-row and unsafe-ellipsoid spreads from the table.  A partial
-    last step reads its columns' images under its own transition, C Phi_last
-    times every chunk, so its arrays are p x g_j rather than k x g_j, and is
-    built in full as the result's one ``extra`` zonotope.
+    (1 + g0 + m) per step) and its column norms are kept, so no k x N array
+    is formed: at k = 40, N = 995, m = 12 the input orbit alone would be
+    3.8 MB.  rho <- ||Phi|| rho + res stays a scalar recursion.  Every
+    step's center, dense columns [d, (CH + CH')/2, (CH - CH')/2] (from the
+    output images CH, p x g0 per step), state norm and ball radius are then
+    single array expressions over those images, and so are the table's
+    columns.  Step j's input columns, every age below j, are described by
+    j, not gathered.  Indexing the result assembles a step's generator array
+    (O(p g_j) for g_j input columns, :meth:`_AgeTable.generators`), while
+    :func:`check_spec` reads polytope-row and unsafe-ellipsoid spreads from
+    the table.
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -485,43 +460,27 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
 
     A, B, C = sys.A, sys.B, sys.C
     n = sys.n
+    steps = max(1, int(np.ceil(t_f / step_h - 1e-9)))
+    h = t_f / steps
     L = float(np.linalg.norm(A, 2)) if A.size else 0.0
     uc, ur = u_box.center, u_box.halfwidth
     nB = float(np.linalg.norm(B, 2)) if ur.size else 0.0
     ur_norm = float(np.linalg.norm(ur))
-
-    def make_step_data(h: float):
-        Phi, PsiB = _transition(A, h, B)
-        nPhi = float(np.linalg.norm(Phi, 2))
-        Gin = PsiB @ np.diag(ur)
-        Gin = Gin[:, np.linalg.norm(Gin, axis=0) > 0]
-        vin = PsiB @ uc
-        # residual for measurable (non-constant) inputs within one step:
-        # || int e^{As} B (w - wbar) ds || with the average wbar split off.
-        if L > 0:
-            psi_gap = (np.exp(L * h) - 1.0) / L - h
-        else:
-            psi_gap = 0.0
-        res_ball = psi_gap * nB * 2.0 * ur_norm if ur.size else 0.0
-        # curvature envelope for the in-step deviation from the chord between
-        # consecutive endpoint states (second order in h, plus the first-order
-        # input-variation sweep); any sound envelope is acceptable here.
-        ebl = np.exp(L * h) - 1.0 - L * h
-        sweep = 2.0 * ((np.exp(L * h) - 1.0) / L if L > 0 else h)
-        drift = float(np.linalg.norm(B @ uc)) / L if L > 0 else 0.0
-        return Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift
-
-    Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = make_step_data(step_h)
-    in_norm = nB * ur_norm
-
-    # step start times summed in sequence as `t += step_h` sums them, up to
-    # the first that meets the stopping rule; only the last step can be
-    # shorter than step_h
-    starts = np.cumsum(np.concatenate([[0.0], np.full(int(np.ceil(t_f / step_h)) + 1, step_h)]))
-    starts = starts[:np.searchsorted(starts, t_f - 1e-12 * max(1.0, t_f))].tolist()
-    h_last = min(step_h, t_f - starts[-1])
-    ends = starts[1:] + [starts[-1] + h_last]
-    n_full = len(starts) - int(h_last < step_h * (1 - 1e-9))
+    Phi, PsiB = _transition(A, h, B)
+    nPhi = float(np.linalg.norm(Phi, 2))
+    Gin = PsiB @ np.diag(ur)
+    Gin = Gin[:, np.linalg.norm(Gin, axis=0) > 0]
+    vin = PsiB @ uc
+    # residual for measurable (non-constant) inputs within one step:
+    # || int e^{As} B (w - wbar) ds || with the average wbar split off.
+    psi_gap = (np.exp(L * h) - 1.0) / L - h if L > 0 else 0.0
+    res_ball = psi_gap * nB * 2.0 * ur_norm if ur.size else 0.0
+    # curvature envelope for the in-step deviation from the chord between
+    # consecutive endpoint states (second order in h, plus the first-order
+    # input-variation sweep); any sound envelope is acceptable here.
+    ebl = np.exp(L * h) - 1.0 - L * h
+    sweep = 2.0 * ((np.exp(L * h) - 1.0) / L if L > 0 else h)
+    drift = float(np.linalg.norm(B @ uc)) / L if L > 0 else 0.0
 
     # the exact recursions, state j in column block j of a step-major
     # orbit, each built a chunk at a time and kept only as its output
@@ -530,69 +489,43 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     # (whose powers hold Phi's powers in their top-left blocks), the images
     # H = Phi^j G0 of the initial generators, and the age table's columns
     # M_a = Phi^a G_in; the envelope radius rho <- ||Phi|| rho + res stays a
-    # scalar recursion.  A partial last step also reads its own transition's
-    # images C Phi_last x of the last states and of every age, so its
-    # readout rows are stacked under C's.
+    # scalar recursion.
     m, g0, p = Gin.shape[1], init.order, C.shape[0]
-    partial = n_full < len(starts)
-    if partial:
-        last = make_step_data(h_last)
-    readout = np.vstack([C, C @ last[0]]) if partial else C
     aug = np.eye(n + 1)
     aug[:n, :n], aug[:n, n] = Phi, vin
-    powers = _doubling_powers(aug, n_full)
+    powers = _doubling_powers(aug, steps)
     Phi_powers = [P[:n, :n] for P in powers]
     # dense, which the table keeps, is allocated before the orbit chunks,
     # so that the heap space they free is not left below it
-    dense = np.empty((n_full, p, 1 + 2 * g0))
-    Ccs, c_norms = _orbit_images(powers, np.append(init.center, 1.0)[:, None],
-                                 n_full + 1, readout)
-    CHs, h_norms = _orbit_images(Phi_powers, init.generators, n_full + 1, readout)
-    CMs, m_norms = _orbit_images(Phi_powers, Gin, n_full, readout)
+    dense = np.empty((steps, p, 1 + 2 * g0))
+    Cc, c_norms = _orbit_images(powers, np.append(init.center, 1.0)[:, None], steps + 1, C)
+    CH, h_norms = _orbit_images(Phi_powers, init.generators, steps + 1, C)
+    CM, m_norms = _orbit_images(Phi_powers, Gin, steps, C)
     rhos = np.fromiter(itertools.accumulate(
-        range(n_full), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, n_full + 1)
+        range(steps), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, steps + 1)
 
     # norm_prefix[j] sums the norms of every input column injected before
     # step j, and state_norms[j] bounds the norm of the state step j starts in
-    norm_prefix = np.concatenate([[0.0], np.cumsum(m_norms.reshape(n_full, m).sum(axis=1))])
-    state_norms = c_norms + h_norms.reshape(n_full + 1, g0).sum(axis=1) + norm_prefix
-    Cc, CM = Ccs[:p].T, CMs[:p]
-    CH = CHs[:p].reshape(p, n_full + 1, g0).transpose(1, 0, 2)
+    norm_prefix = np.concatenate([[0.0], np.cumsum(m_norms.reshape(steps, m).sum(axis=1))])
+    state_norms = c_norms + h_norms.reshape(steps + 1, g0).sum(axis=1) + norm_prefix
+    Cc, CH = Cc.T, CH.reshape(p, steps + 1, g0).transpose(1, 0, 2)
 
-    def ball_of(state_norm, rho, rho_next):
-        """Envelope-ball radius of a step (or of an array of steps) from the
-        state it starts in, for the step data in scope when called."""
-        return np.maximum(rho, rho_next) + (2.0 * ebl * (state_norm + rho + drift)
-                                            + sweep * in_norm)
-
-    # every full step's center and dense columns at once; the step hull
-    # pairs state j with state j + 1, and a table column of age a with its
-    # image of age a + 1
+    # every step's center, dense columns and ball radius at once; the step
+    # hull pairs state j with state j + 1, and a table column of age a with
+    # its image of age a + 1
     c, c_next = Cc[:-1], Cc[1:]
     dense[:, :, 0] = (c - c_next) / 2.0
     np.add(CH[:-1], CH[1:], out=dense[:, :, 1:1 + g0])
     np.subtract(CH[:-1], CH[1:], out=dense[:, :, 1 + g0:])
     dense[:, :, 1:] /= 2.0
-    older, newer = CM[:, :max(n_full - 1, 0) * m], CM[:, m:]
-    balls = ball_of(state_norms[:-1], rhos[:-1], rhos[1:])
+    older, newer = CM[:, :(steps - 1) * m], CM[:, m:]
+    balls = np.maximum(rhos[:-1], rhos[1:]) \
+        + (2.0 * ebl * (state_norms[:-1] + rhos[:-1] + drift) + sweep * (nB * ur_norm))
     table = _AgeTable((c + c_next) / 2.0, dense, balls,
                       (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
                       np.linalg.norm(C, axis=1), m)
-    extra = []
-    if partial:
-        # the partial last step is built in output space: only its p x g
-        # generator arrays are ever formed
-        Phi, nPhi, vin, Gin, res_ball, ebl, sweep, drift = last
-        idx = table.oldest_first(n_full)
-        state = Zonotope(Cc[-1], np.hstack([CH[-1], CM[:, idx]]))
-        nxt = Zonotope(Ccs[p:, -1] + C @ vin,
-                       np.hstack([CHs[p:, n_full * g0:], CMs[p:, idx], C @ Gin]))
-        hull = enclose(state, nxt)
-        del state, nxt
-        ball = float(ball_of(state_norms[-1], rhos[-1], nPhi * rhos[-1] + res_ball))
-        extra.append(Zonotope(hull.center, np.hstack([hull.generators,
-                                                      table.ball_columns(ball)])))
-    return ReachSets(starts, ends, table, extra)
+    times = np.linspace(0.0, t_f, steps + 1)
+    return ReachSets(times[:-1], times[1:], table)
 
 
 # --------------------------------------------------------------------------
@@ -745,14 +678,12 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 def _poly_spreads(sets: ReachSets, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sets, rows) arrays of Gamma @ center and of the per-row spread
     sum_j |(Gamma G)_ij| of each step set: the row values of its points lie
-    in Gc -/+ spread.  The table's rows are read from its per-Gamma spreads
+    in Gc -/+ spread.  A table's rows are read from its per-Gamma spreads
     in one expression."""
+    if sets.table is not None:
+        return sets.table.centers @ Gamma.T, sets.table.row_spreads(Gamma)
     Gc, spread = np.empty((len(sets), Gamma.shape[0])), np.empty((len(sets), Gamma.shape[0]))
-    rows = sets.rows
-    if rows:
-        Gc[:rows] = sets.table.centers @ Gamma.T
-        spread[:rows] = sets.table.row_spreads(Gamma)
-    for i, z in enumerate(sets.extra, rows):
+    for i, z in enumerate(sets.extra):
         Gc[i], spread[i] = Gamma @ z.center, z.row_spread(Gamma)
     return Gc, spread
 
@@ -796,32 +727,27 @@ def _quad_lowers(sets: ReachSets, ell: EllipsoidSpec, decided: float) -> np.ndar
     """:func:`quad_lower` of each step set, wherever it is at most
     ``decided``; where it is above, the value returned is above too.
 
-    The table's rows read their spreads from the table: the axis spreads
+    A table's rows read their spreads from the table: the axis spreads
     from its identity-row spreads, for every row at once, and the gradient
     direction's from :meth:`_AgeTable.direction_spreads`, only for the rows
     whose axis bound is at most ``decided``.  The gradient can only raise
-    the bound, so a row the axes put above ``decided`` stays above.  The
-    explicit zonotopes call :func:`quad_lower`."""
-    lows = np.empty(len(sets))
-    rows = sets.rows
-    for i, z in enumerate(sets.extra, rows):
-        lows[i] = quad_lower(z, ell)
-    if rows:
-        table, Q, Qinv = sets.table, ell.Q, ell.Q_inv
-        D = table.centers - ell.a
-        lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p)))
-        low = np.max(lo * lo / np.diag(Qinv), axis=1, initial=0.0)
-        grad = D @ Q.T
-        norms = np.linalg.norm(grad, axis=1)
-        undecided = np.flatnonzero((low <= decided) & (norms > 0))
-        V = grad[undecided] / norms[undecided, None]
-        lo = np.maximum(0.0, np.abs(np.sum(V * D[undecided], axis=1))
-                        - table.direction_spreads(V, undecided))
-        denom = np.sum((V @ Qinv) * V, axis=1)
-        low[undecided] = np.maximum(low[undecided],
-                                    np.where(denom > 0, lo * lo / denom, 0.0))
-        lows[:rows] = low
-    return lows
+    the bound, so a row the axes put above ``decided`` stays above.
+    Explicit zonotopes call :func:`quad_lower`."""
+    if sets.table is None:
+        return np.array([quad_lower(z, ell) for z in sets.extra], float)
+    table, Q, Qinv = sets.table, ell.Q, ell.Q_inv
+    D = table.centers - ell.a
+    lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p)))
+    low = np.max(lo * lo / np.diag(Qinv), axis=1, initial=0.0)
+    grad = D @ Q.T
+    norms = np.linalg.norm(grad, axis=1)
+    undecided = np.flatnonzero((low <= decided) & (norms > 0))
+    V = grad[undecided] / norms[undecided, None]
+    lo = np.maximum(0.0, np.abs(np.sum(V * D[undecided], axis=1))
+                    - table.direction_spreads(V, undecided))
+    denom = np.sum((V @ Qinv) * V, axis=1)
+    low[undecided] = np.maximum(low[undecided], np.where(denom > 0, lo * lo / denom, 0.0))
+    return low
 
 
 def _quad_extreme_point(z: Zonotope, ell: EllipsoidSpec, maximize: bool) -> np.ndarray:

@@ -37,7 +37,6 @@ class VerifyOptions:
     k_max: int | None = None
     e1_methods: tuple[str, ...] = bnd.E1_METHODS
     e2_methods: tuple[str, ...] = bnd.E2_METHODS
-    step_h: float | None = None
     step_lh: float = STEP_LH
     witness_budget: int = 64
     seed: int = 0
@@ -53,8 +52,6 @@ class VerifyOptions:
         for name, ok, need in (
                 ("k0", self.k0 is None or isinstance(self.k0, Integral), "an integer"),
                 ("k_max", self.k_max is None or isinstance(self.k_max, Integral), "an integer"),
-                ("step_h", self.step_h is None or 0 < self.step_h < np.inf,
-                 "positive and finite"),
                 ("step_lh", self.step_lh > 0, "positive"),
                 ("witness_budget",
                  isinstance(self.witness_budget, Integral) and self.witness_budget >= 1,
@@ -194,10 +191,10 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             if all(ts.safe_region is None for ts in transformed) \
                     and problem.polarity == POLARITY_SAFE:
                 notes.append(say + "transformed safe region empty at this k")
-            step_h = opts.step_h if opts.step_h is not None else \
-                default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
-            # the step sets are freed as soon as they are checked, before
-            # the witness search allocates its batch
+            # reach and the witness search step at the same step; the step
+            # sets are freed as soon as they are checked, before the witness
+            # search allocates its batch
+            step_h = default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
             outcome = check_spec(reach_lti(abstraction.reduced, abstraction.x0_zonotope,
                                            problem.inputs, horizon, step_h),
                                  transformed)
@@ -205,7 +202,7 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                 witness = find_unsafe_witness(
                     abstraction.reduced, x0, problem.inputs, transformed,
                     horizon, opts.witness_budget,
-                    init_map=bal.H[:k, :], seed=opts.seed)
+                    init_map=bal.H[:k, :], seed=opts.seed, h=step_h)
                 if witness is not None:
                     if labeled:
                         notes.append(f"witness in mode {rho}")

@@ -236,9 +236,11 @@ class TestReachCmd:
         assert len(lines) > 10
 
     def test_step_h_zero_is_an_error(self, tmp_path, capsys):
-        # a zero step is refused, not replaced by the default step
+        # a zero, NaN or infinite step is refused by name before the horizon
+        # is divided into steps, not replaced by the default step
         path = small_manifest(tmp_path)
-        for flag, value in (("--step-h", "0"), ("--step-h", "nan"), ("--step-lh", "0")):
+        for flag, value in (("--step-h", "0"), ("--step-h", "nan"), ("--step-h", "inf"),
+                            ("--step-lh", "0")):
             assert main(["reach", str(path), flag, value]) == 3
             assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
 
@@ -272,16 +274,17 @@ class TestVerifyCmd:
         assert doc["outcome"] == "Unsafe" and "witness" in doc
 
     def test_unknown_flag_exits_three(self, tmp_path):
-        # a removed flag (the e1 simulation's former vertex budget) is unknown
+        # a removed flag (the e1 simulation's former vertex budget, the
+        # k-loop's former absolute step) is unknown
         path = small_manifest(tmp_path)
         for args in (("verify", path, "--definitely-not-a-flag"),
                      ("verify", path, "--vertex-cap", "4096"),
+                     ("verify", path, "--step-h", "0.1"),
                      ("bounds", path, "--vertex-cap", "4096")):
             code, out, err = run_cli(*args)
             assert code == 3 and "unrecognized arguments" in err
 
     @pytest.mark.parametrize("flag, value, field", [
-        ("--step-h", "0", "step_h"), ("--step-h", "inf", "step_h"),
         ("--step-lh", "0", "step_lh"),
         ("--witness-budget", "0", "witness_budget"),
         ("--time-budget", "-1", "time_budget")])
@@ -290,11 +293,10 @@ class TestVerifyCmd:
         assert f"error: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("k0", 2.5), ("k_max", 2.5), ("witness_budget", 2.5), ("step_h", float("inf")),
-        ("step_h", float("nan"))])
+        ("k0", 2.5), ("k_max", 2.5), ("witness_budget", 2.5)])
     def test_options_refuse_values_that_fail_later(self, field, value):
         # a fractional order or budget would only fail as a TypeError deep
-        # in the k-loop, and an infinite step in the matrix exponential
+        # in the k-loop
         with pytest.raises(rs.ModelError, match=f"^{field} must be"):
             rs.VerifyOptions(**{field: value})
 
@@ -314,6 +316,11 @@ class TestVerifyCmd:
         # every bound is rigorous as computed, so no bloat factor is left
         with pytest.raises(TypeError, match="gamma"):
             rs.VerifyOptions(gamma=0.01)
+
+    def test_step_h_option_removed(self):
+        # step_lh is the k-loop's one step control
+        with pytest.raises(TypeError, match="step_h"):
+            rs.VerifyOptions(step_h=0.1)
 
     def test_missing_manifest_exits_three(self, tmp_path):
         code, out, err = run_cli("verify", tmp_path / "absent.json")
@@ -404,7 +411,7 @@ GOLDEN_CASES = {
     "verify_pss_motor_k5": (None, ["verify-pss", "--k0", "5", "--k-max", "5",
                                    "--e1", "theorem2", "--e1", "simulation",
                                    "--e2", "simulation", "--step-lh", "0.05"]),
-    # eleven steps, the last one partial
+    # eleven even steps of 2.645 / 11, at most the 0.25 asked for
     "reach_n6_seed7_h025": (["-n", "6", "--seed", "7", "--free-dims", "4"],
                             ["reach", "--step-h", "0.25"]),
 }

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import types
 
@@ -8,7 +9,7 @@ import redsafe as rs
 from redsafe import reach
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
 from redsafe.reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, Zonotope,
-                           _transition, check_spec, enclose,
+                           _transition, check_spec,
                            find_unsafe_witness, reach_lti, simulate)
 from redsafe.spectransform import transform_spec
 
@@ -18,6 +19,21 @@ from conftest import batch_trajectories, rand_box, rand_ubox
 def support(z, v):
     """max over the zonotope z of <v, x>."""
     return float(v @ z.center + z.row_spread(v[None])[0])
+
+
+def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
+    """Zonotope over-approximation of conv(z1 U z2): generators
+    [(c1 - c2) / 2, (G1 + G2) / 2, (G1 - G2) / 2], the shorter of G1 and G2
+    padded with zero columns.  Written into one array, with no padded copy."""
+    g = max(z1.order, z2.order)
+    G = np.zeros((z1.dim, 1 + 2 * g))
+    G[:, 0] = (z1.center - z2.center) / 2.0
+    plus, minus = G[:, 1:1 + g], G[:, 1 + g:]
+    plus[:, :z1.order] = minus[:, :z1.order] = z1.generators
+    plus[:, :z2.order] += z2.generators
+    minus[:, :z2.order] -= z2.generators
+    G[:, 1:] /= 2.0
+    return Zonotope((z1.center + z2.center) / 2.0, G)
 
 
 class TestZonotope:
@@ -129,28 +145,24 @@ class TestReach:
 
 
 def naive_reach(sys_, x0, u_box, t_f, step_h):
-    """Reference recurrence: every step maps all state generators through
-    Phi and encloses consecutive states, keeping every generator."""
+    """Reference recurrence over the steps of ``linspace(0, t_f, N + 1)``
+    for the even step ``step_h`` = t_f / N: every step maps all state
+    generators through Phi and encloses consecutive states, keeping every
+    generator."""
     A, B, C = sys_.A, sys_.B, sys_.C
     L, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
     ur = u_box.halfwidth
     in_norm, drift = nB * np.linalg.norm(ur), np.linalg.norm(B @ u_box.center) / L
-
-    def data(h):
-        Phi, PsiB = _transition(A, h, B)
-        Gin = PsiB * ur
-        e = np.exp(L * h)
-        return (Phi, PsiB @ u_box.center, Gin[:, np.linalg.norm(Gin, axis=0) > 0],
-                np.linalg.norm(Phi, 2), ((e - 1) / L - h) * nB * 2 * np.linalg.norm(ur),
-                e - 1 - L * h, 2 * (e - 1) / L)
-
-    Phi, vin, Gin, nPhi, res, ebl, sweep = data(step_h)
+    Phi, PsiB = _transition(A, step_h, B)
+    vin, Gin = PsiB @ u_box.center, PsiB * ur
+    Gin = Gin[:, np.linalg.norm(Gin, axis=0) > 0]
+    e = np.exp(L * step_h)
+    nPhi, res = np.linalg.norm(Phi, 2), ((e - 1) / L - step_h) * nB * 2 * np.linalg.norm(ur)
+    ebl, sweep = e - 1 - L * step_h, 2 * (e - 1) / L
+    times = np.linspace(0.0, t_f, round(t_f / step_h) + 1)
     state = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
-    rho, t, steps = 0.0, 0.0, []
-    while t < t_f - 1e-12 * max(1.0, t_f):
-        h = min(step_h, t_f - t)
-        if h < step_h * (1 - 1e-9):
-            Phi, vin, Gin, nPhi, res, ebl, sweep = data(h)
+    rho, steps = 0.0, []
+    for t0, t1 in zip(times[:-1], times[1:]):
         nxt = Zonotope(Phi @ state.center + vin, np.hstack([Phi @ state.generators, Gin]))
         rho_next = nPhi * rho + res
         state_norm = np.linalg.norm(state.center) \
@@ -158,10 +170,9 @@ def naive_reach(sys_, x0, u_box, t_f, step_h):
         ball = max(rho, rho_next) + 2 * ebl * (state_norm + rho + drift) + sweep * in_norm
         hull = enclose(state, nxt)
         hull = Zonotope(C @ hull.center, C @ hull.generators)
-        steps.append(rs.ReachStep(t, t + h, Zonotope(hull.center, np.hstack(
+        steps.append(rs.ReachStep(float(t0), float(t1), Zonotope(hull.center, np.hstack(
             [hull.generators, np.diag(ball * np.linalg.norm(C, axis=1))]))))
         state, rho = nxt, rho_next
-        t += h
     return steps
 
 
@@ -182,7 +193,7 @@ class TestReachEquivalence:
     """reach_lti's age table against the all-generators reference."""
 
     def test_random_systems(self, rng):
-        partial = 0
+        shortened = 0
         for _ in range(12):
             n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
             sys_ = rs.random_stable_system(rng, n, m, p)
@@ -190,24 +201,55 @@ class TestReachEquivalence:
             t_f = float(rng.uniform(0.5, 2.0))
             step_h = t_f / float(rng.uniform(20, 60))
             steps = reach_lti(sys_, x0, ubox, t_f, step_h)
-            partial += steps[-1].t1 - steps[-1].t0 < step_h * (1 - 1e-9)
-            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, step_h), rng)
-        assert partial  # some horizons end on a shorter step
+            h = t_f / len(steps)
+            shortened += h < step_h * (1 - 1e-9)
+            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, h), rng)
+        assert shortened  # some horizons are off the grid of step_h
 
     def test_partial_last_step_and_single_step(self, rng):
+        # horizons off the grid of step_h, which once ended on a shorter
+        # step, and below one step: every step is t_f / N long
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
-        for t_f, step_h in ((1.0, 0.3), (0.2, 0.3)):
+        for t_f, step_h, count in ((1.0, 0.3, 4), (0.2, 0.3, 1)):
             steps = reach_lti(sys_, x0, ubox, t_f, step_h)
-            assert steps[-1].t1 - steps[-1].t0 < step_h
-            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, step_h), rng)
+            assert len(steps) == count and steps.t1[-1] == t_f
+            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, t_f / count), rng)
+
+    @pytest.mark.parametrize("t_f, step_h", [(1.0, 0.03), (0.02, 0.03), (2.645, 0.025)])
+    def test_last_step_contains_trajectories(self, rng, t_f, step_h):
+        # horizons off the grid of step_h, which once ended on a shorter
+        # step: trajectories of a lightly damped oscillator (||A|| h about
+        # 0.09) from every vertex of the box under bang-bang inputs, sampled
+        # 40 times a step, stay inside the last step set
+        sys_ = rs.LtiSystem([[-0.1, 3.0], [-3.0, -0.1]], [[0.1, 0.0], [0.0, 0.1]], np.eye(2))
+        x0, ubox = rs.HyperBox([0.95, -0.05], [1.05, 0.05]), rand_ubox(rng, 2)
+        sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+        last = sets[-1]
+        X0 = np.repeat(x0.vertices(), 8, axis=1)
+
+        def bang_bang(step):
+            if step % 5 == 0:
+                bang_bang.U = np.where(rng.random((2, X0.shape[1])) < 0.5,
+                                       ubox.lb[:, None], ubox.ub[:, None])
+            return bang_bang.U
+
+        h_sim = t_f / (40 * len(sets))
+        out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, bang_bang, t_f, h_sim)
+        V = np.vstack([np.eye(2), -np.eye(2), rng.standard_normal((4, 2))])
+        top = V @ last.outputs.center + last.outputs.row_spread(V)
+        inside = [idx for idx in range(out.shape[0])
+                  if last.t0 - 1e-12 <= idx * h_sim <= last.t1 + 1e-12]
+        assert len(inside) == 41
+        for idx in inside:
+            assert np.all(V @ out[idx] <= (top + 1e-9 * (1.0 + np.abs(top)))[:, None])
 
     def test_zero_width_input_channel(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 3, 2)
         x0 = rand_box(rng, 4, 2)
         ubox = rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2])  # channel 1 pinned
         steps = reach_lti(sys_, x0, ubox, 1.5, 0.07)
-        assert_same_sets(steps, naive_reach(sys_, x0, ubox, 1.5, 0.07), rng)
+        assert_same_sets(steps, naive_reach(sys_, x0, ubox, 1.5, 1.5 / 22), rng)
         # each step adds two hull columns per live channel, none for channel 1
         assert steps[1].outputs.order - steps[0].outputs.order == 2 * 2
 
@@ -902,19 +944,21 @@ def assert_table_spreads(sets, Gamma):
 
 
 def reach_cases(rng):
-    """(system, x0, input box, t_f, step_h): random systems, a partial last
-    step, a zero-width input channel and long decaying runs."""
+    """(system, x0, input box, t_f, step_h) with step_h = t_f / N, the even
+    step that reach_lti and naive_reach both take: random systems, a step
+    of 0.3 over 1.0, a zero-width input channel and long decaying runs, one
+    of them off the grid of 0.05."""
     for _ in range(6):
         n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
         t_f = float(rng.uniform(0.5, 2.0))
         yield (rs.random_stable_system(rng, n, m, p), rand_box(rng, n, int(rng.integers(1, n + 1))),
-               rand_ubox(rng, m), t_f, t_f / float(rng.uniform(20, 60)))
-    yield rs.random_stable_system(rng, 3, 2, 2), rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.3
+               rand_ubox(rng, m), t_f, t_f / int(rng.integers(20, 61)))
+    yield rs.random_stable_system(rng, 3, 2, 2), rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 1.0 / 4
     yield (rs.random_stable_system(rng, 4, 3, 2), rand_box(rng, 4, 2),
-           rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2]), 1.5, 0.07)
+           rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2]), 1.5, 1.5 / 22)
     for t_f in (6.0, 5.98):
         yield (rs.random_stable_system(rng, 3, 2, 2, decay=(4.0, 8.0)), rand_box(rng, 3),
-               rand_ubox(rng, 2), t_f, 0.05)
+               rand_ubox(rng, 2), t_f, t_f / 120)
 
 
 def polytope_specs(rng, steps, p):
@@ -1024,15 +1068,16 @@ def test_table_spread_matches_assembled_generators(case):
 # reach_lti's recursions, built by doubling, against the step loop of
 # naive_reach.
 
-#: Full step counts around the powers of two the doubling splits at.
+#: Step counts around the powers of two the doubling splits at.
 DOUBLING_COUNTS = sorted({1, 2, 3} | {2 ** j + d for j in range(2, 9) for d in (-1, 1)})
 
 
 @st.composite
 def doubling_cases(draw):
-    """(system, x0, input box, t_f, step_h) at orders 1-12, with an
-    all-pinned input box, a point x0, a non-Hurwitz A, no full step
-    (t_f < step_h) or a partial last step drawn in."""
+    """(system, x0, input box, t_f, step_h, steps) at orders 1-12, with an
+    all-pinned input box, a point x0, a non-Hurwitz A, and a horizon on
+    the grid of step_h or off it (t_f < step_h for one step) drawn in; the
+    horizon takes ``steps`` steps."""
     n, m, p = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sys_ = rs.random_stable_system(rng, n, m, p)
@@ -1043,17 +1088,18 @@ def doubling_cases(draw):
     if draw(st.booleans()):
         ubox = rs.HyperBox(ubox.center, ubox.center)
     x0 = rand_box(rng, n, draw(st.integers(0, n)))
-    full = draw(st.sampled_from([0] + DOUBLING_COUNTS))
-    partial = draw(st.sampled_from([0.0, 0.37, 0.81])) if full else 0.37
+    count = draw(st.sampled_from(DOUBLING_COUNTS))
+    short = draw(st.sampled_from([0.0, 0.37, 0.81]))
     step_h = draw(st.floats(0.2, 1.0)) * reach.STEP_LH / np.linalg.norm(sys_.A, 2)
-    return sys_, x0, ubox, step_h * (full + partial), step_h
+    return sys_, x0, ubox, step_h * (count - short), step_h, count
 
 
 @given(doubling_cases(), st.integers(0, 2**32 - 1))
 def test_doubling_matches_naive_reach(case, seed):
-    sys_, x0, ubox, t_f, step_h = case
+    sys_, x0, ubox, t_f, step_h, count = case
     steps = reach_lti(sys_, x0, ubox, t_f, step_h)
-    ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+    assert len(steps) == count
+    ref = naive_reach(sys_, x0, ubox, t_f, t_f / count)
     # the step times are the step loop's, bit for bit
     assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
     assert_same_sets(steps, ref, np.random.default_rng(seed))
@@ -1096,8 +1142,8 @@ class TestExactInitialSet:
         assert np.all(np.abs(Gc_e - Gc_h) + spread_e <= spread_h + 1e-12 * scale)
         assert np.all(exact.table.balls
                       <= hull.table.balls + 1e-12 * np.max(scale, initial=0.0))
-        assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f, step_h),
-                         np.random.default_rng(0))
+        assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f,
+                                            t_f / len(exact)), np.random.default_rng(0))
 
     @given(image_cases())
     def test_trajectories_stay_inside(self, case):
@@ -1229,14 +1275,15 @@ class TestTableEllipsoid:
 
 class TestBatchedSteps:
     """reach_lti's per-step arrays, column by column, against naive_reach's
-    per-step enclosures, including the partial last step."""
+    per-step enclosures; every step, the last one too, is a row of the
+    table."""
 
     def test_steps_match_per_step_reference(self, rng):
-        partial = 0
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
             ref = naive_reach(sys_, x0, ubox, t_f, step_h)
             assert [(s.t0, s.t1) for s in sets] == [(r.t0, r.t1) for r in ref]
+            assert sets.extra == ()
             table, p, g0 = sets.table, sys_.p, Zonotope.from_box(x0).order
             C_rows = np.linalg.norm(sys_.C, axis=1)
             Gamma = rng.standard_normal((3, p))
@@ -1248,19 +1295,12 @@ class TestBatchedSteps:
                 np.testing.assert_allclose(z.center, r.outputs.center, rtol=0,
                                            atol=1e-12 * np.max(np.abs(r.outputs.center)))
                 np.testing.assert_allclose(z.generators, G, **close)
-                if j < sets.rows:
-                    np.testing.assert_allclose(spreads[j], np.sum(np.abs(Gamma @ G), axis=1),
-                                               rtol=1e-12,
-                                               atol=1e-12 * scale * np.abs(Gamma).sum())
-                    hull = (G.shape[1] - 1 - p) // 2
-                    cols = np.r_[0, 1:1 + g0, 1 + hull:1 + hull + g0]
-                    np.testing.assert_allclose(table.dense[j], G[:, cols], **close)
-                    np.testing.assert_allclose(table.balls[j] * C_rows, np.diag(G[:, -p:]),
-                                               **close)
-                else:
-                    partial += 1
-                    assert j == len(sets) - 1 and z is sets.extra[0]
-        assert partial
+                np.testing.assert_allclose(spreads[j], np.sum(np.abs(Gamma @ G), axis=1),
+                                           rtol=1e-12, atol=1e-12 * scale * np.abs(Gamma).sum())
+                hull = (G.shape[1] - 1 - p) // 2
+                cols = np.r_[0, 1:1 + g0, 1 + hull:1 + hull + g0]
+                np.testing.assert_allclose(table.dense[j], G[:, cols], **close)
+                np.testing.assert_allclose(table.balls[j] * C_rows, np.diag(G[:, -p:]), **close)
 
     def test_shared_table_is_read_only(self, rng):
         # a step set's center, the table's dense columns and its spreads are
@@ -1283,12 +1323,14 @@ class TestReachSets:
     def test_sequence_matches_naive_reach(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
-        # full steps only, a partial last step, and no full step at all
-        for t_f, step_h, rows, extra in ((0.9, 0.3, 3, 0), (1.0, 0.3, 3, 1), (0.2, 0.3, 0, 1)):
+        # a horizon on the grid of step_h, one off it and one below a step:
+        # every step is a row of the table, t_f / count long
+        for t_f, step_h, count in ((0.9, 0.3, 3), (1.0, 0.3, 4), (0.2, 0.3, 1)):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+            ref = naive_reach(sys_, x0, ubox, t_f, t_f / count)
             assert isinstance(sets, rs.ReachSets)
-            assert (sets.rows, len(sets.extra), len(sets)) == (rows, extra, len(ref))
+            assert sets.table is not None and sets.extra == ()
+            assert len(sets) == len(sets.table.balls) == len(ref) == count
             assert_same_sets(list(sets), ref, rng)
             assert [s.t0 for s in sets] == [r.t0 for r in ref]
             assert [s.t1 for s in sets] == [r.t1 for r in ref]
@@ -1306,6 +1348,27 @@ class TestReachSets:
                 with pytest.raises(IndexError):
                     sets[j]
 
+    @given(st.floats(1e-3, 1.0), st.integers(1, 500),
+           st.sampled_from(["below", "on", "off"]), st.floats(0.01, 0.99))
+    def test_steps_tile_the_horizon_evenly(self, step_h, count, kind, short):
+        # t_f below one step, on the grid of step_h up to rounding, and off
+        # it: ceil(t_f / step_h) steps of t_f / N <= step_h, the last
+        # ending at t_f exactly
+        t_f = {"below": step_h * short, "on": step_h * count,
+               "off": step_h * (count - short)}[kind]
+        sys_ = rs.LtiSystem([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [0.5]], [[1.0, 1.0]])
+        sets = reach_lti(sys_, rs.HyperBox([0.0, 0.0], [0.1, 0.1]),
+                         rs.HyperBox([-0.1], [0.1]), t_f, step_h)
+        steps = 1 if kind == "below" else count
+        if kind != "on":  # on the grid, t_f / step_h may round above count
+            assert steps == math.ceil(t_f / step_h)
+        assert len(sets) == len(sets.table.balls) == steps and sets.extra == ()
+        assert sets.t0[0] == 0.0 and sets.t1[-1] == t_f
+        np.testing.assert_array_equal(sets.t0[1:], sets.t1[:-1])
+        lengths = sets.t1 - sets.t0
+        np.testing.assert_allclose(lengths, t_f / steps, rtol=1e-12, atol=0.0)
+        assert np.all(lengths <= step_h * (1 + 1e-12))
+
     def test_steps_are_assembled_on_each_read(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         sets = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.3)
@@ -1319,7 +1382,7 @@ class TestReachSets:
                                                    rng.standard_normal((2, 3))))
                  for j in range(4)]
         sets = rs.ReachSets.of(steps)
-        assert sets.table is None and sets.rows == 0 and len(sets) == 4
+        assert sets.table is None and len(sets) == 4
         assert [s.outputs for s in sets] == [s.outputs for s in steps]
         assert [(s.t0, s.t1) for s in sets] == [(s.t0, s.t1) for s in steps]
         assert rs.ReachSets.of(sets) is sets
@@ -1539,7 +1602,7 @@ class TestBlockSimulate:
 # reach_lti's orbits built a chunk at a time against one chunk.
 
 def assert_same_table(sets, ref, rng):
-    assert (sets.rows, len(sets.extra)) == (ref.rows, len(ref.extra))
+    assert len(sets) == len(ref)
     a, b = sets.table, ref.table
     for name in ("centers", "dense", "balls", "Y_plus", "Y_minus", "Y_new"):
         x, y = getattr(a, name), getattr(b, name)
@@ -1558,23 +1621,24 @@ def assert_same_table(sets, ref, rng):
 
 class TestReachChunks:
     @pytest.mark.parametrize("orbit", ["center", "initial", "inputs"])
-    @pytest.mark.parametrize("partial", [False, True])
-    def test_chunk_boundaries_match_one_chunk(self, rng, monkeypatch, orbit, partial):
+    @pytest.mark.parametrize("off_grid", [False, True])
+    def test_chunk_boundaries_match_one_chunk(self, rng, monkeypatch, orbit, off_grid):
         # order 3, 2 input columns, 1 initial generator: chunks of c = 4
         # states of one orbit ([c; 1] has 4 rows, G0 3 x 1, G_in 3 x 2), and
         # orbits of c - 1, c, c + 1 and 2c + 1 states (the center and the
-        # initial orbit hold one state more than there are full steps)
+        # initial orbit hold one state more than there are steps), over
+        # horizons on the grid of step_h and off it
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox, step_h, c = rand_box(rng, 3, 1), rand_ubox(rng, 2), 0.1, 4
-        size, count_of_steps = {"center": (4, 1), "initial": (3, 1), "inputs": (6, 0)}[orbit]
+        size, more = {"center": (4, 1), "initial": (3, 1), "inputs": (6, 0)}[orbit]
         for count in (c - 1, c, c + 1, 2 * c + 1):
-            full = count - count_of_steps
-            t_f = step_h * (full + (0.4 if partial else 0.0))
+            steps = count - more
+            t_f = step_h * (steps - (0.4 if off_grid else 0.0))
             monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", 1 << 30)
             ref = reach_lti(sys_, x0, ubox, t_f, step_h)
             monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", c * size)
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            assert (sets.rows, len(sets.extra)) == (full, int(partial))
+            assert len(sets) == len(sets.table.balls) == steps and sets.extra == ()
             assert_same_table(sets, ref, rng)
 
 
@@ -1603,7 +1667,7 @@ def test_reach_peak_memory_stays_below_its_input_orbit():
     x0, ubox = rand_box(rng, k, 6), rand_ubox(rng, m)
     steps, peak, kept = traced_peak(lambda: reach_lti(sys_, x0, ubox, 1.0, 1e-3))
     orbit = 8 * len(steps) * k * m
-    assert len(steps) == 1000 and steps.rows == 1000
+    assert len(steps) == len(steps.table.balls) == 1000
     assert peak - kept < 0.5 * orbit
     assert peak < orbit
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import redsafe as rs
+from redsafe import verifier
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
 from redsafe.reach import INDETERMINATE, SAFE, UNSAFE
 from redsafe.verifier import VerifyOptions, verify, verify_pss
@@ -49,7 +50,7 @@ class TestVerifyLti:
         assert verdict.witness is not None
         assert verdict.witness.times[verdict.witness.sample_index] < 0.05
 
-    def test_indeterminate_logs_every_k(self, rng):
+    def test_indeterminate_logs_every_k(self, rng, monkeypatch):
         # safe bound above the dense-simulated truth (so no witness can ever
         # fire: the witness threshold is bound + Delta while reduced outputs
         # stay below truth + delta), combined with a deliberately coarse reach
@@ -73,8 +74,10 @@ class TestVerifyLti:
         spec = rs.PolytopeSpec([[1.0], [-1.0]], [-bound, -bound], POLARITY_SAFE)
         prob = rs.VerificationProblem(sys_, prob0.x0, prob0.inputs, (spec,),
                                       prob0.t_f)
-        verdict = verify(prob, VerifyOptions(seed=0, witness_budget=16,
-                                             step_h=prob0.t_f / 15))
+        # step_lh can only refine the default step below t_f / 200, so the
+        # coarse step t_f / 15 is put in place of the k-loop's default
+        monkeypatch.setattr(verifier, "default_step", lambda t_f, A, lh: t_f / 15)
+        verdict = verify(prob, VerifyOptions(seed=0, witness_budget=16))
         assert verdict.outcome == INDETERMINATE
         ks = [e.k for e in verdict.per_k_log]
         assert ks == list(range(2, 5))  # k0 = p+1 = 2 .. k_max = n = 4

@@ -353,10 +353,23 @@ def cmd_gen(args) -> int:
 # Parser assembly.
 # --------------------------------------------------------------------------
 
+#: How --step-lh sets the default step (:func:`reach.default_step`).
+_STEP_LH_RULE = ("the step is min(t_f/200, step_lh/||A||), so this can make it finer "
+                 "but never coarser than t_f/200")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp, manifest=True):
     if manifest:
         sp.add_argument("manifest", help="path to a problem manifest (JSON)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    sp.add_argument("--seed", type=_seed, default=0,
+                    help="seed for randomized steps (a nonnegative integer)")
     sp.add_argument("--output", help="write the result to this file instead of stdout")
     sp.add_argument("--format", choices=("json", "text", "csv"), default="text",
                     help="output rendering (default text; csv only for "
@@ -379,7 +392,8 @@ def _add_verify_opts(sp):
     sp.add_argument("--k0", type=int, help="initial abstraction order (default p+1)")
     sp.add_argument("--k-max", dest="k_max", type=int, help="largest order to try (default n)")
     sp.add_argument("--step-lh", dest="step_lh", type=float,
-                    help=f"reach and witness step control ||A||*h (default {STEP_LH})")
+                    help=f"reach and witness step control ||A||*h (default {STEP_LH}); "
+                         + _STEP_LH_RULE)
     sp.add_argument("--witness-budget", dest="witness_budget", type=int,
                     help="max candidate trajectories in the witness search")
     sp.add_argument("--time-budget", dest="time_budget", type=float,
@@ -418,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step-h", dest="step_h", type=float,
                     help="largest step; the horizon is tiled by equal steps of at most this")
     sp.add_argument("--step-lh", dest="step_lh", type=float, default=STEP_LH,
-                    help=f"step control ||A||*h (default {STEP_LH})")
+                    help=f"step control ||A||*h (default {STEP_LH}) when --step-h is "
+                         "not given; " + _STEP_LH_RULE)
     sp.set_defaults(func=cmd_reach)
 
     sp = sub.add_parser("verify", help="run the verification semi-algorithm (LTI)")

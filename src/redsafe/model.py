@@ -266,11 +266,6 @@ class EllipsoidSpec:
         _freeze(Q_inv)
         return Q_inv
 
-    @functools.cached_property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        """The coordinate unit vectors of the output space."""
-        return tuple(np.eye(self.p))
-
     __eq__ = _fields_equal
 
 

@@ -1,6 +1,11 @@
 """Zonotope reachability for low-order LTI systems, exact piecewise-constant
 simulation, spec checking and unsafe-witness search.
 
+Reach, simulation and the witness search step on one grid
+(:func:`_time_grid`), so the step sets and the simulated witnesses sample
+the same instants, as in simulation-equivalent reachability (Bak &
+Duggirala, CAV 2017).
+
 The step recurrence is X_{j+1} = e^{Ah} X_j + V_input where V_input carries
 the exact effect of a constant-per-step input plus a rigorous second-order
 residual for arbitrary measurable inputs in the box.  Each emitted step set
@@ -12,25 +17,25 @@ By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
 each of them, its output image and its norm are computed once, in an age
 table shared by every step set of a call.  The table also holds every
 step's center, few dense columns and ball radius, computed for all steps at
-once from the states of the exact recursion.  A step's 1 + 2 g0 dense
+once from the states of the exact recursions.  A step's 1 + 2 g0 dense
 columns come from the images of the g0 initial generators, and g0 <=
 min(f, k) when the initial set is the order-k image of a box with f free
-dims (:func:`balancing.image_zonotope`).  The steps tile [0, t_f] evenly,
-so every step is a row of that table, and :func:`reach_lti` returns the
-table itself as a
-:class:`ReachSets`: ``ReachSets[j]`` assembles step j's generator array
-only when something reads it (safe-region ellipsoids, the hit search on a
-step that fails its check, ``reach --format json``).  Polytope rows read
-their spread from the table, built for every step in one pass per Gamma
-from per-age row sums, the support-function view of Le Guernic & Girard
-(NAHS 2010).  Unsafe-region ellipsoids read their axis spreads the same way
-and the spread of each step's own gradient direction from a cumulative sum
-over the table's columns.  For order k, p outputs and r rows a step then
-costs O(k^2 (k + m)) arithmetic to build and O(r k) to check, rather than
-O(r p g_j) over its g_j input columns, and neither makes a matrix product
-per step: the exact recursions are built in chunks of c states, the first
-by doubling, in about log2 c + N / c products for N steps, and kept only as
-their output images and column norms.
+dims (:func:`balancing.image_zonotope`).  Every step is a row of that
+table, and every :class:`ReachSets` is one: :func:`reach_lti` returns its
+own, and explicit step sets become a table with no input ages
+(:meth:`ReachSets.of`).  ``ReachSets[j]`` assembles step j's generator
+array only when something reads it (safe-region ellipsoids, the hit
+search on a step that fails its check, ``reach --format json``).  Polytope
+rows read their spread from the table, built for every step in one pass
+per Gamma from per-age row sums, the support-function view of Le Guernic &
+Girard (NAHS 2010).  Unsafe-region ellipsoids read their axis spreads the
+same way and the spread of each step's own gradient direction from a
+cumulative sum over the table's columns.  For order k, p outputs and r
+rows a step then costs O(k^2 (k + m)) arithmetic to build and O(r k) to
+check, rather than O(r p g_j) over its g_j input columns, and neither
+makes a matrix product per step: the exact recursions are built in chunks
+of c states, the first by doubling, in about log2 c + N / c products for N
+steps, and kept only as their output images and column norms.
 """
 
 from __future__ import annotations
@@ -91,11 +96,6 @@ class Zonotope:
         r = self.radius_vector()
         return HyperBox(self.center - r, self.center + r)
 
-    def row_spread(self, Gamma: np.ndarray) -> np.ndarray:
-        """Per-row sum_j |(Gamma G)_ij|: over the set, Gamma y lies within
-        this much of Gamma @ center."""
-        return np.sum(_abs(Gamma @ self.generators), axis=1)
-
     def __repr__(self) -> str:
         return f"Zonotope(dim={self.dim}, order={self.order})"
 
@@ -107,14 +107,14 @@ def _abs(X: np.ndarray) -> np.ndarray:
 
 
 class _AgeTable:
-    """The step data shared by the step sets of one :func:`reach_lti` call.
+    """The step data shared by the step sets of one :class:`ReachSets`.
 
-    Row j of ``centers`` (steps, p), ``dense`` (steps, p, 1 + 2 g0) and
-    ``balls`` (steps,) is step j's center, dense columns and ball radius.
-    Column a*m + i of ``Y_plus`` / ``Y_minus`` is C (M_a +/- M_{a+1}) / 2 for
-    input column i of age a, ``Y_new`` is C G_in / 2 and ``C_rows`` holds the
-    row norms of C.  Step j holds every input column injected before it, the
-    ages below j.
+    Row j of ``centers`` (steps, p), ``dense`` (steps, p, 1 + 2 g0 from
+    :func:`reach_lti`) and ``balls`` (steps,) is step j's center, dense
+    columns and ball radius.  Column a*m + i of ``Y_plus`` / ``Y_minus`` is
+    C (M_a +/- M_{a+1}) / 2 for input column i of age a, ``Y_new`` is
+    C G_in / 2 and ``C_rows`` holds the row norms of C.  Step j holds every
+    input column injected before it, the ages below j.
     """
 
     def __init__(self, centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows, m: int):
@@ -200,28 +200,34 @@ class ReachStep:
 
 
 class ReachSets(Sequence):
-    """The output reach sets of one :func:`reach_lti` call, one per step.
+    """Output reach sets, one per step: ``t0`` and ``t1`` hold every step's
+    interval, and the steps are the rows of ``table``.  Indexing assembles a
+    :class:`ReachStep` on demand and keeps nothing; a slice returns a list.
+    :func:`check_spec` reads the table's rows without assembling them."""
 
-    ``t0`` and ``t1`` hold every step's interval, and the steps are the rows
-    of ``table``.  Explicit step sets (:meth:`of`) have no table and hold
-    their zonotopes in ``extra``.  Indexing assembles a :class:`ReachStep`
-    on demand and keeps nothing; a slice returns a list.  :func:`check_spec`
-    reads the table's rows without assembling them."""
-
-    def __init__(self, t0, t1, table: _AgeTable | None = None,
-                 extra: Sequence[Zonotope] = ()):
+    def __init__(self, t0, t1, table: _AgeTable):
         self.t0, self.t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-        self.table, self.extra = table, tuple(extra)
+        self.table = table
 
     @classmethod
     def of(cls, steps: Sequence[ReachStep]) -> "ReachSets":
-        """Explicit step sets as a result with no table; a ReachSets is
-        returned as it is."""
+        """Explicit step sets as an age table with no input ages (m = 0 and
+        zero balls), each zonotope's generators its row's dense columns,
+        zero-padded to the widest; a ReachSets is returned as it is.  No
+        step sets at all is a ModelError: no verdict holds over them."""
         if isinstance(steps, ReachSets):
             return steps
         steps = list(steps)
-        return cls([s.t0 for s in steps], [s.t1 for s in steps],
-                   extra=[s.outputs for s in steps])
+        zs = [s.outputs for s in steps]
+        if not zs:
+            raise ModelError("no step sets to check")
+        dense = np.zeros((len(zs), zs[0].dim, max(z.order for z in zs)))
+        for row, z in zip(dense, zs):
+            row[:, :z.order] = z.generators
+        none = np.zeros((zs[0].dim, 0))
+        table = _AgeTable(np.array([z.center for z in zs]), dense, np.zeros(len(zs)),
+                          none, none, none, np.zeros(zs[0].dim), 0)
+        return cls([s.t0 for s in steps], [s.t1 for s in steps], table)
 
     def __len__(self) -> int:
         return self.t0.size
@@ -230,9 +236,8 @@ class ReachSets(Sequence):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(len(self)))]
         j = range(len(self))[j]  # IndexError out of range, negative from the end
-        z = self.extra[j] if self.table is None else \
-            Zonotope(self.table.centers[j], self.table.generators(j))
-        return ReachStep(float(self.t0[j]), float(self.t1[j]), z)
+        return ReachStep(float(self.t0[j]), float(self.t1[j]),
+                         Zonotope(self.table.centers[j], self.table.generators(j)))
 
 
 #: Higham, "The scaling and squaring method for the matrix exponential
@@ -394,8 +399,9 @@ STEP_LH = 0.1
 
 
 def default_step(t_f: float, A: np.ndarray, lh: float = STEP_LH) -> float:
-    """Default reach/simulation step: min(t_f/200, lh/||A||_2), so at least
-    200 steps over the horizon."""
+    """Default reach/simulation step: min(t_f/200, lh/||A||_2).  ``lh`` can
+    make the step finer than t_f/200 but not coarser: at least 200 steps
+    cover the horizon."""
     if not lh > 0:
         raise ModelError(f"step_lh must be positive, got {lh}")
     nA = np.linalg.norm(A, 2) if A.size else 0.0
@@ -405,18 +411,29 @@ def default_step(t_f: float, A: np.ndarray, lh: float = STEP_LH) -> float:
     return h
 
 
+def _time_grid(t_f: float, h: float | None, A: np.ndarray, name: str) -> np.ndarray:
+    """The time grid of every layer that takes steps: linspace(0, t_f, N + 1)
+    for N = max(1, ceil(t_f / h - 1e-12)) even steps of t_f / N, at most h
+    up to a 1e-12 of a step.  ``h`` defaults to :func:`default_step`; one
+    that is not positive and finite is refused by its ``name``."""
+    if h is None:
+        h = default_step(t_f, A)
+    # written so that NaN fails the test
+    if not 0 < h < np.inf:
+        raise ModelError(f"{name} must be positive and finite, got {h}")
+    return np.linspace(0.0, t_f, max(1, int(np.ceil(t_f / h - 1e-12))) + 1)
+
+
 def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: float,
               step_h: float | None = None) -> ReachSets:
     """Over-approximate output reach sets of a stable or unstable LTI system.
 
-    Returns N = ceil(t_f / step_h) step sets of the even length
-    h = t_f / N <= step_h, whose intervals ``linspace(0, t_f, N + 1)`` tile
-    [0, t_f], as one :class:`ReachSets`; every admissible output trajectory
+    Returns one step set per step of :func:`_time_grid`'s grid for
+    ``step_h``, N even steps of h = t_f / N whose intervals tile [0, t_f],
+    as one :class:`ReachSets`; every admissible output trajectory
     (measurable u in the box) from an initial state in ``x0`` stays inside
-    the step set of its interval.  A horizon within 1e-9 steps of the grid
-    takes no step for the sliver left over, so h exceeds step_h by at most
-    that much.  A box ``x0`` starts as :meth:`Zonotope.from_box`, with one
-    generator per free dim.
+    the step set of its interval.  A box ``x0`` starts as
+    :meth:`Zonotope.from_box`, with one generator per free dim.
 
     After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
@@ -448,10 +465,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
         raise ModelError(f"t_f must be positive and finite, got {t_f}")
-    if step_h is None:
-        step_h = default_step(t_f, sys.A)
-    if not 0 < step_h < np.inf:
-        raise ModelError(f"step_h must be positive and finite, got {step_h}")
+    times = _time_grid(t_f, step_h, sys.A, "step_h")
     if x0.dim != sys.n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={sys.n}")
     init = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
@@ -460,7 +474,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
 
     A, B, C = sys.A, sys.B, sys.C
     n = sys.n
-    steps = max(1, int(np.ceil(t_f / step_h - 1e-9)))
+    steps = times.size - 1
     h = t_f / steps
     L = float(np.linalg.norm(A, 2)) if A.size else 0.0
     uc, ur = u_box.center, u_box.halfwidth
@@ -524,7 +538,6 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     table = _AgeTable((c + c_next) / 2.0, dense, balls,
                       (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
                       np.linalg.norm(C, axis=1), m)
-    times = np.linspace(0.0, t_f, steps + 1)
     return ReachSets(times[:-1], times[1:], table)
 
 
@@ -593,9 +606,12 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
              h: float | None = None) -> Trajectory:
     """Exact-per-step propagation via the matrix exponential.
 
-    Inputs are held constant over each step (piecewise-constant signals whose
-    switch times align with the grid are propagated exactly).  ``u`` may be
-    None, a constant vector, a callable of time, or a (steps, m) array.
+    The samples are the grid of :func:`_time_grid` for ``h``, the one
+    :func:`reach_lti` tiles at the same step: N even steps of t_f / N, all
+    taken with one transition.  Inputs are held constant over each step
+    (piecewise-constant signals whose switch times align with the grid are
+    propagated exactly).  ``u`` may be None, a constant vector, a callable
+    of time, or a (steps, m) array.
 
     ``x0`` of shape (n, B) simulates a batch of B initial states at once;
     ``u`` may then also be a (steps, m, B) array of per-state inputs, and the
@@ -607,21 +623,16 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     [x_j; u_j; ...; u_{j+b-1}] gives the block's b output samples and its
     last state, about (p + n/b)(n + b m) flops per step and state instead
     of n (n + m + p), and only the current state is kept.  The steps left
-    after the last whole block, and a partial last step, take one step at a
-    time.  A block with a non-finite entry is taken again one step at a
-    time, so a state that becomes non-finite anywhere in the batch raises
-    ModelError naming the time of its step.  A non-finite ``t_f``, an ``h``
-    that is not a finite positive real, an ``x0`` of the wrong size and a
-    non-finite ``x0`` or ``u`` also raise ModelError; ``t_f <= 0`` gives the
-    one sample at t = 0.
+    after the last whole block take one step at a time.  A block with a
+    non-finite entry is taken again one step at a time, so a state that
+    becomes non-finite anywhere in the batch raises ModelError naming the
+    time of its step.  A non-finite ``t_f``, an ``h`` that is not positive
+    and finite, an ``x0`` of the wrong size and a non-finite ``x0`` or ``u``
+    also raise ModelError; ``t_f <= 0`` gives the one sample at t = 0.
     """
     if not np.isfinite(t_f):
         raise ModelError(f"t_f must be finite, got {t_f}")
-    if h is None:
-        h = default_step(t_f, sys.A)
-    # written so that NaN fails the test
-    if not 0 < h < np.inf:
-        raise ModelError(f"step h must be a finite positive real, got {h}")
+    times = _time_grid(t_f, h, sys.A, "step h")
     n, m, p, C = sys.n, sys.m, sys.p, sys.C
     x = np.asarray(x0, dtype=float)
     if x.ndim == 2 and x.shape[0] == n:
@@ -634,29 +645,23 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
         raise ModelError("x0 must be finite")
     if t_f <= 0:
         return Trajectory(np.zeros(1), (C @ x)[None])
-    steps = int(np.ceil(t_f / h - 1e-12))
-    times = np.minimum(np.arange(steps + 1) * h, t_f)
+    steps = times.size - 1
     uval = _step_inputs(u, m, times, batch)
     if not np.all(np.isfinite(uval)):
         raise ModelError("u must be finite")
-    Phi, PsiB = _transition(sys.A, h, sys.B)
+    Phi, PsiB = _transition(sys.A, t_f / steps, sys.B)
     outputs = np.empty((steps + 1, p) + batch)
     outputs[0] = C @ x
-    last_h = times[-1] - times[-2]
-    Phi_last, PsiB_last = (Phi, PsiB) if abs(last_h - h) < 1e-12 * h else \
-        _transition(sys.A, last_h, sys.B)
 
     def advance(j: int, x: np.ndarray) -> np.ndarray:
-        P, Q = (Phi, PsiB) if j < steps - 1 else (Phi_last, PsiB_last)
-        x = P @ x + Q @ uval[j]
+        x = Phi @ x + PsiB @ uval[j]
         if not np.all(np.isfinite(x)):
             raise ModelError(f"state became non-finite at t={times[j + 1]:.6g}")
         outputs[j + 1] = C @ x
         return x
 
-    # the steps taken with Phi, in whole blocks of b
     b = int(min(SIM_BLOCK_MAX, max(1, round(n / np.sqrt(max(p * m, 1))))))
-    whole = (steps if Phi_last is Phi else steps - 1) // b * b
+    whole = steps // b * b
     K = _block_kernel(Phi, PsiB, C, b) if whole else None
     for j in range(0, whole, b):
         Z = K @ np.concatenate([x, uval[j:j + b].reshape((b * m,) + batch)])
@@ -678,14 +683,8 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 def _poly_spreads(sets: ReachSets, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sets, rows) arrays of Gamma @ center and of the per-row spread
     sum_j |(Gamma G)_ij| of each step set: the row values of its points lie
-    in Gc -/+ spread.  A table's rows are read from its per-Gamma spreads
-    in one expression."""
-    if sets.table is not None:
-        return sets.table.centers @ Gamma.T, sets.table.row_spreads(Gamma)
-    Gc, spread = np.empty((len(sets), Gamma.shape[0])), np.empty((len(sets), Gamma.shape[0]))
-    for i, z in enumerate(sets.extra):
-        Gc[i], spread[i] = Gamma @ z.center, z.row_spread(Gamma)
-    return Gc, spread
+    in Gc -/+ spread.  Both are read from the table in one expression."""
+    return sets.table.centers @ Gamma.T, sets.table.row_spreads(Gamma)
 
 
 def quad_upper(z: Zonotope, ell: EllipsoidSpec) -> float:
@@ -698,43 +697,17 @@ def quad_upper(z: Zonotope, ell: EllipsoidSpec) -> float:
                  + np.sum(np.abs(G.T @ QG)))
 
 
-def quad_lower(z: Zonotope, ell: EllipsoidSpec) -> float:
-    """Sound lower bound on min over the zonotope of (y-a)^T Q (y-a).
-
-    Uses directional Cauchy-Schwarz bounds (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x)
-    over axis directions plus the gradient direction; conservative, so a
-    failed disjointness test errs toward Indeterminate.  This reads the
-    generator array; :func:`_quad_lowers` computes the same bound for the
-    rows of a reach age table from the table.
-    """
-    d = z.center - ell.a
-    Qinv = ell.Q_inv
-    best = 0.0
-    cands = list(ell.axes)
-    grad = ell.Q @ d
-    if np.linalg.norm(grad) > 0:
-        cands.append(grad / np.linalg.norm(grad))
-    for v in cands:
-        spread = float(np.sum(np.abs(v @ z.generators)))
-        lo = max(0.0, abs(float(v @ d)) - spread)
-        denom = float(v @ Qinv @ v)
-        if denom > 0:
-            best = max(best, lo * lo / denom)
-    return best
-
-
 def _quad_lowers(sets: ReachSets, ell: EllipsoidSpec, decided: float) -> np.ndarray:
-    """:func:`quad_lower` of each step set, wherever it is at most
-    ``decided``; where it is above, the value returned is above too.
+    """Sound lower bound on the min over each step set of (y-a)^T Q (y-a),
+    wherever it is at most ``decided``; where it is above, the value
+    returned is above too.
 
-    A table's rows read their spreads from the table: the axis spreads
-    from its identity-row spreads, for every row at once, and the gradient
-    direction's from :meth:`_AgeTable.direction_spreads`, only for the rows
-    whose axis bound is at most ``decided``.  The gradient can only raise
-    the bound, so a row the axes put above ``decided`` stays above.
-    Explicit zonotopes call :func:`quad_lower`."""
-    if sets.table is None:
-        return np.array([quad_lower(z, ell) for z in sets.extra], float)
+    The best Cauchy-Schwarz bound (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x) over
+    the output axes and the gradient direction, so a failed disjointness
+    test errs toward Indeterminate.  The axis spreads are the table's
+    identity-row spreads, and the gradient direction's come from
+    :meth:`_AgeTable.direction_spreads`, only for the rows whose axis bound
+    is at most ``decided``: the gradient can only raise the bound."""
     table, Q, Qinv = sets.table, ell.Q, ell.Q_inv
     D = table.centers - ell.a
     lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p)))
@@ -825,7 +798,8 @@ def _quad_center_candidate(z: Zonotope, poly: PolytopeSpec) -> np.ndarray | None
 def check_spec(steps: Sequence[ReachStep],
                transformed: TransformedSpec | Sequence[TransformedSpec]) -> str:
     """Safe / MaybeUnsafe / Indeterminate verdict of step sets against the
-    transformed spec family.
+    transformed spec family; explicit step sets are read as an age table
+    (:meth:`ReachSets.of`), and no step sets is a ModelError.
 
     Safe requires every predicate to pass on every step set (containment in
     the shrunk safe region for safe-polarity sources, certified disjointness
@@ -905,9 +879,11 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     """Search for a trajectory certifying full-order unsafety.
 
     Simulates up to ``budget`` candidate trajectories (box vertices and random
-    initial states, bang-bang and random piecewise-constant inputs).  A sample
-    must satisfy the witness predicate with margin > eta and survive a
-    re-simulation at a 10x finer step with margin >= eta/2.  ``init_map``
+    initial states, bang-bang and random piecewise-constant inputs) on the
+    grid that :func:`reach_lti` tiles at the step ``h``, whose N even steps
+    each hold one input row.  A sample must satisfy the witness predicate
+    with margin > eta and survive a re-simulation at a tenth of the even
+    step t_f / N with margin >= eta/2.  ``init_map``
     lifts initial states drawn from ``x0`` into the simulated system's state
     space (identity when omitted); drawing from the original box keeps the
     witness sound for the full-order system.
@@ -916,8 +892,9 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     many as fit :data:`WITNESS_CHUNK_DOUBLES` (16 at order 40 over 995 steps
     with 12 inputs and 4 outputs, whatever the budget), draws its input
     plans (steps, m) into one (steps, m, B) array and is simulated by one
-    batched :func:`simulate` call from its (n, B) initial states.  :meth:`TransformedSpec.witness_margins` scores the
-    chunk's samples a block at a time (``WITNESS_MARGIN_BLOCK``), keeping
+    batched :func:`simulate` call from its (n, B) initial states.
+    :meth:`TransformedSpec.witness_margins` scores the chunk's samples a
+    block at a time (``WITNESS_MARGIN_BLOCK``), keeping
     each candidate's largest margin; candidates are then taken in order, and
     predicates in order within each, for the single-state re-simulation.
     The random draws are made in the order of a candidate-by-candidate
@@ -930,10 +907,7 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     # written so that NaN fails the tests
     if not np.isfinite(t_f):
         raise ModelError(f"t_f must be finite, got {t_f}")
-    if h is None:
-        h = default_step(t_f, sys.A)
-    if not 0 < h < np.inf:
-        raise ModelError(f"step h must be a finite positive real, got {h}")
+    steps = _time_grid(t_f, h, sys.A, "step h").size - 1
     if not (eta is None or np.isfinite(eta)):
         raise ModelError(f"eta must be finite, got {eta}")
     if isinstance(transformed_unsafe, TransformedSpec):
@@ -941,7 +915,6 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     specs = list(transformed_unsafe)
     rng = np.random.default_rng(seed)
     etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
-    steps = max(1, int(np.ceil(t_f / h - 1e-12)))
     lo, hi = u_box.lb, u_box.ub
 
     # initial-state candidates: box vertices while they fit the budget, then
@@ -966,12 +939,13 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                     plan[j:] = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
 
     def revalidate(x: np.ndarray, plan: np.ndarray, ts_i: int) -> WitnessTrajectory | None:
-        # re-simulate at 10x finer step; each plan row covers its ten
-        # sub-steps (the last row may cover a partial tail)
+        # re-simulate at a tenth of the even step; each plan row covers its
+        # ten sub-steps, and the last row any sub-step that rounding adds
         lifted = x if init_map is None else init_map @ x
-        fine_steps = max(1, int(np.ceil(t_f / (h / 10) - 1e-12)))
+        fine_h = t_f / steps / 10
+        fine_steps = _time_grid(t_f, fine_h, sys.A, "step h").size - 1
         fine_plan = plan[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
-        fine = simulate(sys, lifted, fine_plan, t_f, h / 10)
+        fine = simulate(sys, lifted, fine_plan, t_f, fine_h)
         fvals = specs[ts_i].witness_margins(fine.outputs)
         fj = int(np.argmax(fvals))
         if fvals[fj] >= etas[ts_i] / 2:

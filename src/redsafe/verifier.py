@@ -56,6 +56,8 @@ class VerifyOptions:
                 ("witness_budget",
                  isinstance(self.witness_budget, Integral) and self.witness_budget >= 1,
                  "an integer of at least 1"),
+                ("seed", isinstance(self.seed, Integral) and self.seed >= 0,
+                 "a nonnegative integer"),
                 ("time_budget", self.time_budget is None or self.time_budget >= 0,
                  "nonnegative")):
             if not ok:

@@ -293,10 +293,11 @@ class TestVerifyCmd:
         assert f"error: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("k0", 2.5), ("k_max", 2.5), ("witness_budget", 2.5)])
+        ("k0", 2.5), ("k_max", 2.5), ("witness_budget", 2.5), ("seed", -1), ("seed", 1.5)])
     def test_options_refuse_values_that_fail_later(self, field, value):
         # a fractional order or budget would only fail as a TypeError deep
-        # in the k-loop
+        # in the k-loop, and a negative or fractional seed only once the
+        # witness search draws from it
         with pytest.raises(rs.ModelError, match=f"^{field} must be"):
             rs.VerifyOptions(**{field: value})
 
@@ -394,6 +395,20 @@ class TestHelp:
         assert code == 0
         for flag in ("--seed", "--output", "--format"):
             assert flag in out
+
+    @pytest.mark.parametrize("sub", ["reduce", "bounds", "transform-spec",
+                                     "reach", "verify", "verify-pss", "bench",
+                                     "gen"])
+    def test_negative_seed_exits_three(self, sub, tmp_path, capsys):
+        # numpy's generators take only nonnegative seeds: a negative one is
+        # a usage error on every subcommand, not an internal error where a
+        # generator is drawn from
+        args = {"transform-spec": [str(tmp_path / "spec.json")], "bench": [],
+                "gen": ["-n", "4"]}.get(sub, [str(small_manifest(tmp_path))])
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *args, "--seed", "-1"])
+        assert exc.value.code == 3
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

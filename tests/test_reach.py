@@ -16,9 +16,15 @@ from redsafe.spectransform import transform_spec
 from conftest import batch_trajectories, rand_box, rand_ubox
 
 
+def row_spread(z: Zonotope, Gamma: np.ndarray) -> np.ndarray:
+    """Per-row sum_j |(Gamma G)_ij|: over the zonotope, Gamma y lies within
+    this much of Gamma @ center."""
+    return np.sum(np.abs(Gamma @ z.generators), axis=1)
+
+
 def support(z, v):
     """max over the zonotope z of <v, x>."""
-    return float(v @ z.center + z.row_spread(v[None])[0])
+    return float(v @ z.center + row_spread(z, v[None])[0])
 
 
 def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
@@ -34,6 +40,27 @@ def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
     minus[:, :z2.order] -= z2.generators
     G[:, 1:] /= 2.0
     return Zonotope((z1.center + z2.center) / 2.0, G)
+
+
+def quad_lower(z: Zonotope, ell: rs.EllipsoidSpec) -> float:
+    """Sound lower bound on min over the zonotope of (y-a)^T Q (y-a), from
+    its generator array: the reference for reach._quad_lowers, which reads
+    the same bound from an age table.
+
+    Directional Cauchy-Schwarz bounds (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x)
+    over the output axes plus the gradient direction."""
+    d = z.center - ell.a
+    best = 0.0
+    cands = list(np.eye(ell.p))
+    grad = ell.Q @ d
+    if np.linalg.norm(grad) > 0:
+        cands.append(grad / np.linalg.norm(grad))
+    for v in cands:
+        lo = max(0.0, abs(float(v @ d)) - float(np.sum(np.abs(v @ z.generators))))
+        denom = float(v @ ell.Q_inv @ v)
+        if denom > 0:
+            best = max(best, lo * lo / denom)
+    return best
 
 
 class TestZonotope:
@@ -237,7 +264,7 @@ class TestReachEquivalence:
         h_sim = t_f / (40 * len(sets))
         out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, bang_bang, t_f, h_sim)
         V = np.vstack([np.eye(2), -np.eye(2), rng.standard_normal((4, 2))])
-        top = V @ last.outputs.center + last.outputs.row_spread(V)
+        top = V @ last.outputs.center + row_spread(last.outputs, V)
         inside = [idx for idx in range(out.shape[0])
                   if last.t0 - 1e-12 <= idx * h_sim <= last.t1 + 1e-12]
         assert len(inside) == 41
@@ -559,9 +586,12 @@ def naive_witness(sys_, x0, u_box, specs, t_f, budget, init_map=None, seed=0,
             vals = np.array([naive_margin(ts, y) for y in traj.outputs])
             log.append(("coarse", tried, ts_i, float(np.max(vals))))
             if np.max(vals) > etas[ts_i]:
-                fine_steps = max(1, int(np.ceil(t_f / (h / 10) - 1e-12)))
+                # a tenth of the even step; rounding may add a sub-step,
+                # which the last plan row covers
+                fine_h = t_f / steps / 10
+                fine_steps = int(np.ceil(t_f / fine_h - 1e-12))
                 fine_plan = plan[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
-                fine = simulate(sys_, lifted, fine_plan, t_f, h / 10)
+                fine = simulate(sys_, lifted, fine_plan, t_f, fine_h)
                 fvals = np.array([naive_margin(ts, y) for y in fine.outputs])
                 fj = int(np.argmax(fvals))
                 log.append(("fine", tried, ts_i, bool(fvals[fj] >= etas[ts_i] / 2)))
@@ -614,7 +644,8 @@ def late_witness_case(rng, nfree, budget, h=None, first=None, seed=5):
 
 class TestBatchedSimulate:
     def test_columns_match_single_calls(self, rng):
-        for t_f, h in ((1.0, 0.01), (1.0, 0.03), (0.0, 0.1)):  # partial last step, t_f = 0
+        # on the grid, 34 even steps of 1/34 off the grid of 0.03, t_f = 0
+        for t_f, h in ((1.0, 0.01), (1.0, 0.03), (0.0, 0.1)):
             sys_ = rs.random_stable_system(rng, 4, 2, 3)
             X = rng.standard_normal((4, 5))
             steps = max(1, int(np.ceil(t_f / h - 1e-12)))
@@ -1199,7 +1230,7 @@ def naive_check_ellipsoid(steps, ts):
     """check_spec against one unsafe-polarity ellipsoid, one step at a time
     on assembled generators."""
     ell, R2 = ts.unsafe_region, ts.unsafe_region.R ** 2
-    failed = [s.outputs for s in steps if not reach.quad_lower(s.outputs, ell) > R2]
+    failed = [s.outputs for s in steps if not quad_lower(s.outputs, ell) > R2]
     if not failed:
         return SAFE
     hit = any(ell.quad(reach._quad_extreme_point(z, ell, maximize=False)) <= R2
@@ -1222,7 +1253,7 @@ def test_table_quad_lower_matches_assembled_generators(case, seed):
     for z, low in zip(zs, lows):
         # quad_upper bounds (|v d| + spread)^2 / (v Q^-1 v) for every
         # direction v, the scale of the rounding in lo^2 / (v Q^-1 v)
-        assert low == pytest.approx(reach.quad_lower(z, ell), rel=1e-12,
+        assert low == pytest.approx(quad_lower(z, ell), rel=1e-12,
                                     abs=1e-12 * reach.quad_upper(z, ell))
 
 
@@ -1235,7 +1266,7 @@ class TestTableEllipsoid:
             for _ in range(3):
                 ell = random_ellipsoid(rng, p, ref[int(rng.integers(len(ref)))].outputs.center
                                        + rng.uniform(-0.5, 0.5, p))
-                lows = [reach.quad_lower(s.outputs, ell) for s in ref]
+                lows = [quad_lower(s.outputs, ell) for s in ref]
                 hi = max(reach.quad_upper(s.outputs, ell) for s in ref)
                 for R2 in (0.5 * min(lows), min(lows) + 0.5 * (max(lows) - min(lows)),
                            max(lows) + 0.1 * hi, 2.0 * hi):
@@ -1283,7 +1314,6 @@ class TestBatchedSteps:
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
             ref = naive_reach(sys_, x0, ubox, t_f, step_h)
             assert [(s.t0, s.t1) for s in sets] == [(r.t0, r.t1) for r in ref]
-            assert sets.extra == ()
             table, p, g0 = sets.table, sys_.p, Zonotope.from_box(x0).order
             C_rows = np.linalg.norm(sys_.C, axis=1)
             Gamma = rng.standard_normal((3, p))
@@ -1329,7 +1359,7 @@ class TestReachSets:
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
             ref = naive_reach(sys_, x0, ubox, t_f, t_f / count)
             assert isinstance(sets, rs.ReachSets)
-            assert sets.table is not None and sets.extra == ()
+            assert sets.table is not None
             assert len(sets) == len(sets.table.balls) == len(ref) == count
             assert_same_sets(list(sets), ref, rng)
             assert [s.t0 for s in sets] == [r.t0 for r in ref]
@@ -1362,7 +1392,7 @@ class TestReachSets:
         steps = 1 if kind == "below" else count
         if kind != "on":  # on the grid, t_f / step_h may round above count
             assert steps == math.ceil(t_f / step_h)
-        assert len(sets) == len(sets.table.balls) == steps and sets.extra == ()
+        assert len(sets) == len(sets.table.balls) == steps
         assert sets.t0[0] == 0.0 and sets.t1[-1] == t_f
         np.testing.assert_array_equal(sets.t0[1:], sets.t1[:-1])
         lengths = sets.t1 - sets.t0
@@ -1378,19 +1408,57 @@ class TestReachSets:
         assert first.t0 == sets.t0[1] and type(first.t0) is float
 
     def test_of_explicit_steps(self, rng):
+        # explicit step sets become an age table with no input ages and no
+        # balls: each zonotope's generators are its row's dense columns,
+        # zero-padded to the widest
         steps = [rs.ReachStep(j, j + 1.0, Zonotope(rng.standard_normal(2),
-                                                   rng.standard_normal((2, 3))))
-                 for j in range(4)]
+                                                   rng.standard_normal((2, g))))
+                 for j, g in enumerate((3, 1, 0, 4))]
         sets = rs.ReachSets.of(steps)
-        assert sets.table is None and len(sets) == 4
-        assert [s.outputs for s in sets] == [s.outputs for s in steps]
-        assert [(s.t0, s.t1) for s in sets] == [(s.t0, s.t1) for s in steps]
+        assert len(sets) == 4 and sets.table.m == 0 and np.all(sets.table.balls == 0.0)
+        for got, step in zip(sets, steps):
+            z, g = got.outputs, step.outputs.order
+            assert (got.t0, got.t1) == (step.t0, step.t1)
+            np.testing.assert_array_equal(z.center, step.outputs.center)
+            np.testing.assert_array_equal(z.generators[:, :g], step.outputs.generators)
+            assert z.generators.shape == (2, 4) and np.all(z.generators[:, g:] == 0.0)
         assert rs.ReachSets.of(sets) is sets
-        assert len(rs.ReachSets.of([])) == 0
+        assert len(rs.ReachSets.of(steps[:1])) == 1
+
+    def test_no_step_sets_are_refused(self):
+        # a verdict over no step sets says nothing; check_spec once called
+        # them Safe
+        with pytest.raises(rs.ModelError, match="^no step sets"):
+            rs.ReachSets.of([])
+        for spec in (rs.PolytopeSpec([[1.0, 0.0]], [-1.0], POLARITY_SAFE),
+                     rs.EllipsoidSpec(np.eye(2), np.zeros(2), 1.0, POLARITY_UNSAFE)):
+            with pytest.raises(rs.ModelError, match="^no step sets"):
+                check_spec([], transform_spec(spec, np.zeros(2)))
+
+    @given(st.floats(1e-3, 1.0), st.integers(1, 500),
+           st.sampled_from(["below", "on", "off"]), st.floats(0.01, 0.99))
+    def test_simulate_and_witness_share_the_reach_grid(self, step_h, count, kind, short):
+        # t_f below one step, on the grid of step_h up to rounding, and off
+        # it: simulate samples reach's grid bit for bit, with the outputs of
+        # a per-step loop at t_f / N, and the witness search plans one input
+        # row per reach step
+        t_f = {"below": step_h * short, "on": step_h * count,
+               "off": step_h * (count - short)}[kind]
+        sys_ = rs.LtiSystem([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [0.5]], [[1.0, 1.0]])
+        x0, ubox = rs.HyperBox([0.0, 0.0], [0.1, 0.1]), rs.HyperBox([-0.1], [0.1])
+        sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+        plan = np.linspace(-0.1, 0.1, len(sets))[:, None]
+        traj = simulate(sys_, x0.ub, plan, t_f, step_h)
+        np.testing.assert_array_equal(traj.times, np.r_[sets.t0[0], sets.t1])
+        assert_matches_stepwise(sys_, x0.ub, plan, t_f, step_h)
+        everywhere = transform_spec(rs.PolytopeSpec([[1.0]], [1e3], POLARITY_SAFE), np.zeros(1))
+        w = find_unsafe_witness(sys_, x0, ubox, everywhere, t_f, 1, h=step_h)
+        assert w.step_inputs.shape == (len(sets), 1)
 
     def test_check_spec_matches_explicit_steps(self, rng):
-        # list(sets) holds explicit zonotopes, which check_spec reads from
-        # their generators; the table read of the same sets must agree
+        # list(sets) holds explicit zonotopes, which check_spec reads as a
+        # table of their assembled generators with no input ages; reach's
+        # own table of the same sets must agree
         verdicts = set()
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
@@ -1398,7 +1466,7 @@ class TestReachSets:
             specs = list(polytope_specs(rng, steps, p))
             for _ in range(2):
                 ell = random_ellipsoid(rng, p, steps[int(rng.integers(len(steps)))].outputs.center)
-                lows = [reach.quad_lower(s.outputs, ell) for s in steps]
+                lows = [quad_lower(s.outputs, ell) for s in steps]
                 # radii just above the closest step's bound and around the
                 # median decide on the spreads of single steps
                 for R2 in (0.5 * min(lows), (1 + 1e-6) * min(lows), float(np.median(lows)),
@@ -1491,18 +1559,18 @@ def test_expm_not_finite_raises_model_error():
 # simulate's block kernel against the per-step loop.
 
 def stepwise(sys_, x0, u, t_f, h):
-    """Per-step reference: x <- Phi x + Psi u_j one step at a time, the last
-    step over its own length.  Returns (outputs, time of the first
-    non-finite state or None); the outputs stop before that state."""
+    """Per-step reference: x <- Phi x + Psi u_j one step at a time over the
+    N = ceil(t_f / h) even steps of t_f / N that tile [0, t_f].  Returns
+    (outputs, time of the first non-finite state or None); the outputs stop
+    before that state."""
     x = np.asarray(x0, dtype=float)
-    steps = int(np.ceil(t_f / h - 1e-12))
-    times = np.minimum(np.arange(steps + 1) * h, t_f)
+    steps = max(1, math.ceil(t_f / h - 1e-12))
+    times = np.linspace(0.0, t_f, steps + 1)
     U = reach._step_inputs(u, sys_.m, times, x.shape[1:])
-    full, last = _transition(sys_.A, h, sys_.B), _transition(sys_.A, times[-1] - times[-2], sys_.B)
+    Phi, Psi = _transition(sys_.A, t_f / steps, sys_.B)
     outputs = [sys_.C @ x]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
-            Phi, Psi = full if j < steps - 1 else last
             x = Phi @ x + Psi @ U[j]
             if not np.all(np.isfinite(x)):
                 return np.array(outputs), times[j + 1]
@@ -1514,6 +1582,7 @@ def assert_matches_stepwise(sys_, x0, u, t_f, h):
     traj = simulate(sys_, x0, u, t_f, h)
     ref, _ = stepwise(sys_, x0, u, t_f, h)
     assert traj.outputs.shape == ref.shape
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, t_f, len(ref)))
     np.testing.assert_allclose(traj.outputs, ref, rtol=1e-12,
                                atol=1e-12 * max(1.0, np.abs(ref).max()))
 
@@ -1542,8 +1611,9 @@ class TestBlockSimulate:
     def test_steps_around_the_block(self, rng, steps, monkeypatch):
         # n = 8 with p = m = 1 takes blocks of SIM_BLOCK_MAX = 4 steps: fewer
         # steps than a block, exactly one, a remainder, and each of those
-        # with a partial last step; single states and batches under every
-        # kind of input
+        # over a horizon 0.04 short of the grid of 0.1, which the same count
+        # of even steps tiles; single states and batches under every kind
+        # of input
         monkeypatch.setattr(reach, "SIM_BLOCK_MAX", 4)
         sys_ = rs.random_stable_system(rng, 8, 1, 1)
         for t_f in (0.1 * steps, 0.1 * steps - 0.04):
@@ -1555,6 +1625,8 @@ class TestBlockSimulate:
                     assert_matches_stepwise(sys_, x0, u, t_f, 0.1)
 
     def test_no_inputs_and_zero_horizon(self, rng):
+        # on the grid of 0.05, 40 even steps of 1.97 / 40 off it, and the
+        # one sample of a zero horizon
         sys_ = no_input_system(rng, 6, 2)
         for t_f in (2.0, 1.97, 0.0):
             for x0 in (rng.standard_normal(6), rng.standard_normal((6, 4))):
@@ -1569,9 +1641,10 @@ class TestBlockSimulate:
     def test_random_shapes_match_stepwise(self, n, m, p, B, seed, t_f):
         rng = np.random.default_rng(seed)
         sys_ = rs.random_stable_system(rng, n, m, p)
+        # a step off the grid of t_f, tiled by N = ceil(t_f / h) even steps
         h = 0.05 / max(1.0, np.linalg.norm(sys_.A, 2))
         shape = (n, B) if B else (n,)
-        steps = int(np.ceil(t_f / h - 1e-12))
+        steps = math.ceil(t_f / h - 1e-12)
         u = rng.standard_normal((steps, m, B) if B else (steps, m))
         assert_matches_stepwise(sys_, rng.standard_normal(shape), u, t_f, h)
 
@@ -1638,7 +1711,7 @@ class TestReachChunks:
             ref = reach_lti(sys_, x0, ubox, t_f, step_h)
             monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", c * size)
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            assert len(sets) == len(sets.table.balls) == steps and sets.extra == ()
+            assert len(sets) == len(sets.table.balls) == steps
             assert_same_table(sets, ref, rng)
 
 

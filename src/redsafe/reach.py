@@ -114,10 +114,14 @@ class _AgeTable:
     columns and ball radius.  Column a*m + i of ``Y_plus`` / ``Y_minus`` is
     C (M_a +/- M_{a+1}) / 2 for input column i of age a, ``Y_new`` is
     C G_in / 2 and ``C_rows`` holds the row norms of C.  Step j holds every
-    input column injected before it, the ages below j.
+    input column injected before it, the ages below j.  ``channels`` holds
+    the input channel of each of the m columns of an age; it is None for
+    explicit step sets (:meth:`ReachSets.of`), whose rows are no grid
+    samples of one system.
     """
 
-    def __init__(self, centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows, m: int):
+    def __init__(self, centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows,
+                 channels: np.ndarray | None = None):
         # the step sets hand out views of these arrays: read-only, so that
         # an in-place change to one step's set raises instead of changing
         # every later check of the table
@@ -125,7 +129,8 @@ class _AgeTable:
             a.flags.writeable = False
         self.centers, self.dense, self.balls = centers, dense, balls
         self.Y_plus, self.Y_minus, self.Y_new, self.C_rows = Y_plus, Y_minus, Y_new, C_rows
-        self.m = m
+        self.channels = channels
+        self.m = 0 if channels is None else channels.size
         self._spreads: dict = {}
 
     def generators(self, j: int) -> np.ndarray:
@@ -184,6 +189,32 @@ class _AgeTable:
             spreads[chunk] += prefix[np.arange(T.shape[0]), rows[chunk] * self.m]
         return spreads
 
+    def input_images(self) -> np.ndarray:
+        """(p, steps*m) images C M_a of the input columns of every age a,
+        age a in columns a*m ... (a+1)*m - 1: Y_plus + Y_minus, and for the
+        last age Y_plus - Y_minus of the last row (2 Y_new for one step)."""
+        steps, m = len(self.balls), self.m
+        last = self.Y_plus[:, (steps - 2) * m:] - self.Y_minus[:, (steps - 2) * m:] \
+            if steps > 1 else 2.0 * self.Y_new
+        return np.hstack([self.Y_plus + self.Y_minus, last])
+
+    def sample_supports(self, Gamma: np.ndarray) -> np.ndarray:
+        """(steps + 1, rows) upper supports of the rows of Gamma at every
+        grid sample j of the exact reach, with no hull and no ball:
+        Gamma c_j + sum |Gamma CH_j| + a prefix sum over the ages a < j of
+        sum |Gamma C M_a|, for c_j = center_j + d_j and CH_j = H+_j + H-_j
+        (the last sample's from the last row, signs flipped).  A box vertex
+        and a grid plan attain each when the initial set is a box's image."""
+        steps, r = len(self.balls), Gamma.shape[0]
+        g0 = self.dense.shape[2] // 2
+        d, plus, minus = (self.dense[:, :, 0], self.dense[:, :, 1:1 + g0],
+                          self.dense[:, :, 1 + g0:])
+        c = np.vstack([self.centers + d, self.centers[-1:] - d[-1:]])
+        CH = np.concatenate([plus + minus, plus[-1:] - minus[-1:]])
+        per_age = _abs(Gamma @ self.input_images()).reshape(r, steps, self.m).sum(axis=2)
+        prefix = np.vstack([np.zeros((1, r)), np.cumsum(per_age.T, axis=0)])
+        return c @ Gamma.T + np.sum(_abs(np.matmul(Gamma, CH)), axis=2) + prefix
+
 
 #: Step rows per block of :meth:`_AgeTable.direction_spreads`, so that its
 #: (rows, ages * m) blocks stay bounded: two of about 1.2 MB each for 64 rows
@@ -226,7 +257,7 @@ class ReachSets(Sequence):
             row[:, :z.order] = z.generators
         none = np.zeros((zs[0].dim, 0))
         table = _AgeTable(np.array([z.center for z in zs]), dense, np.zeros(len(zs)),
-                          none, none, none, np.zeros(zs[0].dim), 0)
+                          none, none, none, np.zeros(zs[0].dim))
         return cls([s.t0 for s in steps], [s.t1 for s in steps], table)
 
     def __len__(self) -> int:
@@ -483,7 +514,8 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     Phi, PsiB = _transition(A, h, B)
     nPhi = float(np.linalg.norm(Phi, 2))
     Gin = PsiB @ np.diag(ur)
-    Gin = Gin[:, np.linalg.norm(Gin, axis=0) > 0]
+    channels = np.flatnonzero(np.linalg.norm(Gin, axis=0) > 0)
+    Gin = Gin[:, channels]
     vin = PsiB @ uc
     # residual for measurable (non-constant) inputs within one step:
     # || int e^{As} B (w - wbar) ds || with the average wbar split off.
@@ -537,7 +569,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
         + (2.0 * ebl * (state_norms[:-1] + rhos[:-1] + drift) + sweep * (nB * ur_norm))
     table = _AgeTable((c + c_next) / 2.0, dense, balls,
                       (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
-                      np.linalg.norm(C, axis=1), m)
+                      np.linalg.norm(C, axis=1), channels)
     return ReachSets(times[:-1], times[1:], table)
 
 
@@ -870,29 +902,76 @@ def _peak_margins(ts: TransformedSpec, samples: np.ndarray) -> np.ndarray:
     return peak
 
 
+def _optimal_candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
+                        specs: list[TransformedSpec], table: _AgeTable, t_f: float,
+                        init_map: np.ndarray | None):
+    """Per spec b, the candidate that attains the largest margin S + Psi of
+    its polytope witness region over the table's rows and grid samples (S
+    from :meth:`_AgeTable.sample_supports`), at row l and sample j: vertex
+    X[:, b] = c + r sign(l C Phi^j init_map) and plan u_c + u_r
+    sign(l C M_(j-1-i)) in rows i < j of plans[:, :, b], u_c elsewhere and in
+    the channels the table dropped.  Returns X, the plans, each (j, l,
+    support, allowance) and whether a margin exceeds -allowance, 1e-9 of the
+    largest of the support, |Psi| and the spec's witness scale."""
+    steps = len(table.balls)
+    Phi = _transition(sys.A, t_f / steps)
+    images = table.input_images()
+    X = np.empty((x0.dim, len(specs)))
+    plans = np.tile(u_box.center[:, None], (steps, 1, len(specs)))
+    tops, reaches = [], False
+    for b, ts in enumerate(specs):
+        reg = ts.witness_region
+        S = table.sample_supports(reg.Gamma)
+        margins = S + reg.Psi
+        tol = 1e-9 * np.maximum(np.maximum(np.abs(S), np.abs(reg.Psi)), ts.witness_scale)
+        reaches |= bool(np.any(margins > -tol))
+        j, l = np.unravel_index(int(np.argmax(margins)), margins.shape)
+        tops.append((j, l, S[j, l], tol[j, l]))
+        lift = reg.Gamma[l] @ sys.C @ np.linalg.matrix_power(Phi, j)
+        X[:, b] = x0.center + x0.halfwidth * np.sign(lift if init_map is None
+                                                     else lift @ init_map)
+        ages = (reg.Gamma[l] @ images).reshape(steps, table.m)[:j][::-1]
+        plans[:j, table.channels, b] += u_box.halfwidth[table.channels] * np.sign(ages)
+    return X, plans, tops, reaches
+
+
 def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                         transformed_unsafe: TransformedSpec | Sequence[TransformedSpec],
                         t_f: float, budget: int,
                         init_map: np.ndarray | None = None,
                         seed: int = 0, eta: float | None = None,
-                        h: float | None = None) -> WitnessTrajectory | None:
+                        h: float | None = None,
+                        sets: ReachSets | None = None) -> WitnessTrajectory | None:
     """Search for a trajectory certifying full-order unsafety.
 
-    Simulates up to ``budget`` candidate trajectories (box vertices and random
-    initial states, bang-bang and random piecewise-constant inputs) on the
-    grid that :func:`reach_lti` tiles at the step ``h``, whose N even steps
-    each hold one input row.  A sample must satisfy the witness predicate
-    with margin > eta and survive a re-simulation at a tenth of the even
-    step t_f / N with margin >= eta/2.  ``init_map``
-    lifts initial states drawn from ``x0`` into the simulated system's state
-    space (identity when omitted); drawing from the original box keeps the
-    witness sound for the full-order system.
+    Simulates candidate trajectories on the grid that :func:`reach_lti`
+    tiles at the step ``h``, whose N even steps each hold one input row.  A
+    sample must satisfy the witness predicate with margin > eta (positive
+    and finite; 1e-9 of the predicate's witness scale by default) and
+    survive a re-simulation at a tenth of the even step t_f / N with
+    margin >= eta/2.  ``init_map`` lifts initial states drawn from ``x0``
+    into the simulated system's state space (identity when omitted);
+    drawing from the original box keeps the witness sound for the
+    full-order system.
 
-    The initial states are drawn first, then each chunk of candidates, as
-    many as fit :data:`WITNESS_CHUNK_DOUBLES` (16 at order 40 over 995 steps
-    with 12 inputs and 4 outputs, whatever the budget), draws its input
-    plans (steps, m) into one (steps, m, B) array and is simulated by one
-    batched :func:`simulate` call from its (n, B) initial states.
+    ``sets``, the step sets :func:`reach_lti` returned for the same system,
+    initial set (``init_map`` x0), input box and grid, start the search from
+    the optimal input (Bak & Duggirala, CAV 2017): per safe-polarity
+    polytope predicate, the candidate of :func:`_optimal_candidates` is
+    simulated (all in one call), scored and revalidated first, and raises
+    ModelError if it exceeds its support by more than its allowance.  If
+    every predicate is such a polytope and no support reaches its region, no
+    grid candidate can pass: None is returned with no random draw.  Explicit
+    step sets (:meth:`ReachSets.of`) are not read.
+
+    Then up to ``budget`` candidates are simulated, the same with or
+    without ``sets``: box vertices and random initial states, bang-bang and
+    random piecewise-constant inputs.  The initial states are drawn first,
+    then each chunk of candidates, as many as fit
+    :data:`WITNESS_CHUNK_DOUBLES` (16 at order 40 over 995 steps with 12
+    inputs and 4 outputs, whatever the budget), draws its input plans
+    (steps, m) into one (steps, m, B) array and is simulated by one batched
+    :func:`simulate` call from its (n, B) initial states.
     :meth:`TransformedSpec.witness_margins` scores the chunk's samples a
     block at a time (``WITNESS_MARGIN_BLOCK``), keeping
     each candidate's largest margin; candidates are then taken in order, and
@@ -908,20 +987,14 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     if not np.isfinite(t_f):
         raise ModelError(f"t_f must be finite, got {t_f}")
     steps = _time_grid(t_f, h, sys.A, "step h").size - 1
-    if not (eta is None or np.isfinite(eta)):
-        raise ModelError(f"eta must be finite, got {eta}")
+    if not (eta is None or 0 < eta < np.inf):
+        raise ModelError(f"eta must be positive and finite, got {eta}")
     if isinstance(transformed_unsafe, TransformedSpec):
         transformed_unsafe = [transformed_unsafe]
     specs = list(transformed_unsafe)
     rng = np.random.default_rng(seed)
     etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
     lo, hi = u_box.lb, u_box.ub
-
-    # initial-state candidates: box vertices while they fit the budget, then
-    # uniform samples
-    inits = x0.vertices()[:, :budget] if x0.vertex_count() <= max(2, budget) \
-        else np.zeros((x0.dim, 0))
-    inits = np.hstack([inits] + [x0.sample(rng, 1) for _ in range(budget - inits.shape[1])])
 
     def fill_plan(plan: np.ndarray, kind: int) -> None:
         """Write the (steps, m) input plan of a candidate of this kind."""
@@ -955,6 +1028,45 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                                      predicate_index=ts_i, sample_index=fj)
         return None
 
+    def simulate_batch(X: np.ndarray, plans: np.ndarray) -> np.ndarray:
+        return simulate(sys, X if init_map is None else init_map @ X, plans, t_f, h).outputs
+
+    def first_witness(X: np.ndarray, plans: np.ndarray,
+                      outputs: np.ndarray) -> WitnessTrajectory | None:
+        """Score a simulated batch and revalidate its hits in order."""
+        samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
+        hits = np.stack([_peak_margins(ts, samples) > eta
+                         for ts, eta in zip(specs, etas)], axis=1)
+        # nonzero walks candidates in order, predicates in order within each
+        for b, ts_i in zip(*np.nonzero(hits)):
+            witness = revalidate(X[:, b].copy(), plans[:, :, b].copy(), int(ts_i))
+            if witness is not None:
+                return witness
+        return None
+
+    polytopes = [ts for ts in specs if ts.source_polarity == POLARITY_SAFE
+                 and isinstance(ts.witness_region, PolytopeSpec)]
+    if sets is not None and sets.table.channels is not None and polytopes:
+        if len(sets) != steps:
+            raise ModelError(f"step sets hold {len(sets)} steps, the witness grid {steps}")
+        X, plans, tops, reaches = _optimal_candidates(sys, x0, u_box, polytopes, sets.table,
+                                                      t_f, init_map)
+        outputs = simulate_batch(X, plans)
+        for b, (ts, (j, l, top, tol)) in enumerate(zip(polytopes, tops)):
+            value = float(ts.witness_region.Gamma[l] @ outputs[j, :, b])
+            if value > top + tol:
+                raise ModelError(f"optimal witness candidate reaches {value!r} on row {l} "
+                                 f"at sample {j}, above its certified support {top!r}")
+        witness = first_witness(X, plans, outputs)
+        if witness is not None or (len(polytopes) == len(specs) and not reaches):
+            return witness
+
+    # initial-state candidates: box vertices while they fit the budget, then
+    # uniform samples
+    inits = x0.vertices()[:, :budget] if x0.vertex_count() <= max(2, budget) \
+        else np.zeros((x0.dim, 0))
+    inits = np.hstack([inits] + [x0.sample(rng, 1) for _ in range(budget - inits.shape[1])])
+
     def scan(start: int, stop: int) -> WitnessTrajectory | None:
         """Simulate candidates start ... stop - 1 as one batch and revalidate
         their hits in order; the chunk's arrays are freed on return, before
@@ -963,18 +1075,7 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
         for b in range(stop - start):
             fill_plan(plans[:, :, b], (start + b) % 4)
         X = inits[:, start:stop]
-        outputs = simulate(sys, X if init_map is None else init_map @ X, plans,
-                           t_f, h).outputs
-        samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
-        hits = np.stack([_peak_margins(ts, samples) > eta
-                         for ts, eta in zip(specs, etas)], axis=1)
-        # nonzero walks candidates in order, predicates in order within each
-        for b, ts_i in zip(*np.nonzero(hits)):
-            witness = revalidate(inits[:, start + b].copy(),
-                                 plans[:, :, b].copy(), int(ts_i))
-            if witness is not None:
-                return witness
-        return None
+        return first_witness(X, plans, simulate_batch(X, plans))
 
     chunk = _witness_chunk(steps, u_box.dim, sys.p)
     for start in range(0, budget, chunk):

@@ -193,18 +193,19 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             if all(ts.safe_region is None for ts in transformed) \
                     and problem.polarity == POLARITY_SAFE:
                 notes.append(say + "transformed safe region empty at this k")
-            # reach and the witness search step at the same step; the step
-            # sets are freed as soon as they are checked, before the witness
-            # search allocates its batch
+            # reach and the witness search step at the same step, and the
+            # search reads the step sets' age table: its supports at the grid
+            # samples pick the optimal candidate, and certify that no
+            # candidate can cross before any random one is drawn
             step_h = default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
-            outcome = check_spec(reach_lti(abstraction.reduced, abstraction.x0_zonotope,
-                                           problem.inputs, horizon, step_h),
-                                 transformed)
+            sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope,
+                             problem.inputs, horizon, step_h)
+            outcome = check_spec(sets, transformed)
             if outcome == MAYBE_UNSAFE:
                 witness = find_unsafe_witness(
                     abstraction.reduced, x0, problem.inputs, transformed,
                     horizon, opts.witness_budget,
-                    init_map=bal.H[:k, :], seed=opts.seed, h=step_h)
+                    init_map=bal.H[:k, :], seed=opts.seed, h=step_h, sets=sets)
                 if witness is not None:
                     if labeled:
                         notes.append(f"witness in mode {rho}")

@@ -417,7 +417,8 @@ class TestWitness:
         ({"h": float("nan")}, "step h"), ({"h": 0.0}, "step h"), ({"h": float("inf")}, "step h"),
         ({"eta": float("nan")}, "eta"), ({"eta": float("inf")}, "eta"),
         ({"eta": -float("inf")}, "eta"),
-        ({"budget": 0}, "witness budget"), ({"budget": 2.5}, "witness budget")])
+        ({"budget": 0}, "witness budget"), ({"budget": 2.5}, "witness budget"),
+        ({"eta": 0.0}, "eta"), ({"eta": -1e-3}, "eta")])
     def test_bad_scalars_refused(self, rng, args, name):
         # each bad scalar is refused by name with ModelError, not passed on
         # to fail as a bare ValueError, an overflow or a division by zero,
@@ -782,30 +783,50 @@ class TestBatchedWitness:
                                                     seed=5), ref)
 
     def test_failed_revalidation(self, rng, monkeypatch):
-        # with a negative eta a coarse hit (margin > eta) can miss the fine
-        # bar (margin >= eta/2): first every hit fails, then a later record
-        # candidate passes after earlier ones failed
+        # a fine re-simulation that lowers y_0 by ``drop`` makes a coarse hit
+        # (margin > eta) miss the fine bar (margin >= eta/2): first every hit
+        # fails, then a later record candidate passes after earlier ones
+        # failed
         set_witness_chunk(monkeypatch, 4)
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
-        ts = first_y0_spec(1e3)
         log = []
-        naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, log=log)
-        peaks = peaks_of(log)
-        assert np.all(peaks < 0)
+        naive_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, 16, seed=2, log=log)
+        peaks = peaks_of(log) + 1e3  # each candidate's coarse y_0 peak
+        coarse_h, exact = reach.default_step(1.0, sys_.A), reach.simulate
+
+        def lower_fine(drop):
+            def lowered(sys_, x, u, t_f, h=None):
+                traj = exact(sys_, x, u, t_f, h)
+                if h is None or h > coarse_h / 2:
+                    return traj
+                return reach.Trajectory(traj.times, traj.outputs - np.array([drop, 0.0]))
+            # the batched search and its naive reference both
+            monkeypatch.setattr(reach, "simulate", lowered)
+            monkeypatch.setitem(globals(), "simulate", lowered)
+
+        # the candidates within 3 eta of the top peak cross, and none survives
+        eta = 1e-3 * (np.max(peaks) - np.min(peaks))
+        ts = first_y0_spec(np.max(peaks) - 4 * eta)
+        lower_fine(1e3)
         log = []
-        eta = 1.5 * np.max(peaks)
         assert naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta, log=log) is None
         assert any(e[0] == "fine" and not e[3] for e in log)
         assert find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta) is None
-        # j: the record after the widest climb over the earlier best
+        # j: the record after the widest climb g over the earlier best E;
+        # E crosses by 2 eta and j by 6 eta, and lowered by 3.5 eta only j
+        # keeps eta/2
         records = [j for j in range(1, 16) if peaks[j] > np.max(peaks[:j])]
         j = max(records, key=lambda j: peaks[j] - np.max(peaks[:j]))
-        eta = np.max(peaks[:j]) + peaks[j]
+        best = np.max(peaks[:j])
+        eta = (peaks[j] - best) / 4
+        ts = first_y0_spec(best - 2 * eta)
+        lower_fine(3.5 * eta)
         log = []
         ref = naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta, log=log)
         fine = [e for e in log if e[0] == "fine"]
-        assert ref is not None and not fine[0][3] and fine[-1][3]
+        assert ref is not None
+        assert not fine[0][3] and fine[-1][3] and fine[-1][1] == j
         assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2,
                                                 eta=eta), ref)
 
@@ -1764,3 +1785,144 @@ def test_witness_peak_memory_does_not_grow_with_the_budget():
     assert reach._witness_chunk(1000, m, p) == 16
     assert peaks[256] <= 1.05 * peaks[64]
     assert peaks[256] < 1.5 * 8 * reach.WITNESS_CHUNK_DOUBLES
+
+
+# --------------------------------------------------------------------------
+# The witness search from the grid samples of reach's age table: supports,
+# the optimal candidate and the certificate that no candidate can cross.
+
+@st.composite
+def certificate_cases(draw):
+    """(system of order k, L, box, input box, t_f, step_h, seed): the order-k
+    image L x0 of a box in n <= 6 dims with f free dims, f at most and above
+    k, on one to 40 even steps, and in some draws an input channel of zero
+    width."""
+    n = draw(st.integers(1, 6))
+    k, f = draw(st.integers(1, n)), draw(st.integers(0, n))
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sys_ = rs.random_stable_system(rng, k, m, p)
+    ubox = rand_ubox(rng, m)
+    if draw(st.booleans()):
+        ubox = rs.HyperBox(ubox.lb, np.r_[ubox.lb[0], ubox.ub[1:]])
+    t_f = draw(st.floats(0.3, 3.0))
+    return (sys_, rng.standard_normal((k, n)), rand_box(rng, n, f), ubox, t_f,
+            t_f / draw(st.integers(1, 40)), seed)
+
+
+def crossing_spec(rng, sets):
+    """A safe-polarity polytope spec of three random rows whose bounds sit
+    within 30% of their largest sample supports, all on one side: the
+    supports reach the region in some draws and not in others."""
+    p = sets.table.centers.shape[1]
+    Gamma = rng.standard_normal((3, p))
+    top = sets.table.sample_supports(Gamma).max(axis=0)
+    Psi = -(top + rng.uniform(-0.3, 0.3) * (np.abs(top) + 1.0))
+    return transform_spec(rs.PolytopeSpec(Gamma, Psi, POLARITY_SAFE), np.zeros(p))
+
+
+class TestWitnessCertificate:
+    @given(certificate_cases())
+    def test_sample_supports_match_the_exact_samples(self, case):
+        # per sample j, Gamma C (Phi^j c + sum_(i<j) Phi^(j-1-i) PsiB u_c)
+        # plus the spreads of Phi^j G0 and of every age's Phi^a PsiB diag(u_r),
+        # stepped one sample at a time
+        sys_, L, box, ubox, t_f, step_h, seed = case
+        z = image_zonotope(L, box)
+        sets = reach_lti(sys_, z, ubox, t_f, step_h)
+        Gamma = np.random.default_rng(seed).standard_normal((3, sys_.p))
+        GC = Gamma @ sys_.C
+        Phi, PsiB = _transition(sys_.A, t_f / len(sets), sys_.B)
+        x, G, P, ages, ref = z.center, z.generators, np.eye(sys_.n), np.zeros(3), []
+        for _ in range(len(sets) + 1):
+            ref.append(GC @ x + np.sum(np.abs(GC @ G), axis=1) + ages)
+            ages = ages + np.sum(np.abs(GC @ P @ PsiB * ubox.halfwidth), axis=1)
+            x, G, P = Phi @ x + PsiB @ ubox.center, Phi @ G, Phi @ P
+        np.testing.assert_allclose(sets.table.sample_supports(Gamma), ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+
+    @given(certificate_cases())
+    def test_trajectories_stay_below_the_sample_supports(self, case):
+        # the optimal candidate, box vertices and samples under random and
+        # bang-bang grid plans: every row value at every sample is at most
+        # its support, none crosses when the certificate holds, and with
+        # f <= k the optimal candidate attains its support, and crosses
+        # unless the certificate holds
+        sys_, L, box, ubox, t_f, step_h, seed = case
+        rng = np.random.default_rng(seed)
+        sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        ts = crossing_spec(rng, sets)
+        Gamma, steps = ts.witness_region.Gamma, len(sets)
+        S = sets.table.sample_supports(Gamma)
+        X, plans, ((j, l, top, _),), reaches = reach._optimal_candidates(
+            sys_, box, ubox, [ts], sets.table, t_f, L)
+        X = np.hstack([X, box.vertices()[:, :16], box.sample(rng, 8)])
+        draws = rng.random((steps, sys_.m, X.shape[1] - 1))
+        draws[:, :, ::2] = np.round(draws[:, :, ::2])
+        plans = np.concatenate([plans, ubox.lb[:, None] + (ubox.ub - ubox.lb)[:, None] * draws],
+                               axis=2)
+        Y = simulate(sys_, L @ X, plans, t_f, step_h).outputs
+        rows = np.einsum("rp,spb->srb", Gamma, Y)
+        assert np.all(rows <= (S + 1e-9 * (np.abs(S) + 1.0))[:, :, None])
+        crossed = rows + ts.witness_region.Psi[:, None] > 0
+        assert reaches or not np.any(crossed)
+        if box.free_dims().size <= L.shape[0]:
+            assert rows[j, l, 0] == pytest.approx(top, rel=1e-9, abs=1e-9)
+            assert reaches == crossed[j, l, 0]
+
+    @given(certificate_cases())
+    def test_certificate_agrees_with_the_search(self, case):
+        # explicit step sets never certify and add no candidate; with reach's
+        # own sets nothing the random search finds is lost, and when no
+        # support reaches the region the search ends after one simulation
+        sys_, L, box, ubox, t_f, step_h, seed = case
+        rng = np.random.default_rng(seed)
+        sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        ts = crossing_spec(rng, sets)
+
+        def search(**kwargs):
+            return find_unsafe_witness(sys_, box, ubox, ts, t_f, 8, init_map=L,
+                                       seed=seed % 1000, h=step_h, **kwargs)
+
+        plain = search()
+        assert_bit_identical(search(sets=reach.ReachSets.of(list(sets))), plain)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reach, "simulate", lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
+            found = search(sets=sets)
+        if plain is not None:
+            assert found is not None
+        if not reach._optimal_candidates(sys_, box, ubox, [ts], sets.table, t_f, L)[3]:
+            assert found is None and plain is None and calls == [1]
+
+    def test_other_predicates_keep_the_search(self, rng):
+        # unsafe-polarity polytopes and ellipsoids have no optimal candidate:
+        # the search with reach's sets is the search without them
+        for trial in range(6):
+            sys_ = rs.random_stable_system(rng, 3, 2, 2)
+            x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
+            sets = reach_lti(sys_, x0, ubox, 1.0)
+            for ts in four_spec_kinds(rng, 2)[1:]:
+                assert_bit_identical(
+                    find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial, sets=sets),
+                    find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial))
+
+    def test_grid_mismatch_refused(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
+        sets = reach_lti(sys_, x0, ubox, 1.0, 0.1)
+        with pytest.raises(rs.ModelError, match="step sets hold 10 steps, the witness grid 20"):
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, 4, h=0.05, sets=sets)
+
+    def test_support_below_a_trajectory_raises(self, rng, monkeypatch):
+        # the runtime check of the certificate: supports lowered by one are
+        # exceeded by the optimal candidate that should attain them
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
+        sets = reach_lti(sys_, x0, ubox, 1.0)
+        exact = reach._AgeTable.sample_supports
+        monkeypatch.setattr(reach._AgeTable, "sample_supports",
+                            lambda self, Gamma: exact(self, Gamma) - 1.0)
+        with pytest.raises(rs.ModelError, match="above its certified support"):
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, 4, sets=sets)

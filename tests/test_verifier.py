@@ -245,3 +245,44 @@ class TestUnsafePolaritySpecs:
         verdict = verify(prob, VerifyOptions(seed=0))
         assert verdict.outcome == UNSAFE
         assert verdict.witness is not None
+
+
+#: (outcome, k_used) of ``random_problem(seed, n, m, p, free_dims=f,
+#: spec_scale=c)`` under the default VerifyOptions, per (n, m, p, f, c) and
+#: seed, as the witness search gave them while it drew random candidates
+#: only: ``S<k>`` Safe at k, ``U<k>`` Unsafe at k, ``I`` Indeterminate.
+WITNESS_FAMILY = {
+    (8, 1, 1, None, 0.3): "I I I I S8 S8 U2 I U6 U5 U4 I I I U3 I I U8 I I "
+                          "S8 S8 U6 U5 I I S6 S5 S8 I I S8 U4 U6 I S8 U5 U8 I I",
+    (8, 1, 1, None, 0.5): "S2 S8 S2 S4 S2 S2 U3 S8 S6 S2 S8 S3 S8 S8 I S8 S8 S8 S3 S2 "
+                          "S2 S2 I I S8 S8 S2 S2 S2 S3 S8 S2 I S8 S8 S2 S8 S8 S8 S2",
+    (8, 1, 1, None, 0.7): "S2 S2 S2 S2 S2 S2 S8 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 "
+                          "S2 S2 S8 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S8 S3 S2",
+    (8, 1, 1, None, 1.0): " ".join(["S2"] * 40),
+    (12, 2, 2, 4, 0.3): "S9 I U3 S7 U10 I I I I I U10 S7 I U8 I I U3 I U9 S12",
+    (12, 2, 2, 4, 0.6): "S3 S3 I S3 I S3 S3 S3 S4 S3 S4 S3 S3 I S3 S6 I S3 S3 S3",
+}
+
+
+def test_witness_family_loses_no_verdict():
+    # the search from the optimal input keeps every Unsafe at the same or a
+    # lower k and changes no Safe, and every witness, replayed on the
+    # full-order system at a fifth of its step, leaves the spec
+    for (n, m, p, f, c), before in WITNESS_FAMILY.items():
+        for seed, token in enumerate(before.split()):
+            prob = rs.random_problem(seed, n, m, p, free_dims=f, spec_scale=c)
+            verdict = verify(prob)
+            if token[0] == "S":
+                assert (verdict.outcome, verdict.k_used) == (SAFE, int(token[1:])), seed
+            else:
+                assert verdict.outcome != SAFE, seed
+            if token[0] == "U":
+                assert verdict.outcome == UNSAFE and verdict.k_used <= int(token[1:]), seed
+            if verdict.outcome == UNSAFE:
+                w = verdict.witness
+                steps, h = w.step_inputs.shape[0], prob.t_f / w.step_inputs.shape[0] / 5
+                fine_steps = int(np.ceil(prob.t_f / h - 1e-12))
+                plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 5, steps - 1)]
+                traj = rs.simulate(prob.system, w.init_state, plan, prob.t_f, h)
+                spec = prob.spec[0]
+                assert np.any(traj.outputs @ spec.Gamma.T + spec.Psi > 0), seed

@@ -238,29 +238,33 @@ def cmd_reach(args) -> int:
     sys_ = problem.system
     step_h = args.step_h if args.step_h is not None else default_step(
         problem.t_f, sys_.A, lh=args.step_lh)
-    steps = list(reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h))
+    sets = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h)
     # the even step that tiles the horizon, at most the step asked for
-    doc = {"format_version": 1, "name": problem.name, "step_h": problem.t_f / len(steps),
-           "steps": [{"t0": s.t0, "t1": s.t1,
-                      "center": s.outputs.center.tolist(),
-                      "generators": s.outputs.generators.tolist()} for s in steps]}
+    doc = {"format_version": 1, "name": problem.name, "step_h": problem.t_f / len(sets)}
+    if args.format == "json":
+        doc["steps"] = [{"t0": s.t0, "t1": s.t1,
+                         "center": s.outputs.center.tolist(),
+                         "generators": s.outputs.generators.tolist()} for s in sets]
+
+    # each step's per-output bounds, read from the table as centers -/+ row
+    # spreads, with no step set assembled
+    spread = sets.table.row_spreads(np.eye(sys_.p))
+    intervals = list(zip(sets.t0.tolist(), sets.t1.tolist(),
+                         sets.table.centers - spread, sets.table.centers + spread))
 
     def csv(d):
-        p = len(d["steps"][0]["center"]) if d["steps"] else 0
-        cols = ",".join(f"y{i}_lo,y{i}_hi" for i in range(p))
+        cols = ",".join(f"y{i}_lo,y{i}_hi" for i in range(sys_.p))
         lines = [f"t0,t1,{cols}"]
-        for s in steps:
-            hull = s.outputs.interval_hull()
-            vals = ",".join(f"{lo},{hi}" for lo, hi in zip(hull.lb, hull.ub))
-            lines.append(f"{s.t0},{s.t1},{vals}")
+        for t0, t1, lb, ub in intervals:
+            vals = ",".join(f"{lo},{hi}" for lo, hi in zip(lb, ub))
+            lines.append(f"{t0},{t1},{vals}")
         return "\n".join(lines) + "\n"
 
     def text(d):
-        lines = [f"name: {d['name']}  steps: {len(d['steps'])}  step_h: {d['step_h']:.3e}"]
-        for s in steps:
-            hull = s.outputs.interval_hull()
-            rng = "  ".join(f"[{lo:.4e}, {hi:.4e}]" for lo, hi in zip(hull.lb, hull.ub))
-            lines.append(f"t in [{s.t0:.4f}, {s.t1:.4f}]  y in {rng}")
+        lines = [f"name: {d['name']}  steps: {len(sets)}  step_h: {d['step_h']:.3e}"]
+        for t0, t1, lb, ub in intervals:
+            rng = "  ".join(f"[{lo:.4e}, {hi:.4e}]" for lo, hi in zip(lb, ub))
+            lines.append(f"t in [{t0:.4f}, {t1:.4f}]  y in {rng}")
         return "\n".join(lines) + "\n"
 
     _emit(doc, args, text, csv)

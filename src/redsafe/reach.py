@@ -6,36 +6,28 @@ Reach, simulation and the witness search step on one grid
 the same instants, as in simulation-equivalent reachability (Bak &
 Duggirala, CAV 2017).
 
-The step recurrence is X_{j+1} = e^{Ah} X_j + V_input where V_input carries
-the exact effect of a constant-per-step input plus a rigorous second-order
-residual for arbitrary measurable inputs in the box.  Each emitted step set
-is the convex-hull enclosure of consecutive endpoint sets inflated by a
-curvature envelope, so the union of step sets covers the continuous-time
-output reach set over [0, t_f].
+Reach samples the exact sets X_{j+1} = e^{Ah} X_j + V_input of a
+constant-per-step input at the grid points.  Each step set is the
+convex-hull enclosure of its two end samples (Girard, HSCC 2005), inflated
+by a ball that holds a rigorous second-order residual for measurable inputs
+in the box and a curvature envelope, so the union of step sets covers the
+continuous-time output reach set over [0, t_f].
 
-By superposition the input generators of X_j are {e^{Aah} G_in : a < j}, so
-each of them, its output image and its norm are computed once, in an age
-table shared by every step set of a call.  The table also holds every
-step's center, few dense columns and ball radius, computed for all steps at
-once from the states of the exact recursions.  A step's 1 + 2 g0 dense
-columns come from the images of the g0 initial generators, and g0 <=
-min(f, k) when the initial set is the order-k image of a box with f free
-dims (:func:`balancing.image_zonotope`).  Every step is a row of that
-table, and every :class:`ReachSets` is one: :func:`reach_lti` returns its
-own, and explicit step sets become a table with no input ages
-(:meth:`ReachSets.of`).  ``ReachSets[j]`` assembles step j's generator
-array only when something reads it (safe-region ellipsoids, the hit
-search on a step that fails its check, ``reach --format json``).  Polytope
-rows read their spread from the table, built for every step in one pass
-per Gamma from per-age row sums, the support-function view of Le Guernic &
-Girard (NAHS 2010).  Unsafe-region ellipsoids read their axis spreads the
-same way and the spread of each step's own gradient direction from a
-cumulative sum over the table's columns.  For order k, p outputs and r
-rows a step then costs O(k^2 (k + m)) arithmetic to build and O(r k) to
-check, rather than O(r p g_j) over its g_j input columns, and neither
-makes a matrix product per step: the exact recursions are built in chunks
-of c states, the first by doubling, in about log2 c + N / c products for N
-steps, and kept only as their output images and column norms.
+By superposition sample j holds the input columns {e^{Aah} G_in : a < j}
+(Girard, Le Guernic & Maler, HSCC 2006), so one orbit gives every sample's
+output center, initial-generator images and input images of one age, the
+rows of an age table (:class:`_AgeTable`).  Every :class:`ReachSets` is
+one: :func:`reach_lti` returns its own, and explicit step sets become a
+table whose steps are its samples (:meth:`ReachSets.of`).  ``ReachSets[j]``
+assembles step j's generator array only when something reads it
+(safe-region ellipsoids, the hit search on a step that fails its check,
+``reach --format json``).  Polytope rows, unsafe-region ellipsoids and the
+interval output of ``reach`` read each step's spread from the table by one
+pairing rule over per-age row sums, the support-function view of Le
+Guernic & Girard (NAHS 2010).  For order k, p outputs, g0 initial
+generators and r rows a step then costs O(k^2 (1 + g0 + m)) arithmetic to
+build (:func:`reach_lti`) and O(r p (g0 + m)) to check, rather than
+O(r p g_j) over its g_j input columns, with no matrix product per step.
 """
 
 from __future__ import annotations
@@ -107,64 +99,95 @@ def _abs(X: np.ndarray) -> np.ndarray:
 
 
 class _AgeTable:
-    """The step data shared by the step sets of one :class:`ReachSets`.
+    """The grid samples shared by the step sets of one :class:`ReachSets`.
 
-    Row j of ``centers`` (steps, p), ``dense`` (steps, p, 1 + 2 g0 from
-    :func:`reach_lti`) and ``balls`` (steps,) is step j's center, dense
-    columns and ball radius.  Column a*m + i of ``Y_plus`` / ``Y_minus`` is
-    C (M_a +/- M_{a+1}) / 2 for input column i of age a, ``Y_new`` is
-    C G_in / 2 and ``C_rows`` holds the row norms of C.  Step j holds every
-    input column injected before it, the ages below j.  ``channels`` holds
+    Row i of ``Y`` (samples, p, 1 + g0 + m) is sample i: its output center
+    C c_i, the images C H_i of the g0 initial generators and the images
+    C M_i of the m input columns of age i; sample i holds the ages below i.
+    Step j is the hull of samples j and j' = j + span, span = samples - steps:
+    1 from :func:`reach_lti`, whose N steps join N + 1 samples, and 0 for
+    explicit step sets (:meth:`ReachSets.of`), each its own sample with its
+    generators as initial columns and no input ages.  ``balls`` holds each
+    step's ball radius, ``C_rows`` the row norms of C and ``centers`` each
+    step's center, the middle of its samples' centers.  ``channels`` holds
     the input channel of each of the m columns of an age; it is None for
-    explicit step sets (:meth:`ReachSets.of`), whose rows are no grid
-    samples of one system.
+    explicit step sets, whose rows are no grid samples of one system.
+
+    Every reader pairs the columns of a step's two samples by one rule: the
+    center with the center, each initial generator with itself, and each
+    input column of age a in sample j' with itself at age a - span in sample
+    j (a newest one with 0).  A pair x, x' spans the hull generators
+    (x + x') / 2 and (x - x') / 2 (Girard, HSCC 2005), whose spread along a
+    row l, |l(x + x')| / 2 + |l(x - x')| / 2, is max(|l x|, |l x'|); the
+    center pair's is |l(c_j - c_j')| / 2.
     """
 
-    def __init__(self, centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows,
-                 channels: np.ndarray | None = None):
+    def __init__(self, Y, balls, C_rows, channels: np.ndarray | None = None):
+        self.m = 0 if channels is None else channels.size
+        self.span = Y.shape[0] - balls.size
+        self.g0 = Y.shape[2] - 1 - self.m
+        centers = (Y[:balls.size, :, 0] + Y[self.span:, :, 0]) / 2.0
         # the step sets hand out views of these arrays: read-only, so that
         # an in-place change to one step's set raises instead of changing
         # every later check of the table
-        for a in (centers, dense, balls, Y_plus, Y_minus, Y_new, C_rows):
+        for a in (Y, balls, C_rows, centers):
             a.flags.writeable = False
-        self.centers, self.dense, self.balls = centers, dense, balls
-        self.Y_plus, self.Y_minus, self.Y_new, self.C_rows = Y_plus, Y_minus, Y_new, C_rows
+        self.Y, self.balls, self.C_rows, self.centers = Y, balls, C_rows, centers
         self.channels = channels
-        self.m = 0 if channels is None else channels.size
         self._spreads: dict = {}
 
+    def _along(self, V: np.ndarray, samples: int | None = None) -> np.ndarray:
+        """(rows of V, 1 + g0 + m, samples) array of the rows of V times every
+        column of the first ``samples`` samples (all by default), as one
+        matrix product."""
+        Y = self.Y[:samples]
+        flat = Y.transpose(1, 2, 0).reshape(Y.shape[1], -1)
+        return (V @ flat).reshape(V.shape[0], Y.shape[2], Y.shape[0])
+
+    def _column_spreads(self, P: np.ndarray, span: int) -> np.ndarray:
+        """(rows, samples - span) spreads of the initial and input columns of
+        the hull of samples j and j + span, for every j over the samples of
+        P, the projections :meth:`_along` returns: per pair
+        max(|l x|, |l x'|), the input pairs summed over the ages sample
+        j + span holds.  P's columns are overwritten."""
+        A, g0, samples = _abs(P[:, 1:]), self.g0, P.shape[2]
+        pairs = np.maximum(A[:, :, :samples - span], A[:, :, span:])
+        # age a of the later sample pairs with age a - span of the earlier,
+        # the pair in pairs[..., a - span]; a newest age stands alone
+        ages = np.hstack([A[:, g0:, :span].sum(axis=1), pairs[:, g0:].sum(axis=1)])
+        prefix = np.hstack([np.zeros((A.shape[0], 1)), np.cumsum(ages, axis=1)])
+        return pairs[:, :g0].sum(axis=1) + prefix[:, span:samples]
+
     def generators(self, j: int) -> np.ndarray:
-        """Step j's output generator array: d, H+, input+, new, H-, input-,
-        -new, ball, with the dense columns [d, H+, H-] and the input columns
-        oldest first."""
+        """Step j's output generator array: d, H+, input+, H-, input-, ball,
+        with d = (c_j - c_j') / 2, the hull pairs (x + x') / 2 and
+        (x - x') / 2 of the initial and input columns, the input columns
+        oldest first, and the image of the state-space 2-ball, per-output
+        radius ball ||C_i||_2."""
+        g0, span, k = self.g0, self.span, j + self.span
+        x, x2, ball = self.Y[j], self.Y[k], float(self.balls[j])
+        p = x.shape[0]
         # the array is allocated before the blocks are computed: allocated
         # after them, it leaves a hole in the heap that grows every step
-        dense, ball = self.dense[j], float(self.balls[j])
-        p, split = dense.shape[0], 1 + dense.shape[1] // 2
-        G = np.empty((p, dense.shape[1] + 2 * (j + 1) * self.m + (p if ball > 0 else 0)))
-        # the input columns oldest first, and the image of the state-space
-        # 2-ball: per-output radius ball*||C_i||_2
-        idx = np.arange(j * self.m).reshape(j, self.m)[::-1].ravel()
+        G = np.empty((p, 1 + 2 * (g0 + k * self.m) + (p if ball > 0 else 0)))
+        later = self.Y[:k, :, 1 + g0:][::-1].transpose(1, 0, 2).reshape(p, -1)
+        earlier = np.zeros_like(later)
+        earlier[:, :later.shape[1] - span * self.m] = later[:, span * self.m:]
         balls = np.diag(ball * self.C_rows) if ball > 0 else np.zeros((p, 0))
-        return np.concatenate([dense[:, :split], self.Y_plus[:, idx], self.Y_new,
-                               dense[:, split:], self.Y_minus[:, idx], -self.Y_new,
-                               balls], axis=1, out=G)
+        H, H2 = x[:, 1:1 + g0], x2[:, 1:1 + g0]
+        return np.concatenate([(x[:, :1] - x2[:, :1]) / 2.0, (H + H2) / 2.0,
+                               (earlier + later) / 2.0, (H - H2) / 2.0,
+                               (earlier - later) / 2.0, balls], axis=1, out=G)
 
     def row_spreads(self, Gamma: np.ndarray) -> np.ndarray:
         """(steps, rows) spreads of every step for the rows of Gamma, built
-        once per distinct Gamma: sum |Gamma dense_j|, plus the per-age sums of
-        |Gamma Y_plus| + |Gamma Y_minus| over the ages below j, plus
-        2 sum |Gamma Y_new|, plus ball_j |Gamma| C_rows (the spread of its
-        ball)."""
+        once per distinct Gamma by the pairing rule, plus ball_j |Gamma|
+        C_rows (the spread of its ball)."""
         key = (Gamma.shape, Gamma.tobytes())
         if key not in self._spreads:
-            steps, r = len(self.balls), Gamma.shape[0]
-            T = _abs(Gamma @ self.Y_plus)
-            T += _abs(Gamma @ self.Y_minus)
-            per_age = T.reshape(r, steps - 1, self.m).sum(axis=2)
-            prefix = np.vstack([np.zeros((1, r)), np.cumsum(per_age.T, axis=0)])
-            spreads = np.sum(_abs(Gamma @ self.dense), axis=2) + prefix[:steps] \
-                + 2.0 * np.sum(np.abs(Gamma @ self.Y_new), axis=1) \
+            steps, Y, span = self.balls.size, self.Y, self.span
+            gaps = (Y[:steps, :, 0] - Y[span:, :, 0]) / 2.0
+            spreads = _abs(gaps @ Gamma.T) + self._column_spreads(self._along(Gamma), span).T \
                 + self.balls[:, None] * (np.abs(Gamma) @ self.C_rows)
             spreads.flags.writeable = False
             self._spreads[key] = spreads
@@ -172,53 +195,33 @@ class _AgeTable:
 
     def direction_spreads(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Spread of step rows[i] in the direction V[i], one direction per
-        row: sum |v dense_j|, plus the sum over the ages below j of
-        |v Y_plus| + |v Y_minus|, plus 2 sum |v Y_new|, plus ball_j |v| C_rows.
-        The age sum is a cumulative sum over the columns of V Y_plus and
-        V Y_minus, read at column j m; it is built for ``_DIRECTION_CHUNK``
-        rows at a time, over the ages the oldest row of the chunk holds."""
-        spreads = np.sum(np.abs(np.matmul(V[:, None, :], self.dense[rows])[:, 0]), axis=1) \
-            + 2.0 * np.sum(np.abs(V @ self.Y_new), axis=1) \
-            + self.balls[rows] * (np.abs(V) @ self.C_rows)
+        row, by the pairing rule plus ball_j |v| C_rows.  The column spreads
+        are built for ``_DIRECTION_CHUNK`` rows at a time, over the samples
+        the latest row of the chunk reads."""
+        Y, span = self.Y, self.span
+        gaps = (Y[rows, :, 0] - Y[rows + span, :, 0]) / 2.0
+        spreads = np.abs(np.sum(V * gaps, axis=1)) + self.balls[rows] * (np.abs(V) @ self.C_rows)
         for start in range(0, rows.size, _DIRECTION_CHUNK):
             chunk = slice(start, start + _DIRECTION_CHUNK)
-            cols = int(rows[chunk].max()) * self.m
-            T = np.abs(V[chunk] @ self.Y_plus[:, :cols]) \
-                + np.abs(V[chunk] @ self.Y_minus[:, :cols])
-            prefix = np.hstack([np.zeros((T.shape[0], 1)), np.cumsum(T, axis=1)])
-            spreads[chunk] += prefix[np.arange(T.shape[0]), rows[chunk] * self.m]
+            P = self._along(V[chunk], int(rows[chunk].max()) + 1 + span)
+            cols = self._column_spreads(P, span)
+            spreads[chunk] += cols[np.arange(cols.shape[0]), rows[chunk]]
         return spreads
 
-    def input_images(self) -> np.ndarray:
-        """(p, steps*m) images C M_a of the input columns of every age a,
-        age a in columns a*m ... (a+1)*m - 1: Y_plus + Y_minus, and for the
-        last age Y_plus - Y_minus of the last row (2 Y_new for one step)."""
-        steps, m = len(self.balls), self.m
-        last = self.Y_plus[:, (steps - 2) * m:] - self.Y_minus[:, (steps - 2) * m:] \
-            if steps > 1 else 2.0 * self.Y_new
-        return np.hstack([self.Y_plus + self.Y_minus, last])
-
     def sample_supports(self, Gamma: np.ndarray) -> np.ndarray:
-        """(steps + 1, rows) upper supports of the rows of Gamma at every
-        grid sample j of the exact reach, with no hull and no ball:
-        Gamma c_j + sum |Gamma CH_j| + a prefix sum over the ages a < j of
-        sum |Gamma C M_a|, for c_j = center_j + d_j and CH_j = H+_j + H-_j
-        (the last sample's from the last row, signs flipped).  A box vertex
-        and a grid plan attain each when the initial set is a box's image."""
-        steps, r = len(self.balls), Gamma.shape[0]
-        g0 = self.dense.shape[2] // 2
-        d, plus, minus = (self.dense[:, :, 0], self.dense[:, :, 1:1 + g0],
-                          self.dense[:, :, 1 + g0:])
-        c = np.vstack([self.centers + d, self.centers[-1:] - d[-1:]])
-        CH = np.concatenate([plus + minus, plus[-1:] - minus[-1:]])
-        per_age = _abs(Gamma @ self.input_images()).reshape(r, steps, self.m).sum(axis=2)
-        prefix = np.vstack([np.zeros((1, r)), np.cumsum(per_age.T, axis=0)])
-        return c @ Gamma.T + np.sum(_abs(np.matmul(Gamma, CH)), axis=2) + prefix
+        """(samples, rows) upper supports of the rows of Gamma at every
+        sample of the table, with no hull and no ball: Gamma c_i +
+        sum |Gamma CH_i| + a prefix sum over the ages a < i of
+        sum |Gamma C M_a|, the spread of sample i paired with itself (span
+        0).  A box vertex and a grid plan attain each when the initial set is
+        a box's image."""
+        P = self._along(Gamma)
+        return (P[:, 0] + self._column_spreads(P, 0)).T
 
 
 #: Step rows per block of :meth:`_AgeTable.direction_spreads`, so that its
-#: (rows, ages * m) blocks stay bounded: two of about 1.2 MB each for 64 rows
-#: of a 1,200-step table with 2 input columns.
+#: (rows, 1 + g0 + m, samples) projections stay bounded: about 2.5 MB for 64
+#: rows of a 1,200-step table with 4 columns a sample.
 _DIRECTION_CHUNK = 64
 
 
@@ -242,22 +245,26 @@ class ReachSets(Sequence):
 
     @classmethod
     def of(cls, steps: Sequence[ReachStep]) -> "ReachSets":
-        """Explicit step sets as an age table with no input ages (m = 0 and
-        zero balls), each zonotope's generators its row's dense columns,
-        zero-padded to the widest; a ReachSets is returned as it is.  No
-        step sets at all is a ModelError: no verdict holds over them."""
+        """Explicit step sets as an age table of span 0 with no input ages
+        and zero balls: row j holds step j's center and its generators,
+        zero-padded to the widest; a ReachSets is returned as it is.  No step
+        sets at all, or step sets of different output dims, is a
+        ModelError: no verdict holds over them."""
         if isinstance(steps, ReachSets):
             return steps
         steps = list(steps)
         zs = [s.outputs for s in steps]
         if not zs:
             raise ModelError("no step sets to check")
-        dense = np.zeros((len(zs), zs[0].dim, max(z.order for z in zs)))
-        for row, z in zip(dense, zs):
-            row[:, :z.order] = z.generators
-        none = np.zeros((zs[0].dim, 0))
-        table = _AgeTable(np.array([z.center for z in zs]), dense, np.zeros(len(zs)),
-                          none, none, none, np.zeros(zs[0].dim))
+        p = zs[0].dim
+        for z in zs:
+            if z.dim != p:
+                raise ModelError(f"step sets have {p} and {z.dim} outputs")
+        Y = np.zeros((len(zs), p, 1 + max(z.order for z in zs)))
+        for row, z in zip(Y, zs):
+            row[:, 0] = z.center
+            row[:, 1:1 + z.order] = z.generators
+        table = _AgeTable(Y, np.zeros(len(zs)), np.zeros(p))
         return cls([s.t0 for s in steps], [s.t1 for s in steps], table)
 
     def __len__(self) -> int:
@@ -388,28 +395,27 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
 
 #: Doubles per chunk of a :func:`reach_lti` orbit: a chunk holds
 #: this // (rows x columns) states of the orbit, so no array of every step's
-#: states is formed.  At order 40 with 12 input columns that is 136 of the
-#: sweep's 995 input ages, 512 KB; the motor's orbits (order 5, 2 input
-#: columns) fit in one chunk.
+#: states is formed.  At order 40 with 6 initial generators and 12 input
+#: columns that is 84 of the sweep's 996 samples, 512 KB; the motor's orbit
+#: (order 5, 2 input columns) fits in one chunk.
 REACH_CHUNK_DOUBLES = 1 << 16
 
 
-def _orbit_images(powers: list[np.ndarray], X: np.ndarray, count: int,
+def _orbit_images(Phi: np.ndarray, X: np.ndarray, count: int,
                   R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``R`` times the orbit X, Phi X, ..., Phi^(count-1) X of Phi =
-    ``powers[0]``, as one (rows of R, count*w) array with step-major
-    columns, and the 2-norms of the orbit's count*w columns over their
-    first ``R.shape[1]`` rows.
+    """``R`` times the orbit X, Phi X, ..., Phi^(count-1) X, as one (rows of
+    R, count*w) array with step-major columns, and the 2-norms of the
+    orbit's count*w columns over their first ``R.shape[1]`` rows.
 
     The orbit is built a chunk of :data:`REACH_CHUNK_DOUBLES` at a time and
     only its images and norms are kept: the first chunk by doubling from X
-    (:func:`_propagate`, ``powers`` from :func:`_doubling_powers` for at
-    least ``count - 1`` steps), each later one as Phi^c times the one
-    before, for chunks of c states."""
+    (:func:`_propagate`), each later one as Phi^c times the one before, for
+    chunks of c states."""
     rows, w = R.shape[1], X.shape[1]
     chunk = max(1, REACH_CHUNK_DOUBLES // max(1, X.size))
     images, norms = np.empty((R.shape[0], count * w)), np.empty(count * w)
-    jump = np.linalg.matrix_power(powers[0], chunk) if count > chunk else None
+    powers = _doubling_powers(Phi, min(chunk, count) - 1)
+    jump = np.linalg.matrix_power(Phi, chunk) if count > chunk else None
     for start in range(0, count, chunk):
         size = min(chunk, count - start)
         if start == 0:
@@ -466,29 +472,26 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     the step set of its interval.  A box ``x0`` starts as
     :meth:`Zonotope.from_box`, with one generator per free dim.
 
-    After j steps the state generators are [Phi^j G0, M_{j-1}, ..., M_0] with
-    M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006).
-    Each M_a, the output images of its hull pairs and its column norms are
-    computed once, into an age table with one row per step.
+    Sample j of the exact reach is c_j + [Phi^j G0, M_{j-1}, ..., M_0] with
+    M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006),
+    and step j is the hull of samples j and j + 1 plus a ball.  The rows of
+    the age table (:class:`_AgeTable`), each sample's output center C c_j,
+    initial images C Phi^j G0 and input images C M_j, come from one orbit
+    of [c, G0, G_in; 1, 0, 0] under [[Phi, v], [0, 1]], and its column norms
+    bound each sample's state norm.
 
     Cost model, for order k, m input columns, g0 initial generators (g0 <=
     min(f, k) for the image of a box with f free dims, see
-    :func:`balancing.image_zonotope`),
-    p outputs and N steps: the exact recursions c <- Phi c + v,
-    H <- Phi H and M_a <- Phi M_{a-1} are built a chunk of
-    :data:`REACH_CHUNK_DOUBLES` at a time (:func:`_orbit_images`), the first
-    chunk of c states by doubling (:func:`_propagate`) and each later one as
-    Phi^c times the one before, about log2 c + N / c products each and
-    O(N k^2 (1 + g0 + m)) flops in all; the center's is the orbit of [c; 1]
-    under [[Phi, v], [0, 1]].  Of each chunk only its output images (p x
-    (1 + g0 + m) per step) and its column norms are kept, so no k x N array
-    is formed: at k = 40, N = 995, m = 12 the input orbit alone would be
-    3.8 MB.  rho <- ||Phi|| rho + res stays a scalar recursion.  Every
-    step's center, dense columns [d, (CH + CH')/2, (CH - CH')/2] (from the
-    output images CH, p x g0 per step), state norm and ball radius are then
-    single array expressions over those images, and so are the table's
-    columns.  Step j's input columns, every age below j, are described by
-    j, not gathered.  Indexing the result assembles a step's generator array
+    :func:`balancing.image_zonotope`), p outputs and N steps: the orbit of
+    N + 1 samples is built a chunk of :data:`REACH_CHUNK_DOUBLES` at a time
+    (:func:`_orbit_images`), the first chunk of c states by doubling
+    (:func:`_propagate`) and each later one as Phi^c times the one before,
+    about log2 c + N / c products and O(N k^2 (1 + g0 + m)) flops.  Of each
+    chunk only its output images (p x (1 + g0 + m) per sample) and its
+    column norms are kept, so no k x N array is formed: at k = 40, N = 995,
+    m = 12 the input orbit alone would be 3.8 MB.  rho <- ||Phi|| rho + res
+    stays a scalar recursion, and the balls are one array expression over
+    the norms.  Indexing the result assembles a step's generator array
     (O(p g_j) for g_j input columns, :meth:`_AgeTable.generators`), while
     :func:`check_spec` reads polytope-row and unsafe-ellipsoid spreads from
     the table.
@@ -528,48 +531,30 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     sweep = 2.0 * ((np.exp(L * h) - 1.0) / L if L > 0 else h)
     drift = float(np.linalg.norm(B @ uc)) / L if L > 0 else 0.0
 
-    # the exact recursions, state j in column block j of a step-major
-    # orbit, each built a chunk at a time and kept only as its output
-    # images and column norms (:func:`_orbit_images`): the center
-    # c <- Phi c + vin as the orbit of [c; 1] under [[Phi, vin], [0, 1]]
-    # (whose powers hold Phi's powers in their top-left blocks), the images
-    # H = Phi^j G0 of the initial generators, and the age table's columns
-    # M_a = Phi^a G_in; the envelope radius rho <- ||Phi|| rho + res stays a
-    # scalar recursion.
+    # the exact recursions c <- Phi c + vin, H <- Phi H and M_a = Phi^a G_in
+    # as the columns of one orbit, sample j in column block j
     m, g0, p = Gin.shape[1], init.order, C.shape[0]
     aug = np.eye(n + 1)
     aug[:n, :n], aug[:n, n] = Phi, vin
-    powers = _doubling_powers(aug, steps)
-    Phi_powers = [P[:n, :n] for P in powers]
-    # dense, which the table keeps, is allocated before the orbit chunks,
-    # so that the heap space they free is not left below it
-    dense = np.empty((steps, p, 1 + 2 * g0))
-    Cc, c_norms = _orbit_images(powers, np.append(init.center, 1.0)[:, None], steps + 1, C)
-    CH, h_norms = _orbit_images(Phi_powers, init.generators, steps + 1, C)
-    CM, m_norms = _orbit_images(Phi_powers, Gin, steps, C)
+    X = np.block([[init.center[:, None], init.generators, Gin],
+                  [np.ones((1, 1)), np.zeros((1, g0 + m))]])
+    images, norms = _orbit_images(aug, X, steps + 1, C)
+    # Y is laid out samples last, so that the readers' products and pairs
+    # run along them
+    Y = np.ascontiguousarray(images.reshape(p, steps + 1, 1 + g0 + m).transpose(0, 2, 1))
+    Y = Y.transpose(2, 0, 1)
+    norms = norms.reshape(steps + 1, 1 + g0 + m)
     rhos = np.fromiter(itertools.accumulate(
         range(steps), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, steps + 1)
 
-    # norm_prefix[j] sums the norms of every input column injected before
-    # step j, and state_norms[j] bounds the norm of the state step j starts in
-    norm_prefix = np.concatenate([[0.0], np.cumsum(m_norms.reshape(steps, m).sum(axis=1))])
-    state_norms = c_norms + h_norms.reshape(steps + 1, g0).sum(axis=1) + norm_prefix
-    Cc, CH = Cc.T, CH.reshape(p, steps + 1, g0).transpose(1, 0, 2)
-
-    # every step's center, dense columns and ball radius at once; the step
-    # hull pairs state j with state j + 1, and a table column of age a with
-    # its image of age a + 1
-    c, c_next = Cc[:-1], Cc[1:]
-    dense[:, :, 0] = (c - c_next) / 2.0
-    np.add(CH[:-1], CH[1:], out=dense[:, :, 1:1 + g0])
-    np.subtract(CH[:-1], CH[1:], out=dense[:, :, 1 + g0:])
-    dense[:, :, 1:] /= 2.0
-    older, newer = CM[:, :(steps - 1) * m], CM[:, m:]
+    # state_norms[j] bounds the norm of the state of sample j: its center,
+    # its initial generators and every input column injected before it
+    ages = norms[:, 1 + g0:].sum(axis=1)
+    state_norms = norms[:, 0] + norms[:, 1:1 + g0].sum(axis=1) \
+        + np.concatenate([[0.0], np.cumsum(ages[:-1])])
     balls = np.maximum(rhos[:-1], rhos[1:]) \
         + (2.0 * ebl * (state_norms[:-1] + rhos[:-1] + drift) + sweep * (nB * ur_norm))
-    table = _AgeTable((c + c_next) / 2.0, dense, balls,
-                      (older + newer) / 2.0, (older - newer) / 2.0, C @ (Gin / 2.0),
-                      np.linalg.norm(C, axis=1), channels)
+    table = _AgeTable(Y, balls, np.linalg.norm(C, axis=1), channels)
     return ReachSets(times[:-1], times[1:], table)
 
 
@@ -827,11 +812,19 @@ def _quad_center_candidate(z: Zonotope, poly: PolytopeSpec) -> np.ndarray | None
     return None
 
 
+def _check_outputs(specs: Sequence[TransformedSpec], p: int, what: str) -> None:
+    """ModelError unless every predicate reads the p outputs of ``what``."""
+    for ts in specs:
+        if ts.source.p != p:
+            raise ModelError(f"spec has {ts.source.p} outputs, {what} {p}")
+
+
 def check_spec(steps: Sequence[ReachStep],
                transformed: TransformedSpec | Sequence[TransformedSpec]) -> str:
     """Safe / MaybeUnsafe / Indeterminate verdict of step sets against the
     transformed spec family; explicit step sets are read as an age table
-    (:meth:`ReachSets.of`), and no step sets is a ModelError.
+    (:meth:`ReachSets.of`).  No step sets, and a predicate over another
+    number of outputs than the step sets', is a ModelError.
 
     Safe requires every predicate to pass on every step set (containment in
     the shrunk safe region for safe-polarity sources, certified disjointness
@@ -842,6 +835,7 @@ def check_spec(steps: Sequence[ReachStep],
     if isinstance(transformed, TransformedSpec):
         transformed = [transformed]
     sets = ReachSets.of(steps)
+    _check_outputs(transformed, sets.table.Y.shape[1], "the step sets")
     verdicts = [_check_one(sets, ts) for ts in transformed]
     if all(v == SAFE for v in verdicts):
         return SAFE
@@ -915,7 +909,6 @@ def _optimal_candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     largest of the support, |Psi| and the spec's witness scale."""
     steps = len(table.balls)
     Phi = _transition(sys.A, t_f / steps)
-    images = table.input_images()
     X = np.empty((x0.dim, len(specs)))
     plans = np.tile(u_box.center[:, None], (steps, 1, len(specs)))
     tops, reaches = [], False
@@ -930,7 +923,7 @@ def _optimal_candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
         lift = reg.Gamma[l] @ sys.C @ np.linalg.matrix_power(Phi, j)
         X[:, b] = x0.center + x0.halfwidth * np.sign(lift if init_map is None
                                                      else lift @ init_map)
-        ages = (reg.Gamma[l] @ images).reshape(steps, table.m)[:j][::-1]
+        ages = (reg.Gamma[l] @ table.Y[:j, :, 1 + table.g0:])[::-1]
         plans[:j, table.channels, b] += u_box.halfwidth[table.channels] * np.sign(ages)
     return X, plans, tops, reaches
 
@@ -979,19 +972,21 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     The random draws are made in the order of a candidate-by-candidate
     search, so the same witness is returned.  A state that overflows
     anywhere in a chunk raises ModelError, even when an earlier candidate
-    of the chunk is a witness.
+    of the chunk is a witness; so do a ``t_f`` that is not positive and
+    finite and a predicate over another number of outputs than the system's.
     """
     if not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ModelError(f"witness budget must be a positive integer, got {budget}")
     # written so that NaN fails the tests
-    if not np.isfinite(t_f):
-        raise ModelError(f"t_f must be finite, got {t_f}")
+    if not 0 < t_f < np.inf:
+        raise ModelError(f"t_f must be positive and finite, got {t_f}")
     steps = _time_grid(t_f, h, sys.A, "step h").size - 1
     if not (eta is None or 0 < eta < np.inf):
         raise ModelError(f"eta must be positive and finite, got {eta}")
     if isinstance(transformed_unsafe, TransformedSpec):
         transformed_unsafe = [transformed_unsafe]
     specs = list(transformed_unsafe)
+    _check_outputs(specs, sys.p, "the system")
     rng = np.random.default_rng(seed)
     etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
     lo, hi = u_box.lb, u_box.ub

@@ -8,7 +8,7 @@ import pytest
 
 import redsafe as rs
 from redsafe.cli import main
-from redsafe.reach import simulate
+from redsafe.reach import reach_lti, simulate
 
 from test_model import minimal_problem
 
@@ -472,6 +472,26 @@ def test_reach_golden_in_orbit_chunks(budget, tmp_path, capsys, monkeypatch):
     from redsafe import reach
     monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", budget)
     test_json_matches_golden("reach_n6_seed7_h025", tmp_path, capsys)
+
+
+def test_reach_csv_bounds_match_the_golden_step_hulls(tmp_path, capsys):
+    # on the golden reach instance, the CSV's per-output bounds, read from
+    # reach's table, are the interval hulls of the assembled step sets
+    gen_args, (_, *options) = GOLDEN_CASES["reach_n6_seed7_h025"]
+    manifest = tmp_path / "g.json"
+    assert main(["gen", *gen_args, "--output", str(manifest)]) == 0
+    assert main(["reach", str(manifest), *options, "--format", "csv",
+                 "--output", str(tmp_path / "r.csv")]) == 0
+    rows = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1, ndmin=2)
+    problem = rs.parse_problem(manifest)
+    sets = reach_lti(problem.system, problem.x0, problem.inputs, problem.t_f, float(options[1]))
+    hulls = [s.outputs.interval_hull() for s in sets]
+    expected = np.array([[s.t0, s.t1, *np.column_stack([h.lb, h.ub]).ravel()]
+                         for s, h in zip(sets, hulls)])
+    assert rows.shape == expected.shape
+    np.testing.assert_array_equal(rows[:, :2], expected[:, :2])
+    np.testing.assert_allclose(rows[:, 2:], expected[:, 2:], rtol=1e-12,
+                               atol=1e-12 * np.abs(expected[:, 2:]).max())
 
 
 #: Every kind and polarity of predicate over p = 2 outputs, a zero Gamma row

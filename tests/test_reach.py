@@ -418,15 +418,19 @@ class TestWitness:
         ({"eta": float("nan")}, "eta"), ({"eta": float("inf")}, "eta"),
         ({"eta": -float("inf")}, "eta"),
         ({"budget": 0}, "witness budget"), ({"budget": 2.5}, "witness budget"),
-        ({"eta": 0.0}, "eta"), ({"eta": -1e-3}, "eta")])
+        ({"eta": 0.0}, "eta"), ({"eta": -1e-3}, "eta"),
+        ({"t_f": 0.0}, "t_f"), ({"t_f": -1.0}, "t_f")])
     def test_bad_scalars_refused(self, rng, args, name):
         # each bad scalar is refused by name with ModelError, not passed on
         # to fail as a bare ValueError, an overflow or a division by zero,
-        # or (eta = NaN or inf) to fail every margin test and return None
+        # or (eta = NaN or inf) to fail every margin test and return None;
+        # a horizon that is not positive is refused as reach_lti refuses it,
+        # not by the fine step of the revalidation
         sys_ = rs.random_stable_system(rng, 2, 1, 1)
         ts = transform_spec(rs.PolytopeSpec([[1.0]], [-1.0], POLARITY_SAFE), np.array([0.1]))
         call = {"t_f": 1.0, "budget": 4, **args}
-        with pytest.raises(rs.ModelError, match=f"^{name} must be"):
+        match = "^t_f must be positive and finite" if name == "t_f" else f"^{name} must be"
+        with pytest.raises(rs.ModelError, match=match):
             find_unsafe_witness(sys_, rand_box(rng, 2, 1), rand_ubox(rng, 1), ts, **call)
 
     def test_immediate_witness_at_t0(self):
@@ -1230,11 +1234,16 @@ class TestExactInitialSet:
 
     @pytest.mark.parametrize("f", [0, 2, 3, 5])  # below, at and above k = 3
     def test_dense_columns_per_initial_generator(self, rng, f):
+        # g0 <= min(f, k) initial generators: a sample holds 1 + g0 + m
+        # columns, and step j's hull 1 + 2 g0 of them beside its inputs
         bal = rs.balance(rs.random_stable_system(rng, 6, 2, 2))
         abstraction = rs.truncate(bal, 3, rand_box(rng, 6, f))
         sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope, rand_ubox(rng, 2),
                          1.0, 0.05)
-        assert sets.table.dense.shape[2] == 1 + 2 * min(f, 3)
+        g0 = min(f, 3)
+        assert sets.table.g0 == g0 and sets.table.Y.shape[2] == 1 + g0 + 2
+        for j in (0, len(sets) - 1):
+            assert sets[j].outputs.order == 1 + 2 * g0 + 2 * (j + 1) * 2 + 2
 
 
 # --------------------------------------------------------------------------
@@ -1325,6 +1334,24 @@ class TestTableEllipsoid:
         assert calls == [len(zs)] and np.all(lows > ell.R ** 2)
 
 
+@pytest.mark.parametrize("explicit", [False, True])
+def test_table_direction_spreads_match_assembled_generators(rng, explicit):
+    # sum |V[i] G| over step rows[i]'s assembled generators, for a reach
+    # table of more than _DIRECTION_CHUNK steps read in chunks and for the
+    # table of its explicit step sets; rows repeat and come in any order
+    sys_ = rs.random_stable_system(rng, 4, 2, 3)
+    sets = reach_lti(sys_, rand_box(rng, 4, 3), rand_ubox(rng, 2), 2.0, 2.0 / 150)
+    assert len(sets) > 2 * reach._DIRECTION_CHUNK
+    if explicit:
+        sets = rs.ReachSets.of(list(sets))
+    rows = np.concatenate([rng.permutation(len(sets)), rng.integers(0, len(sets), 20)])
+    V = rng.standard_normal((rows.size, sys_.p))
+    got = sets.table.direction_spreads(V, rows)
+    for v, j, spread in zip(V, rows, got):
+        direct = np.sum(np.abs(v @ sets[int(j)].outputs.generators))
+        assert spread == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 class TestBatchedSteps:
     """reach_lti's per-step arrays, column by column, against naive_reach's
     per-step enclosures; every step, the last one too, is a row of the
@@ -1348,19 +1375,34 @@ class TestBatchedSteps:
                 np.testing.assert_allclose(z.generators, G, **close)
                 np.testing.assert_allclose(spreads[j], np.sum(np.abs(Gamma @ G), axis=1),
                                            rtol=1e-12, atol=1e-12 * scale * np.abs(Gamma).sum())
+                # the reference's columns from samples j and j + 1: the
+                # center gap, the initial pairs, and each input column of
+                # age a paired with its age a - 1 (the newest with 0),
+                # oldest first
                 hull = (G.shape[1] - 1 - p) // 2
-                cols = np.r_[0, 1:1 + g0, 1 + hull:1 + hull + g0]
-                np.testing.assert_allclose(table.dense[j], G[:, cols], **close)
+                x, x2 = table.Y[j], table.Y[j + 1]
+                later = table.Y[:j + 1, :, 1 + g0:][::-1]
+                earlier = np.concatenate([later[1:], np.zeros_like(later[:1])])
+                inputs = np.hstack([((earlier + later) / 2.0).transpose(1, 0, 2).reshape(p, -1),
+                                    ((earlier - later) / 2.0).transpose(1, 0, 2).reshape(p, -1)])
+                np.testing.assert_allclose((x[:, 0] - x2[:, 0]) / 2.0, G[:, 0], **close)
+                np.testing.assert_allclose((x[:, 1:1 + g0] + x2[:, 1:1 + g0]) / 2.0,
+                                           G[:, 1:1 + g0], **close)
+                np.testing.assert_allclose((x[:, 1:1 + g0] - x2[:, 1:1 + g0]) / 2.0,
+                                           G[:, 1 + hull:1 + hull + g0], **close)
+                np.testing.assert_allclose(
+                    inputs, G[:, np.r_[1 + g0:1 + hull, 1 + hull + g0:1 + 2 * hull]], **close)
                 np.testing.assert_allclose(table.balls[j] * C_rows, np.diag(G[:, -p:]), **close)
 
     def test_shared_table_is_read_only(self, rng):
-        # a step set's center, the table's dense columns and its spreads are
+        # a step set's center, the table's samples, centers and spreads are
         # shared by every read of the result; changing one in place must
         # fail, not alter the rest
         sys_, x0, ubox, t_f, step_h = next(iter(reach_cases(rng)))
         sets = reach_lti(sys_, x0, ubox, t_f, step_h)
         z = sets[0].outputs
-        for view in (z.center, sets.table.dense[0], sets.table.row_spreads(np.eye(sys_.p))):
+        for view in (z.center, sets.table.Y, sets.table.Y[0], sets.table.centers,
+                     sets.table.row_spreads(np.eye(sys_.p))):
             with pytest.raises(ValueError, match="read-only"):
                 view *= 2.0
         z.generators[...] = 0.0  # the assembled array is the step's own
@@ -1429,20 +1471,25 @@ class TestReachSets:
         assert first.t0 == sets.t0[1] and type(first.t0) is float
 
     def test_of_explicit_steps(self, rng):
-        # explicit step sets become an age table with no input ages and no
-        # balls: each zonotope's generators are its row's dense columns,
-        # zero-padded to the widest
+        # explicit step sets become an age table of span 0 with no input
+        # ages and no balls, each step a sample of its center and its
+        # generators: the same set, with the same center and the same
+        # support along any direction, though zero columns may be added
         steps = [rs.ReachStep(j, j + 1.0, Zonotope(rng.standard_normal(2),
                                                    rng.standard_normal((2, g))))
                  for j, g in enumerate((3, 1, 0, 4))]
         sets = rs.ReachSets.of(steps)
-        assert len(sets) == 4 and sets.table.m == 0 and np.all(sets.table.balls == 0.0)
-        for got, step in zip(sets, steps):
-            z, g = got.outputs, step.outputs.order
+        assert len(sets) == 4 and sets.table.m == 0 and sets.table.span == 0
+        assert np.all(sets.table.balls == 0.0)
+        Gamma = rng.standard_normal((5, 2))
+        spreads = sets.table.row_spreads(Gamma)
+        for j, (got, step) in enumerate(zip(sets, steps)):
+            z, expected = got.outputs, row_spread(step.outputs, Gamma)
             assert (got.t0, got.t1) == (step.t0, step.t1)
             np.testing.assert_array_equal(z.center, step.outputs.center)
-            np.testing.assert_array_equal(z.generators[:, :g], step.outputs.generators)
-            assert z.generators.shape == (2, 4) and np.all(z.generators[:, g:] == 0.0)
+            np.testing.assert_allclose(row_spread(z, Gamma), expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(spreads[j], expected, rtol=1e-12, atol=0.0)
+            assert z.generators.shape == (2, 1 + 2 * 4)
         assert rs.ReachSets.of(sets) is sets
         assert len(rs.ReachSets.of(steps[:1])) == 1
 
@@ -1503,6 +1550,35 @@ class TestReachSets:
         assert {v for *_, v in verdicts} == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
         assert {kind for kind, *_ in verdicts} == {"PolytopeSpec", "EllipsoidSpec"}
         assert {pol for _, pol, _ in verdicts} == {POLARITY_SAFE, POLARITY_UNSAFE}
+
+
+class TestOutputDimsRefused:
+    """Output dims that do not match are refused by name with ModelError,
+    not left to fail in a matrix product or a broadcast."""
+
+    @pytest.mark.parametrize("kind", ["polytope", "ellipsoid"])
+    def test_check_spec_on_another_p(self, rng, kind):
+        sys_ = rs.random_stable_system(rng, 3, 1, 2)
+        sets = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 1), 1.0, 0.1)
+        spec = (rs.PolytopeSpec(np.ones((1, 3)), [-1.0], POLARITY_SAFE) if kind == "polytope"
+                else rs.EllipsoidSpec(np.eye(3), np.zeros(3), 1.0, POLARITY_UNSAFE))
+        ts = transform_spec(spec, np.zeros(3))
+        for steps in (sets, list(sets)):
+            with pytest.raises(rs.ModelError, match="^spec has 3 outputs, the step sets 2$"):
+                check_spec(steps, ts)
+
+    def test_explicit_steps_of_mixed_dims(self, rng):
+        steps = [rs.ReachStep(0.0, 1.0, Zonotope(np.zeros(2), np.eye(2))),
+                 rs.ReachStep(1.0, 2.0, Zonotope(np.zeros(3), np.eye(3)))]
+        with pytest.raises(rs.ModelError, match="^step sets have 2 and 3 outputs$"):
+            rs.ReachSets.of(steps)
+
+    def test_witness_spec_on_another_p(self, rng):
+        sys_ = rs.random_stable_system(rng, 3, 1, 2)
+        ts = transform_spec(rs.PolytopeSpec(np.ones((1, 1)), [-1.0], POLARITY_SAFE),
+                            np.zeros(1))
+        with pytest.raises(rs.ModelError, match="^spec has 1 outputs, the system 2$"):
+            find_unsafe_witness(sys_, rand_box(rng, 3), rand_ubox(rng, 1), ts, 1.0, 4)
 
 
 # --------------------------------------------------------------------------
@@ -1698,7 +1774,7 @@ class TestBlockSimulate:
 def assert_same_table(sets, ref, rng):
     assert len(sets) == len(ref)
     a, b = sets.table, ref.table
-    for name in ("centers", "dense", "balls", "Y_plus", "Y_minus", "Y_new"):
+    for name in ("Y", "centers", "balls"):
         x, y = getattr(a, name), getattr(b, name)
         np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max()),
                                    err_msg=name)
@@ -1714,24 +1790,28 @@ def assert_same_table(sets, ref, rng):
 
 
 class TestReachChunks:
-    @pytest.mark.parametrize("orbit", ["center", "initial", "inputs"])
+    @pytest.mark.parametrize("columns", ["center", "initial", "inputs"])
     @pytest.mark.parametrize("off_grid", [False, True])
-    def test_chunk_boundaries_match_one_chunk(self, rng, monkeypatch, orbit, off_grid):
-        # order 3, 2 input columns, 1 initial generator: chunks of c = 4
-        # states of one orbit ([c; 1] has 4 rows, G0 3 x 1, G_in 3 x 2), and
-        # orbits of c - 1, c, c + 1 and 2c + 1 states (the center and the
-        # initial orbit hold one state more than there are steps), over
+    def test_chunk_boundaries_match_one_chunk(self, rng, monkeypatch, columns, off_grid):
+        # order 3: the one orbit of [c, G0, G_in; 1, 0, 0] (4 rows) holding
+        # the center alone, the center and 1 initial generator, or both and
+        # 2 input columns; chunks of c = 4 states, and orbits of c - 1, c,
+        # c + 1 and 2c + 1 samples (one more than there are steps), over
         # horizons on the grid of step_h and off it
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        x0, ubox, step_h, c = rand_box(rng, 3, 1), rand_ubox(rng, 2), 0.1, 4
-        size, more = {"center": (4, 1), "initial": (3, 1), "inputs": (6, 0)}[orbit]
+        step_h, c = 0.1, 4
+        free, width = {"center": (0, 1), "initial": (1, 2), "inputs": (1, 4)}[columns]
+        x0, ubox = rand_box(rng, 3, free), rand_ubox(rng, 2)
+        if columns != "inputs":  # a zero-width input box drops every channel
+            ubox = rs.HyperBox(ubox.lb, ubox.lb)
         for count in (c - 1, c, c + 1, 2 * c + 1):
-            steps = count - more
+            steps = count - 1
             t_f = step_h * (steps - (0.4 if off_grid else 0.0))
             monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", 1 << 30)
             ref = reach_lti(sys_, x0, ubox, t_f, step_h)
-            monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", c * size)
+            monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", c * 4 * width)
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+            assert sets.table.Y.shape == (count, 2, width)
             assert len(sets) == len(sets.table.balls) == steps
             assert_same_table(sets, ref, rng)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -172,9 +173,9 @@ def truncate(bal: BalancedRealization, k: int, x0: HyperBox) -> Abstraction:
     result qualifies as an output abstraction.
     """
     n, p = bal.n, bal.system.p
-    if not (p < k <= n):
-        raise ModelError(f"abstraction order must satisfy p < k <= n, got k={k} "
-                         f"with p={p}, n={n}")
+    if not (isinstance(k, Integral) and p < k <= n):
+        raise ModelError(f"abstraction order must be an integer with p < k <= n, got "
+                         f"k={k!r} with p={p}, n={n}")
     if x0.dim != n:
         raise ModelError(f"x0 has dim {x0.dim}, expected n={n}")
     reduced = LtiSystem(bal.A_t[:k, :k], bal.B_t[:k, :], bal.C_t[:, :k])

@@ -28,24 +28,27 @@ interlacing so is lambda_max(sym A_bar) = lambda_max(sym A_t), the
 contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
 binds the mode's initial box and horizon, computes these once per mode and
 simulates that half once, from the input columns and the box's generators
-side by side, keeping only its output samples and state-norm bounds, exact
-where its states are formed; :func:`augment` builds each order's system
-from it, which simulates only its k-dimensional reduced half.  Both halves
-are simulated in blocks of steps built by doubling: within a block, the
-states f+1 ... 2f are Phi^f times the states 1 ... f, from Phi, Phi^2,
-Phi^4, ... computed once per orbit, so a block costs about log2(block)
-matrix products and one projection product instead of a Python-level step
-loop.  Where the full-order half has at least four states per output row it
-takes giant steps of s = floor(n / rows) steps instead: only every s-th
-state is formed, each step's outputs are read from the last one through
-the left stack [M Phi; ...; M Phi^{s-1}] of its maps M (and as M times
-the next one at giant steps), and the state norms between giant steps
-are bounded from the last giant step's, so a step costs about 4 rows n m
-flops instead of 2 n^2 m.  Every certificate alpha P >= C_i^T C_i of the
-quadratic bound has lambda_max(alpha P) >= ||C_i||^2, so none beats the
-scaled identity, which is feasible when the augmented system is
-contractive; certificates (p+1 Lyapunov solves per order) are built only
-where it is not.
+side by side, keeping only its output samples and its giant states' norms;
+:func:`augment` builds each order's system from it, and each order's walk
+simulates its k-dimensional reduced half on the full-order half's grid.
+Each half is an orbit simulated in blocks of giant steps of s steps: only
+every s-th state is formed, a block of them built by doubling (the giant
+states f+1 ... 2f are Phi^{sf} times the giant states 1 ... f, from
+Phi^s, Phi^{2s}, Phi^{4s}, ... computed once per orbit), and each step's
+outputs are read from the giant state before it through the stack
+[M; M Phi; ...; M Phi^{s-1}] of its maps M, in one product per block.
+Where the full-order half has at least four states per output row,
+s = floor(n / rows) and a step costs about 4 rows n m flops instead of
+2 n^2 m; elsewhere s = 1 and every state is formed, in about log2(block)
+products instead of a Python-level step loop.  The reduced half takes the
+full-order half's s and blocks, so a step of it costs 2 rows k m
++ 2 k^2 m / s flops.  Both halves' state norms are exact at giant steps
+and bounded between them from the last giant step's.
+
+Every certificate alpha P >= C_i^T C_i of the quadratic bound has
+lambda_max(alpha P) >= ||C_i||^2, so none beats the scaled identity, which
+is feasible when the augmented system is contractive; certificates (p+1
+Lyapunov solves per order) are built only where it is not.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -136,8 +140,8 @@ def augment(full: FullOrderResponse, k: int) -> AugmentedSystem:
     """
     A_t, B_t, C_t, H = full.A, full.B, full.C, full.H
     n = A_t.shape[0]
-    if not (1 <= k <= n):
-        raise ModelError(f"k must be in [1, n], got {k}")
+    if not (isinstance(k, Integral) and 1 <= k <= n):
+        raise ModelError(f"k must be an integer in [1, n], got {k!r}")
     A_bar = np.zeros((n + k, n + k))
     A_bar[:n, :n] = A_t
     A_bar[n:, n:] = A_t[:k, :k]
@@ -226,133 +230,133 @@ def e1_optimization(aug: AugmentedSystem) -> np.ndarray:
     return out
 
 
-#: Doubles held by one block of simulated states: a block of steps is built
-#: by doubling from its first state and then projected as a whole.  A
-#: giant-step block keeps the same number of steps, rounded down to whole
-#: giant steps (at least one), and forms only one state per giant step.
-ORBIT_BLOCK_DOUBLES = 1 << 19
-
-
-def _norm_data(states: np.ndarray, width: int) -> np.ndarray:
-    """The squared column norms (steps, width) of a block of states
-    (n, steps*width), step-major as :func:`_propagate` lays them out."""
-    return np.einsum("ij,ij->j", states, states).reshape(-1, width)
-
-
-def _split_maps(images: np.ndarray, maps: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Per-step images (steps, rows, width) of the stacked maps, split per map."""
-    return np.split(images, np.cumsum([M.shape[0] for M in maps[:-1]]), axis=1)
-
-
-def _project(states: np.ndarray, width: int,
-             maps: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Each map applied to a block of states (n, steps*width), step-major as
-    :func:`_propagate` lays them out, then the states' :func:`_norm_data`.
-    The results come per step: (steps, rows, width), then (steps, width).
-    The maps share one product."""
-    steps = states.shape[1] // width
-    images = (np.vstack(maps) @ states).reshape(-1, steps, width).swapaxes(0, 1)
-    return _split_maps(images, maps) + [_norm_data(states, width)]
+#: Doubles held by one block of the simulation bounds' orbit, counted as
+#: its giant states (n x width each) and two sets of output rows (rows x
+#: width per step): the full-order half's, which its mode keeps for every
+#: order, and the reduced half's, into which each order adds them.
+ORBIT_BLOCK_DOUBLES = 1 << 18
 
 
 class _Orbit:
-    """Projections of the states Phi^j X0, j = 0, 1, ..., with Phi = e^{A h},
-    simulated block by block on first request and kept, with upper bounds
-    on the states' norm data.
+    """Images of the states Phi^j X0, j = 0 ... ``steps``, with
+    Phi = e^{A h}, under stacked maps M, and the exact squared column norms
+    of its giant states, simulated block by block on first request.
 
-    With n states, ``rows`` map rows in all and m columns, a step costs
-    2 n^2 m flops when its state is formed.  The orbit forms only the giant
+    With n states, ``rows`` map rows in all and w columns, a step costs
+    2 n^2 w flops when its state is formed.  The orbit forms only the giant
     states R_b = Phi^{s b} X0, every ``stride`` s = floor(n / rows) steps
-    where n >= 4 rows and every step otherwise (baby step / giant step).  A
-    block of giant states is built by doubling (:func:`_propagate`) from
-    the powers Phi^s, Phi^{2s}, Phi^{4s}, ..., computed once per orbit, and
-    step s b + a is read as (M Phi^a) R_b for 1 <= a < s, from the left
-    stack [M Phi; ...; M Phi^{s-1}] of the stacked maps M (s - 1
-    (rows x n)(n x n) products, once per orbit), and as M R_{b+1} at
-    a = s.  A step then costs 2 rows n m + 2 n^2 m / s flops, about
-    4 rows n m when s > 1; at s = 1 the left stack is empty and a step
-    costs 2 n^2 m, as a step loop spends, but in log2(block) + 1 products
-    instead of block small ones.  The giant states' norm data (squared
-    column norms) is exact; between them, step s b + a carries
-    e^{2 mu a h} times R_b's, an upper bound since ||e^{A t}||_2 <= e^{mu t}
-    for mu = max(``defect``, 0) and ``defect`` >= lambda_max(sym A).  Every
-    reader of the norm data uses it only as an upper bound.  Of the states
-    only the last is kept."""
+    where n >= 4 rows and every step otherwise (baby step / giant step).
+    An orbit built ``like`` another takes that one's stride and block, so
+    that the two line up block for block and step for step.  A block of G
+    giant states is built by doubling (:func:`_propagate`) from the powers
+    Phi^s, Phi^{2s}, Phi^{4s}, ..., computed once per orbit, and its steps
+    s b + a, 0 <= a < s, are read as (M Phi^a) R_b in one product of the
+    stack [M; M Phi; ...; M Phi^{s-1}] (s - 1 (rows x n)(n x n) products,
+    once per orbit) with R_0 ... R_G, R_0 the last state of the block
+    before.  A step then costs 2 rows n w + 2 n^2 w / s flops, about
+    4 rows n w when s > 1; at s = 1 the stack is M alone and a step costs
+    2 n^2 w, as a step loop spends, but in log2(G) + 2 products instead of
+    G small ones.
+
+    A block holds G = ORBIT_BLOCK_DOUBLES // (w (n + 2 s rows)) giant
+    states, at most 512 steps' worth and at least one, and the last block
+    ends at step ``steps``.  Of the states only the last is kept."""
 
     def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
-                 maps: tuple[np.ndarray, ...], defect: float):
+                 maps: tuple[np.ndarray, ...], steps: int, like: "_Orbit | None" = None):
         n, width = X0.shape
         rows = sum(M.shape[0] for M in maps)
-        self.h = h
-        self.stride = n // rows if n >= 4 * rows else 1
-        block = max(16, min(512, ORBIT_BLOCK_DOUBLES // max(1, X0.size)))
-        giants = max(1, block // self.stride)
-        self.block = giants * self.stride
-        self.head = _project(X0, width, maps)
-        self.maps = maps
-        self._last, self._last_data = X0, self.head[-1][0]
-        self._blocks: list[list[np.ndarray]] = []
+        self.h, self.steps, self.maps, self.rows, self.width = h, steps, maps, rows, width
+        if like is None:
+            self.stride = n // rows if n >= 4 * rows else 1
+            giants = max(1, min(512 // self.stride,
+                                ORBIT_BLOCK_DOUBLES // (width * (n + 2 * self.stride * rows))))
+            self.block = min(giants, -(-steps // self.stride)) * self.stride
+        else:
+            self.stride, self.block = like.stride, like.block
         Phi = _transition(A, h)
-        left = [np.vstack(maps)]
+        stack = [np.vstack(maps)]
         for _ in range(self.stride - 1):
-            left.append(left[-1] @ Phi)
-        self._stacked, self._left = left[0], np.vstack(left)[rows:]
-        self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride), giants)
-        # e^{2 mu a h} for a = 1 ... s-1
-        self._growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(1, self.stride))
+            stack.append(stack[-1] @ Phi)
+        self._stack = np.vstack(stack)
+        self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride),
+                                        self.block // self.stride)
+        self._last, self._built = X0, 0
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def __getitem__(self, i: int) -> list[np.ndarray]:
-        """Block i: the projections of steps 1 + i*block ... (i+1)*block."""
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block i, the steps i*block ... i*block + size with size =
+        min(block, steps - i*block), as (images, data) over its G + 1 =
+        ceil(size / s) + 1 giant states R_b, b = 0 ... G, of which R_0 is
+        step i*block: images (s, rows, G+1, w) holds (M Phi^a) R_b at
+        [a, :, b], and data (G+1, w) R_b's squared column norms.  Step
+        i*block + j is at [j % s, :, j // s].  IndexError past the last
+        block.  Blocks read this way are kept."""
         while len(self._blocks) <= i:
             self._blocks.append(self._next_block())
         return self._blocks[i]
 
-    def _next_block(self) -> list[np.ndarray]:
-        """The projections of the block after the last one built."""
-        s, (rows, width) = self.stride, (self._stacked.shape[0], self._last.shape[1])
-        giants = self.block // s
-        # R_1 ... R_G after R_0, the last state of the block before
-        states = _propagate(self._powers, self._last, giants)
-        data = _norm_data(states, width)
-        starts = np.hstack([self._last, states[:, :-width]])
-        # step s g + a of the block at [g, a - 1]: (M Phi^a) R_g for a < s,
-        # M R_{g+1} at a = s, with R_g's data grown by e^{2 mu a h} for a < s
-        images = np.empty((giants, s, rows, width))
-        images[:, :-1] = (self._left @ starts).reshape(s - 1, rows, giants, width) \
-            .transpose(2, 0, 1, 3)
-        images[:, -1] = (self._stacked @ states).reshape(rows, giants, width).swapaxes(0, 1)
-        bounds = np.empty((giants, s, width))
-        bounds[:, :-1] = self._growth[:, None] \
-            * np.concatenate([self._last_data[None], data[:-1]])[:, None]
-        bounds[:, -1] = data
-        self._last, self._last_data = states[:, -width:].copy(), data[-1]
-        return _split_maps(images.reshape(self.block, rows, width), self.maps) + [
-            bounds.reshape(self.block, width)]
+    def _next_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The block after the last one built, as :meth:`__getitem__` gives
+        it, but not kept."""
+        size = min(self.block, self.steps - self._built * self.block)
+        if size <= 0:
+            raise IndexError(f"the orbit ends at step {self.steps}")
+        self._built += 1
+        (n, width), giants = self._last.shape, -(-size // self.stride)
+        states = np.empty((n, (giants + 1) * width))
+        states[:, :width] = self._last
+        _propagate(self._powers, self._last, giants, out=states[:, width:])
+        self._last = states[:, -width:].copy()
+        images = (self._stack @ states).reshape(self.stride, self.rows, giants + 1, width)
+        return images, np.einsum("ij,ij->j", states, states).reshape(giants + 1, width)
 
 
-def _error_orbit(full: _Orbit, A_r: np.ndarray, X_r: np.ndarray,
-                 maps_r: tuple[np.ndarray, ...]):
-    """Projected blocks of the augmented orbit: the shared full-order orbit
-    plus this order's reduced part from X_r, stepped by the same h and built
-    by the same doubling.  Step 0 comes first as a block of its own, then
-    blocks of ``full.block`` steps."""
-    width = X_r.shape[1]
-    yield [f + r for f, r in zip(full.head, _project(X_r, width, maps_r))]
-    powers = _doubling_powers(_transition(A_r, full.h), full.block)
+def _error_orbit(full: _Orbit, reduced: _Orbit, m: int, growth: np.ndarray):
+    """Blocks of the augmented orbit: the shared full-order orbit plus this
+    order's reduced one, built ``like`` it, each read through three maps of
+    p rows, the error output y and its derivatives y'' = C A^2 x and
+    C A^3 x.  The reduced orbit's blocks are built as they are read and not
+    kept.
+
+    Each block's steps 0 ... size are written into buffers that hold the
+    block's first state, the last state of the block before: per column
+    group, the first m (the input columns) and the rest (the box's
+    generators), one (3, size+1, p, columns) array of y and the magnitudes
+    of the derivatives, and the squared norm bounds (size+1, w) of every
+    column.  The norm data is exact at giant steps, the two halves' sum,
+    and a steps after giant state R_b it is ``growth[a]`` = e^{2 mu a h}
+    times R_b's, an upper bound since ||e^{A t}||_2 <= e^{mu t} for
+    mu = max(defect, 0) and defect >= lambda_max(sym A_t), which by Cauchy
+    interlacing bounds the reduced half's lambda_max(sym A_t[:k, :k]) too.
+    The next block overwrites the buffers."""
+    s, block, width, p = full.stride, full.block, full.width, full.rows // 3
+    groups = [(np.empty((3, block + 1, p, cols.stop - cols.start)), cols)
+              for cols in (slice(0, m), slice(m, width))]
+    sq = np.empty((block + 1, width))
     for i in itertools.count():
-        states = _propagate(powers, X_r, full.block)
-        X_r = states[:, -width:].copy()
-        yield [f + r for f, r in zip(full[i], _project(states, width, maps_r))]
-
-
-def _block_times(t: float, h: float, count: int) -> np.ndarray:
-    """The times t + h, (t + h) + h, ... accumulated as a step loop does."""
-    return np.cumsum(np.concatenate([[t], np.full(count, h)]))[1:]
-
-
-def _accumulate(carry: np.ndarray, incs: np.ndarray) -> np.ndarray:
-    """Running sums carry + incs[0], (carry + incs[0]) + incs[1], ..."""
-    return np.cumsum(np.concatenate([carry[None], incs]), axis=0)[1:]
+        try:
+            f_images, f_data = full[i]
+        except IndexError:
+            return
+        images, data = reduced._next_block()
+        images += f_images
+        data += f_data
+        giants = len(data) - 1
+        size = min(block, full.steps - i * block)
+        images = images.reshape(s, 3, p, giants + 1, width)
+        for out, cols in groups:
+            # step b s + a at [:, b s + a] from [a, :, :, b]
+            grid = out[:, :giants * s].reshape(3, giants, s, p, -1)
+            steps = images[:, :, :, :giants, cols].transpose(1, 3, 0, 2, 4)
+            grid[0] = steps[0]
+            np.abs(steps[1:], out=grid[1:])
+            out[0, giants * s] = images[0, 0, :, giants, cols]
+            np.abs(images[0, 1:, :, giants, cols], out=out[1:, giants * s])
+        np.multiply(data[:giants, None], growth[:, None],
+                    out=sq[:giants * s].reshape(giants, s, width))
+        sq[giants * s] = data[giants]
+        yield [out[:, :size + 1] for out, _ in groups], sq[:size + 1]
 
 
 class FullOrderResponse:
@@ -362,10 +366,11 @@ class FullOrderResponse:
 
     One orbit starts from [B_t | H c | H r_1 e_1 ... H r_f e_f], the input
     columns beside the lifted generators of ``x0`` (center c, free
-    half-widths r), and records C_t x, C_t A_t^2 x, C_t A_t^3 x and ||x||^2
-    per column: e2 reads the first m columns and e1 the rest, from which
-    every vertex's output and a bound on its norm follow.  It is simulated
-    lazily, block by block, as far as the orders asking for it need.  Build
+    half-widths r), and records C_t x, C_t A_t^2 x and C_t A_t^3 x per step
+    and ||x||^2 per giant step and column: e2 reads the first m columns and
+    e1 the rest, from which every vertex's output and a bound on its norm
+    follow.  It is simulated lazily, block by block, over :attr:`times`, as
+    far as the orders asking for it need.  Build
     one per mode with ``FullOrderResponse.of(bal, x0, horizon)`` and every
     order's augmented system from it with :func:`augment`.
     """
@@ -375,8 +380,8 @@ class FullOrderResponse:
         if x0.dim != A.shape[0]:
             raise ModelError(f"x0 has dim {x0.dim}, expected n={A.shape[0]}")
         # written so that NaN fails the test
-        if not (np.isfinite(horizon) and horizon > 0):
-            raise ModelError(f"horizon must be a finite positive real, got {horizon}")
+        if not (isinstance(horizon, Real) and np.isfinite(horizon) and horizon > 0):
+            raise ModelError(f"horizon must be a finite positive real, got {horizon!r}")
         self.A, self.B, self.C, self.H, self.x0 = A, B, C, H, x0
         self.horizon = float(horizon)
 
@@ -405,12 +410,22 @@ class FullOrderResponse:
         return cls(bal.A_t, bal.B_t, bal.C_t, bal.H, x0, horizon)
 
     @functools.cached_property
+    def times(self) -> np.ndarray:
+        """The step times h, h + h, ... at h = SIM_LH / L, accumulated as a
+        step loop does, up to the first that reaches the horizon (up to
+        1e-12 relative, the rounding of the accumulation)."""
+        h = SIM_LH / self.L if self.L > 0 else 1.0
+        # two steps past horizon / h cover the accumulation's rounding
+        times = np.cumsum(np.full(int(np.ceil(self.horizon / h)) + 2, h))
+        return times[:int(np.argmax(times >= self.horizon - 1e-12 * self.horizon)) + 1]
+
+    @functools.cached_property
     def orbit(self) -> _Orbit:
-        """The mode's orbit at step SIM_LH / L, read through (C, CA^2, CA^3)."""
+        """The mode's orbit over :attr:`times`, read through (C, CA^2, CA^3)."""
         CA2 = self.C @ self.A @ self.A
-        return _Orbit(self.A, SIM_LH / self.L if self.L > 0 else 1.0,
+        return _Orbit(self.A, float(self.times[0]),
                       np.hstack([self.B, self.H @ _box_generators(self.x0)]),
-                      (self.C, CA2, CA2 @ self.A), self.defect)
+                      (self.C, CA2, CA2 @ self.A), len(self.times))
 
 
 def _box_generators(box: HyperBox) -> np.ndarray:
@@ -419,22 +434,26 @@ def _box_generators(box: HyperBox) -> np.ndarray:
 
 
 def _walk(aug: AugmentedSystem, X0: np.ndarray):
-    """The one block walk of this order's augmented orbit: the mode's orbit,
-    whose augmented start columns are X0, with this order's reduced half
-    from X0[n:].  It stops at the first state that reaches the horizon (up
-    to 1e-12 relative, the rounding of the accumulated times) or, on a
-    contractive mode, has decayed: every column's state-norm bound is at
-    most DECAY_TOL times its norm at t = 0.  Each bound's tail holds from
-    any stop time T, so one rule serves every column.
+    """The one block walk of this order's augmented orbit (:func:`_error_orbit`):
+    the mode's orbit, whose augmented start columns are X0, and this
+    order's reduced half from X0[n:], an orbit like the mode's.  It stops
+    at the mode's last step time, the first to reach the horizon, or
+    earlier, on a contractive mode, at the first state that has decayed:
+    every column's state-norm bound is at most DECAY_TOL times its norm at
+    t = 0.  Each bound's tail holds from any stop time T, so one rule
+    serves every column.
 
-    Yields per block (Y, ddot, N, window) over its steps up to the stop,
-    with the state before the block prepended, so that step j runs from
-    state j to state j + 1: the error outputs Y (steps+1, p, width), the
-    in-step |y''| bounds ddot (steps, p, width), the state-norm bounds N
+    Yields per block ((Y, ddot) of the first m columns, the inputs, (Y,
+    ddot) of the rest, the box's generators, N, window) over its steps up
+    to the stop, from the state before the block, so that step j runs from
+    state j to state j + 1: the error outputs Y (steps+1, p, columns), the
+    in-step |y''| bounds ddot (steps, p, columns), the state-norm bounds N
     (steps+1, width), and ``window``, horizon - T after a stop on decay
-    (the part of the window the tails cover) and None otherwise.
+    (the part of the window the tails cover) and None otherwise.  Each is a
+    view of a buffer that the next block overwrites and the reader may
+    overwrite.
     """
-    n, k, full = aug.n, aug.k, aug.full
+    n, k, m, full = aug.n, aug.k, aug.m, aug.full
     orbit = full.orbit
     h, mu, horizon = orbit.h, max(full.defect, 0.0), full.horizon
     A_r, C_r, X_r = aug.A_bar[n:, n:], aug.C_bar[:, n:], X0[n:]
@@ -443,7 +462,8 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
     # and C_i A^3 x bounds its change within a step
     D2_r = C_r @ A_r @ A_r
     D3_r = D2_r @ A_r
-    blocks = _error_orbit(orbit, A_r, X_r, (C_r, D2_r, D3_r))
+    reduced = _Orbit(A_r, h, X_r, (C_r, D2_r, D3_r), orbit.steps, like=orbit)
+    blocks = _error_orbit(orbit, reduced, m, np.exp(2.0 * mu * h * np.arange(orbit.stride)))
     d3_full = orbit.maps[2]
     d3_norms = np.linalg.norm(np.hstack([d3_full, D3_r]), axis=1)
     # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
@@ -472,42 +492,46 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
     # a block is checked against the largest rho_i before it is formed
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.max(np.where(x_coef < norm_coef, (norm_coef - x_coef) / w_coef, -np.inf))
-    Y, D2, D3, sq = next(blocks)
-    prev = (Y[0], np.abs(D2[0]), np.abs(D3[0]), np.sqrt(sq[0]))
-    t = 0.0
-    for Y, D2, D3, sq in blocks:
-        # the states after prev, at the times a step loop would reach them
-        times = _block_times(t, h, len(Y))
-        D2, D3 = np.abs(D2), np.abs(D3)
-        norms = np.sqrt(sq)
-        decayed = full.contractive & np.all(norms <= decay_at, axis=1)
-        stop = (times >= horizon - 1e-12 * horizon) | decayed
-        end = int(np.argmax(stop)) + 1 if stop.any() else None
-        window = max(horizon - float(times[end - 1]), 0.0) if end and decayed[end - 1] else None
-        Ys, D2s, D3s, Ns = (np.concatenate([a[None], b[:end]])
-                            for a, b in zip(prev, (Y, D2, D3, norms)))
+    groups = [(cols, np.empty((orbit.block, aug.p, cols.stop - cols.start)),
+               np.empty((orbit.block, aug.p, cols.stop - cols.start)))
+              for cols in (slice(0, m), slice(m, X0.shape[1]))]
+    for i, (images, N) in enumerate(blocks):
+        # the times of the block's states after the first
+        ts = full.times[i * orbit.block:][:len(N) - 1]
+        np.sqrt(N, out=N)
+        end, window = len(ts), None
+        if full.contractive:
+            decayed = np.all(N[1:] <= decay_at, axis=1)
+            if decayed.any():
+                end = int(np.argmax(decayed)) + 1
+                window = max(horizon - float(ts[end - 1]), 0.0)
+        N, ts = N[:end + 1], ts[:end, None]
         # in-step |y''| bound M: every point of a step lies within h/2 of
         # an endpoint e, where y'' = C A^2 x_e changes by at most
         # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e| plus the
         # smaller bound on its change from x_e: (e^{Lh/2}-1) ||C_i A^3|| ||x_e||,
         # or the one through w, whose ||w|| bound grows with t and so is
         # taken at the later end
-        Nm = np.maximum(Ns[:-1], Ns[1:])
-        ts = times[:end, None]
+        Nm = np.maximum(N[:-1], N[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             W = np.exp(mu * ts) * (w0 + ts * E * r0)
             smaller = np.any(W < rho * Nm)
-        change = norm_coef[:, None] * Nm[:, None, :]
-        if smaller:
-            change = np.fmin(change, w_coef[:, None] * W[:, None, :]
-                             + x_coef[:, None] * Nm[:, None, :])
-        ddot = np.maximum(D2s[:-1], D2s[1:]) + (h / 2.0) * (np.maximum(D3s[:-1], D3s[1:])
-                                                            + change)
-        yield Ys, ddot, Ns, window
-        if end is not None:
+        out = []
+        for (cols, ddot, change), (Y, D2, D3) in zip(groups, images):
+            Y, D2, D3, ddot, change = Y[:end + 1], D2[:end + 1], D3[:end + 1], ddot[:end], \
+                change[:end]
+            np.multiply(norm_coef[:, None], Nm[:, None, cols], out=change)
+            if smaller:
+                np.fmin(change, w_coef[:, None] * W[:, None, cols]
+                        + x_coef[:, None] * Nm[:, None, cols], out=change)
+            change += np.maximum(D3[:-1], D3[1:], out=ddot)
+            change *= h / 2.0
+            np.maximum(D2[:-1], D2[1:], out=ddot)
+            ddot += change
+            out.append((Y, ddot))
+        yield *out, N, window
+        if window is not None:
             return
-        prev = (Y[-1], D2[-1], D3[-1], norms[-1])
-        t = times[-1]
 
 
 def _vertex_peak(Y: np.ndarray) -> np.ndarray:
@@ -528,27 +552,41 @@ def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bulge = h ** 2 / 8.0
     e1 = np.zeros(p)
     I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
-    for Y, ddot, N, window in _walk(aug, X0):
-        V = _vertex_peak(Y[..., m:])
+    # per step node: the trapezoid sums of R and their summed remainders,
+    # each carried from the block before at row 0, and the gap to the next
+    runs, traps = (np.empty((aug.full.orbit.block + 1, p, m)) for _ in range(2))
+    gaps = np.empty((aug.full.orbit.block, p, m))
+    for (Y, ddot), (G, g_ddot), N, window in _walk(aug, X0):
+        V = _vertex_peak(G)
         e1 = np.maximum(e1, np.max(np.maximum(V[:-1], V[1:])
-                                   + bulge * np.sum(ddot[..., m:], axis=-1), axis=0))
-        Y, ddot = Y[..., :m], ddot[..., :m]
+                                   + bulge * np.sum(g_ddot, axis=-1), axis=0))
+        run, trap, gap = runs[:len(Y)], traps[:len(Y)], gaps[:len(ddot)]
+        run[0], trap[0] = R_run, trap_budget
         # int |y| <= int |linear interpolant| + int |y - interpolant|, and
-        # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M
-        rem = (h ** 3 / 12.0) * ddot
-        I_abs = _accumulate(I_abs, h * (np.abs(Y[:-1]) + np.abs(Y[1:])) / 2.0 + rem)[-1]
-        runs = _accumulate(R_run, h * (Y[:-1] + Y[1:]) / 2.0)
-        # the same h^3/12 M bounds each step's trapezoid remainder
-        traps = _accumulate(trap_budget, rem)
-        # the running integral R at the step's nodes is within the summed
-        # remainders of the trapezoid sums, and between them within
-        # h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2) of their linear interpolant
-        nodes = np.abs(runs) + traps
-        ends = np.maximum(np.concatenate([(np.abs(R_run) + trap_budget)[None], nodes[:-1]]),
-                          nodes)
-        inner = (h / 8.0) * np.abs(Y[1:] - Y[:-1]) + (h ** 3 / 16.0) * ddot
-        R_max = np.maximum(R_max, np.max(ends + inner, axis=0))
-        R_run, trap_budget = runs[-1], traps[-1]
+        # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M; the same
+        # bounds each step's trapezoid remainder, summed in trap
+        np.add(Y[:-1], Y[1:], out=run[1:])
+        run[1:] *= h / 2.0
+        np.cumsum(run, axis=0, out=run)
+        np.multiply(ddot, h ** 3 / 12.0, out=trap[1:])
+        np.cumsum(trap, axis=0, out=trap)
+        R_run, trap_budget = run[-1].copy(), trap[-1].copy()
+        # between nodes R is within h^2/8 max|y'| <= h^2/8 (|dy|/h + hM/2)
+        # of their linear interpolant
+        np.subtract(Y[1:], Y[:-1], out=gap)
+        np.abs(gap, out=gap)
+        gap *= h / 8.0
+        ddot *= h ** 3 / 16.0
+        gap += ddot
+        # the trapezoids of |y|; their remainders are added once, from trap
+        np.abs(Y, out=Y)
+        I_abs += h * (np.sum(Y[1:-1], axis=0) + (Y[0] + Y[-1]) / 2.0)
+        # and at the nodes within the summed remainders of the trapezoid sums
+        np.abs(run, out=run)
+        run += trap
+        gap += np.maximum(run[:-1], run[1:])
+        R_max = np.maximum(R_max, np.max(gap, axis=0))
+    I_abs += trap_budget
     if window is not None:
         c_norms = np.linalg.norm(aug.C_bar, axis=1)
         # ||e^{A_bar t}||_2 <= e^{mu t} with mu = max(defect, 0), so
@@ -596,8 +634,8 @@ def e2_theoretical(sigma: np.ndarray, k: int, u_box: HyperBox,
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0]
-    if not (1 <= k <= n):
-        raise ModelError(f"k must be in [1, n], got {k}")
+    if not (isinstance(k, Integral) and 1 <= k <= n):
+        raise ModelError(f"k must be an integer in [1, n], got {k!r}")
     if k == n:
         return np.zeros(n_outputs)
     j = np.arange(k + 1, n + 1)

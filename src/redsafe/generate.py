@@ -38,6 +38,11 @@ def random_problem(seed: int, n: int, m: int, p: int,
     """
     if p >= n:
         raise ModelError(f"need p < n for a reducible instance, got p={p}, n={n}")
+    if free_dims is not None and free_dims < 0:
+        raise ModelError(f"free_dims must be nonnegative, got {free_dims}")
+    # written so that NaN fails the test
+    if not (np.isfinite(spec_scale) and spec_scale > 0):
+        raise ModelError(f"spec_scale must be positive and finite, got {spec_scale}")
     rng = np.random.default_rng(seed)
     sys = random_stable_system(rng, n, m, p)
     nf = n if free_dims is None else min(free_dims, n)

@@ -126,6 +126,9 @@ def test_truncate_order_validation(rng):
         truncate(bal, 1, box)
     with pytest.raises(rs.ModelError, match="p < k <= n"):
         truncate(bal, 6, box)
+    # a float order would only fail as numpy's TypeError on slicing
+    with pytest.raises(rs.ModelError, match="abstraction order must be an integer"):
+        truncate(bal, 3.0, box)
 
 
 def test_x0_reduced_componentwise_tight(rng):

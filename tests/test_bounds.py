@@ -55,6 +55,13 @@ class TestAugment:
         aug_traj = simulate(aug_sys, aug.lift @ x0, u, 1.0, h)
         assert np.allclose(aug_traj.outputs, err, atol=1e-9)
 
+    def test_refuses_a_non_integer_order(self):
+        # a float order would only fail as numpy's TypeError deep in the
+        # block assembly
+        full = response(balance(rs.random_stable_system(np.random.default_rng(1), 5, 1, 1)))
+        with pytest.raises(rs.ModelError, match="k must be an integer"):
+            augment(full, 3.0)
+
     def test_zero_input_zero_state_gives_zero_output(self, rng):
         sys_ = rs.random_stable_system(rng, 4, 1, 1)
         bal = balance(sys_)
@@ -162,6 +169,11 @@ class TestE2Theoretical:
         val = e2_theoretical(np.array([2.0, 0.5]), 1, rs.HyperBox([-1.0], [1.0]), 2)
         assert val == pytest.approx([3.0, 3.0], rel=1e-15)
 
+    def test_refuses_a_non_integer_order(self):
+        # a float order would only fail as numpy's TypeError on slicing
+        with pytest.raises(rs.ModelError, match="k must be an integer"):
+            e2_theoretical(np.array([2.0, 1.0, 0.5, 0.1]), 3.0, rs.HyperBox([-1.0], [1.0]), 1)
+
     def test_nonincreasing_in_k(self, rng):
         sigma = np.sort(rng.uniform(0.01, 2.0, size=8))[::-1]
         ubox = rand_ubox(rng, 2)
@@ -216,11 +228,12 @@ class TestE2Simulation:
         assert np.all(short <= full + 1e-12)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), "1"])
 def test_response_refuses_unreachable_horizons(horizon):
     # a horizon the simulation bounds could not reach is refused by name
     # where the mode's response binds it, also for a system whose zero
-    # input matrix gives e2 exact zeros
+    # input matrix gives e2 exact zeros; a string would otherwise fail
+    # inside np.isfinite with numpy's TypeError
     bal = balance(rs.random_stable_system(np.random.default_rng(2), 5, 1, 1))
     box = rs.HyperBox(-np.ones(5), np.ones(5))
     for make in (lambda: FullOrderResponse.of(bal, box, horizon),
@@ -353,27 +366,26 @@ from redsafe.verifier import problem_modes  # noqa: E402
 
 
 class NormRule:
-    """Squared state norms per column as the full-order orbits carry them:
-    the full-order half exact every ``stride`` steps (floor(n / rows) where
+    """Squared state norms per column as the walk carries them: the whole
+    augmented state's exact every ``stride`` steps (floor(n / rows) where
     n >= 4 rows, else 1, or 1 when ``exact``) and e^{2 mu a h} times that
-    value a steps later, with mu = max(lambda_max(sym A_t), 0); the reduced
-    half exact.  Called once per step, from step 0 on."""
+    value a steps later, with mu = max(lambda_max(sym A_t), 0).  Both
+    halves take that rule, the reduced one at the full-order half's
+    stride.  Called once per step, from step 0 on."""
 
     def __init__(self, aug, rows, h, exact=False):
-        n = self.n = aug.n
+        n = aug.n
         self.stride = n // rows if n >= 4 * rows and not exact else 1
         A_t = aug.A_bar[:n, :n]
         self.mu = max(float(np.linalg.eigvalsh((A_t + A_t.T) / 2.0).max()), 0.0)
         self.h = h
 
     def __call__(self, X, step):
-        full = np.sum(X[:self.n] ** 2, axis=0)
         a = step % self.stride
         if a == 0:
-            self.anchor = full
-        else:
-            full = np.exp(2.0 * self.mu * self.h * a) * self.anchor
-        return full + np.sum(X[self.n:] ** 2, axis=0)
+            self.anchor = np.sum(X ** 2, axis=0)
+            return self.anchor
+        return np.exp(2.0 * self.mu * self.h * a) * self.anchor
 
 
 def naive_tail_growth(aug, window):
@@ -426,16 +438,17 @@ class NaiveDdot:
             np.maximum(D3a, D3b) + self.change(np.maximum(Na, Nb), Wb))
 
 
-def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False):
+def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False, stop=None):
     """Every vertex of the box ``aug.full.x0`` and the start columns
     [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f] stepped through
     e^{A_bar h} at h = SIM_LH / L one step at a time, to the horizon
     ``aug.full.horizon`` or, on a contractive system, until every column's
     norm, read by :class:`NormRule` (``exact_norms``: at every step), is at
-    most ``decay_tol`` times its norm at t = 0.  For e1 step j takes the
-    larger vertex peak of its ends plus h^2/8 times the generators' summed
-    in-step |y''| bounds, whose norms sum to the bound on every vertex
-    norm; for e2 the input columns' trapezoid envelopes.  Returns (e1, e2,
+    most ``decay_tol`` times its norm at t = 0; with ``stop`` given, at that
+    step instead, as on decay, when it comes before the horizon.  For e1
+    step j takes the larger vertex peak of its ends plus h^2/8 times the
+    generators' summed in-step |y''| bounds, whose norms sum to the bound
+    on every vertex norm; for e2 the input columns' trapezoid envelopes.  Returns (e1, e2,
     steps, I_abs), tails included."""
     x0, horizon, m, p = aug.full.x0, aug.full.horizon, aug.m, aug.p
     X = aug.lift @ x0.vertices()
@@ -476,8 +489,11 @@ def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False):
         R_max = np.maximum(R_max, np.maximum(node_prev, node_cur)
                            + (h / 8.0) * np.abs(Y_cur - Y_prev) + (h ** 3 / 16.0) * M)
         peak_prev, Y_prev, ends_prev = peak_cur, Y_cur, ends_cur
-        if contractive and np.all(ends_cur[2] <= decay_tol * x0_norms):
-            decayed = True
+        if stop is None:
+            decayed = contractive and np.all(ends_cur[2] <= decay_tol * x0_norms)
+        else:
+            decayed = steps == stop and t < horizon - 1e-12 * horizon
+        if decayed:
             break
     if decayed:
         window = max(horizon - t, 0.0)
@@ -641,45 +657,60 @@ BRACKET_CASES = [pytest.param(system, k, id=f"n{system[0]}-k{k}")
                  for system in BRACKET_SYSTEMS for k in (2, system[0] // 3)]
 
 
-@functools.cache
-def giant_bracket(system, k):
-    """Order k of a :data:`BRACKET_SYSTEMS` system: (aug, horizon, the
-    exact-norm naive loop's step count, and per bound (bound, the naive
-    loop's bound with exact norms at every step, the mirrored system's
-    bound))."""
+_BRACKETS = {}
+
+
+def giant_bracket(system, k, steps_taken):
+    """Order k of a :data:`BRACKET_SYSTEMS` system, built once: (aug,
+    horizon, the walk's and the exact-norm naive loop's step counts, and
+    per bound (bound, the naive loop's bound with exact norms at every
+    step, the same loop stopped at the walk's step, the mirrored system's
+    bound)): e1 at the horizon, and e2 there and, for the fast-decaying
+    system, over a ten times longer window."""
+    if (system, k) in _BRACKETS:
+        return _BRACKETS[system, k]
     n, seed, m, p, decay = system
     rng = np.random.default_rng(seed)
     bal = balance(rs.random_stable_system(rng, n, m, p, decay=decay))
     x0 = rand_box(rng, n, 3)
     u_box = rand_ubox(rng, m)
     horizon = 50.0 if decay[0] > 1.0 else 0.5
-    aug = augment(FullOrderResponse.of(bal, x0, horizon), k)
-    ref_e1, _, ref_steps, _ = naive_simulation(aug, u_box, exact_norms=True)
-    bounds = [(e1_simulation(aug), ref_e1, e1_simulation(mirrored(aug)))]
-    # the fast-decaying system's e2 also over a ten times longer window
+    bounds = []
     for window in (horizon, 10.0 * horizon) if decay[0] > 1.0 else (horizon,):
-        wide = augment(FullOrderResponse.of(bal, x0, window), k)
-        bounds.append((e2_simulation(wide, u_box),
-                       naive_simulation(wide, u_box, exact_norms=True)[1],
-                       e2_simulation(mirrored(wide), u_box)))
-    return aug, horizon, ref_steps, bounds
+        aug = augment(FullOrderResponse.of(bal, x0, window), k)
+        steps_taken()
+        new = (e1_simulation(aug), e2_simulation(aug, u_box))
+        walk_steps = steps_taken()
+        *ref, ref_steps, _ = naive_simulation(aug, u_box, exact_norms=True)
+        stopped = naive_simulation(aug, u_box, exact_norms=True, stop=walk_steps)
+        mirror = mirrored(aug)
+        rows = list(zip(new, ref, stopped, (e1_simulation(mirror), e2_simulation(mirror, u_box))))
+        if not bounds:
+            bounds.append(rows[0])
+            counts = (aug, horizon, walk_steps, ref_steps)
+        bounds.append(rows[1])
+    steps_taken()
+    _BRACKETS[system, k] = *counts, bounds
+    return _BRACKETS[system, k]
 
 
 @pytest.mark.parametrize("system, k", BRACKET_CASES)
 def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
     # at giant sizes each bound lies at or above the naive loop's with exact
-    # norms at every step, within rounding relative to the two halves' size
-    # (the mirrored bound, as in assert_matches), and the walk (a fresh one,
-    # the cached system's is done) takes at least the loop's steps,
-    # stopping on decay for the fast-decaying system only
-    aug, horizon, ref_steps, bounds = giant_bracket(system, k)
+    # norms at every step stopped where the walk stops, within rounding
+    # relative to the two halves' size (the mirrored bound, as in
+    # assert_matches).  The walk takes at least the steps of that loop under
+    # its own decay rule, stopping on decay for the fast-decaying system
+    # only; its norm bounds decay later, so the walk can stop a few steps
+    # after the loop would and its tail then covers less of the window,
+    # which is why the loop is stopped at the walk's step
+    aug, horizon, walk_steps, ref_steps, bounds = giant_bracket(system, k, steps_taken)
     assert aug.full.orbit.stride > 1
-    steps_taken()
-    e1_simulation(augment(aug.full, k))
-    assert steps_taken() >= ref_steps
+    assert walk_steps >= ref_steps
     assert (ref_steps * bmod.SIM_LH / aug.full.L < horizon - 1.0) == (system[4][0] > 1.0)
-    for new, ref, scale in bounds:
-        assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
+    assert (walk_steps < len(aug.full.times)) == (system[4][0] > 1.0)
+    for new, _, stopped, scale in bounds:
+        assert np.all(new >= stopped - 1e-12 * np.maximum(stopped, scale))
 
 
 @pytest.mark.parametrize("system, k", [
@@ -687,11 +718,11 @@ def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
         "known excess: e2 is 4.6e-6 above the exact-norm loop, from the norm "
         "bound between giant steps in its third-order growth term")))
     if case.id == "n96-k32" else case for case in BRACKET_CASES])
-def test_giant_steps_within_1e6_of_exact_norm_loops(system, k):
+def test_giant_steps_within_1e6_of_exact_norm_loops(system, k, steps_taken):
     # each bound lies within 1e-6 relative of the exact-norm loop's; the
     # non-contractive n = 96 system at k = 32, where e2 is about a thousandth
     # of the two halves' size, does not meet it (see ROADMAP item 4)
-    for new, ref, _ in giant_bracket(system, k)[-1]:
+    for new, ref, _, _ in giant_bracket(system, k, steps_taken)[-1]:
         assert np.all(new <= ref * (1.0 + 1e-6))
 
 
@@ -730,20 +761,28 @@ class TestFullOrderResponse:
 
     def test_one_orbit_per_mode(self, monkeypatch):
         # both simulation bounds at every order of a mode read one orbit,
-        # and each of the motor's two modes builds its own
+        # and each of the motor's two modes builds its own; each order builds
+        # one reduced orbit of its k states, like its mode's
         problem = rs.motor_benchmark()
-        built = []
+        built, reduced = [], []
         orbit = bmod._Orbit
 
-        def recording(A, *args):
-            built.append(A)
-            return orbit(A, *args)
+        def recording(A, *args, like=None):
+            made = orbit(A, *args, like=like)
+            if like is None:
+                built.append((A, made))
+            else:
+                reduced.append((A.shape[0], like))
+            return made
         monkeypatch.setattr(bmod, "_Orbit", recording)
         verdict = rs.verify_pss(problem, rs.VerifyOptions(k0=3, k_max=5))
         assert verdict.k_used == 5 and len(verdict.per_k_log) == 3
         assert len(built) == 2
-        for (_, system, _, _), A in zip(problem_modes(problem), built):
+        for (_, system, _, _), (A, _) in zip(problem_modes(problem), built):
             assert np.array_equal(A, balance(system).A_t)
+        modes = [made for _, made in built]
+        assert sorted(k for k, _ in reduced) == [3, 3, 4, 4, 5, 5]
+        assert all(sum(like is mode for _, like in reduced) == 3 for mode in modes)
 
     def test_one_walk_per_mode_and_order(self, monkeypatch):
         # one verify_pss on the motor walks each (mode, order)'s augmented
@@ -758,8 +797,10 @@ class TestFullOrderResponse:
                 seen[name].append(key(*args))
                 return original(*args)
             monkeypatch.setattr(bmod, name, recording)
-        # the mode by its orbit or its response, the order by k
-        record("_error_orbit", lambda orbit, A_r, *_: (id(orbit), A_r.shape[0]))
+        # the mode by its orbit or its response, the order by k, the states
+        # of the reduced orbit's first map
+        record("_error_orbit", lambda orbit, reduced, *_: (id(orbit),
+                                                          reduced.maps[0].shape[1]))
         record("e1_simulation", lambda aug: (id(aug.full), aug.k))
         record("e2_simulation", lambda aug, u_box: (id(aug.full), aug.k))
         verdict = rs.verify_pss(rs.motor_benchmark(), rs.VerifyOptions(k0=3, k_max=5))
@@ -827,37 +868,60 @@ def test_doubling_matches_step_loop(case):
     assert np.max(np.abs(got.reshape(n, steps, m) - expected)) <= 1e-12 * scale
 
 
+def orbit_steps(orbit, blocks):
+    """The first ``blocks`` blocks of an orbit per step, from step 0: the
+    images (steps+1, rows, w) and the squared column norms (steps+1, w),
+    NaN between giant steps, where the orbit forms no state."""
+    images, data = [], []
+    for i in range(blocks):
+        block, sq = orbit[i]
+        s, rows, giants, width = block.shape
+        size = min(orbit.block, orbit.steps - i * orbit.block)
+        first = 0 if i == 0 else 1
+        images.append(block.transpose(2, 0, 1, 3).reshape(-1, rows, width)[first:size + 1])
+        norms = np.full((giants * s, width), np.nan)
+        norms[::s] = sq
+        data.append(norms[first:size + 1])
+    return np.concatenate(images), np.concatenate(data)
+
+
 def test_block_projections_match_per_step_maps(rng):
-    # maps and squared column norms per step from one block, and only the
-    # last state carried into the next block
+    # maps and squared column norms at every step, from blocks that each
+    # start at the last state of the block before, the last one ending at
+    # the orbit's step count
     A = rs.random_stable_system(rng, 9, 1, 1).A
-    X0 = rng.standard_normal((9, 3))
+    X0 = rng.standard_normal((9, 500))
     maps = (rng.standard_normal((2, 9)), rng.standard_normal((4, 9)))
-    orbit = bmod._Orbit(A, 0.01, X0, maps, np.linalg.eigvalsh(A + A.T).max() / 2)
-    assert orbit.stride == 1
-    Phi, x = _transition(A, 0.01), X0
-    for j in range(2 * orbit.block + 1):
-        block = orbit.head if j == 0 else orbit[(j - 1) // orbit.block]
-        row = 0 if j == 0 else (j - 1) % orbit.block
-        if j:
-            x = Phi @ x
-        scale = np.linalg.norm(x)
-        for M, got in zip(maps, block):
-            np.testing.assert_allclose(got[row], M @ x, rtol=0,
-                                       atol=1e-12 * scale * np.linalg.norm(M))
-        np.testing.assert_allclose(block[-1][row], np.sum(x * x, axis=0), rtol=0,
-                                   atol=1e-12 * scale * scale)
+    block = bmod._Orbit(A, 0.01, X0, maps, 10 ** 6).block
+    orbit = bmod._Orbit(A, 0.01, X0, maps, 2 * block + 7)
+    assert orbit.stride == 1 and orbit.block == block < 100
+    images, data = orbit_steps(orbit, 3)
+    with pytest.raises(IndexError):
+        orbit[3]
+    Phi, states = _transition(A, 0.01), [X0]
+    for _ in range(orbit.steps):
+        states.append(Phi @ states[-1])
+    states = np.stack(states)
+    scale = np.max(np.linalg.norm(states, axis=1))
+    for M, got in zip(maps, np.split(images, [2], axis=1)):
+        np.testing.assert_allclose(got, M @ states, rtol=0,
+                                   atol=1e-12 * scale * np.linalg.norm(M))
+    np.testing.assert_allclose(data, np.sum(states * states, axis=1), rtol=0,
+                               atol=1e-12 * scale * scale)
 
 
 @st.composite
 def giant_orbit_cases(draw):
     """A state matrix A, contractive (negative-definite symmetric part) or
-    Hurwitz with lambda_max(sym A) > 0, at n >= 4 rows; one to three maps of
-    ``rows`` rows in all; a start block X0 of width w whose first column is
-    the top eigenvector of sym A, along which the norm grows at first when A
-    is not contractive; and a step h with ||A|| h in [0.01, 0.1]."""
-    rows = draw(st.integers(1, 12))
-    n = draw(st.integers(max(16, 4 * rows), 96))
+    Hurwitz with lambda_max(sym A) > 0, at n >= 4 rows; three maps of p
+    rows each, as the walk reads; a start block X0 of width w whose first
+    column is the top eigenvector of sym A, along which the norm grows at
+    first when A is not contractive; a step h with ||A|| h in [0.01, 0.1];
+    an order k, whose principal block A[:k, :k] a second orbit walks from
+    X0[:k] through three maps of its own; a column split m; and blocks of
+    one to four giant steps over up to three blocks' steps."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(max(16, 12 * p), 96))
     width = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     G = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -868,42 +932,78 @@ def giant_orbit_cases(draw):
     else:
         shift = right + draw(st.floats(0.1, 0.9)) * (top - right)
     A = G - shift * np.eye(n)
-    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=2))) if rows > 1 else []
-    maps = tuple(rng.standard_normal((b - a, n))
-                 for a, b in zip([0] + cuts, cuts + [rows]))
+    maps = tuple(rng.standard_normal((p, n)) for _ in range(3))
     h = draw(st.floats(0.01, 0.1)) / np.linalg.norm(A, 2)
     X0 = rng.standard_normal((n, width))
     X0[:, 0] = np.linalg.eigh(A + A.T)[1][:, -1]
-    return A, h, X0, maps
+    k = draw(st.integers(1, n))
+    maps_r = tuple(rng.standard_normal((p, k)) for _ in range(3))
+    giants = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 3 * giants * (n // (3 * p))))
+    return A, h, X0, maps, k, maps_r, draw(st.integers(0, width)), giants, steps
+
+
+def step_loop(A, h, X0, maps, steps):
+    """The stacked maps' images (steps+1, rows, w) and the squared column
+    norms (steps+1, w) of X0, Phi X0, ..., one step at a time."""
+    Phi, x, images, norms = _transition(A, h), X0, [], []
+    for _ in range(steps + 1):
+        images.append(np.vstack(maps) @ x)
+        norms.append(np.sum(x * x, axis=0))
+        x = Phi @ x
+    return np.stack(images), np.stack(norms)
 
 
 @settings(deadline=None, max_examples=40)
 @given(giant_orbit_cases())
 def test_giant_steps_match_step_loop(case):
-    # the first two blocks against a sequential step loop: images within
-    # rounding at every step, squared column norms exact at giant steps and
-    # never below the exact ones between them
-    A, h, X0, maps = case
-    (n, width), rows = X0.shape, sum(M.shape[0] for M in maps)
-    defect = np.linalg.eigvalsh(A + A.T).max() / 2.0
-    orbit = bmod._Orbit(A, h, X0, maps, defect)
-    assert orbit.stride == n // rows and orbit.block % orbit.stride == 0
-    steps = 2 * orbit.block
-    Phi, x, states = _transition(A, h), X0, [X0]
-    for _ in range(steps):
-        x = Phi @ x
-        states.append(x)
-    states = np.stack(states)
-    got = [np.concatenate([head, b0, b1]) for head, b0, b1 in zip(orbit.head, orbit[0], orbit[1])]
-    scale = np.max(np.linalg.norm(states, axis=1))
-    for M, images in zip(maps, got):
-        assert images.shape == (steps + 1, M.shape[0], width)
-        assert np.max(np.abs(images - M @ states)) <= 1e-12 * scale * np.linalg.norm(M)
-    exact = np.sum(states * states, axis=1)
+    # an orbit and one like it of the principal block A[:k, :k], as each
+    # order's reduced half takes its mode's stride and block, against step
+    # loops over every block: each orbit's images within rounding at every
+    # step and its squared column norms exact at giant steps; and the error
+    # orbit's sums of the two per column group (the derivative rows as
+    # magnitudes), with norm bounds exact at giant steps and never below the
+    # exact ones between them
+    A, h, X0, maps, k, maps_r, m, giants, steps = case
+    (n, width), rows = X0.shape, 3 * maps[0].shape[0]
+    stride = n // rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bmod, "ORBIT_BLOCK_DOUBLES", giants * width * (n + 2 * stride * rows))
+        orbit = bmod._Orbit(A, h, X0, maps, steps)
+    reduced = bmod._Orbit(A[:k, :k], h, X0[:k], maps_r, steps, like=orbit)
+    assert orbit.stride == reduced.stride == stride
+    assert orbit.block == reduced.block == min(giants, -(-steps // stride)) * stride
+    blocks = -(-steps // orbit.block)
+    loops = [step_loop(A, h, X0, maps, steps), step_loop(A[:k, :k], h, X0[:k], maps_r, steps)]
+    scale = np.sqrt(np.max(loops[0][1] + loops[1][1]))
     slack = 1e-12 * scale * scale
-    at_giant = np.arange(steps + 1) % orbit.stride == 0
-    assert np.max(np.abs(got[-1] - exact)[at_giant]) <= slack
-    assert np.min(got[-1] - exact) >= -slack
+    at_giant = np.arange(steps + 1) % stride == 0
+    for made, (images, norms), M in zip((orbit, reduced), loops, (maps, maps_r)):
+        got, data = orbit_steps(made, blocks)
+        with pytest.raises(IndexError):
+            made[blocks]
+        assert np.max(np.abs(got - images)) <= 1e-12 * scale * np.linalg.norm(np.vstack(M))
+        assert np.all(np.isnan(data[~at_giant]))
+        assert np.max(np.abs(data[at_giant] - norms[at_giant])) <= slack
+    defect = np.linalg.eigvalsh(A + A.T).max() / 2.0
+    growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(stride))
+    reduced = bmod._Orbit(A[:k, :k], h, X0[:k], maps_r, steps, like=orbit)
+    got, data = [], []
+    for i, (groups, sq) in enumerate(bmod._error_orbit(orbit, reduced, m, growth)):
+        first = 0 if i == 0 else 1
+        assert [g.shape[-1] for g in groups] == [m, width - m]
+        got.append(np.concatenate(groups, axis=-1)[:, first:])
+        data.append(sq[first:].copy())
+    assert len(got) == blocks
+    got, data = np.concatenate(got, axis=1), np.concatenate(data)
+    images = (loops[0][0] + loops[1][0]).reshape(steps + 1, 3, -1, width).swapaxes(0, 1)
+    # the derivatives as magnitudes
+    images[1:] = np.abs(images[1:])
+    norms = loops[0][1] + loops[1][1]
+    maps_norm = max(np.linalg.norm(np.vstack(maps)), np.linalg.norm(np.vstack(maps_r)))
+    assert np.max(np.abs(got - images)) <= 2e-12 * scale * maps_norm
+    assert np.max(np.abs(data - norms)[at_giant]) <= slack
+    assert np.min(data - norms) >= -slack
 
 
 def test_giant_step_paths_by_shape(monkeypatch):
@@ -917,26 +1017,54 @@ def test_giant_step_paths_by_shape(monkeypatch):
         assert FullOrderResponse.of(balance(prob.system), prob.x0,
                                     prob.t_f).orbit.stride == 1
     prob = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9)
-    full = FullOrderResponse.of(balance(prob.system), prob.x0, prob.t_f)
-    orbit = full.orbit
-    assert orbit.stride == 12 and orbit.head[0].shape == (1, 4, 12 + 7)
-    # on the giant path only giant states are formed: every full-order
-    # state block holds block / stride states, never a whole block's
+    bal = balance(prob.system)
+    orbit = FullOrderResponse.of(bal, prob.x0, prob.t_f).orbit
+    assert orbit.stride == 12 and orbit[0][0].shape == (12, 12, orbit.block // 12 + 1, 12 + 7)
+    # on the giant path only giant states are formed: each block of the
+    # full-order half's states, and of the order's reduced half's, holds one
+    # state per giant step of the block, never a whole block's
     shapes = []
     propagate = bmod._propagate
 
-    def recording(powers, X, steps):
-        out = propagate(powers, X, steps)
+    def recording(powers, X, steps, out=None):
+        out = propagate(powers, X, steps, out=out)
         shapes.append(out.shape)
         return out
     monkeypatch.setattr(bmod, "_propagate", recording)
+    full = FullOrderResponse.of(bal, prob.x0, prob.t_f)
     aug = augment(full, 5)
     e1_simulation(aug)
     e2_simulation(aug, prob.inputs)
-    full_shapes = {shape for shape in shapes if shape[0] == 150}
-    assert full_shapes == {(150, orbit.block // 12 * 19)}
-    # each order steps its reduced input and generator columns together
-    assert {shape for shape in shapes if shape[0] != 150} == {(5, orbit.block * 19)}
+    orbit = full.orbit
+    giants = [-(-min(orbit.block, orbit.steps - i * orbit.block) // 12)
+              for i in range(len(orbit._blocks))]
+    assert max(giants) == orbit.block // 12 > 1
+    assert [shape for shape in shapes if shape[0] == 150] == [(150, g * 19) for g in giants]
+    # the order steps its reduced input and generator columns together,
+    # block for block with the full-order half
+    assert [shape for shape in shapes if shape[0] != 150] == [(5, g * 19) for g in giants]
+
+
+def test_wide_box_blocks_hold_several_giant_steps():
+    # a box with every dim free (f = n = 150, 163 columns at stride 12) gets
+    # blocks of several giant steps: a block is sized by the giant states
+    # and output rows it holds, not by a state per step
+    prob = rs.random_problem(7, 150, 12, 4)
+    assert len(prob.x0.free_dims()) == 150
+    orbit = FullOrderResponse.of(balance(prob.system), prob.x0, prob.t_f).orbit
+    assert orbit.stride == 12 and orbit.block >= 3 * orbit.stride
+
+
+def test_motor_blocks_end_at_the_horizon():
+    # each motor mode's orbit forms one state per step up to the first step
+    # that reaches the mode's duration, and none after it
+    for _, system, x0, duration in problem_modes(rs.motor_benchmark()):
+        full = FullOrderResponse.of(balance(system), x0, duration)
+        e1_simulation(augment(full, 5))
+        orbit = full.orbit
+        formed = sum(len(orbit[i][1]) - 1 for i in range(len(orbit._blocks)))
+        assert orbit.stride == 1 and formed == orbit.steps == len(full.times)
+        assert full.times[-2] < duration * (1.0 - 1e-12) <= full.times[-1]
 
 
 class TestContractionPerMode:

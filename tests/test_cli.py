@@ -56,6 +56,18 @@ class TestGen:
                      "--output", str(tmp_path / "x.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--free-dims", "-1", "free_dims"), ("--spec-scale", "-1", "spec_scale"),
+        ("--spec-scale", "0", "spec_scale"), ("--spec-scale", "nan", "spec_scale"),
+        ("--spec-scale", "inf", "spec_scale")])
+    def test_bad_instance_arguments_exit_three(self, tmp_path, capsys, flag, value, field):
+        # a negative free-dim count would fail as numpy's ValueError (exit 4),
+        # and a nonpositive scale would write an empty or a point safe box
+        out = tmp_path / "x.json"
+        assert main(["gen", "-n", "6", flag, value, "--output", str(out)]) == 3
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReduce:
     def test_scalar_hsv(self, tmp_path, capsys):

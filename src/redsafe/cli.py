@@ -3,8 +3,8 @@
 Subcommands: reduce | bounds | transform-spec | reach | verify | verify-pss |
 bench | gen.  Exit codes: 0 = Safe (or plain success), 1 = Unsafe,
 2 = Indeterminate, 3 = usage or input error, 4 = internal numeric failure.
-Outputs are pure functions of (manifest bytes, flags, seed); wall times are
-zeroed unless --timing is given.
+Outputs are pure functions of (manifest bytes, flags), and gen's of its
+flags, --seed among them; wall times are zeroed unless --timing is given.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ def _emit(doc, args, text_renderer=None, csv_renderer=None) -> None:
 
 def _options_from(args) -> VerifyOptions:
     kwargs = {}
-    for name in ("k0", "k_max", "step_lh",
-                 "witness_budget", "seed", "time_budget"):
+    for name in ("k0", "k_max", "step_lh", "time_budget"):
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val
@@ -372,8 +371,6 @@ def _seed(text: str) -> int:
 def _add_common(sp, manifest=True):
     if manifest:
         sp.add_argument("manifest", help="path to a problem manifest (JSON)")
-    sp.add_argument("--seed", type=_seed, default=0,
-                    help="seed for randomized steps (a nonnegative integer)")
     sp.add_argument("--output", help="write the result to this file instead of stdout")
     sp.add_argument("--format", choices=("json", "text", "csv"), default="text",
                     help="output rendering (default text; csv only for "
@@ -398,8 +395,6 @@ def _add_verify_opts(sp):
     sp.add_argument("--step-lh", dest="step_lh", type=float,
                     help=f"reach and witness step control ||A||*h (default {STEP_LH}); "
                          + _STEP_LH_RULE)
-    sp.add_argument("--witness-budget", dest="witness_budget", type=int,
-                    help="max candidate trajectories in the witness search")
     sp.add_argument("--time-budget", dest="time_budget", type=float,
                     help="wall-clock budget in seconds; overrun yields Indeterminate")
     sp.add_argument("--geometric", action="store_true",
@@ -460,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a random stable test instance")
     _add_common(sp, manifest=False)
+    sp.add_argument("--seed", type=_seed, default=0,
+                    help="seed of the random instance (a nonnegative integer)")
     sp.add_argument("-n", type=int, required=True, help="state dimension")
     sp.add_argument("-m", type=int, default=1, help="input count")
     sp.add_argument("-p", type=int, default=1, help="output count")

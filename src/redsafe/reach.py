@@ -28,12 +28,18 @@ Guernic & Girard (NAHS 2010).  For order k, p outputs, g0 initial
 generators and r rows a step then costs O(k^2 (1 + g0 + m)) arithmetic to
 build (:func:`reach_lti`) and O(r p (g0 + m)) to check, rather than
 O(r p g_j) over its g_j input columns, with no matrix product per step.
+
+The witness search (:func:`find_unsafe_witness`) reads the same table.
+From a box's image, a box vertex and a bang-bang grid plan attain the
+support of any output direction at any sample, the optimal input of
+simulation-equivalent reachability, so each predicate gets one such
+candidate from the table (:func:`_candidates`) and nothing is drawn at
+random.
 """
 
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Callable, Union
@@ -860,221 +866,125 @@ class WitnessTrajectory:
     sample_index: int = field(default=0)
 
 
-#: Doubles per chunk of the witness search's candidates, which share one
-#: batched :func:`simulate` call: a chunk holds as many candidates as fit
-#: their (steps, m) input plans and (steps + 1, p) output samples in this
-#: many doubles, and at least one, so its arrays stay bounded whatever the
-#: budget.  At order 40 with 995 steps, 12 inputs and 4 outputs that is 16
-#: candidates in 2.0 MB.
-WITNESS_CHUNK_DOUBLES = 1 << 18
+def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
+                specs: list[TransformedSpec], table: _AgeTable, t_f: float,
+                init_map: np.ndarray | None):
+    """One candidate per predicate with a witness region: for an output
+    direction l and a sample j, the box vertex X[:, b] = c + r sign(l C Phi^j
+    init_map) and the plan u_c + u_r sign(l C M_(j-1-i)) in rows i < j of
+    plans[:, :, b], u_c elsewhere and in the channels the table dropped,
+    which attain the support of l at j from the box's image.
 
-
-def _witness_chunk(steps: int, m: int, p: int) -> int:
-    """Candidates per chunk of the witness search (:data:`WITNESS_CHUNK_DOUBLES`)."""
-    return max(1, WITNESS_CHUNK_DOUBLES // (steps * m + (steps + 1) * p))
-
-
-#: Doubles per block of a chunk's witness margins: samples are scored
-#: max(1, this // (B * width)) at a time, for B candidates and a width of
-#: the spec's rows (outputs for an ellipsoid), so no (samples, B, rows)
-#: array is formed.  For 16 candidates and 8 rows that is 256 samples, a
-#: 256 KB block.
-WITNESS_MARGIN_BLOCK = 1 << 15
-
-
-def _peak_margins(ts: TransformedSpec, samples: np.ndarray) -> np.ndarray:
-    """Each candidate's largest witness margin over (samples, B, p) output
-    samples, taken over blocks of samples; the max is exact, so it equals
-    the max over one :meth:`TransformedSpec.witness_margins` call."""
-    reg = ts.witness_region
-    width = reg.Gamma.shape[0] if isinstance(reg, PolytopeSpec) else samples.shape[2]
-    block = max(1, WITNESS_MARGIN_BLOCK // (samples.shape[1] * width))
-    peak = ts.witness_margins(samples[:block]).max(axis=0)
-    for start in range(block, samples.shape[0], block):
-        np.maximum(peak, ts.witness_margins(samples[start:start + block]).max(axis=0),
-                   out=peak)
-    return peak
-
-
-def _optimal_candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
-                        specs: list[TransformedSpec], table: _AgeTable, t_f: float,
-                        init_map: np.ndarray | None):
-    """Per spec b, the candidate that attains the largest margin S + Psi of
-    its polytope witness region over the table's rows and grid samples (S
-    from :meth:`_AgeTable.sample_supports`), at row l and sample j: vertex
-    X[:, b] = c + r sign(l C Phi^j init_map) and plan u_c + u_r
-    sign(l C M_(j-1-i)) in rows i < j of plans[:, :, b], u_c elsewhere and in
-    the channels the table dropped.  Returns X, the plans, each (j, l,
-    support, allowance) and whether a margin exceeds -allowance, 1e-9 of the
-    largest of the support, |Psi| and the spec's witness scale."""
+    A safe-polarity polytope takes the row l and sample j of the largest
+    margin S + Psi over its witness region's rows and the grid samples (S
+    from :meth:`_AgeTable.sample_supports`); its check is (j, l, S, 1e-9 of
+    the largest of S, |Psi| and the spec's witness scale).  Every other
+    predicate takes the sample j whose center has the largest witness
+    margin, with l = Q(c_j - a) for an ellipsoid (negated for an
+    unsafe-polarity one) and -Gamma_l for the row l that c_j violates most
+    for an unsafe-polarity polytope; its check is None.  Returns X, the
+    plans, each candidate's predicate index and the checks."""
     steps = len(table.balls)
     Phi = _transition(sys.A, t_f / steps)
-    X = np.empty((x0.dim, len(specs)))
-    plans = np.tile(u_box.center[:, None], (steps, 1, len(specs)))
-    tops, reaches = [], False
-    for b, ts in enumerate(specs):
+    centers = table.Y[:, :, 0]
+    picks, checks = [], []
+    for i, ts in enumerate(specs):
         reg = ts.witness_region
-        S = table.sample_supports(reg.Gamma)
-        margins = S + reg.Psi
-        tol = 1e-9 * np.maximum(np.maximum(np.abs(S), np.abs(reg.Psi)), ts.witness_scale)
-        reaches |= bool(np.any(margins > -tol))
-        j, l = np.unravel_index(int(np.argmax(margins)), margins.shape)
-        tops.append((j, l, S[j, l], tol[j, l]))
-        lift = reg.Gamma[l] @ sys.C @ np.linalg.matrix_power(Phi, j)
+        if reg is None:
+            continue
+        if ts.source_polarity == POLARITY_SAFE and isinstance(reg, PolytopeSpec):
+            S = table.sample_supports(reg.Gamma)
+            margins = S + reg.Psi
+            j, l = np.unravel_index(int(np.argmax(margins)), margins.shape)
+            tol = 1e-9 * max(abs(S[j, l]), abs(reg.Psi[l]), ts.witness_scale)
+            picks.append((i, reg.Gamma[l], j))
+            checks.append((j, l, S[j, l], tol))
+            continue
+        j = int(np.argmax(ts.witness_margins(centers)))
+        if isinstance(reg, PolytopeSpec):
+            ell = -reg.Gamma[int(np.argmax(reg.margins(centers[j])))]
+        else:
+            sign = 1.0 if ts.source_polarity == POLARITY_SAFE else -1.0
+            ell = sign * (reg.Q @ (centers[j] - reg.a))
+        picks.append((i, ell, j))
+        checks.append(None)
+    X = np.empty((x0.dim, len(picks)))
+    plans = np.tile(u_box.center[:, None], (steps, 1, len(picks)))
+    for b, (_, ell, j) in enumerate(picks):
+        lift = ell @ sys.C @ np.linalg.matrix_power(Phi, j)
         X[:, b] = x0.center + x0.halfwidth * np.sign(lift if init_map is None
                                                      else lift @ init_map)
-        ages = (reg.Gamma[l] @ table.Y[:j, :, 1 + table.g0:])[::-1]
+        ages = (ell @ table.Y[:j, :, 1 + table.g0:])[::-1]
         plans[:j, table.channels, b] += u_box.halfwidth[table.channels] * np.sign(ages)
-    return X, plans, tops, reaches
+    return X, plans, [i for i, _, _ in picks], checks
 
 
 def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                         transformed_unsafe: TransformedSpec | Sequence[TransformedSpec],
-                        t_f: float, budget: int,
+                        t_f: float, sets: ReachSets,
                         init_map: np.ndarray | None = None,
-                        seed: int = 0, eta: float | None = None,
-                        h: float | None = None,
-                        sets: ReachSets | None = None) -> WitnessTrajectory | None:
-    """Search for a trajectory certifying full-order unsafety.
+                        h: float | None = None) -> WitnessTrajectory | None:
+    """Search for a trajectory certifying full-order unsafety, with no
+    random draw: the optimal-input candidates of HyLAA (Bak & Duggirala,
+    CAV 2017), one per predicate (:func:`_candidates`).
 
-    Simulates candidate trajectories on the grid that :func:`reach_lti`
-    tiles at the step ``h``, whose N even steps each hold one input row.  A
-    sample must satisfy the witness predicate with margin > eta (positive
-    and finite; 1e-9 of the predicate's witness scale by default) and
-    survive a re-simulation at a tenth of the even step t_f / N with
-    margin >= eta/2.  ``init_map`` lifts initial states drawn from ``x0``
-    into the simulated system's state space (identity when omitted);
-    drawing from the original box keeps the witness sound for the
-    full-order system.
-
-    ``sets``, the step sets :func:`reach_lti` returned for the same system,
-    initial set (``init_map`` x0), input box and grid, start the search from
-    the optimal input (Bak & Duggirala, CAV 2017): per safe-polarity
-    polytope predicate, the candidate of :func:`_optimal_candidates` is
-    simulated (all in one call), scored and revalidated first, and raises
-    ModelError if it exceeds its support by more than its allowance.  If
-    every predicate is such a polytope and no support reaches its region, no
-    grid candidate can pass: None is returned with no random draw.  Explicit
-    step sets (:meth:`ReachSets.of`) are not read.
-
-    Then up to ``budget`` candidates are simulated, the same with or
-    without ``sets``: box vertices and random initial states, bang-bang and
-    random piecewise-constant inputs.  The initial states are drawn first,
-    then each chunk of candidates, as many as fit
-    :data:`WITNESS_CHUNK_DOUBLES` (16 at order 40 over 995 steps with 12
-    inputs and 4 outputs, whatever the budget), draws its input plans
-    (steps, m) into one (steps, m, B) array and is simulated by one batched
-    :func:`simulate` call from its (n, B) initial states.
-    :meth:`TransformedSpec.witness_margins` scores the chunk's samples a
-    block at a time (``WITNESS_MARGIN_BLOCK``), keeping
-    each candidate's largest margin; candidates are then taken in order, and
-    predicates in order within each, for the single-state re-simulation.
-    The random draws are made in the order of a candidate-by-candidate
-    search, so the same witness is returned.  A state that overflows
-    anywhere in a chunk raises ModelError, even when an earlier candidate
-    of the chunk is a witness; so do a ``t_f`` that is not positive and
-    finite and a predicate over another number of outputs than the system's.
+    ``sets`` are the step sets :func:`reach_lti` returned for the same
+    system, initial set (``init_map`` x0), input box and step ``h``.  The
+    candidates share one :func:`simulate` call from their initial states,
+    vertices of ``x0`` lifted by ``init_map`` (identity when omitted), so the
+    witness is sound for the full-order system.  A safe-polarity polytope's
+    candidate above the support it attains by more than its allowance
+    raises ModelError.  Candidates are taken in order, and every predicate
+    in order within each: a sample must meet the witness predicate with
+    margin > eta = 1e-9 of its witness scale, and the first candidate that
+    keeps margin >= eta/2 when re-simulated at a tenth of the even step
+    t_f / N is returned.  Explicit step sets (:meth:`ReachSets.of`), step
+    sets on another grid, a ``t_f`` that is not positive and finite and a
+    predicate over another number of outputs than the system's raise
+    ModelError.
     """
-    if not (isinstance(budget, numbers.Integral) and budget >= 1):
-        raise ModelError(f"witness budget must be a positive integer, got {budget}")
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
         raise ModelError(f"t_f must be positive and finite, got {t_f}")
     steps = _time_grid(t_f, h, sys.A, "step h").size - 1
-    if not (eta is None or 0 < eta < np.inf):
-        raise ModelError(f"eta must be positive and finite, got {eta}")
     if isinstance(transformed_unsafe, TransformedSpec):
         transformed_unsafe = [transformed_unsafe]
     specs = list(transformed_unsafe)
     _check_outputs(specs, sys.p, "the system")
-    rng = np.random.default_rng(seed)
-    etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
-    lo, hi = u_box.lb, u_box.ub
-
-    def fill_plan(plan: np.ndarray, kind: int) -> None:
-        """Write the (steps, m) input plan of a candidate of this kind."""
-        if u_box.dim == 0:
-            return
-        if kind == 3:
-            plan[:] = lo + (hi - lo) * rng.random((steps, u_box.dim))
-            return
-        plan[:] = lo if kind == 1 else hi
-        if kind == 2:  # bang-bang with a couple of switches; a switch past
-            # the last step draws no input
-            nsw, slots = int(rng.integers(1, 4)), max(steps, 2)
-            for j in np.sort(rng.choice(slots, size=min(nsw, slots), replace=False)):
-                if j < steps:
-                    plan[j:] = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
-
-    def revalidate(x: np.ndarray, plan: np.ndarray, ts_i: int) -> WitnessTrajectory | None:
-        # re-simulate at a tenth of the even step; each plan row covers its
-        # ten sub-steps, and the last row any sub-step that rounding adds
-        lifted = x if init_map is None else init_map @ x
-        fine_h = t_f / steps / 10
-        fine_steps = _time_grid(t_f, fine_h, sys.A, "step h").size - 1
-        fine_plan = plan[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
-        fine = simulate(sys, lifted, fine_plan, t_f, fine_h)
-        fvals = specs[ts_i].witness_margins(fine.outputs)
-        fj = int(np.argmax(fvals))
-        if fvals[fj] >= etas[ts_i] / 2:
-            return WitnessTrajectory(times=fine.times, outputs=fine.outputs,
-                                     init_state=x, step_inputs=plan,
-                                     margin=float(fvals[fj]),
-                                     predicate_index=ts_i, sample_index=fj)
+    if sets.table.channels is None:
+        raise ModelError("the witness search reads the step sets of reach_lti, "
+                         "not explicit step sets (ReachSets.of)")
+    if len(sets) != steps:
+        raise ModelError(f"step sets hold {len(sets)} steps, the witness grid {steps}")
+    X, plans, owners, checks = _candidates(sys, x0, u_box, specs, sets.table, t_f, init_map)
+    if not owners:
         return None
-
-    def simulate_batch(X: np.ndarray, plans: np.ndarray) -> np.ndarray:
-        return simulate(sys, X if init_map is None else init_map @ X, plans, t_f, h).outputs
-
-    def first_witness(X: np.ndarray, plans: np.ndarray,
-                      outputs: np.ndarray) -> WitnessTrajectory | None:
-        """Score a simulated batch and revalidate its hits in order."""
-        samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
-        hits = np.stack([_peak_margins(ts, samples) > eta
-                         for ts, eta in zip(specs, etas)], axis=1)
-        # nonzero walks candidates in order, predicates in order within each
-        for b, ts_i in zip(*np.nonzero(hits)):
-            witness = revalidate(X[:, b].copy(), plans[:, :, b].copy(), int(ts_i))
-            if witness is not None:
-                return witness
-        return None
-
-    polytopes = [ts for ts in specs if ts.source_polarity == POLARITY_SAFE
-                 and isinstance(ts.witness_region, PolytopeSpec)]
-    if sets is not None and sets.table.channels is not None and polytopes:
-        if len(sets) != steps:
-            raise ModelError(f"step sets hold {len(sets)} steps, the witness grid {steps}")
-        X, plans, tops, reaches = _optimal_candidates(sys, x0, u_box, polytopes, sets.table,
-                                                      t_f, init_map)
-        outputs = simulate_batch(X, plans)
-        for b, (ts, (j, l, top, tol)) in enumerate(zip(polytopes, tops)):
-            value = float(ts.witness_region.Gamma[l] @ outputs[j, :, b])
+    outputs = simulate(sys, X if init_map is None else init_map @ X, plans, t_f, h).outputs
+    for b, check in enumerate(checks):
+        if check is not None:
+            j, l, top, tol = check
+            value = float(specs[owners[b]].witness_region.Gamma[l] @ outputs[j, :, b])
             if value > top + tol:
                 raise ModelError(f"optimal witness candidate reaches {value!r} on row {l} "
                                  f"at sample {j}, above its certified support {top!r}")
-        witness = first_witness(X, plans, outputs)
-        if witness is not None or (len(polytopes) == len(specs) and not reaches):
-            return witness
-
-    # initial-state candidates: box vertices while they fit the budget, then
-    # uniform samples
-    inits = x0.vertices()[:, :budget] if x0.vertex_count() <= max(2, budget) \
-        else np.zeros((x0.dim, 0))
-    inits = np.hstack([inits] + [x0.sample(rng, 1) for _ in range(budget - inits.shape[1])])
-
-    def scan(start: int, stop: int) -> WitnessTrajectory | None:
-        """Simulate candidates start ... stop - 1 as one batch and revalidate
-        their hits in order; the chunk's arrays are freed on return, before
-        the next chunk allocates its own."""
-        plans = np.empty((steps, u_box.dim, stop - start))
-        for b in range(stop - start):
-            fill_plan(plans[:, :, b], (start + b) % 4)
-        X = inits[:, start:stop]
-        return first_witness(X, plans, simulate_batch(X, plans))
-
-    chunk = _witness_chunk(steps, u_box.dim, sys.p)
-    for start in range(0, budget, chunk):
-        witness = scan(start, min(start + chunk, budget))
-        if witness is not None:
-            return witness
+    etas = [1e-9 * ts.witness_scale for ts in specs]
+    samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
+    hits = np.stack([ts.witness_margins(samples).max(axis=0) > eta
+                     for ts, eta in zip(specs, etas)], axis=1)
+    # re-simulate at a tenth of the even step; each plan row covers its ten
+    # sub-steps, and the last row any sub-step that rounding adds
+    fine_h = t_f / steps / 10
+    fine_rows = np.minimum(np.arange(_time_grid(t_f, fine_h, sys.A, "step h").size - 1) // 10,
+                           steps - 1)
+    # nonzero walks candidates in order, predicates in order within each
+    for b, i in zip(*np.nonzero(hits)):
+        x, plan = X[:, b].copy(), plans[:, :, b].copy()
+        fine = simulate(sys, x if init_map is None else init_map @ x, plan[fine_rows],
+                        t_f, fine_h)
+        fvals = specs[i].witness_margins(fine.outputs)
+        fj = int(np.argmax(fvals))
+        if fvals[fj] >= etas[i] / 2:
+            return WitnessTrajectory(times=fine.times, outputs=fine.outputs, init_state=x,
+                                     step_inputs=plan, margin=float(fvals[fj]),
+                                     predicate_index=int(i), sample_index=fj)
     return None

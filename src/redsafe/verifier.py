@@ -31,14 +31,16 @@ from .spectransform import transform_spec
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Knobs of the semi-algorithm; defaults follow the package-wide choices."""
+    """Knobs of the semi-algorithm; defaults follow the package-wide choices.
+
+    ``seed`` is validated but read by nothing: the witness search draws no
+    random candidate.  It stays for callers that still pass it."""
 
     k0: int | None = None
     k_max: int | None = None
     e1_methods: tuple[str, ...] = bnd.E1_METHODS
     e2_methods: tuple[str, ...] = bnd.E2_METHODS
     step_lh: float = STEP_LH
-    witness_budget: int = 64
     seed: int = 0
     time_budget: float | None = None
     geometric_schedule: bool = False
@@ -53,9 +55,6 @@ class VerifyOptions:
                 ("k0", self.k0 is None or isinstance(self.k0, Integral), "an integer"),
                 ("k_max", self.k_max is None or isinstance(self.k_max, Integral), "an integer"),
                 ("step_lh", self.step_lh > 0, "positive"),
-                ("witness_budget",
-                 isinstance(self.witness_budget, Integral) and self.witness_budget >= 1,
-                 "an integer of at least 1"),
                 ("seed", isinstance(self.seed, Integral) and self.seed >= 0,
                  "a nonnegative integer"),
                 ("time_budget", self.time_budget is None or self.time_budget >= 0,
@@ -194,18 +193,16 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
                     and problem.polarity == POLARITY_SAFE:
                 notes.append(say + "transformed safe region empty at this k")
             # reach and the witness search step at the same step, and the
-            # search reads the step sets' age table: its supports at the grid
-            # samples pick the optimal candidate, and certify that no
-            # candidate can cross before any random one is drawn
+            # search reads the step sets' age table: its grid samples pick
+            # each predicate's one candidate
             step_h = default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
             sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope,
                              problem.inputs, horizon, step_h)
             outcome = check_spec(sets, transformed)
             if outcome == MAYBE_UNSAFE:
                 witness = find_unsafe_witness(
-                    abstraction.reduced, x0, problem.inputs, transformed,
-                    horizon, opts.witness_budget,
-                    init_map=bal.H[:k, :], seed=opts.seed, h=step_h, sets=sets)
+                    abstraction.reduced, x0, problem.inputs, transformed, horizon, sets,
+                    init_map=bal.H[:k, :], h=step_h)
                 if witness is not None:
                     if labeled:
                         notes.append(f"witness in mode {rho}")

@@ -307,7 +307,7 @@ def test_criterion_09_verifier_vs_oracle():
                     break
                 except rs.RankDeficiencyError:
                     seed += 10_000
-            verdict = verify(prob, VerifyOptions(seed=i, witness_budget=48))
+            verdict = verify(prob)
             outcomes[verdict.outcome] += 1
             if verdict.outcome == SAFE:
                 oracle = _oracle_outputs(prob, np.random.default_rng(1000 + i))

@@ -298,18 +298,16 @@ class TestVerifyCmd:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--step-lh", "0", "step_lh"),
-        ("--witness-budget", "0", "witness_budget"),
         ("--time-budget", "-1", "time_budget")])
     def test_out_of_range_option_exits_three(self, tmp_path, capsys, flag, value, field):
         assert main(["verify", str(small_manifest(tmp_path)), flag, value]) == 3
         assert f"error: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("k0", 2.5), ("k_max", 2.5), ("witness_budget", 2.5), ("seed", -1), ("seed", 1.5)])
+        ("k0", 2.5), ("k_max", 2.5), ("seed", -1), ("seed", 1.5)])
     def test_options_refuse_values_that_fail_later(self, field, value):
-        # a fractional order or budget would only fail as a TypeError deep
-        # in the k-loop, and a negative or fractional seed only once the
-        # witness search draws from it
+        # a fractional order would only fail as a TypeError deep in the
+        # k-loop; the seed, which nothing reads, stays a nonnegative integer
         with pytest.raises(rs.ModelError, match=f"^{field} must be"):
             rs.VerifyOptions(**{field: value})
 
@@ -405,22 +403,26 @@ class TestHelp:
     def test_help_documents_flags(self, sub):
         code, out, err = run_cli(sub, "--help")
         assert code == 0
-        for flag in ("--seed", "--output", "--format"):
+        for flag in ("--output", "--format"):
             assert flag in out
+        # only gen draws from a seed, the random instance's
+        assert ("--seed" in out) == (sub == "gen")
 
     @pytest.mark.parametrize("sub", ["reduce", "bounds", "transform-spec",
                                      "reach", "verify", "verify-pss", "bench",
                                      "gen"])
     def test_negative_seed_exits_three(self, sub, tmp_path, capsys):
         # numpy's generators take only nonnegative seeds: a negative one is
-        # a usage error on every subcommand, not an internal error where a
-        # generator is drawn from
+        # a usage error for gen, not an internal error where its generator
+        # is drawn from; every other subcommand has no --seed flag
         args = {"transform-spec": [str(tmp_path / "spec.json")], "bench": [],
                 "gen": ["-n", "4"]}.get(sub, [str(small_manifest(tmp_path))])
         with pytest.raises(SystemExit) as exc:
             main([sub, *args, "--seed", "-1"])
         assert exc.value.code == 3
-        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("seed must be a nonnegative integer" if sub == "gen"
+                else "unrecognized arguments: --seed -1") in err
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import types
@@ -403,35 +404,31 @@ class TestCheckSpec:
         assert check_spec(self._steps([0.0], [0.01]), ts) != SAFE
 
 
-class TestWitness:
-    def test_budget_validation(self, rng):
-        sys_ = rs.random_stable_system(rng, 2, 1, 1)
-        spec = rs.PolytopeSpec([[1.0]], [-1.0], POLARITY_SAFE)
-        ts = transform_spec(spec, np.array([0.1]))
-        with pytest.raises(ValueError, match="budget"):
-            find_unsafe_witness(sys_, rand_box(rng, 2, 1), rand_ubox(rng, 1),
-                                ts, 1.0, 0)
+def search(sys_, x0, u_box, specs, t_f, h=None, init_map=None):
+    """The witness search on the step sets reach_lti returns for the same
+    system, initial set (init_map x0) and grid."""
+    init = x0 if init_map is None else image_zonotope(init_map, x0)
+    sets = reach_lti(sys_, init, u_box, t_f, h)
+    return find_unsafe_witness(sys_, x0, u_box, specs, t_f, sets, init_map=init_map, h=h)
 
+
+class TestWitness:
     @pytest.mark.parametrize("args, name", [
         ({"t_f": float("nan")}, "t_f"), ({"t_f": float("inf")}, "t_f"),
         ({"h": float("nan")}, "step h"), ({"h": 0.0}, "step h"), ({"h": float("inf")}, "step h"),
-        ({"eta": float("nan")}, "eta"), ({"eta": float("inf")}, "eta"),
-        ({"eta": -float("inf")}, "eta"),
-        ({"budget": 0}, "witness budget"), ({"budget": 2.5}, "witness budget"),
-        ({"eta": 0.0}, "eta"), ({"eta": -1e-3}, "eta"),
         ({"t_f": 0.0}, "t_f"), ({"t_f": -1.0}, "t_f")])
     def test_bad_scalars_refused(self, rng, args, name):
         # each bad scalar is refused by name with ModelError, not passed on
-        # to fail as a bare ValueError, an overflow or a division by zero,
-        # or (eta = NaN or inf) to fail every margin test and return None;
+        # to fail as a bare ValueError, an overflow or a division by zero;
         # a horizon that is not positive is refused as reach_lti refuses it,
         # not by the fine step of the revalidation
         sys_ = rs.random_stable_system(rng, 2, 1, 1)
+        x0, ubox = rand_box(rng, 2, 1), rand_ubox(rng, 1)
         ts = transform_spec(rs.PolytopeSpec([[1.0]], [-1.0], POLARITY_SAFE), np.array([0.1]))
-        call = {"t_f": 1.0, "budget": 4, **args}
+        call = {"t_f": 1.0, "sets": reach_lti(sys_, x0, ubox, 1.0), **args}
         match = "^t_f must be positive and finite" if name == "t_f" else f"^{name} must be"
         with pytest.raises(rs.ModelError, match=match):
-            find_unsafe_witness(sys_, rand_box(rng, 2, 1), rand_ubox(rng, 1), ts, **call)
+            find_unsafe_witness(sys_, x0, ubox, ts, **call)
 
     def test_immediate_witness_at_t0(self):
         # the initial output already violates the grown safe interval
@@ -439,7 +436,7 @@ class TestWitness:
         spec = rs.PolytopeSpec([[1.0]], [-0.5], POLARITY_SAFE)
         ts = transform_spec(spec, np.array([0.1]))
         box = rs.HyperBox([2.0], [2.0])
-        w = find_unsafe_witness(sys_, box, rs.HyperBox([0.0], [0.0]), ts, 1.0, 4)
+        w = search(sys_, box, rs.HyperBox([0.0], [0.0]), ts, 1.0)
         assert w is not None
         assert w.margin > 0
         assert w.times[w.sample_index] == pytest.approx(0.0)
@@ -452,7 +449,7 @@ class TestWitness:
         spec = rs.EllipsoidSpec(np.eye(2), np.array([50.0, 50.0]), 1.0,
                                 POLARITY_UNSAFE)
         ts = transform_spec(spec, np.array([0.1, 0.1]))
-        assert find_unsafe_witness(sys_, box, ubox, ts, 2.0, 16, seed=3) is None
+        assert search(sys_, box, ubox, ts, 2.0) is None
 
     def test_witness_revalidated_on_finer_grid(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 1, 1)
@@ -461,7 +458,7 @@ class TestWitness:
         # huge forbidden halfspace so a witness certainly exists
         spec = rs.PolytopeSpec([[1.0]], [10.0], POLARITY_SAFE)
         ts = transform_spec(spec, np.array([0.01]))
-        w = find_unsafe_witness(sys_, box, ubox, ts, 1.0, 8, seed=1)
+        w = search(sys_, box, ubox, ts, 1.0)
         assert w is not None
         # margin was re-checked at 10x finer resolution
         assert w.margin >= 0.5 * 1e-9 * ts.witness_scale
@@ -524,8 +521,8 @@ class TestReachProperties:
 
 
 # --------------------------------------------------------------------------
-# Batched simulation, batched witness margins and the batched witness search
-# against their one-at-a-time references.
+# Batched simulation and batched witness margins against their
+# one-at-a-time references, and the search's candidates replayed.
 # --------------------------------------------------------------------------
 
 def naive_margin(ts, y):
@@ -543,108 +540,10 @@ def naive_margin(ts, y):
     return reg.R ** 2 - reg.quad(y)
 
 
-def naive_witness(sys_, x0, u_box, specs, t_f, budget, init_map=None, seed=0,
-                  eta=None, h=None, log=None):
-    """Candidate-by-candidate search: one simulate call per candidate and one
-    margin per output sample.  ``log`` collects ("coarse", candidate,
-    predicate, peak) for every scored candidate and ("fine", candidate,
-    predicate, passed) for every re-simulation."""
-    specs = [specs] if isinstance(specs, rs.TransformedSpec) else list(specs)
-    rng = np.random.default_rng(seed)
-    h = reach.default_step(t_f, sys_.A) if h is None else h
-    etas = [1e-9 * ts.witness_scale if eta is None else eta for ts in specs]
-    if x0.vertex_count() <= max(2, budget):
-        verts = x0.vertices()
-        inits = [verts[:, i] for i in range(verts.shape[1])]
-    else:
-        inits = []
-    while len(inits) < budget:
-        inits.append(x0.sample(rng, 1)[:, 0])
-
-    def input_plan(kind, steps):
-        lo, hi = u_box.lb, u_box.ub
-        if kind == 0:
-            return np.broadcast_to(hi, (steps, u_box.dim)).copy()
-        if kind == 1:
-            return np.broadcast_to(lo, (steps, u_box.dim)).copy()
-        if kind == 2:
-            plan = np.empty((steps, u_box.dim))
-            nsw, slots = int(rng.integers(1, 4)), max(steps, 2)
-            bounds = np.sort(rng.choice(slots, size=min(nsw, slots), replace=False))
-            cur, b = hi.copy(), 0
-            for j in range(steps):
-                if b < len(bounds) and j >= bounds[b]:
-                    cur = lo + (hi - lo) * rng.integers(0, 2, u_box.dim)
-                    b += 1
-                plan[j] = cur
-            return plan
-        return lo + (hi - lo) * rng.random((steps, u_box.dim))
-
-    log = [] if log is None else log
-    for tried in range(min(budget, len(inits))):
-        x = inits[tried]
-        lifted = x if init_map is None else init_map @ x
-        steps = max(1, int(np.ceil(t_f / h - 1e-12)))
-        plan = input_plan(tried % 4, steps)
-        traj = simulate(sys_, lifted, plan, t_f, h)
-        for ts_i, ts in enumerate(specs):
-            vals = np.array([naive_margin(ts, y) for y in traj.outputs])
-            log.append(("coarse", tried, ts_i, float(np.max(vals))))
-            if np.max(vals) > etas[ts_i]:
-                # a tenth of the even step; rounding may add a sub-step,
-                # which the last plan row covers
-                fine_h = t_f / steps / 10
-                fine_steps = int(np.ceil(t_f / fine_h - 1e-12))
-                fine_plan = plan[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
-                fine = simulate(sys_, lifted, fine_plan, t_f, fine_h)
-                fvals = np.array([naive_margin(ts, y) for y in fine.outputs])
-                fj = int(np.argmax(fvals))
-                log.append(("fine", tried, ts_i, bool(fvals[fj] >= etas[ts_i] / 2)))
-                if fvals[fj] >= etas[ts_i] / 2:
-                    return rs.WitnessTrajectory(
-                        times=fine.times, outputs=fine.outputs, init_state=x,
-                        step_inputs=plan, margin=float(fvals[fj]),
-                        predicate_index=ts_i, sample_index=fj)
-    return None
-
-
-def assert_same_witness(w, ref):
-    if ref is None:
-        assert w is None
-        return
-    assert w is not None
-    assert np.array_equal(w.init_state, ref.init_state)
-    assert np.array_equal(w.step_inputs, ref.step_inputs)
-    assert (w.sample_index, w.predicate_index) == (ref.sample_index, ref.predicate_index)
-    assert w.margin == pytest.approx(ref.margin, rel=1e-12)
-
-
-def peaks_of(log, predicate=0):
-    """Coarse peak margin per candidate, in candidate order."""
-    return np.array([e[3] for e in log if e[0] == "coarse" and e[2] == predicate])
-
-
 def first_y0_spec(threshold):
     """Safe region y_0 <= threshold, untransformed: margin = y_0 - threshold."""
     spec = rs.PolytopeSpec([[1.0, 0.0]], [-threshold], POLARITY_SAFE)
     return transform_spec(spec, np.zeros(2))
-
-
-def late_witness_case(rng, nfree, budget, h=None, first=None, seed=5):
-    """A random 2-output system and a y_0 threshold that no candidate before
-    ``first`` (half the budget by default) crosses and some later one does."""
-    first = budget // 2 if first is None else first
-    for _ in range(50):
-        sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        x0, ubox = rand_box(rng, 3, nfree), rand_ubox(rng, 2)
-        log = []
-        naive_witness(sys_, x0, ubox, first_y0_spec(1e6), 1.0, budget, seed=seed,
-                      h=h, log=log)
-        y0_peak = peaks_of(log) + 1e6
-        early, late = np.max(y0_peak[:first]), np.max(y0_peak[first:])
-        if late > early + 1e-3 * (abs(early) + 1e-3):
-            return sys_, x0, ubox, first_y0_spec((early + late) / 2)
-    raise AssertionError("no instance with a late witness")
 
 
 class TestBatchedSimulate:
@@ -716,24 +615,6 @@ class TestWitnessMargins:
                     else:
                         assert vals[idx] == pytest.approx(single, rel=1e-12, abs=1e-12)
 
-    def test_peak_over_sample_blocks(self, rng, monkeypatch):
-        # each candidate's peak over blocks of samples is its one-shot peak,
-        # bit for bit, with some candidate peaking at every sample
-        for ts in four_spec_kinds(rng, 2):
-            Y = rng.uniform(-2, 2, (23, 200, 2))
-            margins = ts.witness_margins(Y)
-            if ts.witness_region is not None:
-                assert set(np.argmax(margins, axis=0)) == set(range(23))
-            width = 3 if isinstance(ts.witness_region, rs.PolytopeSpec) else 2
-            for block in (1, 2, 7, 22, 23, 40):
-                monkeypatch.setattr(reach, "WITNESS_MARGIN_BLOCK", block * 200 * width)
-                assert np.array_equal(reach._peak_margins(ts, Y), margins.max(axis=0))
-
-
-def set_witness_chunk(monkeypatch, chunk):
-    """Make every chunk of the witness search hold ``chunk`` candidates."""
-    monkeypatch.setattr(reach, "_witness_chunk", lambda steps, m, p: chunk)
-
 
 def assert_bit_identical(w, ref):
     if ref is None:
@@ -745,171 +626,109 @@ def assert_bit_identical(w, ref):
         (ref.sample_index, ref.predicate_index, ref.margin)
 
 
+def assert_replays(w, sys_, x0, specs, t_f, init_map=None):
+    """The witness starts at a vertex of x0 and, re-simulated at a tenth of
+    its step, meets its predicate with the margin it reports, at least half
+    of 1e-9 of the predicate's witness scale."""
+    specs = [specs] if isinstance(specs, rs.TransformedSpec) else list(specs)
+    ts = specs[w.predicate_index]
+    gap = np.minimum(np.abs(w.init_state - x0.lb), np.abs(w.init_state - x0.ub))
+    assert np.all(gap <= 1e-12 * (np.abs(x0.center) + 1.0))
+    steps = w.step_inputs.shape[0]
+    fine_h = t_f / steps / 10
+    fine_steps = int(np.ceil(t_f / fine_h - 1e-12))
+    plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
+    lifted = w.init_state if init_map is None else init_map @ w.init_state
+    traj = simulate(sys_, lifted, plan, t_f, fine_h)
+    margins = np.array([naive_margin(ts, y) for y in traj.outputs])
+    assert w.margin == pytest.approx(margins.max(), rel=1e-9, abs=1e-12)
+    assert margins[w.sample_index] >= 0.5e-9 * ts.witness_scale
+
+
+def counting_simulate(monkeypatch):
+    """Make reach's simulate record the batch width of every call (0 for one
+    state)."""
+    calls = []
+
+    def counting(sys_, x0, *args, **kwargs):
+        calls.append(np.shape(x0)[1] if np.ndim(x0) == 2 else 0)
+        return simulate(sys_, x0, *args, **kwargs)
+
+    monkeypatch.setattr(reach, "simulate", counting)
+    return calls
+
+
 class TestBatchedWitness:
     def test_spec_kinds_and_polarities(self, rng, monkeypatch):
-        # every search runs with the samples scored at once and in blocks of
-        # 1 and of 7 samples (for a family, 4 for the 3-row polytopes and 7
-        # for the 2-output ellipsoids): the witnesses are bit-identical
-        def search(specs, block):
-            width = 3 if isinstance(specs, rs.TransformedSpec) \
-                and isinstance(specs.witness_region, rs.PolytopeSpec) else 2
-            monkeypatch.setattr(reach, "WITNESS_MARGIN_BLOCK", block * 12 * width)
-            return find_unsafe_witness(sys_, x0, ubox, specs, 1.0, 12, seed=trial)
-
+        # each kind of predicate, and a family of all five, is decided by its
+        # one candidate: one simulate call of one candidate per predicate
+        # with a witness region, a witness that replays, and a second call
+        # that returns it bit for bit; each kind finds a witness in some
+        # draws and none in others
         found = {}
         for trial in range(10):
             sys_ = rs.random_stable_system(rng, 3, 2, 2)
             x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
             specs = four_spec_kinds(rng, 2)
-            # a family: predicates are scanned in order within each candidate
+            sets = reach_lti(sys_, x0, ubox, 1.0)
             for kind, ts in list(enumerate(specs)) + [("family", specs)]:
-                ref = naive_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial)
-                one_shot = search(ts, 10 ** 6)
-                assert_same_witness(one_shot, ref)
-                for block in (1, 7):
-                    assert_bit_identical(search(ts, block), one_shot)
-                found.setdefault(kind, set()).add(ref is not None)
+                calls = counting_simulate(monkeypatch)
+                w = find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets)
+                monkeypatch.undo()
+                assert calls[:1] == ([] if kind == 4 else [4] if kind == "family" else [1])
+                if w is not None:
+                    assert_replays(w, sys_, x0, ts, 1.0)
+                assert_bit_identical(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets), w)
+                found.setdefault(kind, set()).add(w is not None)
         assert found[4] == {False}
         for kind in range(4):
             assert found[kind] == {True, False}, kind
 
-    def test_witness_at_a_middle_candidate(self, rng, monkeypatch):
-        budget = 12
-        sys_, x0, ubox, ts = late_witness_case(rng, 2, budget)
-        for chunk in (None, 5):
-            if chunk is not None:
-                set_witness_chunk(monkeypatch, chunk)
-            log = []
-            ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5, log=log)
-            assert ref is not None
-            assert budget // 2 <= log[-1][1] < budget
-            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
-                                                    seed=5), ref)
-
     def test_failed_revalidation(self, rng, monkeypatch):
         # a fine re-simulation that lowers y_0 by ``drop`` makes a coarse hit
-        # (margin > eta) miss the fine bar (margin >= eta/2): first every hit
-        # fails, then a later record candidate passes after earlier ones
-        # failed
-        set_witness_chunk(monkeypatch, 4)
+        # miss the fine bar: the candidate crosses y_0 <= threshold by 2 on
+        # the grid, so a drop of 3 leaves no witness and a drop of 1 leaves
+        # one; in a family, the next predicate the candidate crosses is
+        # taken when the first fails
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
-        log = []
-        naive_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, 16, seed=2, log=log)
-        peaks = peaks_of(log) + 1e3  # each candidate's coarse y_0 peak
+        sets = reach_lti(sys_, x0, ubox, 1.0)
+        top = float(sets.table.sample_supports(np.array([[1.0, 0.0]])).max())
         coarse_h, exact = reach.default_step(1.0, sys_.A), reach.simulate
 
-        def lower_fine(drop):
+        def search_lowered(specs, drop):
             def lowered(sys_, x, u, t_f, h=None):
                 traj = exact(sys_, x, u, t_f, h)
                 if h is None or h > coarse_h / 2:
                     return traj
                 return reach.Trajectory(traj.times, traj.outputs - np.array([drop, 0.0]))
-            # the batched search and its naive reference both
-            monkeypatch.setattr(reach, "simulate", lowered)
-            monkeypatch.setitem(globals(), "simulate", lowered)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reach, "simulate", lowered)
+                return find_unsafe_witness(sys_, x0, ubox, specs, 1.0, sets)
 
-        # the candidates within 3 eta of the top peak cross, and none survives
-        eta = 1e-3 * (np.max(peaks) - np.min(peaks))
-        ts = first_y0_spec(np.max(peaks) - 4 * eta)
-        lower_fine(1e3)
-        log = []
-        assert naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta, log=log) is None
-        assert any(e[0] == "fine" and not e[3] for e in log)
-        assert find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta) is None
-        # j: the record after the widest climb g over the earlier best E;
-        # E crosses by 2 eta and j by 6 eta, and lowered by 3.5 eta only j
-        # keeps eta/2
-        records = [j for j in range(1, 16) if peaks[j] > np.max(peaks[:j])]
-        j = max(records, key=lambda j: peaks[j] - np.max(peaks[:j]))
-        best = np.max(peaks[:j])
-        eta = (peaks[j] - best) / 4
-        ts = first_y0_spec(best - 2 * eta)
-        lower_fine(3.5 * eta)
-        log = []
-        ref = naive_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2, eta=eta, log=log)
-        fine = [e for e in log if e[0] == "fine"]
-        assert ref is not None
-        assert not fine[0][3] and fine[-1][3] and fine[-1][1] == j
-        assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 16, seed=2,
-                                                eta=eta), ref)
-
-    @pytest.mark.parametrize("nfree, budget", [
-        (1, 1),    # two vertices, budget one: the first vertex only
-        (2, 12),   # four vertices, then samples
-        (3, 8),    # eight vertices, exactly the budget
-        (5, 12),   # 32 vertices exceed the budget: samples only
-    ])
-    def test_vertex_and_sampled_initial_states(self, rng, nfree, budget):
-        if budget == 1:
-            sys_ = rs.random_stable_system(rng, 3, 2, 2)
-            x0, ubox = rand_box(rng, 3, nfree), rand_ubox(rng, 2)
-            ts = first_y0_spec(-1e3)  # every candidate crosses at once
-        else:
-            sys_, x0, ubox, ts = late_witness_case(rng, nfree, budget)
-        if nfree > 1:
-            x0 = rs.HyperBox(np.pad(x0.lb, (0, 2)), np.pad(x0.ub, (0, 2)))
-            x0 = x0 if nfree < 5 else rs.HyperBox(x0.lb - np.r_[0, 0, 0, 0.1, 0.1],
-                                                  x0.ub + np.r_[0, 0, 0, 0.1, 0.1])
-        lift = np.hstack([np.eye(3), 0.1 * rng.standard_normal((3, 2))]) \
-            if x0.dim == 5 else None
-        ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, init_map=lift, seed=5)
-        assert ref is not None
-        assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
-                                                init_map=lift, seed=5), ref)
-
-    @pytest.mark.parametrize("chunk", [4, None])
-    def test_budgets_around_the_chunk_size(self, rng, monkeypatch, chunk):
-        # None: the chunk comes from the doubles budget, here set to hold 5
-        # candidates of 200 steps with 2 inputs and 2 outputs and a part of
-        # a sixth
-        h = 0.005
-        if chunk is None:
-            monkeypatch.setattr(reach, "WITNESS_CHUNK_DOUBLES", 5 * 802 + 401)
-            assert reach._witness_chunk(200, 2, 2) == 5
-            chunk = 5
-        else:
-            set_witness_chunk(monkeypatch, chunk)
-        for budget in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-            sys_, x0, ubox, ts = late_witness_case(rng, 2, budget, h=h)
-            ref = naive_witness(sys_, x0, ubox, ts, 1.0, budget, seed=5, h=h)
-            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, budget,
-                                                    seed=5, h=h), ref)
-            never = first_y0_spec(1e6)
-            assert naive_witness(sys_, x0, ubox, never, 1.0, budget, seed=5, h=h) is None
-            assert find_unsafe_witness(sys_, x0, ubox, never, 1.0, budget, seed=5,
-                                       h=h) is None
+        assert search_lowered(first_y0_spec(top - 2.0), 3.0) is None
+        w = search_lowered(first_y0_spec(top - 2.0), 1.0)
+        assert w is not None and w.margin == pytest.approx(1.0, abs=0.1)
+        w = search_lowered([first_y0_spec(top - 2.0), first_y0_spec(top - 10.0)], 3.0)
+        assert w is not None and w.predicate_index == 1
 
     def test_single_step_horizon(self, rng):
-        # with one step, a bang-bang switch drawn at step 1 lies past the end
-        # and draws no input value, and a draw of three switches takes both
-        # steps; the fourth candidate's random inputs come after the third
-        # one's bang-bang draws
-        checked = 0
+        # with one step the plan is one input row; the search finds a
+        # witness exactly when some box vertex under some constant input
+        # vertex crosses on the two grid samples
+        found = set()
         for seed in range(8):
-            sys_, x0, ubox, ts = late_witness_case(rng, 3, 4, h=1.0, first=3, seed=seed)
-            ref = naive_witness(sys_, x0, ubox, ts, 1.0, 4, seed=seed, h=1.0)
-            assert_same_witness(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 4,
-                                                    seed=seed, h=1.0), ref)
-            checked += 1
-        assert checked == 8
-
-    def test_one_simulate_call_per_chunk(self, rng, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(np.ndim(args[1]))
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(reach, "simulate", counting)
-        sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
-        # 200 steps of 2 inputs and 2 outputs: 802 doubles per candidate
-        budget = 2 * reach._witness_chunk(200, 2, 2) + 1
-        assert budget == 2 * (reach.WITNESS_CHUNK_DOUBLES // 802) + 1
-        assert find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e6), 1.0, budget,
-                                   h=0.005) is None
-        assert calls == [2, 2, 2]
+            sys_ = rs.random_stable_system(rng, 3, 2, 2)
+            x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
+            sets = reach_lti(sys_, x0, ubox, 1.0, 1.0)
+            ts = crossing_spec(np.random.default_rng(seed), sets)
+            w = find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets, h=1.0)
+            assert (w is not None) == grid_crosses(sys_, x0, ubox, ts, 1.0, 1.0, np.eye(3))
+            if w is not None:
+                assert w.step_inputs.shape == (1, 2)
+                assert_replays(w, sys_, x0, ts, 1.0)
+            found.add(w is not None)
+        assert found == {True, False}
 
 
 # --------------------------------------------------------------------------
@@ -1520,7 +1339,7 @@ class TestReachSets:
         np.testing.assert_array_equal(traj.times, np.r_[sets.t0[0], sets.t1])
         assert_matches_stepwise(sys_, x0.ub, plan, t_f, step_h)
         everywhere = transform_spec(rs.PolytopeSpec([[1.0]], [1e3], POLARITY_SAFE), np.zeros(1))
-        w = find_unsafe_witness(sys_, x0, ubox, everywhere, t_f, 1, h=step_h)
+        w = find_unsafe_witness(sys_, x0, ubox, everywhere, t_f, sets, h=step_h)
         assert w.step_inputs.shape == (len(sets), 1)
 
     def test_check_spec_matches_explicit_steps(self, rng):
@@ -1578,7 +1397,7 @@ class TestOutputDimsRefused:
         ts = transform_spec(rs.PolytopeSpec(np.ones((1, 1)), [-1.0], POLARITY_SAFE),
                             np.zeros(1))
         with pytest.raises(rs.ModelError, match="^spec has 1 outputs, the system 2$"):
-            find_unsafe_witness(sys_, rand_box(rng, 3), rand_ubox(rng, 1), ts, 1.0, 4)
+            search(sys_, rand_box(rng, 3), rand_ubox(rng, 1), ts, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -1817,7 +1636,7 @@ class TestReachChunks:
 
 
 # --------------------------------------------------------------------------
-# Memory: reach's orbits and the witness search's chunks stay bounded.
+# Memory: reach's orbits stay bounded.
 
 def traced_peak(call):
     """(result, peak bytes above the start, bytes kept at the end)."""
@@ -1846,30 +1665,9 @@ def test_reach_peak_memory_stays_below_its_input_orbit():
     assert peak < orbit
 
 
-def test_witness_peak_memory_does_not_grow_with_the_budget():
-    # k = 40, 1000 steps, 12 inputs, 4 outputs: no candidate crosses, so
-    # every chunk is simulated; the traced peak stays within the chunk's
-    # doubles budget (plus the initial states, 40 doubles a candidate),
-    # and a budget of 256 peaks no higher than one of 64
-    rng = np.random.default_rng(41)
-    k, m, p = 40, 12, 4
-    sys_ = rs.random_stable_system(rng, k, m, p)
-    x0, ubox = rand_box(rng, k, 6), rand_ubox(rng, m)
-    never = transform_spec(rs.PolytopeSpec(np.eye(p)[:1], [-1e9], POLARITY_SAFE), np.zeros(p))
-    peaks = {}
-    for budget in (64, 256):
-        found, peak, _ = traced_peak(lambda: find_unsafe_witness(
-            sys_, x0, ubox, never, 1.0, budget, h=1e-3))
-        assert found is None
-        peaks[budget] = peak - 8 * k * budget
-    assert reach._witness_chunk(1000, m, p) == 16
-    assert peaks[256] <= 1.05 * peaks[64]
-    assert peaks[256] < 1.5 * 8 * reach.WITNESS_CHUNK_DOUBLES
-
-
 # --------------------------------------------------------------------------
 # The witness search from the grid samples of reach's age table: supports,
-# the optimal candidate and the certificate that no candidate can cross.
+# each predicate's one candidate, and a brute force over grid plans.
 
 @st.composite
 def certificate_cases(draw):
@@ -1891,6 +1689,22 @@ def certificate_cases(draw):
             t_f / draw(st.integers(1, 40)), seed)
 
 
+@st.composite
+def exact_grid_cases(draw):
+    """Like :func:`certificate_cases`, with n <= 4, f <= k free dims (so the
+    initial set is exact), one or two inputs and one to 12 steps."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    f = draw(st.integers(0, k))
+    m, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sys_ = rs.random_stable_system(rng, k, m, p)
+    t_f = draw(st.floats(0.3, 3.0))
+    return (sys_, rng.standard_normal((k, n)), rand_box(rng, n, f), rand_ubox(rng, m), t_f,
+            t_f / draw(st.integers(1, 12)), seed)
+
+
 def crossing_spec(rng, sets):
     """A safe-polarity polytope spec of three random rows whose bounds sit
     within 30% of their largest sample supports, all on one side: the
@@ -1900,6 +1714,32 @@ def crossing_spec(rng, sets):
     top = sets.table.sample_supports(Gamma).max(axis=0)
     Psi = -(top + rng.uniform(-0.3, 0.3) * (np.abs(top) + 1.0))
     return transform_spec(rs.PolytopeSpec(Gamma, Psi, POLARITY_SAFE), np.zeros(p))
+
+
+def grid_crosses(sys_, x0, u_box, ts, t_f, step_h, L):
+    """Whether some vertex of x0 under some grid plan that is constant at a
+    vertex of u_box, or switches once from one vertex to another, meets the
+    witness predicate at a grid sample with margin > 1e-9 of its scale."""
+    steps = int(np.ceil(t_f / step_h - 1e-12))
+    verts = u_box.vertices()
+    plans = [np.broadcast_to(v, (steps, u_box.dim)) for v in verts.T]
+    for a, b in itertools.permutations(verts.T, 2):
+        for s in range(1, steps):
+            plans.append(np.vstack([np.broadcast_to(a, (s, u_box.dim)),
+                                    np.broadcast_to(b, (steps - s, u_box.dim))]))
+    X = x0.vertices()
+    U = np.repeat(np.stack(plans, axis=2), X.shape[1], axis=2)
+    Y = simulate(sys_, L @ np.tile(X, len(plans)), U, t_f, step_h).outputs
+    return bool(ts.witness_margins(np.swapaxes(Y, 1, 2)).max() > 1e-9 * ts.witness_scale)
+
+
+def supports_reach(ts, S):
+    """Whether some sample support S of the witness region's rows reaches the
+    region within 1e-9 of the largest of the support, |Psi| and the spec's
+    witness scale."""
+    Psi = ts.witness_region.Psi
+    tol = 1e-9 * np.maximum(np.maximum(np.abs(S), np.abs(Psi)), ts.witness_scale)
+    return bool(np.any(S + Psi > -tol))
 
 
 class TestWitnessCertificate:
@@ -1926,16 +1766,17 @@ class TestWitnessCertificate:
     def test_trajectories_stay_below_the_sample_supports(self, case):
         # the optimal candidate, box vertices and samples under random and
         # bang-bang grid plans: every row value at every sample is at most
-        # its support, none crosses when the certificate holds, and with
-        # f <= k the optimal candidate attains its support, and crosses
-        # unless the certificate holds
+        # its support, none crosses when no support reaches the region, and
+        # with f <= k the optimal candidate attains its support, and crosses
+        # unless no support reaches the region
         sys_, L, box, ubox, t_f, step_h, seed = case
         rng = np.random.default_rng(seed)
         sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
         ts = crossing_spec(rng, sets)
         Gamma, steps = ts.witness_region.Gamma, len(sets)
         S = sets.table.sample_supports(Gamma)
-        X, plans, ((j, l, top, _),), reaches = reach._optimal_candidates(
+        reaches = supports_reach(ts, S)
+        X, plans, _, ((j, l, top, _),) = reach._candidates(
             sys_, box, ubox, [ts], sets.table, t_f, L)
         X = np.hstack([X, box.vertices()[:, :16], box.sample(rng, 8)])
         draws = rng.random((steps, sys_.m, X.shape[1] - 1))
@@ -1953,47 +1794,84 @@ class TestWitnessCertificate:
 
     @given(certificate_cases())
     def test_certificate_agrees_with_the_search(self, case):
-        # explicit step sets never certify and add no candidate; with reach's
-        # own sets nothing the random search finds is lost, and when no
-        # support reaches the region the search ends after one simulation
+        # the search simulates its one candidate once: when no support
+        # reaches the region it returns None after that one simulation, and
+        # with f <= k, a support that crosses clearly gives a witness after
+        # one re-simulation
         sys_, L, box, ubox, t_f, step_h, seed = case
         rng = np.random.default_rng(seed)
         sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
         ts = crossing_spec(rng, sets)
-
-        def search(**kwargs):
-            return find_unsafe_witness(sys_, box, ubox, ts, t_f, 8, init_map=L,
-                                       seed=seed % 1000, h=step_h, **kwargs)
-
-        plain = search()
-        assert_bit_identical(search(sets=reach.ReachSets.of(list(sets))), plain)
-        calls = []
+        S = sets.table.sample_supports(ts.witness_region.Gamma)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reach, "simulate", lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
-            found = search(sets=sets)
-        if plain is not None:
-            assert found is not None
-        if not reach._optimal_candidates(sys_, box, ubox, [ts], sets.table, t_f, L)[3]:
-            assert found is None and plain is None and calls == [1]
+            calls = counting_simulate(mp)
+            found = find_unsafe_witness(sys_, box, ubox, ts, t_f, sets, init_map=L, h=step_h)
+        assert calls[0] == 1
+        if found is not None:
+            assert_replays(found, sys_, box, ts, t_f, L)
+        if not supports_reach(ts, S):
+            assert found is None and calls == [1]
+        top = float(np.max(S + ts.witness_region.Psi))
+        if box.free_dims().size <= L.shape[0] and top > 1e-6 * (np.abs(S).max() + 1.0):
+            assert found is not None and calls == [1, 0]
 
-    def test_other_predicates_keep_the_search(self, rng):
-        # unsafe-polarity polytopes and ellipsoids have no optimal candidate:
-        # the search with reach's sets is the search without them
+    @given(exact_grid_cases())
+    def test_search_loses_no_grid_witness(self, case):
+        # every box vertex under every constant and one-switch bang-bang
+        # plan on reach's grid: whenever one crosses, the search returns a
+        # witness, and every witness it returns replays
+        sys_, L, box, ubox, t_f, step_h, seed = case
+        sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        ts = crossing_spec(np.random.default_rng(seed), sets)
+        w = find_unsafe_witness(sys_, box, ubox, ts, t_f, sets, init_map=L, h=step_h)
+        if grid_crosses(sys_, box, ubox, ts, t_f, step_h, L):
+            assert w is not None
+        if w is not None:
+            assert_replays(w, sys_, box, ts, t_f, L)
+
+    def test_other_predicates_keep_the_search(self, rng, monkeypatch):
+        # unsafe-polarity polytopes and both ellipsoids take their one
+        # candidate from the sample centers: one simulation of one
+        # candidate, and the same witness on a second call
         for trial in range(6):
             sys_ = rs.random_stable_system(rng, 3, 2, 2)
             x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
             sets = reach_lti(sys_, x0, ubox, 1.0)
-            for ts in four_spec_kinds(rng, 2)[1:]:
-                assert_bit_identical(
-                    find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial, sets=sets),
-                    find_unsafe_witness(sys_, x0, ubox, ts, 1.0, 12, seed=trial))
+            for ts in four_spec_kinds(rng, 2)[1:4]:
+                calls = counting_simulate(monkeypatch)
+                w = find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets)
+                monkeypatch.undo()
+                assert calls[0] == 1 and len(calls) <= 2
+                assert_bit_identical(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets), w)
+
+    def test_two_calls_return_bit_equal_witnesses(self, rng):
+        # nothing is drawn: a family whose candidates cross gives the same
+        # witness, bit for bit, on every call
+        sys_ = rs.random_stable_system(rng, 4, 2, 2)
+        x0, ubox = rand_box(rng, 4, 3), rand_ubox(rng, 2)
+        sets = reach_lti(sys_, x0, ubox, 1.0)
+        specs = [crossing_spec(rng, sets) for _ in range(3)] + [first_y0_spec(-1e3)]
+        first = find_unsafe_witness(sys_, x0, ubox, specs, 1.0, sets)
+        assert first is not None
+        for _ in range(2):
+            again = find_unsafe_witness(sys_, x0, ubox, specs, 1.0, sets)
+            assert_bit_identical(again, first)
+            assert np.array_equal(again.outputs, first.outputs)
+
+    def test_explicit_step_sets_refused(self, rng):
+        # explicit step sets hold no grid samples of the system
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
+        explicit = rs.ReachSets.of(list(reach_lti(sys_, x0, ubox, 1.0)))
+        with pytest.raises(rs.ModelError, match=r"not explicit step sets \(ReachSets.of\)"):
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, explicit)
 
     def test_grid_mismatch_refused(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
         sets = reach_lti(sys_, x0, ubox, 1.0, 0.1)
         with pytest.raises(rs.ModelError, match="step sets hold 10 steps, the witness grid 20"):
-            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, 4, h=0.05, sets=sets)
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, sets, h=0.05)
 
     def test_support_below_a_trajectory_raises(self, rng, monkeypatch):
         # the runtime check of the certificate: supports lowered by one are
@@ -2005,4 +1883,4 @@ class TestWitnessCertificate:
         monkeypatch.setattr(reach._AgeTable, "sample_supports",
                             lambda self, Gamma: exact(self, Gamma) - 1.0)
         with pytest.raises(rs.ModelError, match="above its certified support"):
-            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, 4, sets=sets)
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, sets)

@@ -77,7 +77,7 @@ class TestVerifyLti:
         # step_lh can only refine the default step below t_f / 200, so the
         # coarse step t_f / 15 is put in place of the k-loop's default
         monkeypatch.setattr(verifier, "default_step", lambda t_f, A, lh: t_f / 15)
-        verdict = verify(prob, VerifyOptions(seed=0, witness_budget=16))
+        verdict = verify(prob)
         assert verdict.outcome == INDETERMINATE
         ks = [e.k for e in verdict.per_k_log]
         assert ks == list(range(2, 5))  # k0 = p+1 = 2 .. k_max = n = 4

@@ -475,6 +475,8 @@ def _read_matrix_market(text: str) -> np.ndarray:
     if len(tokens) != 3 * size[2]:
         raise ValueError(f"expected {size[2]} entries, found {len(tokens) / 3:g}")
     entries = np.array(tokens, dtype=float).reshape(-1, 3)
+    if np.any(entries[:, :2] != np.round(entries[:, :2])):
+        raise ValueError("entry indices must be integers")
     i, j = entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1
     if np.any(i < 0) or np.any(i >= rows) or np.any(j < 0) or np.any(j >= cols):
         raise ValueError("entry index out of range")
@@ -551,7 +553,9 @@ def parse_spec_json(obj) -> tuple[SafetyPredicate, ...]:
         raise ManifestError(f"spec is missing required field {exc}") from exc
 
 
-def _load_lti(matrices, base: Path) -> LtiSystem:
+def _load_lti(matrices, base: Path, field: str) -> LtiSystem:
+    if not isinstance(matrices, dict):
+        raise ManifestError(f"{field} must be a JSON object, got {matrices!r}")
     loaded = {}
     for key in ("A", "B", "C"):
         if key not in matrices:
@@ -592,7 +596,7 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
         raise ManifestError(f"manifest is missing required field {exc}") from exc
 
     if kind == "lti":
-        system = _load_lti(doc.get("matrices", {}), base)
+        system = _load_lti(doc.get("matrices", {}), base, "matrices")
         x0 = _parse_box(doc.get("x0", {}), "x0")
         if x0.dim != system.n:
             raise ManifestError(f"x0 has dim {x0.dim}, expected n={system.n}")
@@ -601,9 +605,11 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
     if kind == "pss":
         modes, durations, sets = [], [], []
         for i, mode_doc in enumerate(doc.get("modes", [])):
+            if not isinstance(mode_doc, dict):
+                raise ManifestError(f"mode {i} must be a JSON object, got {mode_doc!r}")
             if "duration" not in mode_doc:
                 raise ManifestError(f"mode {i} is missing required field 'duration'")
-            modes.append(_load_lti(mode_doc.get("matrices", {}), base))
+            modes.append(_load_lti(mode_doc.get("matrices", {}), base, f"mode {i} matrices"))
             durations.append(_number(mode_doc["duration"], f"mode {i} duration"))
             sets.append(_parse_box(mode_doc.get("x0", {}), f"mode {i} x0"))
         system = PssSystem(tuple(modes), tuple(durations), tuple(sets))

@@ -20,21 +20,23 @@ rows of an age table (:class:`_AgeTable`).  Every :class:`ReachSets` is
 one: :func:`reach_lti` returns its own, and explicit step sets become a
 table whose steps are its samples (:meth:`ReachSets.of`).  ``ReachSets[j]``
 assembles step j's generator array only when something reads it
-(safe-region ellipsoids, the hit search on a step that fails its check,
-``reach --format json``).  Polytope rows, unsafe-region ellipsoids and the
-interval output of ``reach`` read each step's spread from the table by one
-pairing rule over per-age row sums, the support-function view of Le
-Guernic & Girard (NAHS 2010).  For order k, p outputs, g0 initial
-generators and r rows a step then costs O(k^2 (1 + g0 + m)) arithmetic to
-build (:func:`reach_lti`) and O(r p (g0 + m)) to check, rather than
-O(r p g_j) over its g_j input columns, with no matrix product per step.
+(safe-region ellipsoids, ``reach --format json``).  Polytope rows,
+unsafe-region ellipsoids and the interval output of ``reach`` read each
+step's spread from the table by one pairing rule over per-age row sums,
+the support-function view of Le Guernic & Girard (NAHS 2010).  For order
+k, p outputs, g0 initial generators and r rows a step then costs
+O(k^2 (1 + g0 + m)) arithmetic to build (:func:`reach_lti`) and
+O(r p (g0 + m)) to check, rather than O(r p g_j) over its g_j input
+columns, with no matrix product per step.
 
-The witness search (:func:`find_unsafe_witness`) reads the same table.
-From a box's image, a box vertex and a bang-bang grid plan attain the
-support of any output direction at any sample, the optimal input of
-simulation-equivalent reachability, so each predicate gets one such
-candidate from the table (:func:`_candidates`) and nothing is drawn at
-random.
+The witness search (:func:`find_unsafe_witness`) reads the same table and
+is the one place that looks for a crossing point.  From a box's image, a
+box vertex and a bang-bang grid plan attain the support of any output
+direction at any sample, the optimal input of simulation-equivalent
+reachability, so each predicate gets one such candidate from the table
+(:func:`_candidates`) and nothing is drawn at random.  :func:`check_spec`
+calls for it only when its own test leaves some step set uncertified clear
+of a witness region.
 """
 
 from __future__ import annotations
@@ -703,13 +705,6 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # Spec checking.
 # --------------------------------------------------------------------------
 
-def _poly_spreads(sets: ReachSets, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sets, rows) arrays of Gamma @ center and of the per-row spread
-    sum_j |(Gamma G)_ij| of each step set: the row values of its points lie
-    in Gc -/+ spread.  Both are read from the table in one expression."""
-    return sets.table.centers @ Gamma.T, sets.table.row_spreads(Gamma)
-
-
 def quad_upper(z: Zonotope, ell: EllipsoidSpec) -> float:
     """Sound upper bound on max over the zonotope of (y-a)^T Q (y-a)."""
     d = z.center - ell.a
@@ -746,76 +741,40 @@ def _quad_lowers(sets: ReachSets, ell: EllipsoidSpec, decided: float) -> np.ndar
     return low
 
 
-def _quad_extreme_point(z: Zonotope, ell: EllipsoidSpec, maximize: bool) -> np.ndarray:
-    """Greedy vertex of the zonotope nearly extremizing the quadratic form."""
-    sign = 1.0 if maximize else -1.0
-    xi = np.zeros(z.order)
-    y = z.center
-    for _ in range(4):
-        grad = z.generators.T @ (ell.Q @ (y - ell.a))
-        xi_new = sign * np.sign(grad)
-        xi_new[xi_new == 0] = 1.0
-        if np.array_equal(xi_new, xi):
-            break
-        xi = xi_new
-        y = z.center + z.generators @ xi
-    return y
+def _certified(sets: ReachSets, reg, inside: bool) -> np.ndarray:
+    """Steps certified inside ``reg``, or outside it: every row of a
+    polytope at most 0 over the step set, or some row above 0 over all of
+    it; an ellipsoid's quad_upper at most R^2, or its _quad_lowers at R^2
+    above R^2.  No region holds no step and clears every one."""
+    if reg is None:
+        return np.full(len(sets), not inside)
+    if isinstance(reg, PolytopeSpec):
+        Gc, s = sets.table.centers @ reg.Gamma.T, sets.table.row_spreads(reg.Gamma)
+        return (np.all(Gc + s + reg.Psi <= 0.0, axis=1) if inside
+                else np.any(Gc - s + reg.Psi > 0.0, axis=1))
+    if inside:
+        return np.array([quad_upper(z.outputs, reg) for z in sets]) <= reg.R ** 2
+    return _quad_lowers(sets, reg, reg.R ** 2) > reg.R ** 2
 
 
 def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
     """Three-way verdict of the step sets against one transformed predicate.
 
-    ``ok`` marks the steps that pass (contained in the shrunk safe region for
-    a safe-polarity source, certainly disjoint from the grown region for an
-    unsafe-polarity one); the steps that fail are searched for a certified
-    hit.  Polytope regions are checked for all steps at once.  A step set's
-    generators are assembled only where they are read: safe-region
-    ellipsoids and the hit search on failing steps."""
-    unsafe = ts.unsafe_region
-    if ts.source_polarity == POLARITY_SAFE:
-        safe = ts.safe_region
-        if safe is None:
-            ok = np.zeros(len(sets), bool)
-        elif isinstance(safe, PolytopeSpec):
-            Gc, s = _poly_spreads(sets, safe.Gamma)
-            ok = np.all(Gc + s + safe.Psi <= 0.0, axis=1)
-        else:
-            ok = np.array([quad_upper(z.outputs, safe) <= safe.R ** 2 for z in sets], bool)
-        failed = np.flatnonzero(~ok)
-        if isinstance(unsafe, PolytopeSpec):
-            # exact: some point of a step set violates a grown row; the
-            # grown rows are the shrunk ones, whose spreads the table keeps
-            Gc, s = _poly_spreads(sets, unsafe.Gamma)
-            hit = bool(np.any(Gc[failed] + s[failed] + unsafe.Psi > 0.0))
-        else:
-            hit = any(unsafe.quad(_quad_extreme_point(sets[j].outputs, unsafe, maximize=True))
-                      > unsafe.R ** 2 for j in failed)
-    elif isinstance(unsafe, PolytopeSpec):
-        Gc, s = _poly_spreads(sets, unsafe.Gamma)
-        ok = np.any(Gc - s + unsafe.Psi > 0.0, axis=1)
-        hit = any(_quad_center_candidate(sets[j].outputs, unsafe) is not None
-                  for j in np.flatnonzero(~ok))
-    else:
-        ok = _quad_lowers(sets, unsafe, unsafe.R ** 2) > unsafe.R ** 2
-        hit = any(unsafe.quad(_quad_extreme_point(sets[j].outputs, unsafe, maximize=False))
-                  <= unsafe.R ** 2 for j in np.flatnonzero(~ok))
+    ``ok`` marks the steps that pass: contained in the shrunk safe region
+    for a safe-polarity source, certainly disjoint from the grown region for
+    an unsafe-polarity one.  The same test on the witness region (the grown
+    safe set, met by leaving it, or the shrunk forbidden region) marks the
+    steps that keep every point out of it.  The step sets hold every grid
+    sample, so when each failing step does, no trajectory the witness search
+    simulates can meet it and the verdict is Indeterminate; otherwise it is
+    MaybeUnsafe.  Only safe-region ellipsoids assemble step sets
+    (:func:`quad_upper`)."""
+    inside = ts.source_polarity == POLARITY_SAFE
+    ok = _certified(sets, ts.safe_region if inside else ts.unsafe_region, inside)
     if np.all(ok):
         return SAFE
-    return MAYBE_UNSAFE if hit else INDETERMINATE
-
-
-def _quad_center_candidate(z: Zonotope, poly: PolytopeSpec) -> np.ndarray | None:
-    """A concrete point of the zonotope inside the polytope, if one of a few
-    cheap candidates qualifies."""
-    cands = [z.center]
-    if z.order:
-        worst = poly.Gamma @ z.generators
-        xi = -np.sign(worst[np.argmax(poly.margins(z.center))])
-        cands.append(z.center + z.generators @ xi)
-    for y in cands:
-        if np.all(poly.margins(y) <= 0.0):
-            return y
-    return None
+    clear = _certified(sets, ts.witness_region, inside)
+    return INDETERMINATE if np.all(ok | clear) else MAYBE_UNSAFE
 
 
 def _check_outputs(specs: Sequence[TransformedSpec], p: int, what: str) -> None:
@@ -835,8 +794,10 @@ def check_spec(steps: Sequence[ReachStep],
     Safe requires every predicate to pass on every step set (containment in
     the shrunk safe region for safe-polarity sources, certified disjointness
     from the grown region for unsafe-polarity ones).  Over-approximate reach
-    sets cannot prove unsafety, so a certified intersection only yields
-    MaybeUnsafe.
+    sets cannot prove unsafety: a predicate that fails is MaybeUnsafe unless
+    the same test certifies every failing step clear of its witness region,
+    and Indeterminate then, since no witness search can succeed.  Only a
+    simulated witness (:func:`find_unsafe_witness`) decides Unsafe.
     """
     if isinstance(transformed, TransformedSpec):
         transformed = [transformed]

@@ -357,6 +357,26 @@ class TestVerifyCmd:
         assert main(["verify", str(path)]) == 3
         assert f"error: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrices", [["A"], "A"])
+    def test_non_object_matrices_exits_three(self, tmp_path, capsys, matrices):
+        # a matrices field of another JSON type is refused by name
+        path = tmp_path / "g.json"
+        assert main(["gen", "-n", "4", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["matrices"] = matrices
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 3
+        assert "error: matrices must be a JSON object" in capsys.readouterr().err
+
+    def test_non_object_mode_exits_three(self, tmp_path, capsys):
+        path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
+        doc = json.loads(path.read_text())
+        doc["modes"] = ["duration"]
+        path.write_text(json.dumps(doc))
+        assert main(["verify-pss", str(path)]) == 3
+        assert "mode 0 must be a JSON object, got 'duration'" in capsys.readouterr().err
+
     def test_mode_without_duration_exits_three(self, tmp_path, capsys):
         path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
         doc = json.loads(path.read_text())

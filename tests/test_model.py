@@ -342,6 +342,8 @@ def test_scipy_written_files_load_as_scipy_reads_them(tmp_path):
     ("%%MatrixMarket matrix array real skew-symmetric\n2 2\n1.0\n", "'skew-symmetric'"),
     ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", "expected 4 values"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "out of range"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 2 3.0\n",
+     "indices must be integers"),
     ("1 1\n1.0\n", "not a MatrixMarket matrix header"),
 ])
 def test_unsupported_matrix_files_raise_manifest_error(tmp_path, text, reason):

@@ -12,7 +12,7 @@ from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
 from redsafe.reach import (INDETERMINATE, MAYBE_UNSAFE, SAFE, Zonotope,
                            _transition, check_spec,
                            find_unsafe_witness, reach_lti, simulate)
-from redsafe.spectransform import transform_spec
+from redsafe.spectransform import ellipsoid_margin, transform_spec
 
 from conftest import batch_trajectories, rand_box, rand_ubox
 
@@ -580,18 +580,21 @@ class TestBatchedSimulate:
             simulate(sys_, np.array([[1.0, 0.0]]), None, 20.0, 0.1)
 
 
-def four_spec_kinds(rng, p):
+def four_spec_kinds(rng, p, delta_max=0.1):
     """One transformed spec per kind: polytope and ellipsoid, each with safe
-    and unsafe polarity, plus an unsafe ellipsoid with an empty witness region."""
+    and unsafe polarity, plus an unsafe ellipsoid with an empty witness
+    region, its radius half the radius margin of Q at delta; each entry of
+    delta is drawn below ``delta_max``."""
     Q = rng.standard_normal((p, p))
     Q = Q @ Q.T + np.eye(p)
     Gamma = rng.standard_normal((3, p))
-    delta = rng.uniform(0.0, 0.1, p)
+    delta = rng.uniform(0.0, delta_max, p)
     specs = [rs.PolytopeSpec(Gamma, rng.uniform(-2, -0.5, 3), POLARITY_SAFE),
              rs.PolytopeSpec(Gamma, rng.uniform(-0.5, 1.0, 3), POLARITY_UNSAFE),
              rs.EllipsoidSpec(Q, rng.uniform(-0.5, 0.5, p), 1.5, POLARITY_SAFE),
-             rs.EllipsoidSpec(Q, rng.uniform(-1.5, 1.5, p), 0.7, POLARITY_UNSAFE),
-             rs.EllipsoidSpec(Q, np.zeros(p), 0.01, POLARITY_UNSAFE)]
+             rs.EllipsoidSpec(Q, rng.uniform(-1.5, 1.5, p), 0.7, POLARITY_UNSAFE)]
+    specs.append(rs.EllipsoidSpec(Q, np.zeros(p), 0.5 * ellipsoid_margin(specs[2], delta)[0],
+                                  POLARITY_UNSAFE))
     out = [transform_spec(s, delta) for s in specs]
     assert out[-1].witness_region is None
     return out
@@ -737,8 +740,10 @@ class TestBatchedWitness:
 
 def naive_check_polytope(steps, ts, events):
     """Verdict of step sets against a polytope TransformedSpec, each region's
-    row bounds computed on their own; counts steps that leave the safe region
-    and steps that certainly hit the unsafe rows in ``events``."""
+    row bounds computed on their own: MaybeUnsafe when some step that fails
+    its check is not certified clear of the witness region by the same row
+    test.  Counts failing steps and failing steps left uncleared in
+    ``events``."""
     def rows(z, spec, sign):
         spread = np.sum(np.abs(spec.Gamma @ z.generators), axis=1)
         return spec.Gamma @ z.center + sign * spread + spec.Psi
@@ -749,23 +754,22 @@ def naive_check_polytope(steps, ts, events):
         if ts.source_polarity == POLARITY_SAFE:
             if np.all(rows(z, ts.safe_region, 1.0) <= 0.0):
                 continue
-            events["uncontained"] += 1
-            all_ok = False
-            if np.any(rows(z, ts.unsafe_region, 1.0) > 0.0):
-                events["hit"] += 1
-                hit = True
+            uncleared = np.any(rows(z, ts.witness_region, 1.0) > 0.0)
         elif not np.any(rows(z, ts.unsafe_region, -1.0) > 0.0):
-            events["uncontained"] += 1
-            all_ok = False
-            if reach._quad_center_candidate(z, ts.unsafe_region) is not None:
-                events["hit"] += 1
-                hit = True
+            uncleared = not np.any(rows(z, ts.witness_region, -1.0) > 0.0)
+        else:
+            continue
+        events["uncontained"] += 1
+        all_ok = False
+        if uncleared:
+            events["uncleared"] += 1
+            hit = True
     return SAFE if all_ok else (MAYBE_UNSAFE if hit else INDETERMINATE)
 
 
 class TestSharedSpread:
     def test_matches_per_region_reference(self, rng):
-        events = {"uncontained": 0, "hit": 0}
+        events = {"uncontained": 0, "uncleared": 0}
         verdicts = set()
         for trial in range(60):
             p, r = int(rng.integers(1, 4)), int(rng.integers(1, 5))
@@ -781,7 +785,7 @@ class TestSharedSpread:
             assert check_spec(steps, ts) == expected
             verdicts.add(expected)
         assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
-        assert events["uncontained"] > events["hit"] > 0
+        assert events["uncontained"] > events["uncleared"] > 0
 
     def test_regions_with_different_rows(self, rng):
         # a hand-built spec whose unsafe rows differ from its safe rows gets
@@ -794,7 +798,7 @@ class TestSharedSpread:
         z = Zonotope(np.array([2.0, 0.0]), 0.1 * np.eye(2))   # outside safe, y1 < 1
         steps = [rs.ReachStep(0.0, 1.0, z)]
         assert check_spec(steps, ts) == naive_check_polytope(
-            steps, ts, {"uncontained": 0, "hit": 0}) == INDETERMINATE
+            steps, ts, {"uncontained": 0, "uncleared": 0}) == INDETERMINATE
 
 
 # --------------------------------------------------------------------------
@@ -810,7 +814,7 @@ def assert_table_spreads(sets, Gamma):
     """Each step's row spread as check_spec reads it (from the age table for
     its rows) equals sum |Gamma G| over its assembled generators within
     1e-12 of their scale."""
-    _, spreads = reach._poly_spreads(sets, Gamma)
+    spreads = sets.table.row_spreads(Gamma)
     assert len(spreads) == len(sets)
     for step, spread in zip(sets, spreads):
         direct = np.sum(np.abs(Gamma @ step.outputs.generators), axis=1)
@@ -852,7 +856,7 @@ def polytope_specs(rng, steps, p):
 
 class TestTableSpread:
     def test_check_spec_matches_assembled_reference(self, rng):
-        events = {"uncontained": 0, "hit": 0}
+        events = {"uncontained": 0, "uncleared": 0}
         verdicts = set()
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
             ref = naive_reach(sys_, x0, ubox, t_f, step_h)
@@ -1011,8 +1015,8 @@ class TestExactInitialSet:
         assert [(s.t0, s.t1) for s in exact] == [(s.t0, s.t1) for s in hull]
         Gamma = np.vstack([np.eye(sys_.p),
                            np.random.default_rng(L.size).standard_normal((3, sys_.p))])
-        Gc_e, spread_e = reach._poly_spreads(exact, Gamma)
-        Gc_h, spread_h = reach._poly_spreads(hull, Gamma)
+        Gc_e, spread_e = exact.table.centers @ Gamma.T, exact.table.row_spreads(Gamma)
+        Gc_h, spread_h = hull.table.centers @ Gamma.T, hull.table.row_spreads(Gamma)
         scale = np.abs(Gc_h) + spread_h
         assert np.all(np.abs(Gc_e - Gc_h) + spread_e <= spread_h + 1e-12 * scale)
         assert np.all(exact.table.balls
@@ -1041,7 +1045,7 @@ class TestExactInitialSet:
         h_sim = step_h / 3
         out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, bang_bang, t_f, h_sim)
         Gamma = np.vstack([np.eye(sys_.p), -np.eye(sys_.p), rng.standard_normal((4, sys_.p))])
-        Gc, spread = reach._poly_spreads(sets, Gamma)
+        Gc, spread = sets.table.centers @ Gamma.T, sets.table.row_spreads(Gamma)
         for idx in range(out.shape[0]):
             t = idx * h_sim
             if t > t_f * (1 + 1e-12):
@@ -1077,13 +1081,13 @@ def random_ellipsoid(rng, p, a, R=1.0):
 
 def naive_check_ellipsoid(steps, ts):
     """check_spec against one unsafe-polarity ellipsoid, one step at a time
-    on assembled generators."""
-    ell, R2 = ts.unsafe_region, ts.unsafe_region.R ** 2
+    on assembled generators: MaybeUnsafe when some failing step's lower
+    bound does not clear the witness region (the shrunk ellipsoid)."""
+    ell, R2, wit = ts.unsafe_region, ts.unsafe_region.R ** 2, ts.witness_region
     failed = [s.outputs for s in steps if not quad_lower(s.outputs, ell) > R2]
     if not failed:
         return SAFE
-    hit = any(ell.quad(reach._quad_extreme_point(z, ell, maximize=False)) <= R2
-              for z in failed)
+    hit = wit is not None and any(not quad_lower(z, wit) > wit.R ** 2 for z in failed)
     return MAYBE_UNSAFE if hit else INDETERMINATE
 
 
@@ -1117,8 +1121,11 @@ class TestTableEllipsoid:
                                        + rng.uniform(-0.5, 0.5, p))
                 lows = [quad_lower(s.outputs, ell) for s in ref]
                 hi = max(reach.quad_upper(s.outputs, ell) for s in ref)
-                for R2 in (0.5 * min(lows), min(lows) + 0.5 * (max(lows) - min(lows)),
-                           max(lows) + 0.1 * hi, 2.0 * hi):
+                # at R^2 = min(lows) every failing step clears the shrunk
+                # ellipsoid: Indeterminate
+                for R2 in (0.5 * min(lows), min(lows),
+                           min(lows) + 0.5 * (max(lows) - min(lows)), max(lows) + 0.1 * hi,
+                           2.0 * hi):
                     if not R2 > 0:
                         continue
                     spec = rs.EllipsoidSpec(ell.Q, ell.a, np.sqrt(R2), POLARITY_UNSAFE)
@@ -1716,10 +1723,10 @@ def crossing_spec(rng, sets):
     return transform_spec(rs.PolytopeSpec(Gamma, Psi, POLARITY_SAFE), np.zeros(p))
 
 
-def grid_crosses(sys_, x0, u_box, ts, t_f, step_h, L):
-    """Whether some vertex of x0 under some grid plan that is constant at a
-    vertex of u_box, or switches once from one vertex to another, meets the
-    witness predicate at a grid sample with margin > 1e-9 of its scale."""
+def grid_margin(sys_, x0, u_box, ts, t_f, step_h, L):
+    """The largest witness margin that a vertex of x0 meets at a grid sample
+    under a grid plan that is constant at a vertex of u_box, or switches
+    once from one vertex to another."""
     steps = int(np.ceil(t_f / step_h - 1e-12))
     verts = u_box.vertices()
     plans = [np.broadcast_to(v, (steps, u_box.dim)) for v in verts.T]
@@ -1730,7 +1737,13 @@ def grid_crosses(sys_, x0, u_box, ts, t_f, step_h, L):
     X = x0.vertices()
     U = np.repeat(np.stack(plans, axis=2), X.shape[1], axis=2)
     Y = simulate(sys_, L @ np.tile(X, len(plans)), U, t_f, step_h).outputs
-    return bool(ts.witness_margins(np.swapaxes(Y, 1, 2)).max() > 1e-9 * ts.witness_scale)
+    return float(ts.witness_margins(np.swapaxes(Y, 1, 2)).max())
+
+
+def grid_crosses(sys_, x0, u_box, ts, t_f, step_h, L):
+    """Whether some grid plan of :func:`grid_margin` meets the witness
+    predicate with margin > 1e-9 of its scale."""
+    return grid_margin(sys_, x0, u_box, ts, t_f, step_h, L) > 1e-9 * ts.witness_scale
 
 
 def supports_reach(ts, S):
@@ -1884,3 +1897,75 @@ class TestWitnessCertificate:
                             lambda self, Gamma: exact(self, Gamma) - 1.0)
         with pytest.raises(rs.ModelError, match="above its certified support"):
             find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, sets)
+
+
+# --------------------------------------------------------------------------
+# check_spec's gate on the witness search: the test it runs, applied to
+# each predicate's witness region.
+
+class TestWitnessGate:
+    @given(exact_grid_cases())
+    def test_indeterminate_leaves_no_grid_witness(self, case):
+        # every predicate kind, with deltas up to 0.5 so that every verdict
+        # occurs: a Safe or Indeterminate check leaves every box vertex
+        # under every constant and one-switch bang-bang grid plan with no
+        # witness margin above the search's bar, and an Indeterminate one
+        # leaves the search nothing to find
+        sys_, L, box, ubox, t_f, step_h, seed = case
+        sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        for ts in four_spec_kinds(np.random.default_rng(seed), sys_.p, delta_max=0.5):
+            verdict = check_spec(sets, ts)
+            if verdict != MAYBE_UNSAFE:
+                assert not grid_crosses(sys_, box, ubox, ts, t_f, step_h, L)
+            if verdict == INDETERMINATE:
+                assert find_unsafe_witness(sys_, box, ubox, ts, t_f, sets, init_map=L,
+                                           h=step_h) is None
+
+    def test_empty_shrunk_ellipsoid_is_indeterminate_without_search(self, monkeypatch):
+        # a forbidden ellipsoid smaller than its radius margin has no
+        # witness region: a step set on it is Indeterminate, and verify
+        # never searches
+        ts = transform_spec(rs.EllipsoidSpec(np.eye(2), np.zeros(2), 0.01, POLARITY_UNSAFE),
+                            np.full(2, 0.1))
+        assert ts.witness_region is None
+        steps = [rs.ReachStep(0.0, 1.0, Zonotope(np.zeros(2), 0.05 * np.eye(2)))]
+        assert check_spec(steps, ts) == INDETERMINATE
+
+        prob = rs.random_problem(3, n=5, m=1, p=2, free_dims=3)
+        center = simulate(prob.system, prob.x0.center, prob.inputs.center, prob.t_f)
+        forb = rs.EllipsoidSpec(np.eye(2), center.outputs[len(center.times) // 2], 1e-9,
+                                POLARITY_UNSAFE)
+        prob = rs.VerificationProblem(prob.system, prob.x0, prob.inputs, (forb,), prob.t_f)
+        calls = []
+        monkeypatch.setattr(verifier, "find_unsafe_witness",
+                            lambda *args, **kwargs: calls.append(1))
+        verdict = verifier.verify(prob, verifier.VerifyOptions(k_max=4))
+        assert verdict.outcome == INDETERMINATE and calls == []
+        assert [e.outcome for e in verdict.per_k_log] == [INDETERMINATE] * 2
+
+    def test_safe_ellipsoid_between_its_regions_is_indeterminate(self):
+        # a step set inside the grown safe ellipsoid but not inside the
+        # shrunk one stays clear of the witness region, the outside of the
+        # grown one; below a smaller grown radius it is MaybeUnsafe
+        z = Zonotope(np.zeros(2), 0.1 * np.eye(2))
+        steps = [rs.ReachStep(0.0, 1.0, z)]
+        for R, verdict in ((np.sqrt(0.02), INDETERMINATE), (0.1, MAYBE_UNSAFE)):
+            ts = transform_spec(rs.EllipsoidSpec(np.eye(2), np.zeros(2), R, POLARITY_SAFE),
+                                np.full(2, 0.005))
+            upper = reach.quad_upper(z, ts.safe_region)
+            assert ts.safe_region.R ** 2 < upper == pytest.approx(0.02)
+            assert (upper <= ts.unsafe_region.R ** 2) == (verdict == INDETERMINATE)
+            assert check_spec(steps, ts) == verdict
+
+    def test_ellipsoid_regions_of_another_center_get_their_own_bound(self):
+        # a hand-built unsafe-polarity spec whose witness ellipsoid is
+        # centered elsewhere is tested on its own: a step set on the
+        # forbidden ellipsoid that clears the witness one is Indeterminate,
+        # one that meets it MaybeUnsafe
+        forb = rs.EllipsoidSpec(np.eye(2), np.zeros(2), 1.0, POLARITY_UNSAFE)
+        steps = [rs.ReachStep(0.0, 1.0, Zonotope(np.zeros(2), 0.1 * np.eye(2)))]
+        for a, verdict in (([5.0, 0.0], INDETERMINATE), ([0.2, 0.0], MAYBE_UNSAFE)):
+            wit = rs.EllipsoidSpec(np.eye(2), np.array(a), 0.5, POLARITY_UNSAFE)
+            ts = rs.TransformedSpec(source=forb, safe_region=None, unsafe_region=forb,
+                                    witness_region=wit, delta_used=np.zeros(2), Delta=0.0)
+            assert check_spec(steps, ts) == verdict

@@ -247,6 +247,25 @@ class TestUnsafePolaritySpecs:
         assert verdict.witness is not None
 
 
+    def test_forbidden_ellipsoid_uncleared_step_sets_are_searched(self):
+        # the step sets are not certified clear of the shrunk ellipsoid at
+        # k = 5, so the search runs and finds a witness that, replayed on the
+        # full-order system at a fifth of its step, enters the ellipsoid
+        prob = rs.random_problem(9, 6, 2, 2, free_dims=6)
+        forb = rs.EllipsoidSpec(np.eye(2) / 0.42586267076342627 ** 2,
+                                [-0.07408381891404858, -0.05377992449426636], 1.0,
+                                POLARITY_UNSAFE)
+        prob = rs.VerificationProblem(prob.system, prob.x0, prob.inputs, (forb,), prob.t_f)
+        verdict = verify(prob)
+        assert (verdict.outcome, verdict.k_used) == (UNSAFE, 5)
+        w = verdict.witness
+        steps, h = w.step_inputs.shape[0], prob.t_f / w.step_inputs.shape[0] / 5
+        fine_steps = int(np.ceil(prob.t_f / h - 1e-12))
+        plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 5, steps - 1)]
+        d = rs.simulate(prob.system, w.init_state, plan, prob.t_f, h).outputs - forb.a
+        assert np.min(np.sum((d @ forb.Q) * d, axis=1)) < forb.R ** 2
+
+
 #: (outcome, k_used) of ``random_problem(seed, n, m, p, free_dims=f,
 #: spec_scale=c)`` under the default VerifyOptions, per (n, m, p, f, c) and
 #: seed, as the witness search gave them while it drew random candidates

@@ -214,9 +214,9 @@ def cmd_transform_spec(args) -> int:
     if not path.is_file():
         raise ManifestError(f"transform-spec input not found: {path}")
     try:
-        doc_in = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"transform-spec input is not valid JSON: {exc}") from exc
+        doc_in = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise ManifestError(f"transform-spec input {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc_in, dict) or "spec" not in doc_in or "delta" not in doc_in:
         raise ManifestError("transform-spec input needs 'spec' and 'delta' fields")
     specs = parse_spec_json(doc_in["spec"])

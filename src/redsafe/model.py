@@ -560,6 +560,8 @@ def _load_lti(matrices, base: Path, field: str) -> LtiSystem:
     for key in ("A", "B", "C"):
         if key not in matrices:
             raise ManifestError(f"manifest is missing matrix path for {key!r}")
+        if not isinstance(matrices[key], str):
+            raise ManifestError(f"{field} {key} must be a file path, got {matrices[key]!r}")
         loaded[key] = load_matrix(base / matrices[key])
     A, B, C = loaded["A"], loaded["B"], loaded["C"]
     n = A.shape[0]
@@ -578,16 +580,18 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
     if not path.is_file():
         raise ManifestError(f"manifest file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported format_version {version}")
     base = path.parent
-    kind = doc.get("type")
+    kind, name = doc.get("type"), doc.get("name", path.stem)
+    if not isinstance(name, str):
+        raise ManifestError(f"name must be a string, got {name!r}")
     try:
         spec = parse_spec_json(doc["spec"])
         inputs = _parse_box(doc["input"], "input")
@@ -601,10 +605,13 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
         if x0.dim != system.n:
             raise ManifestError(f"x0 has dim {x0.dim}, expected n={system.n}")
         return VerificationProblem(system=system, x0=x0, inputs=inputs, spec=spec,
-                                   t_f=t_f, name=doc.get("name", path.stem))
+                                   t_f=t_f, name=name)
     if kind == "pss":
         modes, durations, sets = [], [], []
-        for i, mode_doc in enumerate(doc.get("modes", [])):
+        mode_docs = doc.get("modes", [])
+        if not isinstance(mode_docs, list):
+            raise ManifestError(f"modes must be a JSON list, got {mode_docs!r}")
+        for i, mode_doc in enumerate(mode_docs):
             if not isinstance(mode_doc, dict):
                 raise ManifestError(f"mode {i} must be a JSON object, got {mode_doc!r}")
             if "duration" not in mode_doc:
@@ -614,7 +621,7 @@ def parse_problem(manifest_path: str | Path) -> VerificationProblem:
             sets.append(_parse_box(mode_doc.get("x0", {}), f"mode {i} x0"))
         system = PssSystem(tuple(modes), tuple(durations), tuple(sets))
         return VerificationProblem(system=system, x0=None, inputs=inputs, spec=spec,
-                                   t_f=t_f, name=doc.get("name", path.stem))
+                                   t_f=t_f, name=name)
     raise ManifestError(f"manifest type must be 'lti' or 'pss', got {kind!r}")
 
 

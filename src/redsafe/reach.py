@@ -1,10 +1,10 @@
 """Zonotope reachability for low-order LTI systems, exact piecewise-constant
 simulation, spec checking and unsafe-witness search.
 
-Reach, simulation and the witness search step on one grid
-(:func:`_time_grid`), so the step sets and the simulated witnesses sample
-the same instants, as in simulation-equivalent reachability (Bak &
-Duggirala, CAV 2017).
+Reach and simulation step on one grid (:func:`_time_grid`), and the
+witness search reads its horizon and step from reach's step sets, so the
+step sets and the simulated witnesses sample the same instants, as in
+simulation-equivalent reachability (Bak & Duggirala, CAV 2017).
 
 Reach samples the exact sets X_{j+1} = e^{Ah} X_j + V_input of a
 constant-per-step input at the grid points.  Each step set is the
@@ -16,9 +16,8 @@ continuous-time output reach set over [0, t_f].
 By superposition sample j holds the input columns {e^{Aah} G_in : a < j}
 (Girard, Le Guernic & Maler, HSCC 2006), so one orbit gives every sample's
 output center, initial-generator images and input images of one age, the
-rows of an age table (:class:`_AgeTable`).  Every :class:`ReachSets` is
-one: :func:`reach_lti` returns its own, and explicit step sets become a
-table whose steps are its samples (:meth:`ReachSets.of`).  ``ReachSets[j]``
+rows of the age table (:class:`_AgeTable`) of the :class:`ReachSets` that
+:func:`reach_lti` returns, the only step sets there are.  ``ReachSets[j]``
 assembles step j's generator array only when something reads it
 (safe-region ellipsoids, ``reach --format json``).  Polytope rows,
 unsafe-region ellipsoids and the interval output of ``reach`` read each
@@ -112,36 +111,33 @@ class _AgeTable:
     Row i of ``Y`` (samples, p, 1 + g0 + m) is sample i: its output center
     C c_i, the images C H_i of the g0 initial generators and the images
     C M_i of the m input columns of age i; sample i holds the ages below i.
-    Step j is the hull of samples j and j' = j + span, span = samples - steps:
-    1 from :func:`reach_lti`, whose N steps join N + 1 samples, and 0 for
-    explicit step sets (:meth:`ReachSets.of`), each its own sample with its
-    generators as initial columns and no input ages.  ``balls`` holds each
-    step's ball radius, ``C_rows`` the row norms of C and ``centers`` each
-    step's center, the middle of its samples' centers.  ``channels`` holds
-    the input channel of each of the m columns of an age; it is None for
-    explicit step sets, whose rows are no grid samples of one system.
+    Step j is the hull of samples j and j + 1, so N steps join N + 1
+    samples.  ``balls`` holds each step's ball radius, ``C_rows`` the row
+    norms of C, ``centers`` each step's center, the middle of its samples'
+    centers, and ``gaps`` half their difference.  ``channels`` holds the
+    input channel of each of the m columns of an age.
 
     Every reader pairs the columns of a step's two samples by one rule: the
     center with the center, each initial generator with itself, and each
-    input column of age a in sample j' with itself at age a - span in sample
-    j (a newest one with 0).  A pair x, x' spans the hull generators
+    input column of age a in sample j + 1 with itself at age a - 1 in sample
+    j (the newest one with 0).  A pair x, x' spans the hull generators
     (x + x') / 2 and (x - x') / 2 (Girard, HSCC 2005), whose spread along a
     row l, |l(x + x')| / 2 + |l(x - x')| / 2, is max(|l x|, |l x'|); the
     center pair's is |l(c_j - c_j')| / 2.
     """
 
-    def __init__(self, Y, balls, C_rows, channels: np.ndarray | None = None):
-        self.m = 0 if channels is None else channels.size
-        self.span = Y.shape[0] - balls.size
+    def __init__(self, Y, balls, C_rows, channels: np.ndarray):
+        self.m = channels.size
         self.g0 = Y.shape[2] - 1 - self.m
-        centers = (Y[:balls.size, :, 0] + Y[self.span:, :, 0]) / 2.0
+        centers = (Y[:-1, :, 0] + Y[1:, :, 0]) / 2.0
+        gaps = (Y[:-1, :, 0] - Y[1:, :, 0]) / 2.0
         # the step sets hand out views of these arrays: read-only, so that
         # an in-place change to one step's set raises instead of changing
         # every later check of the table
-        for a in (Y, balls, C_rows, centers):
+        for a in (Y, balls, C_rows, centers, gaps):
             a.flags.writeable = False
         self.Y, self.balls, self.C_rows, self.centers = Y, balls, C_rows, centers
-        self.channels = channels
+        self.gaps, self.channels = gaps, channels
         self._spreads: dict = {}
 
     def _along(self, V: np.ndarray, samples: int | None = None) -> np.ndarray:
@@ -172,7 +168,7 @@ class _AgeTable:
         (x - x') / 2 of the initial and input columns, the input columns
         oldest first, and the image of the state-space 2-ball, per-output
         radius ball ||C_i||_2."""
-        g0, span, k = self.g0, self.span, j + self.span
+        g0, k = self.g0, j + 1
         x, x2, ball = self.Y[j], self.Y[k], float(self.balls[j])
         p = x.shape[0]
         # the array is allocated before the blocks are computed: allocated
@@ -180,10 +176,10 @@ class _AgeTable:
         G = np.empty((p, 1 + 2 * (g0 + k * self.m) + (p if ball > 0 else 0)))
         later = self.Y[:k, :, 1 + g0:][::-1].transpose(1, 0, 2).reshape(p, -1)
         earlier = np.zeros_like(later)
-        earlier[:, :later.shape[1] - span * self.m] = later[:, span * self.m:]
+        earlier[:, :later.shape[1] - self.m] = later[:, self.m:]
         balls = np.diag(ball * self.C_rows) if ball > 0 else np.zeros((p, 0))
         H, H2 = x[:, 1:1 + g0], x2[:, 1:1 + g0]
-        return np.concatenate([(x[:, :1] - x2[:, :1]) / 2.0, (H + H2) / 2.0,
+        return np.concatenate([self.gaps[j][:, None], (H + H2) / 2.0,
                                (earlier + later) / 2.0, (H - H2) / 2.0,
                                (earlier - later) / 2.0, balls], axis=1, out=G)
 
@@ -193,9 +189,7 @@ class _AgeTable:
         C_rows (the spread of its ball)."""
         key = (Gamma.shape, Gamma.tobytes())
         if key not in self._spreads:
-            steps, Y, span = self.balls.size, self.Y, self.span
-            gaps = (Y[:steps, :, 0] - Y[span:, :, 0]) / 2.0
-            spreads = _abs(gaps @ Gamma.T) + self._column_spreads(self._along(Gamma), span).T \
+            spreads = _abs(self.gaps @ Gamma.T) + self._column_spreads(self._along(Gamma), 1).T \
                 + self.balls[:, None] * (np.abs(Gamma) @ self.C_rows)
             spreads.flags.writeable = False
             self._spreads[key] = spreads
@@ -206,13 +200,12 @@ class _AgeTable:
         row, by the pairing rule plus ball_j |v| C_rows.  The column spreads
         are built for ``_DIRECTION_CHUNK`` rows at a time, over the samples
         the latest row of the chunk reads."""
-        Y, span = self.Y, self.span
-        gaps = (Y[rows, :, 0] - Y[rows + span, :, 0]) / 2.0
-        spreads = np.abs(np.sum(V * gaps, axis=1)) + self.balls[rows] * (np.abs(V) @ self.C_rows)
+        spreads = np.abs(np.sum(V * self.gaps[rows], axis=1)) \
+            + self.balls[rows] * (np.abs(V) @ self.C_rows)
         for start in range(0, rows.size, _DIRECTION_CHUNK):
             chunk = slice(start, start + _DIRECTION_CHUNK)
-            P = self._along(V[chunk], int(rows[chunk].max()) + 1 + span)
-            cols = self._column_spreads(P, span)
+            P = self._along(V[chunk], int(rows[chunk].max()) + 2)
+            cols = self._column_spreads(P, 1)
             spreads[chunk] += cols[np.arange(cols.shape[0]), rows[chunk]]
         return spreads
 
@@ -242,38 +235,15 @@ class ReachStep:
 
 
 class ReachSets(Sequence):
-    """Output reach sets, one per step: ``t0`` and ``t1`` hold every step's
-    interval, and the steps are the rows of ``table``.  Indexing assembles a
-    :class:`ReachStep` on demand and keeps nothing; a slice returns a list.
-    :func:`check_spec` reads the table's rows without assembling them."""
+    """The output reach sets of :func:`reach_lti`, one per step: ``t0`` and
+    ``t1`` hold every step's interval, and the steps are the rows of
+    ``table``, which the spec check and the witness search read.  Indexing
+    assembles a :class:`ReachStep` on demand and keeps nothing; a slice
+    returns a list."""
 
     def __init__(self, t0, t1, table: _AgeTable):
         self.t0, self.t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
         self.table = table
-
-    @classmethod
-    def of(cls, steps: Sequence[ReachStep]) -> "ReachSets":
-        """Explicit step sets as an age table of span 0 with no input ages
-        and zero balls: row j holds step j's center and its generators,
-        zero-padded to the widest; a ReachSets is returned as it is.  No step
-        sets at all, or step sets of different output dims, is a
-        ModelError: no verdict holds over them."""
-        if isinstance(steps, ReachSets):
-            return steps
-        steps = list(steps)
-        zs = [s.outputs for s in steps]
-        if not zs:
-            raise ModelError("no step sets to check")
-        p = zs[0].dim
-        for z in zs:
-            if z.dim != p:
-                raise ModelError(f"step sets have {p} and {z.dim} outputs")
-        Y = np.zeros((len(zs), p, 1 + max(z.order for z in zs)))
-        for row, z in zip(Y, zs):
-            row[:, 0] = z.center
-            row[:, 1:1 + z.order] = z.generators
-        table = _AgeTable(Y, np.zeros(len(zs)), np.zeros(p))
-        return cls([s.t0 for s in steps], [s.t1 for s in steps], table)
 
     def __len__(self) -> int:
         return self.t0.size
@@ -784,12 +754,12 @@ def _check_outputs(specs: Sequence[TransformedSpec], p: int, what: str) -> None:
             raise ModelError(f"spec has {ts.source.p} outputs, {what} {p}")
 
 
-def check_spec(steps: Sequence[ReachStep],
+def check_spec(sets: ReachSets,
                transformed: TransformedSpec | Sequence[TransformedSpec]) -> str:
-    """Safe / MaybeUnsafe / Indeterminate verdict of step sets against the
-    transformed spec family; explicit step sets are read as an age table
-    (:meth:`ReachSets.of`).  No step sets, and a predicate over another
-    number of outputs than the step sets', is a ModelError.
+    """Safe / MaybeUnsafe / Indeterminate verdict of the step sets of
+    :func:`reach_lti` against the transformed spec family.  Anything but a
+    :class:`ReachSets`, no predicates, and a predicate over another number
+    of outputs than the step sets' raise ModelError.
 
     Safe requires every predicate to pass on every step set (containment in
     the shrunk safe region for safe-polarity sources, certified disjointness
@@ -799,11 +769,14 @@ def check_spec(steps: Sequence[ReachStep],
     and Indeterminate then, since no witness search can succeed.  Only a
     simulated witness (:func:`find_unsafe_witness`) decides Unsafe.
     """
+    if not isinstance(sets, ReachSets):
+        raise ModelError(f"check_spec reads reach_lti's ReachSets, got {type(sets).__name__}")
     if isinstance(transformed, TransformedSpec):
         transformed = [transformed]
-    sets = ReachSets.of(steps)
     _check_outputs(transformed, sets.table.Y.shape[1], "the step sets")
     verdicts = [_check_one(sets, ts) for ts in transformed]
+    if not verdicts:
+        raise ModelError("no predicates to check")
     if all(v == SAFE for v in verdicts):
         return SAFE
     if any(v == MAYBE_UNSAFE for v in verdicts):
@@ -828,7 +801,7 @@ class WitnessTrajectory:
 
 
 def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
-                specs: list[TransformedSpec], table: _AgeTable, t_f: float,
+                specs: list[TransformedSpec], sets: ReachSets,
                 init_map: np.ndarray | None):
     """One candidate per predicate with a witness region: for an output
     direction l and a sample j, the box vertex X[:, b] = c + r sign(l C Phi^j
@@ -845,8 +818,8 @@ def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     unsafe-polarity one) and -Gamma_l for the row l that c_j violates most
     for an unsafe-polarity polytope; its check is None.  Returns X, the
     plans, each candidate's predicate index and the checks."""
-    steps = len(table.balls)
-    Phi = _transition(sys.A, t_f / steps)
+    table, steps = sets.table, len(sets)
+    Phi = _transition(sys.A, sets.t1[-1] / steps)
     centers = table.Y[:, :, 0]
     picks, checks = [], []
     for i, ts in enumerate(specs):
@@ -882,16 +855,16 @@ def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
 
 def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
                         transformed_unsafe: TransformedSpec | Sequence[TransformedSpec],
-                        t_f: float, sets: ReachSets,
-                        init_map: np.ndarray | None = None,
-                        h: float | None = None) -> WitnessTrajectory | None:
+                        sets: ReachSets,
+                        init_map: np.ndarray | None = None) -> WitnessTrajectory | None:
     """Search for a trajectory certifying full-order unsafety, with no
     random draw: the optimal-input candidates of HyLAA (Bak & Duggirala,
     CAV 2017), one per predicate (:func:`_candidates`).
 
     ``sets`` are the step sets :func:`reach_lti` returned for the same
-    system, initial set (``init_map`` x0), input box and step ``h``.  The
-    candidates share one :func:`simulate` call from their initial states,
+    system, initial set (``init_map`` x0) and input box; the search reads
+    its horizon t_f and its N even steps from them.  The candidates share
+    one :func:`simulate` call on that grid from their initial states,
     vertices of ``x0`` lifted by ``init_map`` (identity when omitted), so the
     witness is sound for the full-order system.  A safe-polarity polytope's
     candidate above the support it attains by more than its allowance
@@ -899,28 +872,20 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     in order within each: a sample must meet the witness predicate with
     margin > eta = 1e-9 of its witness scale, and the first candidate that
     keeps margin >= eta/2 when re-simulated at a tenth of the even step
-    t_f / N is returned.  Explicit step sets (:meth:`ReachSets.of`), step
-    sets on another grid, a ``t_f`` that is not positive and finite and a
-    predicate over another number of outputs than the system's raise
-    ModelError.
+    t_f / N is returned.  A predicate over another number of outputs than
+    the system's raises ModelError.
     """
-    # written so that NaN fails the tests
-    if not 0 < t_f < np.inf:
-        raise ModelError(f"t_f must be positive and finite, got {t_f}")
-    steps = _time_grid(t_f, h, sys.A, "step h").size - 1
     if isinstance(transformed_unsafe, TransformedSpec):
         transformed_unsafe = [transformed_unsafe]
     specs = list(transformed_unsafe)
     _check_outputs(specs, sys.p, "the system")
-    if sets.table.channels is None:
-        raise ModelError("the witness search reads the step sets of reach_lti, "
-                         "not explicit step sets (ReachSets.of)")
-    if len(sets) != steps:
-        raise ModelError(f"step sets hold {len(sets)} steps, the witness grid {steps}")
-    X, plans, owners, checks = _candidates(sys, x0, u_box, specs, sets.table, t_f, init_map)
+    X, plans, owners, checks = _candidates(sys, x0, u_box, specs, sets, init_map)
     if not owners:
         return None
-    outputs = simulate(sys, X if init_map is None else init_map @ X, plans, t_f, h).outputs
+    # t_f / (N - 0.5) gives simulate reach's N steps; t_f / N can round to N + 1
+    t_f, steps = float(sets.t1[-1]), len(sets)
+    outputs = simulate(sys, X if init_map is None else init_map @ X, plans, t_f,
+                       t_f / (steps - 0.5)).outputs
     for b, check in enumerate(checks):
         if check is not None:
             j, l, top, tol = check

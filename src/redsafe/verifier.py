@@ -192,17 +192,16 @@ def _verify_modes(problem: VerificationProblem, opts: VerifyOptions) -> Verdict:
             if all(ts.safe_region is None for ts in transformed) \
                     and problem.polarity == POLARITY_SAFE:
                 notes.append(say + "transformed safe region empty at this k")
-            # reach and the witness search step at the same step, and the
-            # search reads the step sets' age table: its grid samples pick
-            # each predicate's one candidate
+            # the witness search reads its grid from the step sets, and
+            # their age table's grid samples pick each predicate's one
+            # candidate
             step_h = default_step(horizon, abstraction.reduced.A, lh=opts.step_lh)
             sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope,
                              problem.inputs, horizon, step_h)
             outcome = check_spec(sets, transformed)
             if outcome == MAYBE_UNSAFE:
-                witness = find_unsafe_witness(
-                    abstraction.reduced, x0, problem.inputs, transformed, horizon, sets,
-                    init_map=bal.H[:k, :], h=step_h)
+                witness = find_unsafe_witness(abstraction.reduced, x0, problem.inputs,
+                                              transformed, sets, init_map=bal.H[:k, :])
                 if witness is not None:
                     if labeled:
                         notes.append(f"witness in mode {rho}")

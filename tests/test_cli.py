@@ -377,6 +377,48 @@ class TestVerifyCmd:
         assert main(["verify-pss", str(path)]) == 3
         assert "mode 0 must be a JSON object, got 'duration'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", [5, ["A.mtx"]])
+    def test_non_string_matrix_path_exits_three(self, tmp_path, capsys, path):
+        # a matrix path of another JSON type is refused by name, not joined
+        # to the manifest's directory
+        manifest = tmp_path / "g.json"
+        assert main(["gen", "-n", "4", "--output", str(manifest)]) == 0
+        doc = json.loads(manifest.read_text())
+        doc["matrices"]["A"] = path
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(manifest)]) == 3
+        assert f"error: matrices A must be a file path, got {path!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", [5, {"a": 1}])
+    def test_non_list_modes_exits_three(self, tmp_path, capsys, modes):
+        path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
+        doc = json.loads(path.read_text())
+        doc["modes"] = modes
+        path.write_text(json.dumps(doc))
+        assert main(["verify-pss", str(path)]) == 3
+        assert f"error: modes must be a JSON list, got {modes!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [["verify"], ["reduce", "-k", "3"]])
+    def test_non_string_name_exits_three(self, tmp_path, capsys, cmd):
+        path = tmp_path / "g.json"
+        assert main(["gen", "-n", "4", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["name"] = 5
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([cmd[0], str(path), *cmd[1:]]) == 3
+        assert "error: name must be a string, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["verify", "transform-spec"])
+    def test_non_utf8_input_exits_three(self, tmp_path, capsys, cmd):
+        # bytes that are not UTF-8 are an input error naming the file
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main([cmd, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path} is not valid JSON: 'utf-8' codec can't decode" in err
+
     def test_mode_without_duration_exits_three(self, tmp_path, capsys):
         path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
         doc = json.loads(path.read_text())

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -359,10 +360,32 @@ class TestSimulate:
             simulate(sys_, x0, u, 1.0, 0.1)
 
 
+def static_sets(center, G):
+    """The one-step ReachSets whose output set is the zonotope center + G xi:
+    reach_lti over t_f = step_h = 1 on the static system A = 0, B = 0,
+    C = [G | center] of g + 1 states from Zonotope(e_(g+1), [I_g; 0]), with a
+    zero input box.  Its ball is 0 and its generators are G beside zero
+    columns."""
+    center, G = np.asarray(center, dtype=float), np.asarray(G, dtype=float)
+    g = G.shape[1]
+    sys_ = rs.LtiSystem(np.zeros((g + 1, g + 1)), np.zeros((g + 1, 1)),
+                        np.hstack([G, center[:, None]]))
+    x0 = Zonotope(np.eye(g + 1)[g], np.eye(g + 1)[:, :g])
+    return reach_lti(sys_, x0, rs.HyperBox([0.0], [0.0]), 1.0, 1.0)
+
+
 class TestCheckSpec:
     def _steps(self, center, rad):
-        z = Zonotope(np.array(center), np.diag(rad))
-        return [rs.ReachStep(0.0, 1.0, z)]
+        return static_sets(center, np.diag(rad))
+
+    def test_static_sets_hold_the_zonotope(self, rng):
+        center, G = rng.standard_normal(3), rng.standard_normal((3, 4))
+        sets = static_sets(center, G)
+        assert len(sets) == 1 and np.all(sets.table.balls == 0.0)
+        z = sets[0].outputs
+        np.testing.assert_array_equal(z.center, center)
+        nonzero = z.generators[:, np.any(z.generators != 0.0, axis=0)]
+        np.testing.assert_array_equal(nonzero, G)
 
     def test_far_inside_safe(self):
         spec = rs.PolytopeSpec([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -409,27 +432,10 @@ def search(sys_, x0, u_box, specs, t_f, h=None, init_map=None):
     system, initial set (init_map x0) and grid."""
     init = x0 if init_map is None else image_zonotope(init_map, x0)
     sets = reach_lti(sys_, init, u_box, t_f, h)
-    return find_unsafe_witness(sys_, x0, u_box, specs, t_f, sets, init_map=init_map, h=h)
+    return find_unsafe_witness(sys_, x0, u_box, specs, sets, init_map=init_map)
 
 
 class TestWitness:
-    @pytest.mark.parametrize("args, name", [
-        ({"t_f": float("nan")}, "t_f"), ({"t_f": float("inf")}, "t_f"),
-        ({"h": float("nan")}, "step h"), ({"h": 0.0}, "step h"), ({"h": float("inf")}, "step h"),
-        ({"t_f": 0.0}, "t_f"), ({"t_f": -1.0}, "t_f")])
-    def test_bad_scalars_refused(self, rng, args, name):
-        # each bad scalar is refused by name with ModelError, not passed on
-        # to fail as a bare ValueError, an overflow or a division by zero;
-        # a horizon that is not positive is refused as reach_lti refuses it,
-        # not by the fine step of the revalidation
-        sys_ = rs.random_stable_system(rng, 2, 1, 1)
-        x0, ubox = rand_box(rng, 2, 1), rand_ubox(rng, 1)
-        ts = transform_spec(rs.PolytopeSpec([[1.0]], [-1.0], POLARITY_SAFE), np.array([0.1]))
-        call = {"t_f": 1.0, "sets": reach_lti(sys_, x0, ubox, 1.0), **args}
-        match = "^t_f must be positive and finite" if name == "t_f" else f"^{name} must be"
-        with pytest.raises(rs.ModelError, match=match):
-            find_unsafe_witness(sys_, x0, ubox, ts, **call)
-
     def test_immediate_witness_at_t0(self):
         # the initial output already violates the grown safe interval
         sys_ = rs.LtiSystem([[-1.0]], [[0.0]], [[1.0]])
@@ -676,12 +682,12 @@ class TestBatchedWitness:
             sets = reach_lti(sys_, x0, ubox, 1.0)
             for kind, ts in list(enumerate(specs)) + [("family", specs)]:
                 calls = counting_simulate(monkeypatch)
-                w = find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets)
+                w = find_unsafe_witness(sys_, x0, ubox, ts, sets)
                 monkeypatch.undo()
                 assert calls[:1] == ([] if kind == 4 else [4] if kind == "family" else [1])
                 if w is not None:
                     assert_replays(w, sys_, x0, ts, 1.0)
-                assert_bit_identical(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets), w)
+                assert_bit_identical(find_unsafe_witness(sys_, x0, ubox, ts, sets), w)
                 found.setdefault(kind, set()).add(w is not None)
         assert found[4] == {False}
         for kind in range(4):
@@ -707,7 +713,7 @@ class TestBatchedWitness:
                 return reach.Trajectory(traj.times, traj.outputs - np.array([drop, 0.0]))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(reach, "simulate", lowered)
-                return find_unsafe_witness(sys_, x0, ubox, specs, 1.0, sets)
+                return find_unsafe_witness(sys_, x0, ubox, specs, sets)
 
         assert search_lowered(first_y0_spec(top - 2.0), 3.0) is None
         w = search_lowered(first_y0_spec(top - 2.0), 1.0)
@@ -725,7 +731,7 @@ class TestBatchedWitness:
             x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
             sets = reach_lti(sys_, x0, ubox, 1.0, 1.0)
             ts = crossing_spec(np.random.default_rng(seed), sets)
-            w = find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets, h=1.0)
+            w = find_unsafe_witness(sys_, x0, ubox, ts, sets)
             assert (w is not None) == grid_crosses(sys_, x0, ubox, ts, 1.0, 1.0, np.eye(3))
             if w is not None:
                 assert w.step_inputs.shape == (1, 2)
@@ -769,20 +775,25 @@ def naive_check_polytope(steps, ts, events):
 
 class TestSharedSpread:
     def test_matches_per_region_reference(self, rng):
+        # reach's step sets of random systems on one to eight steps, against
+        # a spec of random rows with offsets drawn across their row range
         events = {"uncontained": 0, "uncleared": 0}
         verdicts = set()
         for trial in range(60):
-            p, r = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            n, m, p, r = (int(v) for v in rng.integers(1, [5, 3, 4, 5]))
+            sys_ = rs.random_stable_system(rng, n, m, p)
+            sets = reach_lti(sys_, rand_box(rng, n, int(rng.integers(0, n + 1))),
+                             rand_ubox(rng, m), 1.0, 1.0 / int(rng.integers(1, 9)))
+            steps = list(sets)
+            Gamma = rng.standard_normal((r, p))
+            rows = [(Gamma @ s.outputs.center, row_spread(s.outputs, Gamma)) for s in steps]
+            hi = np.max([c + w for c, w in rows], axis=0)
+            lo = np.min([c - w for c, w in rows], axis=0)
             polarity = (POLARITY_SAFE, POLARITY_UNSAFE)[trial % 2]
-            spec = rs.PolytopeSpec(rng.standard_normal((r, p)),
-                                   -rng.uniform(0.5, 3.0, r), polarity)
-            ts = transform_spec(spec, rng.uniform(0.0, 0.5, p))
-            scale = rng.uniform(0.2, 2.0)
-            steps = [rs.ReachStep(j, j + 1, Zonotope(rng.uniform(-scale, scale, p),
-                                                     rng.uniform(-0.3, 0.3, (p, g))))
-                     for j, g in enumerate(rng.integers(0, 6, size=rng.integers(1, 5)))]
+            spec = rs.PolytopeSpec(Gamma, -(lo + rng.uniform(-0.3, 1.3, r) * (hi - lo)), polarity)
+            ts = transform_spec(spec, rng.uniform(0.0, 0.5, p) * np.max(hi - lo))
             expected = naive_check_polytope(steps, ts, events)
-            assert check_spec(steps, ts) == expected
+            assert check_spec(sets, ts) == expected
             verdicts.add(expected)
         assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
         assert events["uncontained"] > events["uncleared"] > 0
@@ -795,10 +806,9 @@ class TestSharedSpread:
         ts = rs.TransformedSpec(source=safe, safe_region=safe, unsafe_region=unsafe,
                                 witness_region=unsafe, delta_used=np.zeros(2),
                                 Delta=np.zeros(1))
-        z = Zonotope(np.array([2.0, 0.0]), 0.1 * np.eye(2))   # outside safe, y1 < 1
-        steps = [rs.ReachStep(0.0, 1.0, z)]
-        assert check_spec(steps, ts) == naive_check_polytope(
-            steps, ts, {"uncontained": 0, "uncleared": 0}) == INDETERMINATE
+        sets = static_sets([2.0, 0.0], 0.1 * np.eye(2))   # outside safe, y1 < 1
+        assert check_spec(sets, ts) == naive_check_polytope(
+            list(sets), ts, {"uncontained": 0, "uncleared": 0}) == INDETERMINATE
 
 
 # --------------------------------------------------------------------------
@@ -1091,6 +1101,20 @@ def naive_check_ellipsoid(steps, ts):
     return MAYBE_UNSAFE if hit else INDETERMINATE
 
 
+def naive_check_safe_ellipsoid(steps, ts):
+    """check_spec against one safe-polarity ellipsoid, one step at a time on
+    assembled generators: MaybeUnsafe when some step whose quad_upper
+    exceeds the shrunk radius also exceeds the grown one (the witness
+    region's)."""
+    def inside(reg):
+        return [reg is not None and reach.quad_upper(s.outputs, reg) <= reg.R ** 2
+                for s in steps]
+    ok, clear = inside(ts.safe_region), inside(ts.witness_region)
+    if all(ok):
+        return SAFE
+    return INDETERMINATE if all(o or c for o, c in zip(ok, clear)) else MAYBE_UNSAFE
+
+
 @given(table_cases(), st.integers(0, 2**32 - 1))
 def test_table_quad_lower_matches_assembled_generators(case, seed):
     # an unsafe ellipsoid radius far above every step's bound leaves every
@@ -1160,16 +1184,13 @@ class TestTableEllipsoid:
         assert calls == [len(zs)] and np.all(lows > ell.R ** 2)
 
 
-@pytest.mark.parametrize("explicit", [False, True])
-def test_table_direction_spreads_match_assembled_generators(rng, explicit):
+def test_table_direction_spreads_match_assembled_generators(rng):
     # sum |V[i] G| over step rows[i]'s assembled generators, for a reach
-    # table of more than _DIRECTION_CHUNK steps read in chunks and for the
-    # table of its explicit step sets; rows repeat and come in any order
+    # table of more than _DIRECTION_CHUNK steps read in chunks; rows repeat
+    # and come in any order
     sys_ = rs.random_stable_system(rng, 4, 2, 3)
     sets = reach_lti(sys_, rand_box(rng, 4, 3), rand_ubox(rng, 2), 2.0, 2.0 / 150)
     assert len(sets) > 2 * reach._DIRECTION_CHUNK
-    if explicit:
-        sets = rs.ReachSets.of(list(sets))
     rows = np.concatenate([rng.permutation(len(sets)), rng.integers(0, len(sets), 20)])
     V = rng.standard_normal((rows.size, sys_.p))
     got = sets.table.direction_spreads(V, rows)
@@ -1235,9 +1256,28 @@ class TestBatchedSteps:
         assert np.any(sets[0].outputs.generators != 0.0)
 
 
+def assert_witness_on_reach_grid(sys_, x0, ubox, sets):
+    """The witness search's one coarse simulation samples reach's grid bit
+    for bit, and its witness of a spec that every trajectory leaves holds
+    one input row per reach step."""
+    grids = []
+
+    def recording(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        grids.append(traj.times)
+        return traj
+
+    everywhere = transform_spec(rs.PolytopeSpec([[1.0]], [1e3], POLARITY_SAFE), np.zeros(1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reach, "simulate", recording)
+        w = find_unsafe_witness(sys_, x0, ubox, everywhere, sets)
+    np.testing.assert_array_equal(grids[0], np.r_[sets.t0[0], sets.t1])
+    assert w.step_inputs.shape == (len(sets), 1)
+
+
 class TestReachSets:
     """The result of reach_lti as a sequence of steps, and check_spec on it
-    against check_spec on its explicit zonotopes."""
+    against its rule written out on its explicit zonotopes."""
 
     def test_sequence_matches_naive_reach(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
@@ -1296,45 +1336,41 @@ class TestReachSets:
         np.testing.assert_array_equal(first.outputs.generators, again.outputs.generators)
         assert first.t0 == sets.t0[1] and type(first.t0) is float
 
-    def test_of_explicit_steps(self, rng):
-        # explicit step sets become an age table of span 0 with no input
-        # ages and no balls, each step a sample of its center and its
-        # generators: the same set, with the same center and the same
-        # support along any direction, though zero columns may be added
-        steps = [rs.ReachStep(j, j + 1.0, Zonotope(rng.standard_normal(2),
-                                                   rng.standard_normal((2, g))))
-                 for j, g in enumerate((3, 1, 0, 4))]
-        sets = rs.ReachSets.of(steps)
-        assert len(sets) == 4 and sets.table.m == 0 and sets.table.span == 0
-        assert np.all(sets.table.balls == 0.0)
-        Gamma = rng.standard_normal((5, 2))
-        spreads = sets.table.row_spreads(Gamma)
-        for j, (got, step) in enumerate(zip(sets, steps)):
-            z, expected = got.outputs, row_spread(step.outputs, Gamma)
-            assert (got.t0, got.t1) == (step.t0, step.t1)
-            np.testing.assert_array_equal(z.center, step.outputs.center)
-            np.testing.assert_allclose(row_spread(z, Gamma), expected, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(spreads[j], expected, rtol=1e-12, atol=0.0)
-            assert z.generators.shape == (2, 1 + 2 * 4)
-        assert rs.ReachSets.of(sets) is sets
-        assert len(rs.ReachSets.of(steps[:1])) == 1
-
     def test_no_step_sets_are_refused(self):
         # a verdict over no step sets says nothing; check_spec once called
         # them Safe
-        with pytest.raises(rs.ModelError, match="^no step sets"):
-            rs.ReachSets.of([])
         for spec in (rs.PolytopeSpec([[1.0, 0.0]], [-1.0], POLARITY_SAFE),
                      rs.EllipsoidSpec(np.eye(2), np.zeros(2), 1.0, POLARITY_UNSAFE)):
-            with pytest.raises(rs.ModelError, match="^no step sets"):
+            with pytest.raises(rs.ModelError, match="ReachSets, got list$"):
                 check_spec([], transform_spec(spec, np.zeros(2)))
+
+    def test_check_spec_refuses_steps_not_from_reach(self, rng):
+        # step sets are reach_lti's table: a list of its assembled steps and
+        # a slice of it, which indexing returns as a list, are refused by
+        # what they are
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        sets = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.1)
+        ts = transform_spec(rs.PolytopeSpec([[1.0, 0.0]], [-1.0], POLARITY_SAFE), np.zeros(2))
+        for steps in (list(sets), sets[:2], tuple(sets)):
+            with pytest.raises(rs.ModelError, match=f"got {type(steps).__name__}$"):
+                check_spec(steps, ts)
+
+    def test_no_predicates_are_refused(self, rng):
+        # a verdict over no predicates says nothing; check_spec once called
+        # it Safe
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        sets = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.1)
+        for family in ([], ()):
+            with pytest.raises(rs.ModelError, match="^no predicates to check$"):
+                check_spec(sets, family)
 
     @given(st.floats(1e-3, 1.0), st.integers(1, 500),
            st.sampled_from(["below", "on", "off"]), st.floats(0.01, 0.99))
     def test_simulate_and_witness_share_the_reach_grid(self, step_h, count, kind, short):
         # t_f below one step, on the grid of step_h up to rounding, and off
         # it: simulate samples reach's grid bit for bit, with the outputs of
-        # a per-step loop at t_f / N, and the witness search plans one input
+        # a per-step loop at t_f / N, and the witness search reads that grid
+        # from the step sets: its coarse samples are reach's, with one input
         # row per reach step
         t_f = {"below": step_h * short, "on": step_h * count,
                "off": step_h * (count - short)}[kind]
@@ -1345,14 +1381,23 @@ class TestReachSets:
         traj = simulate(sys_, x0.ub, plan, t_f, step_h)
         np.testing.assert_array_equal(traj.times, np.r_[sets.t0[0], sets.t1])
         assert_matches_stepwise(sys_, x0.ub, plan, t_f, step_h)
-        everywhere = transform_spec(rs.PolytopeSpec([[1.0]], [1e3], POLARITY_SAFE), np.zeros(1))
-        w = find_unsafe_witness(sys_, x0, ubox, everywhere, t_f, sets, h=step_h)
-        assert w.step_inputs.shape == (len(sets), 1)
+        assert_witness_on_reach_grid(sys_, x0, ubox, sets)
+
+    @pytest.mark.parametrize("t_f, step_h, steps", [(1.0, 0.03, 34),
+                                                     (0.3, 0.3 / 18143.5, 18144)],
+                             ids=["off-grid", "past-rounding"])
+    def test_witness_steps_on_the_reach_grid(self, t_f, step_h, steps):
+        # off the grid of 0.03, and 18,144 steps over 0.3, where a step of
+        # t_f / N would give simulate N + 1 steps
+        sys_ = rs.LtiSystem([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [0.5]], [[1.0, 1.0]])
+        x0, ubox = rs.HyperBox([0.0, 0.0], [0.1, 0.1]), rs.HyperBox([-0.1], [0.1])
+        sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+        assert len(sets) == steps
+        assert_witness_on_reach_grid(sys_, x0, ubox, sets)
 
     def test_check_spec_matches_explicit_steps(self, rng):
-        # list(sets) holds explicit zonotopes, which check_spec reads as a
-        # table of their assembled generators with no input ages; reach's
-        # own table of the same sets must agree
+        # check_spec on reach's table against its rule written out on the
+        # explicit zonotopes of list(sets), per predicate kind and polarity
         verdicts = set()
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
@@ -1370,7 +1415,12 @@ class TestReachSets:
                             spec = rs.EllipsoidSpec(ell.Q, ell.a, np.sqrt(R2), polarity)
                             specs.append(transform_spec(spec, np.zeros(p)))
             for ts in specs:
-                expected = check_spec(steps, ts)
+                if isinstance(ts.source, rs.PolytopeSpec):
+                    expected = naive_check_polytope(steps, ts, collections.Counter())
+                elif ts.source_polarity == POLARITY_UNSAFE:
+                    expected = naive_check_ellipsoid(steps, ts)
+                else:
+                    expected = naive_check_safe_ellipsoid(steps, ts)
                 assert check_spec(sets, ts) == expected
                 verdicts.add((type(ts.source).__name__, ts.source_polarity, expected))
         assert {v for *_, v in verdicts} == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
@@ -1389,15 +1439,8 @@ class TestOutputDimsRefused:
         spec = (rs.PolytopeSpec(np.ones((1, 3)), [-1.0], POLARITY_SAFE) if kind == "polytope"
                 else rs.EllipsoidSpec(np.eye(3), np.zeros(3), 1.0, POLARITY_UNSAFE))
         ts = transform_spec(spec, np.zeros(3))
-        for steps in (sets, list(sets)):
-            with pytest.raises(rs.ModelError, match="^spec has 3 outputs, the step sets 2$"):
-                check_spec(steps, ts)
-
-    def test_explicit_steps_of_mixed_dims(self, rng):
-        steps = [rs.ReachStep(0.0, 1.0, Zonotope(np.zeros(2), np.eye(2))),
-                 rs.ReachStep(1.0, 2.0, Zonotope(np.zeros(3), np.eye(3)))]
-        with pytest.raises(rs.ModelError, match="^step sets have 2 and 3 outputs$"):
-            rs.ReachSets.of(steps)
+        with pytest.raises(rs.ModelError, match="^spec has 3 outputs, the step sets 2$"):
+            check_spec(sets, ts)
 
     def test_witness_spec_on_another_p(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 1, 2)
@@ -1789,8 +1832,7 @@ class TestWitnessCertificate:
         Gamma, steps = ts.witness_region.Gamma, len(sets)
         S = sets.table.sample_supports(Gamma)
         reaches = supports_reach(ts, S)
-        X, plans, _, ((j, l, top, _),) = reach._candidates(
-            sys_, box, ubox, [ts], sets.table, t_f, L)
+        X, plans, _, ((j, l, top, _),) = reach._candidates(sys_, box, ubox, [ts], sets, L)
         X = np.hstack([X, box.vertices()[:, :16], box.sample(rng, 8)])
         draws = rng.random((steps, sys_.m, X.shape[1] - 1))
         draws[:, :, ::2] = np.round(draws[:, :, ::2])
@@ -1818,7 +1860,7 @@ class TestWitnessCertificate:
         S = sets.table.sample_supports(ts.witness_region.Gamma)
         with pytest.MonkeyPatch.context() as mp:
             calls = counting_simulate(mp)
-            found = find_unsafe_witness(sys_, box, ubox, ts, t_f, sets, init_map=L, h=step_h)
+            found = find_unsafe_witness(sys_, box, ubox, ts, sets, init_map=L)
         assert calls[0] == 1
         if found is not None:
             assert_replays(found, sys_, box, ts, t_f, L)
@@ -1836,7 +1878,7 @@ class TestWitnessCertificate:
         sys_, L, box, ubox, t_f, step_h, seed = case
         sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
         ts = crossing_spec(np.random.default_rng(seed), sets)
-        w = find_unsafe_witness(sys_, box, ubox, ts, t_f, sets, init_map=L, h=step_h)
+        w = find_unsafe_witness(sys_, box, ubox, ts, sets, init_map=L)
         if grid_crosses(sys_, box, ubox, ts, t_f, step_h, L):
             assert w is not None
         if w is not None:
@@ -1852,10 +1894,10 @@ class TestWitnessCertificate:
             sets = reach_lti(sys_, x0, ubox, 1.0)
             for ts in four_spec_kinds(rng, 2)[1:4]:
                 calls = counting_simulate(monkeypatch)
-                w = find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets)
+                w = find_unsafe_witness(sys_, x0, ubox, ts, sets)
                 monkeypatch.undo()
                 assert calls[0] == 1 and len(calls) <= 2
-                assert_bit_identical(find_unsafe_witness(sys_, x0, ubox, ts, 1.0, sets), w)
+                assert_bit_identical(find_unsafe_witness(sys_, x0, ubox, ts, sets), w)
 
     def test_two_calls_return_bit_equal_witnesses(self, rng):
         # nothing is drawn: a family whose candidates cross gives the same
@@ -1864,27 +1906,12 @@ class TestWitnessCertificate:
         x0, ubox = rand_box(rng, 4, 3), rand_ubox(rng, 2)
         sets = reach_lti(sys_, x0, ubox, 1.0)
         specs = [crossing_spec(rng, sets) for _ in range(3)] + [first_y0_spec(-1e3)]
-        first = find_unsafe_witness(sys_, x0, ubox, specs, 1.0, sets)
+        first = find_unsafe_witness(sys_, x0, ubox, specs, sets)
         assert first is not None
         for _ in range(2):
-            again = find_unsafe_witness(sys_, x0, ubox, specs, 1.0, sets)
+            again = find_unsafe_witness(sys_, x0, ubox, specs, sets)
             assert_bit_identical(again, first)
             assert np.array_equal(again.outputs, first.outputs)
-
-    def test_explicit_step_sets_refused(self, rng):
-        # explicit step sets hold no grid samples of the system
-        sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
-        explicit = rs.ReachSets.of(list(reach_lti(sys_, x0, ubox, 1.0)))
-        with pytest.raises(rs.ModelError, match=r"not explicit step sets \(ReachSets.of\)"):
-            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, explicit)
-
-    def test_grid_mismatch_refused(self, rng):
-        sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
-        sets = reach_lti(sys_, x0, ubox, 1.0, 0.1)
-        with pytest.raises(rs.ModelError, match="step sets hold 10 steps, the witness grid 20"):
-            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, sets, h=0.05)
 
     def test_support_below_a_trajectory_raises(self, rng, monkeypatch):
         # the runtime check of the certificate: supports lowered by one are
@@ -1896,7 +1923,7 @@ class TestWitnessCertificate:
         monkeypatch.setattr(reach._AgeTable, "sample_supports",
                             lambda self, Gamma: exact(self, Gamma) - 1.0)
         with pytest.raises(rs.ModelError, match="above its certified support"):
-            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), 1.0, sets)
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), sets)
 
 
 # --------------------------------------------------------------------------
@@ -1918,8 +1945,7 @@ class TestWitnessGate:
             if verdict != MAYBE_UNSAFE:
                 assert not grid_crosses(sys_, box, ubox, ts, t_f, step_h, L)
             if verdict == INDETERMINATE:
-                assert find_unsafe_witness(sys_, box, ubox, ts, t_f, sets, init_map=L,
-                                           h=step_h) is None
+                assert find_unsafe_witness(sys_, box, ubox, ts, sets, init_map=L) is None
 
     def test_empty_shrunk_ellipsoid_is_indeterminate_without_search(self, monkeypatch):
         # a forbidden ellipsoid smaller than its radius margin has no
@@ -1928,8 +1954,7 @@ class TestWitnessGate:
         ts = transform_spec(rs.EllipsoidSpec(np.eye(2), np.zeros(2), 0.01, POLARITY_UNSAFE),
                             np.full(2, 0.1))
         assert ts.witness_region is None
-        steps = [rs.ReachStep(0.0, 1.0, Zonotope(np.zeros(2), 0.05 * np.eye(2)))]
-        assert check_spec(steps, ts) == INDETERMINATE
+        assert check_spec(static_sets(np.zeros(2), 0.05 * np.eye(2)), ts) == INDETERMINATE
 
         prob = rs.random_problem(3, n=5, m=1, p=2, free_dims=3)
         center = simulate(prob.system, prob.x0.center, prob.inputs.center, prob.t_f)
@@ -1947,15 +1972,14 @@ class TestWitnessGate:
         # a step set inside the grown safe ellipsoid but not inside the
         # shrunk one stays clear of the witness region, the outside of the
         # grown one; below a smaller grown radius it is MaybeUnsafe
-        z = Zonotope(np.zeros(2), 0.1 * np.eye(2))
-        steps = [rs.ReachStep(0.0, 1.0, z)]
+        sets = static_sets(np.zeros(2), 0.1 * np.eye(2))
         for R, verdict in ((np.sqrt(0.02), INDETERMINATE), (0.1, MAYBE_UNSAFE)):
             ts = transform_spec(rs.EllipsoidSpec(np.eye(2), np.zeros(2), R, POLARITY_SAFE),
                                 np.full(2, 0.005))
-            upper = reach.quad_upper(z, ts.safe_region)
+            upper = reach.quad_upper(sets[0].outputs, ts.safe_region)
             assert ts.safe_region.R ** 2 < upper == pytest.approx(0.02)
             assert (upper <= ts.unsafe_region.R ** 2) == (verdict == INDETERMINATE)
-            assert check_spec(steps, ts) == verdict
+            assert check_spec(sets, ts) == verdict
 
     def test_ellipsoid_regions_of_another_center_get_their_own_bound(self):
         # a hand-built unsafe-polarity spec whose witness ellipsoid is
@@ -1963,9 +1987,9 @@ class TestWitnessGate:
         # forbidden ellipsoid that clears the witness one is Indeterminate,
         # one that meets it MaybeUnsafe
         forb = rs.EllipsoidSpec(np.eye(2), np.zeros(2), 1.0, POLARITY_UNSAFE)
-        steps = [rs.ReachStep(0.0, 1.0, Zonotope(np.zeros(2), 0.1 * np.eye(2)))]
+        sets = static_sets(np.zeros(2), 0.1 * np.eye(2))
         for a, verdict in (([5.0, 0.0], INDETERMINATE), ([0.2, 0.0], MAYBE_UNSAFE)):
             wit = rs.EllipsoidSpec(np.eye(2), np.array(a), 0.5, POLARITY_UNSAFE)
             ts = rs.TransformedSpec(source=forb, safe_region=None, unsafe_region=forb,
                                     witness_region=wit, delta_used=np.zeros(2), Delta=0.0)
-            assert check_spec(steps, ts) == verdict
+            assert check_spec(sets, ts) == verdict

@@ -31,19 +31,16 @@ simulates that half once, from the input columns and the box's generators
 side by side, keeping only its output samples and its giant states' norms;
 :func:`augment` builds each order's system from it, and each order's walk
 simulates its k-dimensional reduced half on the full-order half's grid.
-Each half is an orbit simulated in blocks of giant steps of s steps: only
-every s-th state is formed, a block of them built by doubling (the giant
-states f+1 ... 2f are Phi^{sf} times the giant states 1 ... f, from
-Phi^s, Phi^{2s}, Phi^{4s}, ... computed once per orbit), and each step's
-outputs are read from the giant state before it through the stack
-[M; M Phi; ...; M Phi^{s-1}] of its maps M, in one product per block.
-Where the full-order half has at least four states per output row,
-s = floor(n / rows) and a step costs about 4 rows n m flops instead of
-2 n^2 m; elsewhere s = 1 and every state is formed, in about log2(block)
-products instead of a Python-level step loop.  The reduced half takes the
-full-order half's s and blocks, so a step of it costs 2 rows k m
-+ 2 k^2 m / s flops.  Both halves' state norms are exact at giant steps
-and bounded between them from the last giant step's.
+Each half is an orbit of :class:`reach._Orbit`, the routine that reach's
+age table is read through too: only every s-th (giant) state is formed,
+and each step's outputs are read from the giant state before it through
+the stack [M; M Phi; ...; M Phi^{s-1}] of its maps M.  Where the
+full-order half has at least four states per output row, s = floor(n /
+rows) and a step costs about 4 rows n m flops instead of 2 n^2 m;
+elsewhere s = 1.  The reduced half takes the full-order half's s and
+blocks, so a step of it costs 2 rows k m + 2 k^2 m / s flops.  Both
+halves' state norms are exact at giant steps and bounded between them
+from the last giant step's.
 
 Every certificate alpha P >= C_i^T C_i of the quadratic bound has
 lambda_max(alpha P) >= ||C_i||^2, so none beats the scaled identity, which
@@ -63,7 +60,7 @@ import numpy as np
 from .balancing import BalancedRealization, box_image
 from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
 from .model import HyperBox, ModelError
-from .reach import Zonotope, _doubling_powers, _propagate, _transition
+from .reach import Zonotope, _Orbit, _transition
 
 E1_THEOREM1 = "theorem1"
 E1_THEOREM2 = "theorem2"
@@ -230,88 +227,6 @@ def e1_optimization(aug: AugmentedSystem) -> np.ndarray:
     return out
 
 
-#: Doubles held by one block of the simulation bounds' orbit, counted as
-#: its giant states (n x width each) and two sets of output rows (rows x
-#: width per step): the full-order half's, which its mode keeps for every
-#: order, and the reduced half's, into which each order adds them.
-ORBIT_BLOCK_DOUBLES = 1 << 18
-
-
-class _Orbit:
-    """Images of the states Phi^j X0, j = 0 ... ``steps``, with
-    Phi = e^{A h}, under stacked maps M, and the exact squared column norms
-    of its giant states, simulated block by block on first request.
-
-    With n states, ``rows`` map rows in all and w columns, a step costs
-    2 n^2 w flops when its state is formed.  The orbit forms only the giant
-    states R_b = Phi^{s b} X0, every ``stride`` s = floor(n / rows) steps
-    where n >= 4 rows and every step otherwise (baby step / giant step).
-    An orbit built ``like`` another takes that one's stride and block, so
-    that the two line up block for block and step for step.  A block of G
-    giant states is built by doubling (:func:`_propagate`) from the powers
-    Phi^s, Phi^{2s}, Phi^{4s}, ..., computed once per orbit, and its steps
-    s b + a, 0 <= a < s, are read as (M Phi^a) R_b in one product of the
-    stack [M; M Phi; ...; M Phi^{s-1}] (s - 1 (rows x n)(n x n) products,
-    once per orbit) with R_0 ... R_G, R_0 the last state of the block
-    before.  A step then costs 2 rows n w + 2 n^2 w / s flops, about
-    4 rows n w when s > 1; at s = 1 the stack is M alone and a step costs
-    2 n^2 w, as a step loop spends, but in log2(G) + 2 products instead of
-    G small ones.
-
-    A block holds G = ORBIT_BLOCK_DOUBLES // (w (n + 2 s rows)) giant
-    states, at most 512 steps' worth and at least one, and the last block
-    ends at step ``steps``.  Of the states only the last is kept."""
-
-    def __init__(self, A: np.ndarray, h: float, X0: np.ndarray,
-                 maps: tuple[np.ndarray, ...], steps: int, like: "_Orbit | None" = None):
-        n, width = X0.shape
-        rows = sum(M.shape[0] for M in maps)
-        self.h, self.steps, self.maps, self.rows, self.width = h, steps, maps, rows, width
-        if like is None:
-            self.stride = n // rows if n >= 4 * rows else 1
-            giants = max(1, min(512 // self.stride,
-                                ORBIT_BLOCK_DOUBLES // (width * (n + 2 * self.stride * rows))))
-            self.block = min(giants, -(-steps // self.stride)) * self.stride
-        else:
-            self.stride, self.block = like.stride, like.block
-        Phi = _transition(A, h)
-        stack = [np.vstack(maps)]
-        for _ in range(self.stride - 1):
-            stack.append(stack[-1] @ Phi)
-        self._stack = np.vstack(stack)
-        self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride),
-                                        self.block // self.stride)
-        self._last, self._built = X0, 0
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block i, the steps i*block ... i*block + size with size =
-        min(block, steps - i*block), as (images, data) over its G + 1 =
-        ceil(size / s) + 1 giant states R_b, b = 0 ... G, of which R_0 is
-        step i*block: images (s, rows, G+1, w) holds (M Phi^a) R_b at
-        [a, :, b], and data (G+1, w) R_b's squared column norms.  Step
-        i*block + j is at [j % s, :, j // s].  IndexError past the last
-        block.  Blocks read this way are kept."""
-        while len(self._blocks) <= i:
-            self._blocks.append(self._next_block())
-        return self._blocks[i]
-
-    def _next_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """The block after the last one built, as :meth:`__getitem__` gives
-        it, but not kept."""
-        size = min(self.block, self.steps - self._built * self.block)
-        if size <= 0:
-            raise IndexError(f"the orbit ends at step {self.steps}")
-        self._built += 1
-        (n, width), giants = self._last.shape, -(-size // self.stride)
-        states = np.empty((n, (giants + 1) * width))
-        states[:, :width] = self._last
-        _propagate(self._powers, self._last, giants, out=states[:, width:])
-        self._last = states[:, -width:].copy()
-        images = (self._stack @ states).reshape(self.stride, self.rows, giants + 1, width)
-        return images, np.einsum("ij,ij->j", states, states).reshape(giants + 1, width)
-
-
 def _error_orbit(full: _Orbit, reduced: _Orbit, m: int, growth: np.ndarray):
     """Blocks of the augmented orbit: the shared full-order orbit plus this
     order's reduced one, built ``like`` it, each read through three maps of
@@ -336,23 +251,24 @@ def _error_orbit(full: _Orbit, reduced: _Orbit, m: int, growth: np.ndarray):
     sq = np.empty((block + 1, width))
     for i in itertools.count():
         try:
-            f_images, f_data = full[i]
+            f_images, f_last, f_data = full[i]
         except IndexError:
             return
-        images, data = reduced._next_block()
+        images, last, data = reduced._next_block()
         images += f_images
+        last += f_last
         data += f_data
         giants = len(data) - 1
         size = min(block, full.steps - i * block)
-        images = images.reshape(s, 3, p, giants + 1, width)
+        images, last = images.reshape(s, 3, p, giants, width), last.reshape(3, p, width)
         for out, cols in groups:
-            # step b s + a at [:, b s + a] from [a, :, :, b]
+            # step b s + a at [:, b s + a] from [a, :, :, b], and step G s from last
             grid = out[:, :giants * s].reshape(3, giants, s, p, -1)
-            steps = images[:, :, :, :giants, cols].transpose(1, 3, 0, 2, 4)
+            steps = images[..., cols].transpose(1, 3, 0, 2, 4)
             grid[0] = steps[0]
             np.abs(steps[1:], out=grid[1:])
-            out[0, giants * s] = images[0, 0, :, giants, cols]
-            np.abs(images[0, 1:, :, giants, cols], out=out[1:, giants * s])
+            out[0, giants * s] = last[0, :, cols]
+            np.abs(last[1:, :, cols], out=out[1:, giants * s])
         np.multiply(data[:giants, None], growth[:, None],
                     out=sq[:giants * s].reshape(giants, s, width))
         sq[giants * s] = data[giants]
@@ -409,12 +325,17 @@ class FullOrderResponse:
            horizon: float) -> "FullOrderResponse":
         return cls(bal.A_t, bal.B_t, bal.C_t, bal.H, x0, horizon)
 
+    @property
+    def h(self) -> float:
+        """The simulation step SIM_LH / L (1 where L = 0)."""
+        return SIM_LH / self.L if self.L > 0 else 1.0
+
     @functools.cached_property
     def times(self) -> np.ndarray:
-        """The step times h, h + h, ... at h = SIM_LH / L, accumulated as a
-        step loop does, up to the first that reaches the horizon (up to
-        1e-12 relative, the rounding of the accumulation)."""
-        h = SIM_LH / self.L if self.L > 0 else 1.0
+        """The step times h, h + h, ... at :attr:`h`, accumulated as a step
+        loop does, up to the first that reaches the horizon (up to 1e-12
+        relative, the rounding of the accumulation)."""
+        h = self.h
         # two steps past horizon / h cover the accumulation's rounding
         times = np.cumsum(np.full(int(np.ceil(self.horizon / h)) + 2, h))
         return times[:int(np.argmax(times >= self.horizon - 1e-12 * self.horizon)) + 1]
@@ -423,7 +344,7 @@ class FullOrderResponse:
     def orbit(self) -> _Orbit:
         """The mode's orbit over :attr:`times`, read through (C, CA^2, CA^3)."""
         CA2 = self.C @ self.A @ self.A
-        return _Orbit(self.A, float(self.times[0]),
+        return _Orbit(_transition(self.A, self.h),
                       np.hstack([self.B, self.H @ _box_generators(self.x0)]),
                       (self.C, CA2, CA2 @ self.A), len(self.times))
 
@@ -455,14 +376,14 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
     """
     n, k, m, full = aug.n, aug.k, aug.m, aug.full
     orbit = full.orbit
-    h, mu, horizon = orbit.h, max(full.defect, 0.0), full.horizon
+    h, mu, horizon = full.h, max(full.defect, 0.0), full.horizon
     A_r, C_r, X_r = aug.A_bar[n:, n:], aug.C_bar[:, n:], X0[n:]
     # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
     # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
     # and C_i A^3 x bounds its change within a step
     D2_r = C_r @ A_r @ A_r
     D3_r = D2_r @ A_r
-    reduced = _Orbit(A_r, h, X_r, (C_r, D2_r, D3_r), orbit.steps, like=orbit)
+    reduced = _Orbit(_transition(A_r, h), X_r, (C_r, D2_r, D3_r), orbit.steps, like=orbit)
     blocks = _error_orbit(orbit, reduced, m, np.exp(2.0 * mu * h * np.arange(orbit.stride)))
     d3_full = orbit.maps[2]
     d3_norms = np.linalg.norm(np.hstack([d3_full, D3_r]), axis=1)
@@ -547,7 +468,7 @@ def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     input columns, per output and channel the |kernel| integral I_abs and
     the bound R_max on the running signed kernel integral that
     :func:`e2_simulation` reads."""
-    m, p, h = aug.m, aug.p, aug.full.orbit.h
+    m, p, h = aug.m, aug.p, aug.full.h
     X0 = np.hstack([aug.B_bar, aug.lift @ _box_generators(aug.full.x0)])
     bulge = h ** 2 / 8.0
     e1 = np.zeros(p)

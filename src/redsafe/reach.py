@@ -24,9 +24,10 @@ unsafe-region ellipsoids and the interval output of ``reach`` read each
 step's spread from the table by one pairing rule over per-age row sums,
 the support-function view of Le Guernic & Girard (NAHS 2010).  For order
 k, p outputs, g0 initial generators and r rows a step then costs
-O(k^2 (1 + g0 + m)) arithmetic to build (:func:`reach_lti`) and
-O(r p (g0 + m)) to check, rather than O(r p g_j) over its g_j input
-columns, with no matrix product per step.
+O((p k + k^2 / s)(1 + g0 + m)) arithmetic to build (:func:`reach_lti`,
+whose orbit forms every s-th state) and O(r p (g0 + m)) to check, rather
+than O(r p g_j) over its g_j input columns, with no matrix product per
+step.
 
 The witness search (:func:`find_unsafe_witness`) reads the same table and
 is the one place that looks for a crossing point.  From a box's image, a
@@ -111,6 +112,7 @@ class _AgeTable:
     Row i of ``Y`` (samples, p, 1 + g0 + m) is sample i: its output center
     C c_i, the images C H_i of the g0 initial generators and the images
     C M_i of the m input columns of age i; sample i holds the ages below i.
+    ``norms`` (samples, 1 + g0 + m) bounds the state norms of those columns.
     Step j is the hull of samples j and j + 1, so N steps join N + 1
     samples.  ``balls`` holds each step's ball radius, ``C_rows`` the row
     norms of C, ``centers`` each step's center, the middle of its samples'
@@ -126,7 +128,7 @@ class _AgeTable:
     center pair's is |l(c_j - c_j')| / 2.
     """
 
-    def __init__(self, Y, balls, C_rows, channels: np.ndarray):
+    def __init__(self, Y, norms, balls, C_rows, channels: np.ndarray):
         self.m = channels.size
         self.g0 = Y.shape[2] - 1 - self.m
         centers = (Y[:-1, :, 0] + Y[1:, :, 0]) / 2.0
@@ -134,10 +136,10 @@ class _AgeTable:
         # the step sets hand out views of these arrays: read-only, so that
         # an in-place change to one step's set raises instead of changing
         # every later check of the table
-        for a in (Y, balls, C_rows, centers, gaps):
+        for a in (Y, norms, balls, C_rows, centers, gaps):
             a.flags.writeable = False
         self.Y, self.balls, self.C_rows, self.centers = Y, balls, C_rows, centers
-        self.gaps, self.channels = gaps, channels
+        self.norms, self.gaps, self.channels = norms, gaps, channels
         self._spreads: dict = {}
 
     def _along(self, V: np.ndarray, samples: int | None = None) -> np.ndarray:
@@ -353,9 +355,9 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
     The block is built by doubling: after the first state, the states
     f+1 ... 2f are Phi^f times the states 1 ... f, one product per power in
     ``powers`` (from :func:`_doubling_powers`).  It is written into ``out``
-    when given, which may be a column slice of a larger buffer.  Both the
-    simulation bounds' orbits and :func:`reach_lti`'s exact recursions are
-    built here."""
+    when given, which may be a column slice of a larger buffer.  Every
+    :class:`_Orbit`, the simulation bounds' and :func:`reach_lti`'s, builds
+    its blocks of giant states here."""
     n, m = X.shape
     if out is None:
         out = np.empty((n, steps * m))
@@ -371,42 +373,92 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
     return out
 
 
-#: Doubles per chunk of a :func:`reach_lti` orbit: a chunk holds
-#: this // (rows x columns) states of the orbit, so no array of every step's
-#: states is formed.  At order 40 with 6 initial generators and 12 input
-#: columns that is 84 of the sweep's 996 samples, 512 KB; the motor's orbit
-#: (order 5, 2 input columns) fits in one chunk.
-REACH_CHUNK_DOUBLES = 1 << 16
+#: Doubles held by one block of an :class:`_Orbit`, counted as its giant
+#: states (n x width each) and two sets of output rows (rows x width per
+#: step): for the simulation bounds the full-order half's, which its mode
+#: keeps for every order, and the reduced half's, into which each order adds
+#: them; :func:`reach_lti` copies each block's rows into its age table.
+ORBIT_BLOCK_DOUBLES = 1 << 18
 
 
-def _orbit_images(Phi: np.ndarray, X: np.ndarray, count: int,
-                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``R`` times the orbit X, Phi X, ..., Phi^(count-1) X, as one (rows of
-    R, count*w) array with step-major columns, and the 2-norms of the
-    orbit's count*w columns over their first ``R.shape[1]`` rows.
+class _Orbit:
+    """Images of the states Phi^j X0, j = 0 ... ``steps``, of the step map
+    Phi under stacked maps M, and the exact squared column norms of its
+    giant states over their first ``norm_rows`` rows (all when None),
+    simulated block by block on first request.
 
-    The orbit is built a chunk of :data:`REACH_CHUNK_DOUBLES` at a time and
-    only its images and norms are kept: the first chunk by doubling from X
-    (:func:`_propagate`), each later one as Phi^c times the one before, for
-    chunks of c states."""
-    rows, w = R.shape[1], X.shape[1]
-    chunk = max(1, REACH_CHUNK_DOUBLES // max(1, X.size))
-    images, norms = np.empty((R.shape[0], count * w)), np.empty(count * w)
-    powers = _doubling_powers(Phi, min(chunk, count) - 1)
-    jump = np.linalg.matrix_power(Phi, chunk) if count > chunk else None
-    for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        if start == 0:
-            block = np.empty((X.shape[0], size * w))
-            block[:, :w] = X
-            _propagate(powers, X, size - 1, out=block[:, w:])
+    With n states, ``rows`` map rows in all and w columns, a step costs
+    2 n^2 w flops when its state is formed.  The orbit forms only the giant
+    states R_b = Phi^{s b} X0, every ``stride`` s = floor(n / rows) steps
+    where n >= 4 rows and every step otherwise (baby step / giant step,
+    Paterson & Stockmeyer 1973).  An orbit built ``like`` another takes that
+    one's stride and block, so that the two line up block for block and
+    step for step.  A block of G giant states is built by doubling
+    (:func:`_propagate`) from the powers Phi^s, Phi^{2s}, Phi^{4s}, ...,
+    computed once per orbit, and its steps s b + a, 0 <= a < s, b < G, are
+    read as (M Phi^a) R_b in one product of the stack
+    [M; M Phi; ...; M Phi^{s-1}] (s - 1 (rows x n)(n x n) products, once per
+    orbit) with R_0 ... R_{G-1}, R_0 the last state of the block before;
+    its last giant state R_G, the next block's R_0, is read through M alone.
+    A step then costs 2 rows n w + 2 n^2 w / s flops, about 4 rows n w when
+    s > 1; at s = 1 the stack is M alone and a step costs 2 n^2 w, as a
+    step loop spends, but in log2(G) + 3 products instead of G small ones.
+
+    A block holds G = ORBIT_BLOCK_DOUBLES // (w (n + 2 s rows)) giant
+    states, at most 512 steps' worth and at least one, and the last block
+    ends at step ``steps``.  Of the states only the last is kept."""
+
+    def __init__(self, Phi: np.ndarray, X0: np.ndarray, maps: tuple[np.ndarray, ...],
+                 steps: int, like: "_Orbit | None" = None, norm_rows: int | None = None):
+        n, width = X0.shape
+        rows = sum(M.shape[0] for M in maps)
+        self.steps, self.maps, self.rows, self.width = steps, maps, rows, width
+        self.norm_rows = norm_rows
+        if like is None:
+            self.stride = n // rows if n >= 4 * rows else 1
+            giants = max(1, min(512 // self.stride,
+                                ORBIT_BLOCK_DOUBLES // (width * (n + 2 * self.stride * rows))))
+            self.block = min(giants, -(-steps // self.stride)) * self.stride
         else:
-            block = jump @ block[:, :size * w]
-        states, cols = block[:rows], slice(start * w, (start + size) * w)
-        np.matmul(R, states, out=images[:, cols])
-        # without the squared copy of the states that np.linalg.norm makes
-        norms[cols] = np.sqrt(np.einsum("ij,ij->j", states, states))
-    return images, norms
+            self.stride, self.block = like.stride, like.block
+        stack = [np.vstack(maps)]
+        for _ in range(self.stride - 1):
+            stack.append(stack[-1] @ Phi)
+        self._stack = np.vstack(stack)
+        self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride),
+                                        self.block // self.stride)
+        self._last, self._built = X0, 0
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block i, the steps i*block ... i*block + size with size =
+        min(block, steps - i*block), as (images, last, data) over its
+        G + 1 = ceil(size / s) + 1 giant states R_b, b = 0 ... G, of which
+        R_0 is step i*block: images (s, rows, G, w) holds (M Phi^a) R_b at
+        [a, :, b] for b < G, last (rows, w) M R_G, and data (G+1, w) R_b's
+        squared column norms.  Step i*block + j is at [j % s, :, j // s] for
+        j < G s and in ``last`` at j = G s.  IndexError past the last block.
+        Blocks read this way are kept."""
+        while len(self._blocks) <= i:
+            self._blocks.append(self._next_block())
+        return self._blocks[i]
+
+    def _next_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block after the last one built, as :meth:`__getitem__` gives
+        it, but not kept."""
+        size = min(self.block, self.steps - self._built * self.block)
+        if size <= 0:
+            raise IndexError(f"the orbit ends at step {self.steps}")
+        self._built += 1
+        (n, width), giants = self._last.shape, -(-size // self.stride)
+        states = np.empty((n, (giants + 1) * width))
+        states[:, :width] = self._last
+        _propagate(self._powers, self._last, giants, out=states[:, width:])
+        self._last = states[:, -width:].copy()
+        images = (self._stack @ states[:, :-width]).reshape(self.stride, self.rows, giants, width)
+        head = states[:self.norm_rows]
+        return images, self._stack[:self.rows] @ self._last, \
+            np.einsum("ij,ij->j", head, head).reshape(giants + 1, width)
 
 
 #: Default reach step control: ||A||_2 * h <= this value.
@@ -454,23 +506,29 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006),
     and step j is the hull of samples j and j + 1 plus a ball.  The rows of
     the age table (:class:`_AgeTable`), each sample's output center C c_j,
-    initial images C Phi^j G0 and input images C M_j, come from one orbit
-    of [c, G0, G_in; 1, 0, 0] under [[Phi, v], [0, 1]], and its column norms
-    bound each sample's state norm.
+    initial images C Phi^j G0 and input images C M_j, come from one
+    :class:`_Orbit` of [c, G0, G_in; 1, 0, 0] under the step map
+    [[Phi, v], [0, 1]], v = PsiB u_c, read through [C, 0].  Its column norms
+    over the n state rows (``_AgeTable.norms``) bound each sample's state
+    norm, which the balls read: they are exact at the orbit's giant samples,
+    and a samples after one at most ||Phi||^a times its norms, the center's
+    plus sum_{i<a} ||Phi||^i ||v|| for its drift.  Since ||Phi||_2 <= e^{mu h}
+    for mu = max(lambda_max(sym A), 0), that is within the simulation
+    bounds' rule, e^{mu a h} times the norm and a e^{mu a h} ||v||.
 
     Cost model, for order k, m input columns, g0 initial generators (g0 <=
     min(f, k) for the image of a box with f free dims, see
-    :func:`balancing.image_zonotope`), p outputs and N steps: the orbit of
-    N + 1 samples is built a chunk of :data:`REACH_CHUNK_DOUBLES` at a time
-    (:func:`_orbit_images`), the first chunk of c states by doubling
-    (:func:`_propagate`) and each later one as Phi^c times the one before,
-    about log2 c + N / c products and O(N k^2 (1 + g0 + m)) flops.  Of each
-    chunk only its output images (p x (1 + g0 + m) per sample) and its
-    column norms are kept, so no k x N array is formed: at k = 40, N = 995,
-    m = 12 the input orbit alone would be 3.8 MB.  rho <- ||Phi|| rho + res
-    stays a scalar recursion, and the balls are one array expression over
-    the norms.  Indexing the result assembles a step's generator array
-    (O(p g_j) for g_j input columns, :meth:`_AgeTable.generators`), while
+    :func:`balancing.image_zonotope`), p outputs and N steps: the orbit's
+    state has k + 1 rows, so it forms every s-th state, s = floor((k + 1) / p)
+    where k + 1 >= 4p and s = 1 otherwise, and a sample costs about
+    2 p (k + 1) w + 2 (k + 1)^2 w / s flops for w = 1 + g0 + m, in blocks of
+    :data:`ORBIT_BLOCK_DOUBLES` (:class:`_Orbit`).  Of each block only its
+    output images (p x w per sample) and its giant states' column norms are
+    kept, so no k x N array is formed: at k = 40, N = 995, m = 12 the input
+    orbit alone would be 3.8 MB.  rho <- ||Phi|| rho + res stays a scalar
+    recursion, and the balls are one array expression over the norms.
+    Indexing the result assembles a step's generator array (O(p g_j) for
+    g_j input columns, :meth:`_AgeTable.generators`), while
     :func:`check_spec` reads polytope-row and unsafe-ellipsoid spreads from
     the table.
     """
@@ -516,12 +574,27 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     aug[:n, :n], aug[:n, n] = Phi, vin
     X = np.block([[init.center[:, None], init.generators, Gin],
                   [np.ones((1, 1)), np.zeros((1, g0 + m))]])
-    images, norms = _orbit_images(aug, X, steps + 1, C)
+    orbit = _Orbit(aug, X, (np.hstack([C, np.zeros((p, 1))]),), steps, norm_rows=n)
+    s, w = orbit.stride, X.shape[1]
+    # a samples after a giant sample a column's state norm is at most
+    # ||Phi||^a times the giant's, and the center's adds its drift
+    # sum_{i<a} ||Phi^i vin|| <= sum_{i<a} ||Phi||^i ||vin||
+    growth = nPhi ** np.arange(s)
+    carried = np.concatenate([[0.0], np.cumsum(growth[:-1])]) * float(np.linalg.norm(vin))
     # Y is laid out samples last, so that the readers' products and pairs
-    # run along them
-    Y = np.ascontiguousarray(images.reshape(p, steps + 1, 1 + g0 + m).transpose(0, 2, 1))
-    Y = Y.transpose(2, 0, 1)
-    norms = norms.reshape(steps + 1, 1 + g0 + m)
+    # run along them; a last block may end past sample N
+    Yt, norms = np.empty((p, w, steps + 1)), np.empty((steps + 1, w))
+    for start in range(0, steps, orbit.block):
+        images, last, data = orbit._next_block()
+        end, root = start + (len(data) - 1) * s, np.sqrt(data)
+        bounds = root[:-1, None] * growth[:, None]
+        bounds[:, :, 0] += carried
+        size = min(end, steps + 1) - start
+        Yt[:, :, start:start + size] = images.transpose(1, 3, 2, 0).reshape(p, w, -1)[..., :size]
+        norms[start:start + size] = bounds.reshape(-1, w)[:size]
+        if end == steps:
+            Yt[:, :, end], norms[end] = last, root[-1]
+    Y = Yt.transpose(2, 0, 1)
     rhos = np.fromiter(itertools.accumulate(
         range(steps), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, steps + 1)
 
@@ -532,7 +605,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
         + np.concatenate([[0.0], np.cumsum(ages[:-1])])
     balls = np.maximum(rhos[:-1], rhos[1:]) \
         + (2.0 * ebl * (state_norms[:-1] + rhos[:-1] + drift) + sweep * (nB * ur_norm))
-    table = _AgeTable(Y, balls, np.linalg.norm(C, axis=1), channels)
+    table = _AgeTable(Y, norms, balls, np.linalg.norm(C, axis=1), channels)
     return ReachSets(times[:-1], times[1:], table)
 
 

@@ -362,6 +362,7 @@ def test_bm_theoretical_bounds_match_published():
 import dataclasses  # noqa: E402
 
 import redsafe.bounds as bmod  # noqa: E402
+from redsafe import reach  # noqa: E402
 from redsafe.verifier import problem_modes  # noqa: E402
 
 
@@ -767,19 +768,21 @@ class TestFullOrderResponse:
         built, reduced = [], []
         orbit = bmod._Orbit
 
-        def recording(A, *args, like=None):
-            made = orbit(A, *args, like=like)
+        def recording(Phi, *args, like=None):
+            made = orbit(Phi, *args, like=like)
             if like is None:
-                built.append((A, made))
+                built.append((Phi, made))
             else:
-                reduced.append((A.shape[0], like))
+                reduced.append((Phi.shape[0], like))
             return made
         monkeypatch.setattr(bmod, "_Orbit", recording)
         verdict = rs.verify_pss(problem, rs.VerifyOptions(k0=3, k_max=5))
         assert verdict.k_used == 5 and len(verdict.per_k_log) == 3
         assert len(built) == 2
-        for (_, system, _, _), (A, _) in zip(problem_modes(problem), built):
-            assert np.array_equal(A, balance(system).A_t)
+        # each mode's orbit steps by e^{A_t h} at its own h = SIM_LH / ||A_t||
+        for (_, system, _, _), (Phi, _) in zip(problem_modes(problem), built):
+            A_t = balance(system).A_t
+            assert np.array_equal(Phi, _transition(A_t, bmod.SIM_LH / np.linalg.norm(A_t, 2)))
         modes = [made for _, made in built]
         assert sorted(k for k, _ in reduced) == [3, 3, 4, 4, 5, 5]
         assert all(sum(like is mode for _, like in reduced) == 3 for mode in modes)
@@ -857,7 +860,7 @@ def orbit_cases(draw):
 def test_doubling_matches_step_loop(case):
     Phi, X, steps = case
     n, m = X.shape
-    got = bmod._propagate(bmod._doubling_powers(Phi, steps), X, steps)
+    got = reach._propagate(reach._doubling_powers(Phi, steps), X, steps)
     assert got.shape == (n, steps * m)
     expected = np.empty((n, steps, m))
     x = X
@@ -871,15 +874,19 @@ def test_doubling_matches_step_loop(case):
 def orbit_steps(orbit, blocks):
     """The first ``blocks`` blocks of an orbit per step, from step 0: the
     images (steps+1, rows, w) and the squared column norms (steps+1, w),
-    NaN between giant steps, where the orbit forms no state."""
+    NaN between giant steps, where the orbit forms no state.  A block's
+    last giant state is read through the first map block alone: its
+    images are the step after the block's G s steps."""
     images, data = [], []
     for i in range(blocks):
-        block, sq = orbit[i]
+        block, last, sq = orbit[i]
         s, rows, giants, width = block.shape
+        assert last.shape == (rows, width) and sq.shape == (giants + 1, width)
         size = min(orbit.block, orbit.steps - i * orbit.block)
         first = 0 if i == 0 else 1
-        images.append(block.transpose(2, 0, 1, 3).reshape(-1, rows, width)[first:size + 1])
-        norms = np.full((giants * s, width), np.nan)
+        steps = np.concatenate([block.transpose(2, 0, 1, 3).reshape(-1, rows, width), last[None]])
+        images.append(steps[first:size + 1])
+        norms = np.full((giants * s + 1, width), np.nan)
         norms[::s] = sq
         data.append(norms[first:size + 1])
     return np.concatenate(images), np.concatenate(data)
@@ -892,8 +899,9 @@ def test_block_projections_match_per_step_maps(rng):
     A = rs.random_stable_system(rng, 9, 1, 1).A
     X0 = rng.standard_normal((9, 500))
     maps = (rng.standard_normal((2, 9)), rng.standard_normal((4, 9)))
-    block = bmod._Orbit(A, 0.01, X0, maps, 10 ** 6).block
-    orbit = bmod._Orbit(A, 0.01, X0, maps, 2 * block + 7)
+    Phi = _transition(A, 0.01)
+    block = bmod._Orbit(Phi, X0, maps, 10 ** 6).block
+    orbit = bmod._Orbit(Phi, X0, maps, 2 * block + 7)
     assert orbit.stride == 1 and orbit.block == block < 100
     images, data = orbit_steps(orbit, 3)
     with pytest.raises(IndexError):
@@ -968,9 +976,10 @@ def test_giant_steps_match_step_loop(case):
     (n, width), rows = X0.shape, 3 * maps[0].shape[0]
     stride = n // rows
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bmod, "ORBIT_BLOCK_DOUBLES", giants * width * (n + 2 * stride * rows))
-        orbit = bmod._Orbit(A, h, X0, maps, steps)
-    reduced = bmod._Orbit(A[:k, :k], h, X0[:k], maps_r, steps, like=orbit)
+        patch.setattr(reach, "ORBIT_BLOCK_DOUBLES", giants * width * (n + 2 * stride * rows))
+        orbit = bmod._Orbit(_transition(A, h), X0, maps, steps)
+    Phi_r = _transition(A[:k, :k], h)
+    reduced = bmod._Orbit(Phi_r, X0[:k], maps_r, steps, like=orbit)
     assert orbit.stride == reduced.stride == stride
     assert orbit.block == reduced.block == min(giants, -(-steps // stride)) * stride
     blocks = -(-steps // orbit.block)
@@ -987,7 +996,7 @@ def test_giant_steps_match_step_loop(case):
         assert np.max(np.abs(data[at_giant] - norms[at_giant])) <= slack
     defect = np.linalg.eigvalsh(A + A.T).max() / 2.0
     growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(stride))
-    reduced = bmod._Orbit(A[:k, :k], h, X0[:k], maps_r, steps, like=orbit)
+    reduced = bmod._Orbit(Phi_r, X0[:k], maps_r, steps, like=orbit)
     got, data = [], []
     for i, (groups, sq) in enumerate(bmod._error_orbit(orbit, reduced, m, growth)):
         first = 0 if i == 0 else 1
@@ -1019,18 +1028,22 @@ def test_giant_step_paths_by_shape(monkeypatch):
     prob = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9)
     bal = balance(prob.system)
     orbit = FullOrderResponse.of(bal, prob.x0, prob.t_f).orbit
-    assert orbit.stride == 12 and orbit[0][0].shape == (12, 12, orbit.block // 12 + 1, 12 + 7)
+    # each block reads its G giant states through the stack of 12 maps and
+    # its last giant state, the next block's first, through the first alone
+    images, last, data = orbit[0]
+    assert orbit.stride == 12 and images.shape == (12, 12, orbit.block // 12, 12 + 7)
+    assert last.shape == (12, 12 + 7) and data.shape == (orbit.block // 12 + 1, 12 + 7)
     # on the giant path only giant states are formed: each block of the
     # full-order half's states, and of the order's reduced half's, holds one
     # state per giant step of the block, never a whole block's
     shapes = []
-    propagate = bmod._propagate
+    propagate = reach._propagate
 
     def recording(powers, X, steps, out=None):
         out = propagate(powers, X, steps, out=out)
         shapes.append(out.shape)
         return out
-    monkeypatch.setattr(bmod, "_propagate", recording)
+    monkeypatch.setattr(reach, "_propagate", recording)
     full = FullOrderResponse.of(bal, prob.x0, prob.t_f)
     aug = augment(full, 5)
     e1_simulation(aug)
@@ -1062,7 +1075,7 @@ def test_motor_blocks_end_at_the_horizon():
         full = FullOrderResponse.of(balance(system), x0, duration)
         e1_simulation(augment(full, 5))
         orbit = full.orbit
-        formed = sum(len(orbit[i][1]) - 1 for i in range(len(orbit._blocks)))
+        formed = sum(len(orbit[i][2]) - 1 for i in range(len(orbit._blocks)))
         assert orbit.stride == 1 and formed == orbit.steps == len(full.times)
         assert full.times[-2] < duration * (1.0 - 1e-12) <= full.times[-1]
 
@@ -1266,7 +1279,7 @@ def test_e1_simulation_covers_sampled_vertices_of_wide_boxes(case):
     signs = rng.choice([-1.0, 1.0], size=(len(free), 64))
     X = np.repeat(x0.center[:, None], 64, axis=1)
     X[free] += x0.halfwidth[free, None] * signs
-    peak = fine_vertex_peaks(aug, aug.lift @ X, horizon, aug.full.orbit.h)
+    peak = fine_vertex_peaks(aug, aug.lift @ X, horizon, aug.full.h)
     scale = e1_simulation(mirrored(aug))
     assert np.all(e1 >= peak - 1e-12 * scale)
     if aug.full.contractive:
@@ -1287,7 +1300,7 @@ def test_e1_simulation_covers_a_peak_between_steps():
     x0 = rs.HyperBox([-np.sin(phi), np.cos(phi)], [-np.sin(phi), np.cos(phi)])
     full = FullOrderResponse(A, np.zeros((2, 1)), np.array([[0.0, 1.0]]), np.eye(2), x0, 3.0)
     aug = augment(full, 1)
-    assert full.orbit.h == h and full.contractive
+    assert full.h == h and full.contractive
     e1 = e1_simulation(aug)
     on_steps = fine_vertex_peaks(aug, aug.lift @ x0.center[:, None], 3.0, h, fine=1)
     peak = fine_vertex_peaks(aug, aug.lift @ x0.center[:, None], 3.0, h, fine=1000)

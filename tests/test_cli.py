@@ -541,13 +541,25 @@ def test_json_matches_golden(name, tmp_path, capsys):
     assert_matches_golden(json.loads(capsys.readouterr().out), expected)
 
 
-@pytest.mark.parametrize("budget", [8, 64])
-def test_reach_golden_in_orbit_chunks(budget, tmp_path, capsys, monkeypatch):
-    # reach's orbits built a state or a few at a time (8 doubles hold one
-    # state of any of the n = 6 orbits, 64 a few) match the golden
+@pytest.mark.parametrize("giants", [1, 2])
+def test_reach_golden_in_orbit_blocks(giants, tmp_path, capsys, monkeypatch):
+    # reach's orbit on the golden instance has 7 rows (6 states and the
+    # center's constant) and 6 columns, read through 1 output row: giant
+    # steps of 7, so its 11 steps hold 2.  Read one giant step per block
+    # (ORBIT_BLOCK_DOUBLES sized to hold one) or the whole horizon in one
+    # block, it matches the golden
     from redsafe import reach
-    monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", budget)
+    monkeypatch.setattr(reach, "ORBIT_BLOCK_DOUBLES", giants * 6 * (7 + 2 * 7 * 1))
+    blocks = []
+
+    class Recording(reach._Orbit):
+        def _next_block(self):
+            block = super()._next_block()
+            blocks.append((self.stride, block[0].shape[2]))
+            return block
+    monkeypatch.setattr(reach, "_Orbit", Recording)
     test_json_matches_golden("reach_n6_seed7_h025", tmp_path, capsys)
+    assert blocks == ([(7, 1), (7, 1)] if giants == 1 else [(7, 2)])
 
 
 def test_reach_csv_bounds_match_the_golden_step_hulls(tmp_path, capsys):

@@ -173,36 +173,106 @@ class TestReach:
             assert a.t1 == pytest.approx(b.t0)
 
 
+def orbit_stride(sys_):
+    """reach_lti's giant-step stride: its orbit's n + 1 state rows (the
+    center's constant among them) over the p output rows it is read
+    through, floor((n + 1) / p) where n + 1 >= 4p and 1 otherwise."""
+    n, p = sys_.n, sys_.p
+    return (n + 1) // p if n + 1 >= 4 * p else 1
+
+
+def naive_orbit(sys_, x0, u_box, step_h, steps):
+    """The output images (steps+1, p, 1 + g0 + m) and the exact state norms
+    (steps+1, 1 + g0 + m) of the center, the initial generators and the
+    input columns of age j at sample j, from a per-state loop."""
+    Phi, PsiB = _transition(sys_.A, step_h, sys_.B)
+    Gin = PsiB * u_box.halfwidth
+    init = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
+    X = np.hstack([init.center[:, None], init.generators,
+                   Gin[:, np.linalg.norm(Gin, axis=0) > 0]])
+    images, norms = [], []
+    for _ in range(steps + 1):
+        images.append(sys_.C @ X)
+        norms.append(np.linalg.norm(X, axis=0))
+        X = Phi @ X
+        X[:, 0] += PsiB @ u_box.center
+    return np.array(images), np.array(norms)
+
+
+def rule_norms(sys_, u_box, step_h, norms, stride):
+    """reach_lti's orbit rule on exact column norms: at sample j, a = j mod s
+    samples after the giant sample j - a, each column's norm there times
+    ||Phi||^a, the center's plus sum_{i<a} ||Phi||^i ||PsiB u_c|| for its
+    drift."""
+    Phi, PsiB = _transition(sys_.A, step_h, sys_.B)
+    a = np.arange(len(norms)) % stride
+    powers = np.linalg.norm(Phi, 2) ** np.arange(stride)
+    drift = np.concatenate([[0.0], np.cumsum(powers[:-1])])[a]
+    out = norms[np.arange(len(norms)) - a] * powers[a, None]
+    out[:, 0] += drift * np.linalg.norm(PsiB @ u_box.center)
+    return out
+
+
+def naive_balls(sys_, x0, u_box, t_f, step_h, stride):
+    """Each step's ball over the steps of ``linspace(0, t_f, N + 1)`` for
+    the even step ``step_h`` = t_f / N, from the state norms of a per-state
+    loop: exact at stride 1, reach_lti's orbit rule on them at stride s."""
+    A, B = sys_.A, sys_.B
+    L, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+    ur = u_box.halfwidth
+    in_norm, drift = nB * np.linalg.norm(ur), np.linalg.norm(B @ u_box.center) / L
+    e = np.exp(L * step_h)
+    nPhi = np.linalg.norm(_transition(A, step_h, B)[0], 2)
+    res = ((e - 1) / L - step_h) * nB * 2 * np.linalg.norm(ur)
+    ebl, sweep = e - 1 - L * step_h, 2 * (e - 1) / L
+    steps = round(t_f / step_h)
+    g0 = (x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)).order
+    norms = rule_norms(sys_, u_box, step_h, naive_orbit(sys_, x0, u_box, step_h, steps)[1],
+                       stride)
+    # the center, the initial generators and every input column before it
+    state = norms[:, 0] + norms[:, 1:1 + g0].sum(axis=1) \
+        + np.concatenate([[0.0], np.cumsum(norms[:-1, 1 + g0:].sum(axis=1))])
+    rho, balls = 0.0, []
+    for j in range(steps):
+        rho_next = nPhi * rho + res
+        balls.append(max(rho, rho_next) + 2 * ebl * (state[j] + rho + drift) + sweep * in_norm)
+        rho = rho_next
+    return np.array(balls)
+
+
 def naive_reach(sys_, x0, u_box, t_f, step_h):
     """Reference recurrence over the steps of ``linspace(0, t_f, N + 1)``
     for the even step ``step_h`` = t_f / N: every step maps all state
     generators through Phi and encloses consecutive states, keeping every
-    generator."""
-    A, B, C = sys_.A, sys_.B, sys_.C
-    L, nB = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
-    ur = u_box.halfwidth
-    in_norm, drift = nB * np.linalg.norm(ur), np.linalg.norm(B @ u_box.center) / L
-    Phi, PsiB = _transition(A, step_h, B)
-    vin, Gin = PsiB @ u_box.center, PsiB * ur
+    generator, with reach_lti's balls (:func:`naive_balls` at its stride)."""
+    C = sys_.C
+    Phi, PsiB = _transition(sys_.A, step_h, sys_.B)
+    vin, Gin = PsiB @ u_box.center, PsiB * u_box.halfwidth
     Gin = Gin[:, np.linalg.norm(Gin, axis=0) > 0]
-    e = np.exp(L * step_h)
-    nPhi, res = np.linalg.norm(Phi, 2), ((e - 1) / L - step_h) * nB * 2 * np.linalg.norm(ur)
-    ebl, sweep = e - 1 - L * step_h, 2 * (e - 1) / L
     times = np.linspace(0.0, t_f, round(t_f / step_h) + 1)
+    balls = naive_balls(sys_, x0, u_box, t_f, step_h, orbit_stride(sys_))
     state = x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)
-    rho, steps = 0.0, []
-    for t0, t1 in zip(times[:-1], times[1:]):
+    steps = []
+    for t0, t1, ball in zip(times[:-1], times[1:], balls):
         nxt = Zonotope(Phi @ state.center + vin, np.hstack([Phi @ state.generators, Gin]))
-        rho_next = nPhi * rho + res
-        state_norm = np.linalg.norm(state.center) \
-            + np.sum(np.linalg.norm(state.generators, axis=0))
-        ball = max(rho, rho_next) + 2 * ebl * (state_norm + rho + drift) + sweep * in_norm
         hull = enclose(state, nxt)
         hull = Zonotope(C @ hull.center, C @ hull.generators)
         steps.append(rs.ReachStep(float(t0), float(t1), Zonotope(hull.center, np.hstack(
             [hull.generators, np.diag(ball * np.linalg.norm(C, axis=1))]))))
-        state, rho = nxt, rho_next
+        state = nxt
     return steps
+
+
+def assert_balls_bracketed(sets, sys_, x0, u_box):
+    """Every ball of reach_lti's step sets is at least the one from the
+    exact state norms of a per-state loop and at most the one from the
+    orbit rule's bound on them, within rounding."""
+    t_f = float(sets.t1[-1])
+    h = t_f / len(sets)
+    exact = naive_balls(sys_, x0, u_box, t_f, h, 1)
+    rule = naive_balls(sys_, x0, u_box, t_f, h, orbit_stride(sys_))
+    balls = sets.table.balls
+    assert np.all(balls >= exact * (1 - 1e-12)) and np.all(balls <= rule * (1 + 1e-12))
 
 
 def assert_same_sets(steps, ref, rng):
@@ -222,7 +292,7 @@ class TestReachEquivalence:
     """reach_lti's age table against the all-generators reference."""
 
     def test_random_systems(self, rng):
-        shortened = 0
+        shortened = strided = 0
         for _ in range(12):
             n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
             sys_ = rs.random_stable_system(rng, n, m, p)
@@ -233,7 +303,10 @@ class TestReachEquivalence:
             h = t_f / len(steps)
             shortened += h < step_h * (1 - 1e-9)
             assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, h), rng)
+            assert_balls_bracketed(steps, sys_, x0, ubox)
+            strided += orbit_stride(sys_) > 1
         assert shortened  # some horizons are off the grid of step_h
+        assert strided  # some orbits take giant steps
 
     def test_partial_last_step_and_single_step(self, rng):
         # horizons off the grid of step_h, which once ended on a shorter
@@ -992,6 +1065,7 @@ def test_doubling_matches_naive_reach(case, seed):
     # the step times are the step loop's, bit for bit
     assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
     assert_same_sets(steps, ref, np.random.default_rng(seed))
+    assert_balls_bracketed(steps, sys_, x0, ubox)
 
 
 # --------------------------------------------------------------------------
@@ -1033,6 +1107,7 @@ class TestExactInitialSet:
                       <= hull.table.balls + 1e-12 * np.max(scale, initial=0.0))
         assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f,
                                             t_f / len(exact)), np.random.default_rng(0))
+        assert_balls_bracketed(exact, sys_, image_zonotope(L, box), ubox)
 
     @given(image_cases())
     def test_trajectories_stay_inside(self, case):
@@ -1240,6 +1315,7 @@ class TestBatchedSteps:
                 np.testing.assert_allclose(
                     inputs, G[:, np.r_[1 + g0:1 + hull, 1 + hull + g0:1 + 2 * hull]], **close)
                 np.testing.assert_allclose(table.balls[j] * C_rows, np.diag(G[:, -p:]), **close)
+            assert_balls_bracketed(sets, sys_, x0, ubox)
 
     def test_shared_table_is_read_only(self, rng):
         # a step set's center, the table's samples, centers and spreads are
@@ -1638,7 +1714,8 @@ class TestBlockSimulate:
 
 
 # --------------------------------------------------------------------------
-# reach_lti's orbits built a chunk at a time against one chunk.
+# reach_lti's orbit read in blocks of giant steps against one block, and
+# against a per-state loop.
 
 def assert_same_table(sets, ref, rng):
     assert len(sets) == len(ref)
@@ -1664,25 +1741,80 @@ class TestReachChunks:
     def test_chunk_boundaries_match_one_chunk(self, rng, monkeypatch, columns, off_grid):
         # order 3: the one orbit of [c, G0, G_in; 1, 0, 0] (4 rows) holding
         # the center alone, the center and 1 initial generator, or both and
-        # 2 input columns; chunks of c = 4 states, and orbits of c - 1, c,
-        # c + 1 and 2c + 1 samples (one more than there are steps), over
-        # horizons on the grid of step_h and off it
-        sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        step_h, c = 0.1, 4
+        # 2 input columns, read through [C, 0]: every state at 2 outputs,
+        # every 4th at 1 output.  Blocks of one giant step and of three
+        # (ORBIT_BLOCK_DOUBLES sized to hold them) against the whole horizon
+        # in one block, over horizons that end just before, at and after a
+        # block and a block later, on the grid of step_h and off it
+        step_h = 0.1
         free, width = {"center": (0, 1), "initial": (1, 2), "inputs": (1, 4)}[columns]
-        x0, ubox = rand_box(rng, 3, free), rand_ubox(rng, 2)
-        if columns != "inputs":  # a zero-width input box drops every channel
-            ubox = rs.HyperBox(ubox.lb, ubox.lb)
-        for count in (c - 1, c, c + 1, 2 * c + 1):
-            steps = count - 1
-            t_f = step_h * (steps - (0.4 if off_grid else 0.0))
-            monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", 1 << 30)
-            ref = reach_lti(sys_, x0, ubox, t_f, step_h)
-            monkeypatch.setattr(reach, "REACH_CHUNK_DOUBLES", c * 4 * width)
-            sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            assert sets.table.Y.shape == (count, 2, width)
-            assert len(sets) == len(sets.table.balls) == steps
-            assert_same_table(sets, ref, rng)
+        for p, stride in ((2, 1), (1, 4)):
+            sys_ = rs.random_stable_system(rng, 3, 2, p)
+            x0, ubox = rand_box(rng, 3, free), rand_ubox(rng, 2)
+            if columns != "inputs":  # a zero-width input box drops every channel
+                ubox = rs.HyperBox(ubox.lb, ubox.lb)
+            assert orbit_stride(sys_) == stride
+            for giants in (1, 3):
+                block = giants * stride
+                for steps in sorted({max(1, block - 1), block, block + 1, 2 * block + 1}):
+                    t_f = step_h * (steps - (0.4 if off_grid else 0.0))
+                    monkeypatch.setattr(reach, "ORBIT_BLOCK_DOUBLES", 1 << 30)
+                    ref = reach_lti(sys_, x0, ubox, t_f, step_h)
+                    monkeypatch.setattr(reach, "ORBIT_BLOCK_DOUBLES",
+                                        giants * width * (4 + 2 * stride * p))
+                    sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+                    assert sets.table.Y.shape == (steps + 1, p, width)
+                    assert len(sets) == len(sets.table.balls) == steps
+                    assert_same_table(sets, ref, rng)
+
+
+@st.composite
+def stride_cases(draw):
+    """(system, x0, input box, t_f, step_h, steps) at orders up to 30 with
+    p <= 3 outputs and n + 1 >= 4p, so that reach's orbit takes giant steps
+    (s > 1): a contractive A (sym A negative definite) or one with
+    lambda_max(sym A) > 0, and an input box with a nonzero center."""
+    p, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(4 * p - 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    top = np.linalg.eigvalsh(G + G.T).max() / 2.0
+    sign = 1.0 if draw(st.booleans()) else -1.0
+    A = G - (top + sign * draw(st.floats(0.05, 1.0))) * np.eye(n)
+    sys_ = rs.LtiSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)))
+    steps = draw(st.integers(1, 80))
+    step_h = draw(st.floats(0.2, 1.0)) * reach.STEP_LH / np.linalg.norm(A, 2)
+    return (sys_, rand_box(rng, n, draw(st.integers(0, n))), rand_ubox(rng, m),
+            step_h * steps, step_h, steps)
+
+
+@given(stride_cases())
+def test_orbit_rule_bounds_every_state_norm(case):
+    # reach's age table against a per-state loop at giant steps of s > 1:
+    # its images within 1e-13 of the loop's, and every sample's state-norm
+    # bound (the center with its drift, each initial generator and each
+    # input column of the sample's age) at least the loop's exact norm,
+    # contractive or not
+    sys_, x0, ubox, t_f, step_h, steps = case
+    assert orbit_stride(sys_) > 1 and np.all(ubox.center != 0)
+    sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+    assert len(sets) == steps
+    images, norms = naive_orbit(sys_, x0, ubox, t_f / steps, steps)
+    table = sets.table
+    assert np.max(np.abs(table.Y - images)) <= 1e-13 * np.max(np.abs(images))
+    assert np.all(table.norms >= norms * (1 - 1e-13))
+    # and never above the rule applied to the loop's exact norms, nor
+    # above the simulation bounds' rule: e^{mu a h} times the giant
+    # sample's, mu = max(lambda_max(sym A), 0) and ||Phi|| <= e^{mu h}, the
+    # center's plus a e^{mu a h} ||PsiB u_c||
+    h, stride = t_f / steps, orbit_stride(sys_)
+    rule = rule_norms(sys_, ubox, h, norms, stride)
+    assert np.all(table.norms <= rule * (1 + 1e-13))
+    A, a = sys_.A, np.arange(steps + 1) % stride
+    growth = np.exp(max(np.linalg.eigvalsh((A + A.T) / 2.0).max(), 0.0) * a * h)
+    limit = norms[np.arange(steps + 1) - a] * growth[:, None]
+    limit[:, 0] += a * growth * np.linalg.norm(_transition(A, h, sys_.B)[1] @ ubox.center)
+    assert np.all(table.norms <= limit * (1 + 1e-13))
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Balancing transformation, Hankel singular values and truncation.
 
 The balancing matrix follows the square-root procedure: factor Wc = G G^T by
-an eigendecomposition (so near-semidefinite gramians degrade gracefully),
-diagonalize G^T Wo G = K S^2 K^T, and set H = S^{1/2} K^T G^{-1}.  In the
-transformed coordinates both gramians equal diag(sigma).
+an eigendecomposition Wc = V diag(w) V^T, G = V diag(w)^{1/2} (so
+near-semidefinite gramians degrade gracefully), diagonalize
+G^T Wo G = K S^2 K^T, and set H = S^{1/2} K^T G^{-1}, where
+G^{-1} = diag(w)^{-1/2} V^T needs no inverse.  In the transformed
+coordinates both gramians equal diag(sigma).
 """
 
 from __future__ import annotations
@@ -79,19 +81,19 @@ class Abstraction:
 
 
 def _hankel_factor(g: GramianPair):
-    """Factor Wc = G G^T by an eigendecomposition (w are its eigenvalues),
-    then diagonalize the symmetric G^T Wo G = K diag(s2) K^T with s2
-    nonincreasing; eig(Wc Wo) = s2 even when Wc is near singular."""
+    """Factor Wc = G G^T, G = V diag(w)^{1/2}, by an eigendecomposition
+    (w ascending), then diagonalize the symmetric G^T Wo G = K diag(s2) K^T
+    with s2 nonincreasing; eig(Wc Wo) = s2 even when Wc is near singular."""
     w, V = np.linalg.eigh((g.Wc + g.Wc.T) / 2.0)
     G = V * np.sqrt(np.clip(w, 0.0, None))
     M = G.T @ g.Wo @ G
     s2, K = np.linalg.eigh((M + M.T) / 2.0)
-    return w, G, s2[::-1], K[:, ::-1]
+    return w, V, G, s2[::-1], K[:, ::-1]
 
 
 def hankel_singular_values(sys: LtiSystem) -> np.ndarray:
     """Nonincreasing Hankel spectrum sqrt(eig(Wc Wo)), clamped at zero."""
-    s2 = _hankel_factor(gramians(sys))[2]
+    s2 = _hankel_factor(gramians(sys))[3]
     return np.sqrt(np.clip(s2, 0.0, None))
 
 
@@ -104,7 +106,7 @@ def balance(sys: LtiSystem) -> BalancedRealization:
     warns; the condition number is attached to the result.
     """
     g = gramians(sys)
-    w, G, s2, K = _hankel_factor(g)
+    w, V, G, s2, K = _hankel_factor(g)
     if w[-1] <= 0 or w[0] <= RANK_TOL * w[-1]:
         raise RankDeficiencyError(
             f"controllability gramian is numerically rank deficient "
@@ -116,9 +118,9 @@ def balance(sys: LtiSystem) -> BalancedRealization:
             f"Hankel spectrum is numerically rank deficient "
             f"(sigma_min/sigma_max = {sigma[-1] / max(sigma[0], 1e-300):.3e}); "
             "the realization looks non-minimal -- reduce to a minimal realization first")
-    G_inv = np.linalg.inv(G)
     sqrt_sigma = np.sqrt(sigma)
-    H = (sqrt_sigma[:, None] * K.T) @ G_inv
+    # G^-1 = diag(w)^-1/2 V^T, and w > 0 from here on
+    H = (sqrt_sigma[:, None] * K.T / np.sqrt(w)[None, :]) @ V.T
     H_inv = (G @ K) / sqrt_sigma[None, :]
     A_t = H @ sys.A @ H_inv
     B_t = H @ sys.B

@@ -4,14 +4,17 @@ The solver is Roberts' sign-function iteration (Int. J. Control 1980), in
 the dense form Benner, Quintana-Orti & Quintana-Orti use for balanced
 truncation: the scaled Newton iteration Z <- (Z/c + c Z^-1)/2 from Z = A
 converges to sign(A) = -I for Hurwitz A, and the right-hand sides carried
-along with it converge to twice the solutions.  It needs only inverses and
-matrix products.  One call takes one right-hand side or a stack of them,
-and optionally a second stack for the dual equation A^T P + P A + Q_t = 0:
-every right-hand side shares the one iteration on A, which is how
-``gramians`` gets both gramians and ``bounds.e1_optimization`` its p+1
-certificate solves per order of a non-contractive system from a single
-iteration.  The Hurwitz check computes the eigenvalues of A once per call.
-Every solution is symmetrized and checked against a relative residual
+along with it converge to twice the solutions.  It needs only inverses,
+matrix products and, for its scale, the determinant of each iterate from
+an LU factorization.  One call takes one right-hand side or a stack of
+them, and optionally a second stack for the dual equation
+A^T P + P A + Q_t = 0: every right-hand side shares the one iteration on
+A, which is how ``gramians`` gets both gramians and
+``bounds.e1_optimization`` its p+1 certificate solves per order of a
+non-contractive system from a single iteration.  A counts as Hurwitz when
+the top eigenvalue of its symmetric part lies safely below the stability
+margin; only otherwise are its eigenvalues computed, once per call.  Every
+solution is symmetrized and checked against a relative residual
 threshold so that a silently bad solve cannot propagate.
 """
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LtiSystem, require_hurwitz
+from .model import LtiSystem, default_margin, require_hurwitz
 
 #: Accept threshold for the relative Lyapunov residual
 #: ||A P + P A^T + Q||_F / (2 ||A||_F ||P||_F + ||Q||_F).
@@ -32,8 +35,14 @@ SYM_TOL_REL = 1e-10
 PSD_TOL_REL = 1e-10
 
 #: Iterations of the sign function after which a solve is given up; a
-#: Hurwitz A needs about 7 (n = 8) to 13 (n = 500) with determinant scaling.
+#: Hurwitz A needs about 6 (n = 8) to 13 (n = 500) with determinant scaling.
 SIGN_MAX_ITER = 100
+
+#: Slack, in units of n eps ||A||_F (eps the machine epsilon), by which the top
+#: eigenvalue of A's symmetric part must clear -margin for A to count as
+#: Hurwitz without its eigenvalues: it covers the rounding of both that
+#: eigenvalue and the eigenvalues check_stability computes.
+HURWITZ_SLACK = 4.0
 
 
 class SolverError(RuntimeError):
@@ -64,39 +73,51 @@ def _norm1(X: np.ndarray) -> float:
     return np.abs(X).sum(axis=0).max()
 
 
-def _sign_iteration(A: np.ndarray, eigs: np.ndarray, E: np.ndarray, F: np.ndarray):
+def _sign_iteration(A: np.ndarray, E: np.ndarray, F: np.ndarray):
     """Run the scaled sign iteration on A and carry the stacks E (for
     A P + P A^T + Q = 0) and F (for A^T P + P A + Q = 0) along; both come
     back holding 2P for their right-hand sides.
 
-    The scale is c = |det Z|^(1/n) until ||Z_next - Z||_1 <= 10 n sqrt(eps)
-    ||Z_next||_1, then one unscaled step ends the iteration.  The
-    determinant is the product of Z's eigenvalues, which the same map takes
-    from A's ``eigs`` to Z's, so it costs no factorization: any c > 0 gives
-    the same limit, and c only sets how fast it is reached."""
+    Every step is scaled by c = |det Z|^(1/n), read off the LU factorization
+    of ``np.linalg.slogdet``: any c > 0 gives the same limit, and c only sets
+    how fast it is reached.  Newton's iteration converges quadratically, so
+    the iteration ends on the first step with ||Z_next - Z||_1 <= sqrt(eps)
+    ||Z_next||_1, eps the machine epsilon (Higham, Functions of Matrices,
+    2008, section 5.8)."""
     n = A.shape[0]
-    tol = 10 * n * np.sqrt(np.finfo(float).eps)
-    Z, lam = A, eigs.astype(complex)
-    scaled = True
+    tol = np.sqrt(np.finfo(float).eps)
+    Z = A
     for _ in range(SIGN_MAX_ITER):
         try:
             Zi = np.linalg.inv(Z)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"sign iteration met a singular iterate: {exc}") from exc
-        c = np.exp(np.mean(np.log(np.abs(lam)))) if scaled else 1.0
-        lam = (lam / c + c / lam) / 2
+        c = np.exp(np.linalg.slogdet(Z)[1] / n)
         Z_next = (Z / c + c * Zi) / 2
         if E.size:
             E = (E / c + c * (Zi @ E @ Zi.T)) / 2
         if F.size:
             F = (F / c + c * (Zi.T @ F @ Zi)) / 2
-        if not scaled:
+        # written so that a non-finite iterate ends the iteration here, and
+        # the residual check rejects what it leaves
+        if not _norm1(Z_next - Z) > tol * _norm1(Z_next):
             return E, F
-        # a non-finite iterate ends the iteration here, and the residual
-        # check rejects what it leaves
-        scaled = _norm1(Z_next - Z) > tol * _norm1(Z_next)
         Z = Z_next
     raise SolverError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
+
+
+def _certified_hurwitz(A: np.ndarray) -> bool:
+    """Whether A is Hurwitz with check_stability's margin by its symmetric
+    part: the spectral abscissa is at most lambda_max((A + A^T)/2)
+    (Soederlind, The logarithmic norm, BIT 2006), and that must lie below
+    -(margin + slack), slack = HURWITZ_SLACK n eps ||A||_F.  False when it
+    does not, or when A is empty or not finite."""
+    scale = np.linalg.norm(A)
+    if not (A.size and np.isfinite(scale)):
+        return False
+    slack = HURWITZ_SLACK * A.shape[0] * np.finfo(float).eps * scale
+    top = np.linalg.eigvalsh((A + A.T) / 2.0)[-1]
+    return bool(top < -(default_margin(A) + slack))
 
 
 def _stack(name: str, Q, A: np.ndarray) -> np.ndarray:
@@ -133,10 +154,13 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
     dual equation A^T P + P A + Q_t = 0 is solved by the same iteration and
     a :class:`GramianPair` (solutions of Q, of Q_t, and the worst residual of
     each) is returned instead.  A zero right-hand side has the exact
-    solution 0.  Raises StabilityError, naming A as ``what``, for
-    non-Hurwitz A (the equation is then not uniquely solvable), whatever the
-    right-hand sides, and SolverError when the sign iteration fails or the
-    relative residual of any solution exceeds LYAP_TOL.
+    solution 0.  A whose symmetric part certifies it Hurwitz
+    (:func:`_certified_hurwitz`) is solved without its eigenvalues; any
+    other A goes through ``require_hurwitz``, which raises StabilityError,
+    naming A as ``what``, for non-Hurwitz A (the equation is then not
+    uniquely solvable), whatever the right-hand sides.  SolverError is
+    raised when the sign iteration fails or the relative residual of any
+    solution exceeds LYAP_TOL.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -145,14 +169,15 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
     rhs = Q.reshape((-1,) + A.shape)
     dual = Q_t is not None
     rhs_t = _stack("Q_t", Q_t, A).reshape((-1,) + A.shape) if dual else rhs[:0]
-    eigs = require_hurwitz(A, what)
+    if not _certified_hurwitz(A):
+        require_hurwitz(A, what)
     # A P + P A^T = 0 with Hurwitz A has only the trivial solution, so zero
     # right-hand sides are left out of the iteration
     active = [i for i, Qi in enumerate(rhs) if np.any(Qi)]
     active_t = [i for i, Qi in enumerate(rhs_t) if np.any(Qi)]
     E, F = rhs[active], rhs_t[active_t]
     if active or active_t:
-        E, F = _sign_iteration(A, eigs, E, F)
+        E, F = _sign_iteration(A, E, F)
     P, res = _solutions(A, rhs, E, active)
     if not dual:
         return P.reshape(Q.shape)

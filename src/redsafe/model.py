@@ -388,12 +388,6 @@ def check_stability(sys: LtiSystem | np.ndarray, margin: float | None = None) ->
     # written so that NaN fails the test
     if margin is not None and not 0 < margin < np.inf:
         raise ModelError(f"stability margin must be a finite positive real, got {margin}")
-    return _spectrum_report(sys, margin)[1]
-
-
-def _spectrum_report(sys: LtiSystem | np.ndarray,
-                     margin: float | None) -> tuple[np.ndarray, StabilityReport]:
-    """The eigenvalues of A and the stability report read off them."""
     A = sys.A if isinstance(sys, LtiSystem) else np.asarray(sys, dtype=float)
     try:
         eigs = np.linalg.eigvals(A)
@@ -401,22 +395,23 @@ def _spectrum_report(sys: LtiSystem | np.ndarray,
         raise StabilityError(f"eigenvalue computation failed: {exc}") from exc
     abscissa = float(np.max(eigs.real)) if A.size else float("-inf")
     if margin is None:
-        margin = _default_margin(A)
-    return eigs, StabilityReport(abscissa < -margin, abscissa, margin)
+        margin = default_margin(A)
+    return StabilityReport(abscissa < -margin, abscissa, margin)
 
 
-def _default_margin(A: np.ndarray) -> float:
+def default_margin(A: np.ndarray) -> float:
+    """The margin check_stability uses by default: STABILITY_MARGIN_REL * ||A||_F."""
     return STABILITY_MARGIN_REL * max(1e-300, np.linalg.norm(A))
 
 
-def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system") -> np.ndarray:
-    """Raise StabilityError unless Hurwitz; returns the eigenvalues."""
-    eigs, rep = _spectrum_report(sys, None)
+def require_hurwitz(sys: LtiSystem | np.ndarray, what: str = "system") -> None:
+    """Raise StabilityError, naming the matrix as ``what``, unless
+    check_stability calls it Hurwitz with the default margin."""
+    rep = check_stability(sys)
     if not rep.stable:
         raise StabilityError(
             f"{what} is not asymptotically stable "
             f"(spectral abscissa {rep.abscissa:.6e}, margin {rep.margin:.1e})")
-    return eigs
 
 
 # --------------------------------------------------------------------------

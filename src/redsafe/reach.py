@@ -644,7 +644,7 @@ def _step_inputs(u: InputLike, m: int, times: np.ndarray,
     return u
 
 
-#: Largest number of steps :func:`simulate` advances with one product.
+#: Number of steps :func:`simulate` advances with one product.
 SIM_BLOCK_MAX = 16
 
 
@@ -685,9 +685,9 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
     ``u`` may then also be a (steps, m, B) array of per-state inputs, and the
     trajectory's outputs have shape (samples, p, B).
 
-    The steps are taken b at a time, b about n / sqrt(p m) and at most
-    :data:`SIM_BLOCK_MAX`: one product of the block kernel K_b
-    (:func:`_block_kernel`, (b p + n) x (n + b m), built once per call) with
+    The steps are taken b = :data:`SIM_BLOCK_MAX` at a time, at every
+    order: one product of the block kernel K_b (:func:`_block_kernel`,
+    (b p + n) x (n + b m), built once per call) with
     [x_j; u_j; ...; u_{j+b-1}] gives the block's b output samples and its
     last state, about (p + n/b)(n + b m) flops per step and state instead
     of n (n + m + p), and only the current state is kept.  The steps left
@@ -728,7 +728,7 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
         outputs[j + 1] = C @ x
         return x
 
-    b = int(min(SIM_BLOCK_MAX, max(1, round(n / np.sqrt(max(p * m, 1))))))
+    b = SIM_BLOCK_MAX
     whole = steps // b * b
     K = _block_kernel(Phi, PsiB, C, b) if whole else None
     for j in range(0, whole, b):

@@ -3,6 +3,7 @@ import pytest
 
 import redsafe as rs
 from redsafe.gramians import lyapunov_residual, solve_lyapunov
+from redsafe.model import default_margin
 
 from conftest import rand_box  # noqa: F401  (fixture wiring)
 
@@ -135,8 +136,17 @@ def counting_eigvals(monkeypatch):
     return calls
 
 
+def motor_mode():
+    """A motor mode: Hurwitz, but its symmetric part has the top eigenvalue
+    7.0e4, so no certificate holds and the check computes eigenvalues."""
+    mode = rs.motor_benchmark().system.modes[0]
+    assert np.linalg.eigvalsh((mode.A + mode.A.T) / 2.0).max() > 0
+    return mode
+
+
 def test_hurwitz_checked_once_per_call(rng, monkeypatch):
-    # one check per call, however many right-hand sides: one eigvals
+    # at most one check per call, however many right-hand sides: none on a
+    # dissipative A, whose symmetric part decides, and one eigvals otherwise
     calls = []
     original = gmod.require_hurwitz
 
@@ -145,23 +155,29 @@ def test_hurwitz_checked_once_per_call(rng, monkeypatch):
         return original(A, what)
     monkeypatch.setattr(gmod, "require_hurwitz", counting)
     eigvals = counting_eigvals(monkeypatch)
-    A = rs.random_stable_system(rng, 8, 1, 1).A
-    solve_lyapunov(A, psd_stack(rng, 8, 5))
-    assert len(calls) == 1 and eigvals == [(8, 8)]
-    # the dual right-hand sides share the check
-    solve_lyapunov(A, psd_stack(rng, 8, 2), Q_t=psd_stack(rng, 8, 3))
-    assert len(calls) == 2 and eigvals == [(8, 8)] * 2
+    cases = ((rs.random_stable_system(rng, 8, 1, 1).A, 0), (motor_mode().A, 1))
+    for A, checks in cases:
+        calls.clear()
+        eigvals.clear()
+        solve_lyapunov(A, psd_stack(rng, 8, 5))
+        assert len(calls) == checks and eigvals == [(8, 8)] * checks
+        # the dual right-hand sides share the check
+        solve_lyapunov(A, psd_stack(rng, 8, 2), Q_t=psd_stack(rng, 8, 3))
+        assert len(calls) == 2 * checks and eigvals == [(8, 8)] * (2 * checks)
 
 
 def test_balance_computes_the_spectrum_once(rng, monkeypatch):
-    # both gramians come from one solve, so one eigvals for the system
-    sys_ = rs.random_stable_system(rng, 12, 2, 2)
+    # both gramians come from one solve, so at most one eigvals for the
+    # system: none for a dissipative one, one for a motor mode
+    sys_, mode = rs.random_stable_system(rng, 12, 2, 2), motor_mode()
     eigvals = counting_eigvals(monkeypatch)
     balance(sys_)
-    assert eigvals == [(12, 12)]
+    assert eigvals == []
+    balance(mode)
+    assert eigvals == [(8, 8)]
 
 
-def test_hurwitz_check_matches_check_stability(rng):
+def test_hurwitz_check_matches_check_stability(rng, monkeypatch):
     # a solve raises StabilityError exactly when check_stability calls A
     # unstable, including systems near the margin and unstable ones
     for n in (1, 2, 5, 12, 30):
@@ -175,6 +191,27 @@ def test_hurwitz_check_matches_check_stability(rng):
                 assert not stable
             else:
                 assert stable
+    # normal dissipative A = S - alpha I (S skew, so the symmetric part is
+    # -alpha I and the spectral abscissa -alpha) a thousandth of the margin
+    # either side of it and at twice the margin; at n = 1, S = 0 and the
+    # margin is its floor 1e-309.  The symmetric part decides every stable
+    # one, with no eigvals, and check_stability agrees in both directions.
+    # Zero right-hand sides keep the iteration out of it.
+    eigvals = counting_eigvals(monkeypatch)
+    for n in (1, 2, 5, 30):
+        R = rng.standard_normal((n, n))
+        S = R - R.T
+        for factor in (1 - 1e-3, 1 + 1e-3, 2.0):
+            A = S - factor * default_margin(S) * np.eye(n)
+            stable = rs.check_stability(A).stable
+            assert stable == (factor > 1)
+            eigvals.clear()
+            try:
+                solve_lyapunov(A, np.zeros((n, n)))
+            except rs.StabilityError:
+                assert not stable and eigvals == [(n, n)]
+            else:
+                assert stable and eigvals == []
 
 
 def test_non_hurwitz_message_with_zero_right_hand_side(rng):
@@ -215,11 +252,16 @@ def test_zero_right_hand_sides_are_exact(rng, monkeypatch):
     assert np.array_equal(P[1], np.zeros((5, 5)))
     assert np.array_equal(P[0], solve_lyapunov(A, Q)) and np.array_equal(P[0], P[2])
 
-    # an all-zero stack is still checked for stability, with one eigvals,
-    # and solved exactly
+    # an all-zero stack is still checked for stability and solved exactly:
+    # by the symmetric part of a dissipative A, with no eigvals, and with
+    # one eigvals for a motor mode
+    mode = motor_mode()
     eigvals = counting_eigvals(monkeypatch)
     assert np.array_equal(solve_lyapunov(A, np.zeros((2, 5, 5))), np.zeros((2, 5, 5)))
-    assert eigvals == [(5, 5)]
+    assert eigvals == []
+    assert np.array_equal(solve_lyapunov(mode.A, np.zeros((2, 8, 8))),
+                          np.zeros((2, 8, 8)))
+    assert eigvals == [(8, 8)]
 
 
 def test_dual_shape_validation():
@@ -290,6 +332,19 @@ def test_gramians_reuse_the_solve_residuals(rng, monkeypatch):
     assert g.residual_o == residual(sys_.A.T, sys_.C.T @ sys_.C, g.Wo)
 
 
+def counting_inv(monkeypatch, returns=None):
+    """The list that every later np.linalg.inv call appends its shape to;
+    each call returns ``returns(Z)`` when that is given."""
+    calls = []
+    original = np.linalg.inv
+
+    def counting(Z):
+        calls.append(np.shape(Z))
+        return original(Z) if returns is None else returns(Z)
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return calls
+
+
 def test_sign_iteration_failures_raise_solver_error(monkeypatch):
     A = np.array([[-1.0, 5.0], [0.0, -2.0]])
     monkeypatch.setattr(gmod, "SIGN_MAX_ITER", 2)
@@ -302,6 +357,25 @@ def test_sign_iteration_failures_raise_solver_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", singular)
     with pytest.raises(rs.SolverError, match="singular iterate"):
         solve_lyapunov(A, np.eye(2))
+    monkeypatch.undo()
+
+    # an inverse that comes back NaN ends the iteration at once, and the
+    # residual check rejects what it leaves, long before SIGN_MAX_ITER
+    calls = counting_inv(monkeypatch, returns=lambda Z: np.full_like(Z, np.nan))
+    with pytest.raises(rs.SolverError, match="Lyapunov residual nan"):
+        solve_lyapunov(A, np.eye(2))
+    assert 1 <= len(calls) <= 2
+
+
+def test_sign_iteration_stops_on_its_first_small_step(monkeypatch):
+    # one inverse per step, and none in balancing: 11 for the gramians of
+    # the n = 150 benchmark sweep system and 6 for each motor mode
+    sweep = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9).system
+    for sys_, steps in ((sweep, 11), *((mode, 6) for mode in rs.motor_benchmark().system.modes)):
+        calls = counting_inv(monkeypatch)
+        balance(sys_)
+        assert calls == [sys_.A.shape] * steps
+        monkeypatch.undo()
 
 
 def test_stack_shape_validation():

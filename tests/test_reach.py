@@ -1691,8 +1691,9 @@ class TestBlockSimulate:
         assert_matches_stepwise(sys_, rng.standard_normal(shape), u, t_f, h)
 
     def test_first_non_finite_time_matches_stepwise(self):
-        # n = 4, p = m = 1: blocks of 4 steps; the fast mode overflows inside
-        # a block, which is taken again step by step to name the state's time
+        # blocks of SIM_BLOCK_MAX = 16 steps at every order; the fast mode
+        # overflows inside the block of steps 128 to 143, which is taken
+        # again step by step to name the state's time
         A = np.diag([50.0, -1.0, -2.0, -3.0])
         sys_ = rs.LtiSystem(A, np.ones((4, 1)), np.ones((1, 4)))
         for x0 in (np.eye(4)[0], np.stack([np.zeros(4), np.eye(4)[0]], axis=1)):
@@ -1703,14 +1704,14 @@ class TestBlockSimulate:
                 simulate(sys_, x0, None, 20.0, 0.1)
 
     def test_overflowing_kernel_falls_back_to_steps(self):
-        # Phi = e^200 is finite but Phi^4 in the block kernel is not: from the
-        # origin with no input every state is 0, and the blocks taken again
-        # step by step say so
+        # Phi = e^200 is finite but Phi^16 in the block kernel is not: from
+        # the origin with no input every state is 0, and the block taken
+        # again step by step says so
         A = np.diag([2000.0, -1.0, -2.0, -3.0])
         sys_ = rs.LtiSystem(A, np.ones((4, 1)), np.ones((1, 4)))
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = simulate(sys_, np.zeros(4), np.zeros(1), 1.0, 0.1)
-        np.testing.assert_array_equal(traj.outputs, np.zeros((11, 1)))
+            traj = simulate(sys_, np.zeros(4), np.zeros(1), 2.0, 0.1)
+        np.testing.assert_array_equal(traj.outputs, np.zeros((21, 1)))
 
 
 # --------------------------------------------------------------------------

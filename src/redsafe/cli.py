@@ -245,11 +245,11 @@ def cmd_reach(args) -> int:
                          "center": s.outputs.center.tolist(),
                          "generators": s.outputs.generators.tolist()} for s in sets]
 
-    # each step's per-output bounds, read from the table as centers -/+ row
-    # spreads, with no step set assembled
-    spread = sets.table.row_spreads(np.eye(sys_.p))
+    # each step's per-output bounds, read from the samples as centers -/+
+    # row spreads, with no step set assembled
+    spread = sets.row_spreads(np.eye(sys_.p))
     intervals = list(zip(sets.t0.tolist(), sets.t1.tolist(),
-                         sets.table.centers - spread, sets.table.centers + spread))
+                         sets.centers - spread, sets.centers + spread))
 
     def csv(d):
         cols = ",".join(f"y{i}_lo,y{i}_hi" for i in range(sys_.p))

@@ -15,25 +15,24 @@ continuous-time output reach set over [0, t_f].
 
 By superposition sample j holds the input columns {e^{Aah} G_in : a < j}
 (Girard, Le Guernic & Maler, HSCC 2006), so one orbit gives every sample's
-output center, initial-generator images and input images of one age, the
-rows of the age table (:class:`_AgeTable`) of the :class:`ReachSets` that
-:func:`reach_lti` returns, the only step sets there are.  ``ReachSets[j]``
-assembles step j's generator array only when something reads it
-(safe-region ellipsoids, ``reach --format json``).  Polytope rows,
-unsafe-region ellipsoids and the interval output of ``reach`` read each
-step's spread from the table by one pairing rule over per-age row sums,
-the support-function view of Le Guernic & Girard (NAHS 2010).  For order
-k, p outputs, g0 initial generators and r rows a step then costs
-O((p k + k^2 / s)(1 + g0 + m)) arithmetic to build (:func:`reach_lti`,
-whose orbit forms every s-th state) and O(r p (g0 + m)) to check, rather
-than O(r p g_j) over its g_j input columns, with no matrix product per
-step.
+output center, initial-generator images and input images of one age.  These
+are the rows of the one :class:`ReachSets` that :func:`reach_lti` returns,
+the only step sets there are.  ``ReachSets[j]`` assembles step j's
+generator array only when something reads it (safe-region ellipsoids,
+``reach --format json``).  Polytope rows, unsafe-region ellipsoids and the
+interval output of ``reach`` read each step's spread from the samples by
+one pairing rule over per-age row sums, the support-function view of
+Le Guernic & Girard (NAHS 2010).  For order k, p outputs, g0 initial
+generators and r rows a step then costs O((p k + k^2 / s)(1 + g0 + m))
+arithmetic to build (:func:`reach_lti`, whose orbit forms every s-th
+state) and O(r p (g0 + m)) to check, rather than O(r p g_j) over its g_j
+input columns, with no matrix product per step.
 
-The witness search (:func:`find_unsafe_witness`) reads the same table and
+The witness search (:func:`find_unsafe_witness`) reads the same samples and
 is the one place that looks for a crossing point.  From a box's image, a
 box vertex and a bang-bang grid plan attain the support of any output
 direction at any sample, the optimal input of simulation-equivalent
-reachability, so each predicate gets one such candidate from the table
+reachability, so each predicate gets one such candidate from the samples
 (:func:`_candidates`) and nothing is drawn at random.  :func:`check_spec`
 calls for it only when its own test leaves some step set uncertified clear
 of a witness region.
@@ -106,18 +105,28 @@ def _abs(X: np.ndarray) -> np.ndarray:
     return np.abs(X, out=X)
 
 
-class _AgeTable:
-    """The grid samples shared by the step sets of one :class:`ReachSets`.
+@dataclass(frozen=True)
+class ReachStep:
+    """Output-space over-approximation over one time interval."""
+    t0: float
+    t1: float
+    outputs: Zonotope
+
+
+class ReachSets(Sequence):
+    """The output reach sets of :func:`reach_lti`, one per step of its grid
+    ``times``: step j covers t0[j] ... t1[j] and is the hull of grid samples
+    j and j + 1, so N steps join N + 1 samples.  Indexing assembles a
+    :class:`ReachStep` on demand and keeps nothing; a slice returns a list.
 
     Row i of ``Y`` (samples, p, 1 + g0 + m) is sample i: its output center
     C c_i, the images C H_i of the g0 initial generators and the images
     C M_i of the m input columns of age i; sample i holds the ages below i.
     ``norms`` (samples, 1 + g0 + m) bounds the state norms of those columns.
-    Step j is the hull of samples j and j + 1, so N steps join N + 1
-    samples.  ``balls`` holds each step's ball radius, ``C_rows`` the row
-    norms of C, ``centers`` each step's center, the middle of its samples'
-    centers, and ``gaps`` half their difference.  ``channels`` holds the
-    input channel of each of the m columns of an age.
+    ``balls`` holds each step's ball radius, ``C_rows`` the row norms of C,
+    ``centers`` each step's center, the middle of its samples' centers, and
+    ``gaps`` half their difference.  ``channels`` holds the input channel of
+    each of the m columns of an age.
 
     Every reader pairs the columns of a step's two samples by one rule: the
     center with the center, each initial generator with itself, and each
@@ -128,19 +137,30 @@ class _AgeTable:
     center pair's is |l(c_j - c_j')| / 2.
     """
 
-    def __init__(self, Y, norms, balls, C_rows, channels: np.ndarray):
+    def __init__(self, times, Y, norms, balls, C_rows, channels: np.ndarray):
         self.m = channels.size
         self.g0 = Y.shape[2] - 1 - self.m
         centers = (Y[:-1, :, 0] + Y[1:, :, 0]) / 2.0
         gaps = (Y[:-1, :, 0] - Y[1:, :, 0]) / 2.0
         # the step sets hand out views of these arrays: read-only, so that
         # an in-place change to one step's set raises instead of changing
-        # every later check of the table
-        for a in (Y, norms, balls, C_rows, centers, gaps):
+        # every later check of the step sets
+        for a in (times, Y, norms, balls, C_rows, centers, gaps):
             a.flags.writeable = False
+        self.t0, self.t1 = times[:-1], times[1:]
         self.Y, self.balls, self.C_rows, self.centers = Y, balls, C_rows, centers
         self.norms, self.gaps, self.channels = norms, gaps, channels
         self._spreads: dict = {}
+
+    def __len__(self) -> int:
+        return self.t0.size
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        j = range(len(self))[j]  # IndexError out of range, negative from the end
+        return ReachStep(float(self.t0[j]), float(self.t1[j]),
+                         Zonotope(self.centers[j], self.generators(j)))
 
     def _along(self, V: np.ndarray, samples: int | None = None) -> np.ndarray:
         """(rows of V, 1 + g0 + m, samples) array of the rows of V times every
@@ -213,7 +233,7 @@ class _AgeTable:
 
     def sample_supports(self, Gamma: np.ndarray) -> np.ndarray:
         """(samples, rows) upper supports of the rows of Gamma at every
-        sample of the table, with no hull and no ball: Gamma c_i +
+        grid sample, with no hull and no ball: Gamma c_i +
         sum |Gamma CH_i| + a prefix sum over the ages a < i of
         sum |Gamma C M_a|, the spread of sample i paired with itself (span
         0).  A box vertex and a grid plan attain each when the initial set is
@@ -222,40 +242,10 @@ class _AgeTable:
         return (P[:, 0] + self._column_spreads(P, 0)).T
 
 
-#: Step rows per block of :meth:`_AgeTable.direction_spreads`, so that its
+#: Step rows per block of :meth:`ReachSets.direction_spreads`, so that its
 #: (rows, 1 + g0 + m, samples) projections stay bounded: about 2.5 MB for 64
-#: rows of a 1,200-step table with 4 columns a sample.
+#: rows of 1,200 steps with 4 columns a sample.
 _DIRECTION_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class ReachStep:
-    """Output-space over-approximation over one time interval."""
-    t0: float
-    t1: float
-    outputs: Zonotope
-
-
-class ReachSets(Sequence):
-    """The output reach sets of :func:`reach_lti`, one per step: ``t0`` and
-    ``t1`` hold every step's interval, and the steps are the rows of
-    ``table``, which the spec check and the witness search read.  Indexing
-    assembles a :class:`ReachStep` on demand and keeps nothing; a slice
-    returns a list."""
-
-    def __init__(self, t0, t1, table: _AgeTable):
-        self.t0, self.t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-        self.table = table
-
-    def __len__(self) -> int:
-        return self.t0.size
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        j = range(len(self))[j]  # IndexError out of range, negative from the end
-        return ReachStep(float(self.t0[j]), float(self.t1[j]),
-                         Zonotope(self.table.centers[j], self.table.generators(j)))
 
 
 #: Higham, "The scaling and squaring method for the matrix exponential
@@ -377,7 +367,7 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
 #: states (n x width each) and two sets of output rows (rows x width per
 #: step): for the simulation bounds the full-order half's, which its mode
 #: keeps for every order, and the reduced half's, into which each order adds
-#: them; :func:`reach_lti` copies each block's rows into its age table.
+#: them; :func:`reach_lti` copies each block's rows into its samples.
 ORBIT_BLOCK_DOUBLES = 1 << 18
 
 
@@ -478,17 +468,25 @@ def default_step(t_f: float, A: np.ndarray, lh: float = STEP_LH) -> float:
     return h
 
 
+def _step_count(t_f, h):
+    """N = max(1, ceil(r - 1e-12 r)) for r = t_f / h, elementwise."""
+    r = t_f / h
+    return np.maximum(np.ceil(r - 1e-12 * r), 1).astype(int)
+
+
 def _time_grid(t_f: float, h: float | None, A: np.ndarray, name: str) -> np.ndarray:
     """The time grid of every layer that takes steps: linspace(0, t_f, N + 1)
-    for N = max(1, ceil(t_f / h - 1e-12)) even steps of t_f / N, at most h
-    up to a 1e-12 of a step.  ``h`` defaults to :func:`default_step`; one
-    that is not positive and finite is refused by its ``name``."""
+    for N = :func:`_step_count` (t_f, h) even steps of t_f / N, at most h up
+    to a relative 1e-12.  The allowance is relative so that h = t_f / N gives
+    back exactly N steps for any N, and h = t_f / (10 N) exactly 10 N.
+    ``h`` defaults to :func:`default_step`; one that is not positive and
+    finite is refused by its ``name``."""
     if h is None:
         h = default_step(t_f, A)
     # written so that NaN fails the test
     if not 0 < h < np.inf:
         raise ModelError(f"{name} must be positive and finite, got {h}")
-    return np.linspace(0.0, t_f, max(1, int(np.ceil(t_f / h - 1e-12))) + 1)
+    return np.linspace(0.0, t_f, _step_count(t_f, h) + 1)
 
 
 def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: float,
@@ -505,14 +503,14 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     Sample j of the exact reach is c_j + [Phi^j G0, M_{j-1}, ..., M_0] with
     M_a = Phi^a G_in (superposition, Girard, Le Guernic & Maler, HSCC 2006),
     and step j is the hull of samples j and j + 1 plus a ball.  The rows of
-    the age table (:class:`_AgeTable`), each sample's output center C c_j,
-    initial images C Phi^j G0 and input images C M_j, come from one
-    :class:`_Orbit` of [c, G0, G_in; 1, 0, 0] under the step map
-    [[Phi, v], [0, 1]], v = PsiB u_c, read through [C, 0].  Its column norms
-    over the n state rows (``_AgeTable.norms``) bound each sample's state
-    norm, which the balls read: they are exact at the orbit's giant samples,
-    and a samples after one at most ||Phi||^a times its norms, the center's
-    plus sum_{i<a} ||Phi||^i ||v|| for its drift.  Since ||Phi||_2 <= e^{mu h}
+    ``ReachSets.Y``, each sample's output center C c_j, initial images
+    C Phi^j G0 and input images C M_j, come from one :class:`_Orbit` of
+    [c, G0, G_in; 1, 0, 0] under the step map [[Phi, v], [0, 1]],
+    v = PsiB u_c, read through [C, 0].  Its column norms over the n state
+    rows (``ReachSets.norms``) bound each sample's state norm, which the
+    balls read: they are exact at the orbit's giant samples, and a samples
+    after one at most ||Phi||^a times its norms, the center's plus
+    sum_{i<a} ||Phi||^i ||v|| for its drift.  Since ||Phi||_2 <= e^{mu h}
     for mu = max(lambda_max(sym A), 0), that is within the simulation
     bounds' rule, e^{mu a h} times the norm and a e^{mu a h} ||v||.
 
@@ -528,9 +526,9 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     orbit alone would be 3.8 MB.  rho <- ||Phi|| rho + res stays a scalar
     recursion, and the balls are one array expression over the norms.
     Indexing the result assembles a step's generator array (O(p g_j) for
-    g_j input columns, :meth:`_AgeTable.generators`), while
+    g_j input columns, :meth:`ReachSets.generators`), while
     :func:`check_spec` reads polytope-row and unsafe-ellipsoid spreads from
-    the table.
+    the samples.
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -605,8 +603,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
         + np.concatenate([[0.0], np.cumsum(ages[:-1])])
     balls = np.maximum(rhos[:-1], rhos[1:]) \
         + (2.0 * ebl * (state_norms[:-1] + rhos[:-1] + drift) + sweep * (nB * ur_norm))
-    table = _AgeTable(Y, norms, balls, np.linalg.norm(C, axis=1), channels)
-    return ReachSets(times[:-1], times[1:], table)
+    return ReachSets(times, Y, norms, balls, np.linalg.norm(C, axis=1), channels)
 
 
 # --------------------------------------------------------------------------
@@ -765,20 +762,20 @@ def _quad_lowers(sets: ReachSets, ell: EllipsoidSpec, decided: float) -> np.ndar
 
     The best Cauchy-Schwarz bound (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x) over
     the output axes and the gradient direction, so a failed disjointness
-    test errs toward Indeterminate.  The axis spreads are the table's
-    identity-row spreads, and the gradient direction's come from
-    :meth:`_AgeTable.direction_spreads`, only for the rows whose axis bound
+    test errs toward Indeterminate.  The axis spreads are the identity-row
+    spreads, and the gradient direction's come from
+    :meth:`ReachSets.direction_spreads`, only for the rows whose axis bound
     is at most ``decided``: the gradient can only raise the bound."""
-    table, Q, Qinv = sets.table, ell.Q, ell.Q_inv
-    D = table.centers - ell.a
-    lo = np.maximum(0.0, np.abs(D) - table.row_spreads(np.eye(ell.p)))
+    Q, Qinv = ell.Q, ell.Q_inv
+    D = sets.centers - ell.a
+    lo = np.maximum(0.0, np.abs(D) - sets.row_spreads(np.eye(ell.p)))
     low = np.max(lo * lo / np.diag(Qinv), axis=1, initial=0.0)
     grad = D @ Q.T
     norms = np.linalg.norm(grad, axis=1)
     undecided = np.flatnonzero((low <= decided) & (norms > 0))
     V = grad[undecided] / norms[undecided, None]
     lo = np.maximum(0.0, np.abs(np.sum(V * D[undecided], axis=1))
-                    - table.direction_spreads(V, undecided))
+                    - sets.direction_spreads(V, undecided))
     denom = np.sum((V @ Qinv) * V, axis=1)
     low[undecided] = np.maximum(low[undecided], np.where(denom > 0, lo * lo / denom, 0.0))
     return low
@@ -792,7 +789,7 @@ def _certified(sets: ReachSets, reg, inside: bool) -> np.ndarray:
     if reg is None:
         return np.full(len(sets), not inside)
     if isinstance(reg, PolytopeSpec):
-        Gc, s = sets.table.centers @ reg.Gamma.T, sets.table.row_spreads(reg.Gamma)
+        Gc, s = sets.centers @ reg.Gamma.T, sets.row_spreads(reg.Gamma)
         return (np.all(Gc + s + reg.Psi <= 0.0, axis=1) if inside
                 else np.any(Gc - s + reg.Psi > 0.0, axis=1))
     if inside:
@@ -846,7 +843,7 @@ def check_spec(sets: ReachSets,
         raise ModelError(f"check_spec reads reach_lti's ReachSets, got {type(sets).__name__}")
     if isinstance(transformed, TransformedSpec):
         transformed = [transformed]
-    _check_outputs(transformed, sets.table.Y.shape[1], "the step sets")
+    _check_outputs(transformed, sets.Y.shape[1], "the step sets")
     verdicts = [_check_one(sets, ts) for ts in transformed]
     if not verdicts:
         raise ModelError("no predicates to check")
@@ -879,28 +876,28 @@ def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     """One candidate per predicate with a witness region: for an output
     direction l and a sample j, the box vertex X[:, b] = c + r sign(l C Phi^j
     init_map) and the plan u_c + u_r sign(l C M_(j-1-i)) in rows i < j of
-    plans[:, :, b], u_c elsewhere and in the channels the table dropped,
+    plans[:, :, b], u_c elsewhere and in the channels reach dropped,
     which attain the support of l at j from the box's image.
 
     A safe-polarity polytope takes the row l and sample j of the largest
     margin S + Psi over its witness region's rows and the grid samples (S
-    from :meth:`_AgeTable.sample_supports`); its check is (j, l, S, 1e-9 of
+    from :meth:`ReachSets.sample_supports`); its check is (j, l, S, 1e-9 of
     the largest of S, |Psi| and the spec's witness scale).  Every other
     predicate takes the sample j whose center has the largest witness
     margin, with l = Q(c_j - a) for an ellipsoid (negated for an
     unsafe-polarity one) and -Gamma_l for the row l that c_j violates most
     for an unsafe-polarity polytope; its check is None.  Returns X, the
     plans, each candidate's predicate index and the checks."""
-    table, steps = sets.table, len(sets)
+    steps = len(sets)
     Phi = _transition(sys.A, sets.t1[-1] / steps)
-    centers = table.Y[:, :, 0]
+    centers = sets.Y[:, :, 0]
     picks, checks = [], []
     for i, ts in enumerate(specs):
         reg = ts.witness_region
         if reg is None:
             continue
         if ts.source_polarity == POLARITY_SAFE and isinstance(reg, PolytopeSpec):
-            S = table.sample_supports(reg.Gamma)
+            S = sets.sample_supports(reg.Gamma)
             margins = S + reg.Psi
             j, l = np.unravel_index(int(np.argmax(margins)), margins.shape)
             tol = 1e-9 * max(abs(S[j, l]), abs(reg.Psi[l]), ts.witness_scale)
@@ -921,8 +918,8 @@ def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
         lift = ell @ sys.C @ np.linalg.matrix_power(Phi, j)
         X[:, b] = x0.center + x0.halfwidth * np.sign(lift if init_map is None
                                                      else lift @ init_map)
-        ages = (ell @ table.Y[:j, :, 1 + table.g0:])[::-1]
-        plans[:j, table.channels, b] += u_box.halfwidth[table.channels] * np.sign(ages)
+        ages = (ell @ sets.Y[:j, :, 1 + sets.g0:])[::-1]
+        plans[:j, sets.channels, b] += u_box.halfwidth[sets.channels] * np.sign(ages)
     return X, plans, [i for i, _, _ in picks], checks
 
 
@@ -945,8 +942,9 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     in order within each: a sample must meet the witness predicate with
     margin > eta = 1e-9 of its witness scale, and the first candidate that
     keeps margin >= eta/2 when re-simulated at a tenth of the even step
-    t_f / N is returned.  A predicate over another number of outputs than
-    the system's raises ModelError.
+    t_f / N, plan row i driving sub-steps 10 i ... 10 i + 9, is returned.
+    A predicate over another number of outputs than the system's raises
+    ModelError.
     """
     if isinstance(transformed_unsafe, TransformedSpec):
         transformed_unsafe = [transformed_unsafe]
@@ -955,10 +953,9 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     X, plans, owners, checks = _candidates(sys, x0, u_box, specs, sets, init_map)
     if not owners:
         return None
-    # t_f / (N - 0.5) gives simulate reach's N steps; t_f / N can round to N + 1
     t_f, steps = float(sets.t1[-1]), len(sets)
     outputs = simulate(sys, X if init_map is None else init_map @ X, plans, t_f,
-                       t_f / (steps - 0.5)).outputs
+                       t_f / steps).outputs
     for b, check in enumerate(checks):
         if check is not None:
             j, l, top, tol = check
@@ -970,16 +967,12 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     samples = np.swapaxes(outputs, 1, 2)  # (samples, B, p)
     hits = np.stack([ts.witness_margins(samples).max(axis=0) > eta
                      for ts, eta in zip(specs, etas)], axis=1)
-    # re-simulate at a tenth of the even step; each plan row covers its ten
-    # sub-steps, and the last row any sub-step that rounding adds
-    fine_h = t_f / steps / 10
-    fine_rows = np.minimum(np.arange(_time_grid(t_f, fine_h, sys.A, "step h").size - 1) // 10,
-                           steps - 1)
-    # nonzero walks candidates in order, predicates in order within each
+    # nonzero walks candidates in order, predicates in order within each;
+    # each plan row drives its ten sub-steps of the tenth-step grid
     for b, i in zip(*np.nonzero(hits)):
         x, plan = X[:, b].copy(), plans[:, :, b].copy()
-        fine = simulate(sys, x if init_map is None else init_map @ x, plan[fine_rows],
-                        t_f, fine_h)
+        fine = simulate(sys, x if init_map is None else init_map @ x,
+                        np.repeat(plan, 10, axis=0), t_f, t_f / (10 * steps))
         fvals = specs[i].witness_margins(fine.outputs)
         fj = int(np.argmax(fvals))
         if fvals[fj] >= etas[i] / 2:

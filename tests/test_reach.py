@@ -271,7 +271,7 @@ def assert_balls_bracketed(sets, sys_, x0, u_box):
     h = t_f / len(sets)
     exact = naive_balls(sys_, x0, u_box, t_f, h, 1)
     rule = naive_balls(sys_, x0, u_box, t_f, h, orbit_stride(sys_))
-    balls = sets.table.balls
+    balls = sets.balls
     assert np.all(balls >= exact * (1 - 1e-12)) and np.all(balls <= rule * (1 + 1e-12))
 
 
@@ -454,7 +454,7 @@ class TestCheckSpec:
     def test_static_sets_hold_the_zonotope(self, rng):
         center, G = rng.standard_normal(3), rng.standard_normal((3, 4))
         sets = static_sets(center, G)
-        assert len(sets) == 1 and np.all(sets.table.balls == 0.0)
+        assert len(sets) == 1 and np.all(sets.balls == 0.0)
         z = sets[0].outputs
         np.testing.assert_array_equal(z.center, center)
         nonzero = z.generators[:, np.any(z.generators != 0.0, axis=0)]
@@ -717,11 +717,8 @@ def assert_replays(w, sys_, x0, specs, t_f, init_map=None):
     gap = np.minimum(np.abs(w.init_state - x0.lb), np.abs(w.init_state - x0.ub))
     assert np.all(gap <= 1e-12 * (np.abs(x0.center) + 1.0))
     steps = w.step_inputs.shape[0]
-    fine_h = t_f / steps / 10
-    fine_steps = int(np.ceil(t_f / fine_h - 1e-12))
-    plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 10, steps - 1)]
     lifted = w.init_state if init_map is None else init_map @ w.init_state
-    traj = simulate(sys_, lifted, plan, t_f, fine_h)
+    traj = simulate(sys_, lifted, np.repeat(w.step_inputs, 10, axis=0), t_f, t_f / (10 * steps))
     margins = np.array([naive_margin(ts, y) for y in traj.outputs])
     assert w.margin == pytest.approx(margins.max(), rel=1e-9, abs=1e-12)
     assert margins[w.sample_index] >= 0.5e-9 * ts.witness_scale
@@ -775,7 +772,7 @@ class TestBatchedWitness:
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 3), rand_ubox(rng, 2)
         sets = reach_lti(sys_, x0, ubox, 1.0)
-        top = float(sets.table.sample_supports(np.array([[1.0, 0.0]])).max())
+        top = float(sets.sample_supports(np.array([[1.0, 0.0]])).max())
         coarse_h, exact = reach.default_step(1.0, sys_.A), reach.simulate
 
         def search_lowered(specs, drop):
@@ -897,7 +894,7 @@ def assert_table_spreads(sets, Gamma):
     """Each step's row spread as check_spec reads it (from the age table for
     its rows) equals sum |Gamma G| over its assembled generators within
     1e-12 of their scale."""
-    spreads = sets.table.row_spreads(Gamma)
+    spreads = sets.row_spreads(Gamma)
     assert len(spreads) == len(sets)
     for step, spread in zip(sets, spreads):
         direct = np.sum(np.abs(Gamma @ step.outputs.generators), axis=1)
@@ -963,7 +960,7 @@ class TestTableSpread:
         # a polytope spec (the gen instance) and the motor's unsafe-region
         # ellipsoids both read their step sets from reach's age table
         assembled, reached = [], []
-        generators, reach_fn = reach._AgeTable.generators, verifier.reach_lti
+        generators, reach_fn = reach.ReachSets.generators, verifier.reach_lti
 
         def counting_generators(self, j):
             assembled.append(j)
@@ -974,7 +971,7 @@ class TestTableSpread:
             reached.append(len(steps))
             return steps
 
-        monkeypatch.setattr(reach._AgeTable, "generators", counting_generators)
+        monkeypatch.setattr(reach.ReachSets, "generators", counting_generators)
         monkeypatch.setattr(verifier, "reach_lti", counting_reach)
         # Safe at k = 5 from the exact initial zonotope (k = 6 from its hull)
         verdict = rs.verify(rs.random_problem(1, n=6, m=2, p=2, free_dims=3, spec_scale=0.5))
@@ -1099,12 +1096,11 @@ class TestExactInitialSet:
         assert [(s.t0, s.t1) for s in exact] == [(s.t0, s.t1) for s in hull]
         Gamma = np.vstack([np.eye(sys_.p),
                            np.random.default_rng(L.size).standard_normal((3, sys_.p))])
-        Gc_e, spread_e = exact.table.centers @ Gamma.T, exact.table.row_spreads(Gamma)
-        Gc_h, spread_h = hull.table.centers @ Gamma.T, hull.table.row_spreads(Gamma)
+        Gc_e, spread_e = exact.centers @ Gamma.T, exact.row_spreads(Gamma)
+        Gc_h, spread_h = hull.centers @ Gamma.T, hull.row_spreads(Gamma)
         scale = np.abs(Gc_h) + spread_h
         assert np.all(np.abs(Gc_e - Gc_h) + spread_e <= spread_h + 1e-12 * scale)
-        assert np.all(exact.table.balls
-                      <= hull.table.balls + 1e-12 * np.max(scale, initial=0.0))
+        assert np.all(exact.balls <= hull.balls + 1e-12 * np.max(scale, initial=0.0))
         assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f,
                                             t_f / len(exact)), np.random.default_rng(0))
         assert_balls_bracketed(exact, sys_, image_zonotope(L, box), ubox)
@@ -1130,7 +1126,7 @@ class TestExactInitialSet:
         h_sim = step_h / 3
         out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, bang_bang, t_f, h_sim)
         Gamma = np.vstack([np.eye(sys_.p), -np.eye(sys_.p), rng.standard_normal((4, sys_.p))])
-        Gc, spread = sets.table.centers @ Gamma.T, sets.table.row_spreads(Gamma)
+        Gc, spread = sets.centers @ Gamma.T, sets.row_spreads(Gamma)
         for idx in range(out.shape[0]):
             t = idx * h_sim
             if t > t_f * (1 + 1e-12):
@@ -1149,7 +1145,7 @@ class TestExactInitialSet:
         sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope, rand_ubox(rng, 2),
                          1.0, 0.05)
         g0 = min(f, 3)
-        assert sets.table.g0 == g0 and sets.table.Y.shape[2] == 1 + g0 + 2
+        assert sets.g0 == g0 and sets.Y.shape[2] == 1 + g0 + 2
         for j in (0, len(sets) - 1):
             assert sets[j].outputs.order == 1 + 2 * g0 + 2 * (j + 1) * 2 + 2
 
@@ -1240,13 +1236,13 @@ class TestTableEllipsoid:
         # rows the axis spreads already put above the radius read no
         # gradient spread; the verdict is the same either way
         calls = []
-        spreads = reach._AgeTable.direction_spreads
+        spreads = reach.ReachSets.direction_spreads
 
         def counting(self, V, rows):
             calls.append(len(rows))
             return spreads(self, V, rows)
 
-        monkeypatch.setattr(reach._AgeTable, "direction_spreads", counting)
+        monkeypatch.setattr(reach.ReachSets, "direction_spreads", counting)
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         steps = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.02)
         zs = [s.outputs for s in steps]
@@ -1268,7 +1264,7 @@ def test_table_direction_spreads_match_assembled_generators(rng):
     assert len(sets) > 2 * reach._DIRECTION_CHUNK
     rows = np.concatenate([rng.permutation(len(sets)), rng.integers(0, len(sets), 20)])
     V = rng.standard_normal((rows.size, sys_.p))
-    got = sets.table.direction_spreads(V, rows)
+    got = sets.direction_spreads(V, rows)
     for v, j, spread in zip(V, rows, got):
         direct = np.sum(np.abs(v @ sets[int(j)].outputs.generators))
         assert spread == pytest.approx(direct, rel=1e-12, abs=0.0)
@@ -1284,10 +1280,10 @@ class TestBatchedSteps:
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
             ref = naive_reach(sys_, x0, ubox, t_f, step_h)
             assert [(s.t0, s.t1) for s in sets] == [(r.t0, r.t1) for r in ref]
-            table, p, g0 = sets.table, sys_.p, Zonotope.from_box(x0).order
+            p, g0 = sys_.p, Zonotope.from_box(x0).order
             C_rows = np.linalg.norm(sys_.C, axis=1)
             Gamma = rng.standard_normal((3, p))
-            spreads = table.row_spreads(Gamma)
+            spreads = sets.row_spreads(Gamma)
             for j, (s, r) in enumerate(zip(sets, ref)):
                 z, G = s.outputs, r.outputs.generators
                 scale = np.max(np.abs(G))
@@ -1302,8 +1298,8 @@ class TestBatchedSteps:
                 # age a paired with its age a - 1 (the newest with 0),
                 # oldest first
                 hull = (G.shape[1] - 1 - p) // 2
-                x, x2 = table.Y[j], table.Y[j + 1]
-                later = table.Y[:j + 1, :, 1 + g0:][::-1]
+                x, x2 = sets.Y[j], sets.Y[j + 1]
+                later = sets.Y[:j + 1, :, 1 + g0:][::-1]
                 earlier = np.concatenate([later[1:], np.zeros_like(later[:1])])
                 inputs = np.hstack([((earlier + later) / 2.0).transpose(1, 0, 2).reshape(p, -1),
                                     ((earlier - later) / 2.0).transpose(1, 0, 2).reshape(p, -1)])
@@ -1314,18 +1310,18 @@ class TestBatchedSteps:
                                            G[:, 1 + hull:1 + hull + g0], **close)
                 np.testing.assert_allclose(
                     inputs, G[:, np.r_[1 + g0:1 + hull, 1 + hull + g0:1 + 2 * hull]], **close)
-                np.testing.assert_allclose(table.balls[j] * C_rows, np.diag(G[:, -p:]), **close)
+                np.testing.assert_allclose(sets.balls[j] * C_rows, np.diag(G[:, -p:]), **close)
             assert_balls_bracketed(sets, sys_, x0, ubox)
 
     def test_shared_table_is_read_only(self, rng):
-        # a step set's center, the table's samples, centers and spreads are
+        # a step set's center, the step sets' samples, centers and spreads are
         # shared by every read of the result; changing one in place must
         # fail, not alter the rest
         sys_, x0, ubox, t_f, step_h = next(iter(reach_cases(rng)))
         sets = reach_lti(sys_, x0, ubox, t_f, step_h)
         z = sets[0].outputs
-        for view in (z.center, sets.table.Y, sets.table.Y[0], sets.table.centers,
-                     sets.table.row_spreads(np.eye(sys_.p))):
+        for view in (z.center, sets.Y, sets.Y[0], sets.centers,
+                     sets.row_spreads(np.eye(sys_.p))):
             with pytest.raises(ValueError, match="read-only"):
                 view *= 2.0
         z.generators[...] = 0.0  # the assembled array is the step's own
@@ -1364,8 +1360,7 @@ class TestReachSets:
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
             ref = naive_reach(sys_, x0, ubox, t_f, t_f / count)
             assert isinstance(sets, rs.ReachSets)
-            assert sets.table is not None
-            assert len(sets) == len(sets.table.balls) == len(ref) == count
+            assert len(sets) == len(sets.balls) == len(ref) == count
             assert_same_sets(list(sets), ref, rng)
             assert [s.t0 for s in sets] == [r.t0 for r in ref]
             assert [s.t1 for s in sets] == [r.t1 for r in ref]
@@ -1397,7 +1392,7 @@ class TestReachSets:
         steps = 1 if kind == "below" else count
         if kind != "on":  # on the grid, t_f / step_h may round above count
             assert steps == math.ceil(t_f / step_h)
-        assert len(sets) == len(sets.table.balls) == steps
+        assert len(sets) == len(sets.balls) == steps
         assert sets.t0[0] == 0.0 and sets.t1[-1] == t_f
         np.testing.assert_array_equal(sets.t0[1:], sets.t1[:-1])
         lengths = sets.t1 - sets.t0
@@ -1464,12 +1459,39 @@ class TestReachSets:
                              ids=["off-grid", "past-rounding"])
     def test_witness_steps_on_the_reach_grid(self, t_f, step_h, steps):
         # off the grid of 0.03, and 18,144 steps over 0.3, where a step of
-        # t_f / N would give simulate N + 1 steps
+        # t_f / N gave simulate N + 1 steps under an absolute allowance
         sys_ = rs.LtiSystem([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [0.5]], [[1.0, 1.0]])
         x0, ubox = rs.HyperBox([0.0, 0.0], [0.1, 0.1]), rs.HyperBox([-0.1], [0.1])
         sets = reach_lti(sys_, x0, ubox, t_f, step_h)
         assert len(sets) == steps
         assert_witness_on_reach_grid(sys_, x0, ubox, sets)
+
+    @pytest.mark.parametrize("t_f", [0.1, 0.15, 0.3, 1.0, 2.0, 3.3, 4.7, 5.0])
+    def test_step_of_t_f_over_n_gives_n_steps(self, t_f):
+        # every N below 60,000 and every 10 N: an allowance of 1e-12 of a
+        # step, not of the horizon, once gave N + 1 on 41,878 of these grids
+        N = np.arange(1, 60_000)
+        for count in (N, 10 * N):
+            np.testing.assert_array_equal(reach._step_count(t_f, t_f / count), count)
+        # and a tenth of t_f / N, the witness search's old revalidation step
+        for count in (1, 817, 5999):
+            assert reach._time_grid(t_f, t_f / count / 10, None, "h").size == 10 * count + 1
+
+    def test_witness_revalidates_on_ten_sub_steps_per_reach_step(self):
+        # 817 reach steps over t_f = 1, where a tenth of t_f / N once gave
+        # 8,171 sub-steps: the revalidation takes exactly 10 N, and plan row
+        # i drives sub-steps 10 i ... 10 i + 9 of a per-step replay
+        sys_ = rs.LtiSystem([[-0.5, 20.0], [-20.0, -0.5]], [[1.0], [0.0]], [[1.0, 0.0]])
+        x0, ubox, t_f = rs.HyperBox([0.0, 0.0], [0.0, 0.0]), rs.HyperBox([-1.0], [1.0]), 1.0
+        sets = reach_lti(sys_, x0, ubox, t_f, t_f / 817)
+        top = float(sets.sample_supports(np.array([[1.0]])).max())
+        spec = rs.PolytopeSpec([[1.0]], [-top / 2], POLARITY_SAFE)
+        w = find_unsafe_witness(sys_, x0, ubox, transform_spec(spec, np.zeros(1)), sets)
+        assert len(sets) == 817 and w is not None
+        np.testing.assert_array_equal(w.times, np.linspace(0.0, t_f, 8171))
+        assert w.step_inputs.shape == (817, 1) and np.unique(w.step_inputs).size == 2
+        ref, _ = stepwise(sys_, x0.center, w.step_inputs[np.arange(8170) // 10], t_f, t_f / 8170)
+        np.testing.assert_allclose(w.outputs, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_check_spec_matches_explicit_steps(self, rng):
         # check_spec on reach's table against its rule written out on the
@@ -1602,11 +1624,12 @@ def test_expm_not_finite_raises_model_error():
 
 def stepwise(sys_, x0, u, t_f, h):
     """Per-step reference: x <- Phi x + Psi u_j one step at a time over the
-    N = ceil(t_f / h) even steps of t_f / N that tile [0, t_f].  Returns
+    N = ceil(t_f / h) even steps of t_f / N that tile [0, t_f], with
+    _time_grid's relative rounding allowance of 1e-12.  Returns
     (outputs, time of the first non-finite state or None); the outputs stop
     before that state."""
     x = np.asarray(x0, dtype=float)
-    steps = max(1, math.ceil(t_f / h - 1e-12))
+    steps = max(1, math.ceil(t_f / h - 1e-12 * (t_f / h)))
     times = np.linspace(0.0, t_f, steps + 1)
     U = reach._step_inputs(u, sys_.m, times, x.shape[1:])
     Phi, Psi = _transition(sys_.A, t_f / steps, sys_.B)
@@ -1720,7 +1743,7 @@ class TestBlockSimulate:
 
 def assert_same_table(sets, ref, rng):
     assert len(sets) == len(ref)
-    a, b = sets.table, ref.table
+    a, b = sets, ref
     for name in ("Y", "centers", "balls"):
         x, y = getattr(a, name), getattr(b, name)
         np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max()),
@@ -1764,8 +1787,8 @@ class TestReachChunks:
                     monkeypatch.setattr(reach, "ORBIT_BLOCK_DOUBLES",
                                         giants * width * (4 + 2 * stride * p))
                     sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-                    assert sets.table.Y.shape == (steps + 1, p, width)
-                    assert len(sets) == len(sets.table.balls) == steps
+                    assert sets.Y.shape == (steps + 1, p, width)
+                    assert len(sets) == len(sets.balls) == steps
                     assert_same_table(sets, ref, rng)
 
 
@@ -1801,21 +1824,20 @@ def test_orbit_rule_bounds_every_state_norm(case):
     sets = reach_lti(sys_, x0, ubox, t_f, step_h)
     assert len(sets) == steps
     images, norms = naive_orbit(sys_, x0, ubox, t_f / steps, steps)
-    table = sets.table
-    assert np.max(np.abs(table.Y - images)) <= 1e-13 * np.max(np.abs(images))
-    assert np.all(table.norms >= norms * (1 - 1e-13))
+    assert np.max(np.abs(sets.Y - images)) <= 1e-13 * np.max(np.abs(images))
+    assert np.all(sets.norms >= norms * (1 - 1e-13))
     # and never above the rule applied to the loop's exact norms, nor
     # above the simulation bounds' rule: e^{mu a h} times the giant
     # sample's, mu = max(lambda_max(sym A), 0) and ||Phi|| <= e^{mu h}, the
     # center's plus a e^{mu a h} ||PsiB u_c||
     h, stride = t_f / steps, orbit_stride(sys_)
     rule = rule_norms(sys_, ubox, h, norms, stride)
-    assert np.all(table.norms <= rule * (1 + 1e-13))
+    assert np.all(sets.norms <= rule * (1 + 1e-13))
     A, a = sys_.A, np.arange(steps + 1) % stride
     growth = np.exp(max(np.linalg.eigvalsh((A + A.T) / 2.0).max(), 0.0) * a * h)
     limit = norms[np.arange(steps + 1) - a] * growth[:, None]
     limit[:, 0] += a * growth * np.linalg.norm(_transition(A, h, sys_.B)[1] @ ubox.center)
-    assert np.all(table.norms <= limit * (1 + 1e-13))
+    assert np.all(sets.norms <= limit * (1 + 1e-13))
 
 
 # --------------------------------------------------------------------------
@@ -1843,7 +1865,7 @@ def test_reach_peak_memory_stays_below_its_input_orbit():
     x0, ubox = rand_box(rng, k, 6), rand_ubox(rng, m)
     steps, peak, kept = traced_peak(lambda: reach_lti(sys_, x0, ubox, 1.0, 1e-3))
     orbit = 8 * len(steps) * k * m
-    assert len(steps) == len(steps.table.balls) == 1000
+    assert len(steps) == len(steps.balls) == 1000
     assert peak - kept < 0.5 * orbit
     assert peak < orbit
 
@@ -1892,9 +1914,9 @@ def crossing_spec(rng, sets):
     """A safe-polarity polytope spec of three random rows whose bounds sit
     within 30% of their largest sample supports, all on one side: the
     supports reach the region in some draws and not in others."""
-    p = sets.table.centers.shape[1]
+    p = sets.centers.shape[1]
     Gamma = rng.standard_normal((3, p))
-    top = sets.table.sample_supports(Gamma).max(axis=0)
+    top = sets.sample_supports(Gamma).max(axis=0)
     Psi = -(top + rng.uniform(-0.3, 0.3) * (np.abs(top) + 1.0))
     return transform_spec(rs.PolytopeSpec(Gamma, Psi, POLARITY_SAFE), np.zeros(p))
 
@@ -1948,7 +1970,7 @@ class TestWitnessCertificate:
             ref.append(GC @ x + np.sum(np.abs(GC @ G), axis=1) + ages)
             ages = ages + np.sum(np.abs(GC @ P @ PsiB * ubox.halfwidth), axis=1)
             x, G, P = Phi @ x + PsiB @ ubox.center, Phi @ G, Phi @ P
-        np.testing.assert_allclose(sets.table.sample_supports(Gamma), ref, rtol=1e-10,
+        np.testing.assert_allclose(sets.sample_supports(Gamma), ref, rtol=1e-10,
                                    atol=1e-10 * np.abs(ref).max())
 
     @given(certificate_cases())
@@ -1963,7 +1985,7 @@ class TestWitnessCertificate:
         sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
         ts = crossing_spec(rng, sets)
         Gamma, steps = ts.witness_region.Gamma, len(sets)
-        S = sets.table.sample_supports(Gamma)
+        S = sets.sample_supports(Gamma)
         reaches = supports_reach(ts, S)
         X, plans, _, ((j, l, top, _),) = reach._candidates(sys_, box, ubox, [ts], sets, L)
         X = np.hstack([X, box.vertices()[:, :16], box.sample(rng, 8)])
@@ -1990,7 +2012,7 @@ class TestWitnessCertificate:
         rng = np.random.default_rng(seed)
         sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
         ts = crossing_spec(rng, sets)
-        S = sets.table.sample_supports(ts.witness_region.Gamma)
+        S = sets.sample_supports(ts.witness_region.Gamma)
         with pytest.MonkeyPatch.context() as mp:
             calls = counting_simulate(mp)
             found = find_unsafe_witness(sys_, box, ubox, ts, sets, init_map=L)
@@ -2052,8 +2074,8 @@ class TestWitnessCertificate:
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
         sets = reach_lti(sys_, x0, ubox, 1.0)
-        exact = reach._AgeTable.sample_supports
-        monkeypatch.setattr(reach._AgeTable, "sample_supports",
+        exact = reach.ReachSets.sample_supports
+        monkeypatch.setattr(reach.ReachSets, "sample_supports",
                             lambda self, Gamma: exact(self, Gamma) - 1.0)
         with pytest.raises(rs.ModelError, match="above its certified support"):
             find_unsafe_witness(sys_, x0, ubox, first_y0_spec(1e3), sets)

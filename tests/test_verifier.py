@@ -4,7 +4,7 @@ import pytest
 import redsafe as rs
 from redsafe import verifier
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
-from redsafe.reach import INDETERMINATE, SAFE, UNSAFE
+from redsafe.reach import INDETERMINATE, SAFE, UNSAFE, default_step
 from redsafe.verifier import VerifyOptions, verify, verify_pss
 
 from conftest import batch_trajectories, rand_box, rand_ubox
@@ -259,10 +259,9 @@ class TestUnsafePolaritySpecs:
         verdict = verify(prob)
         assert (verdict.outcome, verdict.k_used) == (UNSAFE, 5)
         w = verdict.witness
-        steps, h = w.step_inputs.shape[0], prob.t_f / w.step_inputs.shape[0] / 5
-        fine_steps = int(np.ceil(prob.t_f / h - 1e-12))
-        plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 5, steps - 1)]
-        d = rs.simulate(prob.system, w.init_state, plan, prob.t_f, h).outputs - forb.a
+        steps = w.step_inputs.shape[0]
+        d = rs.simulate(prob.system, w.init_state, np.repeat(w.step_inputs, 5, axis=0),
+                        prob.t_f, prob.t_f / (5 * steps)).outputs - forb.a
         assert np.min(np.sum((d @ forb.Q) * d, axis=1)) < forb.R ** 2
 
 
@@ -283,14 +282,30 @@ WITNESS_FAMILY = {
 }
 
 
+def grid_slack(prob):
+    """The full-order oracle: -max(S + Psi) of the given system's exact
+    sample supports S along the spec's rows, on the grid of a quarter of the
+    default step.  Below 0, some grid trajectory leaves the safe box."""
+    spec = prob.spec[0]
+    sets = rs.reach_lti(prob.system, prob.x0, prob.inputs, prob.t_f,
+                        default_step(prob.t_f, prob.system.A) / 4)
+    return -float(np.max(sets.sample_supports(spec.Gamma) + spec.Psi))
+
+
 def test_witness_family_loses_no_verdict():
     # the search from the optimal input keeps every Unsafe at the same or a
     # lower k and changes no Safe, and every witness, replayed on the
-    # full-order system at a fifth of its step, leaves the spec
+    # full-order system at a fifth of its step, leaves the spec; no Safe
+    # contradicts the full-order grid, and 19 Indeterminate verdicts are
+    # grid-safe, the completeness gap
+    grid_safe_indeterminate = 0
     for (n, m, p, f, c), before in WITNESS_FAMILY.items():
         for seed, token in enumerate(before.split()):
             prob = rs.random_problem(seed, n, m, p, free_dims=f, spec_scale=c)
             verdict = verify(prob)
+            slack = grid_slack(prob)
+            assert verdict.outcome != SAFE or slack >= 0.0, seed
+            grid_safe_indeterminate += verdict.outcome == INDETERMINATE and slack >= 0.0
             if token[0] == "S":
                 assert (verdict.outcome, verdict.k_used) == (SAFE, int(token[1:])), seed
             else:
@@ -299,9 +314,9 @@ def test_witness_family_loses_no_verdict():
                 assert verdict.outcome == UNSAFE and verdict.k_used <= int(token[1:]), seed
             if verdict.outcome == UNSAFE:
                 w = verdict.witness
-                steps, h = w.step_inputs.shape[0], prob.t_f / w.step_inputs.shape[0] / 5
-                fine_steps = int(np.ceil(prob.t_f / h - 1e-12))
-                plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 5, steps - 1)]
-                traj = rs.simulate(prob.system, w.init_state, plan, prob.t_f, h)
+                steps = w.step_inputs.shape[0]
+                traj = rs.simulate(prob.system, w.init_state, np.repeat(w.step_inputs, 5, axis=0),
+                                   prob.t_f, prob.t_f / (5 * steps))
                 spec = prob.spec[0]
                 assert np.any(traj.outputs @ spec.Gamma.T + spec.Psi > 0), seed
+    assert grid_safe_indeterminate == 19

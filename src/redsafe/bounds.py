@@ -11,15 +11,8 @@ gaps between their steps with a rigorous second-order envelope, from one
 in-step bound on |y''| per column, so no candidate is bloated.
 
 Both simulation bounds hold on a finite window [0, horizon] (t_f, or a PSS
-mode's duration) and read one walk of each order's augmented orbit.  It
-stops at the horizon, or earlier only when the augmented system is
-contractive and every column has decayed, at T.  A monotone tail covers the
-rest of the window:
-||x(t)|| <= e^{mu tau} ||x(T)|| on [T, horizon], tau = horizon - T, with
-mu = max(lambda_max(sym A_bar), 0), which a contractive system keeps within
-the contraction tolerance.  So e1 bounds |y_i| there by ||C_i|| e^{mu tau}
-||x(T)||, and e2 the integral of channel j's |y_i| by ||C_i|| ||x_j(T)|| tau
-e^{mu tau}.
+mode's duration) and read one walk of each order's augmented orbit, which
+runs to the mode's last step time, the first to reach the horizon.
 
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
@@ -78,10 +71,6 @@ CONTRACTION_TOL_REL = 1e-8
 #: value.  Their per-step envelopes are rigorous at any h; the step sets how
 #: close the bounds come to the exact sups and integrals.
 SIM_LH = 0.05
-
-#: Relative state-norm threshold at which a simulated response of a
-#: contractive system counts as decayed.
-DECAY_TOL = 1e-9
 
 
 class BoundError(RuntimeError):
@@ -227,7 +216,7 @@ def e1_optimization(aug: AugmentedSystem) -> np.ndarray:
     return out
 
 
-def _error_orbit(full: _Orbit, reduced: _Orbit, m: int, growth: np.ndarray):
+def _error_orbit(full: _Orbit, reduced: _Orbit, growth: np.ndarray):
     """Blocks of the augmented orbit: the shared full-order orbit plus this
     order's reduced one, built ``like`` it, each read through three maps of
     p rows, the error output y and its derivatives y'' = C A^2 x and
@@ -235,19 +224,17 @@ def _error_orbit(full: _Orbit, reduced: _Orbit, m: int, growth: np.ndarray):
     kept.
 
     Each block's steps 0 ... size are written into buffers that hold the
-    block's first state, the last state of the block before: per column
-    group, the first m (the input columns) and the rest (the box's
-    generators), one (3, size+1, p, columns) array of y and the magnitudes
-    of the derivatives, and the squared norm bounds (size+1, w) of every
-    column.  The norm data is exact at giant steps, the two halves' sum,
-    and a steps after giant state R_b it is ``growth[a]`` = e^{2 mu a h}
-    times R_b's, an upper bound since ||e^{A t}||_2 <= e^{mu t} for
-    mu = max(defect, 0) and defect >= lambda_max(sym A_t), which by Cauchy
-    interlacing bounds the reduced half's lambda_max(sym A_t[:k, :k]) too.
-    The next block overwrites the buffers."""
+    block's first state, the last state of the block before: one
+    (3, size+1, p, w) array of y and the magnitudes of the derivatives over
+    every column, and the squared norm bounds (size+1, w) of every column.
+    The norm data is exact at giant steps, the two halves' sum, and a steps
+    after giant state R_b it is ``growth[a]`` = e^{2 mu a h} times R_b's, an
+    upper bound since ||e^{A t}||_2 <= e^{mu t} for mu = max(defect, 0) and
+    defect >= lambda_max(sym A_t), which by Cauchy interlacing bounds the
+    reduced half's lambda_max(sym A_t[:k, :k]) too.  The next block
+    overwrites the buffers."""
     s, block, width, p = full.stride, full.block, full.width, full.rows // 3
-    groups = [(np.empty((3, block + 1, p, cols.stop - cols.start)), cols)
-              for cols in (slice(0, m), slice(m, width))]
+    out = np.empty((3, block + 1, p, width))
     sq = np.empty((block + 1, width))
     for i in itertools.count():
         try:
@@ -260,19 +247,18 @@ def _error_orbit(full: _Orbit, reduced: _Orbit, m: int, growth: np.ndarray):
         data += f_data
         giants = len(data) - 1
         size = min(block, full.steps - i * block)
-        images, last = images.reshape(s, 3, p, giants, width), last.reshape(3, p, width)
-        for out, cols in groups:
-            # step b s + a at [:, b s + a] from [a, :, :, b], and step G s from last
-            grid = out[:, :giants * s].reshape(3, giants, s, p, -1)
-            steps = images[..., cols].transpose(1, 3, 0, 2, 4)
-            grid[0] = steps[0]
-            np.abs(steps[1:], out=grid[1:])
-            out[0, giants * s] = last[0, :, cols]
-            np.abs(last[1:, :, cols], out=out[1:, giants * s])
+        # step b s + a at [:, b s + a] from [a, :, :, b], and step G s from last
+        grid = out[:, :giants * s].reshape(3, giants, s, p, width)
+        steps = images.reshape(s, 3, p, giants, width).transpose(1, 3, 0, 2, 4)
+        grid[0] = steps[0]
+        np.abs(steps[1:], out=grid[1:])
+        last = last.reshape(3, p, width)
+        out[0, giants * s] = last[0]
+        np.abs(last[1:], out=out[1:, giants * s])
         np.multiply(data[:giants, None], growth[:, None],
                     out=sq[:giants * s].reshape(giants, s, width))
         sq[giants * s] = data[giants]
-        yield [out[:, :size + 1] for out, _ in groups], sq[:size + 1]
+        yield out[:, :size + 1], sq[:size + 1]
 
 
 class FullOrderResponse:
@@ -285,9 +271,9 @@ class FullOrderResponse:
     half-widths r), and records C_t x, C_t A_t^2 x and C_t A_t^3 x per step
     and ||x||^2 per giant step and column: e2 reads the first m columns and
     e1 the rest, from which every vertex's output and a bound on its norm
-    follow.  It is simulated lazily, block by block, over :attr:`times`, as
-    far as the orders asking for it need.  Build
-    one per mode with ``FullOrderResponse.of(bal, x0, horizon)`` and every
+    follow.  It is simulated lazily, block by block, over :attr:`times`, by
+    the first order's walk, and read by every later one.  Build one per mode
+    with ``FullOrderResponse.of(bal, x0, horizon)`` and every
     order's augmented system from it with :func:`augment`.
     """
 
@@ -357,26 +343,18 @@ def _box_generators(box: HyperBox) -> np.ndarray:
 def _walk(aug: AugmentedSystem, X0: np.ndarray):
     """The one block walk of this order's augmented orbit (:func:`_error_orbit`):
     the mode's orbit, whose augmented start columns are X0, and this
-    order's reduced half from X0[n:], an orbit like the mode's.  It stops
-    at the mode's last step time, the first to reach the horizon, or
-    earlier, on a contractive mode, at the first state that has decayed:
-    every column's state-norm bound is at most DECAY_TOL times its norm at
-    t = 0.  Each bound's tail holds from any stop time T, so one rule
-    serves every column.
+    order's reduced half from X0[n:], an orbit like the mode's, to the
+    mode's last step time, the first to reach the horizon.
 
-    Yields per block ((Y, ddot) of the first m columns, the inputs, (Y,
-    ddot) of the rest, the box's generators, N, window) over its steps up
-    to the stop, from the state before the block, so that step j runs from
-    state j to state j + 1: the error outputs Y (steps+1, p, columns), the
-    in-step |y''| bounds ddot (steps, p, columns), the state-norm bounds N
-    (steps+1, width), and ``window``, horizon - T after a stop on decay
-    (the part of the window the tails cover) and None otherwise.  Each is a
-    view of a buffer that the next block overwrites and the reader may
-    overwrite.
+    Yields per block (Y, ddot) over its steps, from the state before the
+    block, so that step j runs from state j to state j + 1: the error
+    outputs Y (steps+1, p, width) and the in-step |y''| bounds ddot (steps,
+    p, width) of every column.  Each is a view of a buffer that the next
+    block overwrites and the reader may overwrite.
     """
-    n, k, m, full = aug.n, aug.k, aug.m, aug.full
+    n, k, full = aug.n, aug.k, aug.full
     orbit = full.orbit
-    h, mu, horizon = full.h, max(full.defect, 0.0), full.horizon
+    h, mu = full.h, max(full.defect, 0.0)
     A_r, C_r, X_r = aug.A_bar[n:, n:], aug.C_bar[:, n:], X0[n:]
     # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
     # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
@@ -384,7 +362,7 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
     D2_r = C_r @ A_r @ A_r
     D3_r = D2_r @ A_r
     reduced = _Orbit(_transition(A_r, h), X_r, (C_r, D2_r, D3_r), orbit.steps, like=orbit)
-    blocks = _error_orbit(orbit, reduced, m, np.exp(2.0 * mu * h * np.arange(orbit.stride)))
+    blocks = _error_orbit(orbit, reduced, np.exp(2.0 * mu * h * np.arange(orbit.stride)))
     d3_full = orbit.maps[2]
     d3_norms = np.linalg.norm(np.hstack([d3_full, D3_r]), axis=1)
     # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
@@ -407,26 +385,16 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
         + np.linalg.norm(d3_full[:, :k] + D3_r, axis=1) * half_grow
     w0 = np.linalg.norm(np.vstack([X0[:k] - X_r, X0[k:n]]), axis=0)
     r0 = np.linalg.norm(X_r, axis=0)
-    decay_at = DECAY_TOL * np.linalg.norm(X0, axis=0)
     # that bound is the smaller for row i only where x_coef_i < norm_coef_i
     # and ||w|| < rho_i ||x||, rho_i = (norm_coef_i - x_coef_i) / w_coef_i;
     # a block is checked against the largest rho_i before it is formed
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.max(np.where(x_coef < norm_coef, (norm_coef - x_coef) / w_coef, -np.inf))
-    groups = [(cols, np.empty((orbit.block, aug.p, cols.stop - cols.start)),
-               np.empty((orbit.block, aug.p, cols.stop - cols.start)))
-              for cols in (slice(0, m), slice(m, X0.shape[1]))]
-    for i, (images, N) in enumerate(blocks):
+    ddots, changes = (np.empty((orbit.block, aug.p, X0.shape[1])) for _ in range(2))
+    for i, ((Y, D2, D3), N) in enumerate(blocks):
         # the times of the block's states after the first
-        ts = full.times[i * orbit.block:][:len(N) - 1]
+        ts = full.times[i * orbit.block:][:len(N) - 1, None]
         np.sqrt(N, out=N)
-        end, window = len(ts), None
-        if full.contractive:
-            decayed = np.all(N[1:] <= decay_at, axis=1)
-            if decayed.any():
-                end = int(np.argmax(decayed)) + 1
-                window = max(horizon - float(ts[end - 1]), 0.0)
-        N, ts = N[:end + 1], ts[:end, None]
         # in-step |y''| bound M: every point of a step lies within h/2 of
         # an endpoint e, where y'' = C A^2 x_e changes by at most
         # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e| plus the
@@ -437,22 +405,16 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             W = np.exp(mu * ts) * (w0 + ts * E * r0)
             smaller = np.any(W < rho * Nm)
-        out = []
-        for (cols, ddot, change), (Y, D2, D3) in zip(groups, images):
-            Y, D2, D3, ddot, change = Y[:end + 1], D2[:end + 1], D3[:end + 1], ddot[:end], \
-                change[:end]
-            np.multiply(norm_coef[:, None], Nm[:, None, cols], out=change)
-            if smaller:
-                np.fmin(change, w_coef[:, None] * W[:, None, cols]
-                        + x_coef[:, None] * Nm[:, None, cols], out=change)
-            change += np.maximum(D3[:-1], D3[1:], out=ddot)
-            change *= h / 2.0
-            np.maximum(D2[:-1], D2[1:], out=ddot)
-            ddot += change
-            out.append((Y, ddot))
-        yield *out, N, window
-        if window is not None:
-            return
+        M, change = ddots[:len(ts)], changes[:len(ts)]
+        np.multiply(norm_coef[:, None], Nm[:, None], out=change)
+        if smaller:
+            np.fmin(change, w_coef[:, None] * W[:, None] + x_coef[:, None] * Nm[:, None],
+                    out=change)
+        change += np.maximum(D3[:-1], D3[1:], out=M)
+        change *= h / 2.0
+        np.maximum(D2[:-1], D2[1:], out=M)
+        M += change
+        yield Y, M
 
 
 def _vertex_peak(Y: np.ndarray) -> np.ndarray:
@@ -462,12 +424,11 @@ def _vertex_peak(Y: np.ndarray) -> np.ndarray:
 
 
 def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e1, I_abs, R_max), tails included, from one :func:`_walk` over the
-    augmented start columns [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f]:
-    e1 per output from the box's generators, and from the first m, the
-    input columns, per output and channel the |kernel| integral I_abs and
-    the bound R_max on the running signed kernel integral that
-    :func:`e2_simulation` reads."""
+    """(e1, I_abs, R_max) from one :func:`_walk` over the augmented start
+    columns [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f]: e1 per output
+    from the box's generators, and from the first m, the input columns, per
+    output and channel the |kernel| integral I_abs and the bound R_max on
+    the running signed kernel integral that :func:`e2_simulation` reads."""
     m, p, h = aug.m, aug.p, aug.full.h
     X0 = np.hstack([aug.B_bar, aug.lift @ _box_generators(aug.full.x0)])
     bulge = h ** 2 / 8.0
@@ -477,10 +438,13 @@ def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # each carried from the block before at row 0, and the gap to the next
     runs, traps = (np.empty((aug.full.orbit.block + 1, p, m)) for _ in range(2))
     gaps = np.empty((aug.full.orbit.block, p, m))
-    for (Y, ddot), (G, g_ddot), N, window in _walk(aug, X0):
-        V = _vertex_peak(G)
+    for Y, ddot in _walk(aug, X0):
+        V = _vertex_peak(Y[..., m:])
         e1 = np.maximum(e1, np.max(np.maximum(V[:-1], V[1:])
-                                   + bulge * np.sum(g_ddot, axis=-1), axis=0))
+                                   + bulge * np.sum(ddot[..., m:], axis=-1), axis=0))
+        # the input columns, copied out whole: the passes below run faster
+        # over a contiguous block than over its strided view
+        Y, ddot = np.ascontiguousarray(Y[..., :m]), np.ascontiguousarray(ddot[..., :m])
         run, trap, gap = runs[:len(Y)], traps[:len(Y)], gaps[:len(ddot)]
         run[0], trap[0] = R_run, trap_budget
         # int |y| <= int |linear interpolant| + int |y - interpolant|, and
@@ -508,18 +472,6 @@ def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         gap += np.maximum(run[:-1], run[1:])
         R_max = np.maximum(R_max, np.max(gap, axis=0))
     I_abs += trap_budget
-    if window is not None:
-        c_norms = np.linalg.norm(aug.C_bar, axis=1)
-        # ||e^{A_bar t}||_2 <= e^{mu t} with mu = max(defect, 0), so
-        # |y_i(t)| <= ||C_i|| e^{mu tau} ||x(T)|| for all t in [T, horizon]
-        # and every point of the box
-        growth = float(np.exp(max(aug.full.defect, 0.0) * window))
-        e1 = np.maximum(e1, c_norms * np.sum(N[-1, m:]) * growth)
-        # int_T^horizon |y_i| <= ||C_i|| ||x_j(T)|| tau e^{mu tau}, and R
-        # changes by at most as much after T
-        tail = np.outer(c_norms, N[-1, :m]) * (window * growth)
-        I_abs += tail
-        R_max += tail
     return e1, I_abs, R_max
 
 
@@ -538,10 +490,7 @@ def e1_simulation(aug: AugmentedSystem) -> np.ndarray:
     step j bounds every vertex by max(V_j, V_{j+1}) + h^2/8 sum_g M_g.
 
     The generator responses are columns of this order's one walk
-    (:func:`_walk`), which :func:`e2_simulation` reads too.  After a decay
-    stop at T the tail ||C_i|| e^{mu tau} times the generators' norm sum at
-    T covers the rest of the window, tau = horizon - T: every point of the
-    box has ||x(t)|| <= e^{mu (t - T)} ||x(T)|| for t >= T.
+    (:func:`_walk`), which :func:`e2_simulation` reads too.
     """
     return aug.simulated[0].copy()
 
@@ -572,9 +521,7 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox) -> np.ndarray:
 
     Each input channel's response starts from its column of B_bar with zero
     input: the input columns of this order's one walk (:func:`_walk`), which
-    :func:`e1_simulation` reads too.  After a decay stop at T the tail
-    ||C_i|| ||x_j(T)|| tau e^{mu tau}, tau = horizon - T, bounds the rest of
-    each |kernel| integral.  Each step's envelope is second order and
+    :func:`e1_simulation` reads too.  Each step's envelope is second order and
     rigorous: with M the in-step bound on |y''| of :func:`_walk`, the
     |kernel| integral takes the trapezoid of the endpoint magnitudes plus
     h^3/12 M.  A zero input matrix gives exact zeros.
@@ -584,10 +531,9 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox) -> np.ndarray:
     bound on sup_t |R(t)| of the running signed kernel integral R, the
     smaller of I_abs and R_max (the trapezoid sums plus their h^3/12 M
     remainders at the nodes, and between nodes h |dy|/8 + h^3/16 M for the
-    distance to their linear interpolant; the tail bounds R's change after
-    T).  Both factors bound sup_t |R(t)|, so the bound is sound for
-    arbitrary measurable inputs in the box and never exceeds I_abs
-    ||u||_inf.
+    distance to their linear interpolant).  Both factors bound sup_t |R(t)|,
+    so the bound is sound for arbitrary measurable inputs in the box and
+    never exceeds I_abs ||u||_inf.
     """
     if u_box.dim != aug.m:
         raise ModelError(f"input box has dim {u_box.dim}, expected m={aug.m}")

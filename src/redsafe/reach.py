@@ -554,15 +554,17 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     channels = np.flatnonzero(np.linalg.norm(Gin, axis=0) > 0)
     Gin = Gin[:, channels]
     vin = PsiB @ uc
-    # residual for measurable (non-constant) inputs within one step:
-    # || int e^{As} B (w - wbar) ds || with the average wbar split off.
-    psi_gap = (np.exp(L * h) - 1.0) / L - h if L > 0 else 0.0
-    res_ball = psi_gap * nB * 2.0 * ur_norm if ur.size else 0.0
     # curvature envelope for the in-step deviation from the chord between
     # consecutive endpoint states (second order in h, plus the first-order
-    # input-variation sweep); any sound envelope is acceptable here.
-    ebl = np.exp(L * h) - 1.0 - L * h
-    sweep = 2.0 * ((np.exp(L * h) - 1.0) / L if L > 0 else h)
+    # input-variation sweep); any sound envelope is acceptable here.  e^{Lh}
+    # - 1 is taken by expm1, so that the second-order terms keep their sign
+    # and size at small L h instead of cancelling to rounding
+    ebl = np.expm1(L * h) - L * h
+    sweep = 2.0 * (np.expm1(L * h) / L if L > 0 else h)
+    # residual for measurable (non-constant) inputs within one step:
+    # || int e^{As} B (w - wbar) ds || with the average wbar split off.
+    psi_gap = ebl / L if L > 0 else 0.0
+    res_ball = psi_gap * nB * 2.0 * ur_norm if ur.size else 0.0
     drift = float(np.linalg.norm(B @ uc)) / L if L > 0 else 0.0
 
     # the exact recursions c <- Phi c + vin, H <- Phi H and M_a = Phi^a G_in

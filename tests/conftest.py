@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 import redsafe as rs
-from redsafe.reach import _transition
+from redsafe.reach import _transition, default_step
 
 # property tests replay the same examples on every run and have no deadline,
 # so a slow runner cannot turn them into flakes
@@ -51,6 +51,16 @@ def batch_trajectories(A, B, C, X0, u_plan, t_f, h):
             X = X + PsiB @ u_plan(s)
         out[s + 1] = C @ X
     return out
+
+
+def grid_slack(prob):
+    """The full-order oracle: -max(S + Psi) of the given system's exact
+    sample supports S along the spec's rows, on the grid of a quarter of the
+    default step.  Below 0, some grid trajectory leaves the safe box."""
+    spec = prob.spec[0]
+    sets = rs.reach_lti(prob.system, prob.x0, prob.inputs, prob.t_f,
+                        default_step(prob.t_f, prob.system.A) / 4)
+    return -float(np.max(sets.sample_supports(spec.Gamma) + spec.Psi))
 
 
 def contraction_defect(aug):

@@ -17,7 +17,7 @@ from redsafe.reach import SAFE, UNSAFE, _transition, simulate
 from redsafe.spectransform import transform_spec
 from redsafe.verifier import VerifyOptions, verify, verify_pss
 
-from conftest import batch_trajectories, rand_box, rand_ubox
+from conftest import batch_trajectories, grid_slack, rand_box, rand_ubox
 
 
 def timed(budget):
@@ -292,6 +292,9 @@ def _violates(prob, outputs):
 
 
 def test_criterion_09_verifier_vs_oracle():
+    # besides the dense oracle and the witness replay, the full-order grid
+    # oracle (grid_slack): every Safe and every Indeterminate instance is
+    # grid-safe, and every Unsafe one grid-unsafe
     rng = np.random.default_rng(9)
     scales = [0.25, 0.6, 1.2, 3.0, 8.0, 0.4]
     outcomes = {"Safe": 0, "Unsafe": 0, "Indeterminate": 0}
@@ -309,18 +312,19 @@ def test_criterion_09_verifier_vs_oracle():
                     seed += 10_000
             verdict = verify(prob)
             outcomes[verdict.outcome] += 1
+            assert (grid_slack(prob) >= 0.0) == (verdict.outcome != UNSAFE), \
+                f"instance {i}: verifier said {verdict.outcome}, the full-order grid disagrees"
             if verdict.outcome == SAFE:
                 oracle = _oracle_outputs(prob, np.random.default_rng(1000 + i))
                 assert not _violates(prob, oracle), \
                     f"instance {i}: verifier said Safe, oracle found a violation"
             elif verdict.outcome == UNSAFE:
-                # replay the witness on the full-order system at a finer step
+                # replay the witness on the full-order system at a fifth of
+                # its step, plan row i on sub-steps 5i ... 5i + 4
                 w = verdict.witness
-                h = prob.t_f / w.step_inputs.shape[0]
-                fine_steps = int(np.ceil(prob.t_f / (h / 5) - 1e-12))
-                plan = w.step_inputs[np.minimum(np.arange(fine_steps) // 5,
-                                                w.step_inputs.shape[0] - 1)]
-                traj = simulate(prob.system, w.init_state, plan, prob.t_f, h / 5)
+                steps = w.step_inputs.shape[0]
+                traj = simulate(prob.system, w.init_state, np.repeat(w.step_inputs, 5, axis=0),
+                                prob.t_f, prob.t_f / (5 * steps))
                 assert _violates(prob, traj.outputs[:, :, None]), \
                     f"instance {i}: verifier said Unsafe, witness replay stays safe"
     print(f"verifier-vs-oracle outcomes: {outcomes}")

@@ -1,4 +1,3 @@
-import functools
 import os
 
 import numpy as np
@@ -389,12 +388,6 @@ class NormRule:
         return np.exp(2.0 * self.mu * self.h * a) * self.anchor
 
 
-def naive_tail_growth(aug, window):
-    """e^{mu window} with mu = max(lambda_max(sym A_bar), 0), from the whole
-    augmented system."""
-    return np.exp(max(contraction_defect(aug), 0.0) * window)
-
-
 class NaiveDdot:
     """The in-step |y''| bound of the naive loop per step and column, from
     C_bar A_bar^2 x and C_bar A_bar^3 x at the step's endpoints and the
@@ -439,18 +432,16 @@ class NaiveDdot:
             np.maximum(D3a, D3b) + self.change(np.maximum(Na, Nb), Wb))
 
 
-def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False, stop=None):
+def naive_simulation(aug, u_box, exact_norms=False):
     """Every vertex of the box ``aug.full.x0`` and the start columns
     [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f] stepped through
     e^{A_bar h} at h = SIM_LH / L one step at a time, to the horizon
-    ``aug.full.horizon`` or, on a contractive system, until every column's
-    norm, read by :class:`NormRule` (``exact_norms``: at every step), is at
-    most ``decay_tol`` times its norm at t = 0; with ``stop`` given, at that
-    step instead, as on decay, when it comes before the horizon.  For e1
-    step j takes the larger vertex peak of its ends plus h^2/8 times the
-    generators' summed in-step |y''| bounds, whose norms sum to the bound
-    on every vertex norm; for e2 the input columns' trapezoid envelopes.  Returns (e1, e2,
-    steps, I_abs), tails included."""
+    ``aug.full.horizon``, with the column norms read by :class:`NormRule`
+    (``exact_norms``: at every step).  For e1 step j takes the larger
+    vertex peak of its ends plus h^2/8 times the generators' summed in-step
+    |y''| bounds, whose norms sum to the bound on every vertex norm; for e2
+    the input columns' trapezoid envelopes.  Returns (e1, e2, steps,
+    I_abs)."""
     x0, horizon, m, p = aug.full.x0, aug.full.horizon, aug.m, aug.p
     X = aug.lift @ x0.vertices()
     G = np.hstack([aug.B_bar, aug.lift @ np.column_stack(
@@ -460,17 +451,13 @@ def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False, st
     Phi = _transition(aug.A_bar, h)
     norm = NormRule(aug, 3 * p, h, exact_norms)
     ddot = NaiveDdot(aug, h, G)
-    c_norms = np.linalg.norm(aug.C_bar, axis=1)
-    contractive = contraction_defect(aug) <= bmod.CONTRACTION_TOL_REL * max(1.0, L)
     peak_prev = np.max(np.abs(aug.C_bar @ X), axis=1)
     Y_prev = aug.C_bar @ G[:, :m]
     ends_prev = ddot.ends(G, np.sqrt(norm(G, 0)), 0.0)
-    x0_norms = ends_prev[2]
     e1 = np.zeros(p)
     I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
     t = 0.0
     steps = 0
-    decayed = False
     while t < horizon - 1e-12 * horizon:
         X, G = Phi @ X, Phi @ G
         t += h
@@ -490,20 +477,6 @@ def naive_simulation(aug, u_box, decay_tol=bmod.DECAY_TOL, exact_norms=False, st
         R_max = np.maximum(R_max, np.maximum(node_prev, node_cur)
                            + (h / 8.0) * np.abs(Y_cur - Y_prev) + (h ** 3 / 16.0) * M)
         peak_prev, Y_prev, ends_prev = peak_cur, Y_cur, ends_cur
-        if stop is None:
-            decayed = contractive and np.all(ends_cur[2] <= decay_tol * x0_norms)
-        else:
-            decayed = steps == stop and t < horizon - 1e-12 * horizon
-        if decayed:
-            break
-    if decayed:
-        window = max(horizon - t, 0.0)
-        growth = naive_tail_growth(aug, window)
-        N = ends_prev[2]
-        e1 = np.maximum(e1, c_norms * np.sum(N[m:]) * growth)
-        tail = np.outer(c_norms, N[:m]) * (window * growth)
-        I_abs += tail
-        R_max += tail
     e2 = np.minimum(R_max, I_abs) @ np.abs(u_box.center) + I_abs @ u_box.halfwidth
     return e1, e2, steps, I_abs
 
@@ -568,7 +541,7 @@ class TestSimulationMatchesNaiveLoops:
             for k in sorted({1, int(rng.integers(1, n + 1)), n}):
                 check(augment(FullOrderResponse.of(bal, x0, horizon), k), u_box, steps_taken)
                 if n <= 8:
-                    # long enough for most orbits to stop on decay
+                    # a window of many decay times
                     check(augment(FullOrderResponse.of(bal, x0, 60.0), k), u_box, steps_taken)
 
     def test_horizon_on_a_step_boundary(self, rng, steps_taken):
@@ -605,53 +578,23 @@ class TestSimulationMatchesNaiveLoops:
         assert np.array_equal(e2_simulation(zero_b, u_box), np.zeros(2))
 
     def test_contractive_early_decay(self, rng, steps_taken):
-        # fast modes decay to 1e-9 long before the window closes, so every
-        # column has decayed early and both bounds add their monotone tails
+        # fast modes decay by e^{-60} or more before the window closes, and
+        # the walk still takes every step of the mode's grid
         sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
         bal = balance(sys_)
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
         for k in (2, 4, 6):
-            aug = augment(FullOrderResponse.of(bal, x0, 50.0), k)
+            aug = augment(FullOrderResponse.of(bal, x0, 2.0), k)
             assert contraction_defect(aug) < 0
-            L = np.linalg.norm(aug.A_bar, 2)
-            assert 0 < check(aug, u_box, steps_taken) < 50.0 * L / bmod.SIM_LH / 2
-
-    def test_early_stop_covers_the_rest_of_the_window(self, rng, steps_taken):
-        # a horizon three steps past the walk's decay stop: with their tails
-        # both stopped bounds lie at or above the naive loop run to the
-        # horizon with no decay stop (decay_tol = 0), whose states stay
-        # above zero there, within rounding relative to the two halves' size
-        sys_ = rs.random_stable_system(rng, 6, 2, 2, decay=(30.0, 60.0), coupling=0.2)
-        bal = balance(sys_)
-        x0, u_box = rand_box(rng, 6, 4), rand_ubox(rng, 2)
-        cases = [(functools.partial(FullOrderResponse.of, bal, x0), k, u_box) for k in (2, 4)]
-        # this one's error output is its slow state, so e2's tail is within
-        # a few percent of the kernel integral it stands for
-        slow = (np.diag([-60.0, -30.0]), np.ones((2, 1)), np.array([[0.05, 1.0]]), np.eye(2),
-                rs.HyperBox([-1.0, 0.5], [1.0, 1.0]))
-        cases.append((functools.partial(FullOrderResponse, *slow), 1, rs.HyperBox([0.5], [1.0])))
-        for response_to, k, u_box in cases:
-            aug = augment(response_to(50.0), k)
-            e1_simulation(aug)
-            stop = steps_taken()
-            horizon = (stop + 3) * bmod.SIM_LH / aug.full.L
-            aug = augment(response_to(horizon), k)
-            new = (e1_simulation(aug), e2_simulation(aug, u_box))
-            assert steps_taken() == stop < horizon * aug.full.L / bmod.SIM_LH
-            *ref, ref_steps, _ = naive_simulation(aug, u_box, decay_tol=0.0)
-            assert ref_steps == stop + 3
-            mir = mirrored(aug)
-            for got, want, scale in zip(new, ref, (e1_simulation(mir),
-                                                   e2_simulation(mir, u_box))):
-                assert np.all(got >= want - 1e-12 * np.maximum(np.abs(want), scale))
-            steps_taken()
+            assert check(aug, u_box, steps_taken) == len(aug.full.times)
 
 
 #: Giant-size systems (n, seed, m, p, decay) of the bracket tests: the
-#: fast-decaying one stops on decay (both bounds with their monotone tails),
-#: the others at the horizon; the n = 96 one is not contractive, so its norm
-#: bounds grow between giant steps.
+#: fast-decaying one over a window of many decay times, 12, in whose last
+#: stretch every column's norm bound is below 1e-9 of its start (from
+#: t = 8.6 at k = 16 and 11.2 at k = 2), the others over 0.5; the n = 96
+#: one is not contractive, so its norm bounds grow between giant steps.
 BRACKET_SYSTEMS = ((48, 6, 3, 2, (2.0, 4.0)), (96, 2, 2, 2, (0.5, 2.0)),
                    (150, 3, 12, 4, (0.5, 2.0)))
 BRACKET_CASES = [pytest.param(system, k, id=f"n{system[0]}-k{k}")
@@ -662,12 +605,10 @@ _BRACKETS = {}
 
 
 def giant_bracket(system, k, steps_taken):
-    """Order k of a :data:`BRACKET_SYSTEMS` system, built once: (aug,
-    horizon, the walk's and the exact-norm naive loop's step counts, and
-    per bound (bound, the naive loop's bound with exact norms at every
-    step, the same loop stopped at the walk's step, the mirrored system's
-    bound)): e1 at the horizon, and e2 there and, for the fast-decaying
-    system, over a ten times longer window."""
+    """Order k of a :data:`BRACKET_SYSTEMS` system, built once: (aug, the
+    walk's and the exact-norm naive loop's step counts, and per bound, e1
+    and e2, (bound, the naive loop's bound with exact norms at every step,
+    the mirrored system's bound))."""
     if (system, k) in _BRACKETS:
         return _BRACKETS[system, k]
     n, seed, m, p, decay = system
@@ -675,43 +616,29 @@ def giant_bracket(system, k, steps_taken):
     bal = balance(rs.random_stable_system(rng, n, m, p, decay=decay))
     x0 = rand_box(rng, n, 3)
     u_box = rand_ubox(rng, m)
-    horizon = 50.0 if decay[0] > 1.0 else 0.5
-    bounds = []
-    for window in (horizon, 10.0 * horizon) if decay[0] > 1.0 else (horizon,):
-        aug = augment(FullOrderResponse.of(bal, x0, window), k)
-        steps_taken()
-        new = (e1_simulation(aug), e2_simulation(aug, u_box))
-        walk_steps = steps_taken()
-        *ref, ref_steps, _ = naive_simulation(aug, u_box, exact_norms=True)
-        stopped = naive_simulation(aug, u_box, exact_norms=True, stop=walk_steps)
-        mirror = mirrored(aug)
-        rows = list(zip(new, ref, stopped, (e1_simulation(mirror), e2_simulation(mirror, u_box))))
-        if not bounds:
-            bounds.append(rows[0])
-            counts = (aug, horizon, walk_steps, ref_steps)
-        bounds.append(rows[1])
+    aug = augment(FullOrderResponse.of(bal, x0, 12.0 if decay[0] > 1.0 else 0.5), k)
     steps_taken()
-    _BRACKETS[system, k] = *counts, bounds
+    new = (e1_simulation(aug), e2_simulation(aug, u_box))
+    walk_steps = steps_taken()
+    *ref, ref_steps, _ = naive_simulation(aug, u_box, exact_norms=True)
+    mirror = mirrored(aug)
+    bounds = list(zip(new, ref, (e1_simulation(mirror), e2_simulation(mirror, u_box))))
+    steps_taken()
+    _BRACKETS[system, k] = aug, walk_steps, ref_steps, bounds
     return _BRACKETS[system, k]
 
 
 @pytest.mark.parametrize("system, k", BRACKET_CASES)
 def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
     # at giant sizes each bound lies at or above the naive loop's with exact
-    # norms at every step stopped where the walk stops, within rounding
-    # relative to the two halves' size (the mirrored bound, as in
-    # assert_matches).  The walk takes at least the steps of that loop under
-    # its own decay rule, stopping on decay for the fast-decaying system
-    # only; its norm bounds decay later, so the walk can stop a few steps
-    # after the loop would and its tail then covers less of the window,
-    # which is why the loop is stopped at the walk's step
-    aug, horizon, walk_steps, ref_steps, bounds = giant_bracket(system, k, steps_taken)
+    # norms at every step, within rounding relative to the two halves' size
+    # (the mirrored bound, as in assert_matches), and both take every step
+    # of the mode's grid
+    aug, walk_steps, ref_steps, bounds = giant_bracket(system, k, steps_taken)
     assert aug.full.orbit.stride > 1
-    assert walk_steps >= ref_steps
-    assert (ref_steps * bmod.SIM_LH / aug.full.L < horizon - 1.0) == (system[4][0] > 1.0)
-    assert (walk_steps < len(aug.full.times)) == (system[4][0] > 1.0)
-    for new, _, stopped, scale in bounds:
-        assert np.all(new >= stopped - 1e-12 * np.maximum(stopped, scale))
+    assert walk_steps == ref_steps == len(aug.full.times)
+    for new, ref, scale in bounds:
+        assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
 
 
 @pytest.mark.parametrize("system, k", [
@@ -722,8 +649,8 @@ def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
 def test_giant_steps_within_1e6_of_exact_norm_loops(system, k, steps_taken):
     # each bound lies within 1e-6 relative of the exact-norm loop's; the
     # non-contractive n = 96 system at k = 32, where e2 is about a thousandth
-    # of the two halves' size, does not meet it (see ROADMAP item 4)
-    for new, ref, _, _ in giant_bracket(system, k, steps_taken)[-1]:
+    # of the two halves' size, does not meet it (see ROADMAP item 7)
+    for new, ref, _ in giant_bracket(system, k, steps_taken)[-1]:
         assert np.all(new <= ref * (1.0 + 1e-6))
 
 
@@ -926,8 +853,8 @@ def giant_orbit_cases(draw):
     column is the top eigenvector of sym A, along which the norm grows at
     first when A is not contractive; a step h with ||A|| h in [0.01, 0.1];
     an order k, whose principal block A[:k, :k] a second orbit walks from
-    X0[:k] through three maps of its own; a column split m; and blocks of
-    one to four giant steps over up to three blocks' steps."""
+    X0[:k] through three maps of its own; and blocks of one to four giant
+    steps over up to three blocks' steps."""
     p = draw(st.integers(1, 4))
     n = draw(st.integers(max(16, 12 * p), 96))
     width = draw(st.integers(1, 12))
@@ -948,7 +875,7 @@ def giant_orbit_cases(draw):
     maps_r = tuple(rng.standard_normal((p, k)) for _ in range(3))
     giants = draw(st.integers(1, 4))
     steps = draw(st.integers(1, 3 * giants * (n // (3 * p))))
-    return A, h, X0, maps, k, maps_r, draw(st.integers(0, width)), giants, steps
+    return A, h, X0, maps, k, maps_r, giants, steps
 
 
 def step_loop(A, h, X0, maps, steps):
@@ -969,10 +896,10 @@ def test_giant_steps_match_step_loop(case):
     # order's reduced half takes its mode's stride and block, against step
     # loops over every block: each orbit's images within rounding at every
     # step and its squared column norms exact at giant steps; and the error
-    # orbit's sums of the two per column group (the derivative rows as
+    # orbit's sums of the two over every column (the derivative rows as
     # magnitudes), with norm bounds exact at giant steps and never below the
     # exact ones between them
-    A, h, X0, maps, k, maps_r, m, giants, steps = case
+    A, h, X0, maps, k, maps_r, giants, steps = case
     (n, width), rows = X0.shape, 3 * maps[0].shape[0]
     stride = n // rows
     with pytest.MonkeyPatch.context() as patch:
@@ -998,10 +925,10 @@ def test_giant_steps_match_step_loop(case):
     growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(stride))
     reduced = bmod._Orbit(Phi_r, X0[:k], maps_r, steps, like=orbit)
     got, data = [], []
-    for i, (groups, sq) in enumerate(bmod._error_orbit(orbit, reduced, m, growth)):
+    for i, (out, sq) in enumerate(bmod._error_orbit(orbit, reduced, growth)):
         first = 0 if i == 0 else 1
-        assert [g.shape[-1] for g in groups] == [m, width - m]
-        got.append(np.concatenate(groups, axis=-1)[:, first:])
+        assert out.shape[-1] == width
+        got.append(out[:, first:].copy())
         data.append(sq[first:].copy())
     assert len(got) == blocks
     got, data = np.concatenate(got, axis=1), np.concatenate(data)
@@ -1240,8 +1167,8 @@ def fine_vertex_peaks(aug, X, horizon, h, fine=50):
 
 def wide_box_case(seed, n, nfree, k, horizon, fast):
     """A balanced random system of order n (eigenvalue real parts in
-    -(5, 10) when ``fast``, so e1 stops on decay), a box with ``nfree`` free
-    dims and the order-k error system."""
+    -(5, 10) when ``fast``, so its responses decay within the window), a
+    box with ``nfree`` free dims and the order-k error system."""
     rng = np.random.default_rng(seed)
     sys_ = rs.random_stable_system(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                                    decay=(5.0, 10.0) if fast else (0.5, 2.0))

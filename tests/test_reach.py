@@ -116,6 +116,20 @@ class TestReach:
                 hull = s.outputs.interval_hull()
                 assert hull.lb[0] - 1e-9 <= y <= hull.ub[0] + 1e-9
 
+    def test_balls_keep_their_second_order_terms_at_small_steps(self):
+        # at L h = 1e-8 the in-step envelope 2 (e^{Lh} - 1 - Lh) ||x|| is
+        # (Lh)^2 ||x||, about 1e-16, and with u in [-1, 1] the input sweep
+        # 2 ((e^{Lh} - 1) / L) ||B|| ||u_r|| alone is above 2 h = 0.02: e^{Lh} - 1
+        # taken as exp(Lh) - 1 cancels to rounding and leaves both below
+        sys_ = rs.LtiSystem([[-1e-6]], [[1.0]], [[1.0]])
+        x0, t_f, h = rs.HyperBox([1.0], [1.0]), 2.0, 0.01
+        free = reach_lti(sys_, x0, rs.HyperBox([0.0], [0.0]), t_f)
+        assert len(free) == 200 and np.all(free.t1 - free.t0 == pytest.approx(h))
+        # ||x|| stays within 2e-6 of 1 over [0, 2]
+        assert np.all(free.balls >= (1.0 - 1e-5) * (1e-6 * h) ** 2)
+        forced = reach_lti(sys_, x0, rs.HyperBox([-1.0], [1.0]), t_f)
+        assert np.all(forced.balls >= 2.0 * h)
+
     def test_simulation_containment_oracle(self, rng):
         # 500 simulated trajectories stay inside their interval's step set
         sys_ = rs.random_stable_system(rng, 4, 2, 2)

@@ -4,10 +4,10 @@ import pytest
 import redsafe as rs
 from redsafe import verifier
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
-from redsafe.reach import INDETERMINATE, SAFE, UNSAFE, default_step
+from redsafe.reach import INDETERMINATE, SAFE, UNSAFE
 from redsafe.verifier import VerifyOptions, verify, verify_pss
 
-from conftest import batch_trajectories, rand_box, rand_ubox
+from conftest import batch_trajectories, grid_slack, rand_box, rand_ubox
 
 
 def generous_problem(rng, n=3, spec_scale=6.0):
@@ -280,16 +280,6 @@ WITNESS_FAMILY = {
     (12, 2, 2, 4, 0.3): "S9 I U3 S7 U10 I I I I I U10 S7 I U8 I I U3 I U9 S12",
     (12, 2, 2, 4, 0.6): "S3 S3 I S3 I S3 S3 S3 S4 S3 S4 S3 S3 I S3 S6 I S3 S3 S3",
 }
-
-
-def grid_slack(prob):
-    """The full-order oracle: -max(S + Psi) of the given system's exact
-    sample supports S along the spec's rows, on the grid of a quarter of the
-    default step.  Below 0, some grid trajectory leaves the safe box."""
-    spec = prob.spec[0]
-    sets = rs.reach_lti(prob.system, prob.x0, prob.inputs, prob.t_f,
-                        default_step(prob.t_f, prob.system.A) / 4)
-    return -float(np.max(sets.sample_supports(spec.Gamma) + spec.Psi))
 
 
 def test_witness_family_loses_no_verdict():

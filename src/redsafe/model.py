@@ -223,7 +223,9 @@ SYM_TOL_REL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidSpec:
-    """Predicate (y - a)^T Q (y - a) <= R^2, tagged safe or unsafe."""
+    """Predicate (y - a)^T Q (y - a) <= R^2, tagged safe or unsafe.  Its one
+    eigendecomposition, :attr:`axes`, gives both the radius margin of the
+    spec transform and the rows along which reach sets are checked."""
 
     Q: np.ndarray
     a: np.ndarray
@@ -260,11 +262,19 @@ class EllipsoidSpec:
         return float(d @ self.Q @ d)
 
     @functools.cached_property
-    def Q_inv(self) -> np.ndarray:
-        """Q^-1, computed on first use and kept (the spec is immutable)."""
-        Q_inv = np.linalg.inv(self.Q)
-        _freeze(Q_inv)
-        return Q_inv
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, E) with Q = E^T diag(lambda) E, the rows of E orthonormal
+        eigenvectors of Q, each signed so that its largest-magnitude entry
+        is positive (reproducible serialized bases); computed on first use
+        and kept (the spec is immutable)."""
+        lam, V = np.linalg.eigh((self.Q + self.Q.T) / 2.0)
+        for j in range(V.shape[1]):
+            i = int(np.argmax(np.abs(V[:, j])))
+            if V[i, j] < 0:
+                V[:, j] = -V[:, j]
+        E = V.T
+        _freeze(lam, E)
+        return lam, E
 
     __eq__ = _fields_equal
 

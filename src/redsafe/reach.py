@@ -18,15 +18,16 @@ By superposition sample j holds the input columns {e^{Aah} G_in : a < j}
 output center, initial-generator images and input images of one age.  These
 are the rows of the one :class:`ReachSets` that :func:`reach_lti` returns,
 the only step sets there are.  ``ReachSets[j]`` assembles step j's
-generator array only when something reads it (safe-region ellipsoids,
-``reach --format json``).  Polytope rows, unsafe-region ellipsoids and the
-interval output of ``reach`` read each step's spread from the samples by
-one pairing rule over per-age row sums, the support-function view of
-Le Guernic & Girard (NAHS 2010).  For order k, p outputs, g0 initial
-generators and r rows a step then costs O((p k + k^2 / s)(1 + g0 + m))
-arithmetic to build (:func:`reach_lti`, whose orbit forms every s-th
-state) and O(r p (g0 + m)) to check, rather than O(r p g_j) over its g_j
-input columns, with no matrix product per step.
+generator array only when something reads it (``reach --format json``).
+Polytope rows, ellipsoids of either polarity (along the rows of Q's
+eigenvector factor) and the interval output of ``reach`` read each step's
+spread from the samples by one pairing rule over per-age row sums, the
+support-function view of Le Guernic & Girard (NAHS 2010).  For order k, p
+outputs, g0 initial generators and r rows a step then costs
+O((p k + k^2 / s)(1 + g0 + m)) arithmetic to build (:func:`reach_lti`,
+whose orbit forms every s-th state) and O(r p (g0 + m)) to check, rather
+than O(r p g_j) over its g_j input columns, with no matrix product per
+step.
 
 The witness search (:func:`find_unsafe_witness`) reads the same samples and
 is the one place that looks for a crossing point.  From a box's image, a
@@ -47,8 +48,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .model import (EllipsoidSpec, HyperBox, LtiSystem, ModelError,
-                    PolytopeSpec, POLARITY_SAFE)
+from .model import HyperBox, LtiSystem, ModelError, PolytopeSpec, POLARITY_SAFE
 from .spectransform import TransformedSpec
 
 SAFE = "Safe"
@@ -162,13 +162,11 @@ class ReachSets(Sequence):
         return ReachStep(float(self.t0[j]), float(self.t1[j]),
                          Zonotope(self.centers[j], self.generators(j)))
 
-    def _along(self, V: np.ndarray, samples: int | None = None) -> np.ndarray:
+    def _along(self, V: np.ndarray) -> np.ndarray:
         """(rows of V, 1 + g0 + m, samples) array of the rows of V times every
-        column of the first ``samples`` samples (all by default), as one
-        matrix product."""
-        Y = self.Y[:samples]
-        flat = Y.transpose(1, 2, 0).reshape(Y.shape[1], -1)
-        return (V @ flat).reshape(V.shape[0], Y.shape[2], Y.shape[0])
+        column of every sample, as one matrix product."""
+        samples, p, w = self.Y.shape
+        return (V @ self.Y.transpose(1, 2, 0).reshape(p, -1)).reshape(V.shape[0], w, samples)
 
     def _column_spreads(self, P: np.ndarray, span: int) -> np.ndarray:
         """(rows, samples - span) spreads of the initial and input columns of
@@ -217,20 +215,6 @@ class ReachSets(Sequence):
             self._spreads[key] = spreads
         return self._spreads[key]
 
-    def direction_spreads(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Spread of step rows[i] in the direction V[i], one direction per
-        row, by the pairing rule plus ball_j |v| C_rows.  The column spreads
-        are built for ``_DIRECTION_CHUNK`` rows at a time, over the samples
-        the latest row of the chunk reads."""
-        spreads = np.abs(np.sum(V * self.gaps[rows], axis=1)) \
-            + self.balls[rows] * (np.abs(V) @ self.C_rows)
-        for start in range(0, rows.size, _DIRECTION_CHUNK):
-            chunk = slice(start, start + _DIRECTION_CHUNK)
-            P = self._along(V[chunk], int(rows[chunk].max()) + 2)
-            cols = self._column_spreads(P, 1)
-            spreads[chunk] += cols[np.arange(cols.shape[0]), rows[chunk]]
-        return spreads
-
     def sample_supports(self, Gamma: np.ndarray) -> np.ndarray:
         """(samples, rows) upper supports of the rows of Gamma at every
         grid sample, with no hull and no ball: Gamma c_i +
@@ -240,12 +224,6 @@ class ReachSets(Sequence):
         a box's image."""
         P = self._along(Gamma)
         return (P[:, 0] + self._column_spreads(P, 0)).T
-
-
-#: Step rows per block of :meth:`ReachSets.direction_spreads`, so that its
-#: (rows, 1 + g0 + m, samples) projections stay bounded: about 2.5 MB for 64
-#: rows of 1,200 steps with 4 columns a sample.
-_DIRECTION_CHUNK = 64
 
 
 #: Higham, "The scaling and squaring method for the matrix exponential
@@ -527,8 +505,8 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     recursion, and the balls are one array expression over the norms.
     Indexing the result assembles a step's generator array (O(p g_j) for
     g_j input columns, :meth:`ReachSets.generators`), while
-    :func:`check_spec` reads polytope-row and unsafe-ellipsoid spreads from
-    the samples.
+    :func:`check_spec` reads every predicate's row spreads from the
+    samples.
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -747,56 +725,27 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # Spec checking.
 # --------------------------------------------------------------------------
 
-def quad_upper(z: Zonotope, ell: EllipsoidSpec) -> float:
-    """Sound upper bound on max over the zonotope of (y-a)^T Q (y-a)."""
-    d = z.center - ell.a
-    G = z.generators
-    QG = ell.Q @ G
-    return float(d @ ell.Q @ d
-                 + 2.0 * np.sum(np.abs(G.T @ ell.Q @ d))
-                 + np.sum(np.abs(G.T @ QG)))
-
-
-def _quad_lowers(sets: ReachSets, ell: EllipsoidSpec, decided: float) -> np.ndarray:
-    """Sound lower bound on the min over each step set of (y-a)^T Q (y-a),
-    wherever it is at most ``decided``; where it is above, the value
-    returned is above too.
-
-    The best Cauchy-Schwarz bound (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x) over
-    the output axes and the gradient direction, so a failed disjointness
-    test errs toward Indeterminate.  The axis spreads are the identity-row
-    spreads, and the gradient direction's come from
-    :meth:`ReachSets.direction_spreads`, only for the rows whose axis bound
-    is at most ``decided``: the gradient can only raise the bound."""
-    Q, Qinv = ell.Q, ell.Q_inv
-    D = sets.centers - ell.a
-    lo = np.maximum(0.0, np.abs(D) - sets.row_spreads(np.eye(ell.p)))
-    low = np.max(lo * lo / np.diag(Qinv), axis=1, initial=0.0)
-    grad = D @ Q.T
-    norms = np.linalg.norm(grad, axis=1)
-    undecided = np.flatnonzero((low <= decided) & (norms > 0))
-    V = grad[undecided] / norms[undecided, None]
-    lo = np.maximum(0.0, np.abs(np.sum(V * D[undecided], axis=1))
-                    - sets.direction_spreads(V, undecided))
-    denom = np.sum((V @ Qinv) * V, axis=1)
-    low[undecided] = np.maximum(low[undecided], np.where(denom > 0, lo * lo / denom, 0.0))
-    return low
-
-
 def _certified(sets: ReachSets, reg, inside: bool) -> np.ndarray:
-    """Steps certified inside ``reg``, or outside it: every row of a
-    polytope at most 0 over the step set, or some row above 0 over all of
-    it; an ellipsoid's quad_upper at most R^2, or its _quad_lowers at R^2
-    above R^2.  No region holds no step and clears every one."""
+    """Steps certified inside ``reg``, or outside it, from the step's row
+    spreads s around its center c: every polytope row at most 0 over the
+    step set, or some row above 0 over all of it.  An ellipsoid with
+    Q = E^T diag(lambda) E (its :attr:`~redsafe.model.EllipsoidSpec.axes`)
+    reads the rows of E, along which |E_i (y - a)| lies between
+    max(d_i - s_i, 0) and d_i + s_i over the step set, d = |E (c - a)|:
+    inside when (d + s)^2 @ lambda is at most R^2, outside when
+    max(d - s, 0)^2 @ lambda is above R^2.  No region holds no step and
+    clears every one."""
     if reg is None:
         return np.full(len(sets), not inside)
     if isinstance(reg, PolytopeSpec):
         Gc, s = sets.centers @ reg.Gamma.T, sets.row_spreads(reg.Gamma)
         return (np.all(Gc + s + reg.Psi <= 0.0, axis=1) if inside
                 else np.any(Gc - s + reg.Psi > 0.0, axis=1))
+    lam, E = reg.axes
+    d, s = _abs((sets.centers - reg.a) @ E.T), sets.row_spreads(E)
     if inside:
-        return np.array([quad_upper(z.outputs, reg) for z in sets]) <= reg.R ** 2
-    return _quad_lowers(sets, reg, reg.R ** 2) > reg.R ** 2
+        return (d + s) ** 2 @ lam <= reg.R ** 2
+    return np.maximum(d - s, 0.0) ** 2 @ lam > reg.R ** 2
 
 
 def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
@@ -809,8 +758,8 @@ def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
     steps that keep every point out of it.  The step sets hold every grid
     sample, so when each failing step does, no trajectory the witness search
     simulates can meet it and the verdict is Indeterminate; otherwise it is
-    MaybeUnsafe.  Only safe-region ellipsoids assemble step sets
-    (:func:`quad_upper`)."""
+    MaybeUnsafe.  Every test reads row spreads (:func:`_certified`), so no
+    step set is assembled."""
     inside = ts.source_polarity == POLARITY_SAFE
     ok = _certified(sets, ts.safe_region if inside else ts.unsafe_region, inside)
     if np.all(ok):

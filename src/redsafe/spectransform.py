@@ -82,20 +82,15 @@ class TransformedSpec:
 
 
 def ellipsoid_margin(spec: EllipsoidSpec, delta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Radius margin Delta_R plus the eigenvector basis used.
+    """Radius margin Delta_R plus the eigenvector basis used, the rows E of
+    the spec's :attr:`~redsafe.model.EllipsoidSpec.axes`, whose sign
+    convention keeps serialized output reproducible.
 
-    The basis rows are eigenvectors with a deterministic sign convention
-    (largest-magnitude entry positive) for reproducible serialized output.
     Delta_R enters through absolute values, so sign choices do not affect
     soundness; with repeated eigenvalues the value is basis dependent and the
     basis used is returned alongside.
     """
-    lam, V = np.linalg.eigh((spec.Q + spec.Q.T) / 2.0)
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    E = V.T
+    lam, E = spec.axes
     dbar = np.abs(E) @ delta
     return float(np.sqrt(np.sum(lam * dbar ** 2))), E
 

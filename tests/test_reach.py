@@ -44,25 +44,16 @@ def enclose(z1: Zonotope, z2: Zonotope) -> Zonotope:
     return Zonotope((z1.center + z2.center) / 2.0, G)
 
 
-def quad_lower(z: Zonotope, ell: rs.EllipsoidSpec) -> float:
-    """Sound lower bound on min over the zonotope of (y-a)^T Q (y-a), from
-    its generator array: the reference for reach._quad_lowers, which reads
-    the same bound from an age table.
-
-    Directional Cauchy-Schwarz bounds (v^T x)^2 <= (v^T Q^-1 v)(x^T Q x)
-    over the output axes plus the gradient direction."""
-    d = z.center - ell.a
-    best = 0.0
-    cands = list(np.eye(ell.p))
-    grad = ell.Q @ d
-    if np.linalg.norm(grad) > 0:
-        cands.append(grad / np.linalg.norm(grad))
-    for v in cands:
-        lo = max(0.0, abs(float(v @ d)) - float(np.sum(np.abs(v @ z.generators))))
-        denom = float(v @ ell.Q_inv @ v)
-        if denom > 0:
-            best = max(best, lo * lo / denom)
-    return best
+def quad_bounds(z: Zonotope, ell: rs.EllipsoidSpec) -> tuple[float, float]:
+    """Sound bounds max(d - s, 0)^2 @ lambda and (d + s)^2 @ lambda on the
+    min and the max over the zonotope z of (y-a)^T Q (y-a), for
+    Q = E^T diag(lambda) E, from its generator array: d = |E (c - a)| and
+    the spreads s = sum |E G|, so that |E_i (y - a)| lies in
+    [max(d_i - s_i, 0), d_i + s_i] over z.  The reference for
+    reach._certified, which reads the same spreads from the age table."""
+    lam, E = ell.axes
+    d, s = np.abs(E @ (z.center - ell.a)), row_spread(z, E)
+    return float(np.maximum(d - s, 0.0) ** 2 @ lam), float((d + s) ** 2 @ lam)
 
 
 class TestZonotope:
@@ -1165,8 +1156,7 @@ class TestExactInitialSet:
 
 
 # --------------------------------------------------------------------------
-# Unsafe-region ellipsoid checks from reach's age table against assembled
-# step sets.
+# Ellipsoid checks from reach's age table against assembled step sets.
 
 def random_ellipsoid(rng, p, a, R=1.0):
     """Unsafe-region ellipsoid centered at a with a random positive definite Q."""
@@ -1174,25 +1164,34 @@ def random_ellipsoid(rng, p, a, R=1.0):
     return rs.EllipsoidSpec(A @ A.T + np.eye(p), a, R, POLARITY_UNSAFE)
 
 
+def table_quad_bounds(sets, ell):
+    """Per step, the lower and upper bounds on (y-a)^T Q (y-a) that
+    reach._certified tests, from the age table's spreads s along the rows
+    of E and d = |E (c - a)|: max(d - s, 0)^2 @ lambda and (d + s)^2 @ lambda."""
+    lam, E = ell.axes
+    d, s = np.abs((sets.centers - ell.a) @ E.T), sets.row_spreads(E)
+    return np.maximum(d - s, 0.0) ** 2 @ lam, (d + s) ** 2 @ lam
+
+
 def naive_check_ellipsoid(steps, ts):
     """check_spec against one unsafe-polarity ellipsoid, one step at a time
     on assembled generators: MaybeUnsafe when some failing step's lower
     bound does not clear the witness region (the shrunk ellipsoid)."""
     ell, R2, wit = ts.unsafe_region, ts.unsafe_region.R ** 2, ts.witness_region
-    failed = [s.outputs for s in steps if not quad_lower(s.outputs, ell) > R2]
+    failed = [s.outputs for s in steps if not quad_bounds(s.outputs, ell)[0] > R2]
     if not failed:
         return SAFE
-    hit = wit is not None and any(not quad_lower(z, wit) > wit.R ** 2 for z in failed)
+    hit = wit is not None and any(not quad_bounds(z, wit)[0] > wit.R ** 2 for z in failed)
     return MAYBE_UNSAFE if hit else INDETERMINATE
 
 
 def naive_check_safe_ellipsoid(steps, ts):
     """check_spec against one safe-polarity ellipsoid, one step at a time on
-    assembled generators: MaybeUnsafe when some step whose quad_upper
+    assembled generators: MaybeUnsafe when some step whose upper bound
     exceeds the shrunk radius also exceeds the grown one (the witness
     region's)."""
     def inside(reg):
-        return [reg is not None and reach.quad_upper(s.outputs, reg) <= reg.R ** 2
+        return [reg is not None and quad_bounds(s.outputs, reg)[1] <= reg.R ** 2
                 for s in steps]
     ok, clear = inside(ts.safe_region), inside(ts.witness_region)
     if all(ok):
@@ -1202,21 +1201,53 @@ def naive_check_safe_ellipsoid(steps, ts):
 
 @given(table_cases(), st.integers(0, 2**32 - 1))
 def test_table_quad_lower_matches_assembled_generators(case, seed):
-    # an unsafe ellipsoid radius far above every step's bound leaves every
-    # table row to the gradient direction
+    # both bounds from the table's spreads match the assembled generators',
+    # and reach's tests decide by them at radii on and around each
     sys_, x0, ubox, t_f, step_h, _ = case
     rng = np.random.default_rng(seed)
-    steps = reach_lti(sys_, x0, ubox, t_f, step_h)
-    zs = [s.outputs for s in steps]
+    sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+    zs = [s.outputs for s in sets]
     ell = random_ellipsoid(rng, sys_.p, zs[int(rng.integers(len(zs)))].center
-                           + rng.uniform(-2.0, 2.0, sys_.p), R=1e150)
-    lows = reach._quad_lowers(steps, ell, ell.R ** 2)
-    assert np.all(lows <= ell.R ** 2)
-    for z, low in zip(zs, lows):
-        # quad_upper bounds (|v d| + spread)^2 / (v Q^-1 v) for every
-        # direction v, the scale of the rounding in lo^2 / (v Q^-1 v)
-        assert low == pytest.approx(quad_lower(z, ell), rel=1e-12,
-                                    abs=1e-12 * reach.quad_upper(z, ell))
+                           + rng.uniform(-2.0, 2.0, sys_.p))
+    lows, highs = table_quad_bounds(sets, ell)
+    for z, low, high in zip(zs, lows, highs):
+        ref_low, ref_high = quad_bounds(z, ell)
+        # the upper bound is the scale of the rounding in both
+        assert low == pytest.approx(ref_low, rel=1e-12, abs=1e-12 * high)
+        assert high == pytest.approx(ref_high, rel=1e-12)
+    j = int(rng.integers(len(zs)))
+    for R2 in (lows[j], np.median(lows), highs[j], np.median(highs)):
+        if R2 > 0:
+            for polarity, inside in ((POLARITY_UNSAFE, False), (POLARITY_SAFE, True)):
+                reg = rs.EllipsoidSpec(ell.Q, ell.a, np.sqrt(R2), polarity)
+                expected = highs <= reg.R ** 2 if inside else lows > reg.R ** 2
+                np.testing.assert_array_equal(reach._certified(sets, reg, inside), expected)
+
+
+@given(table_cases(), st.integers(0, 2**32 - 1))
+def test_trajectories_stay_between_the_quad_bounds(case, seed):
+    # box vertices under bang-bang plans switching every sub-step or every
+    # step and under random plans, simulated at a tenth of reach's step:
+    # every output's (y-a)^T Q (y-a) lies between the lower and the upper
+    # bound of its step, for a random positive definite Q
+    sys_, x0, ubox, t_f, step_h, _ = case
+    rng = np.random.default_rng(seed)
+    sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+    steps, fine = len(sets), 10 * len(sets)
+    ell = random_ellipsoid(rng, sys_.p, sets.centers[int(rng.integers(steps))]
+                           + rng.uniform(-2.0, 2.0, sys_.p))
+    lows, highs = table_quad_bounds(sets, ell)
+    X = np.repeat(x0.vertices(), 3, axis=1)
+    draws = rng.random((fine, sys_.m, X.shape[1]))
+    draws[:, :, 0::3] = np.round(draws[:, :, 0::3])
+    draws[:, :, 1::3] = np.round(np.repeat(draws[::10, :, 1::3], 10, axis=0))
+    plans = ubox.lb[:, None] + (ubox.ub - ubox.lb)[:, None] * draws
+    D = np.swapaxes(simulate(sys_, X, plans, t_f, t_f / fine).outputs, 1, 2) - ell.a
+    quads = np.einsum("sbi,ij,sbj->sb", D, ell.Q, D)
+    # sample i of the fine grid lies in step i // 10, the last in the last step
+    j = np.minimum(np.arange(fine + 1) // 10, steps - 1)
+    tol = 1e-9 * highs[j, None]
+    assert np.all(lows[j, None] - tol <= quads) and np.all(quads <= highs[j, None] + tol)
 
 
 class TestTableEllipsoid:
@@ -1228,8 +1259,8 @@ class TestTableEllipsoid:
             for _ in range(3):
                 ell = random_ellipsoid(rng, p, ref[int(rng.integers(len(ref)))].outputs.center
                                        + rng.uniform(-0.5, 0.5, p))
-                lows = [quad_lower(s.outputs, ell) for s in ref]
-                hi = max(reach.quad_upper(s.outputs, ell) for s in ref)
+                lows = [quad_bounds(s.outputs, ell)[0] for s in ref]
+                hi = max(quad_bounds(s.outputs, ell)[1] for s in ref)
                 # at R^2 = min(lows) every failing step clears the shrunk
                 # ellipsoid: Indeterminate
                 for R2 in (0.5 * min(lows), min(lows),
@@ -1246,42 +1277,30 @@ class TestTableEllipsoid:
                     verdicts.add(expected)
         assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
 
-    def test_decided_rows_skip_the_gradient(self, rng, monkeypatch):
-        # rows the axis spreads already put above the radius read no
-        # gradient spread; the verdict is the same either way
-        calls = []
-        spreads = reach.ReachSets.direction_spreads
-
-        def counting(self, V, rows):
-            calls.append(len(rows))
-            return spreads(self, V, rows)
-
-        monkeypatch.setattr(reach.ReachSets, "direction_spreads", counting)
+    def test_safe_region_assembles_no_step_set(self, rng, monkeypatch):
+        # a safe-region ellipsoid reads the table's spreads too: with the
+        # generator arrays refused, it decides as the assembled reference
+        # does, every verdict among them
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
-        steps = reach_lti(sys_, rand_box(rng, 3), rand_ubox(rng, 2), 1.0, 0.02)
-        zs = [s.outputs for s in steps]
-        far = np.max([np.abs(z.center) + z.radius_vector() for z in zs]) * 10.0
-        ell = random_ellipsoid(rng, 2, np.full(2, far))
-        assert check_spec(steps, transform_spec(ell, np.zeros(2))) == SAFE
-        assert sum(calls) == 0
-        calls.clear()
-        lows = reach._quad_lowers(steps, ell, np.inf)
-        assert calls == [len(zs)] and np.all(lows > ell.R ** 2)
+        x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
+        ref = list(reach_lti(sys_, x0, ubox, 1.0, 0.02))
+        ell = random_ellipsoid(rng, 2, ref[0].outputs.center)
+        highs = [quad_bounds(s.outputs, ell)[1] for s in ref]
 
+        def refuse(self, j):
+            raise AssertionError(f"step {j} assembled")
 
-def test_table_direction_spreads_match_assembled_generators(rng):
-    # sum |V[i] G| over step rows[i]'s assembled generators, for a reach
-    # table of more than _DIRECTION_CHUNK steps read in chunks; rows repeat
-    # and come in any order
-    sys_ = rs.random_stable_system(rng, 4, 2, 3)
-    sets = reach_lti(sys_, rand_box(rng, 4, 3), rand_ubox(rng, 2), 2.0, 2.0 / 150)
-    assert len(sets) > 2 * reach._DIRECTION_CHUNK
-    rows = np.concatenate([rng.permutation(len(sets)), rng.integers(0, len(sets), 20)])
-    V = rng.standard_normal((rows.size, sys_.p))
-    got = sets.direction_spreads(V, rows)
-    for v, j, spread in zip(V, rows, got):
-        direct = np.sum(np.abs(v @ sets[int(j)].outputs.generators))
-        assert spread == pytest.approx(direct, rel=1e-12, abs=0.0)
+        monkeypatch.setattr(reach.ReachSets, "generators", refuse)
+        sets = reach_lti(sys_, x0, ubox, 1.0, 0.02)
+        verdicts = set()
+        for R2 in (0.5 * min(highs), float(np.median(highs)), 1.01 * max(highs)):
+            spec = rs.EllipsoidSpec(ell.Q, ell.a, np.sqrt(R2), POLARITY_SAFE)
+            for scale in (0.0, 0.2):
+                ts = transform_spec(spec, np.full(2, scale * np.sqrt(R2)))
+                verdict = check_spec(sets, ts)
+                assert verdict == naive_check_safe_ellipsoid(ref, ts)
+                verdicts.add(verdict)
+        assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
 
 
 class TestBatchedSteps:
@@ -1517,7 +1536,7 @@ class TestReachSets:
             specs = list(polytope_specs(rng, steps, p))
             for _ in range(2):
                 ell = random_ellipsoid(rng, p, steps[int(rng.integers(len(steps)))].outputs.center)
-                lows = [quad_lower(s.outputs, ell) for s in steps]
+                lows = [quad_bounds(s.outputs, ell)[0] for s in steps]
                 # radii just above the closest step's bound and around the
                 # median decide on the spreads of single steps
                 for R2 in (0.5 * min(lows), (1 + 1e-6) * min(lows), float(np.median(lows)),
@@ -2145,7 +2164,7 @@ class TestWitnessGate:
         for R, verdict in ((np.sqrt(0.02), INDETERMINATE), (0.1, MAYBE_UNSAFE)):
             ts = transform_spec(rs.EllipsoidSpec(np.eye(2), np.zeros(2), R, POLARITY_SAFE),
                                 np.full(2, 0.005))
-            upper = reach.quad_upper(sets[0].outputs, ts.safe_region)
+            upper = quad_bounds(sets[0].outputs, ts.safe_region)[1]
             assert ts.safe_region.R ** 2 < upper == pytest.approx(0.02)
             assert (upper <= ts.unsafe_region.R ** 2) == (verdict == INDETERMINATE)
             assert check_spec(sets, ts) == verdict

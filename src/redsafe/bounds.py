@@ -11,8 +11,9 @@ gaps between their steps with a rigorous second-order envelope, from one
 in-step bound on |y''| per column, so no candidate is bloated.
 
 Both simulation bounds hold on a finite window [0, horizon] (t_f, or a PSS
-mode's duration) and read one walk of each order's augmented orbit, which
-runs to the mode's last step time, the first to reach the horizon.
+mode's duration) and read one walk of each order's augmented orbit over
+reach's grid rule: N = :func:`reach._step_count` (horizon, SIM_LH / L) even
+steps of horizon / N, at most SIM_LH / L, that end at the horizon.
 
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
@@ -53,7 +54,7 @@ import numpy as np
 from .balancing import BalancedRealization, box_image
 from .gramians import LYAP_TOL, SolverError, lyapunov_residual, solve_lyapunov
 from .model import HyperBox, ModelError
-from .reach import Zonotope, _Orbit, _transition
+from .reach import Zonotope, _Orbit, _step_count, _transition
 
 E1_THEOREM1 = "theorem1"
 E1_THEOREM2 = "theorem2"
@@ -67,7 +68,7 @@ E2_METHODS = (E2_THEOREM3, SIMULATION)
 #: lambda_max(A_bar + A_bar^T) <= 0 of the closed-form zero-input bound.
 CONTRACTION_TOL_REL = 1e-8
 
-#: Step control of the simulation bounds' orbit: ||A_bar|| * h = this
+#: Step control of the simulation bounds' orbit: ||A_bar|| * h <= this
 #: value.  Their per-step envelopes are rigorous at any h; the step sets how
 #: close the bounds come to the exact sups and integrals.
 SIM_LH = 0.05
@@ -271,10 +272,11 @@ class FullOrderResponse:
     half-widths r), and records C_t x, C_t A_t^2 x and C_t A_t^3 x per step
     and ||x||^2 per giant step and column: e2 reads the first m columns and
     e1 the rest, from which every vertex's output and a bound on its norm
-    follow.  It is simulated lazily, block by block, over :attr:`times`, by
-    the first order's walk, and read by every later one.  Build one per mode
-    with ``FullOrderResponse.of(bal, x0, horizon)`` and every
-    order's augmented system from it with :func:`augment`.
+    follow.  It is simulated lazily, block by block, over its :attr:`steps`
+    steps of :attr:`h`, which end at the horizon, by the first order's walk,
+    and read by every later one.  Build one per mode with
+    ``FullOrderResponse.of(bal, x0, horizon)`` and every order's augmented
+    system from it with :func:`augment`.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray,
@@ -311,28 +313,24 @@ class FullOrderResponse:
            horizon: float) -> "FullOrderResponse":
         return cls(bal.A_t, bal.B_t, bal.C_t, bal.H, x0, horizon)
 
+    @functools.cached_property
+    def steps(self) -> int:
+        """N = :func:`reach._step_count` (horizon, SIM_LH / L), reach's grid
+        rule (steps of at most 1 where L = 0)."""
+        return int(_step_count(self.horizon, SIM_LH / self.L if self.L > 0 else 1.0))
+
     @property
     def h(self) -> float:
-        """The simulation step SIM_LH / L (1 where L = 0)."""
-        return SIM_LH / self.L if self.L > 0 else 1.0
-
-    @functools.cached_property
-    def times(self) -> np.ndarray:
-        """The step times h, h + h, ... at :attr:`h`, accumulated as a step
-        loop does, up to the first that reaches the horizon (up to 1e-12
-        relative, the rounding of the accumulation)."""
-        h = self.h
-        # two steps past horizon / h cover the accumulation's rounding
-        times = np.cumsum(np.full(int(np.ceil(self.horizon / h)) + 2, h))
-        return times[:int(np.argmax(times >= self.horizon - 1e-12 * self.horizon)) + 1]
+        """The step horizon / N: N steps of it end at the horizon."""
+        return self.horizon / self.steps
 
     @functools.cached_property
     def orbit(self) -> _Orbit:
-        """The mode's orbit over :attr:`times`, read through (C, CA^2, CA^3)."""
+        """The mode's orbit over its N steps, read through (C, CA^2, CA^3)."""
         CA2 = self.C @ self.A @ self.A
         return _Orbit(_transition(self.A, self.h),
                       np.hstack([self.B, self.H @ _box_generators(self.x0)]),
-                      (self.C, CA2, CA2 @ self.A), len(self.times))
+                      (self.C, CA2, CA2 @ self.A), self.steps)
 
 
 def _box_generators(box: HyperBox) -> np.ndarray:
@@ -343,8 +341,8 @@ def _box_generators(box: HyperBox) -> np.ndarray:
 def _walk(aug: AugmentedSystem, X0: np.ndarray):
     """The one block walk of this order's augmented orbit (:func:`_error_orbit`):
     the mode's orbit, whose augmented start columns are X0, and this
-    order's reduced half from X0[n:], an orbit like the mode's, to the
-    mode's last step time, the first to reach the horizon.
+    order's reduced half from X0[n:], an orbit like the mode's, over the
+    mode's N steps of h, which end at the horizon.
 
     Yields per block (Y, ddot) over its steps, from the state before the
     block, so that step j runs from state j to state j + 1: the error
@@ -392,8 +390,8 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
         rho = np.max(np.where(x_coef < norm_coef, (norm_coef - x_coef) / w_coef, -np.inf))
     ddots, changes = (np.empty((orbit.block, aug.p, X0.shape[1])) for _ in range(2))
     for i, ((Y, D2, D3), N) in enumerate(blocks):
-        # the times of the block's states after the first
-        ts = full.times[i * orbit.block:][:len(N) - 1, None]
+        # the times h j of the block's states after the first
+        ts = h * np.arange(i * orbit.block + 1, i * orbit.block + len(N))[:, None]
         np.sqrt(N, out=N)
         # in-step |y''| bound M: every point of a step lies within h/2 of
         # an endpoint e, where y'' = C A^2 x_e changes by at most

@@ -435,9 +435,10 @@ class NaiveDdot:
 def naive_simulation(aug, u_box, exact_norms=False):
     """Every vertex of the box ``aug.full.x0`` and the start columns
     [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f] stepped through
-    e^{A_bar h} at h = SIM_LH / L one step at a time, to the horizon
-    ``aug.full.horizon``, with the column norms read by :class:`NormRule`
-    (``exact_norms``: at every step).  For e1 step j takes the larger
+    e^{A_bar h} one step at a time on reach's grid rule: N =
+    reach._step_count(horizon, SIM_LH / L) steps of h = horizon / N, step j
+    at t = j h, to the horizon ``aug.full.horizon``, with the column norms
+    read by :class:`NormRule` (``exact_norms``: at every step).  For e1 step j takes the larger
     vertex peak of its ends plus h^2/8 times the generators' summed in-step
     |y''| bounds, whose norms sum to the bound on every vertex norm; for e2
     the input columns' trapezoid envelopes.  Returns (e1, e2, steps,
@@ -447,7 +448,8 @@ def naive_simulation(aug, u_box, exact_norms=False):
     G = np.hstack([aug.B_bar, aug.lift @ np.column_stack(
         [x0.center, np.diag(x0.halfwidth)[:, x0.free_dims()]])])
     L = float(np.linalg.norm(aug.A_bar, 2))
-    h = bmod.SIM_LH / L
+    steps = int(reach._step_count(horizon, bmod.SIM_LH / L))
+    h = horizon / steps
     Phi = _transition(aug.A_bar, h)
     norm = NormRule(aug, 3 * p, h, exact_norms)
     ddot = NaiveDdot(aug, h, G)
@@ -456,15 +458,11 @@ def naive_simulation(aug, u_box, exact_norms=False):
     ends_prev = ddot.ends(G, np.sqrt(norm(G, 0)), 0.0)
     e1 = np.zeros(p)
     I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
-    t = 0.0
-    steps = 0
-    while t < horizon - 1e-12 * horizon:
+    for j in range(1, steps + 1):
         X, G = Phi @ X, Phi @ G
-        t += h
-        steps += 1
         peak_cur = np.max(np.abs(aug.C_bar @ X), axis=1)
         Y_cur = aug.C_bar @ G[:, :m]
-        ends_cur = ddot.ends(G, np.sqrt(norm(G, steps)), t)
+        ends_cur = ddot.ends(G, np.sqrt(norm(G, j)), j * h)
         M = ddot(ends_prev, ends_cur)
         e1 = np.maximum(e1, np.maximum(peak_prev, peak_cur)
                         + (h * h / 8.0) * np.sum(M[:, m:], axis=1))
@@ -545,9 +543,9 @@ class TestSimulationMatchesNaiveLoops:
                     check(augment(FullOrderResponse.of(bal, x0, 60.0), k), u_box, steps_taken)
 
     def test_horizon_on_a_step_boundary(self, rng, steps_taken):
-        # horizons that are whole multiples of h: the accumulated time lands
-        # within rounding of the horizon, where the 1e-12 relative slack of
-        # the stop rule decides the step count
+        # horizons that are whole multiples of SIM_LH / L: the ratio lands
+        # within rounding of an integer, where the 1e-12 relative allowance
+        # of reach's grid rule decides the step count
         bal = balance(rs.random_stable_system(rng, 6, 2, 2))
         x0 = rand_box(rng, 6, 4)
         u_box = rand_ubox(rng, 2)
@@ -587,7 +585,7 @@ class TestSimulationMatchesNaiveLoops:
         for k in (2, 4, 6):
             aug = augment(FullOrderResponse.of(bal, x0, 2.0), k)
             assert contraction_defect(aug) < 0
-            assert check(aug, u_box, steps_taken) == len(aug.full.times)
+            assert check(aug, u_box, steps_taken) == aug.full.steps
 
 
 #: Giant-size systems (n, seed, m, p, decay) of the bracket tests: the
@@ -636,7 +634,7 @@ def test_giant_steps_bracket_exact_norm_loops(system, k, steps_taken):
     # of the mode's grid
     aug, walk_steps, ref_steps, bounds = giant_bracket(system, k, steps_taken)
     assert aug.full.orbit.stride > 1
-    assert walk_steps == ref_steps == len(aug.full.times)
+    assert walk_steps == ref_steps == aug.full.steps
     for new, ref, scale in bounds:
         assert np.all(new >= ref - 1e-12 * np.maximum(ref, scale))
 
@@ -706,10 +704,12 @@ class TestFullOrderResponse:
         verdict = rs.verify_pss(problem, rs.VerifyOptions(k0=3, k_max=5))
         assert verdict.k_used == 5 and len(verdict.per_k_log) == 3
         assert len(built) == 2
-        # each mode's orbit steps by e^{A_t h} at its own h = SIM_LH / ||A_t||
-        for (_, system, _, _), (Phi, _) in zip(problem_modes(problem), built):
+        # each mode's orbit steps by e^{A_t h} at its own h, N even steps of
+        # at most SIM_LH / ||A_t|| over the mode's duration
+        for (_, system, _, duration), (Phi, _) in zip(problem_modes(problem), built):
             A_t = balance(system).A_t
-            assert np.array_equal(Phi, _transition(A_t, bmod.SIM_LH / np.linalg.norm(A_t, 2)))
+            h = duration / reach._step_count(duration, bmod.SIM_LH / np.linalg.norm(A_t, 2))
+            assert np.array_equal(Phi, _transition(A_t, h))
         modes = [made for _, made in built]
         assert sorted(k for k, _ in reduced) == [3, 3, 4, 4, 5, 5]
         assert all(sum(like is mode for _, like in reduced) == 3 for mode in modes)
@@ -996,15 +996,60 @@ def test_wide_box_blocks_hold_several_giant_steps():
 
 
 def test_motor_blocks_end_at_the_horizon():
-    # each motor mode's orbit forms one state per step up to the first step
-    # that reaches the mode's duration, and none after it
+    # each motor mode's orbit forms one state per step of its N steps of h,
+    # whose last ends at the mode's duration, and none after it
     for _, system, x0, duration in problem_modes(rs.motor_benchmark()):
         full = FullOrderResponse.of(balance(system), x0, duration)
         e1_simulation(augment(full, 5))
         orbit = full.orbit
         formed = sum(len(orbit[i][2]) - 1 for i in range(len(orbit._blocks)))
-        assert orbit.stride == 1 and formed == orbit.steps == len(full.times)
-        assert full.times[-2] < duration * (1.0 - 1e-12) <= full.times[-1]
+        assert orbit.stride == 1 and formed == orbit.steps == full.steps
+        assert full.steps * full.h == pytest.approx(duration, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def grid_cases(draw):
+    """A Hurwitz A of n <= 10 states scaled by 1e-2 to 1e2, an input column,
+    one output row, a box with free dims, and a horizon: 2e-2 to 400 times
+    1 / ||A|| (1 to 8000 steps of SIM_LH / ||A||), or a whole count of those
+    steps moved by 0, a few ulps or up to 1e-9 relative, where reach's grid
+    rule rounds."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys_ = rs.random_stable_system(rng, n, 1, 1)
+    A = sys_.A * 10.0 ** draw(st.floats(-2.0, 2.0))
+    L = np.linalg.norm(A, 2)
+    if draw(st.booleans()):
+        horizon = draw(st.floats(1e-3, 20.0)) * 20.0 / L
+    else:
+        horizon = draw(st.integers(1, 400)) * bmod.SIM_LH / L \
+            * (1.0 + draw(st.sampled_from([0.0, 4e-16, -4e-16, 1e-13, -1e-13, 1e-9, -1e-9])))
+    return FullOrderResponse(A, sys_.B, sys_.C, np.eye(n), rand_box(rng, n, 2), horizon)
+
+
+@settings(deadline=None, max_examples=60)
+@given(grid_cases())
+def test_walk_takes_reachs_grid(full):
+    # the simulation bounds step on reach's grid: N = len(_time_grid) - 1
+    # even steps of h, at most SIM_LH / L up to the rule's 1e-12 relative
+    # allowance, which end at the horizon, and the walk forms exactly N
+    L, horizon = np.linalg.norm(full.A, 2), full.horizon
+    grid = reach._time_grid(horizon, bmod.SIM_LH / L, full.A, "h")
+    assert full.steps == full.orbit.steps == len(grid) - 1
+    assert full.h <= bmod.SIM_LH / L * (1.0 + 1e-12)
+    assert full.steps * full.h == pytest.approx(horizon, rel=1e-12, abs=0.0)
+    aug = augment(full, 1)
+    X0 = np.hstack([aug.B_bar, aug.lift @ bmod._box_generators(full.x0)])
+    assert sum(len(Y) - 1 for Y, _ in bmod._walk(aug, X0)) == full.steps
+
+
+def test_zero_state_matrix_takes_unit_steps():
+    # at L = 0 the step is at most 1: ceil(horizon) even steps
+    box = rs.HyperBox([-1.0, 0.0], [1.0, 0.0])
+    full = FullOrderResponse(np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2)), np.eye(2),
+                             box, 2.5)
+    assert full.steps == 3 and full.h == 2.5 / 3
+    assert np.all(np.isfinite(e1_simulation(augment(full, 1))))
 
 
 class TestContractionPerMode:
@@ -1222,7 +1267,7 @@ def test_e1_simulation_covers_a_peak_between_steps():
     # e^{-zeta omega t} cos(omega t - phi) from x0 = (-sin phi, cos phi).
     omega, zeta = 2.0 * np.pi, 1e-3
     A = omega * np.array([[-zeta, 1.0], [-1.0, -zeta]])
-    h = bmod.SIM_LH / np.linalg.norm(A, 2)
+    h = 3.0 / reach._step_count(3.0, bmod.SIM_LH / np.linalg.norm(A, 2))
     phi = omega * h / 2.0
     x0 = rs.HyperBox([-np.sin(phi), np.cos(phi)], [-np.sin(phi), np.cos(phi)])
     full = FullOrderResponse(A, np.zeros((2, 1)), np.array([[0.0, 1.0]]), np.eye(2), x0, 3.0)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -525,24 +527,33 @@ def assert_matches_golden(doc, expected, where="$"):
         assert type(doc) is type(expected) and doc == expected, where
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_json_matches_golden(name, tmp_path, capsys):
+def golden_output(name, workdir):
+    """The JSON document that the command of ``GOLDEN_CASES[name]`` prints,
+    run in this process with its generated manifest in ``workdir``."""
     from redsafe.benchmarks import MOTOR_MANIFEST
     gen_args, (command, *options) = GOLDEN_CASES[name]
     manifest = [str(MOTOR_MANIFEST)]
     if gen_args is False:
         manifest = []
     elif gen_args is not None:
-        manifest = [str(tmp_path / "g.json")]
-        assert main(["gen", *gen_args, "--output", *manifest]) == 0
-        capsys.readouterr()
-    main([command, *manifest, *options, "--format", "json"])
+        manifest = [str(Path(workdir) / "g.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", *gen_args, "--output", *manifest]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([command, *manifest, *options, "--format", "json"])
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_json_matches_golden(name, tmp_path):
+    # tests/regenerate_golden.py rebuilds these files from the same table
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert_matches_golden(json.loads(capsys.readouterr().out), expected)
+    assert_matches_golden(golden_output(name, tmp_path), expected)
 
 
 @pytest.mark.parametrize("giants", [1, 2])
-def test_reach_golden_in_orbit_blocks(giants, tmp_path, capsys, monkeypatch):
+def test_reach_golden_in_orbit_blocks(giants, tmp_path, monkeypatch):
     # reach's orbit on the golden instance has 7 rows (6 states and the
     # center's constant) and 6 columns, read through 1 output row: giant
     # steps of 7, so its 11 steps hold 2.  Read one giant step per block
@@ -558,7 +569,7 @@ def test_reach_golden_in_orbit_blocks(giants, tmp_path, capsys, monkeypatch):
             blocks.append((self.stride, block[0].shape[2]))
             return block
     monkeypatch.setattr(reach, "_Orbit", Recording)
-    test_json_matches_golden("reach_n6_seed7_h025", tmp_path, capsys)
+    test_json_matches_golden("reach_n6_seed7_h025", tmp_path)
     assert blocks == ([(7, 1), (7, 1)] if giants == 1 else [(7, 2)])
 
 

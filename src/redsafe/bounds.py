@@ -11,9 +11,10 @@ gaps between their steps with a rigorous second-order envelope, from one
 in-step bound on |y''| per column, so no candidate is bloated.
 
 Both simulation bounds hold on a finite window [0, horizon] (t_f, or a PSS
-mode's duration) and read one walk of each order's augmented orbit over
-reach's grid rule: N = :func:`reach._step_count` (horizon, SIM_LH / L) even
-steps of horizon / N, at most SIM_LH / L, that end at the horizon.
+mode's duration) and read one walk (:func:`_simulate`) of each order's
+augmented orbit over reach's grid rule: N = :func:`reach._step_count`
+(horizon, SIM_LH / L) even steps of horizon / N, at most SIM_LH / L, that
+end at the horizon.
 
 The augmented matrix A_bar = diag(A_t, A_t[:k,:k]) is block diagonal and
 ||A_bar||_2 = ||A_t||_2, so the simulation step and the full-order half of
@@ -21,14 +22,15 @@ every simulated response are the same at every order k.  By Cauchy
 interlacing so is lambda_max(sym A_bar) = lambda_max(sym A_t), the
 contraction test of the zero-input bounds.  A :class:`FullOrderResponse`
 binds the mode's initial box and horizon, computes these once per mode and
-simulates that half once, from the input columns and the box's generators
-side by side, keeping only its output samples and its giant states' norms;
-:func:`augment` builds each order's system from it, and each order's walk
-simulates its k-dimensional reduced half on the full-order half's grid.
-Each half is an orbit of :class:`reach._Orbit`, the routine that reach's
-age table is read through too: only every s-th (giant) state is formed,
-and each step's outputs are read from the giant state before it through
-the stack [M; M Phi; ...; M Phi^{s-1}] of its maps M.  Where the
+simulates that half once, from its start columns X, the input columns and
+the box's generators side by side, keeping only its output rows and its
+giant states' norms; :func:`augment` builds each order's system from it,
+and each order's walk simulates its k-dimensional reduced half from X[:k]
+on the full-order half's grid.  Each half is an orbit of
+:class:`reach._Orbit`, the routine that reach's age table is read through
+too, whose blocks hold one row per step: only every s-th (giant) state is
+formed, and each step's outputs are read from the giant state before it
+through the stack [M; M Phi; ...; M Phi^{s-1}] of its maps M.  Where the
 full-order half has at least four states per output row, s = floor(n /
 rows) and a step costs about 4 rows n m flops instead of 2 n^2 m;
 elsewhere s = 1.  The reduced half takes the full-order half's s and
@@ -45,7 +47,6 @@ Lyapunov solves per order) are built only where it is not.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -217,66 +218,22 @@ def e1_optimization(aug: AugmentedSystem) -> np.ndarray:
     return out
 
 
-def _error_orbit(full: _Orbit, reduced: _Orbit, growth: np.ndarray):
-    """Blocks of the augmented orbit: the shared full-order orbit plus this
-    order's reduced one, built ``like`` it, each read through three maps of
-    p rows, the error output y and its derivatives y'' = C A^2 x and
-    C A^3 x.  The reduced orbit's blocks are built as they are read and not
-    kept.
-
-    Each block's steps 0 ... size are written into buffers that hold the
-    block's first state, the last state of the block before: one
-    (3, size+1, p, w) array of y and the magnitudes of the derivatives over
-    every column, and the squared norm bounds (size+1, w) of every column.
-    The norm data is exact at giant steps, the two halves' sum, and a steps
-    after giant state R_b it is ``growth[a]`` = e^{2 mu a h} times R_b's, an
-    upper bound since ||e^{A t}||_2 <= e^{mu t} for mu = max(defect, 0) and
-    defect >= lambda_max(sym A_t), which by Cauchy interlacing bounds the
-    reduced half's lambda_max(sym A_t[:k, :k]) too.  The next block
-    overwrites the buffers."""
-    s, block, width, p = full.stride, full.block, full.width, full.rows // 3
-    out = np.empty((3, block + 1, p, width))
-    sq = np.empty((block + 1, width))
-    for i in itertools.count():
-        try:
-            f_images, f_last, f_data = full[i]
-        except IndexError:
-            return
-        images, last, data = reduced._next_block()
-        images += f_images
-        last += f_last
-        data += f_data
-        giants = len(data) - 1
-        size = min(block, full.steps - i * block)
-        # step b s + a at [:, b s + a] from [a, :, :, b], and step G s from last
-        grid = out[:, :giants * s].reshape(3, giants, s, p, width)
-        steps = images.reshape(s, 3, p, giants, width).transpose(1, 3, 0, 2, 4)
-        grid[0] = steps[0]
-        np.abs(steps[1:], out=grid[1:])
-        last = last.reshape(3, p, width)
-        out[0, giants * s] = last[0]
-        np.abs(last[1:], out=out[1:, giants * s])
-        np.multiply(data[:giants, None], growth[:, None],
-                    out=sq[:giants * s].reshape(giants, s, width))
-        sq[giants * s] = data[giants]
-        yield out[:, :size + 1], sq[:size + 1]
-
-
 class FullOrderResponse:
     """The full-order half of the simulation bounds of one mode with its
     initial box ``x0`` and its window [0, ``horizon``] (t_f, or a PSS mode's
     duration), shared by every order k, whose bounds read the box and window here.
 
-    One orbit starts from [B_t | H c | H r_1 e_1 ... H r_f e_f], the input
-    columns beside the lifted generators of ``x0`` (center c, free
-    half-widths r), and records C_t x, C_t A_t^2 x and C_t A_t^3 x per step
-    and ||x||^2 per giant step and column: e2 reads the first m columns and
-    e1 the rest, from which every vertex's output and a bound on its norm
-    follow.  It is simulated lazily, block by block, over its :attr:`steps`
-    steps of :attr:`h`, which end at the horizon, by the first order's walk,
-    and read by every later one.  Build one per mode with
-    ``FullOrderResponse.of(bal, x0, horizon)`` and every order's augmented
-    system from it with :func:`augment`.
+    One orbit starts from :attr:`start`, [B_t | H c | H r_1 e_1 ... H r_f
+    e_f], the input columns beside the lifted generators of ``x0`` (center
+    c, free half-widths r), and records C_t x, C_t A_t^2 x and C_t A_t^3 x
+    per step and ||x||^2 per giant step and column: e2 reads the first m
+    columns and e1 the rest, from which every vertex's output and a bound
+    on its norm follow; each order's reduced half starts from their first k
+    rows.  The orbit is simulated lazily, block by block, over its
+    :attr:`steps` steps of :attr:`h`, which end at the horizon, by the first
+    order's walk (:func:`_simulate`), and read by every later one.  Build
+    one per mode with ``FullOrderResponse.of(bal, x0, horizon)`` and every
+    order's augmented system from it with :func:`augment`.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, H: np.ndarray,
@@ -325,12 +282,16 @@ class FullOrderResponse:
         return self.horizon / self.steps
 
     @functools.cached_property
+    def start(self) -> np.ndarray:
+        """The start columns X = [B_t | H c | H r_1 e_1 ... H r_f e_f]."""
+        return np.hstack([self.B, self.H @ _box_generators(self.x0)])
+
+    @functools.cached_property
     def orbit(self) -> _Orbit:
-        """The mode's orbit over its N steps, read through (C, CA^2, CA^3)."""
+        """The mode's orbit of X over its N steps, read through (C, CA^2, CA^3)."""
         CA2 = self.C @ self.A @ self.A
-        return _Orbit(_transition(self.A, self.h),
-                      np.hstack([self.B, self.H @ _box_generators(self.x0)]),
-                      (self.C, CA2, CA2 @ self.A), self.steps)
+        return _Orbit(_transition(self.A, self.h), self.start, (self.C, CA2, CA2 @ self.A),
+                      self.steps)
 
 
 def _box_generators(box: HyperBox) -> np.ndarray:
@@ -338,29 +299,40 @@ def _box_generators(box: HyperBox) -> np.ndarray:
     return np.hstack([box.center[:, None], Zonotope.from_box(box).generators])
 
 
-def _walk(aug: AugmentedSystem, X0: np.ndarray):
-    """The one block walk of this order's augmented orbit (:func:`_error_orbit`):
-    the mode's orbit, whose augmented start columns are X0, and this
-    order's reduced half from X0[n:], an orbit like the mode's, over the
-    mode's N steps of h, which end at the horizon.
+def _vertex_peak(Y: np.ndarray) -> np.ndarray:
+    """max over vertices of |y_s| = |y_c| + sum_d |y_d|, per row of the
+    generator outputs Y (last axis: center, then one column per free dim)."""
+    return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
 
-    Yields per block (Y, ddot) over its steps, from the state before the
-    block, so that step j runs from state j to state j + 1: the error
-    outputs Y (steps+1, p, width) and the in-step |y''| bounds ddot (steps,
-    p, width) of every column.  Each is a view of a buffer that the next
-    block overwrites and the reader may overwrite.
-    """
+
+def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e1, I_abs, R_max) from the one walk of this order's augmented
+    orbit: e1 per output from the box's generator columns, and from the
+    first m, the input columns, per output and channel the |kernel| integral
+    I_abs and the bound R_max on the running signed kernel integral that
+    :func:`e2_simulation` reads.
+
+    The walk adds each block of this order's reduced orbit, from X[:k] of
+    X = ``full.start``, built ``like`` the mode's and written into one reused
+    buffer, to the mode's kept block, both read through three maps of p
+    rows: the error output y and its derivatives y'' = C A^2 x and C A^3 x.  Step j runs from
+    state j to j + 1 over the mode's N steps of h, which end at the horizon.
+    The squared norm bounds are exact at giant steps, the two halves' sum,
+    and a steps after giant state R_b ``growth[a]`` = e^{2 mu a h} times
+    R_b's, an upper bound since ||e^{A t}||_2 <= e^{mu t} for mu =
+    max(defect, 0) and defect >= lambda_max(sym A_t), which by Cauchy
+    interlacing bounds the reduced half's lambda_max(sym A_t[:k, :k]) too."""
     n, k, full = aug.n, aug.k, aug.full
-    orbit = full.orbit
-    h, mu = full.h, max(full.defect, 0.0)
-    A_r, C_r, X_r = aug.A_bar[n:, n:], aug.C_bar[:, n:], X0[n:]
+    orbit, X, m, p = full.orbit, full.start, full.B.shape[1], aug.p
+    h, mu, s, w = full.h, max(full.defect, 0.0), orbit.stride, orbit.width
+    A_r, C_r = aug.A_bar[n:, n:], aug.C_bar[:, n:]
     # derivative observables: |y_i''| = |C_i A^2 x| inherits whatever
     # cancellation the kernel has (exact zero at k = n), unlike ||C_i|| ||x||,
     # and C_i A^3 x bounds its change within a step
     D2_r = C_r @ A_r @ A_r
     D3_r = D2_r @ A_r
-    reduced = _Orbit(_transition(A_r, h), X_r, (C_r, D2_r, D3_r), orbit.steps, like=orbit)
-    blocks = _error_orbit(orbit, reduced, np.exp(2.0 * mu * h * np.arange(orbit.stride)))
+    reduced = _Orbit(_transition(A_r, h), X[:k], (C_r, D2_r, D3_r), orbit.steps, like=orbit)
+    growth = np.exp(2.0 * mu * h * np.arange(s))
     d3_full = orbit.maps[2]
     d3_norms = np.linalg.norm(np.hstack([d3_full, D3_r]), axis=1)
     # ||e^{A s} - I|| <= e^{L|s|} - 1 for |s| <= h/2, the distance to the
@@ -373,26 +345,44 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
     # e^{A_t (s-u)} E e^{A_r u} over u in [0, s], E = A_t P - P A_r
     # = [0; A_t[k:, :k]], so ||F(s)|| <= |s| e^{L|s|} ||E||.  Its bound is
     # w_coef ||w|| + x_coef ||x||, with ||w(t)|| <= e^{mu t} (||w(0)||
-    # + t ||E|| ||x_r(0)||) from the start columns and ||E|| taken in
-    # Frobenius norm, at least the spectral one.  Every term is 0 at k = n,
-    # where the error output vanishes identically.
+    # + t ||E|| ||x_r(0)||) from the start columns, where w(0) = X[k:], and
+    # ||E|| taken in Frobenius norm, at least the spectral one.  Every term
+    # is 0 at k = n, where the error output vanishes identically.
     a3 = np.linalg.norm(d3_full, axis=1)
     E = np.linalg.norm(full.A[k:, :k])
     norm_coef, w_coef = half_grow * d3_norms, half_grow * a3
     x_coef = a3 * (h / 2.0) * np.exp(full.L * h / 2.0) * E \
         + np.linalg.norm(d3_full[:, :k] + D3_r, axis=1) * half_grow
-    w0 = np.linalg.norm(np.vstack([X0[:k] - X_r, X0[k:n]]), axis=0)
-    r0 = np.linalg.norm(X_r, axis=0)
+    w0, r0 = np.linalg.norm(X[k:], axis=0), np.linalg.norm(X[:k], axis=0)
     # that bound is the smaller for row i only where x_coef_i < norm_coef_i
     # and ||w|| < rho_i ||x||, rho_i = (norm_coef_i - x_coef_i) / w_coef_i;
     # a block is checked against the largest rho_i before it is formed
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.max(np.where(x_coef < norm_coef, (norm_coef - x_coef) / w_coef, -np.inf))
-    ddots, changes = (np.empty((orbit.block, aug.p, X0.shape[1])) for _ in range(2))
-    for i, ((Y, D2, D3), N) in enumerate(blocks):
+    bulge = h ** 2 / 8.0
+    e1 = np.zeros(p)
+    I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
+    # the walk's buffers: the error outputs and derivative magnitudes, the
+    # norm bounds and in-step |y''| bounds of every column; per step node,
+    # the trapezoid sums of R and their summed remainders, each carried from
+    # the block before at row 0, and the gap to the next
+    out, sq = np.empty((orbit.block + 1, 3 * p, w)), np.empty((orbit.block + 1, w))
+    ddots, changes = (np.empty((orbit.block, p, w)) for _ in range(2))
+    runs, traps = (np.empty((orbit.block + 1, p, m)) for _ in range(2))
+    gaps = np.empty((orbit.block, p, m))
+    for i in range(-(-orbit.steps // orbit.block)):
+        kept, kept_data = orbit[i]
+        block, data = reduced._next_block(out)
+        block += kept
+        data += kept_data
+        size, N = min(orbit.block, orbit.steps - i * orbit.block), sq[:len(block)]
+        np.multiply(data[:-1, None], growth[:, None], out=N[:-1].reshape(-1, s, w))
+        N[-1] = data[-1]
+        N, block = np.sqrt(N[:size + 1], out=N[:size + 1]), block[:size + 1]
+        Y, D = block[:, :p], np.abs(block[:, p:], out=block[:, p:])
+        D2, D3 = D[:, :p], D[:, p:]
         # the times h j of the block's states after the first
-        ts = h * np.arange(i * orbit.block + 1, i * orbit.block + len(N))[:, None]
-        np.sqrt(N, out=N)
+        ts = h * np.arange(i * orbit.block + 1, i * orbit.block + size + 1)[:, None]
         # in-step |y''| bound M: every point of a step lies within h/2 of
         # an endpoint e, where y'' = C A^2 x_e changes by at most
         # (h/2) max|C A^3 x|, and |C_i A^3 x| <= |C_i A^3 x_e| plus the
@@ -403,47 +393,22 @@ def _walk(aug: AugmentedSystem, X0: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             W = np.exp(mu * ts) * (w0 + ts * E * r0)
             smaller = np.any(W < rho * Nm)
-        M, change = ddots[:len(ts)], changes[:len(ts)]
+        ddot, change = ddots[:size], changes[:size]
         np.multiply(norm_coef[:, None], Nm[:, None], out=change)
         if smaller:
             np.fmin(change, w_coef[:, None] * W[:, None] + x_coef[:, None] * Nm[:, None],
                     out=change)
-        change += np.maximum(D3[:-1], D3[1:], out=M)
+        change += np.maximum(D3[:-1], D3[1:], out=ddot)
         change *= h / 2.0
-        np.maximum(D2[:-1], D2[1:], out=M)
-        M += change
-        yield Y, M
-
-
-def _vertex_peak(Y: np.ndarray) -> np.ndarray:
-    """max over vertices of |y_s| = |y_c| + sum_d |y_d|, per row of the
-    generator outputs Y (last axis: center, then one column per free dim)."""
-    return np.abs(Y[..., 0]) + np.sum(np.abs(Y[..., 1:]), axis=-1)
-
-
-def _simulate(aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e1, I_abs, R_max) from one :func:`_walk` over the augmented start
-    columns [B_bar | lift c, lift r_1 e_1, ..., lift r_f e_f]: e1 per output
-    from the box's generators, and from the first m, the input columns, per
-    output and channel the |kernel| integral I_abs and the bound R_max on
-    the running signed kernel integral that :func:`e2_simulation` reads."""
-    m, p, h = aug.m, aug.p, aug.full.h
-    X0 = np.hstack([aug.B_bar, aug.lift @ _box_generators(aug.full.x0)])
-    bulge = h ** 2 / 8.0
-    e1 = np.zeros(p)
-    I_abs, R_run, R_max, trap_budget = (np.zeros((p, m)) for _ in range(4))
-    # per step node: the trapezoid sums of R and their summed remainders,
-    # each carried from the block before at row 0, and the gap to the next
-    runs, traps = (np.empty((aug.full.orbit.block + 1, p, m)) for _ in range(2))
-    gaps = np.empty((aug.full.orbit.block, p, m))
-    for Y, ddot in _walk(aug, X0):
+        np.maximum(D2[:-1], D2[1:], out=ddot)
+        ddot += change
         V = _vertex_peak(Y[..., m:])
         e1 = np.maximum(e1, np.max(np.maximum(V[:-1], V[1:])
                                    + bulge * np.sum(ddot[..., m:], axis=-1), axis=0))
         # the input columns, copied out whole: the passes below run faster
         # over a contiguous block than over its strided view
         Y, ddot = np.ascontiguousarray(Y[..., :m]), np.ascontiguousarray(ddot[..., :m])
-        run, trap, gap = runs[:len(Y)], traps[:len(Y)], gaps[:len(ddot)]
+        run, trap, gap = runs[:size + 1], traps[:size + 1], gaps[:size]
         run[0], trap[0] = R_run, trap_budget
         # int |y| <= int |linear interpolant| + int |y - interpolant|, and
         # |y - interpolant| <= s(h-s)/2 M integrates to h^3/12 M; the same
@@ -484,11 +449,11 @@ def e1_simulation(aug: AugmentedSystem) -> np.ndarray:
     inequality), so no vertex is enumerated.  The envelope between steps is
     rigorous: on a step of length h each generator's output lies within
     h^2/8 M_g of its linear interpolant, with M_g the in-step |y''| bound
-    of :func:`_walk`, and a vertex's sum of interpolants is linear in t, so
+    of the walk, and a vertex's sum of interpolants is linear in t, so
     step j bounds every vertex by max(V_j, V_{j+1}) + h^2/8 sum_g M_g.
 
     The generator responses are columns of this order's one walk
-    (:func:`_walk`), which :func:`e2_simulation` reads too.
+    (:func:`_simulate`), which :func:`e2_simulation` reads too.
     """
     return aug.simulated[0].copy()
 
@@ -518,9 +483,9 @@ def e2_simulation(aug: AugmentedSystem, u_box: HyperBox) -> np.ndarray:
     augmented impulse responses.
 
     Each input channel's response starts from its column of B_bar with zero
-    input: the input columns of this order's one walk (:func:`_walk`), which
-    :func:`e1_simulation` reads too.  Each step's envelope is second order and
-    rigorous: with M the in-step bound on |y''| of :func:`_walk`, the
+    input: the input columns of this order's one walk (:func:`_simulate`),
+    which :func:`e1_simulation` reads too.  Each step's envelope is second
+    order and rigorous: with M the in-step bound on |y''| of the walk, the
     |kernel| integral takes the trapezoid of the endpoint magnitudes plus
     h^3/12 M.  A zero input matrix gives exact zeros.
 

@@ -344,8 +344,8 @@ def _propagate(powers: list[np.ndarray], X: np.ndarray, steps: int,
 #: Doubles held by one block of an :class:`_Orbit`, counted as its giant
 #: states (n x width each) and two sets of output rows (rows x width per
 #: step): for the simulation bounds the full-order half's, which its mode
-#: keeps for every order, and the reduced half's, into which each order adds
-#: them; :func:`reach_lti` copies each block's rows into its samples.
+#: keeps for every order, and the reduced half's buffer, into which each
+#: order adds them; :func:`reach_lti` copies each block's rows into its samples.
 ORBIT_BLOCK_DOUBLES = 1 << 18
 
 
@@ -364,13 +364,14 @@ class _Orbit:
     step for step.  A block of G giant states is built by doubling
     (:func:`_propagate`) from the powers Phi^s, Phi^{2s}, Phi^{4s}, ...,
     computed once per orbit, and its steps s b + a, 0 <= a < s, b < G, are
-    read as (M Phi^a) R_b in one product of the stack
+    read as (M Phi^a) R_b in one batched product of the stack
     [M; M Phi; ...; M Phi^{s-1}] (s - 1 (rows x n)(n x n) products, once per
-    orbit) with R_0 ... R_{G-1}, R_0 the last state of the block before;
-    its last giant state R_G, the next block's R_0, is read through M alone.
-    A step then costs 2 rows n w + 2 n^2 w / s flops, about 4 rows n w when
-    s > 1; at s = 1 the stack is M alone and a step costs 2 n^2 w, as a
-    step loop spends, but in log2(G) + 3 products instead of G small ones.
+    orbit) with R_0 ... R_{G-1}, R_0 the last state of the block before,
+    which lands in step order; its last giant state R_G, the next block's
+    R_0, is read through M alone.  A step then costs 2 rows n w + 2 n^2 w / s
+    flops, about 4 rows n w when s > 1; at s = 1 the stack is M alone and a
+    step costs 2 n^2 w, as a step loop spends, but in log2(G) + 3 products
+    instead of G small ones.
 
     A block holds G = ORBIT_BLOCK_DOUBLES // (w (n + 2 s rows)) giant
     states, at most 512 steps' worth and at least one, and the last block
@@ -396,24 +397,23 @@ class _Orbit:
         self._powers = _doubling_powers(np.linalg.matrix_power(Phi, self.stride),
                                         self.block // self.stride)
         self._last, self._built = X0, 0
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Block i, the steps i*block ... i*block + size with size =
-        min(block, steps - i*block), as (images, last, data) over its
-        G + 1 = ceil(size / s) + 1 giant states R_b, b = 0 ... G, of which
-        R_0 is step i*block: images (s, rows, G, w) holds (M Phi^a) R_b at
-        [a, :, b] for b < G, last (rows, w) M R_G, and data (G+1, w) R_b's
-        squared column norms.  Step i*block + j is at [j % s, :, j // s] for
-        j < G s and in ``last`` at j = G s.  IndexError past the last block.
-        Blocks read this way are kept."""
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block i, from step i*block, as (Y, data) over its G + 1 giant
+        states R_b, G = ceil(size / s) for size = min(block, steps -
+        i*block): row j of Y (G s + 1, rows, w) is step i*block + j, read
+        from R_{j // s}, and its last row M R_G; data (G + 1, w) holds R_b's
+        squared column norms.  Rows past ``size`` are steps past ``steps``.
+        IndexError past the last block.  Blocks read this way are kept."""
         while len(self._blocks) <= i:
             self._blocks.append(self._next_block())
         return self._blocks[i]
 
-    def _next_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _next_block(self, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The block after the last one built, as :meth:`__getitem__` gives
-        it, but not kept."""
+        it, but not kept; Y is written into the leading G s + 1 rows of
+        ``out``, a C-contiguous (rows, w) row buffer, when given."""
         size = min(self.block, self.steps - self._built * self.block)
         if size <= 0:
             raise IndexError(f"the orbit ends at step {self.steps}")
@@ -423,10 +423,13 @@ class _Orbit:
         states[:, :width] = self._last
         _propagate(self._powers, self._last, giants, out=states[:, width:])
         self._last = states[:, -width:].copy()
-        images = (self._stack @ states[:, :-width]).reshape(self.stride, self.rows, giants, width)
+        Y = np.empty((giants * self.stride + 1, self.rows, width)) if out is None \
+            else out[:giants * self.stride + 1]
+        np.matmul(self._stack, states[:, :-width].reshape(n, giants, width).transpose(1, 0, 2),
+                  out=Y[:-1].reshape(giants, -1, width))
+        np.matmul(self._stack[:self.rows], self._last, out=Y[-1])
         head = states[:self.norm_rows]
-        return images, self._stack[:self.rows] @ self._last, \
-            np.einsum("ij,ij->j", head, head).reshape(giants + 1, width)
+        return Y, np.einsum("ij,ij->j", head, head).reshape(giants + 1, width)
 
 
 #: Default reach step control: ||A||_2 * h <= this value.
@@ -499,14 +502,14 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     where k + 1 >= 4p and s = 1 otherwise, and a sample costs about
     2 p (k + 1) w + 2 (k + 1)^2 w / s flops for w = 1 + g0 + m, in blocks of
     :data:`ORBIT_BLOCK_DOUBLES` (:class:`_Orbit`).  Of each block only its
-    output images (p x w per sample) and its giant states' column norms are
-    kept, so no k x N array is formed: at k = 40, N = 995, m = 12 the input
-    orbit alone would be 3.8 MB.  rho <- ||Phi|| rho + res stays a scalar
-    recursion, and the balls are one array expression over the norms.
-    Indexing the result assembles a step's generator array (O(p g_j) for
-    g_j input columns, :meth:`ReachSets.generators`), while
-    :func:`check_spec` reads every predicate's row spreads from the
-    samples.
+    output images (p x w per sample, a block row each, copied into the
+    samples-last table) and its giant states' column norms are kept, so no
+    k x N array is formed: at k = 40, N = 995, m = 12 the input orbit alone
+    would be 3.8 MB.  rho <- ||Phi|| rho + res stays a scalar recursion, and
+    the balls are one array expression over the norms.  Indexing the result
+    assembles a step's generator array (O(p g_j) for g_j input columns,
+    :meth:`ReachSets.generators`), while :func:`check_spec` reads every
+    predicate's row spreads from the samples.
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -560,18 +563,16 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     growth = nPhi ** np.arange(s)
     carried = np.concatenate([[0.0], np.cumsum(growth[:-1])]) * float(np.linalg.norm(vin))
     # Y is laid out samples last, so that the readers' products and pairs
-    # run along them; a last block may end past sample N
+    # run along them; a block's last sample is the next block's first, and
+    # the last block's rows may run past sample N
     Yt, norms = np.empty((p, w, steps + 1)), np.empty((steps + 1, w))
     for start in range(0, steps, orbit.block):
-        images, last, data = orbit._next_block()
-        end, root = start + (len(data) - 1) * s, np.sqrt(data)
+        rows, data = orbit._next_block()
+        size, root = min(len(rows), steps + 1 - start), np.sqrt(data)
         bounds = root[:-1, None] * growth[:, None]
         bounds[:, :, 0] += carried
-        size = min(end, steps + 1) - start
-        Yt[:, :, start:start + size] = images.transpose(1, 3, 2, 0).reshape(p, w, -1)[..., :size]
-        norms[start:start + size] = bounds.reshape(-1, w)[:size]
-        if end == steps:
-            Yt[:, :, end], norms[end] = last, root[-1]
+        Yt[:, :, start:start + size] = rows[:size].transpose(1, 2, 0)
+        norms[start:start + size] = np.concatenate([bounds.reshape(-1, w), root[-1:]])[:size]
     Y = Yt.transpose(2, 0, 1)
     rhos = np.fromiter(itertools.accumulate(
         range(steps), lambda rho, _: nPhi * rho + res_ball, initial=0.0), float, steps + 1)

@@ -10,6 +10,7 @@ assigns the two regions their roles (see :class:`TransformedSpec`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +99,19 @@ def ellipsoid_margin(spec: EllipsoidSpec, delta: np.ndarray) -> tuple[float, np.
 def _moved_in(spec: SafetyPredicate, Delta, polarity: str) -> SafetyPredicate | None:
     """The predicate's region with its boundary moved inward by Delta
     (outward for a negative Delta), tagged ``polarity``; None when an
-    ellipsoid's radius does not stay positive."""
+    ellipsoid's radius does not stay positive.  A moved ellipsoid is a copy
+    of the source that keeps its validated Q and cached axes."""
     if isinstance(spec, PolytopeSpec):
         return PolytopeSpec(spec.Gamma, spec.Psi + Delta, polarity)
     R = spec.R - Delta
-    return EllipsoidSpec(spec.Q, spec.a, R, polarity) if R > 0 else None
+    if not R > 0:
+        return None
+    if not np.isfinite(R):
+        raise ModelError(f"radius R must be a positive real, got {R}")
+    moved = copy.copy(spec)
+    object.__setattr__(moved, "R", float(R))
+    object.__setattr__(moved, "polarity", polarity)
+    return moved
 
 
 def transform_spec(spec: SafetyPredicate, delta) -> TransformedSpec:

@@ -718,7 +718,7 @@ class TestFullOrderResponse:
         # one verify_pss on the motor walks each (mode, order)'s augmented
         # orbit once, and the verifier still calls each simulation bound
         # once there
-        seen = {"_error_orbit": [], "e1_simulation": [], "e2_simulation": []}
+        seen = {"_simulate": [], "e1_simulation": [], "e2_simulation": []}
 
         def record(name, key):
             original = getattr(bmod, name)
@@ -727,10 +727,8 @@ class TestFullOrderResponse:
                 seen[name].append(key(*args))
                 return original(*args)
             monkeypatch.setattr(bmod, name, recording)
-        # the mode by its orbit or its response, the order by k, the states
-        # of the reduced orbit's first map
-        record("_error_orbit", lambda orbit, reduced, *_: (id(orbit),
-                                                          reduced.maps[0].shape[1]))
+        # the mode by its orbit or its response, the order by k
+        record("_simulate", lambda aug: (id(aug.full.orbit), aug.k))
         record("e1_simulation", lambda aug: (id(aug.full), aug.k))
         record("e2_simulation", lambda aug, u_box: (id(aug.full), aug.k))
         verdict = rs.verify_pss(rs.motor_benchmark(), rs.VerifyOptions(k0=3, k_max=5))
@@ -747,12 +745,12 @@ class TestFullOrderResponse:
         bal = balance(rs.random_stable_system(rng, 6, 2, 2))
         aug = augment(response(bal, rand_box(rng, 6, 3)), 3)
         walks = []
-        error_orbit = bmod._error_orbit
+        simulate = bmod._simulate
 
         def recording(*args):
             walks.append(args)
-            return error_orbit(*args)
-        monkeypatch.setattr(bmod, "_error_orbit", recording)
+            return simulate(*args)
+        monkeypatch.setattr(bmod, "_simulate", recording)
         u_box = rand_ubox(rng, 2)
         e1, e2 = e1_simulation(aug), e2_simulation(aug, u_box)
         assert len(walks) == 1
@@ -801,18 +799,16 @@ def test_doubling_matches_step_loop(case):
 def orbit_steps(orbit, blocks):
     """The first ``blocks`` blocks of an orbit per step, from step 0: the
     images (steps+1, rows, w) and the squared column norms (steps+1, w),
-    NaN between giant steps, where the orbit forms no state.  A block's
-    last giant state is read through the first map block alone: its
-    images are the step after the block's G s steps."""
+    NaN between giant steps, where the orbit forms no state.  Row j of a
+    block is its step j, the last row its last giant state's."""
     images, data = [], []
     for i in range(blocks):
-        block, last, sq = orbit[i]
-        s, rows, giants, width = block.shape
-        assert last.shape == (rows, width) and sq.shape == (giants + 1, width)
+        Y, sq = orbit[i]
+        s, giants, width = orbit.stride, len(sq) - 1, orbit.width
+        assert Y.shape == (giants * s + 1, orbit.rows, width) and sq.shape == (giants + 1, width)
         size = min(orbit.block, orbit.steps - i * orbit.block)
         first = 0 if i == 0 else 1
-        steps = np.concatenate([block.transpose(2, 0, 1, 3).reshape(-1, rows, width), last[None]])
-        images.append(steps[first:size + 1])
+        images.append(Y[first:size + 1])
         norms = np.full((giants * s + 1, width), np.nan)
         norms[::s] = sq
         data.append(norms[first:size + 1])
@@ -896,9 +892,8 @@ def test_giant_steps_match_step_loop(case):
     # order's reduced half takes its mode's stride and block, against step
     # loops over every block: each orbit's images within rounding at every
     # step and its squared column norms exact at giant steps; and the error
-    # orbit's sums of the two over every column (the derivative rows as
-    # magnitudes), with norm bounds exact at giant steps and never below the
-    # exact ones between them
+    # orbit's sums of the two over every column, with norm bounds exact at
+    # giant steps and never below the exact ones between them
     A, h, X0, maps, k, maps_r, giants, steps = case
     (n, width), rows = X0.shape, 3 * maps[0].shape[0]
     stride = n // rows
@@ -921,20 +916,34 @@ def test_giant_steps_match_step_loop(case):
         assert np.max(np.abs(got - images)) <= 1e-12 * scale * np.linalg.norm(np.vstack(M))
         assert np.all(np.isnan(data[~at_giant]))
         assert np.max(np.abs(data[at_giant] - norms[at_giant])) <= slack
+    # the error orbit as the walk forms it: each block of the reduced orbit
+    # written into a caller's buffer, where it equals the block a twin orbit
+    # allocates and leaves the buffer's further rows untouched, plus the
+    # mode's kept block, summed over the block's steps up to ``steps``: the
+    # rows past them, NaN here, are never read
     defect = np.linalg.eigvalsh(A + A.T).max() / 2.0
     growth = np.exp(2.0 * max(defect, 0.0) * h * np.arange(stride))
-    reduced = bmod._Orbit(Phi_r, X0[:k], maps_r, steps, like=orbit)
+    reduced, twin = (bmod._Orbit(Phi_r, X0[:k], maps_r, steps, like=orbit) for _ in range(2))
+    buffer = np.full((orbit.block + 2, rows, width), np.nan)
     got, data = [], []
-    for i, (out, sq) in enumerate(bmod._error_orbit(orbit, reduced, growth)):
+    for i in range(blocks):
+        F, f_data = orbit[i]
+        size = min(orbit.block, steps - i * orbit.block)
+        F[size + 1:] = np.nan
+        buffer[:] = np.nan
+        R, r_data = reduced._next_block(buffer)
+        allocated, a_data = twin._next_block()
+        assert np.shares_memory(R, buffer) and np.array_equal(R, allocated)
+        assert np.array_equal(r_data, a_data) and np.all(np.isnan(buffer[len(R):]))
         first = 0 if i == 0 else 1
-        assert out.shape[-1] == width
-        got.append(out[:, first:].copy())
-        data.append(sq[first:].copy())
-    assert len(got) == blocks
-    got, data = np.concatenate(got, axis=1), np.concatenate(data)
-    images = (loops[0][0] + loops[1][0]).reshape(steps + 1, 3, -1, width).swapaxes(0, 1)
-    # the derivatives as magnitudes
-    images[1:] = np.abs(images[1:])
+        got.append(R[first:size + 1] + F[first:size + 1])
+        # a steps after giant state b, e^{2 mu a h} times its squared norms
+        sq = (r_data + f_data)[:, None] * growth[:, None]
+        data.append(sq.reshape(-1, width)[first:size + 1])
+    with pytest.raises(IndexError):
+        reduced._next_block(buffer)
+    got, data = np.concatenate(got), np.concatenate(data)
+    images = loops[0][0] + loops[1][0]
     norms = loops[0][1] + loops[1][1]
     maps_norm = max(np.linalg.norm(np.vstack(maps)), np.linalg.norm(np.vstack(maps_r)))
     assert np.max(np.abs(got - images)) <= 2e-12 * scale * maps_norm
@@ -955,11 +964,12 @@ def test_giant_step_paths_by_shape(monkeypatch):
     prob = rs.random_problem(7, 150, 12, 4, free_dims=6, spec_scale=0.9)
     bal = balance(prob.system)
     orbit = FullOrderResponse.of(bal, prob.x0, prob.t_f).orbit
-    # each block reads its G giant states through the stack of 12 maps and
-    # its last giant state, the next block's first, through the first alone
-    images, last, data = orbit[0]
-    assert orbit.stride == 12 and images.shape == (12, 12, orbit.block // 12, 12 + 7)
-    assert last.shape == (12, 12 + 7) and data.shape == (orbit.block // 12 + 1, 12 + 7)
+    # each block reads its G giant states through the stack of 12 maps, a
+    # row per step, and its last giant state, the next block's first,
+    # through the first alone, in its last row
+    Y, data = orbit[0]
+    assert orbit.stride == 12 and Y.shape == (orbit.block + 1, 12, 12 + 7)
+    assert data.shape == (orbit.block // 12 + 1, 12 + 7)
     # on the giant path only giant states are formed: each block of the
     # full-order half's states, and of the order's reduced half's, holds one
     # state per giant step of the block, never a whole block's
@@ -973,8 +983,7 @@ def test_giant_step_paths_by_shape(monkeypatch):
     monkeypatch.setattr(reach, "_propagate", recording)
     full = FullOrderResponse.of(bal, prob.x0, prob.t_f)
     aug = augment(full, 5)
-    e1_simulation(aug)
-    e2_simulation(aug, prob.inputs)
+    e1, e2 = e1_simulation(aug), e2_simulation(aug, prob.inputs)
     orbit = full.orbit
     giants = [-(-min(orbit.block, orbit.steps - i * orbit.block) // 12)
               for i in range(len(orbit._blocks))]
@@ -983,6 +992,15 @@ def test_giant_step_paths_by_shape(monkeypatch):
     # the order steps its reduced input and generator columns together,
     # block for block with the full-order half
     assert [shape for shape in shapes if shape[0] != 150] == [(5, g * 19) for g in giants]
+    # the last block's 2 rows past the horizon are never read: with NaN
+    # there, another walk of the order gives the same bounds
+    last, _ = orbit[len(giants) - 1]
+    size = orbit.steps - (len(giants) - 1) * orbit.block
+    assert len(last) == size + 3
+    last[size + 1:] = np.nan
+    again = augment(full, 5)
+    assert np.array_equal(e1_simulation(again), e1)
+    assert np.array_equal(e2_simulation(again, prob.inputs), e2)
 
 
 def test_wide_box_blocks_hold_several_giant_steps():
@@ -1002,7 +1020,7 @@ def test_motor_blocks_end_at_the_horizon():
         full = FullOrderResponse.of(balance(system), x0, duration)
         e1_simulation(augment(full, 5))
         orbit = full.orbit
-        formed = sum(len(orbit[i][2]) - 1 for i in range(len(orbit._blocks)))
+        formed = sum(len(orbit[i][1]) - 1 for i in range(len(orbit._blocks)))
         assert orbit.stride == 1 and formed == orbit.steps == full.steps
         assert full.steps * full.h == pytest.approx(duration, rel=1e-12, abs=0.0)
 
@@ -1038,9 +1056,8 @@ def test_walk_takes_reachs_grid(full):
     assert full.steps == full.orbit.steps == len(grid) - 1
     assert full.h <= bmod.SIM_LH / L * (1.0 + 1e-12)
     assert full.steps * full.h == pytest.approx(horizon, rel=1e-12, abs=0.0)
-    aug = augment(full, 1)
-    X0 = np.hstack([aug.B_bar, aug.lift @ bmod._box_generators(full.x0)])
-    assert sum(len(Y) - 1 for Y, _ in bmod._walk(aug, X0)) == full.steps
+    e1_simulation(augment(full, 1))
+    assert sum(len(data) - 1 for _, data in full.orbit._blocks) == full.steps
 
 
 def test_zero_state_matrix_takes_unit_steps():

@@ -566,7 +566,7 @@ def test_reach_golden_in_orbit_blocks(giants, tmp_path, monkeypatch):
     class Recording(reach._Orbit):
         def _next_block(self):
             block = super()._next_block()
-            blocks.append((self.stride, block[0].shape[2]))
+            blocks.append((self.stride, len(block[1]) - 1))
             return block
     monkeypatch.setattr(reach, "_Orbit", Recording)
     test_json_matches_golden("reach_n6_seed7_h025", tmp_path)

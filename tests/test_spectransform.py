@@ -120,6 +120,30 @@ class TestUnsafeVariants:
         assert ts.witness_region is None  # R - Delta_R < 0
 
 
+@pytest.mark.parametrize("polarity", [POLARITY_SAFE, POLARITY_UNSAFE])
+def test_moved_ellipsoids_keep_the_sources_eigendecomposition(polarity, monkeypatch):
+    # once the source's axes are read, both moved regions are copies of it
+    # with their own radius and polarity: no eigenvalue routine runs, and
+    # they share the source's validated Q and its axes
+    spec = rs.EllipsoidSpec([[2.0, 0.6], [0.6, 1.0]], [0.1, -0.2], 0.5, polarity)
+    axes = spec.axes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue routine ran")
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ts = transform_spec(spec, np.array([0.01, 0.02]))
+    shrunk = ts.safe_region if polarity == POLARITY_SAFE else ts.witness_region
+    for moved, R, tag in ((shrunk, spec.R - ts.Delta, polarity),
+                          (ts.unsafe_region, spec.R + ts.Delta, POLARITY_UNSAFE)):
+        assert moved.Q is spec.Q and moved.a is spec.a and moved.axes is axes
+        assert moved.R == R and moved.polarity == tag and spec.R == 0.5
+    assert spec.polarity == polarity
+    # a margin that overflows still leaves no grown region of infinite radius
+    with np.errstate(over="ignore"), pytest.raises(rs.ModelError, match="radius"):
+        transform_spec(spec, np.array([1e200, 1e200]))
+
+
 def test_transform_spec_refuses_bad_delta():
     # every shape and polarity validates delta before using it
     specs = (box_spec(-1.0, 1.0), box_spec(-1.0, 1.0, POLARITY_UNSAFE),

@@ -245,11 +245,9 @@ def cmd_reach(args) -> int:
                          "center": s.outputs.center.tolist(),
                          "generators": s.outputs.generators.tolist()} for s in sets]
 
-    # each step's per-output bounds, read from the samples as centers -/+
-    # row spreads, with no step set assembled
-    spread = sets.row_spreads(np.eye(sys_.p))
-    intervals = list(zip(sets.t0.tolist(), sets.t1.tolist(),
-                         sets.centers - spread, sets.centers + spread))
+    # each step's per-output bounds, read from its two samples' supports
+    # and its ball, with no step set assembled
+    intervals = list(zip(sets.t0.tolist(), sets.t1.tolist(), *sets.step_bounds(np.eye(sys_.p))))
 
     def csv(d):
         cols = ",".join(f"y{i}_lo,y{i}_hi" for i in range(sys_.p))

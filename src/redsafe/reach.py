@@ -7,23 +7,24 @@ step sets and the simulated witnesses sample the same instants, as in
 simulation-equivalent reachability (Bak & Duggirala, CAV 2017).
 
 Reach samples the exact sets X_{j+1} = e^{Ah} X_j + V_input of a
-constant-per-step input at the grid points.  Each step set is the
-convex-hull enclosure of its two end samples (Girard, HSCC 2005), inflated
-by a ball that holds a rigorous second-order residual for measurable inputs
-in the box and a curvature envelope, so the union of step sets covers the
-continuous-time output reach set over [0, t_f].
+constant-per-step input at the grid points.  Each step set is the convex
+hull of its two end samples, inflated by a ball that holds a rigorous
+second-order residual for measurable inputs in the box and a curvature
+envelope, so the union of step sets covers the continuous-time output reach
+set over [0, t_f].
 
 By superposition sample j holds the input columns {e^{Aah} G_in : a < j}
 (Girard, Le Guernic & Maler, HSCC 2006), so one orbit gives every sample's
 output center, initial-generator images and input images of one age.  These
 are the rows of the one :class:`ReachSets` that :func:`reach_lti` returns,
-the only step sets there are.  ``ReachSets[j]`` assembles step j's
-generator array only when something reads it (``reach --format json``).
-Polytope rows, ellipsoids of either polarity (along the rows of Q's
-eigenvector factor) and the interval output of ``reach`` read each step's
-spread from the samples by one pairing rule over per-age row sums, the
-support-function view of Le Guernic & Girard (NAHS 2010).  For order k, p
-outputs, g0 initial generators and r rows a step then costs
+the only step sets there are.  ``ReachSets[j]`` assembles Girard's
+zonotope enclosure of step j's hull (HSCC 2005) only when something reads
+it (``reach --format json``).  Polytope rows, ellipsoids of either polarity
+(along the rows of Q's eigenvector factor), the interval output of
+``reach`` and the witness search read the samples' supports from per-age
+row sums, and a step's range is the least and the largest of its two
+samples', the support-function view of Le Guernic & Girard (NAHS 2010).
+For order k, p outputs, g0 initial generators and r rows a step then costs
 O((p k + k^2 / s)(1 + g0 + m)) arithmetic to build (:func:`reach_lti`,
 whose orbit forms every s-th state) and O(r p (g0 + m)) to check, rather
 than O(r p g_j) over its g_j input columns, with no matrix product per
@@ -116,41 +117,39 @@ class ReachStep:
 class ReachSets(Sequence):
     """The output reach sets of :func:`reach_lti`, one per step of its grid
     ``times``: step j covers t0[j] ... t1[j] and is the hull of grid samples
-    j and j + 1, so N steps join N + 1 samples.  Indexing assembles a
-    :class:`ReachStep` on demand and keeps nothing; a slice returns a list.
+    j and j + 1, plus a ball, so N steps join N + 1 samples.  Indexing
+    assembles a :class:`ReachStep` on demand and keeps nothing; a slice
+    returns a list.
 
     Row i of ``Y`` (samples, p, 1 + g0 + m) is sample i: its output center
     C c_i, the images C H_i of the g0 initial generators and the images
     C M_i of the m input columns of age i; sample i holds the ages below i.
     ``norms`` (samples, 1 + g0 + m) bounds the state norms of those columns.
-    ``balls`` holds each step's ball radius, ``C_rows`` the row norms of C,
-    ``centers`` each step's center, the middle of its samples' centers, and
-    ``gaps`` half their difference.  ``channels`` holds the input channel of
-    each of the m columns of an age.
+    ``balls`` holds each step's ball radius and ``C_rows`` the row norms of
+    C.  ``channels`` holds the input channel of each of the m columns of an
+    age.
 
-    Every reader pairs the columns of a step's two samples by one rule: the
-    center with the center, each initial generator with itself, and each
-    input column of age a in sample j + 1 with itself at age a - 1 in sample
-    j (the newest one with 0).  A pair x, x' spans the hull generators
-    (x + x') / 2 and (x - x') / 2 (Girard, HSCC 2005), whose spread along a
-    row l, |l(x + x')| / 2 + |l(x - x')| / 2, is max(|l x|, |l x'|); the
-    center pair's is |l(c_j - c_j')| / 2.
+    Every reader of the rows of a Gamma reads one table, built once per
+    distinct Gamma from each sample's center row c = Gamma C c_i and its
+    spread s = sum |Gamma C H_i| + sum over the ages a < i of
+    sum |Gamma C M_a|: the samples' supports (:meth:`sample_supports`) and
+    each step's range, taken from its two samples' (the support of a hull is
+    the larger of its sets' supports, Le Guernic & Girard, NAHS 2010) and
+    its ball (:meth:`step_bounds`).
     """
 
     def __init__(self, times, Y, norms, balls, C_rows, channels: np.ndarray):
         self.m = channels.size
         self.g0 = Y.shape[2] - 1 - self.m
-        centers = (Y[:-1, :, 0] + Y[1:, :, 0]) / 2.0
-        gaps = (Y[:-1, :, 0] - Y[1:, :, 0]) / 2.0
         # the step sets hand out views of these arrays: read-only, so that
         # an in-place change to one step's set raises instead of changing
         # every later check of the step sets
-        for a in (times, Y, norms, balls, C_rows, centers, gaps):
+        for a in (times, Y, norms, balls, C_rows):
             a.flags.writeable = False
         self.t0, self.t1 = times[:-1], times[1:]
-        self.Y, self.balls, self.C_rows, self.centers = Y, balls, C_rows, centers
-        self.norms, self.gaps, self.channels = norms, gaps, channels
-        self._spreads: dict = {}
+        self.Y, self.balls, self.C_rows = Y, balls, C_rows
+        self.norms, self.channels = norms, channels
+        self._tables: dict = {}
 
     def __len__(self) -> int:
         return self.t0.size
@@ -160,34 +159,18 @@ class ReachSets(Sequence):
             return [self[i] for i in range(*j.indices(len(self)))]
         j = range(len(self))[j]  # IndexError out of range, negative from the end
         return ReachStep(float(self.t0[j]), float(self.t1[j]),
-                         Zonotope(self.centers[j], self.generators(j)))
-
-    def _along(self, V: np.ndarray) -> np.ndarray:
-        """(rows of V, 1 + g0 + m, samples) array of the rows of V times every
-        column of every sample, as one matrix product."""
-        samples, p, w = self.Y.shape
-        return (V @ self.Y.transpose(1, 2, 0).reshape(p, -1)).reshape(V.shape[0], w, samples)
-
-    def _column_spreads(self, P: np.ndarray, span: int) -> np.ndarray:
-        """(rows, samples - span) spreads of the initial and input columns of
-        the hull of samples j and j + span, for every j over the samples of
-        P, the projections :meth:`_along` returns: per pair
-        max(|l x|, |l x'|), the input pairs summed over the ages sample
-        j + span holds.  P's columns are overwritten."""
-        A, g0, samples = _abs(P[:, 1:]), self.g0, P.shape[2]
-        pairs = np.maximum(A[:, :, :samples - span], A[:, :, span:])
-        # age a of the later sample pairs with age a - span of the earlier,
-        # the pair in pairs[..., a - span]; a newest age stands alone
-        ages = np.hstack([A[:, g0:, :span].sum(axis=1), pairs[:, g0:].sum(axis=1)])
-        prefix = np.hstack([np.zeros((A.shape[0], 1)), np.cumsum(ages, axis=1)])
-        return pairs[:, :g0].sum(axis=1) + prefix[:, span:samples]
+                         Zonotope((self.Y[j, :, 0] + self.Y[j + 1, :, 0]) / 2.0,
+                                  self.generators(j)))
 
     def generators(self, j: int) -> np.ndarray:
         """Step j's output generator array: d, H+, input+, H-, input-, ball,
-        with d = (c_j - c_j') / 2, the hull pairs (x + x') / 2 and
-        (x - x') / 2 of the initial and input columns, the input columns
-        oldest first, and the image of the state-space 2-ball, per-output
-        radius ball ||C_i||_2."""
+        with d = (c_j - c_j') / 2 and the image of the state-space 2-ball,
+        per-output radius ball ||C_i||_2 (Girard, HSCC 2005).  The columns of
+        the two samples pair up: each initial generator with itself, and
+        each input column of age a in sample j + 1 with itself at age a - 1
+        in sample j (the newest one with 0), oldest first.  A pair x, x'
+        spans (x + x') / 2 and (x - x') / 2, whose spread along a row l is
+        max(|l x|, |l x'|)."""
         g0, k = self.g0, j + 1
         x, x2, ball = self.Y[j], self.Y[k], float(self.balls[j])
         p = x.shape[0]
@@ -199,31 +182,45 @@ class ReachSets(Sequence):
         earlier[:, :later.shape[1] - self.m] = later[:, self.m:]
         balls = np.diag(ball * self.C_rows) if ball > 0 else np.zeros((p, 0))
         H, H2 = x[:, 1:1 + g0], x2[:, 1:1 + g0]
-        return np.concatenate([self.gaps[j][:, None], (H + H2) / 2.0,
+        return np.concatenate([((x[:, 0] - x2[:, 0]) / 2.0)[:, None], (H + H2) / 2.0,
                                (earlier + later) / 2.0, (H - H2) / 2.0,
                                (earlier - later) / 2.0, balls], axis=1, out=G)
 
-    def row_spreads(self, Gamma: np.ndarray) -> np.ndarray:
-        """(steps, rows) spreads of every step for the rows of Gamma, built
-        once per distinct Gamma by the pairing rule, plus ball_j |Gamma|
-        C_rows (the spread of its ball)."""
+    def _table(self, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sample supports and the step bounds of the rows of Gamma,
+        read-only, built once per distinct Gamma from one matrix product with
+        every column of every sample."""
         key = (Gamma.shape, Gamma.tobytes())
-        if key not in self._spreads:
-            spreads = _abs(self.gaps @ Gamma.T) + self._column_spreads(self._along(Gamma), 1).T \
-                + self.balls[:, None] * (np.abs(Gamma) @ self.C_rows)
-            spreads.flags.writeable = False
-            self._spreads[key] = spreads
-        return self._spreads[key]
+        if key not in self._tables:
+            samples, p, w = self.Y.shape
+            P = (Gamma @ self.Y.transpose(1, 2, 0).reshape(p, -1)).reshape(-1, w, samples)
+            A, g0 = _abs(P[:, 1:]), self.g0
+            # sample i holds the ages below i: a prefix sum over the ages
+            ages = np.cumsum(A[:, g0:, :-1].sum(axis=1), axis=1)
+            c, spread = P[:, 0], A[:, :g0].sum(axis=1) + np.hstack([np.zeros((len(A), 1)), ages])
+            lo, hi = c - spread, c + spread
+            ball = (np.abs(Gamma) @ self.C_rows)[:, None] * self.balls
+            # formed rows first, so that the readers' arithmetic runs along
+            # the samples, and handed out as (samples, rows) views
+            table = (hi.T, (np.minimum(lo[:, :-1], lo[:, 1:]) - ball).T,
+                     (np.maximum(hi[:, :-1], hi[:, 1:]) + ball).T)
+            for a in table:
+                a.flags.writeable = False
+            self._tables[key] = table
+        return self._tables[key]
 
     def sample_supports(self, Gamma: np.ndarray) -> np.ndarray:
         """(samples, rows) upper supports of the rows of Gamma at every
-        grid sample, with no hull and no ball: Gamma c_i +
-        sum |Gamma CH_i| + a prefix sum over the ages a < i of
-        sum |Gamma C M_a|, the spread of sample i paired with itself (span
-        0).  A box vertex and a grid plan attain each when the initial set is
-        a box's image."""
-        P = self._along(Gamma)
-        return (P[:, 0] + self._column_spreads(P, 0)).T
+        grid sample, with no hull and no ball: c + s.  A box vertex and a
+        grid plan attain each when the initial set is a box's image."""
+        return self._table(Gamma)[0]
+
+    def step_bounds(self, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(steps, rows) lower and upper bounds of the rows of Gamma over
+        every step set: the least and the largest of its two samples'
+        c -/+ s, widened on each side by ball_j |Gamma| C_rows (the spread of
+        its ball)."""
+        return self._table(Gamma)[1:]
 
 
 #: Higham, "The scaling and squaring method for the matrix exponential
@@ -450,9 +447,13 @@ def default_step(t_f: float, A: np.ndarray, lh: float = STEP_LH) -> float:
 
 
 def _step_count(t_f, h):
-    """N = max(1, ceil(r - 1e-12 r)) for r = t_f / h, elementwise."""
+    """N = max(1, ceil(r - 1e-12 r)) for r = t_f / h, elementwise.  A count
+    that int64 cannot hold raises ModelError naming the step."""
     r = t_f / h
-    return np.maximum(np.ceil(r - 1e-12 * r), 1).astype(int)
+    N = np.maximum(np.ceil(r - 1e-12 * r), 1)
+    if not np.all(N < 2.0 ** 63):  # written so that NaN fails the test
+        raise ModelError(f"a step of {h} over t_f = {t_f} takes {N} steps, more than int64 holds")
+    return N.astype(int)
 
 
 def _time_grid(t_f: float, h: float | None, A: np.ndarray, name: str) -> np.ndarray:
@@ -509,7 +510,7 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     the balls are one array expression over the norms.  Indexing the result
     assembles a step's generator array (O(p g_j) for g_j input columns,
     :meth:`ReachSets.generators`), while :func:`check_spec` reads every
-    predicate's row spreads from the samples.
+    predicate's step bounds from the samples (:meth:`ReachSets.step_bounds`).
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -727,26 +728,26 @@ def simulate(sys: LtiSystem, x0: np.ndarray, u: InputLike, t_f: float,
 # --------------------------------------------------------------------------
 
 def _certified(sets: ReachSets, reg, inside: bool) -> np.ndarray:
-    """Steps certified inside ``reg``, or outside it, from the step's row
-    spreads s around its center c: every polytope row at most 0 over the
-    step set, or some row above 0 over all of it.  An ellipsoid with
-    Q = E^T diag(lambda) E (its :attr:`~redsafe.model.EllipsoidSpec.axes`)
-    reads the rows of E, along which |E_i (y - a)| lies between
-    max(d_i - s_i, 0) and d_i + s_i over the step set, d = |E (c - a)|:
-    inside when (d + s)^2 @ lambda is at most R^2, outside when
-    max(d - s, 0)^2 @ lambda is above R^2.  No region holds no step and
-    clears every one."""
+    """Steps certified inside ``reg``, or outside it, from each step's
+    range [lo, hi] along the region's rows (:meth:`ReachSets.step_bounds`):
+    every polytope row at most 0 over the step set, or some row above 0 over
+    all of it.  An ellipsoid with Q = E^T diag(lambda) E (its
+    :attr:`~redsafe.model.EllipsoidSpec.axes`) reads the rows of E, shifted
+    by E a, along which |E_i (y - a)| lies between max(lo, -hi, 0) and
+    max(-lo, hi) over the step set: inside when max(-lo, hi)^2 @ lambda is
+    at most R^2, outside when max(lo, -hi, 0)^2 @ lambda is above R^2.  No
+    region holds no step and clears every one."""
     if reg is None:
         return np.full(len(sets), not inside)
     if isinstance(reg, PolytopeSpec):
-        Gc, s = sets.centers @ reg.Gamma.T, sets.row_spreads(reg.Gamma)
-        return (np.all(Gc + s + reg.Psi <= 0.0, axis=1) if inside
-                else np.any(Gc - s + reg.Psi > 0.0, axis=1))
+        lo, hi = sets.step_bounds(reg.Gamma)
+        return (np.all(hi + reg.Psi <= 0.0, axis=1) if inside
+                else np.any(lo + reg.Psi > 0.0, axis=1))
     lam, E = reg.axes
-    d, s = _abs((sets.centers - reg.a) @ E.T), sets.row_spreads(E)
+    lo, hi = (bound - E @ reg.a for bound in sets.step_bounds(E))
     if inside:
-        return (d + s) ** 2 @ lam <= reg.R ** 2
-    return np.maximum(d - s, 0.0) ** 2 @ lam > reg.R ** 2
+        return np.maximum(-lo, hi) ** 2 @ lam <= reg.R ** 2
+    return np.maximum(np.maximum(lo, -hi), 0.0) ** 2 @ lam > reg.R ** 2
 
 
 def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
@@ -759,7 +760,7 @@ def _check_one(sets: ReachSets, ts: TransformedSpec) -> str:
     steps that keep every point out of it.  The step sets hold every grid
     sample, so when each failing step does, no trajectory the witness search
     simulates can meet it and the verdict is Indeterminate; otherwise it is
-    MaybeUnsafe.  Every test reads row spreads (:func:`_certified`), so no
+    MaybeUnsafe.  Every test reads step bounds (:func:`_certified`), so no
     step set is assembled."""
     inside = ts.source_polarity == POLARITY_SAFE
     ok = _certified(sets, ts.safe_region if inside else ts.unsafe_region, inside)

@@ -10,7 +10,7 @@ import pytest
 
 import redsafe as rs
 from redsafe.cli import main
-from redsafe.reach import reach_lti, simulate
+from redsafe.reach import Zonotope, reach_lti, simulate
 
 from test_model import minimal_problem
 
@@ -257,6 +257,13 @@ class TestReachCmd:
                             ("--step-lh", "0")):
             assert main(["reach", str(path), flag, value]) == 3
             assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
+
+    def test_step_count_beyond_int64_is_an_error(self, tmp_path, capsys):
+        # a step that divides the horizon into more steps than int64 holds
+        # is refused as a model error, not wrapped to a negative count
+        assert main(["reach", str(small_manifest(tmp_path)), "--step-h", "1e-20"]) == 3
+        err = capsys.readouterr().err
+        assert "more than int64 holds" in err and "internal error" not in err
 
     def test_pss_rejected(self, tmp_path):
         path = rs.serialize_problem(rs.motor_benchmark(), tmp_path / "motor.json")
@@ -575,7 +582,9 @@ def test_reach_golden_in_orbit_blocks(giants, tmp_path, monkeypatch):
 
 def test_reach_csv_bounds_match_the_golden_step_hulls(tmp_path, capsys):
     # on the golden reach instance, the CSV's per-output bounds, read from
-    # reach's table, are the interval hulls of the assembled step sets
+    # reach's table, are the interval hulls of each step's two assembled
+    # grid samples widened by its ball, and lie within the interval hulls
+    # of the assembled step sets that the JSON format prints
     gen_args, (_, *options) = GOLDEN_CASES["reach_n6_seed7_h025"]
     manifest = tmp_path / "g.json"
     assert main(["gen", *gen_args, "--output", str(manifest)]) == 0
@@ -584,13 +593,23 @@ def test_reach_csv_bounds_match_the_golden_step_hulls(tmp_path, capsys):
     rows = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1, ndmin=2)
     problem = rs.parse_problem(manifest)
     sets = reach_lti(problem.system, problem.x0, problem.inputs, problem.t_f, float(options[1]))
-    hulls = [s.outputs.interval_hull() for s in sets]
-    expected = np.array([[s.t0, s.t1, *np.column_stack([h.lb, h.ub]).ravel()]
-                         for s, h in zip(sets, hulls)])
+    # sample j: Y[j, :, 0], the generators Y[j, :, 1:1+g0], the ages a < j
+    Y, g0, p = sets.Y, sets.g0, sets.Y.shape[1]
+    samples = [Zonotope(Y[j, :, 0], np.hstack([
+        Y[j, :, 1:1 + g0], Y[:j, :, 1 + g0:].transpose(1, 0, 2).reshape(p, -1)])).interval_hull()
+        for j in range(len(Y))]
+    ball = sets.balls[:, None] * sets.C_rows
+    lb = np.minimum([h.lb for h in samples[:-1]], [h.lb for h in samples[1:]]) - ball
+    ub = np.maximum([h.ub for h in samples[:-1]], [h.ub for h in samples[1:]]) + ball
+    expected = np.column_stack([sets.t0, sets.t1,
+                                np.stack([lb, ub], axis=2).reshape(len(sets), -1)])
     assert rows.shape == expected.shape
     np.testing.assert_array_equal(rows[:, :2], expected[:, :2])
-    np.testing.assert_allclose(rows[:, 2:], expected[:, 2:], rtol=1e-12,
-                               atol=1e-12 * np.abs(expected[:, 2:]).max())
+    scale = np.abs(expected[:, 2:]).max()
+    np.testing.assert_allclose(rows[:, 2:], expected[:, 2:], rtol=1e-12, atol=1e-12 * scale)
+    hulls = [s.outputs.interval_hull() for s in sets]
+    assert np.all(rows[:, 2::2] >= np.array([h.lb for h in hulls]) - 1e-12 * scale)
+    assert np.all(rows[:, 3::2] <= np.array([h.ub for h in hulls]) + 1e-12 * scale)
 
 
 #: Every kind and polarity of predicate over p = 2 outputs, a zero Gamma row

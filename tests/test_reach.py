@@ -49,11 +49,53 @@ def quad_bounds(z: Zonotope, ell: rs.EllipsoidSpec) -> tuple[float, float]:
     min and the max over the zonotope z of (y-a)^T Q (y-a), for
     Q = E^T diag(lambda) E, from its generator array: d = |E (c - a)| and
     the spreads s = sum |E G|, so that |E_i (y - a)| lies in
-    [max(d_i - s_i, 0), d_i + s_i] over z.  The reference for
-    reach._certified, which reads the same spreads from the age table."""
+    [max(d_i - s_i, 0), d_i + s_i] over z."""
     lam, E = ell.axes
     d, s = np.abs(E @ (z.center - ell.a)), row_spread(z, E)
     return float(np.maximum(d - s, 0.0) ** 2 @ lam), float((d + s) ** 2 @ lam)
+
+
+class SampleHulls:
+    """Reference step ranges, one step at a time: step j is the hull of grid
+    samples j and j + 1, each assembled as a zonotope with every generator,
+    plus a ball, so its range along a row lies between the least and the
+    largest of the two samples' supports, widened by ball_j |row| C_rows.
+    Sample j of a table Y is Y[j, :, 0] plus the generators Y[j, :, 1:1+g0]
+    and the input columns of every age a < j, Y[:j, :, 1+g0:]."""
+
+    def __init__(self, Y, g0, balls, C_rows):
+        p = Y.shape[1]
+        self.samples = [Zonotope(Y[j, :, 0], np.hstack([
+            Y[j, :, 1:1 + g0], Y[:j, :, 1 + g0:].transpose(1, 0, 2).reshape(p, -1)]))
+            for j in range(len(Y))]
+        self.balls, self.C_rows = balls, C_rows
+
+    @classmethod
+    def of(cls, sets):
+        """From reach's own table and balls."""
+        return cls(sets.Y, sets.g0, sets.balls, sets.C_rows)
+
+    def __len__(self) -> int:
+        return len(self.balls)
+
+    def bounds(self, Gamma):
+        """(steps, rows) lower and upper bounds of the rows of Gamma."""
+        lo, hi = np.empty((2, len(self), len(Gamma)))
+        for j, ball in enumerate(self.balls):
+            ends = [(Gamma @ z.center, row_spread(z, Gamma)) for z in self.samples[j:j + 2]]
+            widen = ball * (np.abs(Gamma) @ self.C_rows)
+            lo[j] = np.minimum(*[c - s for c, s in ends]) - widen
+            hi[j] = np.maximum(*[c + s for c, s in ends]) + widen
+        return lo, hi
+
+    def quad_bounds(self, ell):
+        """Per step, bounds on the min and the max of (y-a)^T Q (y-a) for
+        Q = E^T diag(lambda) E: with [lo, hi] the step's range of E (y - a),
+        |E_i (y - a)| lies between max(lo_i, -hi_i, 0) and max(-lo_i, hi_i)."""
+        lam, E = ell.axes
+        lo, hi = self.bounds(E)
+        lo, hi = lo - E @ ell.a, hi - E @ ell.a
+        return np.maximum(np.maximum(lo, -hi), 0.0) ** 2 @ lam, np.maximum(-lo, hi) ** 2 @ lam
 
 
 class TestZonotope:
@@ -169,6 +211,26 @@ class TestReach:
         with pytest.raises(rs.ModelError, match=f"^{name} must be positive and finite"):
             reach_lti(sys_, rand_box(rng, 3, 1), rand_ubox(rng, 1), t_f, step_h)
 
+    def test_step_count_beyond_int64_refused(self, rng):
+        # a count that int64 cannot hold is refused with the step, not
+        # wrapped to -2^63, and before any grid is allocated
+        assert 0 < reach._step_count(2.0 ** 62, 1.0) <= 2 ** 62
+        for t_f, h in ((2.0 ** 64, 1.0), (1.0, 1e-20), (1e300, 1e-300)):
+            with pytest.raises(rs.ModelError, match="more than int64 holds"):
+                reach._step_count(t_f, h)
+        sys_ = rs.random_stable_system(rng, 3, 1, 1)
+        x0, ubox = rand_box(rng, 3, 1), rand_ubox(rng, 1)
+        for call in (lambda: reach_lti(sys_, x0, ubox, 1.0, 1e-20),
+                     lambda: simulate(sys_, x0.center, None, 1.0, 1e-20)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(rs.ModelError, match="^a step of 1e-20 over t_f = 1.0"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
     def test_intervals_tile_horizon(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 1, 1)
         steps = reach_lti(sys_, rand_box(rng, 3, 2), rand_ubox(rng, 1), 1.0, 0.3)
@@ -266,6 +328,18 @@ def naive_reach(sys_, x0, u_box, t_f, step_h):
             [hull.generators, np.diag(ball * np.linalg.norm(C, axis=1))]))))
         state = nxt
     return steps
+
+
+def naive_sample_hulls(sys_, x0, u_box, t_f, step_h):
+    """:class:`SampleHulls` over the steps of ``linspace(0, t_f, N + 1)`` for
+    the even step ``step_h`` = t_f / N, from the samples of a per-state loop
+    (:func:`naive_orbit`) with reach_lti's balls (:func:`naive_balls` at its
+    stride)."""
+    steps = round(t_f / step_h)
+    g0 = (x0 if isinstance(x0, Zonotope) else Zonotope.from_box(x0)).order
+    return SampleHulls(naive_orbit(sys_, x0, u_box, step_h, steps)[0], g0,
+                       naive_balls(sys_, x0, u_box, t_f, step_h, orbit_stride(sys_)),
+                       np.linalg.norm(sys_.C, axis=1))
 
 
 def assert_balls_bracketed(sets, sys_, x0, u_box):
@@ -816,28 +890,30 @@ class TestBatchedWitness:
 
 
 # --------------------------------------------------------------------------
-# check_spec's shared polytope spread against a per-region reference.
+# check_spec's shared polytope bounds against a per-region reference.
 # --------------------------------------------------------------------------
 
-def naive_check_polytope(steps, ts, events):
-    """Verdict of step sets against a polytope TransformedSpec, each region's
-    row bounds computed on their own: MaybeUnsafe when some step that fails
-    its check is not certified clear of the witness region by the same row
-    test.  Counts failing steps and failing steps left uncleared in
-    ``events``."""
-    def rows(z, spec, sign):
-        spread = np.sum(np.abs(spec.Gamma @ z.generators), axis=1)
-        return spec.Gamma @ z.center + sign * spread + spec.Psi
+def naive_check_polytope(ref, ts, events):
+    """Verdict of the :class:`SampleHulls` ``ref`` against a polytope
+    TransformedSpec, each region's row bounds computed on their own:
+    MaybeUnsafe when some step that fails its check is not certified clear
+    of the witness region by the same row test.  Counts failing steps and
+    failing steps left uncleared in ``events``."""
+    def rows(spec, side):
+        return ref.bounds(spec.Gamma)[side] + spec.Psi
 
     all_ok, hit = True, False
-    for step in steps:
-        z = step.outputs
+    if ts.source_polarity == POLARITY_SAFE:
+        ok, witness = rows(ts.safe_region, 1), rows(ts.witness_region, 1)
+    else:
+        ok, witness = rows(ts.unsafe_region, 0), rows(ts.witness_region, 0)
+    for j in range(len(ref)):
         if ts.source_polarity == POLARITY_SAFE:
-            if np.all(rows(z, ts.safe_region, 1.0) <= 0.0):
+            if np.all(ok[j] <= 0.0):
                 continue
-            uncleared = np.any(rows(z, ts.witness_region, 1.0) > 0.0)
-        elif not np.any(rows(z, ts.unsafe_region, -1.0) > 0.0):
-            uncleared = not np.any(rows(z, ts.witness_region, -1.0) > 0.0)
+            uncleared = np.any(witness[j] > 0.0)
+        elif not np.any(ok[j] > 0.0):
+            uncleared = not np.any(witness[j] > 0.0)
         else:
             continue
         events["uncontained"] += 1
@@ -859,15 +935,14 @@ class TestSharedSpread:
             sys_ = rs.random_stable_system(rng, n, m, p)
             sets = reach_lti(sys_, rand_box(rng, n, int(rng.integers(0, n + 1))),
                              rand_ubox(rng, m), 1.0, 1.0 / int(rng.integers(1, 9)))
-            steps = list(sets)
+            ref = SampleHulls.of(sets)
             Gamma = rng.standard_normal((r, p))
-            rows = [(Gamma @ s.outputs.center, row_spread(s.outputs, Gamma)) for s in steps]
-            hi = np.max([c + w for c, w in rows], axis=0)
-            lo = np.min([c - w for c, w in rows], axis=0)
+            lo, hi = ref.bounds(Gamma)
+            lo, hi = lo.min(axis=0), hi.max(axis=0)
             polarity = (POLARITY_SAFE, POLARITY_UNSAFE)[trial % 2]
             spec = rs.PolytopeSpec(Gamma, -(lo + rng.uniform(-0.3, 1.3, r) * (hi - lo)), polarity)
             ts = transform_spec(spec, rng.uniform(0.0, 0.5, p) * np.max(hi - lo))
-            expected = naive_check_polytope(steps, ts, events)
+            expected = naive_check_polytope(ref, ts, events)
             assert check_spec(sets, ts) == expected
             verdicts.add(expected)
         assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
@@ -875,7 +950,7 @@ class TestSharedSpread:
 
     def test_regions_with_different_rows(self, rng):
         # a hand-built spec whose unsafe rows differ from its safe rows gets
-        # its own spread per region
+        # its own bounds per region
         safe = rs.PolytopeSpec([[1.0, 0.0]], [-1.0], POLARITY_SAFE)
         unsafe = rs.PolytopeSpec([[0.0, 1.0]], [-1.0], POLARITY_UNSAFE)
         ts = rs.TransformedSpec(source=safe, safe_region=safe, unsafe_region=unsafe,
@@ -883,11 +958,11 @@ class TestSharedSpread:
                                 Delta=np.zeros(1))
         sets = static_sets([2.0, 0.0], 0.1 * np.eye(2))   # outside safe, y1 < 1
         assert check_spec(sets, ts) == naive_check_polytope(
-            list(sets), ts, {"uncontained": 0, "uncleared": 0}) == INDETERMINATE
+            SampleHulls.of(sets), ts, {"uncontained": 0, "uncleared": 0}) == INDETERMINATE
 
 
 # --------------------------------------------------------------------------
-# Polytope checks from reach's age table against assembled step sets.
+# Polytope checks from reach's age table against assembled sample sets.
 
 from hypothesis import given, strategies as st  # noqa: E402
 
@@ -895,16 +970,22 @@ from redsafe import verifier  # noqa: E402
 from redsafe.balancing import box_image, image_zonotope  # noqa: E402
 
 
-def assert_table_spreads(sets, Gamma):
-    """Each step's row spread as check_spec reads it (from the age table for
-    its rows) equals sum |Gamma G| over its assembled generators within
-    1e-12 of their scale."""
-    spreads = sets.row_spreads(Gamma)
-    assert len(spreads) == len(sets)
-    for step, spread in zip(sets, spreads):
-        direct = np.sum(np.abs(Gamma @ step.outputs.generators), axis=1)
-        np.testing.assert_allclose(spread, direct, rtol=1e-12,
-                                   atol=1e-12 * np.max(direct, initial=0.0))
+def assert_table_bounds(sets, Gamma):
+    """Each step's row bounds as check_spec reads them (from the age table
+    for its rows) equal those of its two assembled samples and its ball
+    (:class:`SampleHulls`) within 1e-12 of their scale, and lie within the
+    range of its assembled step set, Gamma c -/+ sum |Gamma G|."""
+    lo, hi = sets.step_bounds(Gamma)
+    assert lo.shape == hi.shape == (len(sets), len(Gamma))
+    ref_lo, ref_hi = SampleHulls.of(sets).bounds(Gamma)
+    for got, ref in ((lo, ref_lo), (hi, ref_hi)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref), initial=0.0))
+    for j, step in enumerate(sets):
+        z = step.outputs
+        c, spread = Gamma @ z.center, row_spread(z, Gamma)
+        tol = 1e-12 * (np.abs(c) + spread)
+        assert np.all(c - spread - tol <= lo[j]) and np.all(hi[j] <= c + spread + tol)
 
 
 def reach_cases(rng):
@@ -925,14 +1006,13 @@ def reach_cases(rng):
                rand_ubox(rng, 2), t_f, t_f / 120)
 
 
-def polytope_specs(rng, steps, p):
+def polytope_specs(rng, ref, p):
     """Transformed polytope specs of both polarities whose offsets sit across
-    the row range of the step sets, so that every verdict occurs."""
+    the row range of the :class:`SampleHulls` ``ref``, so that every verdict
+    occurs."""
     Gamma = rng.standard_normal((int(rng.integers(1, 5)), p))
-    rows = [(Gamma @ s.outputs.center, np.sum(np.abs(Gamma @ s.outputs.generators), axis=1))
-            for s in steps]
-    hi = np.max([c + r for c, r in rows], axis=0)
-    lo = np.min([c - r for c, r in rows], axis=0)
+    lo, hi = ref.bounds(Gamma)
+    lo, hi = lo.min(axis=0), hi.max(axis=0)
     for polarity in (POLARITY_SAFE, POLARITY_UNSAFE):
         for frac in (-0.3, 0.2, 0.6, 0.95, 1.3):
             spec = rs.PolytopeSpec(Gamma, -(lo + frac * (hi - lo)), polarity)
@@ -944,7 +1024,7 @@ class TestTableSpread:
         events = {"uncontained": 0, "uncleared": 0}
         verdicts = set()
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
-            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+            ref = naive_sample_hulls(sys_, x0, ubox, t_f, step_h)
             for ts in polytope_specs(rng, ref, sys_.p):
                 # fresh step sets per spec: none is assembled before its check
                 steps = reach_lti(sys_, x0, ubox, t_f, step_h)
@@ -959,7 +1039,7 @@ class TestTableSpread:
             steps = reach_lti(sys_, x0, ubox, t_f, step_h)
             Gamma = rng.standard_normal((4, sys_.p))
             Gamma[1] = 0.0
-            assert_table_spreads(steps, Gamma)
+            assert_table_bounds(steps, Gamma)
 
     def test_untraced_verify_assembles_no_step_set(self, monkeypatch):
         # a polytope spec (the gen instance) and the motor's unsafe-region
@@ -1025,7 +1105,31 @@ def table_cases(draw):
 @given(table_cases())
 def test_table_spread_matches_assembled_generators(case):
     sys_, x0, ubox, t_f, step_h, Gamma = case
-    assert_table_spreads(reach_lti(sys_, x0, ubox, t_f, step_h), Gamma)
+    assert_table_bounds(reach_lti(sys_, x0, ubox, t_f, step_h), Gamma)
+
+
+@given(table_cases(), st.integers(0, 2**32 - 1))
+def test_fine_trajectories_stay_within_the_step_bounds(case, seed):
+    # box vertices and random points under bang-bang plans that switch
+    # every sub-step and under uniform random plans, simulated at a tenth of
+    # reach's step: every row value lies within the step bounds of its step,
+    # within 1e-9 of their scale
+    sys_, x0, ubox, t_f, step_h, Gamma = case
+    rng = np.random.default_rng(seed)
+    sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+    steps, fine = len(sets), 10 * len(sets)
+    lo, hi = sets.step_bounds(Gamma)
+    X = np.hstack([x0.vertices(), x0.sample(rng, 8)])
+    draws = rng.random((fine, sys_.m, X.shape[1]))
+    draws[:, :, ::2] = np.round(draws[:, :, ::2])
+    plans = ubox.lb[:, None] + (ubox.ub - ubox.lb)[:, None] * draws
+    rows = np.einsum("rp,spb->srb", Gamma, simulate(sys_, X, plans, t_f, t_f / fine).outputs)
+    # sample i of the fine grid lies in step i // 10 and in step (i - 1) // 10:
+    # a grid sample ends one step and starts the next
+    i = np.arange(fine + 1)
+    tol = 1e-9 * np.maximum(np.abs(lo), np.abs(hi)).max(initial=1.0)
+    for j in (np.minimum(i // 10, steps - 1), np.maximum(i - 1, 0) // 10):
+        assert np.all(lo[j, :, None] - tol <= rows) and np.all(rows <= hi[j, :, None] + tol)
 
 
 # --------------------------------------------------------------------------
@@ -1092,19 +1196,18 @@ def image_cases(draw):
 class TestExactInitialSet:
     @given(image_cases())
     def test_steps_lie_within_the_hull_steps(self, case):
-        # per step and per row of Gamma, the exact-init set's offset from
-        # the hull-init set's center plus its spread is at most the hull's
-        # spread, and every ball is at most the hull's ball
+        # per step and per row of Gamma, the exact-init set's range lies
+        # within the hull-init set's, and every ball is at most the hull's
+        # ball
         sys_, L, box, ubox, t_f, step_h = case
         exact = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
         hull = reach_lti(sys_, box_image(L, box), ubox, t_f, step_h)
         assert [(s.t0, s.t1) for s in exact] == [(s.t0, s.t1) for s in hull]
         Gamma = np.vstack([np.eye(sys_.p),
                            np.random.default_rng(L.size).standard_normal((3, sys_.p))])
-        Gc_e, spread_e = exact.centers @ Gamma.T, exact.row_spreads(Gamma)
-        Gc_h, spread_h = hull.centers @ Gamma.T, hull.row_spreads(Gamma)
-        scale = np.abs(Gc_h) + spread_h
-        assert np.all(np.abs(Gc_e - Gc_h) + spread_e <= spread_h + 1e-12 * scale)
+        (lo_e, hi_e), (lo_h, hi_h) = exact.step_bounds(Gamma), hull.step_bounds(Gamma)
+        scale = np.maximum(np.abs(lo_h), np.abs(hi_h))
+        assert np.all(lo_h - 1e-12 * scale <= lo_e) and np.all(hi_e <= hi_h + 1e-12 * scale)
         assert np.all(exact.balls <= hull.balls + 1e-12 * np.max(scale, initial=0.0))
         assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f,
                                             t_f / len(exact)), np.random.default_rng(0))
@@ -1131,15 +1234,15 @@ class TestExactInitialSet:
         h_sim = step_h / 3
         out = batch_trajectories(sys_.A, sys_.B, sys_.C, X0, bang_bang, t_f, h_sim)
         Gamma = np.vstack([np.eye(sys_.p), -np.eye(sys_.p), rng.standard_normal((4, sys_.p))])
-        Gc, spread = sets.centers @ Gamma.T, sets.row_spreads(Gamma)
+        lo, hi = sets.step_bounds(Gamma)
         for idx in range(out.shape[0]):
             t = idx * h_sim
             if t > t_f * (1 + 1e-12):
                 break
             j = min(int(np.searchsorted(sets.t1, t - 1e-12 * t_f)), len(sets) - 1)
             rows = Gamma @ out[idx]
-            tol = 1e-9 * (1.0 + np.abs(Gc[j]) + spread[j])
-            assert np.all(np.abs(rows - Gc[j][:, None]) <= (spread[j] + tol)[:, None])
+            tol = 1e-9 * (1.0 + np.maximum(np.abs(lo[j]), np.abs(hi[j])))
+            assert np.all(((lo[j] - tol)[:, None] <= rows) & (rows <= (hi[j] + tol)[:, None]))
 
     @pytest.mark.parametrize("f", [0, 2, 3, 5])  # below, at and above k = 3
     def test_dense_columns_per_initial_generator(self, rng, f):
@@ -1156,7 +1259,7 @@ class TestExactInitialSet:
 
 
 # --------------------------------------------------------------------------
-# Ellipsoid checks from reach's age table against assembled step sets.
+# Ellipsoid checks from reach's age table against assembled sample sets.
 
 def random_ellipsoid(rng, p, a, R=1.0):
     """Unsafe-region ellipsoid centered at a with a random positive definite Q."""
@@ -1166,56 +1269,59 @@ def random_ellipsoid(rng, p, a, R=1.0):
 
 def table_quad_bounds(sets, ell):
     """Per step, the lower and upper bounds on (y-a)^T Q (y-a) that
-    reach._certified tests, from the age table's spreads s along the rows
-    of E and d = |E (c - a)|: max(d - s, 0)^2 @ lambda and (d + s)^2 @ lambda."""
+    reach._certified tests, from the age table's step bounds [lo, hi] along
+    the rows of E, shifted by E a: max(lo, -hi, 0)^2 @ lambda and
+    max(-lo, hi)^2 @ lambda."""
     lam, E = ell.axes
-    d, s = np.abs((sets.centers - ell.a) @ E.T), sets.row_spreads(E)
-    return np.maximum(d - s, 0.0) ** 2 @ lam, (d + s) ** 2 @ lam
+    lo, hi = sets.step_bounds(E)
+    lo, hi = lo - E @ ell.a, hi - E @ ell.a
+    return np.maximum(np.maximum(lo, -hi), 0.0) ** 2 @ lam, np.maximum(-lo, hi) ** 2 @ lam
 
 
-def naive_check_ellipsoid(steps, ts):
+def naive_check_ellipsoid(ref, ts):
     """check_spec against one unsafe-polarity ellipsoid, one step at a time
-    on assembled generators: MaybeUnsafe when some failing step's lower
-    bound does not clear the witness region (the shrunk ellipsoid)."""
-    ell, R2, wit = ts.unsafe_region, ts.unsafe_region.R ** 2, ts.witness_region
-    failed = [s.outputs for s in steps if not quad_bounds(s.outputs, ell)[0] > R2]
-    if not failed:
+    on the :class:`SampleHulls` ``ref``: MaybeUnsafe when some failing
+    step's lower bound does not clear the witness region (the shrunk
+    ellipsoid)."""
+    ell, wit = ts.unsafe_region, ts.witness_region
+    failed = ~(ref.quad_bounds(ell)[0] > ell.R ** 2)
+    if not np.any(failed):
         return SAFE
-    hit = wit is not None and any(not quad_bounds(z, wit)[0] > wit.R ** 2 for z in failed)
+    hit = wit is not None and np.any(failed & ~(ref.quad_bounds(wit)[0] > wit.R ** 2))
     return MAYBE_UNSAFE if hit else INDETERMINATE
 
 
-def naive_check_safe_ellipsoid(steps, ts):
+def naive_check_safe_ellipsoid(ref, ts):
     """check_spec against one safe-polarity ellipsoid, one step at a time on
-    assembled generators: MaybeUnsafe when some step whose upper bound
-    exceeds the shrunk radius also exceeds the grown one (the witness
+    the :class:`SampleHulls` ``ref``: MaybeUnsafe when some step whose upper
+    bound exceeds the shrunk radius also exceeds the grown one (the witness
     region's)."""
     def inside(reg):
-        return [reg is not None and quad_bounds(s.outputs, reg)[1] <= reg.R ** 2
-                for s in steps]
+        if reg is None:
+            return np.zeros(len(ref), dtype=bool)
+        return ref.quad_bounds(reg)[1] <= reg.R ** 2
     ok, clear = inside(ts.safe_region), inside(ts.witness_region)
-    if all(ok):
+    if np.all(ok):
         return SAFE
-    return INDETERMINATE if all(o or c for o, c in zip(ok, clear)) else MAYBE_UNSAFE
+    return INDETERMINATE if np.all(ok | clear) else MAYBE_UNSAFE
 
 
 @given(table_cases(), st.integers(0, 2**32 - 1))
 def test_table_quad_lower_matches_assembled_generators(case, seed):
-    # both bounds from the table's spreads match the assembled generators',
-    # and reach's tests decide by them at radii on and around each
+    # both bounds from the table's step bounds match those of the assembled
+    # samples, and reach's tests decide by them at radii on and around each
     sys_, x0, ubox, t_f, step_h, _ = case
     rng = np.random.default_rng(seed)
     sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-    zs = [s.outputs for s in sets]
-    ell = random_ellipsoid(rng, sys_.p, zs[int(rng.integers(len(zs)))].center
+    ell = random_ellipsoid(rng, sys_.p, sets.Y[int(rng.integers(len(sets))), :, 0]
                            + rng.uniform(-2.0, 2.0, sys_.p))
     lows, highs = table_quad_bounds(sets, ell)
-    for z, low, high in zip(zs, lows, highs):
-        ref_low, ref_high = quad_bounds(z, ell)
-        # the upper bound is the scale of the rounding in both
+    ref_lows, ref_highs = SampleHulls.of(sets).quad_bounds(ell)
+    # the upper bound is the scale of the rounding in both
+    for low, ref_low, high, ref_high in zip(lows, ref_lows, highs, ref_highs):
         assert low == pytest.approx(ref_low, rel=1e-12, abs=1e-12 * high)
         assert high == pytest.approx(ref_high, rel=1e-12)
-    j = int(rng.integers(len(zs)))
+    j = int(rng.integers(len(sets)))
     for R2 in (lows[j], np.median(lows), highs[j], np.median(highs)):
         if R2 > 0:
             for polarity, inside in ((POLARITY_UNSAFE, False), (POLARITY_SAFE, True)):
@@ -1234,7 +1340,7 @@ def test_trajectories_stay_between_the_quad_bounds(case, seed):
     rng = np.random.default_rng(seed)
     sets = reach_lti(sys_, x0, ubox, t_f, step_h)
     steps, fine = len(sets), 10 * len(sets)
-    ell = random_ellipsoid(rng, sys_.p, sets.centers[int(rng.integers(steps))]
+    ell = random_ellipsoid(rng, sys_.p, sets.Y[int(rng.integers(steps)), :, 0]
                            + rng.uniform(-2.0, 2.0, sys_.p))
     lows, highs = table_quad_bounds(sets, ell)
     X = np.repeat(x0.vertices(), 3, axis=1)
@@ -1254,13 +1360,13 @@ class TestTableEllipsoid:
     def test_check_spec_matches_assembled_reference(self, rng):
         verdicts = set()
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
-            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
+            ref = naive_sample_hulls(sys_, x0, ubox, t_f, step_h)
             p = sys_.p
             for _ in range(3):
-                ell = random_ellipsoid(rng, p, ref[int(rng.integers(len(ref)))].outputs.center
+                ell = random_ellipsoid(rng, p, ref.samples[int(rng.integers(len(ref)))].center
                                        + rng.uniform(-0.5, 0.5, p))
-                lows = [quad_bounds(s.outputs, ell)[0] for s in ref]
-                hi = max(quad_bounds(s.outputs, ell)[1] for s in ref)
+                lows, highs = ref.quad_bounds(ell)
+                hi = max(highs)
                 # at R^2 = min(lows) every failing step clears the shrunk
                 # ellipsoid: Indeterminate
                 for R2 in (0.5 * min(lows), min(lows),
@@ -1278,14 +1384,14 @@ class TestTableEllipsoid:
         assert verdicts == {SAFE, MAYBE_UNSAFE, INDETERMINATE}
 
     def test_safe_region_assembles_no_step_set(self, rng, monkeypatch):
-        # a safe-region ellipsoid reads the table's spreads too: with the
-        # generator arrays refused, it decides as the assembled reference
-        # does, every verdict among them
+        # a safe-region ellipsoid reads the table's step bounds too: with
+        # the generator arrays refused, it decides as the assembled samples'
+        # reference does, every verdict among them
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
-        ref = list(reach_lti(sys_, x0, ubox, 1.0, 0.02))
-        ell = random_ellipsoid(rng, 2, ref[0].outputs.center)
-        highs = [quad_bounds(s.outputs, ell)[1] for s in ref]
+        ref = SampleHulls.of(reach_lti(sys_, x0, ubox, 1.0, 0.02))
+        ell = random_ellipsoid(rng, 2, ref.samples[0].center)
+        highs = ref.quad_bounds(ell)[1]
 
         def refuse(self, j):
             raise AssertionError(f"step {j} assembled")
@@ -1316,7 +1422,11 @@ class TestBatchedSteps:
             p, g0 = sys_.p, Zonotope.from_box(x0).order
             C_rows = np.linalg.norm(sys_.C, axis=1)
             Gamma = rng.standard_normal((3, p))
-            spreads = sets.row_spreads(Gamma)
+            bounds = sets.step_bounds(Gamma)
+            for got, want in zip(bounds, naive_sample_hulls(sys_, x0, ubox, t_f, step_h)
+                                 .bounds(Gamma)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
             for j, (s, r) in enumerate(zip(sets, ref)):
                 z, G = s.outputs, r.outputs.generators
                 scale = np.max(np.abs(G))
@@ -1324,8 +1434,6 @@ class TestBatchedSteps:
                 np.testing.assert_allclose(z.center, r.outputs.center, rtol=0,
                                            atol=1e-12 * np.max(np.abs(r.outputs.center)))
                 np.testing.assert_allclose(z.generators, G, **close)
-                np.testing.assert_allclose(spreads[j], np.sum(np.abs(Gamma @ G), axis=1),
-                                           rtol=1e-12, atol=1e-12 * scale * np.abs(Gamma).sum())
                 # the reference's columns from samples j and j + 1: the
                 # center gap, the initial pairs, and each input column of
                 # age a paired with its age a - 1 (the newest with 0),
@@ -1347,17 +1455,19 @@ class TestBatchedSteps:
             assert_balls_bracketed(sets, sys_, x0, ubox)
 
     def test_shared_table_is_read_only(self, rng):
-        # a step set's center, the step sets' samples, centers and spreads are
+        # the step sets' samples, balls, sample supports and step bounds are
         # shared by every read of the result; changing one in place must
         # fail, not alter the rest
         sys_, x0, ubox, t_f, step_h = next(iter(reach_cases(rng)))
         sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-        z = sets[0].outputs
-        for view in (z.center, sets.Y, sets.Y[0], sets.centers,
-                     sets.row_spreads(np.eye(sys_.p))):
+        rows = np.eye(sys_.p)
+        for view in (sets.Y, sets.Y[0], sets.balls, sets.sample_supports(rows),
+                     *sets.step_bounds(rows)):
             with pytest.raises(ValueError, match="read-only"):
                 view *= 2.0
-        z.generators[...] = 0.0  # the assembled array is the step's own
+        z = sets[0].outputs  # the assembled step set is the step's own
+        z.center[...] = z.generators[...] = 0.0
+        assert np.any(sets[0].outputs.center != 0.0)
         assert np.any(sets[0].outputs.generators != 0.0)
 
 
@@ -1528,17 +1638,18 @@ class TestReachSets:
 
     def test_check_spec_matches_explicit_steps(self, rng):
         # check_spec on reach's table against its rule written out on the
-        # explicit zonotopes of list(sets), per predicate kind and polarity
+        # explicit zonotopes of the grid samples, per predicate kind and
+        # polarity
         verdicts = set()
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            steps, p = list(sets), sys_.p
+            steps, p = SampleHulls.of(sets), sys_.p
             specs = list(polytope_specs(rng, steps, p))
             for _ in range(2):
-                ell = random_ellipsoid(rng, p, steps[int(rng.integers(len(steps)))].outputs.center)
-                lows = [quad_bounds(s.outputs, ell)[0] for s in steps]
+                ell = random_ellipsoid(rng, p, steps.samples[int(rng.integers(len(steps)))].center)
+                lows = steps.quad_bounds(ell)[0]
                 # radii just above the closest step's bound and around the
-                # median decide on the spreads of single steps
+                # median decide on the bounds of single steps
                 for R2 in (0.5 * min(lows), (1 + 1e-6) * min(lows), float(np.median(lows)),
                            max(lows) + 0.1, 4.0 * max(lows) + 1.0):
                     if R2 > 0:
@@ -1777,14 +1888,13 @@ class TestBlockSimulate:
 def assert_same_table(sets, ref, rng):
     assert len(sets) == len(ref)
     a, b = sets, ref
-    for name in ("Y", "centers", "balls"):
+    for name in ("Y", "balls"):
         x, y = getattr(a, name), getattr(b, name)
         np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max()),
                                    err_msg=name)
-    Gamma = rng.standard_normal((3, a.centers.shape[1]))
-    y = b.row_spreads(Gamma)
-    np.testing.assert_allclose(a.row_spreads(Gamma), y, rtol=1e-12,
-                               atol=1e-12 * max(1.0, np.abs(y).max()))
+    Gamma = rng.standard_normal((3, a.Y.shape[1]))
+    for x, y in zip(a.step_bounds(Gamma), b.step_bounds(Gamma)):
+        np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max()))
     for s, r in zip(sets, ref):
         assert (s.t0, s.t1) == (r.t0, r.t1)
         for x, y in ((s.outputs.center, r.outputs.center),
@@ -1947,7 +2057,7 @@ def crossing_spec(rng, sets):
     """A safe-polarity polytope spec of three random rows whose bounds sit
     within 30% of their largest sample supports, all on one side: the
     supports reach the region in some draws and not in others."""
-    p = sets.centers.shape[1]
+    p = sets.Y.shape[1]
     Gamma = rng.standard_normal((3, p))
     top = sets.sample_supports(Gamma).max(axis=0)
     Psi = -(top + rng.uniform(-0.3, 0.3) * (np.abs(top) + 1.0))

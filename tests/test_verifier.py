@@ -1,8 +1,12 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 import redsafe as rs
 from redsafe import verifier
+from redsafe.cli import main
 from redsafe.model import POLARITY_SAFE, POLARITY_UNSAFE
 from redsafe.reach import INDETERMINATE, SAFE, UNSAFE
 from redsafe.verifier import VerifyOptions, verify, verify_pss
@@ -81,6 +85,34 @@ class TestVerifyLti:
         assert verdict.outcome == INDETERMINATE
         ks = [e.k for e in verdict.per_k_log]
         assert ks == list(range(2, 5))  # k0 = p+1 = 2 .. k_max = n = 4
+
+    def test_time_budget_ends_the_k_loop(self, tmp_path, monkeypatch, capsys):
+        # a clock that ticks one second per reading: the loop reads it at
+        # its start, at each k's start and at each k's end, so with a
+        # budget of 2.5 s k = 2 runs (read at 1 s) and k = 3 (read at 3 s)
+        # ends the log with one Indeterminate entry; verify through the CLI
+        # exits 2.  The instance is Indeterminate at every k from 2 to 8.
+        prob = rs.random_problem(0, 8, 1, 1, spec_scale=0.3)
+        assert verify(prob).outcome == INDETERMINATE
+
+        def fake_clock():
+            ticks = itertools.count()
+            monkeypatch.setattr(verifier.time, "perf_counter", lambda: float(next(ticks)))
+
+        fake_clock()
+        verdict = verify(prob, VerifyOptions(time_budget=2.5))
+        assert verdict.outcome == INDETERMINATE and verdict.k_used is None
+        assert [(e.k, e.outcome) for e in verdict.per_k_log] == \
+            [(2, INDETERMINATE), (3, INDETERMINATE)]
+        assert "time budget exhausted" not in verdict.per_k_log[0].notes
+        assert verdict.per_k_log[-1].notes == ("time budget exhausted",)
+
+        path = rs.serialize_problem(prob, tmp_path / "p.json")
+        fake_clock()
+        assert main(["verify", str(path), "--time-budget", "2.5", "--format", "json"]) == 2
+        log = json.loads(capsys.readouterr().out)["per_k_log"]
+        assert [e["k"] for e in log] == [2, 3]
+        assert log[-1]["notes"] == ["time budget exhausted"]
 
     def test_determinism(self, rng):
         prob = generous_problem(rng, n=4, spec_scale=1.2)
@@ -272,12 +304,12 @@ class TestUnsafePolaritySpecs:
 WITNESS_FAMILY = {
     (8, 1, 1, None, 0.3): "I I I I S8 S8 U2 I U6 U5 U4 I I I U3 I I U8 I I "
                           "S8 S8 U6 U5 I I S6 S5 S8 I I S8 U4 U6 I S8 U5 U8 I I",
-    (8, 1, 1, None, 0.5): "S2 S8 S2 S4 S2 S2 U3 S8 S6 S2 S8 S3 S8 S8 I S8 S8 S8 S3 S2 "
-                          "S2 S2 I I S8 S8 S2 S2 S2 S3 S8 S2 I S8 S8 S2 S8 S8 S8 S2",
+    (8, 1, 1, None, 0.5): "S2 S8 S2 S4 S2 S2 U3 S8 S6 S2 S8 S3 S8 S8 I S8 S2 S8 S3 S2 "
+                          "S2 S2 I S8 S8 S8 S2 S2 S2 S3 S8 S2 I S8 S8 S2 S8 S8 S8 S2",
     (8, 1, 1, None, 0.7): "S2 S2 S2 S2 S2 S2 S8 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 "
                           "S2 S2 S8 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S8 S3 S2",
     (8, 1, 1, None, 1.0): " ".join(["S2"] * 40),
-    (12, 2, 2, 4, 0.3): "S9 I U3 S7 U10 I I I I I U10 S7 I U8 I I U3 I U9 S12",
+    (12, 2, 2, 4, 0.3): "S9 I U3 S7 U10 I I I I I U10 S5 I U8 I I U3 I U9 S12",
     (12, 2, 2, 4, 0.6): "S3 S3 I S3 I S3 S3 S3 S4 S3 S4 S3 S3 I S3 S6 I S3 S3 S3",
 }
 
@@ -286,7 +318,7 @@ def test_witness_family_loses_no_verdict():
     # the search from the optimal input keeps every Unsafe at the same or a
     # lower k and changes no Safe, and every witness, replayed on the
     # full-order system at a fifth of its step, leaves the spec; no Safe
-    # contradicts the full-order grid, and 19 Indeterminate verdicts are
+    # contradicts the full-order grid, and 18 Indeterminate verdicts are
     # grid-safe, the completeness gap
     grid_safe_indeterminate = 0
     for (n, m, p, f, c), before in WITNESS_FAMILY.items():
@@ -309,4 +341,4 @@ def test_witness_family_loses_no_verdict():
                                    prob.t_f, prob.t_f / (5 * steps))
                 spec = prob.spec[0]
                 assert np.any(traj.outputs @ spec.Gamma.T + spec.Psi > 0), seed
-    assert grid_safe_indeterminate == 19
+    assert grid_safe_indeterminate == 18

@@ -52,7 +52,6 @@ class BalancedRealization:
 
     system: LtiSystem
     H: np.ndarray
-    H_inv: np.ndarray
     sigma: np.ndarray
     A_t: np.ndarray
     B_t: np.ndarray
@@ -139,7 +138,7 @@ def balance(sys: LtiSystem) -> BalancedRealization:
         warnings.warn(
             f"balancing matrix is ill conditioned (cond = {cond_H:.3e} > {COND_MAX:.1e}); "
             "downstream bounds remain sound but may be loose", BalancingWarning)
-    return BalancedRealization(system=sys, H=H, H_inv=H_inv, sigma=sigma,
+    return BalancedRealization(system=sys, H=H, sigma=sigma,
                                A_t=A_t, B_t=B_t, C_t=C_t,
                                cond_H=cond_H, bal_defect=float(defect))
 

@@ -240,14 +240,12 @@ def cmd_reach(args) -> int:
     sets = reach_lti(sys_, problem.x0, problem.inputs, problem.t_f, step_h)
     # the even step that tiles the horizon, at most the step asked for
     doc = {"format_version": 1, "name": problem.name, "step_h": problem.t_f / len(sets)}
-    if args.format == "json":
-        doc["steps"] = [{"t0": s.t0, "t1": s.t1,
-                         "center": s.outputs.center.tolist(),
-                         "generators": s.outputs.generators.tolist()} for s in sets]
-
     # each step's per-output bounds, read from its two samples' supports
-    # and its ball, with no step set assembled
+    # and its ball: every format prints these
     intervals = list(zip(sets.t0.tolist(), sets.t1.tolist(), *sets.step_bounds(np.eye(sys_.p))))
+    if args.format == "json":
+        doc["steps"] = [{"t0": t0, "t1": t1, "lo": lb.tolist(), "hi": ub.tolist()}
+                        for t0, t1, lb, ub in intervals]
 
     def csv(d):
         cols = ",".join(f"y{i}_lo,y{i}_hi" for i in range(sys_.p))

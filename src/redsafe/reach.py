@@ -17,13 +17,14 @@ By superposition sample j holds the input columns {e^{Aah} G_in : a < j}
 (Girard, Le Guernic & Maler, HSCC 2006), so one orbit gives every sample's
 output center, initial-generator images and input images of one age.  These
 are the rows of the one :class:`ReachSets` that :func:`reach_lti` returns,
-the only step sets there are.  ``ReachSets[j]`` assembles Girard's
-zonotope enclosure of step j's hull (HSCC 2005) only when something reads
-it (``reach --format json``).  Polytope rows, ellipsoids of either polarity
-(along the rows of Q's eigenvector factor), the interval output of
-``reach`` and the witness search read the samples' supports from per-age
-row sums, and a step's range is the least and the largest of its two
-samples', the support-function view of Le Guernic & Girard (NAHS 2010).
+the only step sets there are, and every reader takes them in one form: the
+samples' supports along some rows, read from per-age row sums, and each
+step's range, the least and the largest of its two samples' widened by its
+ball, the support-function view of Le Guernic & Girard (NAHS 2010).
+Polytope rows, ellipsoids of either polarity (along the rows of Q's
+eigenvector factor), every format of ``reach`` and ``ReachSets[j]``, the
+range box of the p outputs, read step ranges; the witness search reads the
+samples' supports.
 For order k, p outputs, g0 initial generators and r rows a step then costs
 O((p k + k^2 / s)(1 + g0 + m)) arithmetic to build (:func:`reach_lti`,
 whose orbit forms every s-th state) and O(r p (g0 + m)) to check, rather
@@ -118,8 +119,9 @@ class ReachSets(Sequence):
     """The output reach sets of :func:`reach_lti`, one per step of its grid
     ``times``: step j covers t0[j] ... t1[j] and is the hull of grid samples
     j and j + 1, plus a ball, so N steps join N + 1 samples.  Indexing
-    assembles a :class:`ReachStep` on demand and keeps nothing; a slice
-    returns a list.
+    hands out step j's range box, its row j of :meth:`step_bounds` over the
+    p outputs, as a :class:`ReachStep` with a fresh zonotope; a slice returns
+    a list.
 
     Row i of ``Y`` (samples, p, 1 + g0 + m) is sample i: its output center
     C c_i, the images C H_i of the g0 initial generators and the images
@@ -139,11 +141,10 @@ class ReachSets(Sequence):
     """
 
     def __init__(self, times, Y, norms, balls, C_rows, channels: np.ndarray):
-        self.m = channels.size
-        self.g0 = Y.shape[2] - 1 - self.m
-        # the step sets hand out views of these arrays: read-only, so that
-        # an in-place change to one step's set raises instead of changing
-        # every later check of the step sets
+        self.g0 = Y.shape[2] - 1 - channels.size
+        # every read of the step sets shares these arrays: read-only, so
+        # that an in-place change raises instead of changing every later
+        # check of the step sets
         for a in (times, Y, norms, balls, C_rows):
             a.flags.writeable = False
         self.t0, self.t1 = times[:-1], times[1:]
@@ -158,33 +159,9 @@ class ReachSets(Sequence):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(len(self)))]
         j = range(len(self))[j]  # IndexError out of range, negative from the end
+        lo, hi = self.step_bounds(np.eye(self.Y.shape[1]))
         return ReachStep(float(self.t0[j]), float(self.t1[j]),
-                         Zonotope((self.Y[j, :, 0] + self.Y[j + 1, :, 0]) / 2.0,
-                                  self.generators(j)))
-
-    def generators(self, j: int) -> np.ndarray:
-        """Step j's output generator array: d, H+, input+, H-, input-, ball,
-        with d = (c_j - c_j') / 2 and the image of the state-space 2-ball,
-        per-output radius ball ||C_i||_2 (Girard, HSCC 2005).  The columns of
-        the two samples pair up: each initial generator with itself, and
-        each input column of age a in sample j + 1 with itself at age a - 1
-        in sample j (the newest one with 0), oldest first.  A pair x, x'
-        spans (x + x') / 2 and (x - x') / 2, whose spread along a row l is
-        max(|l x|, |l x'|)."""
-        g0, k = self.g0, j + 1
-        x, x2, ball = self.Y[j], self.Y[k], float(self.balls[j])
-        p = x.shape[0]
-        # the array is allocated before the blocks are computed: allocated
-        # after them, it leaves a hole in the heap that grows every step
-        G = np.empty((p, 1 + 2 * (g0 + k * self.m) + (p if ball > 0 else 0)))
-        later = self.Y[:k, :, 1 + g0:][::-1].transpose(1, 0, 2).reshape(p, -1)
-        earlier = np.zeros_like(later)
-        earlier[:, :later.shape[1] - self.m] = later[:, self.m:]
-        balls = np.diag(ball * self.C_rows) if ball > 0 else np.zeros((p, 0))
-        H, H2 = x[:, 1:1 + g0], x2[:, 1:1 + g0]
-        return np.concatenate([((x[:, 0] - x2[:, 0]) / 2.0)[:, None], (H + H2) / 2.0,
-                               (earlier + later) / 2.0, (H - H2) / 2.0,
-                               (earlier - later) / 2.0, balls], axis=1, out=G)
+                         Zonotope.from_box(HyperBox(lo[j], hi[j])))
 
     def _table(self, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sample supports and the step bounds of the rows of Gamma,
@@ -507,10 +484,10 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     samples-last table) and its giant states' column norms are kept, so no
     k x N array is formed: at k = 40, N = 995, m = 12 the input orbit alone
     would be 3.8 MB.  rho <- ||Phi|| rho + res stays a scalar recursion, and
-    the balls are one array expression over the norms.  Indexing the result
-    assembles a step's generator array (O(p g_j) for g_j input columns,
-    :meth:`ReachSets.generators`), while :func:`check_spec` reads every
-    predicate's step bounds from the samples (:meth:`ReachSets.step_bounds`).
+    the balls are one array expression over the norms.  Every reader of the
+    result takes step bounds from the samples (:meth:`ReachSets.step_bounds`):
+    rows r cost one O(r p w N) product per distinct set of rows, and an
+    indexed step is the range box of the p outputs.
     """
     # written so that NaN fails the tests
     if not 0 < t_f < np.inf:
@@ -605,16 +582,24 @@ def _step_inputs(u: InputLike, m: int, times: np.ndarray,
                  batch: tuple[int, ...] = ()) -> np.ndarray:
     """Per-step constant input values, one row per step: (steps, m), or
     (steps, m) + batch when simulating a batch of states.  Inputs given as
-    None, a vector, a callable or a (steps, m) array are shared by the batch."""
+    None, a vector, a callable or a (steps, m) array are shared by the batch;
+    a vector or a callable's value of another shape than (m,) raises
+    ModelError."""
     steps = len(times) - 1
     if u is None:
         return np.zeros((steps, m) + batch)
+
+    def vector(v, what: str) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (m,):
+            raise ModelError(f"u must {what} shape ({m},), got {v.shape}")
+        return v
+
     if callable(u):
-        u = np.stack([np.broadcast_to(np.asarray(u(t), dtype=float), (m,))
-                      for t in times[:-1]])
+        u = np.stack([vector(u(t), "give values of") for t in times[:-1]])
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
-        u = np.broadcast_to(u, (steps, m)).copy()
+        u = np.broadcast_to(vector(u, "be a vector of"), (steps, m)).copy()
     if batch and u.shape == (steps, m):
         return np.broadcast_to(u[..., None], (steps, m) + batch)
     if u.shape != (steps, m) + batch:

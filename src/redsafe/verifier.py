@@ -5,9 +5,10 @@ every enabled method and takes delta = min e1 + min e2 per output (each
 candidate is sound for its source), transforms the spec, runs reachability
 on the reduced system and checks it.
 Safe and witness-confirmed Unsafe stop the loop; otherwise the order grows
-by one until k_max.  A PSS resets its state at every switch, so each mode is
-an independent LTI check over its own duration; an LTI problem is the
-one-mode case of the same loop.
+by one, or doubles under ``geometric_schedule``, while it stays at most
+k_max.  A PSS resets its state at every switch, so each mode is an
+independent LTI check over its own duration; an LTI problem is the one-mode
+case of the same loop.
 """
 
 from __future__ import annotations

@@ -236,18 +236,40 @@ class TestTransformSpecCmd:
 
 class TestReachCmd:
     def test_json_and_csv(self, tmp_path, capsys):
+        # both formats print each step's range: the JSON's lo and hi are
+        # the CSV's, bit for bit
         path = small_manifest(tmp_path)
         code = main(["reach", str(path), "--format", "json"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["steps"][0]["t0"] == 0.0
-        assert "center" in doc["steps"][0] and "generators" in doc["steps"][0]
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert steps[0]["t0"] == 0.0
+        assert all(list(s) == ["t0", "t1", "lo", "hi"] for s in steps)
         code = main(["reach", str(path), "--format", "csv",
                      "--output", str(tmp_path / "r.csv")])
         assert code == 0
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0].startswith("t0,t1,y0_lo,y0_hi")
-        assert len(lines) > 10
+        assert len(lines) == len(steps) + 1 > 10
+        rows = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1, ndmin=2)
+        for col, key in ((0, "t0"), (1, "t1")):
+            np.testing.assert_array_equal(rows[:, col], [s[key] for s in steps])
+        np.testing.assert_array_equal(rows[:, 2::2], [s["lo"] for s in steps])
+        np.testing.assert_array_equal(rows[:, 3::2], [s["hi"] for s in steps])
+
+    def test_json_steps_hold_two_numbers_per_output(self, tmp_path, capsys):
+        # a step holds its two times and 2 p bounds, so the document grows
+        # linearly in the step count: four times the steps, four times the
+        # numbers
+        path = small_manifest(tmp_path)
+        p = rs.parse_problem(path).system.p
+        counts = []
+        for step_h in ("0.02", "0.005"):
+            assert main(["reach", str(path), "--step-h", step_h, "--format", "json"]) == 0
+            steps = json.loads(capsys.readouterr().out)["steps"]
+            assert all(len(s["lo"]) == len(s["hi"]) == p for s in steps)
+            counts.append((len(steps), sum(2 + len(s["lo"]) + len(s["hi"]) for s in steps)))
+        (n1, total1), (n4, total4) = counts
+        assert n4 == 4 * n1 and total1 == n1 * (2 + 2 * p) and total4 == 4 * total1
 
     def test_step_h_zero_is_an_error(self, tmp_path, capsys):
         # a zero, NaN or infinite step is refused by name before the horizon
@@ -583,8 +605,7 @@ def test_reach_golden_in_orbit_blocks(giants, tmp_path, monkeypatch):
 def test_reach_csv_bounds_match_the_golden_step_hulls(tmp_path, capsys):
     # on the golden reach instance, the CSV's per-output bounds, read from
     # reach's table, are the interval hulls of each step's two assembled
-    # grid samples widened by its ball, and lie within the interval hulls
-    # of the assembled step sets that the JSON format prints
+    # grid samples widened by its ball, and the boxes of its indexed steps
     gen_args, (_, *options) = GOLDEN_CASES["reach_n6_seed7_h025"]
     manifest = tmp_path / "g.json"
     assert main(["gen", *gen_args, "--output", str(manifest)]) == 0
@@ -608,8 +629,8 @@ def test_reach_csv_bounds_match_the_golden_step_hulls(tmp_path, capsys):
     scale = np.abs(expected[:, 2:]).max()
     np.testing.assert_allclose(rows[:, 2:], expected[:, 2:], rtol=1e-12, atol=1e-12 * scale)
     hulls = [s.outputs.interval_hull() for s in sets]
-    assert np.all(rows[:, 2::2] >= np.array([h.lb for h in hulls]) - 1e-12 * scale)
-    assert np.all(rows[:, 3::2] <= np.array([h.ub for h in hulls]) + 1e-12 * scale)
+    np.testing.assert_allclose(rows[:, 2::2], [h.lb for h in hulls], rtol=0, atol=1e-15 * scale)
+    np.testing.assert_allclose(rows[:, 3::2], [h.ub for h in hulls], rtol=0, atol=1e-15 * scale)
 
 
 #: Every kind and polarity of predicate over p = 2 outputs, a zero Gamma row

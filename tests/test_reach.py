@@ -354,26 +354,35 @@ def assert_balls_bracketed(sets, sys_, x0, u_box):
     assert np.all(balls >= exact * (1 - 1e-12)) and np.all(balls <= rule * (1 + 1e-12))
 
 
-def assert_same_sets(steps, ref, rng):
-    assert [(s.t0, s.t1, s.outputs.order) for s in steps] == \
-        [(s.t0, s.t1, s.outputs.order) for s in ref]
-    for s, r in zip(steps, ref):
-        a, b = s.outputs.interval_hull(), r.outputs.interval_hull()
-        scale = np.max(np.abs(np.concatenate([b.lb, b.ub])))
-        assert np.allclose(a.lb, b.lb, rtol=1e-12, atol=1e-12 * scale)
-        assert np.allclose(a.ub, b.ub, rtol=1e-12, atol=1e-12 * scale)
-        for v in rng.standard_normal((5, s.outputs.dim)):
-            assert support(s.outputs, v) == pytest.approx(
-                support(r.outputs, v), rel=1e-12, abs=1e-12 * scale * np.abs(v).sum())
+def assert_same_sets(steps, sys_, x0, u_box, t_f, step_h):
+    """Each of the ``steps`` of reach_lti over the even step ``step_h`` =
+    t_f / N is its range box over the p outputs: the bounds of
+    :func:`naive_sample_hulls` along the identity rows within 1e-12 of their
+    scale, inside the interval hull of the matching all-generators step of
+    :func:`naive_reach`, which encloses the same sample hull.  Returns
+    naive_reach's steps."""
+    ref = naive_reach(sys_, x0, u_box, t_f, step_h)
+    assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
+    want_lo, want_hi = naive_sample_hulls(sys_, x0, u_box, t_f, step_h).bounds(np.eye(sys_.p))
+    for s, r, lo, hi in zip(steps, ref, want_lo, want_hi):
+        box, hull = s.outputs.interval_hull(), r.outputs.interval_hull()
+        tol = 1e-12 * np.max(np.abs(np.concatenate([hull.lb, hull.ub])))
+        np.testing.assert_allclose(box.lb, lo, rtol=1e-12, atol=tol)
+        np.testing.assert_allclose(box.ub, hi, rtol=1e-12, atol=tol)
+        assert np.all(hull.lb - tol <= box.lb) and np.all(box.ub <= hull.ub + tol)
+    return ref
 
 
 class TestReachEquivalence:
-    """reach_lti's age table against the all-generators reference."""
+    """reach_lti's step boxes against the sample-hull and the
+    all-generators references."""
 
     def test_random_systems(self, rng):
         shortened = strided = 0
-        for _ in range(12):
+        for i in range(12):
             n, m, p = (int(v) for v in rng.integers(1, 5, size=3))
+            if i == 0:
+                n, p = 4, 1  # an orbit that takes giant steps of 5
             sys_ = rs.random_stable_system(rng, n, m, p)
             x0, ubox = rand_box(rng, n, int(rng.integers(1, n + 1))), rand_ubox(rng, m)
             t_f = float(rng.uniform(0.5, 2.0))
@@ -381,7 +390,7 @@ class TestReachEquivalence:
             steps = reach_lti(sys_, x0, ubox, t_f, step_h)
             h = t_f / len(steps)
             shortened += h < step_h * (1 - 1e-9)
-            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, h), rng)
+            assert_same_sets(steps, sys_, x0, ubox, t_f, h)
             assert_balls_bracketed(steps, sys_, x0, ubox)
             strided += orbit_stride(sys_) > 1
         assert shortened  # some horizons are off the grid of step_h
@@ -395,7 +404,7 @@ class TestReachEquivalence:
         for t_f, step_h, count in ((1.0, 0.3, 4), (0.2, 0.3, 1)):
             steps = reach_lti(sys_, x0, ubox, t_f, step_h)
             assert len(steps) == count and steps.t1[-1] == t_f
-            assert_same_sets(steps, naive_reach(sys_, x0, ubox, t_f, t_f / count), rng)
+            assert_same_sets(steps, sys_, x0, ubox, t_f, t_f / count)
 
     @pytest.mark.parametrize("t_f, step_h", [(1.0, 0.03), (0.02, 0.03), (2.645, 0.025)])
     def test_last_step_contains_trajectories(self, rng, t_f, step_h):
@@ -430,9 +439,9 @@ class TestReachEquivalence:
         x0 = rand_box(rng, 4, 2)
         ubox = rs.HyperBox([-0.5, 0.3, 0.0], [0.5, 0.3, 0.2])  # channel 1 pinned
         steps = reach_lti(sys_, x0, ubox, 1.5, 0.07)
-        assert_same_sets(steps, naive_reach(sys_, x0, ubox, 1.5, 1.5 / 22), rng)
-        # each step adds two hull columns per live channel, none for channel 1
-        assert steps[1].outputs.order - steps[0].outputs.order == 2 * 2
+        assert_same_sets(steps, sys_, x0, ubox, 1.5, 1.5 / 22)
+        # each age holds one input column per live channel, none for channel 1
+        assert steps.channels.tolist() == [0, 2] and steps.Y.shape[2] == 1 + steps.g0 + 2
 
     def test_decaying_sets_contain_simulations(self, rng):
         # a fast-decaying system over a long horizon: 120 steps, most of
@@ -503,6 +512,8 @@ class TestSimulate:
         (np.zeros(2), np.array([np.inf]), "u"),
         (np.zeros(2), lambda t: np.array([np.inf if t > 0.3 else 0.0]), "u"),
         (np.zeros(2), np.full((10, 1), np.nan), "u"),
+        (np.zeros(2), np.zeros(2), "u"),  # a constant vector of another length
+        (np.zeros(2), lambda t: np.zeros(3), "u"),  # a callable's value too
         (np.zeros((2, 3)), np.full((10, 1, 3), -np.inf), "u")])
     def test_bad_initial_state_or_input_refused(self, x0, u, name):
         # refused by name before the first step, not blamed on the dynamics
@@ -516,8 +527,8 @@ def static_sets(center, G):
     """The one-step ReachSets whose output set is the zonotope center + G xi:
     reach_lti over t_f = step_h = 1 on the static system A = 0, B = 0,
     C = [G | center] of g + 1 states from Zonotope(e_(g+1), [I_g; 0]), with a
-    zero input box.  Its ball is 0 and its generators are G beside zero
-    columns."""
+    zero input box.  Its ball is 0, both of its samples are the zonotope,
+    and its step box is center -/+ sum |G|."""
     center, G = np.asarray(center, dtype=float), np.asarray(G, dtype=float)
     g = G.shape[1]
     sys_ = rs.LtiSystem(np.zeros((g + 1, g + 1)), np.zeros((g + 1, 1)),
@@ -534,10 +545,16 @@ class TestCheckSpec:
         center, G = rng.standard_normal(3), rng.standard_normal((3, 4))
         sets = static_sets(center, G)
         assert len(sets) == 1 and np.all(sets.balls == 0.0)
-        z = sets[0].outputs
-        np.testing.assert_array_equal(z.center, center)
-        nonzero = z.generators[:, np.any(z.generators != 0.0, axis=0)]
-        np.testing.assert_array_equal(nonzero, G)
+        ref = SampleHulls.of(sets)
+        for z in ref.samples:
+            np.testing.assert_array_equal(z.center, center)
+            np.testing.assert_array_equal(z.generators, G)
+        box, radius = sets[0].outputs.interval_hull(), np.abs(G).sum(axis=1)
+        lo, hi = ref.bounds(np.eye(3))
+        tol = 1e-12 * np.max(np.abs(center) + radius)
+        for got, want in ((box.lb, lo[0]), (box.ub, hi[0]), (box.lb, center - radius),
+                          (box.ub, center + radius)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=tol)
 
     def test_far_inside_safe(self):
         spec = rs.PolytopeSpec([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -974,7 +991,7 @@ def assert_table_bounds(sets, Gamma):
     """Each step's row bounds as check_spec reads them (from the age table
     for its rows) equal those of its two assembled samples and its ball
     (:class:`SampleHulls`) within 1e-12 of their scale, and lie within the
-    range of its assembled step set, Gamma c -/+ sum |Gamma G|."""
+    range of its step box ``sets[j]``, Gamma c -/+ sum |Gamma G|."""
     lo, hi = sets.step_bounds(Gamma)
     assert lo.shape == hi.shape == (len(sets), len(Gamma))
     ref_lo, ref_hi = SampleHulls.of(sets).bounds(Gamma)
@@ -1045,18 +1062,18 @@ class TestTableSpread:
         # a polytope spec (the gen instance) and the motor's unsafe-region
         # ellipsoids both read their step sets from reach's age table
         assembled, reached = [], []
-        generators, reach_fn = reach.ReachSets.generators, verifier.reach_lti
+        getitem, reach_fn = reach.ReachSets.__getitem__, verifier.reach_lti
 
-        def counting_generators(self, j):
+        def counting_getitem(self, j):
             assembled.append(j)
-            return generators(self, j)
+            return getitem(self, j)
 
         def counting_reach(*args, **kwargs):
             steps = reach_fn(*args, **kwargs)
             reached.append(len(steps))
             return steps
 
-        monkeypatch.setattr(reach.ReachSets, "generators", counting_generators)
+        monkeypatch.setattr(reach.ReachSets, "__getitem__", counting_getitem)
         monkeypatch.setattr(verifier, "reach_lti", counting_reach)
         # Safe at k = 5 from the exact initial zonotope (k = 6 from its hull)
         verdict = rs.verify(rs.random_problem(1, n=6, m=2, p=2, free_dims=3, spec_scale=0.5))
@@ -1162,15 +1179,13 @@ def doubling_cases(draw):
     return sys_, x0, ubox, step_h * (count - short), step_h, count
 
 
-@given(doubling_cases(), st.integers(0, 2**32 - 1))
-def test_doubling_matches_naive_reach(case, seed):
+@given(doubling_cases())
+def test_doubling_matches_naive_reach(case):
     sys_, x0, ubox, t_f, step_h, count = case
     steps = reach_lti(sys_, x0, ubox, t_f, step_h)
     assert len(steps) == count
-    ref = naive_reach(sys_, x0, ubox, t_f, t_f / count)
     # the step times are the step loop's, bit for bit
-    assert [(s.t0, s.t1) for s in steps] == [(r.t0, r.t1) for r in ref]
-    assert_same_sets(steps, ref, np.random.default_rng(seed))
+    assert_same_sets(steps, sys_, x0, ubox, t_f, t_f / count)
     assert_balls_bracketed(steps, sys_, x0, ubox)
 
 
@@ -1209,8 +1224,7 @@ class TestExactInitialSet:
         scale = np.maximum(np.abs(lo_h), np.abs(hi_h))
         assert np.all(lo_h - 1e-12 * scale <= lo_e) and np.all(hi_e <= hi_h + 1e-12 * scale)
         assert np.all(exact.balls <= hull.balls + 1e-12 * np.max(scale, initial=0.0))
-        assert_same_sets(exact, naive_reach(sys_, image_zonotope(L, box), ubox, t_f,
-                                            t_f / len(exact)), np.random.default_rng(0))
+        assert_same_sets(exact, sys_, image_zonotope(L, box), ubox, t_f, t_f / len(exact))
         assert_balls_bracketed(exact, sys_, image_zonotope(L, box), ubox)
 
     @given(image_cases())
@@ -1247,15 +1261,21 @@ class TestExactInitialSet:
     @pytest.mark.parametrize("f", [0, 2, 3, 5])  # below, at and above k = 3
     def test_dense_columns_per_initial_generator(self, rng, f):
         # g0 <= min(f, k) initial generators: a sample holds 1 + g0 + m
-        # columns, and step j's hull 1 + 2 g0 of them beside its inputs
+        # columns, and step j is the range box of its two samples and its
+        # ball, one generator per output
         bal = rs.balance(rs.random_stable_system(rng, 6, 2, 2))
         abstraction = rs.truncate(bal, 3, rand_box(rng, 6, f))
         sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope, rand_ubox(rng, 2),
                          1.0, 0.05)
         g0 = min(f, 3)
         assert sets.g0 == g0 and sets.Y.shape[2] == 1 + g0 + 2
+        lo, hi = SampleHulls.of(sets).bounds(np.eye(2))
         for j in (0, len(sets) - 1):
-            assert sets[j].outputs.order == 1 + 2 * g0 + 2 * (j + 1) * 2 + 2
+            box = sets[j].outputs
+            assert box.order == 2
+            tol = 1e-12 * np.max(np.abs([lo[j], hi[j]]))
+            np.testing.assert_allclose(box.interval_hull().lb, lo[j], rtol=1e-12, atol=tol)
+            np.testing.assert_allclose(box.interval_hull().ub, hi[j], rtol=1e-12, atol=tol)
 
 
 # --------------------------------------------------------------------------
@@ -1385,7 +1405,7 @@ class TestTableEllipsoid:
 
     def test_safe_region_assembles_no_step_set(self, rng, monkeypatch):
         # a safe-region ellipsoid reads the table's step bounds too: with
-        # the generator arrays refused, it decides as the assembled samples'
+        # every indexed step refused, it decides as the assembled samples'
         # reference does, every verdict among them
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
         x0, ubox = rand_box(rng, 3), rand_ubox(rng, 2)
@@ -1396,7 +1416,7 @@ class TestTableEllipsoid:
         def refuse(self, j):
             raise AssertionError(f"step {j} assembled")
 
-        monkeypatch.setattr(reach.ReachSets, "generators", refuse)
+        monkeypatch.setattr(reach.ReachSets, "__getitem__", refuse)
         sets = reach_lti(sys_, x0, ubox, 1.0, 0.02)
         verdicts = set()
         for R2 in (0.5 * min(highs), float(np.median(highs)), 1.01 * max(highs)):
@@ -1410,48 +1430,19 @@ class TestTableEllipsoid:
 
 
 class TestBatchedSteps:
-    """reach_lti's per-step arrays, column by column, against naive_reach's
-    per-step enclosures; every step, the last one too, is a row of the
-    table."""
+    """reach_lti's step bounds and step boxes against the per-step
+    references; every step, the last one too, is a row of the table."""
 
     def test_steps_match_per_step_reference(self, rng):
         for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            ref = naive_reach(sys_, x0, ubox, t_f, step_h)
-            assert [(s.t0, s.t1) for s in sets] == [(r.t0, r.t1) for r in ref]
-            p, g0 = sys_.p, Zonotope.from_box(x0).order
-            C_rows = np.linalg.norm(sys_.C, axis=1)
-            Gamma = rng.standard_normal((3, p))
+            assert_same_sets(sets, sys_, x0, ubox, t_f, step_h)
+            Gamma = rng.standard_normal((3, sys_.p))
             bounds = sets.step_bounds(Gamma)
             for got, want in zip(bounds, naive_sample_hulls(sys_, x0, ubox, t_f, step_h)
                                  .bounds(Gamma)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
-            for j, (s, r) in enumerate(zip(sets, ref)):
-                z, G = s.outputs, r.outputs.generators
-                scale = np.max(np.abs(G))
-                close = dict(rtol=0, atol=1e-12 * scale)
-                np.testing.assert_allclose(z.center, r.outputs.center, rtol=0,
-                                           atol=1e-12 * np.max(np.abs(r.outputs.center)))
-                np.testing.assert_allclose(z.generators, G, **close)
-                # the reference's columns from samples j and j + 1: the
-                # center gap, the initial pairs, and each input column of
-                # age a paired with its age a - 1 (the newest with 0),
-                # oldest first
-                hull = (G.shape[1] - 1 - p) // 2
-                x, x2 = sets.Y[j], sets.Y[j + 1]
-                later = sets.Y[:j + 1, :, 1 + g0:][::-1]
-                earlier = np.concatenate([later[1:], np.zeros_like(later[:1])])
-                inputs = np.hstack([((earlier + later) / 2.0).transpose(1, 0, 2).reshape(p, -1),
-                                    ((earlier - later) / 2.0).transpose(1, 0, 2).reshape(p, -1)])
-                np.testing.assert_allclose((x[:, 0] - x2[:, 0]) / 2.0, G[:, 0], **close)
-                np.testing.assert_allclose((x[:, 1:1 + g0] + x2[:, 1:1 + g0]) / 2.0,
-                                           G[:, 1:1 + g0], **close)
-                np.testing.assert_allclose((x[:, 1:1 + g0] - x2[:, 1:1 + g0]) / 2.0,
-                                           G[:, 1 + hull:1 + hull + g0], **close)
-                np.testing.assert_allclose(
-                    inputs, G[:, np.r_[1 + g0:1 + hull, 1 + hull + g0:1 + 2 * hull]], **close)
-                np.testing.assert_allclose(sets.balls[j] * C_rows, np.diag(G[:, -p:]), **close)
             assert_balls_bracketed(sets, sys_, x0, ubox)
 
     def test_shared_table_is_read_only(self, rng):
@@ -1465,7 +1456,7 @@ class TestBatchedSteps:
                      *sets.step_bounds(rows)):
             with pytest.raises(ValueError, match="read-only"):
                 view *= 2.0
-        z = sets[0].outputs  # the assembled step set is the step's own
+        z = sets[0].outputs  # the step's box is its own
         z.center[...] = z.generators[...] = 0.0
         assert np.any(sets[0].outputs.center != 0.0)
         assert np.any(sets[0].outputs.generators != 0.0)
@@ -1491,8 +1482,8 @@ def assert_witness_on_reach_grid(sys_, x0, ubox, sets):
 
 
 class TestReachSets:
-    """The result of reach_lti as a sequence of steps, and check_spec on it
-    against its rule written out on its explicit zonotopes."""
+    """The result of reach_lti as a sequence of step boxes, and check_spec
+    on it against its rule written out on its explicit zonotopes."""
 
     def test_sequence_matches_naive_reach(self, rng):
         sys_ = rs.random_stable_system(rng, 3, 2, 2)
@@ -1501,22 +1492,20 @@ class TestReachSets:
         # every step is a row of the table, t_f / count long
         for t_f, step_h, count in ((0.9, 0.3, 3), (1.0, 0.3, 4), (0.2, 0.3, 1)):
             sets = reach_lti(sys_, x0, ubox, t_f, step_h)
-            ref = naive_reach(sys_, x0, ubox, t_f, t_f / count)
             assert isinstance(sets, rs.ReachSets)
+            ref = assert_same_sets(list(sets), sys_, x0, ubox, t_f, t_f / count)
             assert len(sets) == len(sets.balls) == len(ref) == count
-            assert_same_sets(list(sets), ref, rng)
-            assert [s.t0 for s in sets] == [r.t0 for r in ref]
-            assert [s.t1 for s in sets] == [r.t1 for r in ref]
             for j in range(-len(sets), len(sets)):
                 a, b = sets[j], ref[j]
                 assert (a.t0, a.t1) == (b.t0, b.t1)
-                np.testing.assert_array_equal(a.outputs.center, sets[j % len(sets)].outputs.center)
+                assert a.outputs.interval_hull() == sets[j % len(sets)].outputs.interval_hull()
             for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2),
                        slice(5, 9)):
                 got = sets[sl]
                 assert isinstance(got, list)
-                assert [(s.t0, s.t1, s.outputs.order) for s in got] == \
-                    [(s.t0, s.t1, s.outputs.order) for s in ref[sl]]
+                assert [(s.t0, s.t1) for s in got] == [(s.t0, s.t1) for s in ref[sl]]
+                assert [s.outputs.interval_hull() for s in got] == \
+                    [sets[j].outputs.interval_hull() for j in range(len(sets))[sl]]
             for j in (len(sets), -len(sets) - 1):
                 with pytest.raises(IndexError):
                     sets[j]
@@ -1549,6 +1538,21 @@ class TestReachSets:
         assert first is not again and first.outputs.generators is not again.outputs.generators
         np.testing.assert_array_equal(first.outputs.generators, again.outputs.generators)
         assert first.t0 == sets.t0[1] and type(first.t0) is float
+
+    def test_steps_are_the_range_boxes(self, rng):
+        # an indexed step is the box of its range over the p outputs, its
+        # row of step_bounds along the identity rows up to the rounding of
+        # its center and half-width, with one generator per output of
+        # nonzero width
+        for sys_, x0, ubox, t_f, step_h in reach_cases(rng):
+            sets = reach_lti(sys_, x0, ubox, t_f, step_h)
+            lo, hi = sets.step_bounds(np.eye(sys_.p))
+            for j, step in enumerate(sets):
+                box = step.outputs.interval_hull()
+                tol = 4 * np.finfo(float).eps * np.maximum(np.abs(lo[j]), np.abs(hi[j]))
+                assert np.all(np.abs(box.lb - lo[j]) <= tol)
+                assert np.all(np.abs(box.ub - hi[j]) <= tol)
+                assert step.outputs.order == np.count_nonzero(hi[j] > lo[j])
 
     def test_no_step_sets_are_refused(self):
         # a verdict over no step sets says nothing; check_spec once called

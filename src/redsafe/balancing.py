@@ -68,9 +68,10 @@ class BalancedRealization:
 class Abstraction:
     """Order-k truncation of a balanced realization plus its initial set.
 
-    ``x0_zonotope`` is the initial set reach starts from (see
-    :func:`image_zonotope`), and ``x0_reduced`` the componentwise-exact
-    interval hull of {H[:k] x0 : x0 in X0}, which a reduced manifest stores.
+    ``x0_zonotope`` is the initial set reach starts from, the exact image
+    {H[:k] x0 : x0 in X0} with one generator per free dim of X0 (see
+    :func:`image_zonotope`), and ``x0_reduced`` its componentwise-exact
+    interval hull, which a reduced manifest stores.
     """
 
     reduced: LtiSystem
@@ -151,20 +152,13 @@ def box_image(L: np.ndarray, box: HyperBox) -> HyperBox:
 
 
 def image_zonotope(L: np.ndarray, box: HyperBox) -> Zonotope:
-    """{L x : x in box} as a zonotope centered at L c.  While the box has at
-    most as many free dims f as L has rows, the image is exact, with one
-    generator L[:, d] r_d per free dim d; past that it is the interval hull
-    of :func:`box_image`, with one axis generator per row of positive
-    radius.  Both contain the image, and the exact one lies within the hull,
-    so the zonotope is never looser than the hull and holds at most min(f,
-    rows) generators."""
+    """{L x : x in box}, exactly: the zonotope centered at L c with one
+    generator L[:, d] r_d per free dim d of the box, in the order of
+    :meth:`HyperBox.free_dims`, however many rows L has.  It lies within
+    the interval hull :func:`box_image`, and its vertices are the images of
+    the box's vertices, so every support of it is attained at one."""
     free = box.free_dims()
-    if free.size <= L.shape[0]:
-        G = L[:, free] * box.halfwidth[free]
-    else:
-        rad = np.abs(L) @ box.halfwidth
-        G = np.diag(rad)[:, rad > 0]
-    return Zonotope(L @ box.center, G)
+    return Zonotope(L @ box.center, L[:, free] * box.halfwidth[free])
 
 
 def truncate(bal: BalancedRealization, k: int, x0: HyperBox) -> Abstraction:

@@ -32,10 +32,11 @@ than O(r p g_j) over its g_j input columns, with no matrix product per
 step.
 
 The witness search (:func:`find_unsafe_witness`) reads the same samples and
-is the one place that looks for a crossing point.  From a box's image, a
-box vertex and a bang-bang grid plan attain the support of any output
-direction at any sample, the optimal input of simulation-equivalent
-reachability, so each predicate gets one such candidate from the samples
+is the one place that looks for a crossing point.  Reach starts from a
+box's exact image (:func:`balancing.image_zonotope`), so a box vertex and
+a bang-bang grid plan, the optimal input of simulation-equivalent
+reachability, attain the support of any output direction at any sample,
+and the sample's images give both.  Each predicate gets one such candidate
 (:func:`_candidates`) and nothing is drawn at random.  :func:`check_spec`
 calls for it only when its own test leaves some step set uncertified clear
 of a witness region.
@@ -189,7 +190,7 @@ class ReachSets(Sequence):
     def sample_supports(self, Gamma: np.ndarray) -> np.ndarray:
         """(samples, rows) upper supports of the rows of Gamma at every
         grid sample, with no hull and no ball: c + s.  A box vertex and a
-        grid plan attain each when the initial set is a box's image."""
+        grid plan attain each when the initial set is a box's exact image."""
         return self._table(Gamma)[0]
 
     def step_bounds(self, Gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -473,8 +474,8 @@ def reach_lti(sys: LtiSystem, x0: HyperBox | Zonotope, u_box: HyperBox, t_f: flo
     for mu = max(lambda_max(sym A), 0), that is within the simulation
     bounds' rule, e^{mu a h} times the norm and a e^{mu a h} ||v||.
 
-    Cost model, for order k, m input columns, g0 initial generators (g0 <=
-    min(f, k) for the image of a box with f free dims, see
+    Cost model, for order k, m input columns, g0 initial generators (g0 = f
+    for the image of a box with f free dims, see
     :func:`balancing.image_zonotope`), p outputs and N steps: the orbit's
     state has k + 1 rows, so it forms every s-th state, s = floor((k + 1) / p)
     where k + 1 >= 4p and s = 1 otherwise, and a sample costs about
@@ -808,14 +809,14 @@ class WitnessTrajectory:
     sample_index: int = field(default=0)
 
 
-def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
-                specs: list[TransformedSpec], sets: ReachSets,
-                init_map: np.ndarray | None):
+def _candidates(x0: HyperBox, u_box: HyperBox, specs: list[TransformedSpec],
+                sets: ReachSets):
     """One candidate per predicate with a witness region: for an output
-    direction l and a sample j, the box vertex X[:, b] = c + r sign(l C Phi^j
-    init_map) and the plan u_c + u_r sign(l C M_(j-1-i)) in rows i < j of
-    plans[:, :, b], u_c elsewhere and in the channels reach dropped,
-    which attain the support of l at j from the box's image.
+    direction l and a sample j, the box vertex c + r sign(l C H_j) over the
+    free dims of x0, C H_j the images of their generators at sample j, in
+    X[:, b], and the plan u_c + u_r sign(l C M_(j-1-i)) in rows i < j of
+    plans[:, :, b], u_c elsewhere and in the channels reach dropped, which
+    attain the support of l at j from the box's image.
 
     A safe-polarity polytope takes the row l and sample j of the largest
     margin S + Psi over its witness region's rows and the grid samples (S
@@ -825,9 +826,13 @@ def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     margin, with l = Q(c_j - a) for an ellipsoid (negated for an
     unsafe-polarity one) and -Gamma_l for the row l that c_j violates most
     for an unsafe-polarity polytope; its check is None.  Returns X, the
-    plans, each candidate's predicate index and the checks."""
-    steps = len(sets)
-    Phi = _transition(sys.A, sets.t1[-1] / steps)
+    plans, each candidate's predicate index and the checks.  Step sets with
+    another number of initial generators than x0's free dims raise
+    ModelError."""
+    free, steps = x0.free_dims(), len(sets)
+    if sets.g0 != free.size:
+        raise ModelError(f"the step sets hold {sets.g0} initial generators, but x0 has "
+                         f"{free.size} free dims; reach from image_zonotope(init_map, x0)")
     centers = sets.Y[:, :, 0]
     picks, checks = [], []
     for i, ts in enumerate(specs):
@@ -850,12 +855,10 @@ def _candidates(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
             ell = sign * (reg.Q @ (centers[j] - reg.a))
         picks.append((i, ell, j))
         checks.append(None)
-    X = np.empty((x0.dim, len(picks)))
+    X = np.repeat(x0.center[:, None], len(picks), axis=1)
     plans = np.tile(u_box.center[:, None], (steps, 1, len(picks)))
     for b, (_, ell, j) in enumerate(picks):
-        lift = ell @ sys.C @ np.linalg.matrix_power(Phi, j)
-        X[:, b] = x0.center + x0.halfwidth * np.sign(lift if init_map is None
-                                                     else lift @ init_map)
+        X[free, b] += x0.halfwidth[free] * np.sign(ell @ sets.Y[j, :, 1:1 + sets.g0])
         ages = (ell @ sets.Y[:j, :, 1 + sets.g0:])[::-1]
         plans[:j, sets.channels, b] += u_box.halfwidth[sets.channels] * np.sign(ages)
     return X, plans, [i for i, _, _ in picks], checks
@@ -870,11 +873,13 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
     CAV 2017), one per predicate (:func:`_candidates`).
 
     ``sets`` are the step sets :func:`reach_lti` returned for the same
-    system, initial set (``init_map`` x0) and input box; the search reads
-    its horizon t_f and its N even steps from them.  The candidates share
-    one :func:`simulate` call on that grid from their initial states,
-    vertices of ``x0`` lifted by ``init_map`` (identity when omitted), so the
-    witness is sound for the full-order system.  A safe-polarity polytope's
+    system and input box from the exact image of ``x0``,
+    :func:`balancing.image_zonotope` (``init_map``, x0), or x0 itself when
+    ``init_map`` is omitted; the search reads its horizon t_f, its N even
+    steps and each candidate's box vertex from them.  The candidates share
+    one :func:`simulate` call on that grid from their initial states, the
+    vertices lifted by ``init_map`` (identity when omitted), so the witness
+    is sound for the full-order system.  A safe-polarity polytope's
     candidate above the support it attains by more than its allowance
     raises ModelError.  Candidates are taken in order, and every predicate
     in order within each: a sample must meet the witness predicate with
@@ -888,7 +893,7 @@ def find_unsafe_witness(sys: LtiSystem, x0: HyperBox, u_box: HyperBox,
         transformed_unsafe = [transformed_unsafe]
     specs = list(transformed_unsafe)
     _check_outputs(specs, sys.p, "the system")
-    X, plans, owners, checks = _candidates(sys, x0, u_box, specs, sets, init_map)
+    X, plans, owners, checks = _candidates(x0, u_box, specs, sets)
     if not owners:
         return None
     t_f, steps = float(sets.t1[-1]), len(sets)

@@ -159,28 +159,29 @@ def truncation_cases(draw):
 @given(truncation_cases())
 def test_initial_zonotope_is_the_exact_image(case):
     # x0_reduced stays the hull of box_image, bit for bit; x0_zonotope is
-    # centered at H_k c with min(f, k) generators, and lies within that hull
+    # centered at H_k c with one generator H_k[:, d] r_d per free dim d, f
+    # of them at any k, lies within that hull and attains it, and its
+    # vertices are the images of the box's vertices
     bal, k, box = case
     abstraction = truncate(bal, k, box)
-    H_k, f = bal.H[:k, :], box.free_dims().size
+    H_k, free = bal.H[:k, :], box.free_dims()
     hull = box_image(H_k, box)
     assert np.array_equal(abstraction.x0_reduced.lb, hull.lb)
     assert np.array_equal(abstraction.x0_reduced.ub, hull.ub)
     z = abstraction.x0_zonotope
     assert np.array_equal(z.center, H_k @ box.center)
-    assert z.order == min(f, k)
+    assert np.array_equal(z.generators, H_k[:, free] * box.halfwidth[free])
     rad = np.abs(H_k) @ box.halfwidth
+    np.testing.assert_allclose(z.radius_vector(), hull.halfwidth, rtol=1e-12,
+                               atol=1e-12 * np.max(rad, initial=0.0))
     assert np.all(np.abs(z.center - hull.center) + z.radius_vector()
                   <= hull.halfwidth + 1e-12 * (np.abs(hull.center) + rad))
-    if f <= k:
-        # the zonotope's vertices are the images of the box's vertices
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=f))).T
-        free = box.free_dims()
-        verts = np.repeat(box.center[:, None], signs.shape[1], axis=1)
-        verts[free] += box.halfwidth[free, None] * signs
-        images = H_k @ verts
-        np.testing.assert_allclose(z.center[:, None] + z.generators @ signs, images,
-                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(images)))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=free.size))).T
+    verts = np.repeat(box.center[:, None], signs.shape[1], axis=1)
+    verts[free] += box.halfwidth[free, None] * signs
+    images = H_k @ verts
+    np.testing.assert_allclose(z.center[:, None] + z.generators @ signs, images,
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(images)))
 
 
 def test_truncation_at_k_n_preserves_io(rng):

@@ -1260,15 +1260,14 @@ class TestExactInitialSet:
 
     @pytest.mark.parametrize("f", [0, 2, 3, 5])  # below, at and above k = 3
     def test_dense_columns_per_initial_generator(self, rng, f):
-        # g0 <= min(f, k) initial generators: a sample holds 1 + g0 + m
-        # columns, and step j is the range box of its two samples and its
-        # ball, one generator per output
+        # g0 = f initial generators at every order, one per free dim: a
+        # sample holds 1 + f + m columns, and step j is the range box of its
+        # two samples and its ball, one generator per output
         bal = rs.balance(rs.random_stable_system(rng, 6, 2, 2))
         abstraction = rs.truncate(bal, 3, rand_box(rng, 6, f))
         sets = reach_lti(abstraction.reduced, abstraction.x0_zonotope, rand_ubox(rng, 2),
                          1.0, 0.05)
-        g0 = min(f, 3)
-        assert sets.g0 == g0 and sets.Y.shape[2] == 1 + g0 + 2
+        assert sets.g0 == f and sets.Y.shape[2] == 1 + f + 2
         lo, hi = SampleHulls.of(sets).bounds(np.eye(2))
         for j in (0, len(sets) - 1):
             box = sets[j].outputs
@@ -2043,11 +2042,11 @@ def certificate_cases(draw):
 
 @st.composite
 def exact_grid_cases(draw):
-    """Like :func:`certificate_cases`, with n <= 4, f <= k free dims (so the
-    initial set is exact), one or two inputs and one to 12 steps."""
+    """Like :func:`certificate_cases`, with n <= 4, one or two inputs and one
+    to 12 steps."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, n))
-    f = draw(st.integers(0, k))
+    f = draw(st.integers(0, n))
     m, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -2125,7 +2124,7 @@ class TestWitnessCertificate:
         # the optimal candidate, box vertices and samples under random and
         # bang-bang grid plans: every row value at every sample is at most
         # its support, none crosses when no support reaches the region, and
-        # with f <= k the optimal candidate attains its support, and crosses
+        # at any f the optimal candidate attains its support, and crosses
         # unless no support reaches the region
         sys_, L, box, ubox, t_f, step_h, seed = case
         rng = np.random.default_rng(seed)
@@ -2134,7 +2133,7 @@ class TestWitnessCertificate:
         Gamma, steps = ts.witness_region.Gamma, len(sets)
         S = sets.sample_supports(Gamma)
         reaches = supports_reach(ts, S)
-        X, plans, _, ((j, l, top, _),) = reach._candidates(sys_, box, ubox, [ts], sets, L)
+        X, plans, _, ((j, l, top, _),) = reach._candidates(box, ubox, [ts], sets)
         X = np.hstack([X, box.vertices()[:, :16], box.sample(rng, 8)])
         draws = rng.random((steps, sys_.m, X.shape[1] - 1))
         draws[:, :, ::2] = np.round(draws[:, :, ::2])
@@ -2145,16 +2144,15 @@ class TestWitnessCertificate:
         assert np.all(rows <= (S + 1e-9 * (np.abs(S) + 1.0))[:, :, None])
         crossed = rows + ts.witness_region.Psi[:, None] > 0
         assert reaches or not np.any(crossed)
-        if box.free_dims().size <= L.shape[0]:
-            assert rows[j, l, 0] == pytest.approx(top, rel=1e-9, abs=1e-9)
-            assert reaches == crossed[j, l, 0]
+        assert rows[j, l, 0] == pytest.approx(top, rel=1e-9, abs=1e-9)
+        assert reaches == crossed[j, l, 0]
 
     @given(certificate_cases())
     def test_certificate_agrees_with_the_search(self, case):
         # the search simulates its one candidate once: when no support
         # reaches the region it returns None after that one simulation, and
-        # with f <= k, a support that crosses clearly gives a witness after
-        # one re-simulation
+        # at any f a support that crosses clearly gives a witness after one
+        # re-simulation
         sys_, L, box, ubox, t_f, step_h, seed = case
         rng = np.random.default_rng(seed)
         sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
@@ -2169,8 +2167,43 @@ class TestWitnessCertificate:
         if not supports_reach(ts, S):
             assert found is None and calls == [1]
         top = float(np.max(S + ts.witness_region.Psi))
-        if box.free_dims().size <= L.shape[0] and top > 1e-6 * (np.abs(S).max() + 1.0):
+        if top > 1e-6 * (np.abs(S).max() + 1.0):
             assert found is not None and calls == [1, 0]
+
+    @given(certificate_cases())
+    def test_vertex_is_the_explicit_lift(self, case):
+        # at f <= k and f > k alike, each safe-polytope candidate's vertex
+        # is c + r sign(l C Phi^j L) in every free dim d where that lift is
+        # above 1e-12 of its rounding scale |l| |C| |Phi|^j |L_d|, and
+        # simulated from L times it under its plan, the candidate attains
+        # its sample support within the search's allowance
+        sys_, L, box, ubox, t_f, step_h, seed = case
+        rng = np.random.default_rng(seed)
+        sets = reach_lti(sys_, image_zonotope(L, box), ubox, t_f, step_h)
+        specs = [crossing_spec(rng, sets) for _ in range(3)]
+        X, plans, owners, checks = reach._candidates(box, ubox, specs, sets)
+        Phi = _transition(sys_.A, t_f / len(sets))
+        Y = simulate(sys_, L @ X, plans, t_f, t_f / len(sets)).outputs
+        free = box.free_dims()
+        for b, (i, (j, l, top, tol)) in enumerate(zip(owners, checks)):
+            ell = specs[i].witness_region.Gamma[l]
+            lift = ell @ sys_.C @ np.linalg.matrix_power(Phi, j) @ L
+            scale = (np.abs(ell) @ np.abs(sys_.C)
+                     @ np.linalg.matrix_power(np.abs(Phi), j) @ np.abs(L))
+            sure = free[np.abs(lift[free]) > 1e-12 * scale[free]]
+            explicit = box.center + box.halfwidth * np.sign(lift)
+            assert np.array_equal(X[sure, b], explicit[sure])
+            assert np.array_equal(np.delete(X[:, b], free), np.delete(box.center, free))
+            assert abs(float(ell @ Y[j, :, b]) - top) <= tol
+
+    def test_step_sets_of_another_initial_set_refused(self, rng):
+        # the vertex is read from the step sets' initial images, one per
+        # free dim of x0: step sets reached from another set are refused
+        sys_ = rs.random_stable_system(rng, 3, 2, 2)
+        x0, ubox = rand_box(rng, 3, 2), rand_ubox(rng, 2)
+        sets = reach_lti(sys_, rand_box(rng, 3, 3), ubox, 1.0)
+        with pytest.raises(rs.ModelError, match="3 initial generators, but x0 has 2 free"):
+            find_unsafe_witness(sys_, x0, ubox, first_y0_spec(0.0), sets)
 
     @given(exact_grid_cases())
     def test_search_loses_no_grid_witness(self, case):

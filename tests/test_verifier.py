@@ -299,17 +299,18 @@ class TestUnsafePolaritySpecs:
 
 #: (outcome, k_used) of ``random_problem(seed, n, m, p, free_dims=f,
 #: spec_scale=c)`` under the default VerifyOptions, per (n, m, p, f, c) and
-#: seed, as the witness search gave them while it drew random candidates
-#: only: ``S<k>`` Safe at k, ``U<k>`` Unsafe at k, ``I`` Indeterminate.
+#: seed, with reach started from the box's exact image at every order and
+#: one optimal-input witness candidate per predicate: ``S<k>`` Safe at k,
+#: ``U<k>`` Unsafe at k, ``I`` Indeterminate.
 WITNESS_FAMILY = {
-    (8, 1, 1, None, 0.3): "I I I I S8 S8 U2 I U6 U5 U4 I I I U3 I I U8 I I "
-                          "S8 S8 U6 U5 I I S6 S5 S8 I I S8 U4 U6 I S8 U5 U8 I I",
-    (8, 1, 1, None, 0.5): "S2 S8 S2 S4 S2 S2 U3 S8 S6 S2 S8 S3 S8 S8 I S8 S2 S8 S3 S2 "
-                          "S2 S2 I S8 S8 S8 S2 S2 S2 S3 S8 S2 I S8 S8 S2 S8 S8 S8 S2",
-    (8, 1, 1, None, 0.7): "S2 S2 S2 S2 S2 S2 S8 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 "
-                          "S2 S2 S8 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S8 S3 S2",
+    (8, 1, 1, None, 0.3): "I U6 U6 I S4 S3 U2 U5 U3 U4 U4 U6 I U5 U3 U4 U6 U4 I U6 "
+                          "S5 S7 U4 U5 U6 U6 S4 S3 S6 U8 U6 S3 U3 U3 U4 S3 U4 U4 U7 U6",
+    (8, 1, 1, None, 0.5): "S2 S4 S2 S3 S2 S2 U3 S3 S3 S2 S3 S3 S2 S2 U8 S4 S2 S2 S3 S2 "
+                          "S2 S2 I S8 S5 S6 S2 S2 S2 S2 S2 S2 U8 S6 S4 S2 S5 S7 S7 S2",
+    (8, 1, 1, None, 0.7): "S2 S2 S2 S2 S2 S2 S4 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 "
+                          "S2 S2 S4 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S2 S3 S2 S2",
     (8, 1, 1, None, 1.0): " ".join(["S2"] * 40),
-    (12, 2, 2, 4, 0.3): "S9 I U3 S7 U10 I I I I I U10 S5 I U8 I I U3 I U9 S12",
+    (12, 2, 2, 4, 0.3): "S9 I U3 S7 U3 U7 I I I I U7 S5 I U4 I I U3 I U7 S12",
     (12, 2, 2, 4, 0.6): "S3 S3 I S3 I S3 S3 S3 S4 S3 S4 S3 S3 I S3 S6 I S3 S3 S3",
 }
 
